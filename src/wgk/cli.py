@@ -35,10 +35,11 @@ class InputError(ValueError):
 
 
 def default_depth():
+    text = os.environ.get("WGK_DEPTH", "40")
     try:
-        return max(1, int(os.environ.get("WGK_DEPTH", "40")))
+        return max(1, int(text))
     except ValueError:
-        return 40
+        raise InputError(f"WGK_DEPTH must be an integer, got {text!r}") from None
 
 
 def fmt_wps(weights):

@@ -3,16 +3,16 @@
 Given weighted coordinates and weighted-homogeneous equations, the dimension
 of the quotient ring in a fixed degree is the number of monomials of that
 degree minus the rank of the span of all monomial multiples of the equations.
-Everything runs over the integers (fraction-free row reduction), so results
-are exact; one reduced echelon per degree is cached so that rank and
-membership queries share the elimination work.
+Everything runs over the integers (fraction-free elimination with content
+removal), so results are exact; one row echelon form per degree is cached so
+that rank and membership queries share the elimination work.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 DEGREE_BUDGET = 200_000  # refuse degrees whose monomial count exceeds this
 ROW_BUDGET = 60_000      # likewise for the number of equation-multiple rows
@@ -71,95 +71,60 @@ def _normalize_row(row):
     return row
 
 
-def _int_row(row):
-    lcm = 1
-    for v in row.values():
-        f = Fraction(v)
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    out = {}
-    for c, v in row.items():
-        f = Fraction(v) * lcm
-        if f:
-            out[c] = int(f)
-    return out
-
-
 class IntegerEchelon:
-    """Incremental fully-reduced echelon of sparse integer rows.
+    """Incremental row echelon form of sparse integer rows, over Q.
 
-    Pivot columns appear in exactly one stored row each, so reducing a row
-    strictly removes pivot columns and terminates.  Insertion keeps the form
-    reduced (Gauss-Jordan), making repeated membership queries cheap.
+    Every stored row is primitive and keyed by its smallest column, its
+    pivot; no two rows share a pivot and there is no back-substitution.  A
+    nonzero combination of stored rows has its smallest column at the least
+    pivot it involves, so a row lies in the span exactly when repeatedly
+    eliminating its smallest column against the pivot row there empties it.
+    Each step strictly raises the smallest column, so reduction terminates.
     """
 
     def __init__(self):
-        self.rows = {}          # pivot column -> normalized row
+        self.rows = {}          # pivot column -> primitive row, pivot = min column
 
     @property
     def rank(self):
         return len(self.rows)
 
     def _combine(self, row, piv_col):
+        """a*row - b*pivot_row with the pivot column cancelled, made primitive."""
         piv = self.rows[piv_col]
         a, b = piv[piv_col], row[piv_col]
-        new = {}
-        for c, v in row.items():
-            w = a * v - b * piv.get(c, 0)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        new = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+        for c, v in piv.items():
+            w = new.get(c, 0) - b * v
             if w:
                 new[c] = w
-        for c, v in piv.items():
-            if c not in row:
-                w = -b * v
-                if w:
-                    new[c] = w
+            else:
+                del new[c]
         return _normalize_row(new)
 
     def reduce(self, row):
-        """Remainder of the row against the echelon; empty means dependent."""
-        row = _normalize_row({c: int(v) for c, v in row.items() if v})
+        """Remainder of an integer row against the echelon; empty means dependent."""
+        row = _normalize_row({c: v for c, v in row.items() if v})
+        rows = self.rows
         while row:
-            hit = next((c for c in row if c in self.rows), None)
-            if hit is None:
+            p = min(row)
+            if p not in rows:
                 break
-            row = self._combine(row, hit)
+            row = self._combine(row, p)
         return row
 
     def insert(self, row):
-        """Add a row; returns True when it enlarges the span."""
+        """Add an integer row; returns True when it enlarges the span."""
         red = self.reduce(row)
         if not red:
             return False
-        p = min(red, key=lambda c: (abs(red[c]), c))
-        for q in list(self.rows):
-            other = self.rows[q]
-            if p in other:
-                a, b = red[p], other[p]
-                new = {}
-                for c, v in other.items():
-                    w = a * v - b * red.get(c, 0)
-                    if w:
-                        new[c] = w
-                for c, v in red.items():
-                    if c not in other:
-                        w = a * 0 - b * v
-                        if w:
-                            new[c] = w
-                self.rows[q] = _normalize_row(new)
-        self.rows[p] = red
+        self.rows[min(red)] = red
         return True
 
     def contains(self, row):
         return not self.reduce(row)
-
-
-def exact_rank(rows):
-    """Rank over Q of a sparse matrix given as dicts col -> value."""
-    ech = IntegerEchelon()
-    for r in rows:
-        ints = _int_row(r)
-        if ints:
-            ech.insert(ints)
-    return ech.rank
 
 
 class GradedRing:
@@ -189,6 +154,9 @@ class GradedRing:
             deg = {sum(e * w for e, w in zip(vec, self.weights)) for vec, _ in terms}
             if len(deg) != 1:
                 raise ValueError("equations must be weighted-homogeneous")
+            # scale to integer coefficients once, so slices build integer rows
+            scale = lcm(*(coeff.denominator for _, coeff in terms))
+            terms = [(vec, int(coeff * scale)) for vec, coeff in terms]
             self.equations.append((deg.pop(), terms))
         self._slices = {}
 
@@ -207,7 +175,7 @@ class GradedRing:
                 f"degree {degree} exceeds the oracle budget ({rows} rows)")
 
     def _slice(self, degree):
-        """Column index and reduced echelon of the ideal slice in one degree."""
+        """Column index and row echelon form of the ideal slice in one degree."""
         if degree not in self._slices:
             self.check_budget(degree)
             cols = {m: i for i, m in
@@ -220,10 +188,9 @@ class GradedRing:
                 for mult in weighted_monomials(self.weights, shift):
                     row = {}
                     for vec, coeff in terms:
-                        key = tuple(a + b for a, b in zip(mult, vec))
-                        col = cols[key]
+                        col = cols[tuple(map(add, mult, vec))]
                         row[col] = row.get(col, 0) + coeff
-                    ech.insert(_int_row(row))
+                    ech.insert(row)
             self._slices[degree] = (cols, ech)
         return self._slices[degree]
 

@@ -192,3 +192,11 @@ def test_depth_env_override(capsys, monkeypatch):
                        "--half", "2")
     assert code == 0
     assert out.strip() == "1 7 29 83 190 370 645"
+
+
+def test_depth_env_malformed(capsys, monkeypatch):
+    monkeypatch.setenv("WGK_DEPTH", "abc")
+    code, out, err = run(capsys, "rr", "can3", "--pg", "7", "--k3", "21",
+                         "--half", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "WGK_DEPTH" in err
