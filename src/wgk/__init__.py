@@ -15,8 +15,7 @@ from .sections import (AmbientModel, QuotientSingularity, SectionSpec,
                        ambient_series, graded_dimension_oracle, invariants,
                        quasilinear_embed, rr_roundtrip, section_canonical,
                        section_series, singularity_analysis)
-from .series import (HilbertSeries, LaurentPoly, binom3, expand,
-                     hilbert_numerator, intersection_number)
+from .series import HilbertSeries, LaurentPoly, binom3
 from .wgrass25 import (Chart, GrNumerology, GrWeights, fit_pfaffian_weights,
                        pfaffian_equations, verify_gr_identities)
 from .wogr510 import (OGrWeights, WeightCharacters, equations,
@@ -29,10 +28,9 @@ __all__ = [
     "GrWeights", "HilbertSeries", "LaurentPoly", "MatchQuery", "OGrWeights",
     "PeriodicTable", "QuotientSingularity", "SectionSpec", "WeightCharacters",
     "ambient_series",
-    "binom3", "equations", "expand", "first_syzygies",
+    "binom3", "equations", "first_syzygies",
     "fit_pfaffian_weights", "graded_dimension_oracle", "hilbert_can3",
-    "hilbert_cy3", "hilbert_numerator", "infer_generators",
-    "intersection_number", "invariants", "match_pipeline", "membership",
+    "hilbert_cy3", "infer_generators", "invariants", "match_pipeline", "membership",
     "parametrize", "pfaffian_equations", "plurigenus_can3", "plurigenus_cy3",
     "quasilinear_embed", "rr_roundtrip", "search", "section_canonical",
     "section_series", "singularity_analysis", "singularity_filter",

@@ -2,19 +2,23 @@
 
 Generator degrees are inferred greedily from the series (optionally forced to
 be compatible with a required singularity basket), the target numerator is
-formed exactly, and all weight data within bounds is enumerated for both
-families.  A model matches when its closed-form numerator equals the target
-numerator exactly, either directly (quasilinear candidate) or after stripping
-extra (1 - t^k) factors (a nonlinear section of a cone, reported as a formal
-match).  A necessary-condition singularity filter rejects models that cannot
-carry a required 1/r point because no coordinate weight is divisible by r.
+formed exactly, and the weight data within bounds is looked up in a cached
+index sliced by numerator top exponent.  A model matches when its closed-form
+numerator equals the target numerator exactly, either directly (quasilinear
+candidate) or after stripping extra (1 - t^k) factors (a nonlinear section of
+a cone, reported as a formal match).  A necessary-condition singularity
+filter rejects models that cannot carry a required 1/r point because no
+coordinate weight is divisible by r.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 
 from .sections import AmbientModel, SectionSpec
 from .series import HilbertSeries, LaurentPoly, SeriesError, one_minus
@@ -138,20 +142,71 @@ def enumerate_ogr_weights(max_w2, max_u):
     return out
 
 
-def _model_table(family, max_w2, max_u):
-    table = []
+class _Entry:
+    """One enumerated weight datum and, once a query reaches it, its numerator
+    at t = 2 (0 when the weights give no numerator)."""
+
+    __slots__ = ("pos", "family", "weights", "top", "at2")
+
+    def __init__(self, pos, family, weights, top):
+        self.pos, self.family, self.weights, self.top = pos, family, weights, top
+        self.at2 = None
+
+    def series(self):
+        """The closed-form Hilbert series, or None when the weights give none."""
+        try:
+            series = self.weights.hilbert_series()
+        except ValueError:
+            self.at2 = 0
+            return None
+        num, top = series.numerator, self.top
+        if num[0] != 1 or num.max_exp() != top or num[top] != -1:
+            raise AssertionError(f"{self.weights}: numerator is not 1 + ... - t^{top}")
+        # never 0: an integer root of num would divide its constant term 1
+        self.at2 = num(2)
+        return series
+
+
+@lru_cache(maxsize=8)
+def _model_index(family, max_w2, max_u):
+    """Bounded models keyed by numerator top exponent, each slice in table order.
+
+    The top term is -t^{2d} for wGr and -t^{4d} for wOGr, read off the
+    weights, so a query builds numerators only in the slices it can match.
+    """
+    models = []
     if family in (None, "wgr25"):
-        for w in enumerate_gr_weights(max_w2):
-            table.append(("wgr25", w, w.hilbert_series().numerator,
-                          tuple(w.plucker_weights())))
+        models += [("wgr25", w, w.d2()) for w in enumerate_gr_weights(max_w2)]
     if family in (None, "wogr510"):
-        for w in enumerate_ogr_weights(max_w2, max_u):
-            try:
-                num = w.hilbert_series().numerator
-            except ValueError:
-                continue
-            table.append(("wogr510", w, num, w.coordinate_weights()))
-    return table
+        models += [("wogr510", w, 2 * w.d2())
+                   for w in enumerate_ogr_weights(max_w2, max_u)]
+    index = {}
+    for pos, (fam, w, top) in enumerate(models):
+        index.setdefault(top, []).append(_Entry(pos, fam, w, top))
+    return index
+
+
+def _lookup(family, max_w2, max_u, n_target, formal=False):
+    """(entry, Hilbert series) in table order for each bounded model whose
+    numerator num can equal n_target or, with ``formal``, divide it.
+
+    A match means n_target = num * q with q = 1 or prod (1 - t^k), k >= 1.
+    So the top exponent of num is at most that of n_target (equal when
+    q = 1), and num(2) divides the integer n_target(2) when n_target has
+    integer coefficients.  Only num(2) is kept; the few models that pass
+    rebuild their series.
+    """
+    if n_target.is_zero():
+        return
+    index = _model_index(family, max_w2, max_u)
+    top = n_target.max_exp()
+    tops = [t for t in index if t == top or formal and t < top]
+    at2 = (n_target(2) if all(c.denominator == 1 for c in n_target.coeffs.values())
+           else None)
+    for entry in heapq.merge(*(index[t] for t in tops), key=attrgetter("pos")):
+        series = entry.series() if entry.at2 is None else None
+        if entry.at2 and (at2 is None or at2 % entry.at2 == 0):
+            yield entry, series or entry.series()
 
 
 def _strip_section_factors(quotient):
@@ -211,25 +266,24 @@ def search(query):
     else:
         n_target = query.target.numerator
     results = {}
-    for family, w, num, cw in _model_table(query.family, query.max_w2,
-                                           query.max_u):
-        if num != n_target:
+    for entry, series in _lookup(query.family, query.max_w2, query.max_u, n_target):
+        if series.numerator != n_target:
             continue
         cone = ()
         if gens is not None:
             gcount = Counter(gens)
-            ccount = Counter(cw)
+            ccount = Counter(series.denominator)
             extra = gcount - ccount
             if set(extra) - {1} or ccount - gcount:
                 continue
             cone = (1,) * extra[1]
-        model = AmbientModel(w, cone)
+        model = AmbientModel(entry.weights, cone)
         if (query.canonical_degree is not None
                 and model.canonical_degree() != query.canonical_degree):
             continue
         if query.basket and not singularity_filter(model, query.basket)[0]:
             continue
-        results[_canonical_key(family, w) + (cone,)] = model
+        results[_canonical_key(entry.family, entry.weights) + (cone,)] = model
     return [results[k] for k in sorted(results)]
 
 
@@ -298,7 +352,6 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
     extra generator-and-relation degree k is tried for k up to the bound.
     """
     basket = tuple(basket)
-    table = _model_table(family, max_w2, max_u)
     gen_sets = []
     greedy = infer_generators(series, depth)
     gen_sets.append(("greedy", greedy))
@@ -326,9 +379,10 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
             tried.append((provenance, gens, "numerator does not clear"))
             return
         tried.append((provenance, gens, "ok"))
-        for fam, w, num, cw in table:
+        for entry, model_series in _lookup(family, max_w2, max_u, n_target, formal=True):
+            fam, w, num = entry.family, entry.weights, model_series.numerator
             if num == n_target:
-                cone, sections = _quasilinear_sections(gens, cw)
+                cone, sections = _quasilinear_sections(gens, model_series.denominator)
                 model = AmbientModel(w, (1,) * cone if cone else ())
                 key = _canonical_key(fam, w) + (model.cone, (), sections)
                 if key not in candidates:

@@ -263,8 +263,8 @@ class HilbertSeries:
         return self.series_equal(other)
 
     def __hash__(self):
-        c = self.canonical()
-        return hash((c.numerator, c.denominator))
+        # the value at t = 2 is exact and equal for equal series
+        return hash(self.numerator(2) / prod(1 - 2 ** a for a in self.denominator))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -286,19 +286,20 @@ class HilbertSeries:
         return HilbertSeries(self.numerator, self.denominator + tuple(extra))
 
     def canonical(self):
-        """Cancel (1 - t^a) pairs greedily by exact polynomial division."""
+        """Cancel (1 - t^a) pairs by exact polynomial division.
+
+        One ascending pass suffices: if (1 - t^b) does not divide num, it
+        does not divide num / (1 - t^a) either.
+        """
         num = self.numerator
         denom = list(self.denominator)
-        changed = True
-        while changed and not num.is_zero():
-            changed = False
-            for a in sorted(set(denom)):
+        for a in sorted(set(denom)):
+            while a in denom and not num.is_zero():
                 q = num.divexact(one_minus(a))
-                if q is not None:
-                    num = q
-                    denom.remove(a)
-                    changed = True
+                if q is None:
                     break
+                num = q
+                denom.remove(a)
         return HilbertSeries(num, denom)
 
     # -- analysis ------------------------------------------------------------
@@ -332,19 +333,18 @@ class HilbertSeries:
     def coefficient(self, n):
         return self.expand(n)[n]
 
+    def _pole_at_one(self, what):
+        """Pole order at t = 1, and the numerator with its (1 - t) factors removed."""
+        if self.numerator.is_zero():
+            raise SeriesError(f"zero series has no {what}")
+        num, v = self.numerator, 0
+        while (q := num.divexact(one_minus(1))) is not None:
+            num, v = q, v + 1
+        return len(self.denominator) - v, num
+
     def pole_order_at_one(self):
         """Order of the pole at t = 1."""
-        if self.numerator.is_zero():
-            raise SeriesError("zero series has no pole order")
-        num = self.numerator
-        v = 0
-        while True:
-            q = num.divexact(one_minus(1))
-            if q is None:
-                break
-            num = q
-            v += 1
-        return len(self.denominator) - v
+        return self._pole_at_one("pole order")[0]
 
     def intersection_number(self, n):
         """Exact value of (1-t)^{n+1} * H at t = 1 when the pole order is n+1.
@@ -352,17 +352,7 @@ class HilbertSeries:
         This is the degree of the polarizing class on an n-fold with Hilbert
         series H.
         """
-        if self.numerator.is_zero():
-            raise SeriesError("zero series has no intersection number")
-        num = self.numerator
-        v = 0
-        while True:
-            q = num.divexact(one_minus(1))
-            if q is None:
-                break
-            num = q
-            v += 1
-        order = len(self.denominator) - v
+        order, num = self._pole_at_one("intersection number")
         if order != n + 1:
             raise SeriesError(
                 f"pole order at t=1 is {order}, expected {n + 1}")
@@ -404,21 +394,6 @@ class HilbertSeries:
     def from_json(cls, data):
         return cls(LaurentPoly.from_json(data["numerator"]),
                    data.get("denominator", ()))
-
-
-# Module-level forms of the operations, convenient for callers that work with
-# bare series values.
-
-def expand(series, order):
-    return series.expand(order)
-
-
-def hilbert_numerator(series, denominator):
-    return series.hilbert_numerator(denominator)
-
-
-def intersection_number(series, n):
-    return series.intersection_number(n)
 
 
 def binom3(m):

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 from .polynomials import MPoly
 from .series import HilbertSeries, LaurentPoly
-from .wgrass25 import PAIRS, Chart, charts_well_formed, pair_name, pfaffian_equations, skew_entry
+from .wgrass25 import (PAIRS, Chart, charts_well_formed, pair_name, pfaffian_equations,
+                       pfaffians_at, skew_entry)
 
 FULL = frozenset(range(1, 6))
 
@@ -329,18 +330,13 @@ def second_syzygy_degree_check(weights):
 
 # -- membership and parametrization -------------------------------------------
 
-def _pfaffian_values(matrix):
-    from .wgrass25 import pfaffians_at
-    return pfaffians_at(matrix)
-
-
 def parametrize(e, matrix):
     """The simple spinor e*(1, M, Pf M) as a map vertex name -> value."""
     e = Fraction(e)
     point = {"x": e}
     for i, j in PAIRS:
         point[pair_name(i, j)] = e * Fraction(matrix.get((i, j), 0))
-    pfs = _pfaffian_values(matrix)
+    pfs = pfaffians_at(matrix)
     for i in range(1, 6):
         point[f"x{i}"] = e * pfs[i - 1]
     return point
@@ -350,7 +346,7 @@ def membership(e, matrix, p):
     """True iff e*P = Pf M and M*P = 0 hold exactly."""
     e = Fraction(e)
     p = [Fraction(v) for v in p]
-    pfs = _pfaffian_values(matrix)
+    pfs = pfaffians_at(matrix)
     if any(e * p[i] != pfs[i] for i in range(5)):
         return False
     for i in range(1, 6):
@@ -441,7 +437,13 @@ class OGrWeights:
         return num // 2
 
     def coordinate_weights(self):
-        return tuple(sorted(self.vertex_weight(v) for v in VERTICES))
+        """Sorted vertex weights: u at x, u + w_i + w_j at x_ij and, as the
+        even representative of {i} is its complement, u + s - w_i at x_i."""
+        w2, u2 = self.w2, 2 * self.u
+        s2 = u2 + sum(w2)
+        return tuple(sorted([self.u]
+                            + [(u2 + a + b) // 2 for a, b in itertools.combinations(w2, 2)]
+                            + [(s2 - v) // 2 for v in w2]))
 
     def weight_characters(self):
         """Q_V, Q_S+, Q_S- as Laurent polynomials in doubled exponents.
@@ -460,6 +462,7 @@ class OGrWeights:
         """Numerator 1 - t^d Q_V + t^{2d-u} Q_S- - t^{2d+u} Q_S+ + t^{3d} Q_V - t^{4d}
         over the sixteen coordinate weights."""
         d2 = self.d2()
+        coords = self.coordinate_weights()
         acc = {0: 1}
 
         def add(e2, c):
@@ -472,15 +475,14 @@ class OGrWeights:
             add(d2 + v, -1)
             add(3 * d2 - v, 1)
             add(3 * d2 + v, 1)
-        for vert in VERTICES:
-            wt = self.vertex_weight(vert)
+        for wt in coords:
             add(2 * d2 - 2 * wt, 1)
             add(2 * d2 + 2 * wt, -1)
         add(4 * d2, -1)
         num = LaurentPoly(acc)
         if not num.is_zero() and num.min_exp() < 0:
             raise ValueError("numerator has negative exponents: invalid weights")
-        return HilbertSeries(num, self.coordinate_weights())
+        return HilbertSeries(num, coords)
 
     def resolution_degrees(self):
         """Degree banks of the six-term resolution."""

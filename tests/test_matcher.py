@@ -2,17 +2,22 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from wgk import matcher
 from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          enumerate_ogr_weights, infer_generators,
                          match_pipeline, search, singularity_filter)
 from wgk.orbifold_rr import CY3Data, Canonical3Data, FIFTH_334, hilbert_can3, hilbert_cy3
 from wgk.sections import AmbientModel, QuotientSingularity
-from wgk.series import HilbertSeries, LaurentPoly, geometric
+from wgk.series import HilbertSeries, LaurentPoly, geometric, one_minus
 from wgk.wgrass25 import GrWeights
-from wgk.wogr510 import OGrWeights
+from wgk.wogr510 import VERTICES, OGrWeights
 
 H_CAN3 = hilbert_can3(Canonical3Data(7, 21, 2))
 H_CY3 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5), (FIFTH_334,)))
@@ -199,3 +204,171 @@ def test_enumerations_within_bounds_and_canonical():
         key = (c.w2, c.u)
         assert key not in seen
         seen.add(key)
+
+
+# -- the model index against the full-table linear scan it replaced -------------
+
+@lru_cache(maxsize=None)
+def full_table(family, max_w2, max_u):
+    """Every bounded model with its numerator, in enumeration order."""
+    table = []
+    if family in (None, "wgr25"):
+        for w in enumerate_gr_weights(max_w2):
+            table.append(("wgr25", w, w.hilbert_series().numerator,
+                          tuple(w.plucker_weights())))
+    if family in (None, "wogr510"):
+        for w in enumerate_ogr_weights(max_w2, max_u):
+            try:
+                num = w.hilbert_series().numerator
+            except ValueError:
+                continue
+            table.append(("wogr510", w, num, w.coordinate_weights()))
+    return tuple(table)
+
+
+def linear_scan(family, max_w2, max_u, n_target, formal=False):
+    """Oracle for ``matcher._lookup``: the whole table, no slicing, no filter."""
+    for fam, w, num, cw in full_table(family, max_w2, max_u):
+        yield SimpleNamespace(family=fam, weights=w), HilbertSeries(num, cw)
+
+
+def by_linear_scan(fn, *args, **kwargs):
+    with mock.patch.object(matcher, "_lookup", linear_scan):
+        return fn(*args, **kwargs)
+
+
+SMALL = dict(max_w2=4, max_u=2)
+SMALL_MODELS = ([("wgr25", w) for w in enumerate_gr_weights(4)]
+                + [("wogr510", w) for w in enumerate_ogr_weights(4, 2)])
+DEFAULT_MODELS = ([("wgr25", w) for w in enumerate_gr_weights(matcher.DEFAULT_MAX_W2)]
+                  + [("wogr510", w) for w in enumerate_ogr_weights(
+                      matcher.DEFAULT_MAX_W2, matcher.DEFAULT_MAX_U)])
+
+
+def model_series(w):
+    try:
+        return w.hilbert_series()
+    except ValueError:
+        assume(False)
+
+
+def search_key(models):
+    return [(m.family, m.base, m.cone) for m in models]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_MODELS), st.sampled_from((None, "wgr25", "wogr510")),
+       st.sampled_from((None, 1, 2, 3)))
+def test_search_agrees_with_linear_scan(model, family, extra):
+    _, w = model
+    series = model_series(w)
+    gens = series.denominator + ((extra,) if extra else ())
+    for query in (MatchQuery(target=series, generator_degrees=gens, family=family, **SMALL),
+                  MatchQuery(target=HilbertSeries(series.numerator), family=family,
+                             **SMALL)):
+        assert search_key(search(query)) == search_key(by_linear_scan(search, query))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_MODELS), st.sampled_from((None, "wgr25", "wogr510")),
+       st.sampled_from((None, 1, 2, 3)))
+def test_pipeline_agrees_with_linear_scan(model, family, k):
+    # with k, the target is a degree-k hypersurface in the cone over the model;
+    # against the cone's generators only a formal (nonlinear section) match fits
+    _, w = model
+    series = model_series(w)
+    if k:
+        series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
+    kwargs = dict(family=family, augment_bound=1, user_generators=[series.denominator],
+                  **SMALL)
+    report = match_pipeline(series, **kwargs)
+    assert report.to_json() == by_linear_scan(match_pipeline, series, **kwargs).to_json()
+    if family in (None, model[0]):
+        assert any(c.model.base == w and bool(c.nonlinear) == bool(k)
+                   for c in report.candidates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DEFAULT_MODELS))
+def test_search_finds_every_in_bounds_model(model):
+    family, w = model
+    series = model_series(w)
+    hits = search(MatchQuery(target=series, generator_degrees=series.denominator))
+    canonical = w.canonical_form() if family == "wogr510" else w
+    assert any(m.family == family and m.cone == ()
+               and (m.base.canonical_form() if family == "wogr510" else m.base) == canonical
+               for m in hits)
+
+
+@st.composite
+def gr_weights(draw):
+    """Valid Pfaffian weights: one parity, w_1 + w_2 > 0 (all doubled)."""
+    p = draw(st.integers(0, 1))
+    rest = sorted(2 * k + p for k in draw(st.lists(st.integers(1 - p, 6), min_size=4,
+                                                    max_size=4)))
+    first = 2 * draw(st.integers((p - rest[0]) // 2 + 1 - p, (rest[0] - p) // 2)) + p
+    return GrWeights([first] + rest)
+
+
+@st.composite
+def ogr_weights(draw):
+    """Valid spinor weights: any doubled w of one parity, u just large enough."""
+    p = draw(st.integers(0, 1))
+    w2 = [2 * k + p for k in draw(st.lists(st.integers(-6, 6), min_size=5, max_size=5))]
+    shifts = ([0] + [(a + b) // 2 for i, a in enumerate(w2) for b in w2[i + 1:]]
+              + [(sum(w2) - v) // 2 for v in w2])
+    return OGrWeights(w2, 1 - min(shifts) + draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gr_weights(), ogr_weights()))
+def test_numerator_top_term_is_minus_t_to_the_top_exponent(w):
+    num = model_series(w).numerator
+    spinor = isinstance(w, OGrWeights)
+    top = 2 * w.d2() if spinor else w.d2()
+    assert num[0] == 1 and num.min_exp() == 0
+    assert num.max_exp() == top and num[top] == -1
+    if spinor:
+        assert w.coordinate_weights() == tuple(sorted(w.vertex_weight(v) for v in VERTICES))
+
+
+def test_zero_target_has_no_candidates():
+    zero = HilbertSeries(LaurentPoly(), (1, 1))
+    assert search(MatchQuery(target=HilbertSeries(LaurentPoly()))) == []
+    assert search(MatchQuery(target=zero, generator_degrees=(1, 1))) == []
+    report = match_pipeline(zero, user_generators=[(1, 1)], augment_bound=1)
+    assert report.candidates == []
+    assert ("user[0]", (1, 1), "ok") in report.generator_sets
+
+
+def test_non_integral_target_skips_the_prefilter():
+    integral = LaurentPoly({0: 1, 3: 2, 12: -1})
+    halves = LaurentPoly({0: 1, 3: Fraction(1, 2), 12: -1})
+    index = matcher._model_index(None, 4, 2)
+    reached = sorted(e.pos for t, entries in index.items() if t <= 12 for e in entries
+                     if e.series())
+    skipped = list(matcher._lookup(None, 4, 2, halves, formal=True))
+    assert [e.pos for e, _ in skipped] == reached
+    filtered = list(matcher._lookup(None, 4, 2, integral, formal=True))
+    assert len(filtered) < len(skipped)
+    assert all(integral(2) % series.numerator(2) == 0 for _, series in filtered)
+    for target in (integral, halves):
+        query = MatchQuery(target=HilbertSeries(target), **SMALL)
+        assert search(query) == by_linear_scan(search, query) == []
+
+
+def test_index_is_built_once_per_bounds_and_reads_the_enumerators_at_call_time():
+    calls = []
+
+    def counting(max_w2):
+        calls.append(max_w2)
+        return enumerate_gr_weights(max_w2)
+
+    matcher._model_index.cache_clear()
+    target = HilbertSeries(LaurentPoly({0: 1, 2: -5, 3: 5, 5: -1}))
+    with mock.patch.object(matcher, "enumerate_gr_weights", counting):
+        for _ in range(2):
+            hits = search(MatchQuery(target=target, family="wgr25", max_w2=3))
+            assert [m.base for m in hits] == [GrWeights((1, 1, 1, 1, 1))]
+    assert calls == [3]
+    matcher._model_index.cache_clear()

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, binom3,
-                        denominator_poly, expand, geometric,
-                        hilbert_numerator, intersection_number, one_minus)
+                        denominator_poly, geometric, one_minus)
 
 
 def F(x):
@@ -131,11 +131,11 @@ def test_binom3():
     assert binom3(-1) == -1
 
 
-def test_module_level_wrappers():
+def test_methods_on_projective_line():
     h = geometric((1, 1))
-    assert expand(h, 2) == [1, 2, 3]
-    assert hilbert_numerator(h, (1, 1)) == LaurentPoly.one()
-    assert intersection_number(h, 1) == 1
+    assert h.expand(2) == [1, 2, 3]
+    assert h.hilbert_numerator((1, 1)) == LaurentPoly.one()
+    assert h.intersection_number(1) == 1
 
 
 def test_series_equality_is_cross_multiplied():
@@ -152,6 +152,56 @@ def test_canonical_cancels_pairs():
     assert len(c.denominator) == 2          # one factor cancelled
     assert c.series_equal(h)
     assert HilbertSeries(LaurentPoly({0: 1, 1: 3}), (1, 2)).series_equal(c)
+
+
+def _canonical_by_restarts(h):
+    """Reference: cancel the smallest dividing factor, then rescan from the start."""
+    num, denom = h.numerator, list(h.denominator)
+    changed = True
+    while changed and not num.is_zero():
+        changed = False
+        for a in sorted(set(denom)):
+            q = num.divexact(one_minus(a))
+            if q is not None:
+                num, changed = q, True
+                denom.remove(a)
+                break
+    return num, tuple(denom)
+
+
+def test_equal_series_hash_equally():
+    a = HilbertSeries(LaurentPoly({0: 1, 1: 1}), (2,))       # (1+t)/(1-t^2)
+    b = geometric((1,))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@st.composite
+def series_pairs(draw):
+    """A series and an equal one: numerator and denominator times prod (1 - t^a)."""
+    num = LaurentPoly(draw(st.dictionaries(st.integers(-2, 8), st.integers(-4, 4),
+                                           max_size=5)))
+    denom = draw(st.lists(st.integers(1, 5), max_size=4))
+    extra = draw(st.lists(st.integers(1, 5), max_size=3))
+    h = HilbertSeries(num, denom)
+    return h, HilbertSeries(num * denominator_poly(extra), denom + extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+def test_equal_series_hash_equally_property(pair):
+    h, g = pair
+    assert h == g
+    assert hash(h) == hash(g)
+    assert hash(h.canonical()) == hash(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+def test_canonical_single_pass_matches_restarting_scan(pair):
+    for h in pair:
+        c = h.canonical()
+        assert (c.numerator, c.denominator) == _canonical_by_restarts(h)
 
 
 def test_divexact_detects_remainder():
