@@ -12,7 +12,7 @@ from .matcher import MatchQuery, infer_generators, match_pipeline, search, singu
 from .orbifold_rr import (CY3Data, Canonical3Data, PeriodicTable, hilbert_can3,
                           hilbert_cy3, plurigenus_can3, plurigenus_cy3)
 from .sections import (AmbientModel, QuotientSingularity, SectionSpec,
-                       ambient_series, graded_dimension_oracle, invariants,
+                       ambient_series, invariants,
                        quasilinear_embed, rr_roundtrip, section_canonical,
                        section_series, singularity_analysis)
 from .series import HilbertSeries, LaurentPoly, binom3
@@ -29,7 +29,7 @@ __all__ = [
     "PeriodicTable", "QuotientSingularity", "SectionSpec", "WeightCharacters",
     "ambient_series",
     "binom3", "equations", "first_syzygies",
-    "fit_pfaffian_weights", "graded_dimension_oracle", "hilbert_can3",
+    "fit_pfaffian_weights", "hilbert_can3",
     "hilbert_cy3", "infer_generators", "invariants", "match_pipeline", "membership",
     "parametrize", "pfaffian_equations", "plurigenus_can3", "plurigenus_cy3",
     "quasilinear_embed", "rr_roundtrip", "search", "section_canonical",

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from . import fixtures as fixture_mod
@@ -43,10 +42,7 @@ def default_depth():
 
 
 def fmt_wps(weights):
-    parts = []
-    for w, k in sorted(Counter(weights).items()):
-        parts.append(f"{w}^{k}" if k > 1 else f"{w}")
-    return "P(" + ",".join(parts) + ")"
+    return f"P({matcher_mod.fmt_multiset(weights)[1:-1]})"
 
 
 def parse_weights(text, doubled=False):
@@ -244,7 +240,7 @@ def cmd_section(args):
         data["invariants"] = {"A_top": frac_str(inv["A_top"]),
                               "h0_A": frac_str(inv["h0_A"])}
     if args.basket:
-        report = singularity_analysis(model, cut, depth)
+        report = singularity_analysis(model, cut)
         data["basket"] = report.to_json()["basket"]
         data["diagnostics"] = report.diagnostics
     if args.roundtrip:
@@ -433,6 +429,9 @@ def main(argv=None):
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry():

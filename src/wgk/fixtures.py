@@ -205,7 +205,7 @@ def run_fixture(fix, depth=40):
                 emb = quasilinear_embed(model, fix.cut)
                 ok = emb["quasilinear"] and emb["weights"] == tuple(value)
             elif key == "basket":
-                report = singularity_analysis(model, fix.cut, depth)
+                report = singularity_analysis(model, fix.cut)
                 got = [[s.r, list(s.weights), n] for s, n in report.basket]
                 ok = got == value
             elif key == "rr_kind":

@@ -69,6 +69,9 @@ def infer_generators(series, depth=DEFAULT_DEPTH, basket=None,
 
     Repeatedly multiplies by (1 - t^k)^{c_k} at the smallest degree with a
     positive coefficient, stopping at the first negative one (or at depth).
+    The series is expanded once; each factor updates the truncated
+    coefficients in place, high to low, since coefficient n of a product
+    depends only on coefficients up to n.
     With a basket, each required 1/r point forces a generator of degree
     divisible by r and, when ``residue_forcing`` is set, generators covering
     the residues of its weights mod r.
@@ -76,9 +79,8 @@ def infer_generators(series, depth=DEFAULT_DEPTH, basket=None,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     gens = []
-    current = series
+    coeffs = series.expand(depth)
     while True:
-        coeffs = current.expand(depth)
         k = next((i for i in range(1, depth + 1) if coeffs[i] != 0), None)
         if k is None or coeffs[k] < 0:
             break
@@ -87,7 +89,8 @@ def infer_generators(series, depth=DEFAULT_DEPTH, basket=None,
             raise ValueError(f"non-integral coefficient {c} at degree {k}")
         gens.extend([k] * int(c))
         for _ in range(int(c)):
-            current = current.mul_poly(one_minus(k))
+            for n in range(depth, k - 1, -1):
+                coeffs[n] -= coeffs[n - k]
     if basket:
         needed = Counter(sing.r for sing in basket)
         for r, n in sorted(needed.items()):
@@ -152,19 +155,21 @@ class _Entry:
         self.pos, self.family, self.weights, self.top = pos, family, weights, top
         self.at2 = None
 
-    def series(self):
-        """The closed-form Hilbert series, or None when the weights give none."""
-        try:
-            series = self.weights.hilbert_series()
-        except ValueError:
-            self.at2 = 0
-            return None
-        num, top = series.numerator, self.top
-        if num[0] != 1 or num.max_exp() != top or num[top] != -1:
-            raise AssertionError(f"{self.weights}: numerator is not 1 + ... - t^{top}")
-        # never 0: an integer root of num would divide its constant term 1
-        self.at2 = num(2)
-        return series
+    def numerator_at2(self):
+        """num(2) in integer arithmetic, computed once, after checking that
+        the closed-form numerator is 1 + ... - t^top."""
+        if self.at2 is None:
+            try:
+                num = self.weights.numerator_terms()
+            except ValueError:
+                self.at2 = 0
+                return 0
+            top = self.top
+            if num.get(0) != 1 or max(num) != top or num[top] != -1:
+                raise AssertionError(f"{self.weights}: numerator is not 1 + ... - t^{top}")
+            # never 0: an integer root of num would divide its constant term 1
+            self.at2 = sum(c << e for e, c in num.items())
+        return self.at2
 
 
 @lru_cache(maxsize=8)
@@ -193,20 +198,20 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
     A match means n_target = num * q with q = 1 or prod (1 - t^k), k >= 1.
     So the top exponent of num is at most that of n_target (equal when
     q = 1), and num(2) divides the integer n_target(2) when n_target has
-    integer coefficients.  Only num(2) is kept; the few models that pass
-    rebuild their series.
+    integer coefficients.  num(2) is evaluated in integers from the closed
+    form and kept; only the few models that pass build their series.
     """
     if n_target.is_zero():
         return
     index = _model_index(family, max_w2, max_u)
     top = n_target.max_exp()
     tops = [t for t in index if t == top or formal and t < top]
-    at2 = (n_target(2) if all(c.denominator == 1 for c in n_target.coeffs.values())
+    at2 = (int(n_target(2)) if all(c.denominator == 1 for c in n_target.coeffs.values())
            else None)
     for entry in heapq.merge(*(index[t] for t in tops), key=attrgetter("pos")):
-        series = entry.series() if entry.at2 is None else None
-        if entry.at2 and (at2 is None or at2 % entry.at2 == 0):
-            yield entry, series or entry.series()
+        num2 = entry.numerator_at2()
+        if num2 and (at2 is None or at2 % num2 == 0):
+            yield entry, entry.weights.hilbert_series()
 
 
 def _strip_section_factors(quotient):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import wgrass25, wogr510
-from .oracle import GradedRing, OracleBudgetError, graded_dimension
+from .oracle import GradedRing, OracleBudgetError
 from .series import HilbertSeries, LaurentPoly, denominator_poly, geometric, one_minus
 from .wgrass25 import Chart, GrWeights
 from .wogr510 import OGrWeights
@@ -237,11 +237,6 @@ def invariants(series, dim):
             "h0_A": series.coefficient(1)}
 
 
-def graded_dimension_oracle(family, weights, degree):
-    """Brute-force dimension of the family coordinate ring in one degree."""
-    return graded_dimension(family, weights, degree)
-
-
 def _as_spec(spec):
     if isinstance(spec, SectionSpec):
         return spec
@@ -376,7 +371,7 @@ def _transverse_type(chart, r, degrees, dim_comp, diagnostics, context):
     return QuotientSingularity(r, tuple(res for res, _ in transverse))
 
 
-def singularity_analysis(model, spec, depth=DEFAULT_DEPTH):
+def singularity_analysis(model, spec):
     """Basket of quotient singularities of a general section, with diagnostics.
 
     Combines stratum location/counting with chart-level type computation; see
@@ -534,7 +529,7 @@ def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
     if model.dim - len(spec) != 3:
         raise ValueError("round trip needs a 3-dimensional section")
     series = section_series(model, spec, depth)
-    report = singularity_analysis(model, spec, depth)
+    report = singularity_analysis(model, spec)
     basket = [(s.key(), n) for s, n in report.basket]
 
     if kind == "canonical3":

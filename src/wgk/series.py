@@ -8,6 +8,7 @@ numerator over a multiset of positive integers ``{a}``, meaning division by
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -154,32 +155,35 @@ class LaurentPoly:
         return sum((c * value ** e for e, c in self.coeffs.items()), F0)
 
     def divexact(self, other):
-        """Exact quotient self/other, or None when the division leaves a remainder."""
+        """Exact quotient self/other, or None when the division leaves a remainder.
+
+        One ascending scan over the quotient exponents: the remainder never
+        has a term below the current one, so each step pops its lowest term.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly()
         bmin = other.min_exp()
-        bmax = other.max_exp()
         blead = other.coeffs[bmin]
-        bitems = list(other.coeffs.items())
-        max_qexp = self.max_exp() - bmax
+        btail = [(be, bc) for be, bc in other.coeffs.items() if be != bmin]
         rem = dict(self.coeffs)
         quot = {}
-        while rem:
-            rmin = min(rem)
-            e = rmin - bmin
-            if e > max_qexp:
-                return None
-            c = rem[rmin] / blead
+        for e in range(self.min_exp() - bmin, self.max_exp() - other.max_exp() + 1):
+            c = rem.pop(e + bmin, None)
+            if c is None:
+                continue
+            c /= blead
             quot[e] = c
-            for be, bc in bitems:
+            for be, bc in btail:
                 k = e + be
                 v = rem.get(k, F0) - c * bc
                 if v:
                     rem[k] = v
                 else:
                     rem.pop(k, None)
+        if rem:
+            return None
         res = LaurentPoly()
         res.coeffs = quot
         return res
@@ -308,27 +312,22 @@ class HilbertSeries:
         """Exact power-series coefficients c_0..c_order.
 
         Rejects input whose negative-exponent numerator terms do not cancel in
-        the expansion (the series is then not a power series).
+        the expansion (the series is then not a power series).  Dividing by
+        each factor (1 - t^a) in turn is a running sum with stride a.
         """
         if order < 0:
             raise SeriesError("expansion order must be >= 0")
         if self.numerator.is_zero():
             return [F0] * (order + 1)
-        start = min(0, self.numerator.min_exp())
-        dp = denominator_poly(self.denominator).coeffs
-        pitems = [(e, c) for e, c in dp.items() if e > 0]
-        coeffs = {}
-        for n in range(start, order + 1):
-            acc = self.numerator[n]
-            for e, c in pitems:
-                if n - e >= start:
-                    acc -= c * coeffs.get(n - e, F0)
-            coeffs[n] = acc
-        for n in range(start, 0):
-            if coeffs[n]:
-                raise SeriesError(
-                    "numerator with negative exponents not cleared by expansion")
-        return [coeffs.get(n, F0) for n in range(order + 1)]
+        low = max(0, -self.numerator.min_exp())     # negative exponents kept
+        coeffs = [self.numerator[n] for n in range(-low, order + 1)]
+        for a in self.denominator:
+            for i in range(a, len(coeffs)):
+                coeffs[i] += coeffs[i - a]
+        if any(coeffs[:low]):
+            raise SeriesError(
+                "numerator with negative exponents not cleared by expansion")
+        return coeffs[low:]
 
     def coefficient(self, n):
         return self.expand(n)[n]
@@ -362,13 +361,16 @@ class HilbertSeries:
         """H * prod (1 - t^a) over the given multiset, as a Laurent polynomial.
 
         Exact division is enforced; when the product is not a polynomial the
-        denominator does not clear the series and an error is raised.
+        denominator does not clear the series and an error is raised.  Factors
+        shared with the series' own denominator cancel first: Q[t, 1/t] is an
+        integral domain, so this changes neither the result nor when it fails.
         """
         denominator = tuple(denominator)
         if not denominator:
             raise SeriesError("denominator multiset must be nonempty")
-        num = self.numerator * denominator_poly(denominator)
-        for a in self.denominator:
+        gens, own = Counter(denominator), Counter(self.denominator)
+        num = self.numerator * denominator_poly((gens - own).elements())
+        for a in (own - gens).elements():
             q = num.divexact(one_minus(a))
             if q is None:
                 raise SeriesError("denominator does not clear series")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -140,17 +141,16 @@ class GrWeights:
         return GrNumerology(d=Fraction(d2, 2), pfaffian_degrees=pf,
                             syzygy_degrees=syz, adjunction=d2, canonical=-d2)
 
-    def hilbert_series(self):
-        """Closed form: (1 - sum t^{d-w_i} + sum t^{d+w_i} - t^{2d}) / prod(1-t^a)."""
+    def numerator_terms(self):
+        """1 - sum t^{d-w_i} + sum t^{d+w_i} - t^{2d} as {exponent: nonzero integer}."""
         d2 = self.d2()
-        num = {0: Fraction(1)}
-        for v in self.w2:
-            e = (d2 - v) // 2
-            num[e] = num.get(e, Fraction(0)) - 1
-            e = (d2 + v) // 2
-            num[e] = num.get(e, Fraction(0)) + 1
-        num[d2] = num.get(d2, Fraction(0)) - 1
-        return HilbertSeries(LaurentPoly(num), self.plucker_weights())
+        num = Counter([0] + [(d2 + v) // 2 for v in self.w2])
+        num.subtract([d2] + [(d2 - v) // 2 for v in self.w2])
+        return {e: c for e, c in num.items() if c}
+
+    def hilbert_series(self):
+        """Closed form: ``numerator_terms`` / prod(1-t^a) over the Pluecker weights."""
+        return HilbertSeries(LaurentPoly(self.numerator_terms()), self.plucker_weights())
 
     def degree(self):
         d2 = self.d2()

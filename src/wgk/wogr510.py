@@ -11,6 +11,7 @@ the column v = (x_1..x_5).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -458,31 +459,24 @@ class OGrWeights:
         qsp = LaurentPoly(plus)
         return WeightCharacters(qv, qsp, qsp.reciprocal())
 
-    def hilbert_series(self):
+    def numerator_terms(self):
         """Numerator 1 - t^d Q_V + t^{2d-u} Q_S- - t^{2d+u} Q_S+ + t^{3d} Q_V - t^{4d}
-        over the sixteen coordinate weights."""
-        d2 = self.d2()
-        coords = self.coordinate_weights()
-        acc = {0: 1}
-
-        def add(e2, c):
-            if e2 % 2:
-                raise AssertionError("weight parity violated in numerator assembly")
-            e = e2 // 2
-            acc[e] = acc.get(e, 0) + c
-        for v in self.w2:
-            add(d2 - v, -1)
-            add(d2 + v, -1)
-            add(3 * d2 - v, 1)
-            add(3 * d2 + v, 1)
-        for wt in coords:
-            add(2 * d2 - 2 * wt, 1)
-            add(2 * d2 + 2 * wt, -1)
-        add(4 * d2, -1)
-        num = LaurentPoly(acc)
-        if not num.is_zero() and num.min_exp() < 0:
+        as {exponent: nonzero integer coefficient}."""
+        d2, coords = self.d2(), self.coordinate_weights()
+        doubled = Counter([0] + [3 * d2 + s * v for v in self.w2 for s in (1, -1)]
+                          + [2 * d2 - 2 * wt for wt in coords])
+        doubled.subtract([4 * d2] + [d2 + s * v for v in self.w2 for s in (1, -1)]
+                         + [2 * d2 + 2 * wt for wt in coords])
+        if any(e2 % 2 for e2 in doubled):
+            raise AssertionError("weight parity violated in numerator assembly")
+        num = {e2 // 2: c for e2, c in doubled.items() if c}
+        if num and min(num) < 0:
             raise ValueError("numerator has negative exponents: invalid weights")
-        return HilbertSeries(num, coords)
+        return num
+
+    def hilbert_series(self):
+        """``numerator_terms`` over the sixteen coordinate weights."""
+        return HilbertSeries(LaurentPoly(self.numerator_terms()), self.coordinate_weights())
 
     def resolution_degrees(self):
         """Degree banks of the six-term resolution."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wgk import cli
+from wgk import cli, matcher
 from wgk import wgrass25
 
 
@@ -167,6 +167,22 @@ def test_match_rejects_malformed_file(tmp_path, capsys):
     rr.write_text("{\"kind\": \"nope\"}")
     code, _, err = run(capsys, "match", "--rr", str(rr))
     assert code == 2 and "error" in err
+
+
+def test_internal_inconsistency_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    # a model numerator breaking the matcher's top-term check (1 + ... - t^top)
+    monkeypatch.setattr(wgrass25.GrWeights, "numerator_terms", lambda self: {0: 1, 1: 1})
+    rr = tmp_path / "can3.json"
+    rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21",
+                              "half_points": 2}))
+    matcher._model_index.cache_clear()
+    try:
+        code, out, err = run(capsys, "match", "--rr", str(rr), "--family", "wgr25")
+    finally:
+        matcher._model_index.cache_clear()
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:") and "numerator is not" in err
+    assert "Traceback" not in err
 
 
 def test_oracle_command(capsys):

@@ -1,6 +1,7 @@
 """Recognition of ambient models from target Hilbert data."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          match_pipeline, search, singularity_filter)
 from wgk.orbifold_rr import CY3Data, Canonical3Data, FIFTH_334, hilbert_can3, hilbert_cy3
 from wgk.sections import AmbientModel, QuotientSingularity
-from wgk.series import HilbertSeries, LaurentPoly, geometric, one_minus
+from wgk.series import HilbertSeries, LaurentPoly, SeriesError, geometric, one_minus
 from wgk.wgrass25 import GrWeights
 from wgk.wogr510 import VERTICES, OGrWeights
 
@@ -332,6 +333,54 @@ def test_numerator_top_term_is_minus_t_to_the_top_exponent(w):
         assert w.coordinate_weights() == tuple(sorted(w.vertex_weight(v) for v in VERTICES))
 
 
+def numerator_by_closure(w):
+    """Oracle: the closed-form numerators as assembled before ``numerator_terms``."""
+    d2 = w.d2()
+    if isinstance(w, GrWeights):
+        num = {0: Fraction(1)}
+        for v in w.w2:
+            e = (d2 - v) // 2
+            num[e] = num.get(e, Fraction(0)) - 1
+            e = (d2 + v) // 2
+            num[e] = num.get(e, Fraction(0)) + 1
+        num[d2] = num.get(d2, Fraction(0)) - 1
+        return LaurentPoly(num)
+    acc = {0: 1}
+
+    def add(e2, c):
+        assert e2 % 2 == 0
+        acc[e2 // 2] = acc.get(e2 // 2, 0) + c
+    for v in w.w2:
+        add(d2 - v, -1)
+        add(d2 + v, -1)
+        add(3 * d2 - v, 1)
+        add(3 * d2 + v, 1)
+    for wt in w.coordinate_weights():
+        add(2 * d2 - 2 * wt, 1)
+        add(2 * d2 + 2 * wt, -1)
+    add(4 * d2, -1)
+    return LaurentPoly(acc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gr_weights(), ogr_weights()))
+def test_numerator_terms_and_index_value_at_2_match_the_previous_assembly(w):
+    terms = w.numerator_terms()
+    assert all(isinstance(c, int) and c for c in terms.values())
+    expected = numerator_by_closure(w)
+    assert LaurentPoly(terms) == expected == w.hilbert_series().numerator
+    top = 2 * w.d2() if isinstance(w, OGrWeights) else w.d2()
+    entry = matcher._Entry(0, None, w, top)
+    assert entry.numerator_at2() == expected(2) == entry.at2
+
+
+def test_index_entry_without_numerator_has_value_0():
+    def invalid():
+        raise ValueError("numerator has negative exponents: invalid weights")
+    entry = matcher._Entry(0, "wogr510", SimpleNamespace(numerator_terms=invalid), 4)
+    assert entry.numerator_at2() == 0
+
+
 def test_zero_target_has_no_candidates():
     zero = HilbertSeries(LaurentPoly(), (1, 1))
     assert search(MatchQuery(target=HilbertSeries(LaurentPoly()))) == []
@@ -346,7 +395,7 @@ def test_non_integral_target_skips_the_prefilter():
     halves = LaurentPoly({0: 1, 3: Fraction(1, 2), 12: -1})
     index = matcher._model_index(None, 4, 2)
     reached = sorted(e.pos for t, entries in index.items() if t <= 12 for e in entries
-                     if e.series())
+                     if e.numerator_at2())
     skipped = list(matcher._lookup(None, 4, 2, halves, formal=True))
     assert [e.pos for e, _ in skipped] == reached
     filtered = list(matcher._lookup(None, 4, 2, integral, formal=True))
@@ -372,3 +421,67 @@ def test_index_is_built_once_per_bounds_and_reads_the_enumerators_at_call_time()
             assert [m.base for m in hits] == [GrWeights((1, 1, 1, 1, 1))]
     assert calls == [3]
     matcher._model_index.cache_clear()
+
+
+# -- incremental generator inference against the re-expanding loop it replaced --
+
+def infer_by_reexpanding(series, depth=matcher.DEFAULT_DEPTH, basket=None,
+                         residue_forcing=True):
+    """Reference: multiply the series by each (1 - t^k) and expand it again."""
+    gens, current = [], series
+    while True:
+        coeffs = current.expand(depth)
+        k = next((i for i in range(1, depth + 1) if coeffs[i] != 0), None)
+        if k is None or coeffs[k] < 0:
+            break
+        c = coeffs[k]
+        if c.denominator != 1:
+            raise ValueError(f"non-integral coefficient {c} at degree {k}")
+        gens.extend([k] * int(c))
+        for _ in range(int(c)):
+            current = current.mul_poly(one_minus(k))
+    if basket:
+        needed = Counter(sing.r for sing in basket)
+        for r, n in sorted(needed.items()):
+            have = sum(1 for g in gens if g % r == 0)
+            gens.extend([r] * max(0, n - have))
+        if residue_forcing:
+            for sing in basket:
+                for res in sorted({w % sing.r for w in sing.weights} - {0}):
+                    if not any(g % sing.r == res for g in gens):
+                        gens.append(res)
+    return tuple(sorted(gens))
+
+
+def inference_outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(gr_weights(), ogr_weights()),
+       st.sampled_from((None, BASKET_CY3, BASKET_CAN3)), st.booleans(),
+       st.sampled_from((1, 3, 8, matcher.DEFAULT_DEPTH)), st.sampled_from((None, 1, 2, 5)))
+def test_incremental_inference_matches_reexpanding_loop(w, basket, residue_forcing, depth, k):
+    # with k, a degree-k hypersurface in the cone over the model
+    series = model_series(w)
+    if k:
+        series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
+    kwargs = dict(depth=depth, basket=basket, residue_forcing=residue_forcing)
+    assert (inference_outcome(infer_generators, series, **kwargs)
+            == inference_outcome(infer_by_reexpanding, series, **kwargs))
+
+
+def test_incremental_inference_on_rr_series_and_errors():
+    for series in (H_CY3, H_CAN3):
+        for basket in (None, BASKET_CY3, BASKET_CAN3):
+            assert infer_generators(series, basket=basket) == infer_by_reexpanding(
+                series, basket=basket)
+    halves = HilbertSeries(LaurentPoly({0: 1, 2: Fraction(1, 2)}), (1, 2))
+    assert inference_outcome(infer_generators, halves) == inference_outcome(
+        infer_by_reexpanding, halves) == ("ValueError", "non-integral coefficient 3/2 at degree 2")
+    negative = HilbertSeries(LaurentPoly({-1: 1, 0: 1}), (1,))
+    with pytest.raises(SeriesError):
+        infer_generators(negative)

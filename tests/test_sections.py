@@ -6,7 +6,7 @@ import pytest
 
 from wgk.oracle import GradedRing, graded_dimension
 from wgk.sections import (AmbientModel, QuotientSingularity, SectionSpec,
-                          ambient_series, graded_dimension_oracle, invariants,
+                          ambient_series, invariants,
                           quasilinear_embed, rr_roundtrip, section_canonical,
                           section_series, singularity_analysis)
 from wgk.series import LaurentPoly
@@ -205,11 +205,11 @@ def test_rr_roundtrip_needs_threefold():
         rr_roundtrip(CAN3, (1, 2), "canonical3")
 
 
-def test_graded_dimension_oracle_op():
-    assert graded_dimension_oracle("wgr25", FANO.base, 0) == 1
-    assert graded_dimension_oracle(
+def test_graded_dimension_op():
+    assert graded_dimension("wgr25", FANO.base, 0) == 1
+    assert graded_dimension(
         "wgr25", GrWeights.from_fractions(["1/2"] * 5), 2) == 50
-    assert graded_dimension_oracle(
+    assert graded_dimension(
         "wogr510", OGrWeights((0, 0, 0, 0, 0), 1), 2) == 126
 
 

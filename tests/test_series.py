@@ -1,6 +1,7 @@
 """Exact series arithmetic: expansion, numerators, intersection numbers."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,3 +243,136 @@ def test_nonnegative_integer_coefficients_for_graded_rings():
                    OGrWeights((0, 0, 2, 2, 4), 1).hilbert_series()):
         for c in series.expand(25):
             assert c.denominator == 1 and c >= 0
+
+
+# -- the linear kernels against the quadratic versions they replaced -------------
+
+def _divexact_by_min_rem(a, b):
+    """Reference: long division that takes min() of the remainder at each step."""
+    if a.is_zero():
+        return LaurentPoly()
+    bmin, blead = b.min_exp(), b[b.min_exp()]
+    max_qexp = a.max_exp() - b.max_exp()
+    rem, quot = dict(a.coeffs), {}
+    while rem:
+        rmin = min(rem)
+        e = rmin - bmin
+        if e > max_qexp:
+            return None
+        c = rem[rmin] / blead
+        quot[e] = c
+        for be, bc in b.coeffs.items():
+            v = rem.get(e + be, F(0)) - c * bc
+            if v:
+                rem[e + be] = v
+            else:
+                rem.pop(e + be, None)
+    return LaurentPoly(quot)
+
+
+def _numerator_by_full_product(h, gens):
+    """Reference: multiply by every generator factor, then divide by every own one."""
+    num = h.numerator * denominator_poly(gens)
+    for a in h.denominator:
+        num = _divexact_by_min_rem(num, one_minus(a))
+        if num is None:
+            raise SeriesError("denominator does not clear series")
+    return num
+
+
+def _expand_by_recurrence(h, order):
+    """Reference: convolve with the multiplied-out denominator polynomial."""
+    if h.numerator.is_zero():
+        return [F(0)] * (order + 1)
+    start = min(0, h.numerator.min_exp())
+    pitems = [(e, c) for e, c in denominator_poly(h.denominator).coeffs.items() if e > 0]
+    coeffs = {}
+    for n in range(start, order + 1):
+        acc = h.numerator[n]
+        for e, c in pitems:
+            if n - e >= start:
+                acc -= c * coeffs.get(n - e, F(0))
+        coeffs[n] = acc
+    if any(coeffs[n] for n in range(start, 0)):
+        raise SeriesError("numerator with negative exponents not cleared by expansion")
+    return [coeffs.get(n, F(0)) for n in range(order + 1)]
+
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def laurent(min_exp=-4, max_exp=8, max_size=6):
+    return st.dictionaries(st.integers(min_exp, max_exp), coefficients,
+                           max_size=max_size).map(LaurentPoly)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the SeriesError it raises, as a comparable value."""
+    try:
+        return fn(*args)
+    except SeriesError as exc:
+        return ("SeriesError", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent(), laurent(max_size=4).filter(lambda b: not b.is_zero()), laurent())
+def test_divexact_matches_min_rem_division(q, b, r):
+    # exact products (negative exponents, non-unit leading terms) and
+    # products plus a perturbation, which mostly leave a remainder
+    for a in (q * b, q * b + r):
+        assert a.divexact(b) == _divexact_by_min_rem(a, b)
+    if not q.is_zero():
+        assert (q * b).divexact(b) == q
+
+
+def test_divexact_non_unit_leading_term_and_remainder():
+    b = LaurentPoly({-1: 3, 2: F("1/2")})
+    q = LaurentPoly({-2: F("2/3"), 0: -1, 3: 5})
+    assert (q * b).divexact(b) == q
+    assert (q * b + LaurentPoly({1: 1})).divexact(b) is None
+    assert LaurentPoly({0: 1}).divexact(LaurentPoly({0: 1, 1: 1})) is None
+
+
+generator_multisets = st.lists(st.integers(1, 5), max_size=5)
+
+
+@st.composite
+def numerator_cases(draw):
+    """A series and a generator multiset equal to, overlapping or disjoint from
+    its denominator; the numerator is often a multiple of some factors."""
+    own = draw(generator_multisets)
+    kind = draw(st.sampled_from(("equal", "overlapping", "disjoint")))
+    if kind == "equal":
+        gens = draw(st.permutations(own))
+    elif kind == "overlapping":
+        gens = draw(st.lists(st.sampled_from(own), max_size=len(own))) if own else []
+        gens += draw(generator_multisets)
+    else:
+        gens = draw(st.lists(st.integers(1, 7).filter(lambda a: a not in own),
+                             max_size=5))
+    num = draw(laurent(-2, 6, 4)) * denominator_poly(draw(generator_multisets))
+    return HilbertSeries(num, own), gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator_cases())
+def test_hilbert_numerator_matches_full_product(case):
+    h, gens = case
+    if not gens:
+        with pytest.raises(SeriesError, match="nonempty"):
+            h.hilbert_numerator(gens)
+        return
+    assert outcome(h.hilbert_numerator, gens) == outcome(_numerator_by_full_product, h, gens)
+
+
+def test_hilbert_numerator_cancels_equal_multisets_without_dividing():
+    h = HilbertSeries(LaurentPoly({0: 1, 3: -2, 7: 1}), (1, 2, 2, 5))
+    with mock.patch.object(LaurentPoly, "divexact", side_effect=AssertionError):
+        assert h.hilbert_numerator((5, 2, 1, 2)) == h.numerator
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent(-3, 8, 5), generator_multisets, st.integers(0, 25))
+def test_expand_matches_recurrence(num, denom, order):
+    h = HilbertSeries(num, denom)
+    assert outcome(h.expand, order) == outcome(_expand_by_recurrence, h, order)
