@@ -4,8 +4,15 @@ Given weighted coordinates and weighted-homogeneous equations, the dimension
 of the quotient ring in a fixed degree is the number of monomials of that
 degree minus the rank of the span of all monomial multiples of the equations.
 Everything runs over the integers (fraction-free elimination with content
-removal), so results are exact; one row echelon form per degree is cached so
-that rank and membership queries share the elimination work.
+removal, after Bareiss 1968), so results are exact; one row echelon form per
+degree is cached so that rank and membership queries share the elimination
+work.
+
+Rows known to lie in the span are skipped before any elimination (the F5
+syzygy criterion, Faugère 2002): m*f_j is dropped when m is a pivot of the
+degree d - deg f_j slice made by an earlier equation f_i, i < j.  Proof: that
+pivot row g = lc*m + sum_{n>m} c_n*n lies in (f_0..f_i), so g*f_j is in the
+span of earlier rows and m*f_j = (g*f_j - sum c_n*n*f_j)/lc; induct down on m.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ class OracleBudgetError(ValueError):
 
 def count_monomials(weights, degree):
     """Number of exponent vectors with the given weighted degree."""
+    if degree < 0:
+        return 0
     counts = [0] * (degree + 1)
     counts[0] = 1
     for w in weights:
@@ -80,10 +89,14 @@ class IntegerEchelon:
     pivot it involves, so a row lies in the span exactly when repeatedly
     eliminating its smallest column against the pivot row there empties it.
     Each step strictly raises the smallest column, so reduction terminates.
+
+    ``source[pivot]`` is the label passed to the insert that made the pivot;
+    stored rows never change, so that row combines only rows inserted by then.
     """
 
     def __init__(self):
         self.rows = {}          # pivot column -> primitive row, pivot = min column
+        self.source = {}        # pivot column -> label of the row that made it
 
     @property
     def rank(self):
@@ -115,12 +128,14 @@ class IntegerEchelon:
             row = self._combine(row, p)
         return row
 
-    def insert(self, row):
-        """Add an integer row; returns True when it enlarges the span."""
+    def insert(self, row, source=None):
+        """Add an integer row labelled ``source``; True when it enlarges the span."""
         red = self.reduce(row)
         if not red:
             return False
-        self.rows[min(red)] = red
+        pivot = min(red)
+        self.rows[pivot] = red
+        self.source[pivot] = source
         return True
 
     def contains(self, row):
@@ -175,24 +190,37 @@ class GradedRing:
                 f"degree {degree} exceeds the oracle budget ({rows} rows)")
 
     def _slice(self, degree):
-        """Column index and row echelon form of the ideal slice in one degree."""
+        """Column index and row echelon form of the ideal slice in one degree,
+        built after the lower slices it takes multipliers and pivots from."""
         if degree not in self._slices:
             self.check_budget(degree)
-            cols = {m: i for i, m in
-                    enumerate(weighted_monomials(self.weights, degree))}
-            ech = IntegerEchelon()
-            for eq_deg, terms in self.equations:
-                shift = degree - eq_deg
-                if shift < 0:
-                    continue
-                for mult in weighted_monomials(self.weights, shift):
-                    row = {}
-                    for vec, coeff in terms:
-                        col = cols[tuple(map(add, mult, vec))]
-                        row[col] = row.get(col, 0) + coeff
-                    ech.insert(row)
-            self._slices[degree] = (cols, ech)
+            need = {degree}
+            for d in range(degree, -1, -1):
+                if d in need and d not in self._slices and self.monomial_count(d):
+                    need.update(d - e for e, _ in self.equations if e <= d)
+            for d in sorted(need - self._slices.keys()):
+                self._slices[d] = self._build_slice(d)
         return self._slices[degree]
+
+    def _build_slice(self, degree):
+        ech = IntegerEchelon()
+        if not self.monomial_count(degree):
+            return {}, ech
+        cols = {m: i for i, m in
+                enumerate(weighted_monomials(self.weights, degree))}
+        for j, (eq_deg, terms) in enumerate(self.equations):
+            if degree < eq_deg:
+                continue
+            low_cols, low_ech = self._slices[degree - eq_deg]
+            for mult, k in low_cols.items():
+                if low_ech.source.get(k, j) < j:
+                    continue      # m*f_j lies in the span of f_0 .. f_{j-1}
+                row = {}
+                for vec, coeff in terms:
+                    col = cols[tuple(map(add, mult, vec))]
+                    row[col] = row.get(col, 0) + coeff
+                ech.insert(row, j)
+        return cols, ech
 
     def ideal_rank(self, degree):
         """Rank of the degree slice spanned by monomial multiples of the equations."""

@@ -308,13 +308,11 @@ def _component_split(ring, diagnostics, context):
             sorted(groups.values())]
 
 
-def _component_series(coords, equations, diagnostics, context):
+def _component_series(ring, context):
     """Hilbert series of a component ring, via the oracle when necessary."""
-    weights = [w for _, w in coords]
-    eqs = [e for e in equations if not e.is_zero()]
-    if not eqs:
+    weights = ring.weights
+    if not ring.equations:
         return geometric(weights)
-    ring = GradedRing(coords, eqs)
     degrees = [deg for deg, _ in ring.equations]
     if len(degrees) == 1:
         # a single nonzero equation is a nonzerodivisor on the polynomial ring
@@ -452,8 +450,7 @@ def singularity_analysis(model, spec):
                     # the stratum is the whole variety: closed-form series
                     series = ambient_series(model)
                 else:
-                    series = _component_series(comp_coords, comp_eqs,
-                                               diagnostics, comp_context)
+                    series = _component_series(comp_ring, comp_context)
                 inter = series.intersection_number(dim_comp)
             except OracleBudgetError as exc:
                 diagnostics.append(f"{comp_context}: not counted ({exc})")

@@ -1,11 +1,15 @@
-"""The oracle's integer echelon against a plain Fraction elimination, and the
-oracle against the closed-form Hilbert series beyond the acceptance degrees."""
+"""The oracle's integer echelon against a plain Fraction elimination, the
+pruned slices against the all-multiples slices they replaced, and the oracle
+against the closed-form Hilbert series beyond the acceptance degrees."""
 
 from fractions import Fraction
+from operator import add
 
 from hypothesis import given, settings, strategies as st
 
-from wgk.oracle import IntegerEchelon, graded_dimension
+from wgk.oracle import (GradedRing, IntegerEchelon, count_monomials,
+                        graded_dimension, weighted_monomials)
+from wgk.polynomials import MPoly
 from wgk.wgrass25 import GrWeights
 from wgk.wogr510 import OGrWeights
 
@@ -89,3 +93,118 @@ def test_straight_spinor_degrees_3_to_5_match_closed_form():
     oracle = [graded_dimension("wogr510", straight, m) for m in (3, 4, 5)]
     assert oracle == [672, 2772, 9504]
     assert oracle == [int(c) for c in closed[3:6]]
+
+
+def reference_slice(ring, degree):
+    """The ideal slice from every monomial multiple of every equation."""
+    cols = {m: i for i, m in enumerate(weighted_monomials(ring.weights, degree))}
+    ech = IntegerEchelon()
+    for eq_deg, terms in ring.equations:
+        shift = degree - eq_deg
+        if shift < 0:
+            continue
+        for mult in weighted_monomials(ring.weights, shift):
+            row = {}
+            for vec, coeff in terms:
+                col = cols[tuple(map(add, mult, vec))]
+                row[col] = row.get(col, 0) + coeff
+            ech.insert(row)
+    return cols, ech
+
+
+def as_poly(names, terms):
+    return MPoly({tuple(zip(names, vec)): c for vec, c in terms.items()})
+
+
+@st.composite
+def random_rings(draw):
+    """Weighted-homogeneous integer equations of mixed degrees, with repeats,
+    multiples, shared factors and variables no equation uses."""
+    n = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    names = [f"x{i}" for i in range(n)]
+    unused = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    monos = {d: [m for m in weighted_monomials(weights, d)
+                 if not any(m[i] for i in unused)] for d in range(1, 5)}
+    degrees = [d for d, ms in monos.items() if ms]
+    coeff = st.integers(-3, 3).filter(bool)
+
+    def form(degrees):
+        picked = draw(st.lists(st.sampled_from(monos[draw(st.sampled_from(degrees))]),
+                               min_size=1, max_size=4))
+        return as_poly(names, {m: draw(coeff) for m in picked})
+
+    equations = [form(degrees)] if degrees else []
+    for _ in range(draw(st.integers(0, 3)) if degrees else 0):
+        kind = draw(st.sampled_from(("new", "new", "repeat", "multiple", "shared")))
+        base = draw(st.sampled_from(equations))
+        if kind == "repeat":
+            equations.append(base)
+        elif kind == "multiple":
+            equations.append(base * draw(coeff))
+        elif kind == "shared" and degrees[0] <= 2:
+            equations.append(base * form([d for d in degrees if d <= 2]))
+        else:
+            equations.append(form(degrees))
+    return list(zip(names, weights)), equations
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_rings(), st.data())
+def test_pruned_slices_equal_all_multiples(ring_data, data):
+    coords, equations = ring_data
+    ring = GradedRing(coords, equations)
+    degrees = [d for d in range(10) if ring.monomial_count(d) <= 300]
+    # a fresh ring, queried out of order, builds its lower slices itself
+    for d in data.draw(st.permutations(degrees)):
+        cols, ech = reference_slice(ring, d)
+        assert ring.dimension(d) == len(cols) - ech.rank
+        assert ring.ideal_rank(d) == ech.rank
+        assert set(ring._slice(d)[1].rows) == set(ech.rows)
+        for mono, col in cols.items():
+            assert ring.contains_monomial(mono) == ech.contains({col: 1})
+
+
+@st.composite
+def small_gr_weights(draw):
+    """Valid Pfaffian weights with doubled weights at most 7."""
+    p = draw(st.integers(0, 1))
+    rest = sorted(2 * k + p for k in draw(st.lists(st.integers(1 - p, 3), min_size=4,
+                                                    max_size=4)))
+    first = 2 * draw(st.integers((p - rest[0]) // 2 + 1 - p, (rest[0] - p) // 2)) + p
+    return "wgr25", GrWeights([first] + rest)
+
+
+@st.composite
+def small_ogr_weights(draw):
+    """Valid spinor weights with |doubled weights| at most 5, u near its least."""
+    p = draw(st.integers(0, 1))
+    w2 = [2 * k + p for k in draw(st.lists(st.integers(-2, 2), min_size=5, max_size=5))]
+    shifts = ([0] + [(a + b) // 2 for i, a in enumerate(w2) for b in w2[i + 1:]]
+              + [(sum(w2) - v) // 2 for v in w2])
+    return "wogr510", OGrWeights(w2, 1 - min(shifts) + draw(st.integers(0, 1)))
+
+
+MONOMIAL_CAP = 3000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_gr_weights(), small_ogr_weights()))
+def test_oracle_equals_closed_form_on_random_weights(family_weights):
+    family, w = family_weights
+    coords = (w.plucker_weights() if family == "wgr25"
+              else w.coordinate_weights())
+    degrees = [d for d in range(17) if count_monomials(coords, d) <= MONOMIAL_CAP]
+    closed = w.hilbert_series().expand(max(degrees))
+    for d in degrees:
+        assert graded_dimension(family, w, d) == closed[d]
+
+
+def test_negative_degrees_are_empty():
+    """count_monomials, check_budget and ideal_rank raised IndexError here."""
+    ring = GradedRing([("x", 1), ("y", 2)], [MPoly.var("x") * MPoly.var("x")])
+    assert count_monomials((1, 2), -1) == 0
+    assert weighted_monomials((1, 2), -3) == []
+    ring.check_budget(-1)
+    assert ring.ideal_rank(-1) == 0
+    assert ring.dimension(-2) == 0
