@@ -13,13 +13,36 @@ syzygy criterion, Faugère 2002): m*f_j is dropped when m is a pivot of the
 degree d - deg f_j slice made by an earlier equation f_i, i < j.  Proof: that
 pivot row g = lc*m + sum_{n>m} c_n*n lies in (f_0..f_i), so g*f_j is in the
 span of earlier rows and m*f_j = (g*f_j - sum c_n*n*f_j)/lc; induct down on m.
+
+The whole Hilbert series is read off the same pivots (``hilbert_series``).
+``weighted_monomials`` lists a degree in ascending lex order of exponent
+tuples and a stored row pivots on its smallest column, so the pivots of the
+degree-d slice are in(I)_d for the monomial order "weighted degree first, then
+the lex-smaller exponent tuple leads" (lex comparison is invariant under
+adding a tuple, so the order is multiplicative; positive weights make it a
+well-order).  Walk d = 0, 1, ... collecting the minimal pivot monomials G, and
+stop at the first d that is at least every equation degree and at least
+deg lcm(a, b) for every pair a, b in G.  Let g_a be a row of I with lead a.
+(i) The g_a generate I: an element of I_e, e <= d, has its lead in in(I)_e,
+so a multiple of some a in G; subtracting a multiple of g_a lowers the lead,
+and every equation has degree <= d.  (ii) Each S-pair S(g_a, g_b) lies in I
+in degree deg lcm(a, b) <= d, and so does its remainder r on division by the
+g_a; no term of r is divisible by any a in G, but a nonzero r would have its
+lead in in(I) of degree <= d, which G generates, so r = 0.  By Buchberger's
+criterion the g_a are a Groebner basis, in(I) = (G), and H(R/I) = H(R/(G)).
+The numerator of a monomial ideal comes from N(J + m) = N(J) - t^deg m *
+N(J : m) (Bayer-Stillman 1992, Bigatti 1997), pivoting on a power of the
+variable in the most mixed generators.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations, count
+from math import gcd, lcm, prod
 from operator import add
+
+from .series import HilbertSeries, LaurentPoly
 
 DEGREE_BUDGET = 200_000  # refuse degrees whose monomial count exceeds this
 ROW_BUDGET = 60_000      # likewise for the number of equation-multiple rows
@@ -44,9 +67,11 @@ def count_monomials(weights, degree):
 
 
 def weighted_monomials(weights, degree):
-    """All exponent tuples of the given weighted degree, in deterministic order."""
+    """All exponent tuples of the given weighted degree, in ascending lex order."""
     n = len(weights)
     out = []
+    if degree < 0:
+        return out
     cur = [0] * n
 
     def rec(i, rem):
@@ -166,7 +191,7 @@ class GradedRing:
                 for var, exp in mono:
                     vec[self.index[var]] += exp
                 terms.append((tuple(vec), coeff))
-            deg = {sum(e * w for e, w in zip(vec, self.weights)) for vec, _ in terms}
+            deg = {_degree(vec, self.weights) for vec, _ in terms}
             if len(deg) != 1:
                 raise ValueError("equations must be weighted-homogeneous")
             # scale to integer coefficients once, so slices build integer rows
@@ -239,9 +264,53 @@ class GradedRing:
         """Does the given monomial lie in the span of the ideal slice?"""
         if not self.equations:
             return False
-        degree = sum(e * w for e, w in zip(exponents, self.weights))
-        cols, ech = self._slice(degree)
+        cols, ech = self._slice(_degree(exponents, self.weights))
         return ech.contains({cols[tuple(exponents)]: 1})
+
+    def hilbert_series(self):
+        """``(series, stop)``: the proven series over prod (1 - t^w), w the
+        ring's weights, and the last slice ranked to prove it (module docstring)."""
+        eq_bound = max((deg for deg, _ in self.equations), default=0)
+        leads = []
+        for d in count():
+            cols, ech = self._slice(d)
+            monos = list(cols)
+            leads = _minimal(leads + [monos[k] for k in ech.rows])
+            if d >= max([eq_bound] + [_degree(map(max, a, b), self.weights)
+                                      for a, b in combinations(leads, 2)]):
+                return HilbertSeries(_staircase_numerator(leads, self.weights),
+                                     self.weights), d
+
+
+def _degree(exponents, weights):
+    return sum(e * w for e, w in zip(exponents, weights))
+
+
+def _minimal(gens):
+    """The minimal generators of the monomial ideal that ``gens`` generate."""
+    out = []
+    for g in sorted(set(gens), key=sum):
+        if not any(all(map(int.__le__, h, g)) for h in out):
+            out.append(g)
+    return out
+
+
+def _staircase_numerator(gens, weights):
+    """Numerator over prod (1 - t^w) of R/(gens), for minimal monomials gens."""
+    mixed = [g for g in gens if sum(map(bool, g)) > 1]
+    if not mixed:   # powers of distinct variables: a regular sequence
+        return prod((LaurentPoly([(0, 1), (_degree(g, weights), -1)]) for g in gens),
+                    start=LaurentPoly.one())
+    # x_i^e, e the least exponent of x_i in a mixed generator, is not in (gens):
+    # a pure power x_i^f in a minimal set has f above every such e
+    uses = [sum(1 for g in mixed if g[i]) for i in range(len(weights))]
+    i = uses.index(max(uses))
+    e = min(g[i] for g in mixed if g[i])
+    p = tuple(e * (j == i) for j in range(len(weights)))
+    plus = [g for g in gens if g[i] < e] + [p]
+    colon = _minimal([g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens])
+    return (_staircase_numerator(plus, weights)
+            + _staircase_numerator(colon, weights).shift(e * weights[i]))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,8 @@ divisible by r), splits them into components, counts the section points on
 each component by the exact rule  N = r * degree * prod(active section
 degrees), and reads the transverse quotient type off an orbifold chart of the
 component.  The whole procedure is exact rational arithmetic; the stratum
-Hilbert series comes from the brute-force graded-dimension oracle.
+Hilbert series is proven from the oracle's echelon pivots, which give a
+Groebner staircase of the stratum ideal (``GradedRing.hilbert_series``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import gcd, prod
 
 from . import wgrass25, wogr510
 from .oracle import GradedRing, OracleBudgetError
-from .series import HilbertSeries, LaurentPoly, denominator_poly, geometric, one_minus
+from .series import one_minus
 from .wgrass25 import Chart, GrWeights
 from .wogr510 import OGrWeights
 
@@ -142,12 +143,6 @@ class AmbientModel:
         return [Chart(ch.label, ch.order, ch.local_weights + self.cone)
                 for ch in self.base.charts()]
 
-    def chart_at(self, label):
-        for ch in self.charts():
-            if ch.label == label:
-                return ch
-        raise KeyError(f"no chart at coordinate {label}")
-
     def graded_ring(self):
         return GradedRing(self.coordinates(), self.equations())
 
@@ -253,6 +248,7 @@ class StratumRecord:
     active: tuple
     count: Fraction
     sing_type: object    # QuotientSingularity or None
+    stop_degree: object  # last oracle slice proving the series; None if closed form
 
 
 @dataclass
@@ -260,9 +256,6 @@ class SingularityReport:
     basket: list           # [(QuotientSingularity, count)]
     diagnostics: list
     strata: list           # StratumRecord details
-
-    def basket_key(self):
-        return sorted(((s.r, s.weights), n) for s, n in self.basket)
 
     def to_json(self):
         return {
@@ -306,35 +299,6 @@ def _component_split(ring, diagnostics, context):
         groups.setdefault(find(i), []).append(i)
     return [tuple(ring.coords[i][0] for i in sorted(g)) for g in
             sorted(groups.values())]
-
-
-def _component_series(ring, context):
-    """Hilbert series of a component ring, via the oracle when necessary."""
-    weights = ring.weights
-    if not ring.equations:
-        return geometric(weights)
-    degrees = [deg for deg, _ in ring.equations]
-    if len(degrees) == 1:
-        # a single nonzero equation is a nonzerodivisor on the polynomial ring
-        return HilbertSeries(one_minus(degrees[0]), weights)
-    window = sum(weights) + max(degrees)
-    cap = 3 * sum(weights) + sum(degrees) + 10
-    dp = denominator_poly(weights).coeffs
-    dims = []
-    numer = {}
-    top_nonzero = 0
-    d = 0
-    while d <= cap:
-        dims.append(ring.dimension(d))
-        nd = sum(c * dims[d - e] for e, c in dp.items() if e <= d)
-        if nd:
-            numer[d] = nd
-            top_nonzero = d
-        if d >= top_nonzero + window:
-            return HilbertSeries(LaurentPoly(numer), weights)
-        d += 1
-    raise OracleBudgetError(f"{context}: stratum numerator did not stabilize "
-                            f"within degree {cap}")
 
 
 def _transverse_type(chart, r, degrees, dim_comp, diagnostics, context):
@@ -382,6 +346,7 @@ def singularity_analysis(model, spec):
         raise ValueError("section must have positive dimension")
     coords = model.coordinates()
     cone_names = {n for n, _ in coords if n.startswith("c")}
+    charts = {ch.label: ch for ch in model.charts()}
     equations = model.equations()
     diagnostics = []
     records = []
@@ -419,7 +384,7 @@ def singularity_analysis(model, spec):
                     comp_eqs.append(cut)
                     seen.add(cut)
 
-            comp_charts = [model.chart_at(n) for n in comp]
+            comp_charts = [charts[n] for n in comp]
             dims = {sum(1 for w in ch.local_weights if w % r == 0)
                     for ch in comp_charts}
             if len(dims) != 1:
@@ -448,9 +413,9 @@ def singularity_analysis(model, spec):
             try:
                 if len(comp) == len(coords):
                     # the stratum is the whole variety: closed-form series
-                    series = ambient_series(model)
+                    series, stop = ambient_series(model), None
                 else:
-                    series = _component_series(comp_ring, comp_context)
+                    series, stop = comp_ring.hilbert_series()
                 inter = series.intersection_number(dim_comp)
             except OracleBudgetError as exc:
                 diagnostics.append(f"{comp_context}: not counted ({exc})")
@@ -472,7 +437,8 @@ def singularity_analysis(model, spec):
                 continue
             sing = types.pop()
             records.append(StratumRecord(r=r, component=comp, dimension=dim_comp,
-                                         active=active, count=count, sing_type=sing))
+                                         active=active, count=count, sing_type=sing,
+                                         stop_degree=stop))
 
     # Points with stabilizer mu_{r'} on a nested finer stratum enter the
     # level-r count with orbifold weight r/r'; correcting finest levels first

@@ -1,7 +1,10 @@
 """The oracle's integer echelon against a plain Fraction elimination, the
-pruned slices against the all-multiples slices they replaced, and the oracle
-against the closed-form Hilbert series beyond the acceptance degrees."""
+pruned slices against the all-multiples slices they replaced, the oracle
+against the closed-form Hilbert series beyond the acceptance degrees, and the
+proven staircase series against graded dimensions and the window loop it
+replaced."""
 
+import itertools
 from fractions import Fraction
 from operator import add
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from wgk.oracle import (GradedRing, IntegerEchelon, count_monomials,
                         graded_dimension, weighted_monomials)
 from wgk.polynomials import MPoly
+from wgk.series import HilbertSeries, LaurentPoly, denominator_poly, geometric, one_minus
 from wgk.wgrass25 import GrWeights
 from wgk.wogr510 import OGrWeights
 
@@ -117,9 +121,10 @@ def as_poly(names, terms):
 
 
 @st.composite
-def random_rings(draw):
+def random_rings(draw, terms=(1, 4), extra=(0, 3)):
     """Weighted-homogeneous integer equations of mixed degrees, with repeats,
-    multiples, shared factors and variables no equation uses."""
+    multiples, shared factors and variables no equation uses; each form has
+    ``terms`` monomials and ``extra`` equations follow the first."""
     n = draw(st.integers(2, 6))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     names = [f"x{i}" for i in range(n)]
@@ -131,11 +136,11 @@ def random_rings(draw):
 
     def form(degrees):
         picked = draw(st.lists(st.sampled_from(monos[draw(st.sampled_from(degrees))]),
-                               min_size=1, max_size=4))
+                               min_size=terms[0], max_size=terms[1]))
         return as_poly(names, {m: draw(coeff) for m in picked})
 
     equations = [form(degrees)] if degrees else []
-    for _ in range(draw(st.integers(0, 3)) if degrees else 0):
+    for _ in range(draw(st.integers(*extra)) if degrees else 0):
         kind = draw(st.sampled_from(("new", "new", "repeat", "multiple", "shared")))
         base = draw(st.sampled_from(equations))
         if kind == "repeat":
@@ -208,3 +213,75 @@ def test_negative_degrees_are_empty():
     ring.check_budget(-1)
     assert ring.ideal_rank(-1) == 0
     assert ring.dimension(-2) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=5), st.integers(-3, 12))
+def test_weighted_monomials_are_in_ascending_lex_order(weights, degree):
+    """The staircase proof reads in(I) off the pivots only in this order."""
+    brute = [m for m in itertools.product(*(range(max(degree, 0) // w + 1)
+                                            for w in weights))
+             if sum(e * w for e, w in zip(m, weights)) == degree]
+    assert weighted_monomials(weights, degree) == sorted(brute)
+
+
+def window_series(ring):
+    """The stratum series before the staircase: rank degree after degree and
+    stop after sum(weights) + max(degrees) zero numerator coefficients."""
+    weights = ring.weights
+    if not ring.equations:
+        return geometric(weights)
+    degrees = [deg for deg, _ in ring.equations]
+    if len(degrees) == 1:
+        return HilbertSeries(one_minus(degrees[0]), weights)
+    window = sum(weights) + max(degrees)
+    dp = denominator_poly(weights).coeffs
+    dims, numer, top = [], {}, 0
+    for d in range(3 * sum(weights) + sum(degrees) + 11):
+        dims.append(ring.dimension(d))
+        nd = sum(c * dims[d - e] for e, c in dp.items() if e <= d)
+        if nd:
+            numer[d] = nd
+            top = d
+        if d >= top + window:
+            return HilbertSeries(LaurentPoly(numer), weights)
+    raise AssertionError("window loop did not stabilize")
+
+
+STAIRCASE_CAP = 2000
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_rings(terms=(2, 6), extra=(1, 3)))
+def test_proven_series_matches_dimensions_and_the_window_loop(ring_data):
+    ring = GradedRing(*ring_data)
+    series, stop = ring.hilbert_series()
+    assert series.denominator == tuple(sorted(ring.weights))
+    degrees = [d for d in range(max(3 * stop, 12) + 1)
+               if ring.monomial_count(d) <= STAIRCASE_CAP]
+    expansion = series.expand(max(degrees))
+    assert [expansion[d] for d in degrees] == [ring.dimension(d) for d in degrees]
+    # the window loop ranks up to top + window; compare where that is cheap
+    top = series.numerator.max_exp() if not series.numerator.is_zero() else 0
+    end = top + sum(ring.weights) + max((e for e, _ in ring.equations), default=0)
+    if all(ring.monomial_count(d) <= STAIRCASE_CAP for d in range(end + 1)):
+        assert window_series(GradedRing(*ring_data)).numerator == series.numerator
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_proven_series_of_a_monomial_ideal_counts_standard_monomials(data):
+    n = data.draw(st.integers(2, 5))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    gens = data.draw(st.lists(exponents, min_size=1, max_size=8))
+    names = [f"x{i}" for i in range(n)]
+    ring = GradedRing(list(zip(names, weights)), [as_poly(names, {g: 1}) for g in gens])
+    series, stop = ring.hilbert_series()
+    degrees = [d for d in range(max(3 * stop, 12) + 1)
+               if ring.monomial_count(d) <= STAIRCASE_CAP]
+    expansion = series.expand(max(degrees))
+    for d in degrees:
+        standard = [m for m in weighted_monomials(weights, d)
+                    if not any(all(map(int.__le__, g, m)) for g in gens)]
+        assert expansion[d] == len(standard)

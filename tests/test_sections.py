@@ -136,6 +136,25 @@ def test_singularity_counts_follow_the_stratum_rule():
     assert rec.count == 3 and rec.active == (2, 2, 2)
 
 
+def test_stratum_series_is_proven_at_the_staircase_stop_degree():
+    # six weight-2 coordinates cut by three quartics: the pair lcms of the
+    # staircase end at degree 8, where the window loop ranked up to degree 22
+    report = singularity_analysis(K3PLAIN, (2, 2, 2, 3))
+    rec = [r for r in report.strata if r.r == 2][0]
+    assert rec.component == ("x14", "x15", "x24", "x25", "x34", "x35")
+    assert rec.stop_degree == 8
+
+
+def test_stop_degree_over_budget_is_not_counted(monkeypatch):
+    # degree 8 of the six weight-2 coordinates has 126 monomials
+    monkeypatch.setattr("wgk.oracle.DEGREE_BUDGET", 100)
+    report = singularity_analysis(K3PLAIN, (2, 2, 2, 3))
+    assert report.basket == [] and report.strata == []
+    assert report.diagnostics == [
+        "1/2 stratum [x14 x15 x24 x25 x34 x35]: not counted (degree 8 exceeds "
+        "the oracle budget (126 monomials))"]
+
+
 def test_k3_elephant_of_the_fano_section():
     # anticanonical K3 inside the genus-4 family: D^2 = 6 + 1/2 with a single
     # 1/2(1,1) point, five sections of the polarization
