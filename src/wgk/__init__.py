@@ -18,7 +18,7 @@ from .sections import (AmbientModel, QuotientSingularity, SectionSpec,
 from .series import HilbertSeries, LaurentPoly, binom3
 from .wgrass25 import (Chart, GrNumerology, GrWeights, fit_pfaffian_weights,
                        pfaffian_equations, verify_gr_identities)
-from .wogr510 import (OGrWeights, WeightCharacters, equations,
+from .wogr510 import (OGrWeights, equations,
                       first_syzygies, membership, parametrize, spinor_graph,
                       verify_ogr_syzygies, verify_parametrization,
                       wd5_elements)
@@ -26,7 +26,7 @@ from .wogr510 import (OGrWeights, WeightCharacters, equations,
 __all__ = [
     "AmbientModel", "CY3Data", "Canonical3Data", "Chart", "GrNumerology",
     "GrWeights", "HilbertSeries", "LaurentPoly", "MatchQuery", "OGrWeights",
-    "PeriodicTable", "QuotientSingularity", "SectionSpec", "WeightCharacters",
+    "PeriodicTable", "QuotientSingularity", "SectionSpec",
     "ambient_series",
     "binom3", "equations", "first_syzygies",
     "fit_pfaffian_weights", "hilbert_can3",

@@ -23,7 +23,7 @@ from .sections import (AmbientModel, QuotientSingularity, invariants,
                        quasilinear_embed, rr_roundtrip, section_canonical,
                        section_series, singularity_analysis)
 from .series import SeriesError
-from .wgrass25 import GrWeights, verify_gr_identities
+from .wgrass25 import GrWeights, doubled as half_doubled, verify_gr_identities
 from .wogr510 import OGrWeights, verify_ogr_syzygies
 
 SCHEMA = "wgk/1"
@@ -52,13 +52,7 @@ def parse_weights(text, doubled=False):
         if not tok:
             continue
         try:
-            if doubled:
-                vals.append(int(tok))
-            else:
-                f = Fraction(tok) * 2
-                if f.denominator != 1:
-                    raise ValueError
-                vals.append(int(f))
+            vals.append(int(tok) if doubled else half_doubled(tok))
         except (ValueError, ZeroDivisionError):
             raise InputError(f"cannot parse weight {tok!r}")
     return tuple(vals)
@@ -66,17 +60,10 @@ def parse_weights(text, doubled=False):
 
 def build_weights(args):
     w2 = parse_weights(args.w, args.doubled)
-    if len(w2) != 5:
-        raise InputError("need exactly five weights")
-    u = Fraction(args.u)
-    if u.denominator != 1:
-        raise InputError("overall weight must be an integer")
-    u = int(u)
+    family = {"wgr": GrWeights, "wogr": OGrWeights}[args.family]
     try:
-        if args.family == "wgr":
-            return GrWeights.of(w2, 2 * u)
-        return OGrWeights(w2, u)
-    except ValueError as exc:
+        return family.of(w2, half_doubled(args.u))
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc))
 
 
@@ -90,34 +77,29 @@ def cmd_info(args):
     weights = build_weights(args)
     series = weights.hilbert_series()
     wf, witness = weights.is_well_formed()
-    if args.family == "wgr":
+    data = {
+        "schema": SCHEMA,
+        "family": weights.family,
+        "weights": weights.to_json(),
+        "ambient": fmt_wps(w for _, w in weights.coordinates()),
+        "adjunction": weights.adjunction(),
+        "canonical": weights.canonical_degree(),
+        "numerator": str(series.numerator),
+        "well_formed": wf,
+    }
+    if weights.family == "wgr25":
         num = weights.numerology()
-        data = {
-            "schema": SCHEMA,
-            "family": "wgr25",
-            "weights": weights.to_json(),
-            "ambient": fmt_wps(weights.plucker_weights()),
-            "pfaffian_degrees": list(num.pfaffian_degrees),
-            "syzygy_degrees": list(num.syzygy_degrees),
-            "adjunction": num.adjunction,
-            "canonical": num.canonical,
-            "degree": frac_str(weights.degree()),
-            "numerator": str(series.numerator),
-            "well_formed": wf,
-        }
+        data.update(pfaffian_degrees=list(num.pfaffian_degrees),
+                    syzygy_degrees=list(num.syzygy_degrees),
+                    degree=frac_str(weights.degree()))
+        lines = [f"Pfaffian degrees: {data['pfaffian_degrees']}, "
+                 f"syzygy degrees: {data['syzygy_degrees']}",
+                 f"degree = {data['degree']}"]
     else:
-        data = {
-            "schema": SCHEMA,
-            "family": "wogr510",
-            "weights": weights.to_json(),
-            "ambient": fmt_wps(weights.coordinate_weights()),
-            "resolution_degrees": {k: list(v) for k, v in
-                                   weights.resolution_degrees().items()},
-            "adjunction": 2 * weights.d2(),
-            "canonical": weights.canonical_degree(),
-            "numerator": str(series.numerator),
-            "well_formed": wf,
-        }
+        deg = {k: list(v) for k, v in weights.resolution_degrees().items()}
+        data["resolution_degrees"] = deg
+        lines = [f"relation degrees: {deg['relations']}",
+                 f"first syzygy degrees: {deg['first_syzygies']}"]
     if witness:
         data["well_formed_witness"] = witness
     data["charts"] = [{"label": ch.label, "order": ch.order,
@@ -127,14 +109,7 @@ def cmd_info(args):
         print(json.dumps(data, sort_keys=True))
         return 0
     print(f"{weights}  in  {data['ambient']}")
-    if args.family == "wgr":
-        print(f"Pfaffian degrees: {data['pfaffian_degrees']}, "
-              f"syzygy degrees: {data['syzygy_degrees']}")
-        print(f"degree = {data['degree']}")
-    else:
-        deg = data["resolution_degrees"]
-        print(f"relation degrees: {deg['relations']}")
-        print(f"first syzygy degrees: {deg['first_syzygies']}")
+    print("\n".join(lines))
     print(f"K = O({data['canonical']})")
     print(f"numerator: {data['numerator']}")
     print(f"well formed: {data['well_formed']}"
@@ -273,37 +248,33 @@ def cmd_section(args):
     return 0
 
 
-def _basket_from_points(points):
-    basket = []
-    for p in points:
-        if "weights" in p:
-            basket.append(QuotientSingularity(int(p["r"]),
-                                              tuple(int(w) for w in p["weights"])))
-    return tuple(basket)
-
-
 def cmd_match(args):
     depth = default_depth()
     with open(args.rr) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise InputError(f"rr data must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "can3":
-        rr = Canonical3Data(pg=int(data["pg"]), kcubed=Fraction(data["K3"]),
-                            half_points=int(data.get("half_points", 0)))
-        series = hilbert_can3(rr)
-        basket = (QuotientSingularity(2, (1, 1, 1)),) * rr.half_points
-    elif kind == "cy3":
-        points = []
-        for p in data.get("points", ()):
-            if "c" in p:
-                points.append(PeriodicTable(int(p["r"]),
-                                            tuple(Fraction(c) for c in p["c"])))
-        rr = CY3Data(acubed=Fraction(data["A3"]), ac2=Fraction(data["Ac2"]),
-                     points=tuple(points))
-        series = hilbert_cy3(rr)
-        basket = _basket_from_points(data.get("points", ()))
-    else:
-        raise InputError("rr data file must set kind to can3 or cy3")
+    try:
+        if kind == "can3":
+            rr = Canonical3Data(pg=int(data["pg"]), kcubed=Fraction(data["K3"]),
+                                half_points=int(data.get("half_points", 0)))
+            basket = (QuotientSingularity(2, (1, 1, 1)),) * rr.half_points
+        elif kind == "cy3":
+            points = data.get("points", ())
+            tables = tuple(PeriodicTable(int(p["r"]), tuple(Fraction(c) for c in p["c"]))
+                           for p in points if "c" in p)
+            rr = CY3Data(acubed=Fraction(data["A3"]), ac2=Fraction(data["Ac2"]),
+                         points=tables)
+            basket = tuple(QuotientSingularity(int(p["r"]), tuple(map(int, p["weights"])))
+                           for p in points if "weights" in p)
+        else:
+            raise InputError("rr data file must set kind to can3 or cy3")
+    except KeyError as exc:
+        raise InputError(f"rr data lacks the key {exc}") from None
+    except TypeError as exc:
+        raise InputError(f"rr data has a value of the wrong type: {exc}") from None
+    series = hilbert_can3(rr) if kind == "can3" else hilbert_cy3(rr)
     report = matcher_mod.match_pipeline(
         series, basket=basket, family=args.family, max_w2=args.max_w2,
         max_u=args.max_u, depth=depth,
@@ -328,14 +299,13 @@ def cmd_match(args):
 
 def cmd_oracle(args):
     weights = build_weights(args)
-    family = "wgr25" if args.family == "wgr" else "wogr510"
     try:
-        value = graded_dimension(family, weights, args.degree)
+        value = graded_dimension(weights.family, weights, args.degree)
     except OracleBudgetError as exc:
         print(f"degree bound exceeded: {exc}", file=sys.stderr)
         return 2
     closed = weights.hilbert_series().expand(args.degree)[args.degree]
-    data = {"schema": SCHEMA, "family": family, "degree": args.degree,
+    data = {"schema": SCHEMA, "family": weights.family, "degree": args.degree,
             "oracle": value, "closed_form": frac_str(closed),
             "agree": closed == value}
     if args.json:

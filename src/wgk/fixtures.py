@@ -180,9 +180,7 @@ def run_fixture(fix, depth=40):
             elif key == "ambient_degree":
                 ok = _check_fraction(value, model.base.degree())
             elif key == "ambient_canonical":
-                ok = (model.base.numerology().canonical == value
-                      if model.family == "wgr25"
-                      else model.base.canonical_degree() == value)
+                ok = model.base.canonical_degree() == value
             elif key == "section_canonical":
                 ok = section_canonical(model, fix.cut) == value
             elif key == "h0":

@@ -16,11 +16,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from operator import attrgetter
 
-from .sections import AmbientModel, SectionSpec
+from .sections import FAMILIES, AmbientModel, SectionSpec
 from .series import HilbertSeries, LaurentPoly, SeriesError, one_minus
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
@@ -28,7 +28,6 @@ from .wogr510 import OGrWeights
 DEFAULT_DEPTH = 40
 DEFAULT_MAX_W2 = 8
 DEFAULT_MAX_U = 4
-FAMILIES = ("wgr25", "wogr510")
 
 
 def fmt_multiset(weights):
@@ -57,10 +56,15 @@ class MatchQuery:
     depth: int = DEFAULT_DEPTH
 
     def __post_init__(self):
-        if self.max_w2 < 1 or self.max_u < 1:
-            raise ValueError("search bounds must be positive and finite")
-        if self.family is not None and self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        _check_bounds(self.family, self.max_w2, self.max_u)
+
+
+def _check_bounds(family, max_w2, max_u):
+    """The bounds and family check of both ``search`` and ``match_pipeline``."""
+    if max_w2 < 1 or max_u < 1:
+        raise ValueError("search bounds must be positive and finite")
+    if family is not None and family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
 
 
 def infer_generators(series, depth=DEFAULT_DEPTH, basket=None,
@@ -149,10 +153,10 @@ class _Entry:
     """One enumerated weight datum and, once a query reaches it, its numerator
     at t = 2 (0 when the weights give no numerator)."""
 
-    __slots__ = ("pos", "family", "weights", "top", "at2")
+    __slots__ = ("pos", "weights", "top", "at2")
 
-    def __init__(self, pos, family, weights, top):
-        self.pos, self.family, self.weights, self.top = pos, family, weights, top
+    def __init__(self, pos, weights, top):
+        self.pos, self.weights, self.top = pos, weights, top
         self.at2 = None
 
     def numerator_at2(self):
@@ -172,22 +176,24 @@ class _Entry:
         return self.at2
 
 
+# the module functions are looked up on each call, so that they can be wrapped
+_ENUMERATE = {"wgr25": lambda max_w2, max_u: enumerate_gr_weights(max_w2),
+              "wogr510": lambda max_w2, max_u: enumerate_ogr_weights(max_w2, max_u)}
+
+
 @lru_cache(maxsize=8)
 def _model_index(family, max_w2, max_u):
     """Bounded models keyed by numerator top exponent, each slice in table order.
 
-    The top term is -t^{2d} for wGr and -t^{4d} for wOGr, read off the
-    weights, so a query builds numerators only in the slices it can match.
+    The top term -t^top is read off the weights (``top_exponent``), so a
+    query builds numerators only in the slices it can match.
     """
-    models = []
-    if family in (None, "wgr25"):
-        models += [("wgr25", w, w.d2()) for w in enumerate_gr_weights(max_w2)]
-    if family in (None, "wogr510"):
-        models += [("wogr510", w, 2 * w.d2())
-                   for w in enumerate_ogr_weights(max_w2, max_u)]
+    models = [w for fam in ([family] if family else FAMILIES)
+              for w in _ENUMERATE[fam](max_w2, max_u)]
     index = {}
-    for pos, (fam, w, top) in enumerate(models):
-        index.setdefault(top, []).append(_Entry(pos, fam, w, top))
+    for pos, w in enumerate(models):
+        top = w.top_exponent()
+        index.setdefault(top, []).append(_Entry(pos, w, top))
     return index
 
 
@@ -236,11 +242,9 @@ def _strip_section_factors(quotient):
             return None
 
 
-def _canonical_key(family, weights):
-    if family == "wgr25":
-        return (family, weights.w2)
-    c = weights.canonical_form()
-    return (family, c.w2, c.u)
+def _canonical_key(w):
+    c = w.canonical_form()
+    return (w.family, *(getattr(c, f.name) for f in fields(c)))
 
 
 def _quasilinear_sections(gens, coord_weights):
@@ -288,7 +292,7 @@ def search(query):
             continue
         if query.basket and not singularity_filter(model, query.basket)[0]:
             continue
-        results[_canonical_key(entry.family, entry.weights) + (cone,)] = model
+        results[_canonical_key(entry.weights) + (cone,)] = model
     return [results[k] for k in sorted(results)]
 
 
@@ -356,6 +360,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
     variants, and any user-supplied ones.  If no candidate is accepted, one
     extra generator-and-relation degree k is tried for k up to the bound.
     """
+    _check_bounds(family, max_w2, max_u)
     basket = tuple(basket)
     gen_sets = []
     greedy = infer_generators(series, depth)
@@ -385,11 +390,11 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
             return
         tried.append((provenance, gens, "ok"))
         for entry, model_series in _lookup(family, max_w2, max_u, n_target, formal=True):
-            fam, w, num = entry.family, entry.weights, model_series.numerator
+            w, num = entry.weights, model_series.numerator
             if num == n_target:
                 cone, sections = _quasilinear_sections(gens, model_series.denominator)
                 model = AmbientModel(w, (1,) * cone if cone else ())
-                key = _canonical_key(fam, w) + (model.cone, (), sections)
+                key = _canonical_key(w) + (model.cone, (), sections)
                 if key not in candidates:
                     status = ("quasilinear" if sections is not None
                               else "numerator match (no quasilinear embedding)")
@@ -404,7 +409,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
             if not factors:
                 continue
             model = AmbientModel(w, (1,))
-            key = _canonical_key(fam, w) + ("formal",)
+            key = _canonical_key(w) + ("formal",)
             old = candidates.get(key)
             if old is None or (len(factors), factors) < (len(old.nonlinear),
                                                          old.nonlinear):

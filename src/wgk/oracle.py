@@ -317,19 +317,10 @@ def _staircase_numerator(gens, weights):
 def graded_dimension(family, weight_data, degree):
     """Oracle dimension of the family's coordinate ring in one degree.
 
-    ``family`` is "wgr25" or "wogr510"; ``weight_data`` supplies the coordinate
-    weights (GrWeights or OGrWeights).
+    ``weight_data`` (GrWeights or OGrWeights) supplies the coordinates and
+    the equations.  ``family`` must be its family ("wgr25" or "wogr510"); it
+    stays an argument so that a trace of the call names the family it ran on.
     """
-    from . import wgrass25, wogr510
-    if family == "wgr25":
-        coords = [(wgrass25.pair_name(i, j),
-                   (weight_data.w2[i - 1] + weight_data.w2[j - 1]) // 2)
-                  for i, j in wgrass25.PAIRS]
-        ring = GradedRing(coords, wgrass25.pfaffian_equations())
-    elif family == "wogr510":
-        coords = [(name, weight_data.vertex_weight(v))
-                  for name, v in zip(wogr510.VERTEX_NAMES, wogr510.VERTICES)]
-        ring = GradedRing(coords, wogr510.equations())
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return ring.dimension(degree)
+    if family != weight_data.family:
+        raise ValueError(f"{weight_data} is not of family {family!r}")
+    return GradedRing(weight_data.coordinates(), weight_data.equations()).dimension(degree)

@@ -159,13 +159,6 @@ class MPoly:
                      if all(v in keep for v, _ in m)}
         return res
 
-    def weighted_degree(self, weights):
-        """Common weighted degree of all terms; error if not homogeneous."""
-        degs = {sum(weights[v] * e for v, e in m) for m in self.terms}
-        if len(degs) != 1:
-            raise ValueError(f"polynomial is not weighted-homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
-from . import wgrass25, wogr510
 from .oracle import GradedRing, OracleBudgetError
 from .series import one_minus
 from .wgrass25 import Chart, GrWeights
@@ -88,14 +87,19 @@ class SectionSpec:
         return "".join(f"({d})" for d in self.degrees) or "(none)"
 
 
+FAMILIES = {cls.family: cls for cls in (GrWeights, OGrWeights)}
+
+
 @dataclass(frozen=True)
 class AmbientModel:
-    """A weighted family plus optional cone variables of given weights."""
+    """A weighted family plus optional cone variables of given weights.
+
+    The base weights answer the family questions, extended by the cone."""
     base: object
     cone: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not isinstance(self.base, (GrWeights, OGrWeights)):
+        if not isinstance(self.base, tuple(FAMILIES.values())):
             raise TypeError("base must be GrWeights or OGrWeights")
         cone = tuple(sorted(int(c) for c in self.cone))
         if any(c < 1 for c in cone):
@@ -104,42 +108,28 @@ class AmbientModel:
 
     @property
     def family(self):
-        return "wgr25" if isinstance(self.base, GrWeights) else "wogr510"
+        return self.base.family
 
     @property
     def dim(self):
-        return (6 if self.family == "wgr25" else 10) + len(self.cone)
-
-    def base_coordinates(self):
-        if self.family == "wgr25":
-            return [(wgrass25.pair_name(i, j),
-                     (self.base.w2[i - 1] + self.base.w2[j - 1]) // 2)
-                    for i, j in wgrass25.PAIRS]
-        return [(name, self.base.vertex_weight(v))
-                for name, v in zip(wogr510.VERTEX_NAMES, wogr510.VERTICES)]
+        return self.base.dim + len(self.cone)
 
     def coordinates(self):
-        coords = self.base_coordinates()
-        coords += [(f"c{k}", w) for k, w in enumerate(self.cone, start=1)]
-        return coords
+        return self.base.coordinates() + [(f"c{k}", w)
+                                          for k, w in enumerate(self.cone, start=1)]
 
     def coordinate_weights(self):
         return tuple(sorted(w for _, w in self.coordinates()))
 
     def equations(self):
-        if self.family == "wgr25":
-            return list(wgrass25.pfaffian_equations())
-        return list(wogr510.equations())
-
-    def adjunction(self):
-        if self.family == "wgr25":
-            return self.base.numerology().adjunction
-        return 2 * self.base.d2()
+        return self.base.equations()
 
     def canonical_degree(self):
-        return self.adjunction() - sum(w for _, w in self.coordinates())
+        return self.base.canonical_degree() - sum(self.cone)
 
     def charts(self):
+        """The base charts, each extended by the cone weights; a cone
+        coordinate has no chart of its own."""
         return [Chart(ch.label, ch.order, ch.local_weights + self.cone)
                 for ch in self.base.charts()]
 
@@ -154,18 +144,21 @@ class AmbientModel:
 
     @classmethod
     def from_json(cls, data):
-        family = data["family"]
-        w2 = tuple(int(v) for v in data["w2"])
-        u2 = int(data.get("u2", 0))
-        if family == "wgr25":
-            base = GrWeights.of(w2, u2)
-        elif family == "wogr510":
-            if u2 % 2:
-                raise ValueError("overall weight must be an integer (u2 even)")
-            base = OGrWeights(w2, u2 // 2)
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        return cls(base, tuple(data.get("cone", ())))
+        """Inverse of ``to_json``; ValueError names a missing key or a wrong type."""
+        if not isinstance(data, dict):
+            raise ValueError(f"model must be a JSON object, not {type(data).__name__}")
+        for key in ("family", "w2"):
+            if key not in data:
+                raise ValueError(f"model lacks the key {key!r}")
+        family = FAMILIES.get(str(data["family"]))
+        if family is None:
+            raise ValueError(f"unknown family {data['family']!r}")
+        try:
+            w2 = tuple(int(v) for v in data["w2"])
+            u2, cone = int(data.get("u2", 0)), tuple(int(c) for c in data.get("cone", ()))
+        except TypeError as exc:
+            raise ValueError(f"model has a value of the wrong type: {exc}") from None
+        return cls(family.of(w2, u2), cone)
 
     def __str__(self):
         s = str(self.base)
@@ -345,7 +338,6 @@ def singularity_analysis(model, spec):
     if section_dim < 1:
         raise ValueError("section must have positive dimension")
     coords = model.coordinates()
-    cone_names = {n for n, _ in coords if n.startswith("c")}
     charts = {ch.label: ch for ch in model.charts()}
     equations = model.equations()
     diagnostics = []
@@ -370,7 +362,7 @@ def singularity_analysis(model, spec):
         components = _component_split(ring, diagnostics, context)
         for comp in components:
             comp_context = f"{context} [{' '.join(comp)}]"
-            if any(n in cone_names for n in comp):
+            if any(n not in charts for n in comp):
                 diagnostics.append(f"{comp_context}: contains a cone vertex; "
                                    "chart analysis unsupported")
                 continue

@@ -142,12 +142,6 @@ class LaurentPoly:
         res.coeffs = {e + k: c for e, c in self.coeffs.items()}
         return res
 
-    def reciprocal(self):
-        """Substitute t -> 1/t."""
-        res = LaurentPoly()
-        res.coeffs = {-e: c for e, c in self.coeffs.items()}
-        return res
-
     def __call__(self, value):
         value = Fraction(value)
         if value == 0 and any(e < 0 for e in self.coeffs):

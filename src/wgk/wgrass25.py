@@ -26,6 +26,17 @@ def pair_name(i, j):
     return f"x{min(i, j)}{max(i, j)}"
 
 
+PAIR_NAMES = tuple(pair_name(i, j) for i, j in PAIRS)
+
+
+def doubled(x):
+    """2x as an int for a half-integer x given as a number or a string such as "3/2"."""
+    v = Fraction(x) * 2
+    if v.denominator != 1:
+        raise ValueError(f"{x} is not a half-integer")
+    return int(v)
+
+
 def skew_entry(i, j):
     """x_ij as a signed variable of the generic skew matrix (x_ji = -x_ij)."""
     if i == j:
@@ -76,8 +87,6 @@ class GrNumerology:
     d: Fraction
     pfaffian_degrees: tuple
     syzygy_degrees: tuple
-    adjunction: int
-    canonical: int
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,8 @@ class GrWeights:
     """
 
     w2: tuple
+    family = "wgr25"
+    dim = 6
 
     def __post_init__(self):
         w2 = tuple(sorted(int(v) for v in self.w2))
@@ -110,16 +121,7 @@ class GrWeights:
 
     @classmethod
     def from_fractions(cls, ws, u=0):
-        w2 = []
-        for w in ws:
-            v = Fraction(w) * 2
-            if v.denominator != 1:
-                raise ValueError(f"weight {w} is not a half-integer")
-            w2.append(int(v))
-        u2 = Fraction(u) * 2
-        if u2.denominator != 1:
-            raise ValueError(f"overall weight {u} is not an integer")
-        return cls.of(tuple(w2), int(u2))
+        return cls.of(tuple(doubled(w) for w in ws), doubled(u))
 
     # -- basic numerology ----------------------------------------------------
 
@@ -129,17 +131,38 @@ class GrWeights:
     def d2(self):
         return sum(self.w2)
 
+    def coordinates(self):
+        """The ten Pluecker coordinates x_ij with their weights w_i + w_j."""
+        return list(zip(PAIR_NAMES, [(self.w2[i - 1] + self.w2[j - 1]) // 2
+                                     for i, j in PAIRS]))
+
     def plucker_weights(self):
         """The multiset {w_i + w_j} of the ten coordinate weights."""
-        return tuple(sorted((self.w2[i] + self.w2[j]) // 2
-                            for i in range(5) for j in range(i + 1, 5)))
+        return tuple(sorted(w for _, w in self.coordinates()))
+
+    def equations(self):
+        return pfaffian_equations()
+
+    def top_exponent(self):
+        """The numerator ends in -t^{2d}."""
+        return self.d2()
+
+    def adjunction(self):
+        return self.d2()
+
+    def canonical_degree(self):
+        """K = O(-2d): the ten weights sum to 4d and the adjunction number is 2d."""
+        return -self.d2()
+
+    def canonical_form(self):
+        """The sorted doubled weights already are the orbit representative."""
+        return self
 
     def numerology(self):
         d2 = self.d2()
         pf = tuple(sorted((d2 - v) // 2 for v in self.w2))
         syz = tuple(sorted((d2 + v) // 2 for v in self.w2))
-        return GrNumerology(d=Fraction(d2, 2), pfaffian_degrees=pf,
-                            syzygy_degrees=syz, adjunction=d2, canonical=-d2)
+        return GrNumerology(d=Fraction(d2, 2), pfaffian_degrees=pf, syzygy_degrees=syz)
 
     def numerator_terms(self):
         """1 - sum t^{d-w_i} + sum t^{d+w_i} - t^{2d} as {exponent: nonzero integer}."""

@@ -371,19 +371,6 @@ def point_satisfies_equations(point):
 # -- weight data ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WeightCharacters:
-    """The three weight enumerators, as Laurent polynomials in doubled
-    exponents: q_vector has 10 terms, the spinor pair 16 each, and
-    q_spinor_minus(t) = q_spinor_plus(1/t)."""
-    q_vector: LaurentPoly
-    q_spinor_plus: LaurentPoly
-    q_spinor_minus: LaurentPoly
-
-    def __iter__(self):
-        return iter((self.q_vector, self.q_spinor_plus, self.q_spinor_minus))
-
-
-@dataclass(frozen=True)
 class OGrWeights:
     """Weight data (w_1..w_5; u): doubled half-integer weights plus overall u.
 
@@ -393,6 +380,8 @@ class OGrWeights:
 
     w2: tuple
     u: int
+    family = "wogr510"
+    dim = 10
 
     def __post_init__(self):
         w2 = tuple(sorted(int(v) for v in self.w2))
@@ -402,34 +391,23 @@ class OGrWeights:
             raise ValueError("doubled weights must share one parity")
         object.__setattr__(self, "w2", w2)
         object.__setattr__(self, "u", int(self.u))
-        bad = [w for w in self.coordinate_weights() if w < 1]
+        bad = sorted(w for _, w in self.coordinates() if w < 1)
         if bad:
             raise ValueError(f"coordinate weights must be positive, found {bad}")
 
     @classmethod
-    def from_fractions(cls, ws, u):
-        w2 = []
-        for w in ws:
-            v = Fraction(w) * 2
-            if v.denominator != 1:
-                raise ValueError(f"weight {w} is not a half-integer")
-            w2.append(int(v))
-        u = Fraction(u)
-        if u.denominator != 1:
-            raise ValueError(f"overall weight {u} is not an integer")
-        return cls(tuple(w2), int(u))
+    def of(cls, w2, u2):
+        """Build from doubled weights and doubled overall weight."""
+        u2 = int(u2)
+        if u2 % 2:
+            raise ValueError("overall weight must be an integer (doubled value even)")
+        return cls(w2, u2 // 2)
 
     # -- numerology --------------------------------------------------------------
 
-    def s2(self):
-        return sum(self.w2)
-
     def d2(self):
-        """Doubled value of d = s + 2u."""
-        return self.s2() + 4 * self.u
-
-    def d(self):
-        return Fraction(self.d2(), 2)
+        """Doubled value of d = s + 2u, s the sum of the weights."""
+        return sum(self.w2) + 4 * self.u
 
     def vertex_weight(self, subset):
         j = even_rep(subset)
@@ -437,27 +415,20 @@ class OGrWeights:
         assert num % 2 == 0
         return num // 2
 
-    def coordinate_weights(self):
-        """Sorted vertex weights: u at x, u + w_i + w_j at x_ij and, as the
-        even representative of {i} is its complement, u + s - w_i at x_i."""
+    def coordinates(self):
+        """The sixteen spinor coordinates with their vertex weights: u at x,
+        u + w_i + w_j at x_ij and, as the even representative of {i} is its
+        complement, u + s - w_i at x_i."""
         w2, u2 = self.w2, 2 * self.u
         s2 = u2 + sum(w2)
-        return tuple(sorted([self.u]
-                            + [(u2 + a + b) // 2 for a, b in itertools.combinations(w2, 2)]
-                            + [(s2 - v) // 2 for v in w2]))
+        return list(zip(VERTEX_NAMES, [self.u] + [(s2 - v) // 2 for v in w2]
+                        + [(u2 + a + b) // 2 for a, b in itertools.combinations(w2, 2)]))
 
-    def weight_characters(self):
-        """Q_V, Q_S+, Q_S- as Laurent polynomials in doubled exponents.
+    def coordinate_weights(self):
+        return tuple(sorted(w for _, w in self.coordinates()))
 
-        Doubling keeps half-integer weights integral; Q_S-(t) = Q_S+(1/t).
-        """
-        qv = LaurentPoly([(v, 1) for v in self.w2] + [(-v, 1) for v in self.w2])
-        s2 = self.s2()
-        plus = [(0, 1)]
-        plus += [(self.w2[i] + self.w2[j], 1) for i in range(5) for j in range(i + 1, 5)]
-        plus += [(s2 - v, 1) for v in self.w2]
-        qsp = LaurentPoly(plus)
-        return WeightCharacters(qv, qsp, qsp.reciprocal())
+    def equations(self):
+        return list(equations())
 
     def numerator_terms(self):
         """Numerator 1 - t^d Q_V + t^{2d-u} Q_S- - t^{2d+u} Q_S+ + t^{3d} Q_V - t^{4d}
@@ -496,6 +467,13 @@ class OGrWeights:
             "third_syzygies": tuple(sorted(third)),
             "top": (2 * d2,),
         }
+
+    def top_exponent(self):
+        """The numerator ends in -t^{4d}."""
+        return 2 * self.d2()
+
+    def adjunction(self):
+        return 2 * self.d2()
 
     def canonical_degree(self):
         """K = O(-4d); the sixteen weights sum to 8d and the adjunction number is 4d."""

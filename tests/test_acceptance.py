@@ -201,7 +201,7 @@ def test_criterion_9_gorenstein_symmetry():
     for _ in range(1000):
         w = _random_gr(rng)
         num = w.hilbert_series().numerator
-        top = w.numerology().adjunction
+        top = w.adjunction()
         assert num.max_exp() == top
         assert all(c == -num[top - e] for e, c in num.coeffs.items())
     for _ in range(1000):

@@ -6,6 +6,7 @@ import pytest
 
 from wgk import cli, matcher
 from wgk import wgrass25
+from wgk.series import HilbertSeries, LaurentPoly
 
 
 def run(capsys, *argv):
@@ -167,6 +168,46 @@ def test_match_rejects_malformed_file(tmp_path, capsys):
     rr.write_text("{\"kind\": \"nope\"}")
     code, _, err = run(capsys, "match", "--rr", str(rr))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"w2": [1, 1, 1, 1, 1]}, "'family'"),
+    ({"family": "wgr25"}, "'w2'"),
+    ([1, 1, 1, 1, 1], "list"),
+    ({"family": "wgr25", "w2": 5}, "int"),
+])
+def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(data))
+    code, out, err = run(capsys, "section", "--model", str(model))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"kind": "cy3", "A3": "1"}, "'Ac2'"),
+    ({"kind": "can3", "K3": "21"}, "'pg'"),
+    ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [5]}, "int"),
+    (["can3"], "list"),
+])
+def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
+    rr = tmp_path / "rr.json"
+    rr.write_text(json.dumps(data))
+    code, out, err = run(capsys, "match", "--rr", str(rr))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("max_w2, max_u", [(0, 4), (-3, 4), (8, 0)])
+def test_match_rejects_the_bounds_a_query_rejects(tmp_path, capsys, max_w2, max_u):
+    rr = tmp_path / "can3.json"
+    rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21"}))
+    code, out, err = run(capsys, "match", "--rr", str(rr),
+                         "--max-w2", str(max_w2), "--max-u", str(max_u))
+    assert code == 2 and out == ""
+    assert "search bounds must be positive and finite" in err
+    with pytest.raises(ValueError, match="search bounds must be positive and finite"):
+        matcher.MatchQuery(target=HilbertSeries(LaurentPoly.one()), max_w2=max_w2, max_u=max_u)
 
 
 def test_internal_inconsistency_exits_3_without_traceback(tmp_path, capsys, monkeypatch):

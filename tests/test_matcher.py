@@ -295,10 +295,8 @@ def test_search_finds_every_in_bounds_model(model):
     family, w = model
     series = model_series(w)
     hits = search(MatchQuery(target=series, generator_degrees=series.denominator))
-    canonical = w.canonical_form() if family == "wogr510" else w
     assert any(m.family == family and m.cone == ()
-               and (m.base.canonical_form() if family == "wogr510" else m.base) == canonical
-               for m in hits)
+               and m.base.canonical_form() == w.canonical_form() for m in hits)
 
 
 @st.composite
@@ -327,10 +325,25 @@ def test_numerator_top_term_is_minus_t_to_the_top_exponent(w):
     num = model_series(w).numerator
     spinor = isinstance(w, OGrWeights)
     top = 2 * w.d2() if spinor else w.d2()
+    assert w.top_exponent() == top
     assert num[0] == 1 and num.min_exp() == 0
     assert num.max_exp() == top and num[top] == -1
     if spinor:
         assert w.coordinate_weights() == tuple(sorted(w.vertex_weight(v) for v in VERTICES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gr_weights(), ogr_weights()), st.lists(st.integers(1, 4), max_size=2))
+def test_both_families_answer_the_family_interface_alike(w, cone):
+    num = model_series(w).numerator
+    tau = w.top_exponent()
+    # Gorenstein symmetry, every term: t^tau N(1/t) = -N(t)
+    assert LaurentPoly({tau - e: c for e, c in num.coeffs.items()}) == -num
+    assert w.canonical_degree() == w.adjunction() - sum(wt for _, wt in w.coordinates())
+    model = AmbientModel(w, cone)
+    assert model.canonical_degree() == w.adjunction() - sum(model.coordinate_weights())
+    assert AmbientModel.from_json(model.to_json()) == model
+    assert AmbientModel.from_json(AmbientModel(w).to_json()).base == w
 
 
 def numerator_by_closure(w):
@@ -369,15 +382,14 @@ def test_numerator_terms_and_index_value_at_2_match_the_previous_assembly(w):
     assert all(isinstance(c, int) and c for c in terms.values())
     expected = numerator_by_closure(w)
     assert LaurentPoly(terms) == expected == w.hilbert_series().numerator
-    top = 2 * w.d2() if isinstance(w, OGrWeights) else w.d2()
-    entry = matcher._Entry(0, None, w, top)
+    entry = matcher._Entry(0, w, w.top_exponent())
     assert entry.numerator_at2() == expected(2) == entry.at2
 
 
 def test_index_entry_without_numerator_has_value_0():
     def invalid():
         raise ValueError("numerator has negative exponents: invalid weights")
-    entry = matcher._Entry(0, "wogr510", SimpleNamespace(numerator_terms=invalid), 4)
+    entry = matcher._Entry(0, SimpleNamespace(numerator_terms=invalid), 4)
     assert entry.numerator_at2() == 0
 
 

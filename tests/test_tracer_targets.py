@@ -1,24 +1,32 @@
-"""The benchmark tracer names wgk functions by string; each must still resolve.
+"""The benchmark's client code must still run against wgk.
 
-A rename in wgk then fails here, not only in a traced benchmark run.
+The tracer names wgk functions by string, and the tracer and the match-batch
+client read wgk objects by attribute; a rename in wgk then fails here, not
+only in a benchmark run.  The benchmark files are loaded, never changed.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from wgk.matcher import _canonical_key
+from wgk.oracle import count_monomials, graded_dimension
+from wgk.sections import AmbientModel
+from wgk.wgrass25 import GrWeights
+from wgk.wogr510 import OGrWeights
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def tracer_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_tracer_target_resolves():
-    targets = tracer_targets()
+    targets = load("tracer").TARGETS
     assert targets
     for _, target, _ in targets:
         modname, attr = target.split(":")
@@ -27,3 +35,14 @@ def test_every_tracer_target_resolves():
             assert hasattr(obj, part), f"{target}: no attribute {part!r}"
             obj = getattr(obj, part)
         assert callable(obj), target
+
+
+def test_benchmark_clients_read_both_families(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))     # batch.py imports its siblings
+    tracer, batch = load("tracer"), load("batch")
+    for w in (GrWeights.of((1, 1, 1, 3, 3)), OGrWeights.of((0, -2, 2, -4, 0), 8)):
+        args = (w.family, w, 3)
+        dim = graded_dimension(*args)
+        coords = [wt for _, wt in w.coordinates()]
+        assert tracer._gd_info(args, dim) == [w.family, 3, count_monomials(coords, 3), dim]
+        assert batch._canonical(AmbientModel(w, (1,))) == _canonical_key(w) + ((1,),)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wgk.oracle import graded_dimension
+from wgk.oracle import GradedRing, graded_dimension
 from wgk.series import LaurentPoly
 from wgk.wogr510 import (EQUATION_NAMES, OGrWeights, VERTEX_NAMES, VERTICES,
                          canonical_vertex, equations, even_rep, first_syzygies,
@@ -158,11 +158,11 @@ def test_equations_supported_on_quads():
 def test_equation_weights():
     # N_i has weight d - w_i and N_-i has weight d + w_i
     for w in (EX1, EX2, STRAIGHT):
-        weights = {name: w.vertex_weight(v)
-                   for name, v in zip(VERTEX_NAMES, VERTICES)}
+        # GradedRing rejects an equation that is not weighted-homogeneous
+        degrees = [deg for deg, _ in GradedRing(w.coordinates(), w.equations()).equations]
+        assert len(degrees) == 10
         d2 = w.d2()
-        for idx, eq in enumerate(equations()):
-            deg = eq.weighted_degree(weights)
+        for idx, deg in enumerate(degrees):
             i = idx + 1 if idx < 5 else -(idx - 4)
             expected2 = d2 - w.w2[i - 1] if i > 0 else d2 + w.w2[-i - 1]
             assert deg * 2 == expected2
@@ -238,16 +238,6 @@ def test_coordinate_weights():
     assert STRAIGHT.coordinate_weights() == (1,) * 16
 
 
-def test_weight_characters():
-    chars = EX2.weight_characters()
-    qv, qsp, qsm = chars
-    assert chars.q_vector == qv and chars.q_spinor_minus == qsm
-    assert sum(qv.coeffs.values()) == 10
-    assert sum(qsp.coeffs.values()) == 16
-    assert sum(qsm.coeffs.values()) == 16
-    assert qsm == qsp.reciprocal()
-
-
 def test_hilbert_numerators():
     assert EX1.hilbert_series().numerator == LaurentPoly(
         {0: 1, 2: -1, 3: -8, 4: 7, 5: 8, 7: -8, 8: -7, 9: 8, 10: 1, 12: -1})
@@ -258,6 +248,8 @@ def test_hilbert_numerators():
 def test_invalid_weights_raise():
     with pytest.raises(ValueError, match="positive"):
         OGrWeights((0, 0, 0, 0, 0), 0)
+    with pytest.raises(ValueError, match="integer"):
+        OGrWeights.of((0, 0, 0, 0, 0), 3)
     with pytest.raises(ValueError, match="parity"):
         OGrWeights((0, 1, 0, 0, 0), 1)
 
