@@ -71,6 +71,13 @@ def frac_str(x):
     return str(Fraction(x))
 
 
+def parse_fraction(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {text!r}") from None
+
+
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_info(args):
@@ -158,20 +165,20 @@ def cmd_verify(args):
 def _parse_point(text):
     head, _, tail = text.partition(":")
     r = int(head)
-    values = [Fraction(tok) for tok in tail.split(",")] if tail else [Fraction(0)] * r
+    values = [parse_fraction(tok) for tok in tail.split(",")] if tail else [Fraction(0)] * r
     return PeriodicTable(r, tuple(values))
 
 
 def cmd_rr(args):
     depth = args.expand if args.expand is not None else default_depth()
     if args.kind == "can3":
-        data = Canonical3Data(pg=args.pg, kcubed=Fraction(args.k3),
+        data = Canonical3Data(pg=args.pg, kcubed=parse_fraction(args.k3),
                               half_points=args.half)
         series = hilbert_can3(data)
         values = [plurigenus_can3(data, n) for n in range(depth + 1)]
     else:
         points = tuple(_parse_point(p) for p in args.point or ())
-        data = CY3Data(acubed=Fraction(args.a3), ac2=Fraction(args.ac2),
+        data = CY3Data(acubed=parse_fraction(args.a3), ac2=parse_fraction(args.ac2),
                        points=points)
         series = hilbert_cy3(data)
         values = [plurigenus_cy3(data, n) for n in range(depth + 1)]
@@ -257,14 +264,14 @@ def cmd_match(args):
     kind = data.get("kind")
     try:
         if kind == "can3":
-            rr = Canonical3Data(pg=int(data["pg"]), kcubed=Fraction(data["K3"]),
+            rr = Canonical3Data(pg=int(data["pg"]), kcubed=parse_fraction(data["K3"]),
                                 half_points=int(data.get("half_points", 0)))
             basket = (QuotientSingularity(2, (1, 1, 1)),) * rr.half_points
         elif kind == "cy3":
             points = data.get("points", ())
-            tables = tuple(PeriodicTable(int(p["r"]), tuple(Fraction(c) for c in p["c"]))
+            tables = tuple(PeriodicTable(int(p["r"]), tuple(parse_fraction(c) for c in p["c"]))
                            for p in points if "c" in p)
-            rr = CY3Data(acubed=Fraction(data["A3"]), ac2=Fraction(data["Ac2"]),
+            rr = CY3Data(acubed=parse_fraction(data["A3"]), ac2=parse_fraction(data["Ac2"]),
                          points=tables)
             basket = tuple(QuotientSingularity(int(p["r"]), tuple(map(int, p["weights"])))
                            for p in points if "weights" in p)

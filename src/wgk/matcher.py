@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import attrgetter
 
 from .sections import FAMILIES, AmbientModel, SectionSpec
@@ -119,20 +120,23 @@ def singularity_filter(model, required):
     return True, None
 
 
-def enumerate_gr_weights(max_w2):
-    """Canonically sorted normalized weight data for the Pfaffian family."""
+def enumerate_gr_weights(max_w2, tau=None):
+    """Canonically sorted normalized weight data for the Pfaffian family, in
+    table order; with ``tau = (lo, hi)`` only those with lo < top exponent <= hi."""
+    lo, hi = tau or (-math.inf, math.inf)
     out = []
     for parity in (0, 1):
-        lo = -max_w2 + ((-max_w2 - parity) % 2)
-        vals = range(lo, max_w2 + 1, 2)
+        vals = range(-max_w2 + ((-max_w2 - parity) % 2), max_w2 + 1, 2)
         for tup in itertools.combinations_with_replacement(vals, 5):
-            if tup[0] + tup[1] > 0:
+            if tup[0] + tup[1] > 0 and lo < sum(tup) <= hi:
                 out.append(GrWeights(tup))
     return out
 
 
-def enumerate_ogr_weights(max_w2, max_u):
-    """Orbit representatives of spinor-family weight data within bounds."""
+def enumerate_ogr_weights(max_w2, max_u, tau=None):
+    """Orbit representatives of spinor-family weight data within bounds, in
+    table order; with ``tau = (lo, hi)`` only those with lo < top exponent <= hi."""
+    lo, hi = tau or (-math.inf, math.inf)
     out = []
     for parity in (0, 1):
         vals = range(parity, max_w2 + 1, 2)
@@ -142,16 +146,17 @@ def enumerate_ogr_weights(max_w2, max_u):
                 variants.append((-tup[0],) + tup[1:])
             for w2 in variants:
                 for u in range(1, max_u + 1):
-                    try:
-                        out.append(OGrWeights(w2, u))
-                    except ValueError:
-                        continue
+                    if lo < 2 * (sum(w2) + 4 * u) <= hi:
+                        try:
+                            out.append(OGrWeights(w2, u))
+                        except ValueError:
+                            pass
     return out
 
 
 class _Entry:
-    """One enumerated weight datum and, once a query reaches it, its numerator
-    at t = 2 (0 when the weights give no numerator)."""
+    """One enumerated weight datum, its full-table order key ``pos`` and, once a
+    query reaches it, its numerator at t = 2 (0 when the weights give none)."""
 
     __slots__ = ("pos", "weights", "top", "at2")
 
@@ -177,24 +182,40 @@ class _Entry:
 
 
 # the module functions are looked up on each call, so that they can be wrapped
-_ENUMERATE = {"wgr25": lambda max_w2, max_u: enumerate_gr_weights(max_w2),
-              "wogr510": lambda max_w2, max_u: enumerate_ogr_weights(max_w2, max_u)}
+_ENUMERATE = {"wgr25": lambda max_w2, max_u, tau: enumerate_gr_weights(max_w2, tau),
+              "wogr510": lambda max_w2, max_u, tau: enumerate_ogr_weights(max_w2, max_u, tau)}
+
+# a model's place in table order: parity, the raw tuple as enumerated (a flipped
+# spinor tuple has w2[0] < 0 and follows its unflipped one), then u
+_ORDER = {"wgr25": lambda w: (w.w2[0] % 2, *w.w2, 0, 0),
+          "wogr510": lambda w: (w.w2[0] % 2, abs(w.w2[0]), *w.w2[1:], w.w2[0] < 0, w.u)}
 
 
-@lru_cache(maxsize=8)
-def _model_index(family, max_w2, max_u):
-    """Bounded models keyed by numerator top exponent, each slice in table order.
+class _ModelIndex:
+    """Bounded models keyed by numerator top exponent, each slice in table order,
+    built up to ``covered`` (every top exponent is positive: the coordinate
+    weights are positive and sum to a multiple of it)."""
 
-    The top term -t^top is read off the weights (``top_exponent``), so a
-    query builds numerators only in the slices it can match.
-    """
-    models = [w for fam in ([family] if family else FAMILIES)
-              for w in _ENUMERATE[fam](max_w2, max_u)]
-    index = {}
-    for pos, w in enumerate(models):
-        top = w.top_exponent()
-        index.setdefault(top, []).append(_Entry(pos, w, top))
-    return index
+    def __init__(self, family, max_w2, max_u):
+        self.families, self.bounds = [family] if family else list(FAMILIES), (max_w2, max_u)
+        self.covered, self.slices = 0, {}
+
+    def reach(self, top):
+        """The slices, after enumerating the models of those in (covered, top]."""
+        if top > self.covered:
+            max_w2, max_u = self.bounds
+            base = 2 * max_w2 + max_u + 1
+            for rank, fam in enumerate(self.families):
+                for w in _ENUMERATE[fam](max_w2, max_u, (self.covered, top)):
+                    pos = reduce(lambda key, digit: key * base + digit + max_w2,
+                                 _ORDER[fam](w), rank)
+                    t = w.top_exponent()
+                    self.slices.setdefault(t, []).append(_Entry(pos, w, t))
+            self.covered = top
+        return self.slices
+
+
+_model_index = lru_cache(maxsize=8)(_ModelIndex)    # one per family and bounds
 
 
 def _lookup(family, max_w2, max_u, n_target, formal=False):
@@ -209,8 +230,8 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
     """
     if n_target.is_zero():
         return
-    index = _model_index(family, max_w2, max_u)
     top = n_target.max_exp()
+    index = _model_index(family, max_w2, max_u).reach(top)
     tops = [t for t in index if t == top or formal and t < top]
     at2 = (int(n_target(2)) if all(c.denominator == 1 for c in n_target.coeffs.values())
            else None)

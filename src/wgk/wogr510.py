@@ -391,8 +391,9 @@ class OGrWeights:
             raise ValueError("doubled weights must share one parity")
         object.__setattr__(self, "w2", w2)
         object.__setattr__(self, "u", int(self.u))
-        bad = sorted(w for _, w in self.coordinates() if w < 1)
-        if bad:
+        # the smallest of u, u + s - w_i and u + w_i + w_j
+        if self.u + min(0, sum(w2[:4]) // 2, (w2[0] + w2[1]) // 2) < 1:
+            bad = sorted(w for _, w in self.coordinates() if w < 1)
             raise ValueError(f"coordinate weights must be positive, found {bad}")
 
     @classmethod

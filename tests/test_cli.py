@@ -198,6 +198,20 @@ def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("match", "--rr", "{rr}"),
+    ("rr", "can3", "--pg", "7", "--k3", "1/0"),
+    ("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "5:0,1/0"),
+])
+def test_zero_denominator_exits_2_without_traceback(tmp_path, capsys, argv):
+    rr = tmp_path / "rr.json"
+    rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "1/0"}))
+    code, out, err = run(capsys, *(a.format(rr=rr) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'1/0'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("max_w2, max_u", [(0, 4), (-3, 4), (8, 0)])
 def test_match_rejects_the_bounds_a_query_rejects(tmp_path, capsys, max_w2, max_u):
     rr = tmp_path / "can3.json"

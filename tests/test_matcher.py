@@ -405,7 +405,7 @@ def test_zero_target_has_no_candidates():
 def test_non_integral_target_skips_the_prefilter():
     integral = LaurentPoly({0: 1, 3: 2, 12: -1})
     halves = LaurentPoly({0: 1, 3: Fraction(1, 2), 12: -1})
-    index = matcher._model_index(None, 4, 2)
+    index = matcher._model_index(None, 4, 2).reach(12)
     reached = sorted(e.pos for t, entries in index.items() if t <= 12 for e in entries
                      if e.numerator_at2())
     skipped = list(matcher._lookup(None, 4, 2, halves, formal=True))
@@ -421,9 +421,9 @@ def test_non_integral_target_skips_the_prefilter():
 def test_index_is_built_once_per_bounds_and_reads_the_enumerators_at_call_time():
     calls = []
 
-    def counting(max_w2):
+    def counting(max_w2, tau=None):
         calls.append(max_w2)
-        return enumerate_gr_weights(max_w2)
+        return enumerate_gr_weights(max_w2, tau)
 
     matcher._model_index.cache_clear()
     target = HilbertSeries(LaurentPoly({0: 1, 2: -5, 3: 5, 5: -1}))
@@ -434,6 +434,99 @@ def test_index_is_built_once_per_bounds_and_reads_the_enumerators_at_call_time()
     assert calls == [3]
     matcher._model_index.cache_clear()
 
+
+
+# -- the index built slice by slice, as far as the queries reach -----------------
+
+def scan_order(family, max_w2, max_u, n_target, formal):
+    """Oracle for the models ``_lookup`` yields: the full-table scan, filtered
+    by top exponent and by num(2) | n_target(2)."""
+    top = n_target.max_exp()
+    at2 = (int(n_target(2)) if all(c.denominator == 1 for c in n_target.coeffs.values())
+           else None)
+    return [w for _, w, num, _ in full_table(family, max_w2, max_u)
+            if (num.max_exp() == top or formal and num.max_exp() < top)
+            and (at2 is None or at2 % int(num(2)) == 0)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SMALL_MODELS), st.sampled_from((None, 1, 2)),
+                          st.booleans()), min_size=1, max_size=4),
+       st.sampled_from((None, "wgr25", "wogr510")), st.sampled_from(((3, 1), (4, 2))))
+def test_lazy_index_agrees_with_the_full_table(draws, family, bounds):
+    # the top exponents rise, fall and repeat: the draws, then the same reversed;
+    # the pipeline runs last, on an index some larger target may have extended
+    matcher._model_index.cache_clear()
+    bounded = dict(family=family, max_w2=bounds[0], max_u=bounds[1])
+    for (_, w), k, formal in draws + draws[::-1]:
+        series = model_series(w)
+        if k:
+            series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
+        n_target = series.numerator
+        looked_up = [e.weights for e, _ in matcher._lookup(family, *bounds, n_target, formal)]
+        assert looked_up == scan_order(family, *bounds, n_target, formal)
+        # half-integral coefficients skip the pre-filter: every reached model, in order
+        halves = n_target + LaurentPoly({1: Fraction(1, 2)})
+        looked_up = [e.weights for e, _ in matcher._lookup(family, *bounds, halves, formal)]
+        assert looked_up == scan_order(family, *bounds, halves, formal)
+        query = MatchQuery(target=HilbertSeries(n_target), **bounded)
+        assert search_key(search(query)) == search_key(by_linear_scan(search, query))
+    kwargs = dict(augment_bound=1, user_generators=[series.denominator], **bounded)
+    assert (match_pipeline(series, **kwargs).to_json()
+            == by_linear_scan(match_pipeline, series, **kwargs).to_json())
+    matcher._model_index.cache_clear()
+
+
+def test_a_query_builds_no_model_beyond_its_top_exponent(monkeypatch):
+    built = []
+    for cls in (GrWeights, OGrWeights):
+        def recording(self, _original=cls.__post_init__):
+            _original(self)
+            built.append(self.top_exponent())
+        monkeypatch.setattr(cls, "__post_init__", recording)
+    matcher._model_index.cache_clear()
+    target = HilbertSeries(LaurentPoly({0: 1, 2: -5, 3: 5, 5: -1}))
+    hits = search(MatchQuery(target=target, max_w2=12, max_u=6))
+    assert [m.base for m in hits] == [GrWeights((1, 1, 1, 1, 1))]
+    assert built and max(built) == 5
+    matcher._model_index.cache_clear()
+
+
+def test_a_larger_top_exponent_enumerates_only_the_new_slices():
+    calls = []
+
+    def counting(name):
+        original = getattr(matcher, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            calls.append((name, args[-1], len(out)))
+            return out
+        return wrapper
+
+    def in_range(lo, hi):
+        return sum(lo < w.top_exponent() <= hi for _, w, _, _ in full_table(None, 4, 2))
+
+    matcher._model_index.cache_clear()
+    with mock.patch.object(matcher, "enumerate_gr_weights", counting("enumerate_gr_weights")), \
+            mock.patch.object(matcher, "enumerate_ogr_weights", counting("enumerate_ogr_weights")):
+        for top in (10, 24, 10, 24, 3):
+            list(matcher._lookup(None, 4, 2, LaurentPoly({0: 1, top: -1}), formal=True))
+    assert [c[:2] for c in calls] == [("enumerate_gr_weights", (0, 10)),
+                                      ("enumerate_ogr_weights", (0, 10)),
+                                      ("enumerate_gr_weights", (10, 24)),
+                                      ("enumerate_ogr_weights", (10, 24))]
+    assert calls[0][2] + calls[1][2] == in_range(0, 10) > 0
+    assert calls[2][2] + calls[3][2] == in_range(10, 24) > 0
+    matcher._model_index.cache_clear()
+
+
+def test_a_sliced_enumeration_is_the_full_table_restricted():
+    for lo, hi in ((0, 6), (6, 13), (13, 40), (40, 100)):
+        assert enumerate_gr_weights(5, (lo, hi)) == [
+            w for w in enumerate_gr_weights(5) if lo < w.top_exponent() <= hi]
+        assert enumerate_ogr_weights(5, 3, (lo, hi)) == [
+            w for w in enumerate_ogr_weights(5, 3) if lo < w.top_exponent() <= hi]
 
 # -- incremental generator inference against the re-expanding loop it replaced --
 

@@ -154,11 +154,35 @@ def random_rings(draw, terms=(1, 4), extra=(0, 3)):
     return list(zip(names, weights)), equations
 
 
+@st.composite
+def several_lead_rings(draw):
+    """Two to four forms with distinct leading monomials: each form is its
+    lead plus lex-larger monomials of the lead's degree (the lex-smaller
+    exponent tuple leads), so most staircases have several minimal pivots
+    and the S-pairs between them matter."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    names = [f"x{i}" for i in range(n)]
+    monos = {d: weighted_monomials(weights, d) for d in range(1, 5)}
+    leads = draw(st.lists(st.sampled_from([(d, i) for d, ms in monos.items()
+                                           for i in range(len(ms))]),
+                          min_size=2, max_size=4, unique=True))
+    coeff = st.integers(-3, 3).filter(bool)
+    equations = []
+    for d, i in leads:
+        tail = monos[d][i + 1:]
+        picked = draw(st.lists(st.sampled_from(tail), max_size=3)) if tail else []
+        equations.append(as_poly(names, {m: draw(coeff) for m in [monos[d][i]] + picked}))
+    return list(zip(names, weights)), equations
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(random_rings(), random_rings(terms=(2, 6), extra=(1, 3))), st.data())
+@given(st.one_of(random_rings(), random_rings(terms=(2, 6), extra=(1, 3)),
+                 several_lead_rings()), st.data())
 def test_pruned_slices_equal_all_multiples(ring_data, data):
-    """The second strategy draws more and longer equations, so more of its
-    ideals have a staircase with two or more minimal pivots."""
+    """The second strategy draws more and longer equations and the third forms
+    with distinct leads, so more of their ideals have a staircase with two or
+    more minimal pivots."""
     coords, equations = ring_data
     ring = GradedRing(coords, equations)
     degrees = [d for d in range(10) if ring.monomial_count(d) <= 300]
@@ -252,7 +276,7 @@ STAIRCASE_CAP = 2000
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_rings(terms=(2, 6), extra=(1, 3)))
+@given(st.one_of(random_rings(terms=(2, 6), extra=(1, 3)), several_lead_rings()))
 def test_proven_series_matches_dimensions_and_the_window_loop(ring_data):
     ring = GradedRing(*ring_data)
     series, stop = ring.hilbert_series()
