@@ -18,7 +18,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import attrgetter
 
 from .sections import FAMILIES, AmbientModel, SectionSpec
@@ -127,9 +127,11 @@ def enumerate_gr_weights(max_w2, tau=None):
     out = []
     for parity in (0, 1):
         vals = range(-max_w2 + ((-max_w2 - parity) % 2), max_w2 + 1, 2)
-        for tup in itertools.combinations_with_replacement(vals, 5):
-            if tup[0] + tup[1] > 0 and lo < sum(tup) <= hi:
-                out.append(GrWeights(tup))
+        for w0 in vals:     # sorted, so w0 + w1 > 0 puts every w_i > -w0
+            rest = [v for v in vals if v >= w0 and v > -w0]
+            for tup in itertools.combinations_with_replacement(rest, 4):
+                if lo < w0 + sum(tup) <= hi:
+                    out.append(GrWeights((w0,) + tup))
     return out
 
 
@@ -141,16 +143,19 @@ def enumerate_ogr_weights(max_w2, max_u, tau=None):
     for parity in (0, 1):
         vals = range(parity, max_w2 + 1, 2)
         for tup in itertools.combinations_with_replacement(vals, 5):
+            s2 = sum(tup)
+            if 2 * (s2 - 2 * tup[0] + 4) > hi or 2 * (s2 + 4 * max_u) <= lo:
+                continue    # no variant and u of this tuple reaches (lo, hi]
             variants = [tup]
             if all(v > 0 for v in tup):
                 variants.append((-tup[0],) + tup[1:])
             for w2 in variants:
-                for u in range(1, max_u + 1):
-                    if lo < 2 * (sum(w2) + 4 * u) <= hi:
-                        try:
-                            out.append(OGrWeights(w2, u))
-                        except ValueError:
-                            pass
+                s8 = 2 * sum(w2)    # the top exponent s8 + 8u must lie in (lo, hi]
+                for u in range(max(1, (lo - s8) // 8 + 1), min(max_u, (hi - s8) // 8) + 1):
+                    try:
+                        out.append(OGrWeights(w2, u))
+                    except ValueError:
+                        continue
     return out
 
 
@@ -185,8 +190,7 @@ class _Entry:
 _ENUMERATE = {"wgr25": lambda max_w2, max_u, tau: enumerate_gr_weights(max_w2, tau),
               "wogr510": lambda max_w2, max_u, tau: enumerate_ogr_weights(max_w2, max_u, tau)}
 
-# a model's place in table order: parity, the raw tuple as enumerated (a flipped
-# spinor tuple has w2[0] < 0 and follows its unflipped one), then u
+# table order: parity, unflipped tuple, flipped (w2[0] < 0) after unflipped, u
 _ORDER = {"wgr25": lambda w: (w.w2[0] % 2, *w.w2, 0, 0),
           "wogr510": lambda w: (w.w2[0] % 2, abs(w.w2[0]), *w.w2[1:], w.w2[0] < 0, w.u)}
 
@@ -207,8 +211,9 @@ class _ModelIndex:
             base = 2 * max_w2 + max_u + 1
             for rank, fam in enumerate(self.families):
                 for w in _ENUMERATE[fam](max_w2, max_u, (self.covered, top)):
-                    pos = reduce(lambda key, digit: key * base + digit + max_w2,
-                                 _ORDER[fam](w), rank)
+                    pos = rank
+                    for digit in _ORDER[fam](w):
+                        pos = pos * base + digit + max_w2
                     t = w.top_exponent()
                     self.slices.setdefault(t, []).append(_Entry(pos, w, t))
             self.covered = top
