@@ -1,5 +1,6 @@
 """Recognition of ambient models from target Hilbert data."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -435,7 +436,6 @@ def test_index_is_built_once_per_bounds_and_reads_the_enumerators_at_call_time()
     matcher._model_index.cache_clear()
 
 
-
 # -- the index built slice by slice, as far as the queries reach -----------------
 
 def scan_order(family, max_w2, max_u, n_target, formal):
@@ -527,6 +527,14 @@ def test_a_sliced_enumeration_is_the_full_table_restricted():
             w for w in enumerate_gr_weights(5) if lo < w.top_exponent() <= hi]
         assert enumerate_ogr_weights(5, 3, (lo, hi)) == [
             w for w in enumerate_ogr_weights(5, 3) if lo < w.top_exponent() <= hi]
+    # the full Pfaffian table: every sorted tuple of one parity with w0 + w1 > 0
+    for max_w2 in range(1, 9):
+        assert enumerate_gr_weights(max_w2) == [
+            GrWeights(tup) for parity in (0, 1)
+            for tup in itertools.combinations_with_replacement(
+                range(-max_w2 + (max_w2 + parity) % 2, max_w2 + 1, 2), 5)
+            if tup[0] + tup[1] > 0]
+
 
 # -- incremental generator inference against the re-expanding loop it replaced --
 
