@@ -19,7 +19,7 @@ from . import fixtures as fixture_mod
 from . import matcher as matcher_mod
 from .oracle import OracleBudgetError, graded_dimension
 from .orbifold_rr import CY3Data, Canonical3Data, PeriodicTable, hilbert_can3, hilbert_cy3, plurigenus_can3, plurigenus_cy3
-from .sections import (AmbientModel, QuotientSingularity, invariants,
+from .sections import (AmbientModel, QuotientSingularity, integral, invariants,
                        quasilinear_embed, rr_roundtrip, section_canonical,
                        section_series, singularity_analysis)
 from .series import SeriesError
@@ -200,14 +200,17 @@ def cmd_rr(args):
     return 0
 
 
-def load_model(path):
+def read_json(path):
+    """A JSON file read exactly: decimals as fractions, NaN and Infinity refused."""
+    def refuse(name):
+        raise InputError(f"{name} is not a number in {path}")
     with open(path) as handle:
-        return AmbientModel.from_json(json.load(handle))
+        return json.load(handle, parse_float=Fraction, parse_constant=refuse)
 
 
 def cmd_section(args):
     depth = default_depth()
-    model = load_model(args.model)
+    model = AmbientModel.from_json(read_json(args.model))
     cut = tuple(int(t) for t in args.cut.split(",")) if args.cut else ()
     series = section_series(model, cut, depth)
     dim = model.dim - len(cut)
@@ -257,23 +260,24 @@ def cmd_section(args):
 
 def cmd_match(args):
     depth = default_depth()
-    with open(args.rr) as handle:
-        data = json.load(handle)
+    data = read_json(args.rr)
     if not isinstance(data, dict):
         raise InputError(f"rr data must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
     try:
         if kind == "can3":
-            rr = Canonical3Data(pg=int(data["pg"]), kcubed=parse_fraction(data["K3"]),
-                                half_points=int(data.get("half_points", 0)))
+            rr = Canonical3Data(pg=integral("pg", data["pg"]), kcubed=parse_fraction(data["K3"]),
+                                half_points=integral("half_points", data.get("half_points", 0)))
             basket = (QuotientSingularity(2, (1, 1, 1)),) * rr.half_points
         elif kind == "cy3":
             points = data.get("points", ())
-            tables = tuple(PeriodicTable(int(p["r"]), tuple(parse_fraction(c) for c in p["c"]))
+            tables = tuple(PeriodicTable(integral("r", p["r"]),
+                                         tuple(parse_fraction(c) for c in p["c"]))
                            for p in points if "c" in p)
             rr = CY3Data(acubed=parse_fraction(data["A3"]), ac2=parse_fraction(data["Ac2"]),
                          points=tables)
-            basket = tuple(QuotientSingularity(int(p["r"]), tuple(map(int, p["weights"])))
+            basket = tuple(QuotientSingularity(integral("r", p["r"]),
+                                               tuple(integral("weights", w) for w in p["weights"]))
                            for p in points if "weights" in p)
         else:
             raise InputError("rr data file must set kind to can3 or cy3")

@@ -13,13 +13,11 @@ coordinate weight is divisible by r.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from operator import attrgetter
 
 from .sections import FAMILIES, AmbientModel, SectionSpec
 from .series import HilbertSeries, LaurentPoly, SeriesError, one_minus
@@ -160,13 +158,13 @@ def enumerate_ogr_weights(max_w2, max_u, tau=None):
 
 
 class _Entry:
-    """One enumerated weight datum, its full-table order key ``pos`` and, once a
-    query reaches it, its numerator at t = 2 (0 when the weights give none)."""
+    """One enumerated weight datum and, once a query reaches it, its numerator
+    at t = 2 (0 when the weights give none)."""
 
-    __slots__ = ("pos", "weights", "top", "at2")
+    __slots__ = ("weights", "top", "at2")
 
-    def __init__(self, pos, weights, top):
-        self.pos, self.weights, self.top = pos, weights, top
+    def __init__(self, weights, top):
+        self.weights, self.top = weights, top
         self.at2 = None
 
     def numerator_at2(self):
@@ -190,15 +188,11 @@ class _Entry:
 _ENUMERATE = {"wgr25": lambda max_w2, max_u, tau: enumerate_gr_weights(max_w2, tau),
               "wogr510": lambda max_w2, max_u, tau: enumerate_ogr_weights(max_w2, max_u, tau)}
 
-# table order: parity, unflipped tuple, flipped (w2[0] < 0) after unflipped, u
-_ORDER = {"wgr25": lambda w: (w.w2[0] % 2, *w.w2, 0, 0),
-          "wogr510": lambda w: (w.w2[0] % 2, abs(w.w2[0]), *w.w2[1:], w.w2[0] < 0, w.u)}
-
 
 class _ModelIndex:
-    """Bounded models keyed by numerator top exponent, each slice in table order,
-    built up to ``covered`` (every top exponent is positive: the coordinate
-    weights are positive and sum to a multiple of it)."""
+    """Bounded models keyed by numerator top exponent, built up to ``covered``
+    (every top exponent is positive: the coordinate weights are positive and
+    sum to a multiple of it)."""
 
     def __init__(self, family, max_w2, max_u):
         self.families, self.bounds = [family] if family else list(FAMILIES), (max_w2, max_u)
@@ -207,15 +201,10 @@ class _ModelIndex:
     def reach(self, top):
         """The slices, after enumerating the models of those in (covered, top]."""
         if top > self.covered:
-            max_w2, max_u = self.bounds
-            base = 2 * max_w2 + max_u + 1
-            for rank, fam in enumerate(self.families):
-                for w in _ENUMERATE[fam](max_w2, max_u, (self.covered, top)):
-                    pos = rank
-                    for digit in _ORDER[fam](w):
-                        pos = pos * base + digit + max_w2
+            for fam in self.families:
+                for w in _ENUMERATE[fam](*self.bounds, (self.covered, top)):
                     t = w.top_exponent()
-                    self.slices.setdefault(t, []).append(_Entry(pos, w, t))
+                    self.slices.setdefault(t, []).append(_Entry(w, t))
             self.covered = top
         return self.slices
 
@@ -224,8 +213,8 @@ _model_index = lru_cache(maxsize=8)(_ModelIndex)    # one per family and bounds
 
 
 def _lookup(family, max_w2, max_u, n_target, formal=False):
-    """(entry, Hilbert series) in table order for each bounded model whose
-    numerator num can equal n_target or, with ``formal``, divide it.
+    """(entry, Hilbert series) for each bounded model whose numerator num can
+    equal n_target or, with ``formal``, divide it, in no particular order.
 
     A match means n_target = num * q with q = 1 or prod (1 - t^k), k >= 1.
     So the top exponent of num is at most that of n_target (equal when
@@ -240,7 +229,7 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
     tops = [t for t in index if t == top or formal and t < top]
     at2 = (int(n_target(2)) if all(c.denominator == 1 for c in n_target.coeffs.values())
            else None)
-    for entry in heapq.merge(*(index[t] for t in tops), key=attrgetter("pos")):
+    for entry in itertools.chain.from_iterable(index[t] for t in tops):
         num2 = entry.numerator_at2()
         if num2 and (at2 is None or at2 % num2 == 0):
             yield entry, entry.weights.hilbert_series()
@@ -284,42 +273,6 @@ def _quasilinear_sections(gens, coord_weights):
             sections = sorted((havec - need).elements())
             return c, tuple(sections)
     return None, None
-
-
-def search(query):
-    """All ambient models within bounds matching the query exactly.
-
-    Deduplicated by permutation (respectively signed-permutation) symmetry and
-    returned in a canonical deterministic order.
-    """
-    gens = query.generator_degrees
-    if query.target.denominator:
-        if gens is None:
-            gens = infer_generators(query.target, query.depth,
-                                    basket=query.basket)
-        n_target = query.target.hilbert_numerator(gens)
-    else:
-        n_target = query.target.numerator
-    results = {}
-    for entry, series in _lookup(query.family, query.max_w2, query.max_u, n_target):
-        if series.numerator != n_target:
-            continue
-        cone = ()
-        if gens is not None:
-            gcount = Counter(gens)
-            ccount = Counter(series.denominator)
-            extra = gcount - ccount
-            if set(extra) - {1} or ccount - gcount:
-                continue
-            cone = (1,) * extra[1]
-        model = AmbientModel(entry.weights, cone)
-        if (query.canonical_degree is not None
-                and model.canonical_degree() != query.canonical_degree):
-            continue
-        if query.basket and not singularity_filter(model, query.basket)[0]:
-            continue
-        results[_canonical_key(entry.weights) + (cone,)] = model
-    return [results[k] for k in sorted(results)]
 
 
 @dataclass
@@ -376,6 +329,63 @@ class MatchReport:
         }
 
 
+def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, formal=False):
+    """Add the bounded models whose numerator equals n_target to ``candidates``,
+    keyed by canonical weights, cone and sections, with their quasilinear
+    sections against ``gens`` (the model's own coordinates when None); with
+    ``formal``, also those whose numerator divides n_target by a product of
+    (1 - t^k), as nonlinear sections of a cone, keeping the fewest factors."""
+    for entry, model_series in _lookup(family, max_w2, max_u, n_target, formal):
+        w, num = entry.weights, model_series.numerator
+        if num == n_target:
+            coords = model_series.denominator
+            cone, sections = _quasilinear_sections(coords if gens is None else gens, coords)
+            model = AmbientModel(w, (1,) * cone if cone else ())
+            key = _canonical_key(w) + (model.cone, (), sections)
+            if key not in candidates:
+                status = ("quasilinear" if sections is not None
+                          else "numerator match (no quasilinear embedding)")
+                candidates[key] = MatchCandidate(
+                    model=model, sections=sections, nonlinear=(),
+                    generators=gens, provenance=provenance, status=status)
+            continue
+        quotient = n_target.divexact(num) if formal else None
+        factors = quotient and _strip_section_factors(quotient)
+        if not factors:
+            continue
+        key = _canonical_key(w) + ("formal",)
+        old = candidates.get(key)
+        if old is None or (len(factors), factors) < (len(old.nonlinear), old.nonlinear):
+            candidates[key] = MatchCandidate(
+                model=AmbientModel(w, (1,)), sections=None, nonlinear=factors,
+                generators=gens, provenance=provenance,
+                status="formal numerator match (nonlinear section of a cone)")
+
+
+def search(query):
+    """All ambient models within bounds matching the query exactly: the
+    quasilinear candidates of one scan with no section left over.
+
+    Deduplicated by permutation (respectively signed-permutation) symmetry and
+    returned in a canonical deterministic order.
+    """
+    gens = query.generator_degrees
+    if query.target.denominator:
+        if gens is None:
+            gens = infer_generators(query.target, query.depth,
+                                    basket=query.basket)
+        n_target = query.target.hilbert_numerator(gens)
+    else:
+        n_target = query.target.numerator
+    candidates = {}
+    _collect(candidates, n_target, gens, "search", query.family, query.max_w2, query.max_u)
+    models = [candidates[k].model for k in sorted(k for k, c in candidates.items()
+                                                  if c.sections == ())]
+    wanted = query.canonical_degree
+    return [m for m in models if singularity_filter(m, query.basket)[0]
+            and (wanted is None or m.canonical_degree() == wanted)]
+
+
 def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
                    max_u=DEFAULT_MAX_U, depth=DEFAULT_DEPTH,
                    user_generators=(), residue_forcing=True,
@@ -415,34 +425,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
             tried.append((provenance, gens, "numerator does not clear"))
             return
         tried.append((provenance, gens, "ok"))
-        for entry, model_series in _lookup(family, max_w2, max_u, n_target, formal=True):
-            w, num = entry.weights, model_series.numerator
-            if num == n_target:
-                cone, sections = _quasilinear_sections(gens, model_series.denominator)
-                model = AmbientModel(w, (1,) * cone if cone else ())
-                key = _canonical_key(w) + (model.cone, (), sections)
-                if key not in candidates:
-                    status = ("quasilinear" if sections is not None
-                              else "numerator match (no quasilinear embedding)")
-                    candidates[key] = MatchCandidate(
-                        model=model, sections=sections, nonlinear=(),
-                        generators=gens, provenance=provenance, status=status)
-                continue
-            quotient = n_target.divexact(num)
-            if quotient is None:
-                continue
-            factors = _strip_section_factors(quotient)
-            if not factors:
-                continue
-            model = AmbientModel(w, (1,))
-            key = _canonical_key(w) + ("formal",)
-            old = candidates.get(key)
-            if old is None or (len(factors), factors) < (len(old.nonlinear),
-                                                         old.nonlinear):
-                candidates[key] = MatchCandidate(
-                    model=model, sections=None, nonlinear=factors,
-                    generators=gens, provenance=provenance,
-                    status="formal numerator match (nonlinear section of a cone)")
+        _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, formal=True)
 
     for provenance, gens in gen_sets:
         try_generators(gens, provenance)

@@ -119,13 +119,6 @@ class MPoly:
             out = out * self
         return out
 
-    def variables(self):
-        seen = set()
-        for m in self.terms:
-            for v, _ in m:
-                seen.add(v)
-        return seen
-
     def substitute(self, mapping):
         """Replace variables by polynomials; unmapped variables stay."""
         out = MPoly()

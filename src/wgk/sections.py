@@ -30,6 +30,18 @@ from .wogr510 import OGrWeights
 DEFAULT_DEPTH = 40
 
 
+def integral(key, value):
+    """An integer field of JSON input as an int; ValueError names the key
+    when the value is not integral (1.7, "1/2", true)."""
+    try:
+        number = Fraction(value)
+        if number.denominator == 1 and not isinstance(value, bool):
+            return int(number)
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise ValueError(f"{key} must be an integer, not {value}")
+
+
 @dataclass(frozen=True)
 class QuotientSingularity:
     """Cyclic quotient type 1/r(a_1,...,a_k), weights reduced mod r and sorted.
@@ -154,8 +166,9 @@ class AmbientModel:
         if family is None:
             raise ValueError(f"unknown family {data['family']!r}")
         try:
-            w2 = tuple(int(v) for v in data["w2"])
-            u2, cone = int(data.get("u2", 0)), tuple(int(c) for c in data.get("cone", ()))
+            w2 = tuple(integral("w2", v) for v in data["w2"])
+            u2 = integral("u2", data.get("u2", 0))
+            cone = tuple(integral("cone", c) for c in data.get("cone", ()))
         except TypeError as exc:
             raise ValueError(f"model has a value of the wrong type: {exc}") from None
         return cls(family.of(w2, u2), cone)
@@ -326,6 +339,13 @@ def _transverse_type(chart, r, degrees, dim_comp, diagnostics, context):
     return QuotientSingularity(r, tuple(res for res, _ in transverse))
 
 
+def _restrict(equations, keep):
+    """The nonzero restrictions of the equations to the variables in keep,
+    without repeats, in order."""
+    return list(dict.fromkeys(cut for cut in (eq.restrict(keep) for eq in equations)
+                              if not cut.is_zero()))
+
+
 def singularity_analysis(model, spec):
     """Basket of quotient singularities of a general section, with diagnostics.
 
@@ -349,14 +369,7 @@ def singularity_analysis(model, spec):
         stratum_coords = [(n, w) for n, w in coords if w % r == 0]
         if not stratum_coords:
             continue
-        keep = {n for n, _ in stratum_coords}
-        restricted = []
-        seen = set()
-        for eq in equations:
-            cut = eq.restrict(keep)
-            if not cut.is_zero() and cut not in seen:
-                restricted.append(cut)
-                seen.add(cut)
+        restricted = _restrict(equations, {n for n, _ in stratum_coords})
         context = f"1/{r} stratum"
         ring = GradedRing(stratum_coords, restricted)
         components = _component_split(ring, diagnostics, context)
@@ -367,14 +380,7 @@ def singularity_analysis(model, spec):
                                    "chart analysis unsupported")
                 continue
             comp_coords = [(n, w) for n, w in stratum_coords if n in comp]
-            comp_keep = set(comp)
-            comp_eqs = []
-            seen = set()
-            for eq in restricted:
-                cut = eq.restrict(comp_keep)
-                if not cut.is_zero() and cut not in seen:
-                    comp_eqs.append(cut)
-                    seen.add(cut)
+            comp_eqs = _restrict(restricted, set(comp))
 
             comp_charts = [charts[n] for n in comp]
             dims = {sum(1 for w in ch.local_weights if w % r == 0)

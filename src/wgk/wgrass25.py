@@ -78,9 +78,6 @@ class Chart:
     order: int
     local_weights: tuple
 
-    def residues(self):
-        return tuple(w % self.order for w in self.local_weights)
-
 
 @dataclass(frozen=True)
 class GrNumerology:

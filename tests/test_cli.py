@@ -175,6 +175,13 @@ def test_match_rejects_malformed_file(tmp_path, capsys):
     ({"family": "wgr25"}, "'w2'"),
     ([1, 1, 1, 1, 1], "list"),
     ({"family": "wgr25", "w2": 5}, "int"),
+    # JSON decimals are read exactly, and an integer field must be integral
+    ({"family": "wgr25", "w2": [1.7, 1, 1, 1, 3]}, "w2 must be an integer, not 17/10"),
+    ({"family": "wgr25", "w2": ["1/2", 1, 1, 1, 3]}, "w2 must be an integer, not 1/2"),
+    ({"family": "wogr510", "w2": [0, 0, 0, 0, 0], "u2": 2.5}, "u2 must be an integer"),
+    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": [1, 0.5]}, "cone must be an integer"),
+    ({"family": "wgr25", "w2": [True, 1, 1, 1, 1]}, "w2 must be an integer, not True"),
+    ({"family": "wgr25", "w2": [float("inf"), 1, 1, 1, 1]}, "Infinity is not a number"),
 ])
 def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     model = tmp_path / "m.json"
@@ -189,6 +196,14 @@ def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     ({"kind": "can3", "K3": "21"}, "'pg'"),
     ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [5]}, "int"),
     (["can3"], "list"),
+    ({"kind": "can3", "pg": 7.9, "K3": "21"}, "pg must be an integer, not 79/10"),
+    ({"kind": "can3", "pg": 7, "K3": "21", "half_points": 1.5}, "half_points must be an integer"),
+    ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 2.5, "c": ["0", "0"]}]},
+     "r must be an integer"),
+    ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 5, "weights": [3, 3, 4.5]}]},
+     "weights must be an integer"),
+    ({"kind": "can3", "pg": float("-inf"), "K3": "21"}, "-Infinity is not a number"),
+    ({"kind": "can3", "pg": 7, "K3": float("nan")}, "NaN is not a number"),
 ])
 def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     rr = tmp_path / "rr.json"
@@ -196,6 +211,18 @@ def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     code, out, err = run(capsys, "match", "--rr", str(rr))
     assert code == 2 and out == ""
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("decimal, exact", [(0.1, "1/10"), (21.0, "21"), (2.1e1, 21)])
+def test_match_reads_json_decimals_exactly(tmp_path, capsys, decimal, exact):
+    reports = []
+    for k3 in (decimal, exact):
+        rr = tmp_path / "rr.json"
+        rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": k3, "half_points": 2}))
+        code, out, err = run(capsys, "match", "--rr", str(rr), "--json")
+        assert code == 0 and err == ""
+        reports.append(out)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -383,14 +383,14 @@ def test_numerator_terms_and_index_value_at_2_match_the_previous_assembly(w):
     assert all(isinstance(c, int) and c for c in terms.values())
     expected = numerator_by_closure(w)
     assert LaurentPoly(terms) == expected == w.hilbert_series().numerator
-    entry = matcher._Entry(0, w, w.top_exponent())
+    entry = matcher._Entry(w, w.top_exponent())
     assert entry.numerator_at2() == expected(2) == entry.at2
 
 
 def test_index_entry_without_numerator_has_value_0():
     def invalid():
         raise ValueError("numerator has negative exponents: invalid weights")
-    entry = matcher._Entry(0, SimpleNamespace(numerator_terms=invalid), 4)
+    entry = matcher._Entry(SimpleNamespace(numerator_terms=invalid), 4)
     assert entry.numerator_at2() == 0
 
 
@@ -407,10 +407,10 @@ def test_non_integral_target_skips_the_prefilter():
     integral = LaurentPoly({0: 1, 3: 2, 12: -1})
     halves = LaurentPoly({0: 1, 3: Fraction(1, 2), 12: -1})
     index = matcher._model_index(None, 4, 2).reach(12)
-    reached = sorted(e.pos for t, entries in index.items() if t <= 12 for e in entries
-                     if e.numerator_at2())
+    reached = Counter(e.weights for t, entries in index.items() if t <= 12 for e in entries
+                      if e.numerator_at2())
     skipped = list(matcher._lookup(None, 4, 2, halves, formal=True))
-    assert [e.pos for e, _ in skipped] == reached
+    assert Counter(e.weights for e, _ in skipped) == reached
     filtered = list(matcher._lookup(None, 4, 2, integral, formal=True))
     assert len(filtered) < len(skipped)
     assert all(integral(2) % series.numerator(2) == 0 for _, series in filtered)
@@ -439,14 +439,14 @@ def test_index_is_built_once_per_bounds_and_reads_the_enumerators_at_call_time()
 # -- the index built slice by slice, as far as the queries reach -----------------
 
 def scan_order(family, max_w2, max_u, n_target, formal):
-    """Oracle for the models ``_lookup`` yields: the full-table scan, filtered
-    by top exponent and by num(2) | n_target(2)."""
+    """Oracle for the models ``_lookup`` yields, as a multiset: the full-table
+    scan, filtered by top exponent and by num(2) | n_target(2)."""
     top = n_target.max_exp()
     at2 = (int(n_target(2)) if all(c.denominator == 1 for c in n_target.coeffs.values())
            else None)
-    return [w for _, w, num, _ in full_table(family, max_w2, max_u)
-            if (num.max_exp() == top or formal and num.max_exp() < top)
-            and (at2 is None or at2 % int(num(2)) == 0)]
+    return Counter(w for _, w, num, _ in full_table(family, max_w2, max_u)
+                   if (num.max_exp() == top or formal and num.max_exp() < top)
+                   and (at2 is None or at2 % int(num(2)) == 0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -463,11 +463,12 @@ def test_lazy_index_agrees_with_the_full_table(draws, family, bounds):
         if k:
             series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
         n_target = series.numerator
-        looked_up = [e.weights for e, _ in matcher._lookup(family, *bounds, n_target, formal)]
+        looked_up = Counter(e.weights for e, _ in matcher._lookup(family, *bounds, n_target,
+                                                                  formal))
         assert looked_up == scan_order(family, *bounds, n_target, formal)
-        # half-integral coefficients skip the pre-filter: every reached model, in order
+        # half-integral coefficients skip the pre-filter: every reached model
         halves = n_target + LaurentPoly({1: Fraction(1, 2)})
-        looked_up = [e.weights for e, _ in matcher._lookup(family, *bounds, halves, formal)]
+        looked_up = Counter(e.weights for e, _ in matcher._lookup(family, *bounds, halves, formal))
         assert looked_up == scan_order(family, *bounds, halves, formal)
         query = MatchQuery(target=HilbertSeries(n_target), **bounded)
         assert search_key(search(query)) == search_key(by_linear_scan(search, query))
@@ -534,6 +535,115 @@ def test_a_sliced_enumeration_is_the_full_table_restricted():
             for tup in itertools.combinations_with_replacement(
                 range(-max_w2 + (max_w2 + parity) % 2, max_w2 + 1, 2), 5)
             if tup[0] + tup[1] > 0]
+
+
+# -- search as the quasilinear filter of the pipeline's scan --------------------
+
+def reference_search(query):
+    """Oracle: ``search`` as it was before it shared the pipeline's scan, with
+    its own numerator, cone and dedup tests."""
+    gens = query.generator_degrees
+    if query.target.denominator:
+        if gens is None:
+            gens = infer_generators(query.target, query.depth, basket=query.basket)
+        n_target = query.target.hilbert_numerator(gens)
+    else:
+        n_target = query.target.numerator
+    results = {}
+    for entry, series in matcher._lookup(query.family, query.max_w2, query.max_u, n_target):
+        if series.numerator != n_target:
+            continue
+        cone = ()
+        if gens is not None:
+            gcount = Counter(gens)
+            ccount = Counter(series.denominator)
+            extra = gcount - ccount
+            if set(extra) - {1} or ccount - gcount:
+                continue
+            cone = (1,) * extra[1]
+        model = AmbientModel(entry.weights, cone)
+        if (query.canonical_degree is not None
+                and model.canonical_degree() != query.canonical_degree):
+            continue
+        if query.basket and not singularity_filter(model, query.basket)[0]:
+            continue
+        results[matcher._canonical_key(entry.weights) + (cone,)] = model
+    return [results[k] for k in sorted(results)]
+
+
+def search_outcome(fn, query):
+    try:
+        return fn(query)
+    except SeriesError as exc:
+        return ("SeriesError", str(exc))
+
+
+BASKETS = ((), BASKET_CY3, BASKET_CAN3, (QuotientSingularity(2, (1, 1, 1)),),
+           (QuotientSingularity(3, (1, 1, 2)),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_MODELS), st.sampled_from((None, "wgr25", "wogr510")),
+       st.sampled_from(("none", "own", "own+1", "own+2", "own-1", "empty")),
+       st.sampled_from((None, 1, 2)), st.sampled_from(BASKETS),
+       st.sampled_from((None, "own", -5)))
+def test_search_equals_its_previous_body(model, family, gens_kind, k, basket, canonical):
+    # with k, a degree-k hypersurface in the cone over the model: its own
+    # generators carry one extra degree-1 coordinate
+    _, w = model
+    series = model_series(w)
+    if k:
+        series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
+    own = series.denominator
+    gens = {"none": None, "own": own, "own+1": own + (1,), "own+2": tuple(sorted(own + (2,))),
+            "own-1": own[1:], "empty": ()}[gens_kind]
+    degree = AmbientModel(w).canonical_degree() if canonical == "own" else canonical
+    for target in (series, HilbertSeries(series.numerator)):
+        query = MatchQuery(target=target, generator_degrees=gens, family=family,
+                           basket=basket, canonical_degree=degree, **SMALL)
+        assert search_outcome(search, query) == search_outcome(reference_search, query)
+
+
+def shuffled(rng):
+    """``_lookup`` yielding its models in an order drawn from ``rng``."""
+    lookup = matcher._lookup
+
+    def wrapper(*args, **kwargs):
+        out = list(lookup(*args, **kwargs))
+        rng.shuffle(out)
+        return iter(out)
+    return wrapper
+
+
+# a cone hypersurface over it is a formal match of both families in one scan
+MIRAGE = ("wogr510", OGrWeights((0, 0, 2, 2, 4), 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.just(MIRAGE), st.sampled_from(SMALL_MODELS)),
+       st.sampled_from((None, "wgr25", "wogr510")), st.sampled_from((None, 1, 2)),
+       st.sampled_from(BASKETS), st.randoms(use_true_random=False))
+def test_results_do_not_depend_on_the_lookup_order(model, family, k, basket, rng):
+    _, w = model
+    series = model_series(w)
+    if k:
+        series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
+    queries = [MatchQuery(target=series, generator_degrees=gens, family=family, basket=basket,
+                          **SMALL) for gens in (None, series.denominator)]
+    kwargs = dict(basket=basket, family=family, augment_bound=2,
+                  user_generators=[series.denominator], **SMALL)
+    expected = ([search_outcome(search, q) for q in queries],
+                match_pipeline(series, **kwargs).to_json())
+    with mock.patch.object(matcher, "_lookup", shuffled(rng)):
+        got = ([search_outcome(search, q) for q in queries],
+               match_pipeline(series, **kwargs).to_json())
+    assert got == expected
+
+
+def test_enumerated_models_have_distinct_canonical_keys():
+    # dedup by canonical key then keeps the same model whichever one a scan meets first
+    keys = [matcher._canonical_key(w) for _, w in DEFAULT_MODELS]
+    assert len(keys) == len(set(keys)) > 0
 
 
 # -- incremental generator inference against the re-expanding loop it replaced --
