@@ -342,8 +342,8 @@ def _transverse_type(chart, r, degrees, dim_comp, diagnostics, context):
 def _restrict(equations, keep):
     """The nonzero restrictions of the equations to the variables in keep,
     without repeats, in order."""
-    return list(dict.fromkeys(cut for cut in (eq.restrict(keep) for eq in equations)
-                              if not cut.is_zero()))
+    cuts = (eq.restrict(keep) for eq in equations)
+    return list(dict.fromkeys(cut for cut in cuts if not cut.is_zero()))
 
 
 def singularity_analysis(model, spec):

@@ -571,11 +571,11 @@ def reference_search(query):
     return [results[k] for k in sorted(results)]
 
 
-def search_outcome(fn, query):
+def outcome(fn, *args, **kwargs):
     try:
-        return fn(query)
-    except SeriesError as exc:
-        return ("SeriesError", str(exc))
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
 
 
 BASKETS = ((), BASKET_CY3, BASKET_CAN3, (QuotientSingularity(2, (1, 1, 1)),),
@@ -601,7 +601,7 @@ def test_search_equals_its_previous_body(model, family, gens_kind, k, basket, ca
     for target in (series, HilbertSeries(series.numerator)):
         query = MatchQuery(target=target, generator_degrees=gens, family=family,
                            basket=basket, canonical_degree=degree, **SMALL)
-        assert search_outcome(search, query) == search_outcome(reference_search, query)
+        assert outcome(search, query) == outcome(reference_search, query)
 
 
 def shuffled(rng):
@@ -632,10 +632,10 @@ def test_results_do_not_depend_on_the_lookup_order(model, family, k, basket, rng
                           **SMALL) for gens in (None, series.denominator)]
     kwargs = dict(basket=basket, family=family, augment_bound=2,
                   user_generators=[series.denominator], **SMALL)
-    expected = ([search_outcome(search, q) for q in queries],
+    expected = ([outcome(search, q) for q in queries],
                 match_pipeline(series, **kwargs).to_json())
     with mock.patch.object(matcher, "_lookup", shuffled(rng)):
-        got = ([search_outcome(search, q) for q in queries],
+        got = ([outcome(search, q) for q in queries],
                match_pipeline(series, **kwargs).to_json())
     assert got == expected
 
@@ -676,13 +676,6 @@ def infer_by_reexpanding(series, depth=matcher.DEFAULT_DEPTH, basket=None,
     return tuple(sorted(gens))
 
 
-def inference_outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        return (type(exc).__name__, str(exc))
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(gr_weights(), ogr_weights()),
        st.sampled_from((None, BASKET_CY3, BASKET_CAN3)), st.booleans(),
@@ -693,8 +686,8 @@ def test_incremental_inference_matches_reexpanding_loop(w, basket, residue_forci
     if k:
         series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
     kwargs = dict(depth=depth, basket=basket, residue_forcing=residue_forcing)
-    assert (inference_outcome(infer_generators, series, **kwargs)
-            == inference_outcome(infer_by_reexpanding, series, **kwargs))
+    assert (outcome(infer_generators, series, **kwargs)
+            == outcome(infer_by_reexpanding, series, **kwargs))
 
 
 def test_incremental_inference_on_rr_series_and_errors():
@@ -703,7 +696,7 @@ def test_incremental_inference_on_rr_series_and_errors():
             assert infer_generators(series, basket=basket) == infer_by_reexpanding(
                 series, basket=basket)
     halves = HilbertSeries(LaurentPoly({0: 1, 2: Fraction(1, 2)}), (1, 2))
-    assert inference_outcome(infer_generators, halves) == inference_outcome(
+    assert outcome(infer_generators, halves) == outcome(
         infer_by_reexpanding, halves) == ("ValueError", "non-integral coefficient 3/2 at degree 2")
     negative = HilbertSeries(LaurentPoly({-1: 1, 0: 1}), (1,))
     with pytest.raises(SeriesError):
