@@ -212,6 +212,15 @@ class _ModelIndex:
 _model_index = lru_cache(maxsize=8)(_ModelIndex)    # one per family and bounds
 
 
+def _target_at2(n_target):
+    """n_target(2) as an int when its coefficients are integral, else None;
+    shifts and adds when they are ints and its exponents non-negative."""
+    coeffs = n_target.coeffs
+    if min(coeffs) >= 0 and all(type(c) is int for c in coeffs.values()):
+        return sum(c << e for e, c in coeffs.items())
+    return int(n_target(2)) if all(c.denominator == 1 for c in coeffs.values()) else None
+
+
 def _lookup(family, max_w2, max_u, n_target, formal=False):
     """(entry, Hilbert series) for each bounded model whose numerator num can
     equal n_target or, with ``formal``, divide it, in no particular order.
@@ -227,8 +236,7 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
     top = n_target.max_exp()
     index = _model_index(family, max_w2, max_u).reach(top)
     tops = [t for t in index if t == top or formal and t < top]
-    at2 = (int(n_target(2)) if all(c.denominator == 1 for c in n_target.coeffs.values())
-           else None)
+    at2 = _target_at2(n_target)
     for entry in itertools.chain.from_iterable(index[t] for t in tops):
         num2 = entry.numerator_at2()
         if num2 and (at2 is None or at2 % num2 == 0):

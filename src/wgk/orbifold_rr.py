@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import HilbertSeries, LaurentPoly
+from .series import HilbertSeries, LaurentPoly, exact_div
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def hilbert_can3(data):
     one = HilbertSeries(LaurentPoly.one())
     t = HilbertSeries(LaurentPoly({1: 1}))
     genus_term = HilbertSeries(LaurentPoly({1: 1, 2: 1}), (1, 1)).scale(data.pg - 1)
-    k_term = HilbertSeries(LaurentPoly({2: 1, 3: 1}), (1, 1, 1, 1)).scale(data.kcubed / 2)
+    k_term = HilbertSeries(LaurentPoly({2: 1, 3: 1}), (1, 1, 1, 1)).scale(
+        exact_div(data.kcubed, 2))
     half_term = HilbertSeries(LaurentPoly({2: 1}), (1, 2)).scale(
         Fraction(data.half_points, 4))
     return (one + t + genus_term + k_term + half_term).canonical()
@@ -99,7 +100,7 @@ def plurigenus_cy3(data, n):
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(1)
-    total = data.acubed / 6 * n ** 3 + data.ac2 / 12 * n
+    total = exact_div(data.acubed, 6) * n ** 3 + exact_div(data.ac2, 12) * n
     for table in data.points:
         total += table.at(n)
     return total
@@ -109,8 +110,8 @@ def hilbert_cy3(data):
     """Closed form whose expansion is plurigenus_cy3 at every n."""
     one = HilbertSeries(LaurentPoly.one())
     cubic = HilbertSeries(LaurentPoly({1: 1, 2: 4, 3: 1}), (1, 1, 1, 1)).scale(
-        data.acubed / 6)
-    linear = HilbertSeries(LaurentPoly({1: 1}), (1, 1)).scale(data.ac2 / 12)
+        exact_div(data.acubed, 6))
+    linear = HilbertSeries(LaurentPoly({1: 1}), (1, 1)).scale(exact_div(data.ac2, 12))
     total = one + cubic + linear
     for table in data.points:
         total = total + table.series()

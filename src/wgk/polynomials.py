@@ -29,6 +29,8 @@ class MPoly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for m, c in items:
+                if isinstance(c, float):
+                    raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
                 c = Fraction(c)
                 if not c:
                     continue

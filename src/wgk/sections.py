@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .oracle import GradedRing, OracleBudgetError
-from .series import one_minus
+from .series import exact_div, one_minus
 from .wgrass25 import Chart, GrWeights
 from .wogr510 import OGrWeights
 
@@ -511,7 +511,7 @@ def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
         acubed = series.intersection_number(3)
         p1 = series.coefficient(1)
         c1 = sum((t.at(1) for t in tables), Fraction(0))
-        ac2 = 12 * (p1 - acubed / 6 - c1)
+        ac2 = 12 * (p1 - exact_div(acubed, 6) - c1)
         data = CY3Data(acubed=acubed, ac2=ac2, points=tables)
         rebuilt = hilbert_cy3(data)
     else:
@@ -524,7 +524,7 @@ def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
         b = rebuilt.expand(4 * depth)
         for n, (x, y) in enumerate(zip(a, b)):
             if x != y:
-                first_mismatch = (n, x, y)
+                first_mismatch = (n, Fraction(x), Fraction(y))    # the text form shows reprs
                 break
     return {"ok": ok, "data": data, "basket": report.basket,
             "diagnostics": report.diagnostics, "series": series,

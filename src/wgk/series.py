@@ -1,9 +1,12 @@
 """Exact arithmetic for sparse Laurent polynomials and rational Hilbert series.
 
-Everything here is over the rationals (``fractions.Fraction``); there is no
-floating point anywhere.  A Hilbert series is stored as a Laurent-polynomial
-numerator over a multiset of positive integers ``{a}``, meaning division by
-``prod (1 - t^a)``.
+Everything here is over the rationals; there is no floating point anywhere.
+Coefficients are ``int`` unless a non-integral value needs a
+``fractions.Fraction``, so integer series (every ambient Hilbert numerator)
+never build a ``Fraction``.  ``_coefficient`` normalises input and refuses
+floats; ``exact_div`` is the one true division in the package.  A Hilbert
+series is stored as a Laurent-polynomial numerator over a multiset of
+positive integers ``{a}``, meaning division by ``prod (1 - t^a)``.
 """
 
 from __future__ import annotations
@@ -17,15 +20,34 @@ class SeriesError(ValueError):
     """Raised when a series operation is applied outside its domain."""
 
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+def _coefficient(c):
+    """c as an int when it is integral, else as a Fraction; a float is refused
+    rather than converted to the binary fraction it stores."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(a, b):
+    """The exact quotient a / b as a coefficient: ±a when b is ±1."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return _coefficient(Fraction(a) / b)
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial in one variable t.
 
-    Coefficients are ``Fraction``, exponents are (possibly negative) ints.
-    Zero coefficients are never stored.  Instances are treated as immutable.
+    Coefficients are ``int``, or ``Fraction`` when not integral; exponents
+    are (possibly negative) ints.  Input and scaled values are normalised; a
+    sum or product of Fractions may keep an integral ``Fraction``, which
+    compares and hashes equal to the ``int``.  Zero coefficients are never
+    stored.  Instances are treated as immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -35,10 +57,10 @@ class LaurentPoly:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for e, c in items:
-                c = Fraction(c)
+                c = _coefficient(c)
                 if c:
                     e = int(e)
-                    v = data.get(e, F0) + c
+                    v = data.get(e, 0) + c
                     if v:
                         data[e] = v
                     else:
@@ -71,7 +93,7 @@ class LaurentPoly:
         return max(self.coeffs)
 
     def __getitem__(self, e):
-        return self.coeffs.get(e, F0)
+        return self.coeffs.get(e, 0)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -89,7 +111,7 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            v = out.get(e, F0) + c
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
@@ -113,7 +135,7 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                v = out.get(e, F0) + c1 * c2
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
@@ -125,11 +147,11 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return LaurentPoly()
         res = LaurentPoly()
-        res.coeffs = {e: c * v for e, v in self.coeffs.items()}
+        res.coeffs = {e: _coefficient(c * v) for e, v in self.coeffs.items()}
         return res
 
     def shift(self, k):
@@ -142,7 +164,7 @@ class LaurentPoly:
         value = Fraction(value)
         if value == 0 and any(e < 0 for e in self.coeffs):
             raise SeriesError("cannot evaluate negative exponents at 0")
-        return sum((c * value ** e for e, c in self.coeffs.items()), F0)
+        return sum(c * value ** e for e, c in self.coeffs.items())
 
     def divexact(self, other):
         """Exact quotient self/other, or None when the division leaves a remainder.
@@ -163,11 +185,11 @@ class LaurentPoly:
             c = rem.pop(e + bmin, None)
             if c is None:
                 continue
-            c /= blead
+            c = exact_div(c, blead)
             quot[e] = c
             for be, bc in btail:
                 k = e + be
-                v = rem.get(k, F0) - c * bc
+                v = rem.get(k, 0) - c * bc
                 if v:
                     rem[k] = v
                 else:
@@ -258,7 +280,8 @@ class HilbertSeries:
 
     def __hash__(self):
         # the value at t = 2 is exact and equal for equal series
-        return hash(self.numerator(2) / prod(1 - 2 ** a for a in self.denominator))
+        return hash(exact_div(self.numerator(2),
+                              prod(1 - 2 ** a for a in self.denominator)))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -308,7 +331,7 @@ class HilbertSeries:
         if order < 0:
             raise SeriesError("expansion order must be >= 0")
         if self.numerator.is_zero():
-            return [F0] * (order + 1)
+            return [0] * (order + 1)
         low = max(0, -self.numerator.min_exp())     # negative exponents kept
         coeffs = [self.numerator[n] for n in range(-low, order + 1)]
         for a in self.denominator:
@@ -345,7 +368,7 @@ class HilbertSeries:
         if order != n + 1:
             raise SeriesError(
                 f"pole order at t=1 is {order}, expected {n + 1}")
-        return num(1) / prod(self.denominator, start=1)
+        return exact_div(num(1), prod(self.denominator, start=1))
 
     def hilbert_numerator(self, denominator):
         """H * prod (1 - t^a) over the given multiset, as a Laurent polynomial.

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .polynomials import MPoly
-from .series import HilbertSeries, LaurentPoly, binom3
+from .series import HilbertSeries, LaurentPoly, binom3, exact_div
 
 PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6))
 
@@ -225,8 +225,8 @@ def charts_well_formed(chart_list):
 def fit_pfaffian_weights(degree_matrix):
     """Solve d_ij = w_i + w_j over half-integers; diagonal entries are ignored.
 
-    Returns the unique solution as a tuple of Fractions, or None when the
-    system is inconsistent.
+    Returns the unique solution as a tuple of exact rationals (``int`` or
+    ``Fraction``), or None when the system is inconsistent.
     """
     d = {}
     for i in range(5):
@@ -238,7 +238,7 @@ def fit_pfaffian_weights(degree_matrix):
             if i != j and d[(i, j)] != d[(j, i)]:
                 return None
     w = [None] * 5
-    w[0] = (d[(0, 1)] + d[(0, 2)] - d[(1, 2)]) / 2
+    w[0] = exact_div(d[(0, 1)] + d[(0, 2)] - d[(1, 2)], 2)
     for j in range(1, 5):
         w[j] = d[(0, j)] - w[0]
     for i in range(5):

@@ -1,19 +1,33 @@
 """The no-floating-point rule, checked on the source: no float literal, no
-``float(...)`` call and no JSON read that would turn a number into a float."""
+``float(...)`` call, no true division outside ``series.exact_div`` and no
+JSON read that would turn a number into a float."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from wgk.polynomials import MPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wgk"
 
 
 def float_hazards(source, name="<source>"):
-    """``name:line: what`` for each float literal, ``float(...)`` call and
-    ``json.load``/``json.loads`` without ``parse_float`` or ``parse_constant``
-    (NaN, Infinity) in the source."""
+    """``name:line: what`` for each float literal, ``float(...)`` call, ``/``
+    or ``/=`` (two ints divide to a float) outside ``exact_div`` in
+    ``series.py``, and ``json.load``/``json.loads`` without ``parse_float`` or
+    ``parse_constant`` (NaN, Infinity) in the source."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in tree.body
+              if name == "series.py" and isinstance(fn, ast.FunctionDef)
+              and fn.name == "exact_div" for node in ast.walk(fn)}
     hits = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                and id(node) not in exempt):
+            hits.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             hits.append((node.lineno, f"float literal {node.value!r}"))
         elif isinstance(node, ast.Call):
             func = node.func
@@ -29,12 +43,19 @@ def float_hazards(source, name="<source>"):
 def test_the_scan_sees_each_hazard():
     source = ("import json\nx = 0.5\ny = float('1')\nz = json.loads(t)\n"
               "ok = json.load(h, parse_float=Fraction, parse_constant=refuse)\nw = 1e3\n"
-              "v = json.load(h, parse_float=Fraction)\n")
+              "v = json.load(h, parse_float=Fraction)\nu = a / b\nu /= 2\nq = a // b\n"
+              "def exact_div(a, b):\n    return a / b\n")
     assert float_hazards(source) == ["<source>:2: float literal 0.5",
                                      "<source>:3: float(...) call",
                                      "<source>:4: json.loads without parse_float/constant",
                                      "<source>:6: float literal 1000.0",
-                                     "<source>:7: json.load without parse_float/constant"]
+                                     "<source>:7: json.load without parse_float/constant",
+                                     "<source>:8: true division",
+                                     "<source>:9: true division",
+                                     "<source>:12: true division"]
+    # the one exemption: the helper itself, at the top level of series.py
+    assert float_hazards(source, "series.py")[-2:] == ["series.py:8: true division",
+                                                       "series.py:9: true division"]
 
 
 def test_no_float_hazard_in_the_library():
@@ -42,3 +63,21 @@ def test_no_float_hazard_in_the_library():
     assert paths
     hits = [hit for path in paths for hit in float_hazards(path.read_text(), path.name)]
     assert hits == []
+
+
+def test_exact_div_holds_the_one_division():
+    # with no hazard reported, every division left is inside exact_div
+    divisions = [node for path in SRC.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert len(divisions) == 1
+
+
+def test_mpoly_refuses_a_float_coefficient():
+    for terms in ({(): 0.1}, {(("x", 1),): 2.0}):
+        with pytest.raises(TypeError, match="float"):
+            MPoly(terms)
+    with pytest.raises(TypeError, match="float"):
+        MPoly.const(0.5)
+    assert MPoly({(): Fraction(1, 10)}).terms == {(): Fraction(1, 10)}

@@ -1,13 +1,15 @@
 """Exact series arithmetic: expansion, numerators, intersection numbers."""
 
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wgk.matcher import _target_at2
 from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, binom3,
-                        denominator_poly, geometric, one_minus)
+                        denominator_poly, exact_div, geometric, one_minus)
 
 
 def F(x):
@@ -259,7 +261,7 @@ def _divexact_by_min_rem(a, b):
         e = rmin - bmin
         if e > max_qexp:
             return None
-        c = rem[rmin] / blead
+        c = Fraction(rem[rmin]) / blead
         quot[e] = c
         for be, bc in b.coeffs.items():
             v = rem.get(e + be, F(0)) - c * bc
@@ -376,3 +378,219 @@ def test_hilbert_numerator_cancels_equal_multisets_without_dividing():
 def test_expand_matches_recurrence(num, denom, order):
     h = HilbertSeries(num, denom)
     assert outcome(h.expand, order) == outcome(_expand_by_recurrence, h, order)
+
+
+# -- the int-or-Fraction kernel against the Fraction-only one it replaced --------
+
+class _FractionPoly:
+    """Reference: LaurentPoly arithmetic with every coefficient a Fraction."""
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __getitem__(self, e):
+        return self.coeffs.get(e, F(0))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, F(0)) + c
+        return _FractionPoly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out[e1 + e2] = out.get(e1 + e2, F(0)) + c1 * c2
+        return _FractionPoly(out)
+
+    def scale(self, c):
+        return _FractionPoly({e: Fraction(c) * v for e, v in self.coeffs.items()})
+
+    def __call__(self, value):
+        value = Fraction(value)
+        if value == 0 and any(e < 0 for e in self.coeffs):
+            raise SeriesError("cannot evaluate negative exponents at 0")
+        return sum((c * value ** e for e, c in self.coeffs.items()), F(0))
+
+    def divexact(self, other):
+        if self.is_zero():
+            return _FractionPoly()
+        bmin, bmax = min(other.coeffs), max(other.coeffs)
+        blead = other.coeffs[bmin]
+        rem, quot = dict(self.coeffs), {}
+        for e in range(min(rem) - bmin, max(rem) - bmax + 1):
+            c = rem.pop(e + bmin, None)
+            if c is None:
+                continue
+            c /= blead
+            quot[e] = c
+            for be, bc in other.coeffs.items():
+                if be != bmin:
+                    v = rem.get(e + be, F(0)) - c * bc
+                    if v:
+                        rem[e + be] = v
+                    else:
+                        rem.pop(e + be, None)
+        return None if rem else _FractionPoly(quot)
+
+
+def _fraction_denominator_poly(denominator):
+    p = _FractionPoly({0: 1})
+    for a in denominator:
+        p = p * _FractionPoly({0: 1, a: -1})
+    return p
+
+
+def _fraction_canonical(num, denominator):
+    denom = list(denominator)
+    for a in sorted(set(denom)):
+        while a in denom and not num.is_zero():
+            q = num.divexact(_FractionPoly({0: 1, a: -1}))
+            if q is None:
+                break
+            num = q
+            denom.remove(a)
+    return num, tuple(sorted(denom))
+
+
+def _fraction_expand(num, denominator, order):
+    if num.is_zero():
+        return [F(0)] * (order + 1)
+    low = max(0, -min(num.coeffs))
+    coeffs = [num[n] for n in range(-low, order + 1)]
+    for a in denominator:
+        for i in range(a, len(coeffs)):
+            coeffs[i] += coeffs[i - a]
+    if any(coeffs[:low]):
+        raise SeriesError("numerator with negative exponents not cleared by expansion")
+    return coeffs[low:]
+
+
+def _fraction_hilbert_numerator(num, denominator, gens):
+    if not gens:
+        raise SeriesError("denominator multiset must be nonempty")
+    extra, own = Counter(gens), Counter(denominator)
+    num = num * _fraction_denominator_poly((extra - own).elements())
+    for a in (own - extra).elements():
+        num = num.divexact(_FractionPoly({0: 1, a: -1}))
+        if num is None:
+            raise SeriesError("denominator does not clear series")
+    return num
+
+
+def _fraction_at2(num):
+    """The pre-filter value of ``_lookup`` as it was: rational evaluation."""
+    return int(num(2)) if all(c.denominator == 1 for c in num.coeffs.values()) else None
+
+
+def _value(result):
+    """A comparable form of a kernel result: the coefficient dict of a polynomial."""
+    return result.coeffs if isinstance(result, (LaurentPoly, _FractionPoly)) else result
+
+
+def _stored(result):
+    """The coefficients a kernel result holds."""
+    if isinstance(result, LaurentPoly):
+        return list(result.coeffs.values())
+    if isinstance(result, tuple) and isinstance(result[0], LaurentPoly):
+        return list(result[0].coeffs.values())
+    return result if isinstance(result, list) else []
+
+
+mixed = st.one_of(st.integers(-4, 4), coefficients)    # ints, integral, proper Fractions
+
+
+def mixed_terms(min_exp=-3, max_exp=7, max_size=5):
+    return st.dictionaries(st.integers(min_exp, max_exp), mixed, max_size=max_size)
+
+
+def _integral(*values):
+    return all(Fraction(v).denominator == 1 for v in values)
+
+
+POLY_OPS = {
+    "mul": lambda p, b, r, c: p * b,
+    "add": lambda p, b, r, c: p + r,
+    "scale": lambda p, b, r, c: p.scale(c),
+    "divexact": lambda p, b, r, c: (p * b).divexact(b),
+    "divexact with remainder": lambda p, b, r, c: (p * b + r).divexact(b),
+    "at 2": lambda p, b, r, c: p(2),
+    "at c": lambda p, b, r, c: p(c),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_terms(), mixed_terms(max_size=3).filter(lambda d: any(d.values())),
+       mixed_terms(), mixed)
+def test_kernel_matches_fraction_only_arithmetic(p, b, r, c):
+    new = [LaurentPoly(d) for d in (p, b, r)] + [c]
+    old = [_FractionPoly(d) for d in (p, b, r)] + [c]
+    integral = _integral(*p.values(), *b.values(), *r.values(), c)
+    unit_lead = new[1][new[1].min_exp()] in (1, -1)
+    for name, op in POLY_OPS.items():
+        got = outcome(op, *new)
+        assert _value(got) == _value(outcome(op, *old)), name
+        if isinstance(got, LaurentPoly):
+            assert all(type(v) in (int, Fraction) for v in got.coeffs.values()), name
+            if integral and (unit_lead or not name.startswith("divexact")):
+                assert all(type(v) is int for v in got.coeffs.values()), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_terms(-2, 6, 4), generator_multisets, generator_multisets,
+       generator_multisets, st.integers(0, 20))
+def test_series_kernel_matches_fraction_only_arithmetic(terms, factors, own, gens, order):
+    # the numerator is often a multiple of some (1 - t^a), so divisions succeed and fail
+    num = LaurentPoly(terms) * denominator_poly(factors)
+    old = _FractionPoly(terms) * _fraction_denominator_poly(factors)
+    h = HilbertSeries(num, own)
+    c, (oc, odenom) = h.canonical(), _fraction_canonical(old, own)
+    assert (c.numerator.coeffs, c.denominator) == (oc.coeffs, odenom)
+    results = {"canonical": (c.numerator, c.denominator),
+               "expand": outcome(h.expand, order),
+               "hilbert_numerator": outcome(h.hilbert_numerator, gens)}
+    assert results["expand"] == outcome(_fraction_expand, old, own, order)
+    assert (_value(results["hilbert_numerator"])
+            == _value(outcome(_fraction_hilbert_numerator, old, own, gens)))
+    if not num.is_zero():
+        assert _target_at2(num) == _fraction_at2(old)
+    for name, result in results.items():
+        assert all(type(v) in (int, Fraction) for v in _stored(result)), name
+        if _integral(*terms.values()):
+            assert all(type(v) is int for v in _stored(result)), name
+    # the same series written with Fraction(n) in place of n
+    as_fractions = (LaurentPoly({e: Fraction(v) for e, v in terms.items()})
+                    * denominator_poly(factors))
+    assert as_fractions == num and hash(as_fractions) == hash(num)
+    g = HilbertSeries(as_fractions, own)
+    assert g == h and hash(g) == hash(h)
+
+
+def test_exact_div():
+    assert exact_div(7, 1) == 7 and exact_div(7, -1) == -7
+    assert type(exact_div(6, 3)) is int and exact_div(6, 3) == 2
+    assert type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert exact_div(1, 2) == Fraction(1, 2)
+    assert exact_div(-3, Fraction(-6, 5)) == Fraction(5, 2)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 3), 2: 5})
+    assert [type(c) for _, c in p.items()] == [int, Fraction, int]
+    assert type(p.scale(Fraction(3))[1]) is int
+    assert type(LaurentPoly.from_json([[0, 6, 3]])[0]) is int
+    assert HilbertSeries(LaurentPoly({0: 1}), (1, 1)).expand(3) == [1, 2, 3, 4]
+    assert all(type(c) is int for c in HilbertSeries(LaurentPoly(), (1,)).expand(3))
+
+
+def test_float_coefficients_are_refused():
+    for make in (lambda: LaurentPoly({0: 0.1}), lambda: LaurentPoly.term(0.5, 2),
+                 lambda: LaurentPoly.one().scale(2.0), lambda: HilbertSeries({1: 0.5})):
+        with pytest.raises(TypeError, match="float"):
+            make()
