@@ -32,11 +32,9 @@ def _coefficient(c):
 
 
 def exact_div(a, b):
-    """The exact quotient a / b as a coefficient: ±a when b is ±1."""
-    if b == 1:
-        return a
-    if b == -1:
-        return -a
+    """The exact quotient a / b as a coefficient: ±a for an int a when b is ±1."""
+    if type(a) is int and (b == 1 or b == -1):
+        return a if b == 1 else -a
     return _coefficient(Fraction(a) / b)
 
 
@@ -44,10 +42,10 @@ class LaurentPoly:
     """Sparse Laurent polynomial in one variable t.
 
     Coefficients are ``int``, or ``Fraction`` when not integral; exponents
-    are (possibly negative) ints.  Input and scaled values are normalised; a
-    sum or product of Fractions may keep an integral ``Fraction``, which
-    compares and hashes equal to the ``int``.  Zero coefficients are never
-    stored.  Instances are treated as immutable.
+    are (possibly negative) ints.  Input, scaled and divided values are
+    normalised; a sum or product of Fractions may keep an integral
+    ``Fraction``, which compares and hashes equal to the ``int``.  Zero
+    coefficients are never stored.  Instances are treated as immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -306,9 +304,10 @@ class HilbertSeries:
         """Cancel (1 - t^a) pairs by exact polynomial division.
 
         One ascending pass suffices: if (1 - t^b) does not divide num, it
-        does not divide num / (1 - t^a) either.
+        does not divide num / (1 - t^a) either.  The numerator is normalised
+        first: a sum of Fractions (an RR closed form) may leave integral ones.
         """
-        num = self.numerator
+        num = LaurentPoly(self.numerator.coeffs)
         denom = list(self.denominator)
         for a in sorted(set(denom)):
             while a in denom and not num.is_zero():

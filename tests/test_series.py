@@ -550,6 +550,7 @@ def test_series_kernel_matches_fraction_only_arithmetic(terms, factors, own, gen
     h = HilbertSeries(num, own)
     c, (oc, odenom) = h.canonical(), _fraction_canonical(old, own)
     assert (c.numerator.coeffs, c.denominator) == (oc.coeffs, odenom)
+    assert all(type(v) is int or v.denominator != 1 for v in c.numerator.coeffs.values())
     results = {"canonical": (c.numerator, c.denominator),
                "expand": outcome(h.expand, order),
                "hilbert_numerator": outcome(h.hilbert_numerator, gens)}
@@ -574,6 +575,7 @@ def test_exact_div():
     assert exact_div(7, 1) == 7 and exact_div(7, -1) == -7
     assert type(exact_div(6, 3)) is int and exact_div(6, 3) == 2
     assert type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert type(exact_div(Fraction(3), -1)) is int and exact_div(Fraction(3), -1) == -3
     assert exact_div(1, 2) == Fraction(1, 2)
     assert exact_div(-3, Fraction(-6, 5)) == Fraction(5, 2)
     with pytest.raises(ZeroDivisionError):
