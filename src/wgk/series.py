@@ -159,7 +159,7 @@ class LaurentPoly:
         return res
 
     def __call__(self, value):
-        value = Fraction(value)
+        value = Fraction(_coefficient(value))
         if value == 0 and any(e < 0 for e in self.coeffs):
             raise SeriesError("cannot evaluate negative exponents at 0")
         return sum(c * value ** e for e, c in self.coeffs.items())

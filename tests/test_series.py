@@ -593,6 +593,7 @@ def test_integral_coefficients_are_stored_as_ints():
 
 def test_float_coefficients_are_refused():
     for make in (lambda: LaurentPoly({0: 0.1}), lambda: LaurentPoly.term(0.5, 2),
-                 lambda: LaurentPoly.one().scale(2.0), lambda: HilbertSeries({1: 0.5})):
+                 lambda: LaurentPoly.one().scale(2.0), lambda: HilbertSeries({1: 0.5}),
+                 lambda: LaurentPoly({1: 1})(0.5)):
         with pytest.raises(TypeError, match="float"):
             make()
