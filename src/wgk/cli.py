@@ -19,9 +19,9 @@ from . import fixtures as fixture_mod
 from . import matcher as matcher_mod
 from .oracle import OracleBudgetError, graded_dimension
 from .orbifold_rr import CY3Data, Canonical3Data, PeriodicTable, hilbert_can3, hilbert_cy3, plurigenus_can3, plurigenus_cy3
-from .sections import (AmbientModel, QuotientSingularity, integral, invariants,
-                       quasilinear_embed, rr_roundtrip, section_canonical,
-                       section_series, singularity_analysis)
+from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, integral,
+                       invariants, quasilinear_embed, rr_roundtrip,
+                       section_canonical, section_series, singularity_analysis)
 from .series import SeriesError
 from .wgrass25 import GrWeights, doubled as half_doubled, verify_gr_identities
 from .wogr510 import OGrWeights, verify_ogr_syzygies
@@ -34,7 +34,7 @@ class InputError(ValueError):
 
 
 def default_depth():
-    text = os.environ.get("WGK_DEPTH", "40")
+    text = os.environ.get("WGK_DEPTH", str(DEFAULT_DEPTH))
     try:
         return max(1, int(text))
     except ValueError:
@@ -230,12 +230,11 @@ def cmd_section(args):
         data["diagnostics"] = report.diagnostics
     if args.roundtrip:
         result = rr_roundtrip(model, cut, args.roundtrip, depth)
-        data["roundtrip"] = {"ok": result["ok"],
-                             "first_mismatch": result["first_mismatch"] and
-                             [str(x) for x in result["first_mismatch"]]}
+        mismatch = result["first_mismatch"] and list(map(frac_str, result["first_mismatch"]))
+        data["roundtrip"] = {"ok": result["ok"], "first_mismatch": mismatch}
         if not result["ok"]:
             print(json.dumps(data, sort_keys=True) if args.json else
-                  f"round trip FAILED at {result['first_mismatch']}")
+                  f"round trip FAILED at ({', '.join(mismatch or ())})")
             return 3
     if args.json:
         print(json.dumps(data, sort_keys=True))

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .sections import (AmbientModel, QuotientSingularity, invariants,
-                       quasilinear_embed, rr_roundtrip, section_canonical,
-                       section_series, singularity_analysis)
+from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity,
+                       invariants, quasilinear_embed, rr_roundtrip,
+                       section_canonical, section_series, singularity_analysis)
 from .matcher import singularity_filter
 from .series import LaurentPoly
 
@@ -162,7 +162,7 @@ def _check_fraction(expected, actual):
     return Fraction(expected) == actual
 
 
-def run_fixture(fix, depth=40):
+def run_fixture(fix, depth=DEFAULT_DEPTH):
     """Evaluate one fixture; yields (check name, ok) pairs."""
     model = AmbientModel.from_json(fix.model)
     out = []
@@ -222,7 +222,7 @@ def run_fixture(fix, depth=40):
     return out
 
 
-def run_all(depth=40):
+def run_all(depth=DEFAULT_DEPTH):
     results = []
     for fix in FIXTURES:
         results.extend(run_fixture(fix, depth))

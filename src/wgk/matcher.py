@@ -19,12 +19,11 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
-from .sections import FAMILIES, AmbientModel, SectionSpec
+from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel, SectionSpec
 from .series import HilbertSeries, LaurentPoly, SeriesError, one_minus
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
 
-DEFAULT_DEPTH = 40
 DEFAULT_MAX_W2 = 8
 DEFAULT_MAX_U = 4
 
@@ -382,7 +381,12 @@ def search(query):
         if gens is None:
             gens = infer_generators(query.target, query.depth,
                                     basket=query.basket)
-        n_target = query.target.hilbert_numerator(gens)
+        try:
+            n_target = query.target.hilbert_numerator(gens)
+        except SeriesError as exc:
+            raise SeriesError(f"{exc} with generator degrees {fmt_multiset(gens)}; "
+                              "give generator_degrees= or use match_pipeline, "
+                              "which tries one more degree") from None
     else:
         n_target = query.target.numerator
     candidates = {}

@@ -2,7 +2,10 @@
 
 Two flavours: plurigenera of regular canonical 3-folds whose basket consists
 of 1/2(1,1,1) points, and Hilbert series of polarized Calabi-Yau 3-folds whose
-local contributions are supplied as periodic tables.
+local contributions are periodic tables, supplied or computed exactly by
+``local_term`` for any isolated cyclic point (Reid, Young person's guide to
+canonical singularities, 1987; Buckley-Reid-Zhou, Ice cream and orbifold
+Riemann-Roch, 2013).
 
 The per-point 1/2(1,1,1) contribution is floor(n/2)/4 with generating function
 (1/4) t^2 / ((1-t)(1-t^2)); the closed form carries the number of such points
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .series import HilbertSeries, LaurentPoly, exact_div
 
@@ -118,30 +122,27 @@ def hilbert_cy3(data):
     return total.canonical()
 
 
-# Named contribution tables used by the worked 3-fold examples: the pair of
-# 1/3 points whose contributions cancel for every n, and the 1/5(3,3,4) point.
-THIRD_PAIR_ZERO = PeriodicTable(3, (0, 0, 0))
-FIFTH_334 = PeriodicTable(5, (0, 0, Fraction(-1, 5), Fraction(1, 5), 0))
+def local_term(r, weights):
+    """The periodic term of an isolated cyclic point 1/r(a_1,...,a_n).
 
-
-def table_for_basket(entries):
-    """Periodic tables for a basket made of the built-in point types.
-
-    Supported: the pair {1/3(1,1,1), 1/3(2,2,2)} (combined zero table) and
-    1/5(3,3,4).  Anything else raises, since general local contributions are
-    supplied by the caller, not computed here.
+    c(m) = (1/r) sum over r-th roots eps != 1 of eps^-m / prod(1 - eps^a_i),
+    computed in Q[x]/(x^r - 1): modulo the norm N = sum_j x^j, (1 - x)^-1 is
+    sum_j (-j/r) x^j and (1 - x^a)^-1 is (1 + x^a + ... + x^(a(a'-1))) (1 - x)^-1
+    with a' = a^-1 mod r.  Their product g gives c(m) = g_m - (sum g)/r.
+    A point that is not isolated, or whose term does not vanish at 0, is refused.
     """
-    remaining = sorted(entries)
-    tables = []
-    thirds = [e for e in remaining if e == (3, (1, 1, 1)) or e == (3, (2, 2, 2))]
-    if thirds:
-        if sorted(thirds) != [(3, (1, 1, 1)), (3, (2, 2, 2))]:
-            raise ValueError(f"no built-in table for unpaired 1/3 points: {thirds}")
-        tables.append(THIRD_PAIR_ZERO)
-        remaining = [e for e in remaining if e not in thirds]
-    for entry in remaining:
-        if entry == (5, (3, 3, 4)):
-            tables.append(FIFTH_334)
-        else:
-            raise ValueError(f"no built-in periodic table for 1/{entry[0]}{entry[1]}")
-    return tuple(tables)
+    point = f"1/{r}({','.join(map(str, weights))})"
+    if r < 1 or any(gcd(a, r) != 1 for a in weights):
+        raise ValueError(f"{point} is not an isolated cyclic point")
+    g = [1] + [0] * (r - 1)             # r^k times the product of k factors
+    for a in weights:
+        factor = [0] * r                # r (1 - x^a)^-1; factor[m - i] wraps below 0
+        for k in range(pow(a, -1, r)):
+            for j in range(1, r):
+                factor[(a * k + j) % r] -= j
+        g = [sum(g[i] * factor[m - i] for i in range(r)) for m in range(r)]
+    total = sum(g)
+    values = [Fraction(r * v - total, r ** (len(weights) + 1)) for v in g]
+    if values[0] != 0:
+        raise ValueError(f"{point} has local term {values[0]} at 0, not 0")
+    return PeriodicTable(r, values)

@@ -484,8 +484,7 @@ def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
     Exact rational-function equality is required; any mismatch reports the
     first differing coefficient.
     """
-    from .orbifold_rr import (CY3Data, Canonical3Data, hilbert_can3, hilbert_cy3,
-                              table_for_basket)
+    from .orbifold_rr import CY3Data, Canonical3Data, hilbert_can3, hilbert_cy3, local_term
     spec = _as_spec(spec)
     if model.dim - len(spec) != 3:
         raise ValueError("round trip needs a 3-dimensional section")
@@ -504,13 +503,10 @@ def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
                               half_points=n_half)
         rebuilt = hilbert_can3(data)
     elif kind == "cy3":
-        entries = []
-        for key, n in basket:
-            entries.extend([key] * n)
-        tables = table_for_basket(entries)
+        tables = tuple(local_term(*key) for key, n in basket for _ in range(n))
         acubed = series.intersection_number(3)
         p1 = series.coefficient(1)
-        c1 = sum((t.at(1) for t in tables), Fraction(0))
+        c1 = sum(t.at(1) for t in tables)
         ac2 = 12 * (p1 - exact_div(acubed, 6) - c1)
         data = CY3Data(acubed=acubed, ac2=ac2, points=tables)
         rebuilt = hilbert_cy3(data)
@@ -518,14 +514,8 @@ def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
         raise ValueError("kind must be 'canonical3' or 'cy3'")
 
     ok = rebuilt.series_equal(series)
-    first_mismatch = None
-    if not ok:
-        a = series.expand(4 * depth)
-        b = rebuilt.expand(4 * depth)
-        for n, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                first_mismatch = (n, Fraction(x), Fraction(y))    # the text form shows reprs
-                break
+    pairs = () if ok else zip(series.expand(4 * depth), rebuilt.expand(4 * depth))
+    first_mismatch = next(((n, x, y) for n, (x, y) in enumerate(pairs) if x != y), None)
     return {"ok": ok, "data": data, "basket": report.basket,
             "diagnostics": report.diagnostics, "series": series,
             "rebuilt": rebuilt, "first_mismatch": first_mismatch}

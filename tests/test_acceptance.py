@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from wgk.matcher import match_pipeline
 from wgk.oracle import graded_dimension
-from wgk.orbifold_rr import (CY3Data, Canonical3Data, FIFTH_334, hilbert_can3,
-                             hilbert_cy3)
+from wgk.orbifold_rr import (CY3Data, Canonical3Data, hilbert_can3, hilbert_cy3,
+                             local_term)
 from wgk.sections import (AmbientModel, QuotientSingularity, invariants,
                           rr_roundtrip, section_canonical, section_series,
                           singularity_analysis)
@@ -73,7 +73,8 @@ def test_criterion_4_orbifold_riemann_roch():
                                                 1035, 1562]
     assert can3.hilbert_numerator((1, 1, 1, 2)) == LaurentPoly(
         {0: 1, 1: 4, 2: 10, 3: 12, 4: 10, 5: 4, 6: 1})
-    cy3 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5), (FIFTH_334,)))
+    cy3 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5),
+                              (local_term(5, (3, 3, 4)),)))
     assert [int(c) for c in cy3.expand(8)] == [1, 2, 5, 11, 20, 34, 54, 81, 117]
     closed = HilbertSeries(LaurentPoly(
         {0: 1, 1: -2, 2: 3, 3: -1, 4: -1, 5: 1, 6: 1, 7: -3, 8: 2, 9: -1}),
@@ -92,7 +93,8 @@ def test_criterion_5_recognition_end_to_end():
     assert model.base.canonical_form() == EX1.canonical_form()
     assert model.base.hilbert_series().numerator == EX1_NUMERATOR
 
-    rr2 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5), (FIFTH_334,)))
+    rr2 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5),
+                              (local_term(5, (3, 3, 4)),)))
     rep2 = match_pipeline(rr2, basket=(QuotientSingularity(3, (1, 1, 1)),
                                        QuotientSingularity(3, (2, 2, 2)),
                                        QuotientSingularity(5, (3, 3, 4))))

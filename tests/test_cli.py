@@ -123,6 +123,39 @@ def test_section_roundtrip_json(tmp_path, capsys):
     assert data["canonical"] == 0
 
 
+def test_section_roundtrip_of_a_lone_third_point(tmp_path, capsys):
+    # basket 1/3(1,1,1) alone: its local term no longer needs a partner
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"family": "wgr25", "w2": [1, 1, 1, 1, 5], "u2": 0}))
+    code, out, _ = run(capsys, "section", "--model", str(model),
+                       "--cut", "3,3,3", "--roundtrip", "cy3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["roundtrip"] == {"ok": True, "first_mismatch": None}
+
+
+def test_section_roundtrip_refuses_a_point_that_is_not_isolated(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"family": "wgr25", "w2": [0, 2, 2, 4, 8], "u2": 0}))
+    code, out, err = run(capsys, "section", "--model", str(model),
+                         "--cut", "5,5,6", "--roundtrip", "cy3", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: 1/4(1,1,2) is not an isolated cyclic point\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_failed_roundtrip_prints_fractions_and_exits_3(tmp_path, capsys, as_json):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}))
+    argv = ["section", "--model", str(model), "--cut", "2,2,2", "--roundtrip", "canonical3"]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 3 and err == ""
+    if as_json:
+        assert json.loads(out)["roundtrip"] == {"ok": False, "first_mismatch": ["2", "21", "37/2"]}
+    else:
+        assert out == "round trip FAILED at (2, 21, 37/2)\n"
+
+
 def test_match_command(tmp_path, capsys):
     rr = tmp_path / "cy3.json"
     rr.write_text(json.dumps({

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -15,14 +16,15 @@ from wgk import matcher
 from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          enumerate_ogr_weights, infer_generators,
                          match_pipeline, search, singularity_filter)
-from wgk.orbifold_rr import CY3Data, Canonical3Data, FIFTH_334, hilbert_can3, hilbert_cy3
+from wgk.orbifold_rr import CY3Data, Canonical3Data, hilbert_can3, hilbert_cy3, local_term
 from wgk.sections import AmbientModel, QuotientSingularity
 from wgk.series import HilbertSeries, LaurentPoly, SeriesError, geometric, one_minus
 from wgk.wgrass25 import GrWeights
 from wgk.wogr510 import VERTICES, OGrWeights
 
 H_CAN3 = hilbert_can3(Canonical3Data(7, 21, 2))
-H_CY3 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5), (FIFTH_334,)))
+H_CY3 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5),
+                            (local_term(5, (3, 3, 4)),)))
 BASKET_CAN3 = (QuotientSingularity(2, (1, 1, 1)),) * 2
 BASKET_CY3 = (QuotientSingularity(3, (1, 1, 1)), QuotientSingularity(3, (2, 2, 2)),
               QuotientSingularity(5, (3, 3, 4)))
@@ -601,7 +603,23 @@ def test_search_equals_its_previous_body(model, family, gens_kind, k, basket, ca
     for target in (series, HilbertSeries(series.numerator)):
         query = MatchQuery(target=target, generator_degrees=gens, family=family,
                            basket=basket, canonical_degree=degree, **SMALL)
-        assert outcome(search, query) == outcome(reference_search, query)
+        got, want = outcome(search, query), outcome(reference_search, query)
+        # a numerator that does not clear is refused with the same reason,
+        # now followed by the degrees tried and what to do instead
+        assert got == want or (got[0] == want[0] == "SeriesError" and got[1].startswith(
+            want[1] + " with generator degrees "))
+
+
+def test_search_refusal_names_the_inferred_degrees():
+    # greedy inference stops one degree short of this model's 10 coordinates
+    target = GrWeights((0, 2, 2, 2, 4)).hilbert_series()
+    assert infer_generators(target) == (1, 1, 1, 2, 2, 2, 2, 3, 3)
+    with pytest.raises(SeriesError, match=re.escape(
+            "denominator does not clear series with generator degrees {1^3,2^4,3^2}; "
+            "give generator_degrees= or use match_pipeline, which tries one more degree")):
+        search(MatchQuery(target=target))
+    report = match_pipeline(target, max_w2=4, max_u=2)
+    assert GrWeights((0, 2, 2, 2, 4)) in [c.model.base for c in report.accepted()]
 
 
 def shuffled(rng):

@@ -1,16 +1,17 @@
 """Plurigenus formulas against their closed forms, on the worked 3-folds."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wgk.orbifold_rr import (CY3Data, Canonical3Data, FIFTH_334,
-                             PeriodicTable, THIRD_PAIR_ZERO, hilbert_can3,
-                             hilbert_cy3, plurigenus_can3, plurigenus_cy3,
-                             table_for_basket)
+from wgk.orbifold_rr import (CY3Data, Canonical3Data, PeriodicTable,
+                             hilbert_can3, hilbert_cy3, local_term,
+                             plurigenus_can3, plurigenus_cy3)
 from wgk.series import HilbertSeries, LaurentPoly
 
+FIFTH_334 = local_term(5, (3, 3, 4))
 CAN3 = Canonical3Data(pg=7, kcubed=21, half_points=2)
 CY3 = CY3Data(acubed=Fraction(6, 5), ac2=Fraction(108, 5), points=(FIFTH_334,))
 
@@ -71,7 +72,8 @@ def test_hilbert_cy3_intersection_number_is_acubed():
 
 
 def test_zero_tables_drop_out():
-    padded = CY3Data(CY3.acubed, CY3.ac2, (FIFTH_334, THIRD_PAIR_ZERO))
+    padded = CY3Data(CY3.acubed, CY3.ac2,
+                     (FIFTH_334, local_term(3, (1, 1, 1)), local_term(3, (2, 2, 2))))
     assert hilbert_cy3(padded).series_equal(hilbert_cy3(CY3))
     assert [plurigenus_cy3(padded, n) for n in range(12)] == \
         [plurigenus_cy3(CY3, n) for n in range(12)]
@@ -105,14 +107,56 @@ def test_periodic_table_validation():
     assert table.at(8) == 0
 
 
-def test_table_for_basket():
-    entries = [(3, (1, 1, 1)), (3, (2, 2, 2)), (5, (3, 3, 4))]
-    tables = table_for_basket(entries)
-    assert tables == (THIRD_PAIR_ZERO, FIFTH_334)
-    with pytest.raises(ValueError, match="unpaired"):
-        table_for_basket([(3, (1, 1, 1))])
-    with pytest.raises(ValueError, match="no built-in"):
-        table_for_basket([(7, (1, 2, 4))])
+def test_local_terms_of_the_cy3_basket():
+    assert FIFTH_334 == PeriodicTable(5, (0, 0, Fraction(-1, 5), Fraction(1, 5), 0))
+    third = local_term(3, (1, 1, 1))
+    assert third == PeriodicTable(3, (0, Fraction(1, 9), Fraction(-1, 9)))
+    assert local_term(3, (2, 2, 2)) == PeriodicTable(3, (0, Fraction(-1, 9), Fraction(1, 9)))
+    # a point the hand-written tables refused now has a term
+    assert local_term(7, (1, 2, 4)).values == tuple(
+        Fraction(c, 7) for c in (0, 1, 1, -1, 1, -1, -1))
+
+
+def test_local_term_refuses_with_the_point_named():
+    with pytest.raises(ValueError, match=r"1/4\(1,2,1\) is not an isolated"):
+        local_term(4, (1, 2, 1))
+    with pytest.raises(ValueError, match=r"1/5\(3,3,3\) has local term -1/5 at 0"):
+        local_term(5, (3, 3, 3))
+
+
+def units(r):
+    return st.integers(1, r - 1).filter(lambda a: gcd(a, r) == 1)
+
+
+def isolated_points():
+    """1/r(a_1..a_n) with n <= 4 and every a_i prime to r; half the draws are
+    1/r(a, b, -a-b), whose term always vanishes at 0."""
+    any_point = st.integers(2, 30).flatmap(lambda r: st.tuples(
+        st.just(r), st.lists(units(r), min_size=1, max_size=4).map(tuple)))
+    gorenstein = st.integers(2, 30).flatmap(lambda r: st.tuples(
+        st.just(r), st.tuples(units(r), units(r)).map(lambda ab: ab + ((-sum(ab)) % r,))
+        .filter(lambda w: gcd(w[2], r) == 1)))
+    return st.one_of(any_point, gorenstein)
+
+
+@settings(max_examples=300, deadline=None)
+@given(isolated_points())
+def test_local_term_satisfies_its_defining_identity(point):
+    # C(x) prod(1 - x^a_i) = 1 - N/r in Q[x]/(x^r - 1), where C = sum c(m) x^m
+    # and N = sum_j x^j
+    r, weights = point
+    try:
+        values = local_term(r, weights).values
+    except ValueError as exc:
+        assert len(weights) != 3 or sum(weights) % r
+        assert str(exc).startswith(f"1/{r}({','.join(map(str, weights))}) has local term")
+        return
+    assert sum(values) == 0
+    product = LaurentPoly(dict(enumerate(values)))
+    for a in weights:
+        product = product * LaurentPoly({0: 1, a: -1})
+    reduced = LaurentPoly((e % r, c) for e, c in product.items())
+    assert reduced == LaurentPoly({j: int(j == 0) - Fraction(1, r) for j in range(r)})
 
 
 def test_validation():

@@ -208,6 +208,37 @@ def test_rr_roundtrip_cy3():
     assert data.ac2 == Fraction(108, 5)
 
 
+# The CY 3-fold sections with a clean singularity analysis in a scan of wGr
+# (max_w2 = 8) and wOGr (max_w2 = 6, max_u = 3): cuts by coordinate weights,
+# K = 0, accepted by section_series.  Each point's term comes from local_term.
+CLEAN_CY3_SECTIONS = [
+    ({"family": "wgr25", "w2": [1, 1, 1, 1, 5], "u2": 0}, (3, 3, 3),
+     ["1/3(1,1,1)"], Fraction(25, 3), 54),
+    ({"family": "wogr510", "w2": [0, 2, 2, 4, 6], "u2": 2}, (2, 4, 4, 5, 6, 7, 8),
+     ["1/3(1,1,1)", "1/3(2,2,2)", "1/5(1,1,3)", "1/7(3,5,6)"], Fraction(9, 35),
+     Fraction(54, 5)),
+    ({"family": "wogr510", "w2": [-1, 1, 1, 1, 1], "u2": 2}, (2,) * 7,
+     ["1/3(2,2,2)"], Fraction(23, 3), 46),
+    ({"family": "wogr510", "w2": [0, 0, 2, 2, 4], "u2": 2}, (2, 2, 3, 4, 4, 4, 5),
+     ["1/3(1,1,1)", "1/3(2,2,2)", "1/5(3,3,4)"], Fraction(6, 5), Fraction(108, 5)),
+]
+
+
+@pytest.mark.parametrize("model, cut, basket, acubed, ac2", CLEAN_CY3_SECTIONS)
+def test_rr_roundtrip_clean_cy3_sections(model, cut, basket, acubed, ac2):
+    result = rr_roundtrip(AmbientModel.from_json(model), cut, "cy3")
+    assert result["ok"] and result["first_mismatch"] is None
+    assert result["diagnostics"] == []
+    assert [str(s) for s, n in result["basket"] for _ in range(n)] == basket
+    assert (result["data"].acubed, result["data"].ac2) == (acubed, ac2)
+
+
+def test_rr_roundtrip_refuses_a_point_that_is_not_isolated():
+    model = AmbientModel(GrWeights((0, 2, 2, 4, 8)))
+    with pytest.raises(ValueError, match=r"1/4\(1,1,2\) is not an isolated cyclic point"):
+        rr_roundtrip(model, (5, 5, 6), "cy3")
+
+
 def test_rr_roundtrip_straight_sections_with_empty_basket():
     # smooth sections of the straight ambients: polynomial-only data matches
     gr = AmbientModel(GrWeights.from_fractions(["1/2"] * 5))
