@@ -67,31 +67,27 @@ def count_monomials(weights, degree):
 
 
 def weighted_monomials(weights, degree):
-    """All exponent tuples of the given weighted degree, in ascending lex order."""
-    n = len(weights)
-    out = []
-    if degree < 0:
-        return out
-    cur = [0] * n
-
-    def rec(i, rem):
-        if i == n:
-            if rem == 0:
-                out.append(tuple(cur))
-            return
-        w = weights[i]
-        if i == n - 1:
-            if rem % w == 0:
-                cur[i] = rem // w
-                out.append(tuple(cur))
-                cur[i] = 0
-            return
-        for e in range(rem // w + 1):
-            cur[i] = e
-            rec(i + 1, rem - e * w)
-        cur[i] = 0
-    rec(0, degree)
-    return out
+    """All exponent tuples of the given weighted degree, in ascending lex order,
+    from an odometer over all exponents but the last, which the rest fixes."""
+    if degree < 0 or not weights:
+        return [()] if degree == 0 else []
+    if min(weights) < 1:
+        raise ValueError("weights must be positive")
+    *head, last = weights
+    cur, rem, out = [0] * len(weights), degree, []
+    while True:
+        if rem % last == 0:
+            cur[-1] = rem // last
+            out.append(tuple(cur))
+        for i in reversed(range(len(head))):
+            if head[i] <= rem:
+                cur[i] += 1
+                rem -= head[i]
+                break
+            rem += cur[i] * head[i]
+            cur[i] = 0
+        else:
+            return out
 
 
 def _normalize_row(row):
@@ -313,14 +309,19 @@ def _staircase_numerator(gens, weights):
             + _staircase_numerator(colon, weights).shift(e * weights[i]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _ring(weight_data):
+    return GradedRing(weight_data.coordinates(), weight_data.equations())
+
+
 def graded_dimension(family, weight_data, degree):
     """Oracle dimension of the family's coordinate ring in one degree.
 
     ``weight_data`` (GrWeights or OGrWeights) supplies the coordinates and
-    the equations.  ``family`` must be its family ("wgr25" or "wogr510"); it
-    stays an argument so that a trace of the call names the family it ran on.
+    the equations; the ring of the last weight set asked about is kept, so its
+    degrees share slices.  ``family`` must be its family ("wgr25" or "wogr510");
+    it stays an argument so that a trace of the call names the family.
     """
     if family != weight_data.family:
         raise ValueError(f"{weight_data} is not of family {family!r}")
-    return GradedRing(weight_data.coordinates(), weight_data.equations()).dimension(degree)
+    return _ring(weight_data).dimension(degree)

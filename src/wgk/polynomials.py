@@ -3,13 +3,14 @@
 Just enough ring arithmetic for symbolic identity checking (Pfaffian and
 syzygy identities) and for slicing equation ideals degree by degree; no
 Groebner machinery.  Monomials are sorted tuples of (variable name, exponent).
+Coefficients are ``int`` unless not integral, as in the series kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-F0 = Fraction(0)
+from .series import _coefficient
 
 
 def _mono_mul(m1, m2):
@@ -20,7 +21,7 @@ def _mono_mul(m1, m2):
 
 
 class MPoly:
-    """Sparse multivariate polynomial: dict monomial -> Fraction coefficient."""
+    """Sparse multivariate polynomial: dict monomial -> int or Fraction coefficient."""
 
     __slots__ = ("terms",)
 
@@ -29,13 +30,11 @@ class MPoly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for m, c in items:
-                if isinstance(c, float):
-                    raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
-                c = Fraction(c)
+                c = _coefficient(c)
                 if not c:
                     continue
                 m = tuple(sorted((v, int(e)) for v, e in m if e))
-                v = data.get(m, F0) + c
+                v = data.get(m, 0) + c
                 if v:
                     data[m] = v
                 else:
@@ -62,11 +61,11 @@ class MPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):    # a scalar; a float is refused
             other = MPoly.const(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, F0) + c
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             else:
@@ -83,7 +82,7 @@ class MPoly:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
             other = MPoly.const(other)
         return self + (-other)
 
@@ -91,8 +90,8 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, MPoly):
+            c = _coefficient(other)
             if not c:
                 return MPoly()
             res = MPoly()
@@ -102,7 +101,7 @@ class MPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                v = out.get(m, F0) + c1 * c2
+                v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
                 else:
@@ -138,7 +137,7 @@ class MPoly:
 
     def evaluate(self, assignment):
         """Evaluate at rational values; all variables must be assigned."""
-        total = F0
+        total = Fraction(0)
         for m, c in self.terms.items():
             val = c
             for v, e in m:

@@ -47,8 +47,8 @@ class QuotientSingularity:
     """Cyclic quotient type 1/r(a_1,...,a_k), weights reduced mod r and sorted.
 
     A common factor of r and all weights is divided out (the action is then
-    not effective); a residual zero weight means the point is not isolated and
-    is flagged by the analysis rather than silently dropped.
+    not effective); a weight sharing a factor g with r puts the point on a curve
+    of 1/g points, so it is not isolated and is flagged by the analysis.
     """
     r: int
     weights: tuple
@@ -69,7 +69,7 @@ class QuotientSingularity:
         return self.r == 1
 
     def is_isolated(self):
-        return all(w != 0 for w in self.weights)
+        return all(gcd(w, self.r) == 1 for w in self.weights)
 
     def key(self):
         return (self.r, self.weights)

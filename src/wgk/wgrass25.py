@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
 from .polynomials import MPoly
@@ -45,6 +46,7 @@ def skew_entry(i, j):
     return v if i < j else -v
 
 
+@lru_cache(maxsize=1)
 def pfaffian_equations():
     """The five 4x4 Pfaffians Pf_1..Pf_5 of the generic 5x5 skew matrix.
 
@@ -58,7 +60,7 @@ def pfaffian_equations():
                 - skew_entry(a, c) * skew_entry(b, d)
                 + skew_entry(a, d) * skew_entry(b, c))
         pfs.append(core if k % 2 == 1 else -core)
-    return pfs
+    return tuple(pfs)
 
 
 def pfaffians_at(matrix):
@@ -138,7 +140,7 @@ class GrWeights:
         return tuple(sorted(w for _, w in self.coordinates()))
 
     def equations(self):
-        return pfaffian_equations()
+        return list(pfaffian_equations())
 
     def top_exponent(self):
         """The numerator ends in -t^{2d}."""

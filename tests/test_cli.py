@@ -111,6 +111,15 @@ def test_section_command(tmp_path, capsys):
     assert "K = O(-1)" in out
 
 
+def test_section_basket_notes_a_point_that_is_not_isolated(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"family": "wgr25", "w2": [0, 2, 2, 4, 8], "u2": 0}))
+    code, out, _ = run(capsys, "section", "--model", str(model), "--cut", "5,5,6", "--basket")
+    assert code == 0
+    assert "singularity 1/4(1,1,2) x 1" in out
+    assert "note: singular type 1/4(1,1,2) is not isolated" in out
+
+
 def test_section_roundtrip_json(tmp_path, capsys):
     model = tmp_path / "m.json"
     model.write_text(json.dumps(

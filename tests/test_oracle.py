@@ -8,7 +8,7 @@ import itertools
 from fractions import Fraction
 from operator import add
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wgk.oracle import (GradedRing, IntegerEchelon, count_monomials,
                         graded_dimension, weighted_monomials)
@@ -229,6 +229,19 @@ def test_oracle_equals_closed_form_on_random_weights(w):
         assert graded_dimension(w.family, w, d) == closed[d]
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(small_gr_weights(), small_ogr_weights()), min_size=1, max_size=2),
+       st.data())
+def test_the_kept_ring_answers_like_a_fresh_ring(weight_sets, data):
+    """Degrees <= 4 of one or two weight sets, asked in a random interleaved
+    order, so the kept ring is extended out of order and evicted."""
+    queries = [(w, d) for w in weight_sets for d in range(5)
+               if count_monomials([wt for _, wt in w.coordinates()], d) <= MONOMIAL_CAP]
+    for w, d in data.draw(st.permutations(queries)):
+        fresh = GradedRing(w.coordinates(), w.equations())
+        assert graded_dimension(w.family, w, d) == fresh.dimension(d)
+
+
 def test_negative_degrees_are_empty():
     """count_monomials, check_budget and ideal_rank raised IndexError here."""
     ring = GradedRing([("x", 1), ("y", 2)], [MPoly.var("x") * MPoly.var("x")])
@@ -241,6 +254,8 @@ def test_negative_degrees_are_empty():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 4), max_size=5), st.integers(-3, 12))
+@example([], 0)
+@example([], 2)
 def test_weighted_monomials_are_in_ascending_lex_order(weights, degree):
     """The staircase proof reads in(I) off the pivots only in this order."""
     brute = [m for m in itertools.product(*(range(max(degree, 0) // w + 1)

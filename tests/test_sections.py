@@ -31,6 +31,17 @@ def test_quotient_singularity_normal_form():
     assert not QuotientSingularity(2, (0, 1)).is_isolated()
 
 
+def test_a_weight_sharing_a_factor_with_r_is_not_isolated():
+    """1/4(1,1,2) has a curve of 1/2 points through it: not a basket point."""
+    for r, weights in ((4, (1, 1, 2)), (4, (2, 3, 3)), (6, (3, 4, 5))):
+        assert not QuotientSingularity(r, weights).is_isolated()
+    for r, weights in ((5, (3, 3, 4)), (3, (1, 1, 1)), (1, (0, 0, 0))):
+        assert QuotientSingularity(r, weights).is_isolated()
+    report = singularity_analysis(AmbientModel(GrWeights((0, 2, 2, 4, 8))), (5, 5, 6))
+    assert report.basket == [(QuotientSingularity(4, (1, 1, 2)), 1)]
+    assert "singular type 1/4(1,1,2) is not isolated" in report.diagnostics
+
+
 def test_ambient_series_extends_denominator_by_cone():
     coned = ambient_series(K3CONE)
     assert coned.denominator == (1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3)

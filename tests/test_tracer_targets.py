@@ -7,15 +7,19 @@ only in a benchmark run.  The benchmark files are loaded, never changed.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from wgk.matcher import _canonical_key
 from wgk.oracle import count_monomials, graded_dimension
 from wgk.sections import AmbientModel
 from wgk.wgrass25 import GrWeights
-from wgk.wogr510 import OGrWeights
+from wgk.wogr510 import SPINOR_NAMES, OGrWeights
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def load(name):
@@ -46,3 +50,39 @@ def test_benchmark_clients_read_both_families(monkeypatch):
         coords = [wt for _, wt in w.coordinates()]
         assert tracer._gd_info(args, dim) == [w.family, 3, count_monomials(coords, 3), dim]
         assert batch._canonical(AmbientModel(w, (1,))) == _canonical_key(w) + ((1,),)
+
+
+def fresh(code):
+    """Run ``code`` in a new interpreter importing wgk from src/.  In this
+    process other tests have imported every module already, so a check of
+    what an import loads would pass without testing anything."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_tracer_installs_and_uninstalls_in_a_fresh_interpreter():
+    """install() looks each target's owners up in sys.modules right after
+    importing wgk.cli, so a module the CLI loads lazily would crash it."""
+    proc = fresh(f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(PERFBENCH / "tracer.py")!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+rec = tracer.Recorder()
+rec.install()
+rec.uninstall()
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_loads_no_paper_only_code():
+    """No module that ``import wgk.cli`` loads holds a name of wgk.spinor."""
+    proc = fresh(f"""
+import sys, wgk.cli
+names = set({SPINOR_NAMES!r})
+print(*sorted(n for n, m in list(sys.modules.items())
+              if n.split(".")[0] == "wgk" and names & vars(m).keys()))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
