@@ -195,8 +195,8 @@ def cmd_rr(args):
     else:
         print(" ".join(frac_str(v) for v in values))
         if bad:
-            print(f"warning: non-integral or negative values {bad}",
-                  file=sys.stderr)
+            print("warning: non-integral or negative values "
+                  + ", ".join(map(frac_str, bad)), file=sys.stderr)
     return 0
 
 

@@ -212,12 +212,11 @@ _model_index = lru_cache(maxsize=8)(_ModelIndex)    # one per family and bounds
 
 
 def _target_at2(n_target):
-    """n_target(2) as an int when its coefficients are integral, else None;
-    shifts and adds when they are ints and its exponents non-negative."""
+    """n_target(2) as an int, by shifts and adds, when n_target is a nonzero
+    polynomial with integer coefficients, else None: no model reaches it."""
     coeffs = n_target.coeffs
-    if min(coeffs) >= 0 and all(type(c) is int for c in coeffs.values()):
-        return sum(c << e for e, c in coeffs.items())
-    return int(n_target(2)) if all(c.denominator == 1 for c in coeffs.values()) else None
+    if coeffs and min(coeffs) >= 0 and all(c.denominator == 1 for c in coeffs.values()):
+        return sum(int(c) << e for e, c in coeffs.items())
 
 
 def _lookup(family, max_w2, max_u, n_target, formal=False):
@@ -225,20 +224,20 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
     equal n_target or, with ``formal``, divide it, in no particular order.
 
     A match means n_target = num * q with q = 1 or prod (1 - t^k), k >= 1.
-    So the top exponent of num is at most that of n_target (equal when
-    q = 1), and num(2) divides the integer n_target(2) when n_target has
-    integer coefficients.  num(2) is evaluated in integers from the closed
-    form and kept; only the few models that pass build their series.
+    Both are integer polynomials, so any other target reaches no model; the
+    top exponent of num is at most that of n_target (equal when q = 1), and
+    num(2) divides n_target(2).  num(2) is evaluated in integers from the
+    closed form and kept; only the few models that pass build their series.
     """
-    if n_target.is_zero():
+    at2 = _target_at2(n_target)
+    if at2 is None:
         return
     top = n_target.max_exp()
     index = _model_index(family, max_w2, max_u).reach(top)
     tops = [t for t in index if t == top or formal and t < top]
-    at2 = _target_at2(n_target)
     for entry in itertools.chain.from_iterable(index[t] for t in tops):
         num2 = entry.numerator_at2()
-        if num2 and (at2 is None or at2 % num2 == 0):
+        if num2 and at2 % num2 == 0:
             yield entry, entry.weights.hilbert_series()
 
 

@@ -127,7 +127,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):    # a scalar; a float is refused
             return self.scale(other)
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -282,7 +282,7 @@ class HilbertSeries:
                               prod(1 - 2 ** a for a in self.denominator)))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, HilbertSeries):    # a scalar; a float is refused
             other = HilbertSeries(LaurentPoly.term(other))
         num = (self.numerator * denominator_poly(other.denominator)
                + other.numerator * denominator_poly(self.denominator))

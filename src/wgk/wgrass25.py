@@ -1,17 +1,19 @@
-"""Weighted Gr(2,5): weights, Pfaffian equations, Hilbert data, charts.
+"""Weighted Gr(2,5): weights, Pfaffian equations, Hilbert data, charts, and
+the ``WeightFamily`` contract that both weighted families implement.
 
 The ambient family lives in the 10 coordinates x_ij (i<j) of a generic 5x5
 skew matrix and is cut out by its five 4x4 Pfaffians.  Weight data is five
 half-integers (stored doubled) plus an overall weight that is absorbed into
 the half-integers on construction, so the internal normal form always has
-overall weight zero.
+overall weight zero.  ``GrWeights`` states the coordinates, the Pfaffian
+resolution's degree banks, the top exponent 2d and the charts; the Hilbert
+numerator, K and well-formedness come from ``WeightFamily``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,6 +83,71 @@ class Chart:
     local_weights: tuple
 
 
+class WeightFamily:
+    """A weighted family after Corti-Reid.  A family states ``family``, ``dim``,
+    ``coordinates()`` as (name, weight) pairs, ``equations()``,
+    ``resolution_degrees()`` (the banks of its Gorenstein resolution in order,
+    top last), ``top_exponent()``, ``charts()`` and ``canonical_form()``.  The
+    members below are derived once: the Hilbert numerator is the alternating
+    sum over the banks, and Gorenstein symmetry gives K = O(top - sum of weights).
+    """
+
+    def coordinate_weights(self):
+        return tuple(sorted(w for _, w in self.coordinates()))
+
+    def numerator_terms(self):
+        """1 - t^(relations) + t^(first syzygies) - ... as {exponent: nonzero integer}."""
+        num, sign = {0: 1}, -1
+        for bank in self.resolution_degrees().values():
+            for e in bank:
+                num[e] = num.get(e, 0) + sign
+            sign = -sign
+        num = {e: c for e, c in num.items() if c}
+        if num and min(num) < 0:
+            raise ValueError("numerator has negative exponents: invalid weights")
+        return num
+
+    def hilbert_series(self):
+        """Closed form: ``numerator_terms`` / prod(1-t^a) over the coordinate weights."""
+        return HilbertSeries(LaurentPoly(self.numerator_terms()), self.coordinate_weights())
+
+    def adjunction(self):
+        return self.top_exponent()
+
+    def canonical_degree(self):
+        """K = O(top exponent - sum of the coordinate weights)."""
+        return self.top_exponent() - sum(w for _, w in self.coordinates())
+
+    def is_well_formed(self):
+        """Chart-gcd criterion: effective action and no quasi-reflections.
+
+        Returns (flag, witness); the witness names the failing chart and gcd.
+        """
+        for ch in self.charts():
+            r = ch.order
+            if r == 1:
+                continue
+            g = gcd(r, *ch.local_weights)
+            if g != 1:
+                return False, f"chart {ch.label}: gcd(order {r}, local weights) = {g}"
+            for k in range(len(ch.local_weights)):
+                g = gcd(r, *ch.local_weights[:k], *ch.local_weights[k + 1:])
+                if g != 1:
+                    return False, (f"chart {ch.label}: omitting local weight "
+                                   f"{ch.local_weights[k]} leaves gcd {g} (quasi-reflection)")
+        return True, None
+
+
+def sorted_w2(w2):
+    """Five doubled weights as a sorted tuple of ints, all of one parity."""
+    w2 = tuple(sorted(int(v) for v in w2))
+    if len(w2) != 5:
+        raise ValueError("need exactly five weights")
+    if len({v % 2 for v in w2}) != 1:
+        raise ValueError("doubled weights must share one parity")
+    return w2
+
+
 @dataclass(frozen=True)
 class GrNumerology:
     d: Fraction
@@ -89,7 +156,7 @@ class GrNumerology:
 
 
 @dataclass(frozen=True)
-class GrWeights:
+class GrWeights(WeightFamily):
     """Weight data (w_1..w_5; u) in the normal form u = 0, w half-integers.
 
     ``w2`` holds the doubled weights, canonically sorted.  All five doubled
@@ -101,11 +168,7 @@ class GrWeights:
     dim = 6
 
     def __post_init__(self):
-        w2 = tuple(sorted(int(v) for v in self.w2))
-        if len(w2) != 5:
-            raise ValueError("need exactly five weights")
-        if len({v % 2 for v in w2}) != 1:
-            raise ValueError("doubled weights must share one parity")
+        w2 = sorted_w2(self.w2)
         if w2[0] + w2[1] <= 0:
             raise ValueError("every pairwise weight sum must be positive")
         object.__setattr__(self, "w2", w2)
@@ -135,51 +198,37 @@ class GrWeights:
         return list(zip(PAIR_NAMES, [(self.w2[i - 1] + self.w2[j - 1]) // 2
                                      for i, j in PAIRS]))
 
-    def plucker_weights(self):
-        """The multiset {w_i + w_j} of the ten coordinate weights."""
-        return tuple(sorted(w for _, w in self.coordinates()))
+    plucker_weights = WeightFamily.coordinate_weights    # the multiset {w_i + w_j}
 
     def equations(self):
         return list(pfaffian_equations())
 
+    def resolution_degrees(self):
+        """Degree banks of the Pfaffian resolution: Pf_i in degree d - w_i, its
+        syzygy in degree d + w_i, and the top 2d (the ten weights sum to 4d)."""
+        d2, w2 = self.d2(), self.w2
+        return {"relations": tuple(sorted((d2 - v) // 2 for v in w2)),
+                "first_syzygies": tuple(sorted((d2 + v) // 2 for v in w2)), "top": (d2,)}
+
     def top_exponent(self):
         """The numerator ends in -t^{2d}."""
         return self.d2()
-
-    def adjunction(self):
-        return self.d2()
-
-    def canonical_degree(self):
-        """K = O(-2d): the ten weights sum to 4d and the adjunction number is 2d."""
-        return -self.d2()
 
     def canonical_form(self):
         """The sorted doubled weights already are the orbit representative."""
         return self
 
     def numerology(self):
-        d2 = self.d2()
-        pf = tuple(sorted((d2 - v) // 2 for v in self.w2))
-        syz = tuple(sorted((d2 + v) // 2 for v in self.w2))
-        return GrNumerology(d=Fraction(d2, 2), pfaffian_degrees=pf, syzygy_degrees=syz)
-
-    def numerator_terms(self):
-        """1 - sum t^{d-w_i} + sum t^{d+w_i} - t^{2d} as {exponent: nonzero integer}."""
-        d2 = self.d2()
-        num = Counter([0] + [(d2 + v) // 2 for v in self.w2])
-        num.subtract([d2] + [(d2 - v) // 2 for v in self.w2])
-        return {e: c for e, c in num.items() if c}
-
-    def hilbert_series(self):
-        """Closed form: ``numerator_terms`` / prod(1-t^a) over the Pluecker weights."""
-        return HilbertSeries(LaurentPoly(self.numerator_terms()), self.plucker_weights())
+        banks = self.resolution_degrees()
+        return GrNumerology(d=Fraction(self.d2(), 2), pfaffian_degrees=banks["relations"],
+                            syzygy_degrees=banks["first_syzygies"])
 
     def degree(self):
         d2 = self.d2()
         top = (sum(binom3((d2 - v) // 2) for v in self.w2)
                - sum(binom3((d2 + v) // 2) for v in self.w2)
                + binom3(d2))
-        return Fraction(top, prod(self.plucker_weights()))
+        return Fraction(top, prod(self.coordinate_weights()))
 
     def charts(self):
         """For each pair (i,j): order w_i + w_j, local weights w_i+w_k, w_j+w_k."""
@@ -192,36 +241,12 @@ class GrWeights:
             out.append(Chart(label=pair_name(i, j), order=r, local_weights=local))
         return out
 
-    def is_well_formed(self):
-        """Chart-gcd criterion: effective action and no quasi-reflections.
-
-        Returns (flag, witness); the witness names the failing chart and gcd.
-        """
-        return charts_well_formed(self.charts())
-
     def to_json(self):
         return {"w2": list(self.w2), "u2": 0}
 
     def __str__(self):
         ws = ",".join(str(Fraction(v, 2)) for v in self.w2)
         return f"wGr(2,5; w=({ws}))"
-
-
-def charts_well_formed(chart_list):
-    for ch in chart_list:
-        r = ch.order
-        if r == 1:
-            continue
-        g = gcd(r, *ch.local_weights)
-        if g != 1:
-            return False, f"chart {ch.label}: gcd(order {r}, local weights) = {g}"
-        for k in range(len(ch.local_weights)):
-            others = ch.local_weights[:k] + ch.local_weights[k + 1:]
-            g = gcd(r, *others)
-            if g != 1:
-                return False, (f"chart {ch.label}: omitting local weight "
-                               f"{ch.local_weights[k]} leaves gcd {g} (quasi-reflection)")
-    return True, None
 
 
 def fit_pfaffian_weights(degree_matrix):

@@ -1,6 +1,8 @@
-"""Weighted OGr(5,10): equations, syzygies, Hilbert data and the sixteen
-orbifold charts.  The spinor graph, the signed-permutation group and the
-parametrization live in ``wgk.spinor`` and load when first asked for here.
+"""Weighted OGr(5,10): equations, syzygies, resolution degrees and the
+sixteen orbifold charts.  ``OGrWeights`` states these as a ``WeightFamily``;
+the Hilbert numerator, K and well-formedness are derived there.  The spinor
+graph, the signed-permutation group and the parametrization live in
+``wgk.spinor`` and load when first asked for here.
 
 The sixteen spinor coordinates are indexed by the vertices of the 5-cube
 modulo antipodal identification; a vertex is stored by its short subset
@@ -12,14 +14,13 @@ the column v = (x_1..x_5).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import MPoly
-from .series import HilbertSeries, LaurentPoly
-from .wgrass25 import PAIRS, Chart, charts_well_formed, pfaffian_equations, skew_entry
+from .wgrass25 import (PAIRS, Chart, WeightFamily, pfaffian_equations, skew_entry,
+                       sorted_w2)
 
 FULL = frozenset(range(1, 6))
 
@@ -118,7 +119,7 @@ def verify_ogr_syzygies():
 # -- weight data ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OGrWeights:
+class OGrWeights(WeightFamily):
     """Weight data (w_1..w_5; u): doubled half-integer weights plus overall u.
 
     Unlike the Pfaffian family the overall weight cannot be absorbed; it enters
@@ -131,11 +132,7 @@ class OGrWeights:
     dim = 10
 
     def __post_init__(self):
-        w2 = tuple(sorted(int(v) for v in self.w2))
-        if len(w2) != 5:
-            raise ValueError("need exactly five weights")
-        if len({v % 2 for v in w2}) != 1:
-            raise ValueError("doubled weights must share one parity")
+        w2 = sorted_w2(self.w2)
         object.__setattr__(self, "w2", w2)
         object.__setattr__(self, "u", int(self.u))
         # the smallest of u, u + s - w_i and u + w_i + w_j
@@ -172,60 +169,26 @@ class OGrWeights:
         return list(zip(VERTEX_NAMES, [self.u] + [(s2 - v) // 2 for v in w2]
                         + [(u2 + a + b) // 2 for a, b in itertools.combinations(w2, 2)]))
 
-    def coordinate_weights(self):
-        return tuple(sorted(w for _, w in self.coordinates()))
-
     def equations(self):
         return list(equations())
 
-    def numerator_terms(self):
-        """Numerator 1 - t^d Q_V + t^{2d-u} Q_S- - t^{2d+u} Q_S+ + t^{3d} Q_V - t^{4d}
-        as {exponent: nonzero integer coefficient}."""
-        d2, coords = self.d2(), self.coordinate_weights()
-        doubled = Counter([0] + [3 * d2 + s * v for v in self.w2 for s in (1, -1)]
-                          + [2 * d2 - 2 * wt for wt in coords])
-        doubled.subtract([4 * d2] + [d2 + s * v for v in self.w2 for s in (1, -1)]
-                         + [2 * d2 + 2 * wt for wt in coords])
-        if any(e2 % 2 for e2 in doubled):
-            raise AssertionError("weight parity violated in numerator assembly")
-        num = {e2 // 2: c for e2, c in doubled.items() if c}
-        if num and min(num) < 0:
-            raise ValueError("numerator has negative exponents: invalid weights")
-        return num
-
-    def hilbert_series(self):
-        """``numerator_terms`` over the sixteen coordinate weights."""
-        return HilbertSeries(LaurentPoly(self.numerator_terms()), self.coordinate_weights())
-
     def resolution_degrees(self):
-        """Degree banks of the six-term resolution."""
-        d2 = self.d2()
-        relations = sorted((d2 - v) // 2 for v in self.w2) \
-            + sorted((d2 + v) // 2 for v in self.w2)
-        twod = d2
-        wts = [self.vertex_weight(v) for v in VERTICES]
-        first = sorted(twod - w for w in wts)
-        second = sorted(twod + w for w in wts)
-        third = sorted((3 * d2 - v) // 2 for v in self.w2) \
-            + sorted((3 * d2 + v) // 2 for v in self.w2)
-        return {
-            "relations": tuple(sorted(relations)),
-            "first_syzygies": tuple(first),
-            "second_syzygies": tuple(second),
-            "third_syzygies": tuple(sorted(third)),
-            "top": (2 * d2,),
-        }
+        """Degree banks of the six-term resolution: the relations in degrees
+        d ± w_i, the first syzygies in 2d - a and the second in 2d + a over the
+        coordinate weights a, the third in 3d ± w_i and the top in 4d."""
+        d2, w2, wts = self.d2(), self.w2, self.coordinate_weights()
+        if any((d2 + v) % 2 for v in w2):
+            raise AssertionError("weight parity violated in resolution degrees")
+        return {"relations": tuple(sorted((d2 + s * v) // 2 for v in w2 for s in (-1, 1))),
+                "first_syzygies": tuple(sorted(d2 - w for w in wts)),
+                "second_syzygies": tuple(sorted(d2 + w for w in wts)),
+                "third_syzygies": tuple(sorted((3 * d2 + s * v) // 2
+                                               for v in w2 for s in (-1, 1))),
+                "top": (2 * d2,)}
 
     def top_exponent(self):
         """The numerator ends in -t^{4d}."""
         return 2 * self.d2()
-
-    def adjunction(self):
-        return 2 * self.d2()
-
-    def canonical_degree(self):
-        """K = O(-4d); the sixteen weights sum to 8d and the adjunction number is 4d."""
-        return -2 * self.d2()
 
     def charts(self):
         """Sixteen orbifold charts; local weights are pair sums of the flipped w."""
@@ -240,9 +203,6 @@ class OGrWeights:
                              order=self.vertex_weight(vert),
                              local_weights=local))
         return out
-
-    def is_well_formed(self):
-        return charts_well_formed(self.charts())
 
     def canonical_form(self):
         """Distinguished orbit representative under signed permutations.

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wgk import cli, matcher
-from wgk import wgrass25
+from wgk import wgrass25, wogr510
 from wgk.series import HilbertSeries, LaurentPoly
 
 
@@ -89,6 +89,16 @@ def test_rr_can3(capsys):
                        "--half", "2", "--expand", "8")
     assert code == 0
     assert out.strip() == "1 7 29 83 190 370 645 1035 1562"
+
+
+def test_rr_warns_of_non_integral_values_as_fractions(capsys):
+    argv = ("rr", "can3", "--pg", "7", "--k3", "21/2", "--expand", "4")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == "1 7 93/4 225/4 231/2\n"
+    assert err == "warning: non-integral or negative values 93/4, 225/4, 231/2\n"
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == "" and json.loads(out)["integral"] is False
 
 
 def test_rr_cy3(capsys):
@@ -187,6 +197,19 @@ def test_match_can3(tmp_path, capsys):
     code, out, _ = run(capsys, "match", "--rr", str(rr))
     assert code == 0
     assert "accepted: wOGr(5,10; w=(0,0,0,0,1), u=1)" in out
+
+
+def test_match_on_a_target_that_is_not_an_integer_polynomial_builds_no_model(
+        tmp_path, capsys, monkeypatch):
+    built = []
+    for cls in (wgrass25.GrWeights, wogr510.OGrWeights):
+        monkeypatch.setattr(cls, "hilbert_series", lambda self: built.append(self))
+    rr = tmp_path / "can3.json"
+    rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21/2"}))
+    code, out, _ = run(capsys, "match", "--rr", str(rr))
+    assert code == 0
+    assert "no candidates within bounds" in out
+    assert built == []
 
 
 def test_match_json_report(tmp_path, capsys):

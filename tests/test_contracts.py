@@ -1,14 +1,18 @@
-"""Python-level contracts: integer MPoly coefficients, and the names the
-package exports, most of which load from their module on first use."""
+"""Python-level contracts: integer MPoly coefficients, the weight-family
+interface, and the names the package exports, most of which load from their
+module on first use."""
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 import wgk
-from wgk import spinor, wogr510
+from wgk import sections, spinor, wogr510
 from wgk.polynomials import MPoly
+from wgk.series import HilbertSeries, LaurentPoly
+from wgk.wgrass25 import WeightFamily
 
 # the public names wgk.wogr510 defined before its paper-only part moved out
 WOGR510_NAMES = (
@@ -60,6 +64,66 @@ def test_a_float_coefficient_is_refused_with_the_same_message():
                   lambda: 0.5 - x, lambda: x * 0.5, lambda: 0.5 * x):
         with pytest.raises(TypeError, match=message):
             build()
+    t, h = LaurentPoly({1: 1}), HilbertSeries(LaurentPoly.one(), (1,))
+    for build in (lambda: LaurentPoly({0: 0.5}), lambda: t * 0.5, lambda: 0.5 * t,
+                  lambda: t.scale(0.5), lambda: h + 0.5, lambda: 0.5 + h):
+        with pytest.raises(TypeError, match=message):
+            build()
+
+
+# -- the weight-family contract ---------------------------------------------------
+
+DERIVED = ("coordinate_weights", "numerator_terms", "hilbert_series", "adjunction",
+           "canonical_degree", "is_well_formed")
+
+
+@dataclass(frozen=True)
+class Hypersurface(WeightFamily):
+    """X_e in P(a), stating only the primitives of a family."""
+    a: tuple
+    e: int
+    family = "hypersurface"
+
+    @property
+    def dim(self):
+        return len(self.a) - 2
+
+    def coordinates(self):
+        return [(f"y{k}", a) for k, a in enumerate(self.a)]
+
+    def equations(self):
+        return []       # a general form of degree e; nothing here reads it
+
+    def resolution_degrees(self):
+        return {"relations": (self.e,)}
+
+    def top_exponent(self):
+        return self.e
+
+    def charts(self):
+        return []
+
+    def canonical_form(self):
+        return self
+
+
+@pytest.mark.parametrize("a, e, canonical", [((1, 1, 2, 3), 6, -1), ((1, 1, 1, 1), 4, 0)])
+def test_a_family_stating_only_its_primitives_gets_the_derived_members(a, e, canonical):
+    x = Hypersurface(a, e)
+    assert x.coordinate_weights() == tuple(sorted(a))
+    assert x.numerator_terms() == {0: 1, e: -1}
+    series = x.hilbert_series()
+    assert (series.numerator, series.denominator) == (LaurentPoly({0: 1, e: -1}), a)
+    assert x.adjunction() == e
+    assert x.canonical_degree() == e - sum(a) == canonical
+    assert x.is_well_formed() == (True, None)
+
+
+def test_no_family_restates_a_derived_member():
+    assert set(DERIVED) <= vars(WeightFamily).keys()
+    for cls in sections.FAMILIES.values():
+        assert issubclass(cls, WeightFamily)
+        assert not set(DERIVED) & vars(cls).keys(), cls.__name__
 
 
 def test_every_wogr510_name_still_resolves():

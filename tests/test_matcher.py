@@ -405,20 +405,21 @@ def test_zero_target_has_no_candidates():
     assert ("user[0]", (1, 1), "ok") in report.generator_sets
 
 
-def test_non_integral_target_skips_the_prefilter():
-    integral = LaurentPoly({0: 1, 3: 2, 12: -1})
-    halves = LaurentPoly({0: 1, 3: Fraction(1, 2), 12: -1})
-    index = matcher._model_index(None, 4, 2).reach(12)
-    reached = Counter(e.weights for t, entries in index.items() if t <= 12 for e in entries
-                      if e.numerator_at2())
-    skipped = list(matcher._lookup(None, 4, 2, halves, formal=True))
-    assert Counter(e.weights for e, _ in skipped) == reached
+def test_a_target_that_is_not_an_integer_polynomial_reaches_no_model():
+    # a match is num * q with num and q integer polynomials: 1 + ... and prod (1 - t^k)
+    integral = LaurentPoly({0: 1, 2: -5, 3: 5, 5: -1})      # the straight wGr(2,5)
+    halves = integral + LaurentPoly({1: Fraction(1, 2)})
+    negative = integral + LaurentPoly({-1: 1})
     filtered = list(matcher._lookup(None, 4, 2, integral, formal=True))
-    assert len(filtered) < len(skipped)
+    assert GrWeights((1, 1, 1, 1, 1)) in [e.weights for e, _ in filtered]
     assert all(integral(2) % series.numerator(2) == 0 for _, series in filtered)
-    for target in (integral, halves):
-        query = MatchQuery(target=HilbertSeries(target), **SMALL)
-        assert search(query) == by_linear_scan(search, query) == []
+    for target in (halves, negative):
+        assert list(matcher._lookup(None, 4, 2, target, formal=True)) == []
+    for target in (integral, halves, negative):
+        query = MatchQuery(target=HilbertSeries(target, (1,) * 10),
+                           generator_degrees=(1,) * 10, **SMALL)
+        assert search(query) == by_linear_scan(search, query)
+        assert bool(search(query)) == (target is integral)
 
 
 def test_index_is_built_once_per_bounds_and_reads_the_enumerators_at_call_time():
@@ -468,10 +469,9 @@ def test_lazy_index_agrees_with_the_full_table(draws, family, bounds):
         looked_up = Counter(e.weights for e, _ in matcher._lookup(family, *bounds, n_target,
                                                                   formal))
         assert looked_up == scan_order(family, *bounds, n_target, formal)
-        # half-integral coefficients skip the pre-filter: every reached model
+        # a half-integral coefficient reaches no model
         halves = n_target + LaurentPoly({1: Fraction(1, 2)})
-        looked_up = Counter(e.weights for e, _ in matcher._lookup(family, *bounds, halves, formal))
-        assert looked_up == scan_order(family, *bounds, halves, formal)
+        assert list(matcher._lookup(family, *bounds, halves, formal)) == []
         query = MatchQuery(target=HilbertSeries(n_target), **bounded)
         assert search_key(search(query)) == search_key(by_linear_scan(search, query))
     kwargs = dict(augment_bound=1, user_generators=[series.denominator], **bounded)

@@ -556,7 +556,8 @@ def test_series_kernel_matches_fraction_only_arithmetic(terms, factors, own, gen
     assert (_value(results["hilbert_numerator"])
             == _value(outcome(_fraction_hilbert_numerator, old, own, gens)))
     if not num.is_zero():
-        assert _target_at2(num) == _fraction_at2(old)
+        # a negative exponent, which the rational value truncated, reaches no model
+        assert _target_at2(num) == (None if num.min_exp() < 0 else _fraction_at2(old))
     for name, result in results.items():
         assert all(type(v) in (int, Fraction) for v in _stored(result)), name
         if _integral(*terms.values()):

@@ -51,6 +51,11 @@ def test_numerology():
     assert STRAIGHT.canonical_degree() == -5
 
 
+def test_resolution_degrees():
+    assert W1.resolution_degrees() == {"relations": (2, 3, 3, 3, 3),
+                                       "first_syzygies": (4, 4, 4, 4, 5), "top": (7,)}
+
+
 def test_adjunction_pairs_with_dual_syzygy_degrees():
     for w in (STRAIGHT, W1, W2):
         n = w.numerology()

@@ -8,6 +8,7 @@ import pytest
 
 from wgk.oracle import GradedRing, graded_dimension
 from wgk.series import LaurentPoly
+from wgk.wgrass25 import GrWeights
 from wgk.wogr510 import (EQUATION_NAMES, OGrWeights, VERTEX_NAMES, VERTICES,
                          canonical_vertex, equations, even_rep, first_syzygies,
                          membership, parametrize, point_satisfies_equations,
@@ -273,15 +274,18 @@ def test_resolution_degrees():
 
 
 def test_resolution_degrees_match_numerator_bands():
-    # the numerator is exactly the alternating sum over the degree banks
-    from wgk.series import LaurentPoly
-    for w in (EX1, EX2, STRAIGHT, OGrWeights((1, 1, 3, 3, 5), 2)):
+    # the numerator is exactly the alternating sum over the degree banks, in
+    # resolution order with the top last, for both families
+    signs = {"relations": -1, "first_syzygies": 1, "second_syzygies": -1,
+             "third_syzygies": 1, "top": -1}
+    for w in (EX1, EX2, STRAIGHT, OGrWeights((1, 1, 3, 3, 5), 2),
+              GrWeights((1, 1, 1, 1, 3)), GrWeights((1, 1, 3, 3, 5)), GrWeights((0, 2, 2, 2, 4))):
         banks = w.resolution_degrees()
+        assert list(banks) == [bank for bank in signs if bank in banks]
+        assert banks["top"] == (w.top_exponent(),)
         terms = [(0, 1)]
-        for bank, sign in (("relations", -1), ("first_syzygies", 1),
-                           ("second_syzygies", -1), ("third_syzygies", 1),
-                           ("top", -1)):
-            terms.extend((e, sign) for e in banks[bank])
+        for bank, sign in signs.items():
+            terms.extend((e, sign) for e in banks.get(bank, ()))
         assert LaurentPoly(terms) == w.hilbert_series().numerator
 
 
