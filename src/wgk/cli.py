@@ -2,9 +2,12 @@
 section analysis, matching and the brute-force oracle.
 
 Weights are accepted as fractions with denominator at most 2 (1/2,3/2,...) or
-as doubled integers with --doubled, and printed as fractions.  Exit codes:
-0 success, 1 verification failure, 2 malformed input, 3 internal
-inconsistency.  WGK_DEPTH overrides the default expansion depth of 40.
+as doubled integers with --doubled, and printed as fractions.  WGK_DEPTH
+overrides the default expansion depth of 40.  Each ``cmd_*`` returns ``(exit
+code, record, text lines)`` and writes nothing to stdout; ``main`` prints the
+record as JSON (adding ``schema``) or the lines, and maps errors to exit
+codes: 0 success, 1 verification failure, 2 malformed input, 3 internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -30,7 +33,11 @@ SCHEMA = "wgk/1"
 
 
 class InputError(ValueError):
-    pass
+    """Malformed input: exit 2."""
+
+
+class InternalError(Exception):
+    """Two of wgk's own computations disagree: exit 3."""
 
 
 def default_depth():
@@ -85,7 +92,6 @@ def cmd_info(args):
     series = weights.hilbert_series()
     wf, witness = weights.is_well_formed()
     data = {
-        "schema": SCHEMA,
         "family": weights.family,
         "weights": weights.to_json(),
         "ambient": fmt_wps(w for _, w in weights.coordinates()),
@@ -99,40 +105,33 @@ def cmd_info(args):
         data.update(pfaffian_degrees=list(num.pfaffian_degrees),
                     syzygy_degrees=list(num.syzygy_degrees),
                     degree=frac_str(weights.degree()))
-        lines = [f"Pfaffian degrees: {data['pfaffian_degrees']}, "
-                 f"syzygy degrees: {data['syzygy_degrees']}",
-                 f"degree = {data['degree']}"]
+        degree_lines = [f"Pfaffian degrees: {data['pfaffian_degrees']}, "
+                        f"syzygy degrees: {data['syzygy_degrees']}",
+                        f"degree = {data['degree']}"]
     else:
         deg = {k: list(v) for k, v in weights.resolution_degrees().items()}
         data["resolution_degrees"] = deg
-        lines = [f"relation degrees: {deg['relations']}",
-                 f"first syzygy degrees: {deg['first_syzygies']}"]
+        degree_lines = [f"relation degrees: {deg['relations']}",
+                        f"first syzygy degrees: {deg['first_syzygies']}"]
     if witness:
         data["well_formed_witness"] = witness
     data["charts"] = [{"label": ch.label, "order": ch.order,
                        "local_weights": list(ch.local_weights)}
                       for ch in weights.charts()]
-    if args.json:
-        print(json.dumps(data, sort_keys=True))
-        return 0
-    print(f"{weights}  in  {data['ambient']}")
-    print("\n".join(lines))
-    print(f"K = O({data['canonical']})")
-    print(f"numerator: {data['numerator']}")
-    print(f"well formed: {data['well_formed']}"
-          + (f" ({witness})" if witness else ""))
-    for ch in data["charts"]:
-        print(f"  chart {ch['label']}: order {ch['order']}, "
-              f"local weights {tuple(ch['local_weights'])}")
-    return 0
+    lines = [f"{weights}  in  {data['ambient']}",
+             *degree_lines,
+             f"K = O({data['canonical']})",
+             f"numerator: {data['numerator']}",
+             f"well formed: {wf}" + (f" ({witness})" if witness else "")]
+    lines += [f"  chart {ch['label']}: order {ch['order']}, "
+              f"local weights {tuple(ch['local_weights'])}" for ch in data["charts"]]
+    return 0, data, lines
 
 
 def cmd_verify(args):
     checks = []
-    gr = verify_gr_identities()
-    checks.extend(("identity " + n, ok) for n, ok in gr["checks"])
-    ogr = verify_ogr_syzygies()
-    checks.extend(("identity " + n, ok) for n, ok in ogr["checks"])
+    for identities in (verify_gr_identities(), verify_ogr_syzygies()):
+        checks.extend(("identity " + n, ok) for n, ok in identities["checks"])
 
     gw = GrWeights.of((1, 1, 1, 1, 1))
     ow = OGrWeights((0, 0, 0, 0, 0), 1)
@@ -150,21 +149,18 @@ def cmd_verify(args):
         checks.append((f"fixture {name}" + (f" ({detail})" if detail else ""), ok))
 
     failures = [n for n, ok in checks if not ok]
-    if args.json:
-        print(json.dumps({"schema": SCHEMA,
-                          "checks": [{"name": n, "ok": ok} for n, ok in checks],
-                          "ok": not failures}, sort_keys=True))
-    else:
-        for n, ok in checks:
-            if not ok or args.verbose:
-                print(("PASS " if ok else "FAIL ") + n)
-        print(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
-    return 0 if not failures else 1
+    data = {"checks": [{"name": n, "ok": ok} for n, ok in checks], "ok": not failures}
+    lines = [("PASS " if ok else "FAIL ") + n for n, ok in checks if not ok or args.verbose]
+    lines.append(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
+    return (1 if failures else 0), data, lines
 
 
 def _parse_point(text):
     head, _, tail = text.partition(":")
-    r = int(head)
+    try:
+        r = int(head)
+    except ValueError:
+        raise InputError(f"--point {text!r} is not of the form r:c0,...,c(r-1)") from None
     values = [parse_fraction(tok) for tok in tail.split(",")] if tail else [Fraction(0)] * r
     return PeriodicTable(r, tuple(values))
 
@@ -172,32 +168,26 @@ def _parse_point(text):
 def cmd_rr(args):
     depth = args.expand if args.expand is not None else default_depth()
     if args.kind == "can3":
-        data = Canonical3Data(pg=args.pg, kcubed=parse_fraction(args.k3),
-                              half_points=args.half)
-        series = hilbert_can3(data)
-        values = [plurigenus_can3(data, n) for n in range(depth + 1)]
+        rr = Canonical3Data(pg=args.pg, kcubed=parse_fraction(args.k3),
+                            half_points=args.half)
+        series = hilbert_can3(rr)
+        values = [plurigenus_can3(rr, n) for n in range(depth + 1)]
     else:
         points = tuple(_parse_point(p) for p in args.point or ())
-        data = CY3Data(acubed=parse_fraction(args.a3), ac2=parse_fraction(args.ac2),
-                       points=points)
-        series = hilbert_cy3(data)
-        values = [plurigenus_cy3(data, n) for n in range(depth + 1)]
-    expansion = series.expand(depth)
-    if expansion != values:
-        print("internal inconsistency: closed form disagrees with the "
-              "plurigenus formula", file=sys.stderr)
-        return 3
+        rr = CY3Data(acubed=parse_fraction(args.a3), ac2=parse_fraction(args.ac2),
+                     points=points)
+        series = hilbert_cy3(rr)
+        values = [plurigenus_cy3(rr, n) for n in range(depth + 1)]
+    if series.expand(depth) != values:
+        raise InternalError("closed form disagrees with the plurigenus formula")
     bad = [v for v in values if v.denominator != 1 or v < 0]
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "series": series.to_json(),
-                          "plurigenera": [frac_str(v) for v in values],
-                          "integral": not bad}, sort_keys=True))
-    else:
-        print(" ".join(frac_str(v) for v in values))
-        if bad:
-            print("warning: non-integral or negative values "
-                  + ", ".join(map(frac_str, bad)), file=sys.stderr)
-    return 0
+    if bad and not args.json:
+        print("warning: non-integral or negative values "
+              + ", ".join(map(frac_str, bad)), file=sys.stderr)
+    data = {"series": series.to_json(),
+            "plurigenera": [frac_str(v) for v in values],
+            "integral": not bad}
+    return 0, data, [" ".join(data["plurigenera"])]
 
 
 def read_json(path):
@@ -208,53 +198,49 @@ def read_json(path):
         return json.load(handle, parse_float=Fraction, parse_constant=refuse)
 
 
+def _parse_cut(text):
+    try:
+        return tuple(int(t) for t in text.split(",")) if text else ()
+    except ValueError:
+        raise InputError(f"--cut {text!r} is not a list of integer degrees") from None
+
+
 def cmd_section(args):
     depth = default_depth()
     model = AmbientModel.from_json(read_json(args.model))
-    cut = tuple(int(t) for t in args.cut.split(",")) if args.cut else ()
+    cut = _parse_cut(args.cut)
     series = section_series(model, cut, depth)
     dim = model.dim - len(cut)
-    data = {"schema": SCHEMA, "model": model.to_json(), "cut": list(cut),
-            "dimension": dim,
+    data = {"model": model.to_json(), "cut": list(cut), "dimension": dim,
             "canonical": section_canonical(model, cut),
             "series": series.to_json(),
             "embedding": {k: (list(v) if isinstance(v, tuple) else v)
                           for k, v in quasilinear_embed(model, cut).items()}}
+    lines = [f"{model} ∩ {'(' + ')('.join(map(str, cut)) + ')' if cut else '(nothing)'}",
+             f"dimension {dim}, K = O({data['canonical']})",
+             f"series: {series}",
+             f"expansion: {' '.join(frac_str(c) for c in series.expand(args.terms))}"]
     if args.invariants:
         inv = invariants(series, dim)
         data["invariants"] = {"A_top": frac_str(inv["A_top"]),
                               "h0_A": frac_str(inv["h0_A"])}
+        lines.append(f"A^{dim} = {data['invariants']['A_top']}, "
+                     f"h^0 = {data['invariants']['h0_A']}")
     if args.basket:
         report = singularity_analysis(model, cut)
         data["basket"] = report.to_json()["basket"]
         data["diagnostics"] = report.diagnostics
+        lines += [f"singularity 1/{entry['r']}({','.join(map(str, entry['weights']))})"
+                  f" x {entry['count']}" for entry in data["basket"]]
+        lines += [f"note: {diag}" for diag in data["diagnostics"]]
     if args.roundtrip:
         result = rr_roundtrip(model, cut, args.roundtrip, depth)
         mismatch = result["first_mismatch"] and list(map(frac_str, result["first_mismatch"]))
         data["roundtrip"] = {"ok": result["ok"], "first_mismatch": mismatch}
         if not result["ok"]:
-            print(json.dumps(data, sort_keys=True) if args.json else
-                  f"round trip FAILED at ({', '.join(mismatch or ())})")
-            return 3
-    if args.json:
-        print(json.dumps(data, sort_keys=True))
-        return 0
-    print(f"{model} ∩ {'(' + ')('.join(map(str, cut)) + ')' if cut else '(nothing)'}")
-    print(f"dimension {dim}, K = O({data['canonical']})")
-    print(f"series: {series}")
-    print(f"expansion: {' '.join(frac_str(c) for c in series.expand(args.terms))}")
-    if args.invariants:
-        print(f"A^{dim} = {data['invariants']['A_top']}, "
-              f"h^0 = {data['invariants']['h0_A']}")
-    if args.basket:
-        for entry in data["basket"]:
-            print(f"singularity 1/{entry['r']}({','.join(map(str, entry['weights']))})"
-                  f" x {entry['count']}")
-        for diag in data["diagnostics"]:
-            print(f"note: {diag}")
-    if args.roundtrip:
-        print(f"round trip: {'ok' if data['roundtrip']['ok'] else 'FAILED'}")
-    return 0
+            return 3, data, [f"round trip FAILED at ({', '.join(mismatch or ())})"]
+        lines.append("round trip: ok")
+    return 0, data, lines
 
 
 def cmd_match(args):
@@ -267,6 +253,7 @@ def cmd_match(args):
         if kind == "can3":
             rr = Canonical3Data(pg=integral("pg", data["pg"]), kcubed=parse_fraction(data["K3"]),
                                 half_points=integral("half_points", data.get("half_points", 0)))
+            series = hilbert_can3(rr)
             basket = (QuotientSingularity(2, (1, 1, 1)),) * rr.half_points
         elif kind == "cy3":
             points = data.get("points", ())
@@ -275,6 +262,7 @@ def cmd_match(args):
                            for p in points if "c" in p)
             rr = CY3Data(acubed=parse_fraction(data["A3"]), ac2=parse_fraction(data["Ac2"]),
                          points=tables)
+            series = hilbert_cy3(rr)
             basket = tuple(QuotientSingularity(integral("r", p["r"]),
                                                tuple(integral("weights", w) for w in p["weights"]))
                            for p in points if "weights" in p)
@@ -284,46 +272,35 @@ def cmd_match(args):
         raise InputError(f"rr data lacks the key {exc}") from None
     except TypeError as exc:
         raise InputError(f"rr data has a value of the wrong type: {exc}") from None
-    series = hilbert_can3(rr) if kind == "can3" else hilbert_cy3(rr)
     report = matcher_mod.match_pipeline(
         series, basket=basket, family=args.family, max_w2=args.max_w2,
         max_u=args.max_u, depth=depth,
         residue_forcing=not args.no_residue_forcing)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "report": report.to_json()},
-                         sort_keys=True))
-        return 0
+    lines = []
     for cand in report.candidates:
         verdict = "accepted" if cand.accepted else "rejected"
-        print(f"{verdict}: {cand.describe()}")
-        print(f"    status: {cand.status}; generators "
-              f"{matcher_mod.fmt_multiset(cand.generators)} ({cand.provenance})")
+        lines.append(f"{verdict}: {cand.describe()}")
+        lines.append(f"    status: {cand.status}; generators "
+                     f"{matcher_mod.fmt_multiset(cand.generators)} ({cand.provenance})")
         if cand.reason:
-            print(f"    reason: {cand.reason}")
-    for note in report.diagnostics:
-        print(f"note: {note}")
+            lines.append(f"    reason: {cand.reason}")
+    lines += [f"note: {note}" for note in report.diagnostics]
     if not report.candidates:
-        print("no candidates within bounds")
-    return 0
+        lines.append("no candidates within bounds")
+    return 0, {"report": report.to_json()}, lines
 
 
 def cmd_oracle(args):
+    if args.degree < 0:
+        raise InputError(f"--degree must be >= 0, got {args.degree}")
     weights = build_weights(args)
-    try:
-        value = graded_dimension(weights.family, weights, args.degree)
-    except OracleBudgetError as exc:
-        print(f"degree bound exceeded: {exc}", file=sys.stderr)
-        return 2
+    value = graded_dimension(weights.family, weights, args.degree)
     closed = weights.hilbert_series().expand(args.degree)[args.degree]
-    data = {"schema": SCHEMA, "family": weights.family, "degree": args.degree,
-            "oracle": value, "closed_form": frac_str(closed),
-            "agree": closed == value}
-    if args.json:
-        print(json.dumps(data, sort_keys=True))
-    else:
-        print(f"oracle dimension {value}, closed form {closed}, "
-              f"{'agree' if data['agree'] else 'DISAGREE'}")
-    return 0 if data["agree"] else 3
+    agree = closed == value
+    data = {"family": weights.family, "degree": args.degree,
+            "oracle": value, "closed_form": frac_str(closed), "agree": agree}
+    line = f"oracle dimension {value}, closed form {closed}, {'agree' if agree else 'DISAGREE'}"
+    return (0 if agree else 3), data, [line]
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -342,76 +319,82 @@ def build_parser():
         prog="wgk",
         description="weighted Grassmannian toolkit (exact arithmetic)")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true",
+                        help="one JSON object with a schema field, not text")
 
-    p = sub.add_parser("info", help="inspect a weighted ambient model")
+    p = sub.add_parser("info", parents=[output], help="inspect a weighted ambient model")
     _add_weight_args(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("verify", help="run identity, oracle and fixture checks")
+    p = sub.add_parser("verify", parents=[output],
+                       help="run identity, oracle and fixture checks")
     p.add_argument("--full", action="store_true", help="deeper oracle checks")
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("rr", help="orbifold Riemann-Roch series")
     rrsub = p.add_subparsers(dest="kind", required=True)
-    pc = rrsub.add_parser("can3")
+    pc = rrsub.add_parser("can3", parents=[output])
     pc.add_argument("--pg", type=int, required=True)
     pc.add_argument("--k3", required=True)
     pc.add_argument("--half", type=int, default=0,
                     help="number of 1/2(1,1,1) points")
     pc.add_argument("--expand", type=int, default=None)
-    pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_rr, kind="can3")
-    py = rrsub.add_parser("cy3")
+    py = rrsub.add_parser("cy3", parents=[output])
     py.add_argument("--a3", required=True)
     py.add_argument("--ac2", required=True)
     py.add_argument("--point", action="append",
                     help="periodic table r:c0,c1,...,c(r-1); repeatable")
     py.add_argument("--expand", type=int, default=None)
-    py.add_argument("--json", action="store_true")
     py.set_defaults(func=cmd_rr, kind="cy3")
 
-    p = sub.add_parser("section", help="analyse a quasilinear section")
+    p = sub.add_parser("section", parents=[output], help="analyse a quasilinear section")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--cut", default="", help="section degrees, comma separated")
     p.add_argument("--invariants", action="store_true")
     p.add_argument("--basket", action="store_true")
     p.add_argument("--roundtrip", choices=("canonical3", "cy3"))
     p.add_argument("--terms", type=int, default=8)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_section)
 
-    p = sub.add_parser("match", help="search ambient models for RR data")
+    p = sub.add_parser("match", parents=[output], help="search ambient models for RR data")
     p.add_argument("--rr", required=True, help="RR data JSON file")
     p.add_argument("--family", choices=("wgr25", "wogr510"))
     p.add_argument("--max-w2", type=int, default=matcher_mod.DEFAULT_MAX_W2)
     p.add_argument("--max-u", type=int, default=matcher_mod.DEFAULT_MAX_U)
     p.add_argument("--no-residue-forcing", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("oracle", help="brute-force graded dimension check")
+    p = sub.add_parser("oracle", parents=[output], help="brute-force graded dimension check")
     _add_weight_args(p)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
     return parser
 
 
+def _refuse(prefix, exc, code):
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and print its record or its lines; return the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, SeriesError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        code, record, lines = args.func(args)
+    except OracleBudgetError as exc:
+        return _refuse("degree bound exceeded", exc, 2)
+    except (InputError, SeriesError, ValueError, OSError, json.JSONDecodeError) as exc:
+        return _refuse("error", exc, 2)
+    except (InternalError, AssertionError) as exc:
+        return _refuse("internal error", exc, 3)
+    if args.json:
+        print(json.dumps({**record, "schema": SCHEMA}, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 def entry():

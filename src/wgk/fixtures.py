@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity,
-                       invariants, quasilinear_embed, rr_roundtrip,
-                       section_canonical, section_series, singularity_analysis)
+                       quasilinear_embed, rr_roundtrip, section_canonical,
+                       section_series, singularity_analysis)
 from .matcher import singularity_filter
 from .series import LaurentPoly
 
@@ -166,7 +166,6 @@ def run_fixture(fix, depth=DEFAULT_DEPTH):
     """Evaluate one fixture; yields (check name, ok) pairs."""
     model = AmbientModel.from_json(fix.model)
     out = []
-    ambient = None
     section = None
     for key, spec in sorted(fix.expected.items()):
         value = spec["value"]

@@ -367,8 +367,6 @@ def singularity_analysis(model, spec):
                            if w % r == 0})
     for r in r_candidates:
         stratum_coords = [(n, w) for n, w in coords if w % r == 0]
-        if not stratum_coords:
-            continue
         restricted = _restrict(equations, {n for n, _ in stratum_coords})
         context = f"1/{r} stratum"
         ring = GradedRing(stratum_coords, restricted)

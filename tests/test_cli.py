@@ -363,3 +363,82 @@ def test_depth_env_malformed(capsys, monkeypatch):
                          "--half", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "WGK_DEPTH" in err
+
+
+def test_rr_disagreement_is_an_internal_error(capsys, monkeypatch):
+    honest = cli.plurigenus_can3
+    monkeypatch.setattr(cli, "plurigenus_can3", lambda data, n: honest(data, n) + 1)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "rr", "can3", "--pg", "7", "--k3", "21", *extra)
+        assert code == 3 and out == ""
+        assert err == "internal error: closed form disagrees with the plurigenus formula\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_oracle_budget_refusal_exits_2(capsys, json_flag):
+    code, out, err = run(capsys, "oracle", "wogr", "--w", "0,0,0,0,0", "--u", "1",
+                         "--degree", "9", *json_flag)
+    assert code == 2 and out == ""
+    assert err == ("degree bound exceeded: degree 9 exceeds the oracle budget "
+                   "(1307504 monomials)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2", "--degree", "-1"),
+     "--degree must be >= 0, got -1"),
+    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "abc"),
+     "--point 'abc' is not of the form r:c0,...,c(r-1)"),
+    (("section", "--model", "{model}", "--cut", "a,b"),
+     "--cut 'a,b' is not a list of integer degrees"),
+])
+def test_argument_errors_name_the_argument(tmp_path, capsys, argv, message):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}))
+    code, out, err = run(capsys, *(a.format(model=model) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+LEAF_COMMANDS = {
+    "info wgr": ("info", "wgr", "--w", "1/2,1/2,1/2,1/2,3/2"),
+    "info wogr": ("info", "wogr", "--w", "0,0,1,1,2", "--u", "1"),
+    "verify": ("verify",),
+    "rr can3": ("rr", "can3", "--pg", "7", "--k3", "21", "--half", "2", "--expand", "8"),
+    "rr cy3": ("rr", "cy3", "--a3", "6/5", "--ac2", "108/5",
+               "--point", "5:0,0,-1/5,1/5,0", "--expand", "8"),
+    "section": ("section", "--model", "{model}", "--cut", "2,2,2", "--invariants", "--basket"),
+    "match": ("match", "--rr", "{rr}"),
+    "oracle": ("oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2", "--degree", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_COMMANDS))
+def test_each_command_prints_one_json_object_or_text(tmp_path, capsys, name):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}))
+    rr = tmp_path / "can3.json"
+    rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21", "half_points": 2}))
+    argv = [a.format(model=model, rr=rr) for a in LEAF_COMMANDS[name]]
+
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    record = json.loads(out)
+    assert isinstance(record, dict) and record["schema"] == "wgk/1"
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n") and out.strip()
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_a_refused_section_prints_nothing_on_stdout(tmp_path, capsys, json_flag):
+    # the text lines are built before anything is printed, so a bad --terms
+    # leaves no partial answer behind, with or without --json
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}))
+    code, out, err = run(capsys, "section", "--model", str(model), "--cut", "2,2,2",
+                         "--terms", "-1", *json_flag)
+    assert code == 2 and out == ""
+    assert err == "error: expansion order must be >= 0\n"
