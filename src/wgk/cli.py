@@ -161,8 +161,13 @@ def _parse_point(text):
         r = int(head)
     except ValueError:
         raise InputError(f"--point {text!r} is not of the form r:c0,...,c(r-1)") from None
+    if r < 2:
+        raise InputError(f"--point {text!r} has order {r}; a quotient point needs r >= 2")
     values = [parse_fraction(tok) for tok in tail.split(",")] if tail else [Fraction(0)] * r
-    return PeriodicTable(r, tuple(values))
+    try:
+        return PeriodicTable(r, tuple(values))
+    except ValueError as exc:
+        raise InputError(f"--point {text!r}: {exc}") from None
 
 
 def cmd_rr(args):
@@ -243,6 +248,13 @@ def cmd_section(args):
     return 0, data, lines
 
 
+def _fraction_field(key, value):
+    """A rational field of JSON input; a boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise InputError(f"{key} must be a number, not a boolean")
+    return parse_fraction(value)
+
+
 def cmd_match(args):
     depth = default_depth()
     data = read_json(args.rr)
@@ -251,16 +263,18 @@ def cmd_match(args):
     kind = data.get("kind")
     try:
         if kind == "can3":
-            rr = Canonical3Data(pg=integral("pg", data["pg"]), kcubed=parse_fraction(data["K3"]),
+            rr = Canonical3Data(pg=integral("pg", data["pg"]),
+                                kcubed=_fraction_field("K3", data["K3"]),
                                 half_points=integral("half_points", data.get("half_points", 0)))
             series = hilbert_can3(rr)
             basket = (QuotientSingularity(2, (1, 1, 1)),) * rr.half_points
         elif kind == "cy3":
             points = data.get("points", ())
             tables = tuple(PeriodicTable(integral("r", p["r"]),
-                                         tuple(parse_fraction(c) for c in p["c"]))
+                                         tuple(_fraction_field("c", c) for c in p["c"]))
                            for p in points if "c" in p)
-            rr = CY3Data(acubed=parse_fraction(data["A3"]), ac2=parse_fraction(data["Ac2"]),
+            rr = CY3Data(acubed=_fraction_field("A3", data["A3"]),
+                         ac2=_fraction_field("Ac2", data["Ac2"]),
                          points=tables)
             series = hilbert_cy3(rr)
             basket = tuple(QuotientSingularity(integral("r", p["r"]),

@@ -156,31 +156,17 @@ def enumerate_ogr_weights(max_w2, max_u, tau=None):
     return out
 
 
-class _Entry:
-    """One enumerated weight datum and, once a query reaches it, its numerator
-    at t = 2 (0 when the weights give none)."""
-
-    __slots__ = ("weights", "top", "at2")
-
-    def __init__(self, weights, top):
-        self.weights, self.top = weights, top
-        self.at2 = None
-
-    def numerator_at2(self):
-        """num(2) in integer arithmetic, computed once, after checking that
-        the closed-form numerator is 1 + ... - t^top."""
-        if self.at2 is None:
-            try:
-                num = self.weights.numerator_terms()
-            except ValueError:
-                self.at2 = 0
-                return 0
-            top = self.top
-            if num.get(0) != 1 or max(num) != top or num[top] != -1:
-                raise AssertionError(f"{self.weights}: numerator is not 1 + ... - t^{top}")
-            # never 0: an integer root of num would divide its constant term 1
-            self.at2 = sum(c << e for e, c in num.items())
-        return self.at2
+def _numerator_at2(weights, top):
+    """num(2) in integer arithmetic, after checking that the closed-form
+    numerator is 1 + ... - t^top; 0 when the weights give none."""
+    try:
+        num = weights.numerator_terms()
+    except ValueError:
+        return 0
+    if num.get(0) != 1 or max(num) != top or num[top] != -1:
+        raise AssertionError(f"{weights}: numerator is not 1 + ... - t^{top}")
+    # never 0: an integer root of num would divide its constant term 1
+    return sum(c << e for e, c in num.items())
 
 
 # the module functions are looked up on each call, so that they can be wrapped
@@ -189,9 +175,9 @@ _ENUMERATE = {"wgr25": lambda max_w2, max_u, tau: enumerate_gr_weights(max_w2, t
 
 
 class _ModelIndex:
-    """Bounded models keyed by numerator top exponent, built up to ``covered``
-    (every top exponent is positive: the coordinate weights are positive and
-    sum to a multiple of it)."""
+    """Bounded models as (weights, num(2)) pairs keyed by numerator top
+    exponent, built up to ``covered`` (every top exponent is positive: the
+    coordinate weights are positive and sum to a multiple of it)."""
 
     def __init__(self, family, max_w2, max_u):
         self.families, self.bounds = [family] if family else list(FAMILIES), (max_w2, max_u)
@@ -203,7 +189,7 @@ class _ModelIndex:
             for fam in self.families:
                 for w in _ENUMERATE[fam](*self.bounds, (self.covered, top)):
                     t = w.top_exponent()
-                    self.slices.setdefault(t, []).append(_Entry(w, t))
+                    self.slices.setdefault(t, []).append((w, _numerator_at2(w, t)))
             self.covered = top
         return self.slices
 
@@ -220,14 +206,14 @@ def _target_at2(n_target):
 
 
 def _lookup(family, max_w2, max_u, n_target, formal=False):
-    """(entry, Hilbert series) for each bounded model whose numerator num can
+    """(weights, Hilbert series) for each bounded model whose numerator num can
     equal n_target or, with ``formal``, divide it, in no particular order.
 
     A match means n_target = num * q with q = 1 or prod (1 - t^k), k >= 1.
     Both are integer polynomials, so any other target reaches no model; the
     top exponent of num is at most that of n_target (equal when q = 1), and
-    num(2) divides n_target(2).  num(2) is evaluated in integers from the
-    closed form and kept; only the few models that pass build their series.
+    num(2) divides n_target(2).  The index holds num(2) from when the slice
+    was enumerated; only the few models that pass build their series.
     """
     at2 = _target_at2(n_target)
     if at2 is None:
@@ -235,10 +221,9 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
     top = n_target.max_exp()
     index = _model_index(family, max_w2, max_u).reach(top)
     tops = [t for t in index if t == top or formal and t < top]
-    for entry in itertools.chain.from_iterable(index[t] for t in tops):
-        num2 = entry.numerator_at2()
+    for weights, num2 in itertools.chain.from_iterable(index[t] for t in tops):
         if num2 and at2 % num2 == 0:
-            yield entry, entry.weights.hilbert_series()
+            yield weights, weights.hilbert_series()
 
 
 def _strip_section_factors(quotient):
@@ -288,9 +273,9 @@ class MatchCandidate:
     nonlinear: tuple         # extra section degrees multiplying the numerator
     generators: tuple        # generator multiset that produced the hit
     provenance: str
-    status: str = ""
-    accepted: bool = False
-    reason: str = None
+    status: str
+    accepted: bool           # fixed when the candidate is made
+    reason: str              # None when accepted
 
     def describe(self):
         s = str(self.model)
@@ -335,14 +320,28 @@ class MatchReport:
         }
 
 
-def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, formal=False):
+def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, basket,
+             formal=False):
     """Add the bounded models whose numerator equals n_target to ``candidates``,
     keyed by canonical weights, cone and sections, with their quasilinear
     sections against ``gens`` (the model's own coordinates when None); with
     ``formal``, also those whose numerator divides n_target by a product of
-    (1 - t^k), as nonlinear sections of a cone, keeping the fewest factors."""
-    for entry, model_series in _lookup(family, max_w2, max_u, n_target, formal):
-        w, num = entry.weights, model_series.numerator
+    (1 - t^k), as nonlinear sections of a cone, keeping the fewest factors.
+
+    A candidate is accepted when it passes the singularity filter for
+    ``basket`` and is quasilinear; otherwise its reason is the filter's, or
+    its status."""
+    def candidate(model, sections, nonlinear, status):
+        ok, reason = singularity_filter(model, basket)
+        accepted = ok and status == "quasilinear"
+        if ok and not accepted:
+            reason = status
+        return MatchCandidate(model=model, sections=sections, nonlinear=nonlinear,
+                              generators=gens, provenance=provenance, status=status,
+                              accepted=accepted, reason=reason)
+
+    for w, model_series in _lookup(family, max_w2, max_u, n_target, formal):
+        num = model_series.numerator
         if num == n_target:
             coords = model_series.denominator
             cone, sections = _quasilinear_sections(coords if gens is None else gens, coords)
@@ -351,9 +350,7 @@ def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, form
             if key not in candidates:
                 status = ("quasilinear" if sections is not None
                           else "numerator match (no quasilinear embedding)")
-                candidates[key] = MatchCandidate(
-                    model=model, sections=sections, nonlinear=(),
-                    generators=gens, provenance=provenance, status=status)
+                candidates[key] = candidate(model, sections, (), status)
             continue
         quotient = n_target.divexact(num) if formal else None
         factors = quotient and _strip_section_factors(quotient)
@@ -362,15 +359,14 @@ def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, form
         key = _canonical_key(w) + ("formal",)
         old = candidates.get(key)
         if old is None or (len(factors), factors) < (len(old.nonlinear), old.nonlinear):
-            candidates[key] = MatchCandidate(
-                model=AmbientModel(w, (1,)), sections=None, nonlinear=factors,
-                generators=gens, provenance=provenance,
-                status="formal numerator match (nonlinear section of a cone)")
+            candidates[key] = candidate(
+                AmbientModel(w, (1,)), None, factors,
+                "formal numerator match (nonlinear section of a cone)")
 
 
 def search(query):
     """All ambient models within bounds matching the query exactly: the
-    quasilinear candidates of one scan with no section left over.
+    accepted candidates of one scan with no section left over.
 
     Deduplicated by permutation (respectively signed-permutation) symmetry and
     returned in a canonical deterministic order.
@@ -389,12 +385,12 @@ def search(query):
     else:
         n_target = query.target.numerator
     candidates = {}
-    _collect(candidates, n_target, gens, "search", query.family, query.max_w2, query.max_u)
+    _collect(candidates, n_target, gens, "search", query.family, query.max_w2, query.max_u,
+             query.basket)
     models = [candidates[k].model for k in sorted(k for k, c in candidates.items()
-                                                  if c.sections == ())]
+                                                  if c.sections == () and c.accepted)]
     wanted = query.canonical_degree
-    return [m for m in models if singularity_filter(m, query.basket)[0]
-            and (wanted is None or m.canonical_degree() == wanted)]
+    return [m for m in models if wanted is None or m.canonical_degree() == wanted]
 
 
 def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
@@ -425,46 +421,26 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
     for k, gens in enumerate(user_generators):
         gen_sets.append((f"user[{k}]", tuple(sorted(gens))))
 
-    candidates = {}
-    tried = []
-    diagnostics = []
-
-    def try_generators(gens, provenance):
-        try:
-            n_target = series.hilbert_numerator(gens)
-        except SeriesError:
-            tried.append((provenance, gens, "numerator does not clear"))
-            return
-        tried.append((provenance, gens, "ok"))
-        _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, formal=True)
-
-    for provenance, gens in gen_sets:
-        try_generators(gens, provenance)
-    _apply_filter(candidates, basket)
-    if not any(c.accepted for c in candidates.values()):
-        for k in range(1, augment_bound + 1):
-            for provenance, gens in gen_sets:
-                try_generators(tuple(sorted(gens + (k,))),
-                               f"{provenance} + degree {k}")
-            _apply_filter(candidates, basket)
-            if any(c.accepted for c in candidates.values()):
-                diagnostics.append(
-                    f"added one generator and relation in degree {k}")
-                break
+    candidates, tried, diagnostics = {}, [], []
+    for k in range(max(augment_bound, 0) + 1):    # round 0 tries the sets as inferred
+        for provenance, gens in gen_sets:
+            if k:
+                provenance, gens = f"{provenance} + degree {k}", tuple(sorted(gens + (k,)))
+            try:
+                n_target = series.hilbert_numerator(gens)
+            except SeriesError:
+                tried.append((provenance, gens, "numerator does not clear"))
+                continue
+            tried.append((provenance, gens, "ok"))
+            _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, basket,
+                     formal=True)
+        if any(c.accepted for c in candidates.values()):
+            if k:
+                diagnostics.append(f"added one generator and relation in degree {k}")
+            break
 
     ranked = sorted(candidates.values(),
                     key=lambda c: (not c.accepted, c.status != "quasilinear",
                                    c.model.family, str(c.model)))
     return MatchReport(candidates=ranked, generator_sets=tried,
                        diagnostics=diagnostics)
-
-
-def _apply_filter(candidates, basket):
-    for cand in candidates.values():
-        ok, reason = singularity_filter(cand.model, basket)
-        if not ok:
-            cand.accepted = False
-            cand.reason = reason
-        else:
-            cand.accepted = cand.status == "quasilinear"
-            cand.reason = None if cand.accepted else cand.status

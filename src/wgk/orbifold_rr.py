@@ -44,8 +44,10 @@ class PeriodicTable:
 
     def __post_init__(self):
         values = tuple(Fraction(v) for v in self.values)
-        if self.r < 1 or len(values) != self.r:
-            raise ValueError("need exactly r values")
+        if self.r < 1:
+            raise ValueError(f"order r must be positive, got {self.r}")
+        if len(values) != self.r:
+            raise ValueError(f"need exactly r = {self.r} values, got {len(values)}")
         if values[0] != 0:
             raise ValueError("c(0) must vanish")
         object.__setattr__(self, "values", values)

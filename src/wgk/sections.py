@@ -307,7 +307,7 @@ def _component_split(ring, diagnostics, context):
             sorted(groups.values())]
 
 
-def _transverse_type(chart, r, degrees, dim_comp, diagnostics, context):
+def _transverse_type(chart, r, degrees, diagnostics, context):
     """Quotient type transverse to the stratum, read off one chart.
 
     Sections of degree divisible by r consume stratum directions; the others
@@ -315,12 +315,6 @@ def _transverse_type(chart, r, degrees, dim_comp, diagnostics, context):
     weight first.
     """
     residues = [(w % r, w) for w in chart.local_weights]
-    stratum_slots = sum(1 for res, _ in residues if res == 0)
-    if stratum_slots != dim_comp:
-        diagnostics.append(
-            f"{context}: chart {chart.label} sees {stratum_slots} stratum "
-            f"directions, component has dimension {dim_comp}")
-        return None
     transverse = sorted(((res, w) for res, w in residues if res != 0),
                         key=lambda p: (p[1], p[0]))
     for delta in degrees:
@@ -423,8 +417,7 @@ def singularity_analysis(model, spec):
 
             types = set()
             for ch in comp_charts:
-                ty = _transverse_type(ch, r, degrees, dim_comp,
-                                      diagnostics, comp_context)
+                ty = _transverse_type(ch, r, degrees, diagnostics, comp_context)
                 if ty is not None:
                     types.add(ty)
             if len(types) != 1:

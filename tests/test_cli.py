@@ -269,6 +269,12 @@ def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
      "weights must be an integer"),
     ({"kind": "can3", "pg": float("-inf"), "K3": "21"}, "-Infinity is not a number"),
     ({"kind": "can3", "pg": 7, "K3": float("nan")}, "NaN is not a number"),
+    # a boolean is not read as 1 or 0
+    ({"kind": "can3", "pg": 7, "K3": True, "half_points": 2}, "K3 must be a number, not a boolean"),
+    ({"kind": "cy3", "A3": False, "Ac2": "1"}, "A3 must be a number, not a boolean"),
+    ({"kind": "cy3", "A3": "1", "Ac2": True}, "Ac2 must be a number, not a boolean"),
+    ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 2, "c": [0, True]}]},
+     "c must be a number, not a boolean"),
 ])
 def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     rr = tmp_path / "rr.json"
@@ -390,6 +396,17 @@ def test_oracle_budget_refusal_exits_2(capsys, json_flag):
      "--point 'abc' is not of the form r:c0,...,c(r-1)"),
     (("section", "--model", "{model}", "--cut", "a,b"),
      "--cut 'a,b' is not a list of integer degrees"),
+    # a point of order below 2 is no quotient point, with or without values
+    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "0"),
+     "--point '0' has order 0; a quotient point needs r >= 2"),
+    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point=-2"),
+     "--point '-2' has order -2; a quotient point needs r >= 2"),
+    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "1"),
+     "--point '1' has order 1; a quotient point needs r >= 2"),
+    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "1:0"),
+     "--point '1:0' has order 1; a quotient point needs r >= 2"),
+    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "5:0,0,1"),
+     "--point '5:0,0,1': need exactly r = 5 values, got 3"),
 ])
 def test_argument_errors_name_the_argument(tmp_path, capsys, argv, message):
     model = tmp_path / "m.json"

@@ -1,11 +1,14 @@
 """Recognition of ambient models from target Hilbert data."""
 
+import ast
+import dataclasses
 import itertools
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -232,8 +235,8 @@ def full_table(family, max_w2, max_u):
 
 def linear_scan(family, max_w2, max_u, n_target, formal=False):
     """Oracle for ``matcher._lookup``: the whole table, no slicing, no filter."""
-    for fam, w, num, cw in full_table(family, max_w2, max_u):
-        yield SimpleNamespace(family=fam, weights=w), HilbertSeries(num, cw)
+    for _, w, num, cw in full_table(family, max_w2, max_u):
+        yield w, HilbertSeries(num, cw)
 
 
 def by_linear_scan(fn, *args, **kwargs):
@@ -385,15 +388,13 @@ def test_numerator_terms_and_index_value_at_2_match_the_previous_assembly(w):
     assert all(isinstance(c, int) and c for c in terms.values())
     expected = numerator_by_closure(w)
     assert LaurentPoly(terms) == expected == w.hilbert_series().numerator
-    entry = matcher._Entry(w, w.top_exponent())
-    assert entry.numerator_at2() == expected(2) == entry.at2
+    assert matcher._numerator_at2(w, w.top_exponent()) == expected(2)
 
 
 def test_index_entry_without_numerator_has_value_0():
     def invalid():
         raise ValueError("numerator has negative exponents: invalid weights")
-    entry = matcher._Entry(SimpleNamespace(numerator_terms=invalid), 4)
-    assert entry.numerator_at2() == 0
+    assert matcher._numerator_at2(SimpleNamespace(numerator_terms=invalid), 4) == 0
 
 
 def test_zero_target_has_no_candidates():
@@ -411,7 +412,7 @@ def test_a_target_that_is_not_an_integer_polynomial_reaches_no_model():
     halves = integral + LaurentPoly({1: Fraction(1, 2)})
     negative = integral + LaurentPoly({-1: 1})
     filtered = list(matcher._lookup(None, 4, 2, integral, formal=True))
-    assert GrWeights((1, 1, 1, 1, 1)) in [e.weights for e, _ in filtered]
+    assert GrWeights((1, 1, 1, 1, 1)) in [w for w, _ in filtered]
     assert all(integral(2) % series.numerator(2) == 0 for _, series in filtered)
     for target in (halves, negative):
         assert list(matcher._lookup(None, 4, 2, target, formal=True)) == []
@@ -466,8 +467,7 @@ def test_lazy_index_agrees_with_the_full_table(draws, family, bounds):
         if k:
             series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
         n_target = series.numerator
-        looked_up = Counter(e.weights for e, _ in matcher._lookup(family, *bounds, n_target,
-                                                                  formal))
+        looked_up = Counter(w for w, _ in matcher._lookup(family, *bounds, n_target, formal))
         assert looked_up == scan_order(family, *bounds, n_target, formal)
         # a half-integral coefficient reaches no model
         halves = n_target + LaurentPoly({1: Fraction(1, 2)})
@@ -552,7 +552,7 @@ def reference_search(query):
     else:
         n_target = query.target.numerator
     results = {}
-    for entry, series in matcher._lookup(query.family, query.max_w2, query.max_u, n_target):
+    for w, series in matcher._lookup(query.family, query.max_w2, query.max_u, n_target):
         if series.numerator != n_target:
             continue
         cone = ()
@@ -563,13 +563,13 @@ def reference_search(query):
             if set(extra) - {1} or ccount - gcount:
                 continue
             cone = (1,) * extra[1]
-        model = AmbientModel(entry.weights, cone)
+        model = AmbientModel(w, cone)
         if (query.canonical_degree is not None
                 and model.canonical_degree() != query.canonical_degree):
             continue
         if query.basket and not singularity_filter(model, query.basket)[0]:
             continue
-        results[matcher._canonical_key(entry.weights) + (cone,)] = model
+        results[matcher._canonical_key(w) + (cone,)] = model
     return [results[k] for k in sorted(results)]
 
 
@@ -662,6 +662,73 @@ def test_enumerated_models_have_distinct_canonical_keys():
     # dedup by canonical key then keeps the same model whichever one a scan meets first
     keys = [matcher._canonical_key(w) for _, w in DEFAULT_MODELS]
     assert len(keys) == len(set(keys)) > 0
+
+
+# -- a verdict is fixed when its candidate is made ---------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_MODELS), st.sampled_from((None, 1, 2)), st.sampled_from(BASKETS))
+def test_each_verdict_is_the_filter_and_status_of_its_candidate(model, k, basket):
+    # accepted iff the singularity filter passes and the match is quasilinear;
+    # otherwise the reason is the filter's, or the status
+    _, w = model
+    series = model_series(w)
+    if k:
+        series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
+    report = match_pipeline(series, basket=basket, augment_bound=2,
+                            user_generators=[series.denominator], **SMALL)
+    assert report.candidates
+    for cand in report.candidates:
+        ok, reason = singularity_filter(cand.model, basket)
+        assert cand.accepted == (ok and cand.status == "quasilinear")
+        if not ok:
+            assert cand.reason == reason
+        else:
+            assert cand.reason == (None if cand.accepted else cand.status)
+
+
+VERDICT = ("accepted", "reason")
+
+
+def verdict_assignments(source):
+    """``line: code`` for each statement that assigns to an ``accepted`` or
+    ``reason`` attribute, or sets one by name with ``setattr``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = node.args[1] if len(node.args) > 1 else None
+            found = (ast.unparse(node.func) in ("setattr", "object.__setattr__")
+                     and isinstance(name, ast.Constant) and name.value in VERDICT)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = any(isinstance(sub, ast.Attribute) and sub.attr in VERDICT
+                        for target in targets for sub in ast.walk(target))
+        else:
+            continue
+        if found:
+            hits.append((node.lineno, ast.unparse(node).splitlines()[0]))
+    return [f"{line}: {code}" for line, code in sorted(hits)]
+
+
+def test_the_verdict_scan_sees_each_assignment():
+    source = ("c.accepted = False\n"
+              "x, c.reason = 1, None\n"
+              "c.accepted |= True\n"
+              "c.reason: str = 'late'\n"
+              "for c.reason in reasons: pass\n"
+              "setattr(c, 'accepted', True)\n"
+              "object.__setattr__(c, 'reason', None)\n"
+              "accepted, reason = True, None\n"
+              "c.status = 'quasilinear'\n"
+              "setattr(c, 'status', 'quasilinear')\n")
+    assert [hit.split(":")[0] for hit in verdict_assignments(source)] == [
+        "1", "2", "3", "4", "5", "6", "7"]
+
+
+def test_no_verdict_is_assigned_after_its_candidate_is_made():
+    assert verdict_assignments(Path(matcher.__file__).read_text()) == []
+    defaults = {f.name: f.default for f in dataclasses.fields(matcher.MatchCandidate)}
+    assert all(defaults[name] is dataclasses.MISSING for name in ("status",) + VERDICT)
 
 
 # -- incremental generator inference against the re-expanding loop it replaced --

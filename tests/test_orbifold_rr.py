@@ -100,8 +100,10 @@ def test_periodicity_of_cy_contributions():
 def test_periodic_table_validation():
     with pytest.raises(ValueError, match="c\\(0\\)"):
         PeriodicTable(3, (1, 0, 0))
-    with pytest.raises(ValueError, match="r values"):
+    with pytest.raises(ValueError, match="need exactly r = 3 values, got 2"):
         PeriodicTable(3, (0, 0))
+    with pytest.raises(ValueError, match="order r must be positive, got 0"):
+        PeriodicTable(0, ())
     table = PeriodicTable(4, (0, Fraction(1, 2), 0, Fraction(-1, 2)))
     assert table.at(5) == Fraction(1, 2)
     assert table.at(8) == 0
