@@ -13,8 +13,8 @@ from importlib import import_module
 _EXPORTS = {
     "matcher": ("MatchQuery", "infer_generators", "match_pipeline", "search",
                 "singularity_filter"),
-    "orbifold_rr": ("CY3Data", "Canonical3Data", "PeriodicTable", "hilbert_can3",
-                    "hilbert_cy3", "plurigenus_can3", "plurigenus_cy3"),
+    "orbifold_rr": ("PeriodicTable", "RRData", "hilbert_can3", "hilbert_cy3",
+                    "hilbert_series", "local_term", "plurigenus"),
     "sections": ("AmbientModel", "QuotientSingularity", "SectionSpec", "ambient_series",
                  "invariants", "quasilinear_embed", "rr_roundtrip", "section_canonical",
                  "section_series", "singularity_analysis"),

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import fixtures as fixture_mod
 from . import matcher as matcher_mod
 from .oracle import OracleBudgetError, graded_dimension
-from .orbifold_rr import CY3Data, Canonical3Data, PeriodicTable, hilbert_can3, hilbert_cy3, plurigenus_can3, plurigenus_cy3
+from .orbifold_rr import PeriodicTable, RRData, hilbert_can3, hilbert_cy3, local_term, plurigenus
 from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, integral,
                        invariants, quasilinear_embed, rr_roundtrip,
                        section_canonical, section_series, singularity_analysis)
@@ -173,16 +173,13 @@ def _parse_point(text):
 def cmd_rr(args):
     depth = args.expand if args.expand is not None else default_depth()
     if args.kind == "can3":
-        rr = Canonical3Data(pg=args.pg, kcubed=parse_fraction(args.k3),
-                            half_points=args.half)
+        rr = RRData.canonical3(args.pg, parse_fraction(args.k3), args.half)
         series = hilbert_can3(rr)
-        values = [plurigenus_can3(rr, n) for n in range(depth + 1)]
     else:
-        points = tuple(_parse_point(p) for p in args.point or ())
-        rr = CY3Data(acubed=parse_fraction(args.a3), ac2=parse_fraction(args.ac2),
-                     points=points)
+        rr = RRData.cy3(parse_fraction(args.a3), parse_fraction(args.ac2),
+                        tuple(map(_parse_point, args.point or ())))
         series = hilbert_cy3(rr)
-        values = [plurigenus_cy3(rr, n) for n in range(depth + 1)]
+    values = [plurigenus(rr, n) for n in range(depth + 1)]
     if series.expand(depth) != values:
         raise InternalError("closed form disagrees with the plurigenus formula")
     bad = [v for v in values if v.denominator != 1 or v < 0]
@@ -255,6 +252,27 @@ def _fraction_field(key, value):
     return parse_fraction(value)
 
 
+def _rr_point(index, entry):
+    """``(point, table)`` of ``points[index]`` in cy3 data, either one None: the point
+    from ``weights``, the table from ``c`` or else from ``local_term``, which ``c`` must equal."""
+    name, r = f"points[{index}]", integral("r", entry["r"])
+    if r < 2:
+        raise InputError(f"{name} has order {r}; a quotient point needs r >= 2")
+    try:
+        table = (PeriodicTable(r, tuple(_fraction_field("c", c) for c in entry["c"]))
+                 if "c" in entry else None)
+        if "weights" not in entry:
+            return None, table
+        weights = tuple(integral("weights", w) for w in entry["weights"])
+        point, term = QuotientSingularity(r, weights), local_term(r, weights)
+    except ValueError as exc:
+        raise InputError(f"{name}: {exc}") from None
+    if table is not None and table != term:
+        raise InputError(f"{name} {point}: c is ({', '.join(map(frac_str, table.values))}), "
+                         f"but its local term is ({', '.join(map(frac_str, term.values))})")
+    return point, term
+
+
 def cmd_match(args):
     depth = default_depth()
     data = read_json(args.rr)
@@ -263,23 +281,18 @@ def cmd_match(args):
     kind = data.get("kind")
     try:
         if kind == "can3":
-            rr = Canonical3Data(pg=integral("pg", data["pg"]),
-                                kcubed=_fraction_field("K3", data["K3"]),
-                                half_points=integral("half_points", data.get("half_points", 0)))
+            half = integral("half_points", data.get("half_points", 0))
+            rr = RRData.canonical3(integral("pg", data["pg"]),
+                                   _fraction_field("K3", data["K3"]), half)
             series = hilbert_can3(rr)
-            basket = (QuotientSingularity(2, (1, 1, 1)),) * rr.half_points
+            basket = (QuotientSingularity(2, (1, 1, 1)),) * half
         elif kind == "cy3":
-            points = data.get("points", ())
-            tables = tuple(PeriodicTable(integral("r", p["r"]),
-                                         tuple(_fraction_field("c", c) for c in p["c"]))
-                           for p in points if "c" in p)
-            rr = CY3Data(acubed=_fraction_field("A3", data["A3"]),
-                         ac2=_fraction_field("Ac2", data["Ac2"]),
-                         points=tables)
+            points = [_rr_point(i, p) for i, p in enumerate(data.get("points", ()))]
+            rr = RRData.cy3(_fraction_field("A3", data["A3"]),
+                            _fraction_field("Ac2", data["Ac2"]),
+                            tuple(table for _, table in points if table is not None))
             series = hilbert_cy3(rr)
-            basket = tuple(QuotientSingularity(integral("r", p["r"]),
-                                               tuple(integral("weights", w) for w in p["weights"]))
-                           for p in points if "weights" in p)
+            basket = tuple(point for point, _ in points if point is not None)
         else:
             raise InputError("rr data file must set kind to can3 or cy3")
     except KeyError as exc:

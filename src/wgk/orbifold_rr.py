@@ -1,39 +1,33 @@
-"""Orbifold Riemann-Roch Hilbert series for polarized 3-folds.
+"""Orbifold Riemann-Roch Hilbert series of polarized 3-folds with K = kA.
 
-Two flavours: plurigenera of regular canonical 3-folds whose basket consists
-of 1/2(1,1,1) points, and Hilbert series of polarized Calabi-Yau 3-folds whose
-local contributions are periodic tables, supplied or computed exactly by
-``local_term`` for any isolated cyclic point (Reid, Young person's guide to
-canonical singularities, 1987; Buckley-Reid-Zhou, Ice cream and orbifold
-Riemann-Roch, 2013).
+For a polarized 3-fold with K = kA (k <= 1) and isolated cyclic quotient
+points Q, P(n) = h^0(nA) is, for n > max(k, 0),
 
-The per-point 1/2(1,1,1) contribution is floor(n/2)/4 with generating function
-(1/4) t^2 / ((1-t)(1-t^2)); the closed form carries the number of such points
-as a multiplicity factor, which is what reproduces the plurigenus values.
+    P(n) = A^3 n^3/6 - k A^3 n^2/4 + (k^2 A^3 + A.c2) n/12 + chi(O) + sum_Q c_Q(n),
+
+with P(0) = 1, and P(1) = p_g = 1 - chi when k = 1 (Reid, Young person's
+guide to canonical singularities, 1987; Buckley-Reid-Zhou, Ice cream and
+orbifold Riemann-Roch, 2013).  c_Q is the periodic Kawasaki/Reid term of Q
+less its value at 0, computed exactly by ``local_term``.  ``RRData`` holds k,
+A^3, chi, A.c2 and one term per point; ``plurigenus`` gives P(n) and
+``hilbert_series`` its generating function, which the CLI and the round trip
+call by the names ``hilbert_can3`` and ``hilbert_cy3``.  The two kinds that
+the CLI reads are data:
+
+* ``RRData.canonical3``: k = 1, a canonical 3-fold *assumed regular*
+  (h^1(O) = h^2(O) = 0), so chi = 1 - p_g, with h points 1/2(1,1,1):
+  K.c2 = -24 chi + (3/2) h, and one 2-periodic table scaled by h.  Per point,
+  n/8 from K.c2 and the term ((-1)^n - 1)/16 make floor(n/2)/4.
+* ``RRData.cy3``: k = 0 and chi = 0, with A.c2 given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .series import HilbertSeries, LaurentPoly, exact_div
-
-
-@dataclass(frozen=True)
-class Canonical3Data:
-    """Regular canonical 3-fold: geometric genus, K^3, and the number of
-    1/2(1,1,1) points.  Validity (integral non-negative plurigenera) is a
-    check, not a construction-time constraint."""
-    pg: int
-    kcubed: Fraction
-    half_points: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kcubed", Fraction(self.kcubed))
-        if self.pg < 0 or self.half_points < 0:
-            raise ValueError("pg and the point count must be non-negative")
+from .series import HilbertSeries, LaurentPoly, denominator_poly, exact_div
 
 
 @dataclass(frozen=True)
@@ -61,81 +55,82 @@ class PeriodicTable:
 
 
 @dataclass(frozen=True)
-class CY3Data:
-    """Polarized Calabi-Yau 3-fold: A^3, A.c2 and periodic point contributions."""
+class RRData:
+    """K = kA, A^3, chi(O), A.c2 and one periodic term per point.  Integral
+    non-negative plurigenera are a check, not a construction-time constraint."""
+    k: int
     acubed: Fraction
+    chi: Fraction
     ac2: Fraction
-    points: tuple = field(default_factory=tuple)
+    points: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "acubed", Fraction(self.acubed))
-        object.__setattr__(self, "ac2", Fraction(self.ac2))
+        for name in ("acubed", "chi", "ac2"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         object.__setattr__(self, "points", tuple(self.points))
-        if self.acubed <= 0:
+        if self.k > 1:
+            raise ValueError(f"K = {self.k}A: Riemann-Roch fixes every P(n) only for k <= 1")
+
+    @classmethod
+    def canonical3(cls, pg, kcubed, half_points=0):
+        """A regular canonical 3-fold with p_g, K^3 and h points 1/2(1,1,1)."""
+        if pg < 0 or half_points < 0:
+            raise ValueError("pg and the point count must be non-negative")
+        chi, half = 1 - pg, local_term(2, (1, 1, 1))
+        return cls(1, kcubed, chi, -24 * chi + Fraction(3 * half_points, 2),
+                   (PeriodicTable(2, [half_points * c for c in half.values]),))
+
+    @classmethod
+    def cy3(cls, acubed, ac2, points=()):
+        """A polarized Calabi-Yau 3-fold with A^3, A.c2 and periodic point terms."""
+        if Fraction(acubed) <= 0:
             raise ValueError("A^3 must be positive")
+        return cls(0, acubed, 0, ac2, points)
 
 
-def plurigenus_can3(data, n):
-    """1, pg, then n(n-1)(2n-1)/12 K^3 + (2n-1)(pg-1) + points*floor(n/2)/4."""
+def plurigenus(data, n):
+    """P(n): 1 at n = 0, p_g = 1 - chi at n = 1 when k = 1, else the formula."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(1)
-    if n == 1:
-        return Fraction(data.pg)
-    local = data.half_points * Fraction(n // 2, 4)
-    return (Fraction(n * (n - 1) * (2 * n - 1), 12) * data.kcubed
-            + (2 * n - 1) * (data.pg - 1) + local)
+    if n == 1 == data.k:
+        return 1 - data.chi
+    k = data.k
+    return (exact_div(data.acubed * n * (2 * n - k) * (n - k) + data.ac2 * n, 12)
+            + data.chi + sum(table.at(n) for table in data.points))
+
+
+def hilbert_series(data):
+    """The generating function of ``plurigenus``.  Less the tables, P(n) is a
+    cubic in n for n > max(k, 0) >= 0, so (1 - t)^4 times its series is a
+    polynomial of degree at most 5; each table adds its own series."""
+    values = [plurigenus(data, n) - sum(t.at(n) for t in data.points) for n in range(6)]
+    num = LaurentPoly(dict(enumerate(values))) * denominator_poly((1, 1, 1, 1))
+    polynomial = HilbertSeries(LaurentPoly((e, c) for e, c in num.items() if e < 6), (1, 1, 1, 1))
+    return sum((table.series() for table in data.points), polynomial.canonical())
 
 
 def hilbert_can3(data):
-    """Closed form whose expansion is plurigenus_can3 at every n."""
-    one = HilbertSeries(LaurentPoly.one())
-    t = HilbertSeries(LaurentPoly({1: 1}))
-    genus_term = HilbertSeries(LaurentPoly({1: 1, 2: 1}), (1, 1)).scale(data.pg - 1)
-    k_term = HilbertSeries(LaurentPoly({2: 1, 3: 1}), (1, 1, 1, 1)).scale(
-        exact_div(data.kcubed, 2))
-    half_term = HilbertSeries(LaurentPoly({2: 1}), (1, 2)).scale(
-        Fraction(data.half_points, 4))
-    return (one + t + genus_term + k_term + half_term).canonical()
-
-
-def plurigenus_cy3(data, n):
-    """(A^3/6) n^3 + (A.c2/12) n + periodic contributions; p_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    total = exact_div(data.acubed, 6) * n ** 3 + exact_div(data.ac2, 12) * n
-    for table in data.points:
-        total += table.at(n)
-    return total
+    return hilbert_series(data)
 
 
 def hilbert_cy3(data):
-    """Closed form whose expansion is plurigenus_cy3 at every n."""
-    one = HilbertSeries(LaurentPoly.one())
-    cubic = HilbertSeries(LaurentPoly({1: 1, 2: 4, 3: 1}), (1, 1, 1, 1)).scale(
-        exact_div(data.acubed, 6))
-    linear = HilbertSeries(LaurentPoly({1: 1}), (1, 1)).scale(exact_div(data.ac2, 12))
-    total = one + cubic + linear
-    for table in data.points:
-        total = total + table.series()
-    return total.canonical()
+    return hilbert_series(data)
 
 
 def local_term(r, weights):
-    """The periodic term of an isolated cyclic point 1/r(a_1,...,a_n).
+    """The periodic term of an isolated cyclic point 1/r(a_1,...,a_n), less its value at 0.
 
     c(m) = (1/r) sum over r-th roots eps != 1 of eps^-m / prod(1 - eps^a_i),
     computed in Q[x]/(x^r - 1): modulo the norm N = sum_j x^j, (1 - x)^-1 is
     sum_j (-j/r) x^j and (1 - x^a)^-1 is (1 + x^a + ... + x^(a(a'-1))) (1 - x)^-1
-    with a' = a^-1 mod r.  Their product g gives c(m) = g_m - (sum g)/r.
-    A point that is not isolated, or whose term does not vanish at 0, is refused.
+    with a' = a^-1 mod r.  Their product g gives c(m) = g_m - (sum g)/r, and
+    the table holds c(m) - c(0) = (g_m - g_0)/r^n.  A point that is not
+    isolated is refused.
     """
-    point = f"1/{r}({','.join(map(str, weights))})"
     if r < 1 or any(gcd(a, r) != 1 for a in weights):
-        raise ValueError(f"{point} is not an isolated cyclic point")
+        raise ValueError(f"1/{r}({','.join(map(str, weights))}) is not an isolated cyclic point")
     g = [1] + [0] * (r - 1)             # r^k times the product of k factors
     for a in weights:
         factor = [0] * r                # r (1 - x^a)^-1; factor[m - i] wraps below 0
@@ -143,8 +138,4 @@ def local_term(r, weights):
             for j in range(1, r):
                 factor[(a * k + j) % r] -= j
         g = [sum(g[i] * factor[m - i] for i in range(r)) for m in range(r)]
-    total = sum(g)
-    values = [Fraction(r * v - total, r ** (len(weights) + 1)) for v in g]
-    if values[0] != 0:
-        raise ValueError(f"{point} has local term {values[0]} at 0, not 0")
-    return PeriodicTable(r, values)
+    return PeriodicTable(r, [Fraction(v - g[0], r ** len(weights)) for v in g])

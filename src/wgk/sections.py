@@ -472,37 +472,31 @@ def singularity_analysis(model, spec):
 def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
     """Fit Riemann-Roch data from a 3-fold section and reassemble its series.
 
-    Exact rational-function equality is required; any mismatch reports the
-    first differing coefficient.
+    The section's K = O(k) must be the kind's: k = 1 for ``canonical3``
+    (assumed regular, chi = 1 - p_g), k = 0 for ``cy3`` (chi = 0).  A^3 and p_g
+    are read off the series, each basket point adds its ``local_term``, and
+    A.c2 is fitted from P(k + 1).  Exact rational-function equality is
+    required; a mismatch reports the first differing coefficient.
     """
-    from .orbifold_rr import CY3Data, Canonical3Data, hilbert_can3, hilbert_cy3, local_term
+    from . import orbifold_rr as rr
     spec = _as_spec(spec)
+    k = {"canonical3": 1, "cy3": 0}.get(kind)
+    if k is None:
+        raise ValueError("kind must be 'canonical3' or 'cy3'")
     if model.dim - len(spec) != 3:
         raise ValueError("round trip needs a 3-dimensional section")
+    canonical = section_canonical(model, spec)
+    if canonical != k:
+        raise ValueError(f"a {kind} round trip needs K = O({k}); "
+                         f"this section has K = O({canonical})")
     series = section_series(model, spec, depth)
     report = singularity_analysis(model, spec)
-    basket = [(s.key(), n) for s, n in report.basket]
-
-    if kind == "canonical3":
-        for (key, n) in basket:
-            if key != (2, (1, 1, 1)):
-                raise ValueError(f"canonical 3-fold round trip expects only "
-                                 f"1/2(1,1,1) points, found 1/{key[0]}{key[1]}")
-        n_half = sum(n for _, n in basket)
-        data = Canonical3Data(pg=int(series.coefficient(1)),
-                              kcubed=series.intersection_number(3),
-                              half_points=n_half)
-        rebuilt = hilbert_can3(data)
-    elif kind == "cy3":
-        tables = tuple(local_term(*key) for key, n in basket for _ in range(n))
-        acubed = series.intersection_number(3)
-        p1 = series.coefficient(1)
-        c1 = sum(t.at(1) for t in tables)
-        ac2 = 12 * (p1 - exact_div(acubed, 6) - c1)
-        data = CY3Data(acubed=acubed, ac2=ac2, points=tables)
-        rebuilt = hilbert_cy3(data)
-    else:
-        raise ValueError("kind must be 'canonical3' or 'cy3'")
+    chi = 1 - series.coefficient(1) if k == 1 else 0
+    tables = tuple(rr.local_term(*s.key()) for s, n in report.basket for _ in range(n))
+    trial = rr.RRData(k, series.intersection_number(3), chi, 0, tables)
+    ac2 = exact_div(12 * (series.coefficient(k + 1) - rr.plurigenus(trial, k + 1)), k + 1)
+    data = rr.RRData(k, trial.acubed, chi, ac2, tables)
+    rebuilt = (rr.hilbert_can3 if k == 1 else rr.hilbert_cy3)(data)
 
     ok = rebuilt.series_equal(series)
     pairs = () if ok else zip(series.expand(4 * depth), rebuilt.expand(4 * depth))

@@ -10,8 +10,7 @@ from fractions import Fraction
 
 from wgk.matcher import match_pipeline
 from wgk.oracle import graded_dimension
-from wgk.orbifold_rr import (CY3Data, Canonical3Data, hilbert_can3, hilbert_cy3,
-                             local_term)
+from wgk.orbifold_rr import RRData, hilbert_can3, hilbert_cy3, local_term
 from wgk.sections import (AmbientModel, QuotientSingularity, invariants,
                           rr_roundtrip, section_canonical, section_series,
                           singularity_analysis)
@@ -68,13 +67,13 @@ def test_criterion_3_degree_section_cross_checks():
 
 
 def test_criterion_4_orbifold_riemann_roch():
-    can3 = hilbert_can3(Canonical3Data(7, 21, 2))
+    can3 = hilbert_can3(RRData.canonical3(7, 21, 2))
     assert [int(c) for c in can3.expand(8)] == [1, 7, 29, 83, 190, 370, 645,
                                                 1035, 1562]
     assert can3.hilbert_numerator((1, 1, 1, 2)) == LaurentPoly(
         {0: 1, 1: 4, 2: 10, 3: 12, 4: 10, 5: 4, 6: 1})
-    cy3 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5),
-                              (local_term(5, (3, 3, 4)),)))
+    cy3 = hilbert_cy3(RRData.cy3(Fraction(6, 5), Fraction(108, 5),
+                                 (local_term(5, (3, 3, 4)),)))
     assert [int(c) for c in cy3.expand(8)] == [1, 2, 5, 11, 20, 34, 54, 81, 117]
     closed = HilbertSeries(LaurentPoly(
         {0: 1, 1: -2, 2: 3, 3: -1, 4: -1, 5: 1, 6: 1, 7: -3, 8: 2, 9: -1}),
@@ -84,7 +83,7 @@ def test_criterion_4_orbifold_riemann_roch():
 
 
 def test_criterion_5_recognition_end_to_end():
-    rr1 = hilbert_can3(Canonical3Data(7, 21, 2))
+    rr1 = hilbert_can3(RRData.canonical3(7, 21, 2))
     rep1 = match_pipeline(rr1, basket=(QuotientSingularity(2, (1, 1, 1)),) * 2)
     accepted = rep1.accepted()
     assert len(accepted) == 1
@@ -93,8 +92,8 @@ def test_criterion_5_recognition_end_to_end():
     assert model.base.canonical_form() == EX1.canonical_form()
     assert model.base.hilbert_series().numerator == EX1_NUMERATOR
 
-    rr2 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5),
-                              (local_term(5, (3, 3, 4)),)))
+    rr2 = hilbert_cy3(RRData.cy3(Fraction(6, 5), Fraction(108, 5),
+                                 (local_term(5, (3, 3, 4)),)))
     rep2 = match_pipeline(rr2, basket=(QuotientSingularity(3, (1, 1, 1)),
                                        QuotientSingularity(3, (2, 2, 2)),
                                        QuotientSingularity(5, (3, 3, 4))))

@@ -1,10 +1,11 @@
 """Command-line behaviour, exit codes and JSON determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from wgk import cli, matcher
+from wgk import cli, matcher, orbifold_rr
 from wgk import wgrass25, wogr510
 from wgk.series import HilbertSeries, LaurentPoly
 
@@ -163,16 +164,39 @@ def test_section_roundtrip_refuses_a_point_that_is_not_isolated(tmp_path, capsys
 
 
 @pytest.mark.parametrize("as_json", [False, True])
-def test_failed_roundtrip_prints_fractions_and_exits_3(tmp_path, capsys, as_json):
+def test_failed_roundtrip_prints_fractions_and_exits_3(tmp_path, capsys, monkeypatch, as_json):
+    # a rebuilt series that is off by t^2/2: the section has P(2) = 29
+    honest = orbifold_rr.hilbert_can3
+    monkeypatch.setattr(orbifold_rr, "hilbert_can3",
+                        lambda data: honest(data) + HilbertSeries(LaurentPoly({2: Fraction(1, 2)})))
     model = tmp_path / "m.json"
-    model.write_text(json.dumps({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}))
-    argv = ["section", "--model", str(model), "--cut", "2,2,2", "--roundtrip", "canonical3"]
+    model.write_text(json.dumps({"family": "wogr510", "w2": [0, 0, 0, 0, 2], "u2": 2}))
+    argv = ["section", "--model", str(model), "--cut", "1,2,2,2,2,2,2", "--roundtrip", "canonical3"]
     code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
     assert code == 3 and err == ""
     if as_json:
-        assert json.loads(out)["roundtrip"] == {"ok": False, "first_mismatch": ["2", "21", "37/2"]}
+        assert json.loads(out)["roundtrip"] == {"ok": False, "first_mismatch": ["2", "29", "59/2"]}
     else:
-        assert out == "round trip FAILED at (2, 21, 37/2)\n"
+        assert out == "round trip FAILED at (2, 29, 59/2)\n"
+
+
+@pytest.mark.parametrize("model_json, cut, kind, message", [
+    ({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}, "2,2,2", "canonical3",
+     "a canonical3 round trip needs K = O(1); this section has K = O(-1)"),
+    ({"family": "wogr510", "w2": [0, 0, 0, 0, 2], "u2": 2}, "1,2,2,2,2,2,2", "cy3",
+     "a cy3 round trip needs K = O(0); this section has K = O(1)"),
+    ({"family": "wogr510", "w2": [0, 0, 2, 2, 4], "u2": 2}, "2,2,3,4,4,4,5", "canonical3",
+     "a canonical3 round trip needs K = O(1); this section has K = O(0)"),
+])
+def test_a_roundtrip_kind_that_does_not_fit_the_section_exits_2(tmp_path, capsys, model_json,
+                                                                cut, kind, message):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(model_json))
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "section", "--model", str(model), "--cut", cut,
+                             "--roundtrip", kind, *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_match_command(tmp_path, capsys):
@@ -197,6 +221,41 @@ def test_match_can3(tmp_path, capsys):
     code, out, _ = run(capsys, "match", "--rr", str(rr))
     assert code == 0
     assert "accepted: wOGr(5,10; w=(0,0,0,0,1), u=1)" in out
+
+
+CY3_POINTS = [{"r": 5, "weights": [3, 3, 4], "c": ["0", "0", "-1/5", "1/5", "0"]},
+              {"r": 3, "weights": [1, 1, 1]}, {"r": 3, "weights": [2, 2, 2]}]
+
+
+def test_match_takes_a_missing_c_from_the_local_term(tmp_path, capsys):
+    outputs = []
+    for fifth in (CY3_POINTS[0], {"r": 5, "weights": [3, 3, 4]}):
+        rr = tmp_path / "cy3.json"
+        rr.write_text(json.dumps({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
+                                  "points": [fifth] + CY3_POINTS[1:]}))
+        code, out, err = run(capsys, "match", "--rr", str(rr), "--json")
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])["report"]["candidates"][0]["accepted"] is True
+
+
+@pytest.mark.parametrize("point, message", [
+    ({"r": 5, "weights": [3, 3, 4], "c": ["0", "0", "1/5", "-1/5", "0"]},
+     "points[0] 1/5(3,3,4): c is (0, 0, 1/5, -1/5, 0), but its local term is "
+     "(0, 0, -1/5, 1/5, 0)"),
+    ({"r": 1, "c": [0], "weights": [0, 0, 0]},
+     "points[0] has order 1; a quotient point needs r >= 2"),
+    ({"r": 0, "weights": []}, "points[0] has order 0; a quotient point needs r >= 2"),
+    ({"r": 4, "weights": [1, 2, 1]}, "points[0]: 1/4(1,2,1) is not an isolated cyclic point"),
+    ({"r": 5, "c": ["0", "0", "1"]}, "points[0]: need exactly r = 5 values, got 3"),
+])
+def test_match_refuses_a_point_by_name(tmp_path, capsys, point, message):
+    rr = tmp_path / "cy3.json"
+    rr.write_text(json.dumps({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [point]}))
+    code, out, err = run(capsys, "match", "--rr", str(rr))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_match_on_a_target_that_is_not_an_integer_polynomial_builds_no_model(
@@ -372,8 +431,8 @@ def test_depth_env_malformed(capsys, monkeypatch):
 
 
 def test_rr_disagreement_is_an_internal_error(capsys, monkeypatch):
-    honest = cli.plurigenus_can3
-    monkeypatch.setattr(cli, "plurigenus_can3", lambda data, n: honest(data, n) + 1)
+    honest = cli.plurigenus
+    monkeypatch.setattr(cli, "plurigenus", lambda data, n: honest(data, n) + 1)
     for extra in ((), ("--json",)):
         code, out, err = run(capsys, "rr", "can3", "--pg", "7", "--k3", "21", *extra)
         assert code == 3 and out == ""

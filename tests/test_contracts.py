@@ -26,13 +26,12 @@ WOGR510_NAMES = (
 )
 
 PACKAGE_NAMES = (
-    "AmbientModel", "CY3Data", "Canonical3Data", "Chart", "GrNumerology",
-    "GrWeights", "HilbertSeries", "LaurentPoly", "MatchQuery", "OGrWeights",
-    "PeriodicTable", "QuotientSingularity", "SectionSpec", "ambient_series",
-    "binom3", "equations", "first_syzygies", "fit_pfaffian_weights", "hilbert_can3",
-    "hilbert_cy3", "infer_generators", "invariants", "match_pipeline", "membership",
-    "parametrize", "pfaffian_equations", "plurigenus_can3", "plurigenus_cy3",
-    "quasilinear_embed", "rr_roundtrip", "search", "section_canonical",
+    "AmbientModel", "Chart", "GrNumerology", "GrWeights", "HilbertSeries",
+    "LaurentPoly", "MatchQuery", "OGrWeights", "PeriodicTable", "QuotientSingularity",
+    "RRData", "SectionSpec", "ambient_series", "binom3", "equations", "first_syzygies",
+    "fit_pfaffian_weights", "hilbert_can3", "hilbert_cy3", "hilbert_series",
+    "infer_generators", "invariants", "local_term", "match_pipeline", "membership",
+    "parametrize", "pfaffian_equations", "plurigenus", "quasilinear_embed", "rr_roundtrip", "search", "section_canonical",
     "section_series", "singularity_analysis", "singularity_filter",
     "spinor_graph", "verify_gr_identities", "verify_ogr_syzygies",
     "verify_parametrization", "wd5_elements",

@@ -19,15 +19,15 @@ from wgk import matcher
 from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          enumerate_ogr_weights, infer_generators,
                          match_pipeline, search, singularity_filter)
-from wgk.orbifold_rr import CY3Data, Canonical3Data, hilbert_can3, hilbert_cy3, local_term
+from wgk.orbifold_rr import RRData, hilbert_can3, hilbert_cy3, local_term
 from wgk.sections import AmbientModel, QuotientSingularity
 from wgk.series import HilbertSeries, LaurentPoly, SeriesError, geometric, one_minus
 from wgk.wgrass25 import GrWeights
 from wgk.wogr510 import VERTICES, OGrWeights
 
-H_CAN3 = hilbert_can3(Canonical3Data(7, 21, 2))
-H_CY3 = hilbert_cy3(CY3Data(Fraction(6, 5), Fraction(108, 5),
-                            (local_term(5, (3, 3, 4)),)))
+H_CAN3 = hilbert_can3(RRData.canonical3(7, 21, 2))
+H_CY3 = hilbert_cy3(RRData.cy3(Fraction(6, 5), Fraction(108, 5),
+                                (local_term(5, (3, 3, 4)),)))
 BASKET_CAN3 = (QuotientSingularity(2, (1, 1, 1)),) * 2
 BASKET_CY3 = (QuotientSingularity(3, (1, 1, 1)), QuotientSingularity(3, (2, 2, 2)),
               QuotientSingularity(5, (3, 3, 4)))

@@ -208,7 +208,9 @@ def test_rr_roundtrip_canonical3():
     result = rr_roundtrip(CAN3, (1, 2, 2, 2, 2, 2, 2), "canonical3")
     assert result["ok"] and result["first_mismatch"] is None
     data = result["data"]
-    assert (data.pg, data.kcubed, data.half_points) == (7, 21, 2)
+    # p_g = 1 - chi = 7, K^3 = 21, and K.c2 = -24 chi + (3/2) * 2 points
+    assert (1 - data.chi, data.acubed, data.ac2) == (7, 21, 147)
+    assert len(data.points) == 2
 
 
 def test_rr_roundtrip_cy3():
@@ -258,7 +260,7 @@ def test_rr_roundtrip_straight_sections_with_empty_basket():
     assert result["data"].acubed == 15
     ogr = AmbientModel(OGrWeights((0, 0, 0, 0, 0), 1))
     result = rr_roundtrip(ogr, (1, 1, 1, 1, 1, 2, 2), "canonical3")
-    assert result["ok"] and result["data"].half_points == 0
+    assert result["ok"] and result["basket"] == [] and result["data"].points == ()
 
 
 def test_rr_roundtrip_needs_threefold():
