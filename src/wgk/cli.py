@@ -264,6 +264,8 @@ def _rr_point(index, entry):
         if "weights" not in entry:
             return None, table
         weights = tuple(integral("weights", w) for w in entry["weights"])
+        if len(weights) != 3:
+            raise ValueError(f"a 3-fold point needs 3 weights, got {len(weights)}")
         point, term = QuotientSingularity(r, weights), local_term(r, weights)
     except ValueError as exc:
         raise InputError(f"{name}: {exc}") from None

@@ -8,14 +8,13 @@ Magma database names of the K3 families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity,
                        quasilinear_embed, rr_roundtrip, section_canonical,
                        section_series, singularity_analysis)
 from .matcher import singularity_filter
-from .series import LaurentPoly
+from .series import LaurentPoly, Record
 
 SCHEMA = "wgk.fixtures/1"
 
@@ -26,13 +25,12 @@ def V(value, provenance):
     return {"value": value, "provenance": provenance}
 
 
-@dataclass(frozen=True)
-class FixtureRecord:
-    name: str
-    model: dict
-    cut: tuple = ()
-    label: str = None
-    expected: dict = field(default_factory=dict)
+class FixtureRecord(Record):
+    _fields = ("name", "model", "cut", "label", "expected")
+
+    def __init__(self, name, model, cut=(), label=None, expected=None):
+        self.__dict__.update(name=name, model=model, cut=cut, label=label,
+                             expected={} if expected is None else expected)
 
 
 FIXTURES = (

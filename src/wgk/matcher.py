@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel, SectionSpec
-from .series import HilbertSeries, LaurentPoly, SeriesError, one_minus
+from .series import HilbertSeries, LaurentPoly, Record, SeriesError, one_minus
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
 
@@ -35,8 +34,7 @@ def fmt_multiset(weights):
     return "{" + ",".join(parts) + "}"
 
 
-@dataclass(frozen=True)
-class MatchQuery:
+class MatchQuery(Record):
     """Target Hilbert data plus search bounds and requirements.
 
     When ``target`` has an empty denominator it is taken to be the numerator
@@ -44,17 +42,15 @@ class MatchQuery:
     Generator degrees, when given, constrain the ambient coordinate weights
     (up to coning by unmatched degree-1 generators).
     """
-    target: HilbertSeries
-    generator_degrees: tuple = None
-    family: str = None
-    max_w2: int = DEFAULT_MAX_W2
-    max_u: int = DEFAULT_MAX_U
-    basket: tuple = field(default_factory=tuple)
-    canonical_degree: int = None
-    depth: int = DEFAULT_DEPTH
+    _fields = ("target", "generator_degrees", "family", "max_w2", "max_u", "basket",
+               "canonical_degree", "depth")
 
-    def __post_init__(self):
-        _check_bounds(self.family, self.max_w2, self.max_u)
+    def __init__(self, target, generator_degrees=None, family=None, max_w2=DEFAULT_MAX_W2,
+                 max_u=DEFAULT_MAX_U, basket=(), canonical_degree=None, depth=DEFAULT_DEPTH):
+        _check_bounds(family, max_w2, max_u)
+        self.__dict__.update(target=target, generator_degrees=generator_degrees, family=family,
+                             max_w2=max_w2, max_u=max_u, basket=basket,
+                             canonical_degree=canonical_degree, depth=depth)
 
 
 def _check_bounds(family, max_w2, max_u):
@@ -250,7 +246,7 @@ def _strip_section_factors(quotient):
 
 def _canonical_key(w):
     c = w.canonical_form()
-    return (w.family, *(getattr(c, f.name) for f in fields(c)))
+    return (w.family, *(getattr(c, name) for name in c._fields))
 
 
 def _quasilinear_sections(gens, coord_weights):
@@ -266,16 +262,18 @@ def _quasilinear_sections(gens, coord_weights):
     return None, None
 
 
-@dataclass
-class MatchCandidate:
-    model: AmbientModel
-    sections: tuple          # quasilinear section degrees, or None
-    nonlinear: tuple         # extra section degrees multiplying the numerator
-    generators: tuple        # generator multiset that produced the hit
-    provenance: str
-    status: str
-    accepted: bool           # fixed when the candidate is made
-    reason: str              # None when accepted
+class MatchCandidate(Record):
+    """A model with its quasilinear ``sections`` (or None), the ``nonlinear``
+    degrees multiplying its numerator and the ``generators`` that produced it;
+    ``accepted`` and ``reason`` (None when accepted) are fixed when it is made."""
+    _fields = ("model", "sections", "nonlinear", "generators", "provenance", "status",
+               "accepted", "reason")
+
+    def __init__(self, model, sections, nonlinear, generators, provenance, status,
+                 accepted, reason):
+        self.__dict__.update(model=model, sections=sections, nonlinear=nonlinear,
+                             generators=generators, provenance=provenance, status=status,
+                             accepted=accepted, reason=reason)
 
     def describe(self):
         s = str(self.model)
@@ -298,11 +296,13 @@ class MatchCandidate:
         }
 
 
-@dataclass
-class MatchReport:
-    candidates: list
-    generator_sets: list      # (provenance, gens, note)
-    diagnostics: list
+class MatchReport(Record):
+    """Ranked candidates, the (provenance, generators, note) sets tried, and notes."""
+    _fields = ("candidates", "generator_sets", "diagnostics")
+
+    def __init__(self, candidates, generator_sets, diagnostics):
+        self.__dict__.update(candidates=candidates, generator_sets=generator_sets,
+                             diagnostics=diagnostics)
 
     def accepted(self):
         return [c for c in self.candidates if c.accepted]

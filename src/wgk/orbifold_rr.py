@@ -23,28 +23,26 @@ the CLI reads are data:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .series import HilbertSeries, LaurentPoly, denominator_poly, exact_div
+from .series import HilbertSeries, LaurentPoly, Record, denominator_poly, exact_div
 
 
-@dataclass(frozen=True)
-class PeriodicTable:
+class PeriodicTable(Record):
     """Periodic local contribution c(n) = values[n mod r], with c(0) = 0."""
-    r: int
-    values: tuple
+    _fields = ("r", "values")
 
-    def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
-        if self.r < 1:
-            raise ValueError(f"order r must be positive, got {self.r}")
-        if len(values) != self.r:
-            raise ValueError(f"need exactly r = {self.r} values, got {len(values)}")
+    def __init__(self, r, values):
+        values = tuple(Fraction(v) for v in values)
+        if r < 1:
+            raise ValueError(f"order r must be positive, got {r}")
+        if len(values) != r:
+            raise ValueError(f"need exactly r = {r} values, got {len(values)}")
         if values[0] != 0:
             raise ValueError("c(0) must vanish")
-        object.__setattr__(self, "values", values)
+        d = self.__dict__
+        d["r"], d["values"] = r, values
 
     def at(self, n):
         return self.values[n % self.r]
@@ -54,22 +52,16 @@ class PeriodicTable:
         return HilbertSeries(LaurentPoly(dict(enumerate(self.values))), (self.r,))
 
 
-@dataclass(frozen=True)
-class RRData:
+class RRData(Record):
     """K = kA, A^3, chi(O), A.c2 and one periodic term per point.  Integral
     non-negative plurigenera are a check, not a construction-time constraint."""
-    k: int
-    acubed: Fraction
-    chi: Fraction
-    ac2: Fraction
-    points: tuple = ()
+    _fields = ("k", "acubed", "chi", "ac2", "points")
 
-    def __post_init__(self):
-        for name in ("acubed", "chi", "ac2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.k > 1:
-            raise ValueError(f"K = {self.k}A: Riemann-Roch fixes every P(n) only for k <= 1")
+    def __init__(self, k, acubed, chi, ac2, points=()):
+        self.__dict__.update(k=k, acubed=Fraction(acubed), chi=Fraction(chi),
+                             ac2=Fraction(ac2), points=tuple(points))
+        if k > 1:
+            raise ValueError(f"K = {k}A: Riemann-Roch fixes every P(n) only for k <= 1")
 
     @classmethod
     def canonical3(cls, pg, kcubed, half_points=0):

@@ -18,12 +18,11 @@ Groebner staircase of the stratum ideal (``GradedRing.hilbert_series``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
 from .oracle import GradedRing, OracleBudgetError
-from .series import exact_div, one_minus
+from .series import Record, exact_div, one_minus
 from .wgrass25 import Chart, GrWeights
 from .wogr510 import OGrWeights
 
@@ -42,28 +41,26 @@ def integral(key, value):
     raise ValueError(f"{key} must be an integer, not {value}")
 
 
-@dataclass(frozen=True)
-class QuotientSingularity:
+class QuotientSingularity(Record):
     """Cyclic quotient type 1/r(a_1,...,a_k), weights reduced mod r and sorted.
 
     A common factor of r and all weights is divided out (the action is then
     not effective); a weight sharing a factor g with r puts the point on a curve
     of 1/g points, so it is not isolated and is flagged by the analysis.
     """
-    r: int
-    weights: tuple
+    _fields = ("r", "weights")
 
-    def __post_init__(self):
-        r = int(self.r)
+    def __init__(self, r, weights):
+        r = int(r)
         if r < 1:
-            raise ValueError("order must be positive")
-        ws = tuple(int(w) % r for w in self.weights)
+            raise ValueError(f"order must be positive, found {r}")
+        ws = tuple(int(w) % r for w in weights)
         g = gcd(r, *ws) if ws else r
         if g > 1:
             r //= g
             ws = tuple(w // g for w in ws)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "weights", tuple(sorted(w % r for w in ws)))
+        d = self.__dict__
+        d["r"], d["weights"] = r, tuple(sorted(w % r for w in ws))
 
     def is_trivial(self):
         return self.r == 1
@@ -81,16 +78,16 @@ class QuotientSingularity:
         return {"r": self.r, "weights": list(self.weights)}
 
 
-@dataclass(frozen=True)
-class SectionSpec:
+class SectionSpec(Record):
     """Multiset of degrees of general hypersurface sections."""
-    degrees: tuple
+    _fields = ("degrees",)
 
-    def __post_init__(self):
-        ds = tuple(sorted(int(d) for d in self.degrees))
-        if any(d < 1 for d in ds):
-            raise ValueError("section degrees must be positive")
-        object.__setattr__(self, "degrees", ds)
+    def __init__(self, degrees):
+        ds = tuple(sorted(int(d) for d in degrees))
+        bad = [d for d in ds if d < 1]
+        if bad:
+            raise ValueError(f"section degrees must be positive, found {bad}")
+        self.__dict__["degrees"] = ds
 
     def __len__(self):
         return len(self.degrees)
@@ -102,21 +99,21 @@ class SectionSpec:
 FAMILIES = {cls.family: cls for cls in (GrWeights, OGrWeights)}
 
 
-@dataclass(frozen=True)
-class AmbientModel:
+class AmbientModel(Record):
     """A weighted family plus optional cone variables of given weights.
 
     The base weights answer the family questions, extended by the cone."""
-    base: object
-    cone: tuple = field(default_factory=tuple)
+    _fields = ("base", "cone")
 
-    def __post_init__(self):
-        if not isinstance(self.base, tuple(FAMILIES.values())):
+    def __init__(self, base, cone=()):
+        if not isinstance(base, tuple(FAMILIES.values())):
             raise TypeError("base must be GrWeights or OGrWeights")
-        cone = tuple(sorted(int(c) for c in self.cone))
-        if any(c < 1 for c in cone):
-            raise ValueError("cone weights must be positive")
-        object.__setattr__(self, "cone", cone)
+        cone = tuple(sorted(int(c) for c in cone))
+        bad = [c for c in cone if c < 1]
+        if bad:
+            raise ValueError(f"cone weights must be positive, found {bad}")
+        d = self.__dict__
+        d["base"], d["cone"] = base, cone
 
     @property
     def family(self):
@@ -246,22 +243,23 @@ def _as_spec(spec):
 
 # -- singularity analysis --------------------------------------------------------
 
-@dataclass
-class StratumRecord:
-    r: int
-    component: tuple
-    dimension: int
-    active: tuple
-    count: Fraction
-    sing_type: object    # QuotientSingularity or None
-    stop_degree: object  # last oracle slice proving the series; None if closed form
+class StratumRecord(Record):
+    """One stratum's component, its point count and type: ``sing_type`` is a
+    QuotientSingularity or None, ``stop_degree`` the last oracle slice proving
+    its series, None for a closed form."""
+    _fields = ("r", "component", "dimension", "active", "count", "sing_type", "stop_degree")
+
+    def __init__(self, r, component, dimension, active, count, sing_type, stop_degree):
+        self.__dict__.update(r=r, component=component, dimension=dimension, active=active,
+                             count=count, sing_type=sing_type, stop_degree=stop_degree)
 
 
-@dataclass
-class SingularityReport:
-    basket: list           # [(QuotientSingularity, count)]
-    diagnostics: list
-    strata: list           # StratumRecord details
+class SingularityReport(Record):
+    """``basket`` as [(QuotientSingularity, count)], diagnostics and StratumRecords."""
+    _fields = ("basket", "diagnostics", "strata")
+
+    def __init__(self, basket, diagnostics, strata):
+        self.__dict__.update(basket=basket, diagnostics=diagnostics, strata=strata)
 
     def to_json(self):
         return {
@@ -432,15 +430,19 @@ def singularity_analysis(model, spec):
     # Points with stabilizer mu_{r'} on a nested finer stratum enter the
     # level-r count with orbifold weight r/r'; correcting finest levels first
     # leaves each record with its exact-stabilizer count.
+    exact = {}
     for rec in sorted(records, key=lambda rec: -rec.r):
+        exact[id(rec)] = rec.count
         for other in records:
             if (other is not rec and other.r > rec.r
                     and other.r % rec.r == 0
                     and set(other.component) <= set(rec.component)):
-                rec.count -= Fraction(rec.r, other.r) * other.count
+                exact[id(rec)] -= Fraction(rec.r, other.r) * exact[id(other)]
                 diagnostics.append(
                     f"1/{rec.r} stratum [{' '.join(rec.component)}]: removed "
-                    f"the weight of {other.count} nested 1/{other.r} point(s)")
+                    f"the weight of {exact[id(other)]} nested 1/{other.r} point(s)")
+    records = [StratumRecord(rec.r, rec.component, rec.dimension, rec.active, exact[id(rec)],
+                             rec.sing_type, rec.stop_degree) for rec in records]
 
     basket = {}
     for rec in records:

@@ -7,11 +7,11 @@ exports their names and imports this module when one is first asked for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import MPoly
+from .series import Record
 from .wgrass25 import PAIRS, pair_name, pfaffian_equations, pfaffians_at
 from .wogr510 import EQUATION_NAMES, FULL, VERTEX_NAMES, VERTICES, canonical_vertex, equations
 
@@ -28,12 +28,13 @@ def _adjacent(a, b):
     return None
 
 
-@dataclass(frozen=True)
-class SpinorGraph:
-    """16 vertices, 40 edges in 5 parallel directions, two remote quads each."""
-    vertices: tuple
-    edges: tuple            # (direction, frozenset{v, w})
-    quads: dict             # direction -> (quad, quad), each a tuple of 4 edges
+class SpinorGraph(Record):
+    """16 vertices, 40 edges (direction, frozenset{v, w}) in 5 parallel
+    directions, and ``quads``: direction -> two remote quads of 4 edges each."""
+    _fields = ("vertices", "edges", "quads")
+
+    def __init__(self, vertices, edges, quads):
+        self.__dict__.update(vertices=vertices, edges=edges, quads=quads)
 
     def neighbours(self, v):
         v = canonical_vertex(v)

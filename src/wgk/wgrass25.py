@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
 from .polynomials import MPoly
-from .series import HilbertSeries, LaurentPoly, binom3, exact_div
+from .series import HilbertSeries, LaurentPoly, Record, binom3, exact_div
 
 PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6))
 
@@ -71,19 +70,20 @@ def pfaffians_at(matrix):
     return [p.evaluate(assign) for p in pfaffian_equations()]
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """Affine orbifold chart: label, cyclic group order, raw local weights.
 
     ``order`` equals the ambient weight of the labelling coordinate; the raw
     integer local weights are reduced mod ``order`` only at analysis time.
     """
-    label: str
-    order: int
-    local_weights: tuple
+    _fields = ("label", "order", "local_weights")
+
+    def __init__(self, label, order, local_weights):
+        d = self.__dict__
+        d["label"], d["order"], d["local_weights"] = label, order, local_weights
 
 
-class WeightFamily:
+class WeightFamily(Record):
     """A weighted family after Corti-Reid.  A family states ``family``, ``dim``,
     ``coordinates()`` as (name, weight) pairs, ``equations()``,
     ``resolution_degrees()`` (the banks of its Gorenstein resolution in order,
@@ -148,14 +148,14 @@ def sorted_w2(w2):
     return w2
 
 
-@dataclass(frozen=True)
-class GrNumerology:
-    d: Fraction
-    pfaffian_degrees: tuple
-    syzygy_degrees: tuple
+class GrNumerology(Record):
+    _fields = ("d", "pfaffian_degrees", "syzygy_degrees")
+
+    def __init__(self, d, pfaffian_degrees, syzygy_degrees):
+        self.__dict__.update(d=d, pfaffian_degrees=pfaffian_degrees,
+                             syzygy_degrees=syzygy_degrees)
 
 
-@dataclass(frozen=True)
 class GrWeights(WeightFamily):
     """Weight data (w_1..w_5; u) in the normal form u = 0, w half-integers.
 
@@ -163,15 +163,15 @@ class GrWeights(WeightFamily):
     weights share one parity and every pairwise sum is positive.
     """
 
-    w2: tuple
+    _fields = ("w2",)
     family = "wgr25"
     dim = 6
 
-    def __post_init__(self):
-        w2 = sorted_w2(self.w2)
+    def __init__(self, w2):
+        w2 = sorted_w2(w2)
         if w2[0] + w2[1] <= 0:
             raise ValueError("every pairwise weight sum must be positive")
-        object.__setattr__(self, "w2", w2)
+        self.__dict__["w2"] = w2
 
     @classmethod
     def of(cls, w2, u2=0):

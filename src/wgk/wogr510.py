@@ -14,7 +14,6 @@ the column v = (x_1..x_5).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -118,7 +117,6 @@ def verify_ogr_syzygies():
 
 # -- weight data ----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class OGrWeights(WeightFamily):
     """Weight data (w_1..w_5; u): doubled half-integer weights plus overall u.
 
@@ -126,17 +124,15 @@ class OGrWeights(WeightFamily):
     the numerator through t^{2d-u} and t^{2d+u} separately.
     """
 
-    w2: tuple
-    u: int
+    _fields = ("w2", "u")
     family = "wogr510"
     dim = 10
 
-    def __post_init__(self):
-        w2 = sorted_w2(self.w2)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "u", int(self.u))
+    def __init__(self, w2, u):
+        w2, u, d = sorted_w2(w2), int(u), self.__dict__
+        d["w2"], d["u"] = w2, u
         # the smallest of u, u + s - w_i and u + w_i + w_j
-        if self.u + min(0, sum(w2[:4]) // 2, (w2[0] + w2[1]) // 2) < 1:
+        if u + min(0, sum(w2[:4]) // 2, (w2[0] + w2[1]) // 2) < 1:
             bad = sorted(w for _, w in self.coordinates() if w < 1)
             raise ValueError(f"coordinate weights must be positive, found {bad}")
 

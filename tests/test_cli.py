@@ -249,6 +249,8 @@ def test_match_takes_a_missing_c_from_the_local_term(tmp_path, capsys):
     ({"r": 0, "weights": []}, "points[0] has order 0; a quotient point needs r >= 2"),
     ({"r": 4, "weights": [1, 2, 1]}, "points[0]: 1/4(1,2,1) is not an isolated cyclic point"),
     ({"r": 5, "c": ["0", "0", "1"]}, "points[0]: need exactly r = 5 values, got 3"),
+    ({"r": 5, "weights": [3, 3]}, "points[0]: a 3-fold point needs 3 weights, got 2"),
+    ({"r": 5, "weights": [3, 3, 4, 1]}, "points[0]: a 3-fold point needs 3 weights, got 4"),
 ])
 def test_match_refuses_a_point_by_name(tmp_path, capsys, point, message):
     rr = tmp_path / "cy3.json"

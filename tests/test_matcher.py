@@ -1,7 +1,7 @@
 """Recognition of ambient models from target Hilbert data."""
 
 import ast
-import dataclasses
+import inspect
 import itertools
 import random
 import re
@@ -483,10 +483,10 @@ def test_lazy_index_agrees_with_the_full_table(draws, family, bounds):
 def test_a_query_builds_no_model_beyond_its_top_exponent(monkeypatch):
     built = []
     for cls in (GrWeights, OGrWeights):
-        def recording(self, _original=cls.__post_init__):
-            _original(self)
+        def recording(self, *args, _original=cls.__init__):
+            _original(self, *args)
             built.append(self.top_exponent())
-        monkeypatch.setattr(cls, "__post_init__", recording)
+        monkeypatch.setattr(cls, "__init__", recording)
     matcher._model_index.cache_clear()
     target = HilbertSeries(LaurentPoly({0: 1, 2: -5, 3: 5, 5: -1}))
     hits = search(MatchQuery(target=target, max_w2=12, max_u=6))
@@ -727,8 +727,9 @@ def test_the_verdict_scan_sees_each_assignment():
 
 def test_no_verdict_is_assigned_after_its_candidate_is_made():
     assert verdict_assignments(Path(matcher.__file__).read_text()) == []
-    defaults = {f.name: f.default for f in dataclasses.fields(matcher.MatchCandidate)}
-    assert all(defaults[name] is dataclasses.MISSING for name in ("status",) + VERDICT)
+    defaults = {name: p.default for name, p
+                in inspect.signature(matcher.MatchCandidate).parameters.items()}
+    assert all(defaults[name] is inspect.Parameter.empty for name in ("status",) + VERDICT)
 
 
 # -- incremental generator inference against the re-expanding loop it replaced --
