@@ -8,21 +8,46 @@ removal, after Bareiss 1968), so results are exact; one row echelon form per
 degree is cached so that rank and membership queries share the elimination
 work.
 
-Rows known to lie in the span are skipped before any elimination (the F5
-syzygy criterion, Faugère 2002): m*f_j is dropped when m is a pivot of the
-degree d - deg f_j slice made by an earlier equation f_i, i < j.  Proof: that
-pivot row g = lc*m + sum_{n>m} c_n*n lies in (f_0..f_i), so g*f_j is in the
-span of earlier rows and m*f_j = (g*f_j - sum c_n*n*f_j)/lc; induct down on m.
+A column is a monomial packed into one integer: FIELD_BITS bits per
+exponent, the first variable's exponent highest.  While every exponent is at
+most FIELD_MASK, packing adds like the tuples and integer order is lex order
+of the exponent tuples; the largest exponent in degree d is d // min(weights),
+so ``check_budget`` refuses a degree where that exceeds FIELD_MASK.  A slice
+never lists its own monomials: the row m*f_j is {m + t: c for t, c in f_j}.
+
+A slice ranks the equations in order f_0, f_1, ...; for each f_j it walks the
+multipliers m of degree d - deg f_j in descending lex order and skips m*f_j
+only when it lies in the span of the rows met before it.  So the span of the
+stored rows is always that of all rows met; once f_j is done its pivots are
+in(f_0..f_j)_d, and the pivots and their ``source`` labels are those of
+inserting every row.  Two criteria skip rows before any elimination.
+(F5, the syzygy criterion of Faugère 2002.)  Skip m*f_j when m is a pivot of
+the degree d - deg f_j slice made by an earlier equation f_i, i < j.  That
+pivot row g = lc*m + sum_{n>m} c_n*n lies in (f_0..f_i), so g*f_j lies in the
+span of the multiples of f_0..f_{j-1}, all met before f_j; every n > m came
+earlier in the descending walk, so m*f_j = (g*f_j - sum c_n*n*f_j)/lc lies in
+the span met so far.  (Ascending order makes this hold only once the whole
+equation is done, which is too late for the next criterion.)
+(Zero reduction.)  Let Z_j(e) hold the multipliers m whose row m*f_j was
+skipped or reduced to zero in slice e, i.e. lay in the span P of the rows met
+before it: the multiples of f_0..f_{j-1} and the n*f_j with n > m.  For a
+monomial k, k*P is made of multiples of f_0..f_{j-1}, met before f_j in the
+higher slice, and rows k*n*f_j with k*n > k*m, met before k*m*f_j in the
+descending walk; so k*m*f_j lies in the span met so far and is skipped too.
+Z is passed up one variable at a time: slice d skips m*x_i whenever m is in
+Z_j(d - w_i) and that slice exists, which covers every multiple k*m whose
+intermediate slices exist.  On the straight Pluecker ring asked degrees 0..6
+in turn, every row that reaches the echelon enlarges it.
 
 The whole Hilbert series is read off the same pivots (``hilbert_series``).
-``weighted_monomials`` lists a degree in ascending lex order of exponent
-tuples and a stored row pivots on its smallest column, so the pivots of the
-degree-d slice are in(I)_d for the monomial order "weighted degree first, then
-the lex-smaller exponent tuple leads" (lex comparison is invariant under
-adding a tuple, so the order is multiplicative; positive weights make it a
-well-order).  Walk d = 0, 1, ... collecting the minimal pivot monomials G, and
-stop at the first d that is at least every equation degree and at least
-deg lcm(a, b) for every pair a, b in G.  Let g_a be a row of I with lead a.
+Columns compare in lex order of exponent tuples and a stored row pivots on
+its smallest column, so the pivots of the degree-d slice are in(I)_d for the
+monomial order "weighted degree first, then the lex-smaller exponent tuple
+leads" (lex comparison is invariant under adding a tuple, so the order is
+multiplicative; positive weights make it a well-order).  Walk d = 0, 1, ...
+collecting the minimal pivot monomials G, and stop at the first d that is at
+least every equation degree and at least deg lcm(a, b) for every pair a, b
+in G.  Let g_a be a row of I with lead a.
 (i) The g_a generate I: an element of I_e, e <= d, has its lead in in(I)_e,
 so a multiple of some a in G; subtracting a multiple of g_a lowers the lead,
 and every equation has degree <= d.  (ii) Each S-pair S(g_a, g_b) lies in I
@@ -40,12 +65,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, count
 from math import gcd, lcm, prod
-from operator import add
 
 from .series import HilbertSeries, LaurentPoly
 
 DEGREE_BUDGET = 200_000  # refuse degrees whose monomial count exceeds this
 ROW_BUDGET = 60_000      # likewise for the number of equation-multiple rows
+FIELD_BITS = 16          # bits per exponent in a packed monomial
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class OracleBudgetError(ValueError):
@@ -177,16 +203,19 @@ class GradedRing:
         self.coords = tuple((n, int(w)) for n, w in coords)
         self.index = {n: i for i, (n, _) in enumerate(self.coords)}
         self.weights = tuple(w for _, w in self.coords)
+        n = len(self.coords)
+        self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
         self.equations = []
         for eq in equations:
-            if eq.is_zero():
-                continue
-            terms = []
-            for mono, coeff in sorted(eq.terms.items()):
-                vec = [0] * len(self.coords)
+            terms = {}
+            for mono, coeff in eq.terms.items():
+                vec = [0] * n
                 for var, exp in mono:
                     vec[self.index[var]] += exp
-                terms.append((tuple(vec), coeff))
+                terms[tuple(vec)] = terms.get(tuple(vec), 0) + coeff
+            terms = sorted((vec, coeff) for vec, coeff in terms.items() if coeff)
+            if not terms:
+                continue
             deg = {_degree(vec, self.weights) for vec, _ in terms}
             if len(deg) != 1:
                 raise ValueError("equations must be weighted-homogeneous")
@@ -194,7 +223,11 @@ class GradedRing:
             scale = lcm(*(coeff.denominator for _, coeff in terms))
             terms = [(vec, int(coeff * scale)) for vec, coeff in terms]
             self.equations.append((deg.pop(), terms))
-        self._slices = {}
+        # each equation's terms as (packed exponent, coefficient)
+        self._packed = [[(self._pack(vec), c) for vec, c in terms]
+                        for _, terms in self.equations]
+        self._multipliers = {}  # degree -> its packed monomials, descending
+        self._slices = {}       # degree -> (echelon, Z_j per equation)
 
     def monomial_count(self, degree):
         return count_monomials(self.weights, degree)
@@ -209,10 +242,24 @@ class GradedRing:
         if rows > ROW_BUDGET:
             raise OracleBudgetError(
                 f"degree {degree} exceeds the oracle budget ({rows} rows)")
+        if self.weights and degree // min(self.weights) > FIELD_MASK:
+            raise OracleBudgetError(
+                f"degree {degree} exceeds the oracle budget (an exponent "
+                f"above {FIELD_MASK})")
+
+    def _pack(self, exponents):
+        """The exponent tuple as one integer, FIELD_BITS per exponent, the
+        first exponent highest: integer order is lex order of the tuples."""
+        return sum(e << s for e, s in zip(exponents, self._shifts))
+
+    def _unpack(self, code):
+        return tuple(code >> s & FIELD_MASK for s in self._shifts)
 
     def _slice(self, degree):
-        """Column index and row echelon form of the ideal slice in one degree,
-        built after the lower slices it takes multipliers and pivots from."""
+        """Row echelon form of the ideal slice in one degree and, for each
+        equation, the multipliers whose rows lay in the span of the rows met
+        before them (Z_j in the module docstring); built after the lower
+        slices it takes multipliers, pivots and Z from."""
         if degree not in self._slices:
             self.check_budget(degree)
             need = {degree}
@@ -225,27 +272,38 @@ class GradedRing:
 
     def _build_slice(self, degree):
         ech = IntegerEchelon()
+        zeros = [set() for _ in self.equations]
         if not self.monomial_count(degree):
-            return {}, ech
-        cols = {m: i for i, m in
-                enumerate(weighted_monomials(self.weights, degree))}
-        for j, (eq_deg, terms) in enumerate(self.equations):
+            return ech, zeros
+        units = [(1 << s, w) for s, w in zip(self._shifts, self.weights)]
+        for j, (eq_deg, _) in enumerate(self.equations):
             if degree < eq_deg:
                 continue
-            low_cols, low_ech = self._slices[degree - eq_deg]
-            for mult, k in low_cols.items():
-                if low_ech.source.get(k, j) < j:
-                    continue      # m*f_j lies in the span of f_0 .. f_{j-1}
-                row = {}
-                for vec, coeff in terms:
-                    col = cols[tuple(map(add, mult, vec))]
-                    row[col] = row.get(col, 0) + coeff
-                ech.insert(row, j)
-        return cols, ech
+            low = degree - eq_deg
+            earlier = self._slices[low][0].source
+            # m*f_j lies in the span met so far when m/x_i is in Z_j one
+            # variable lower, or when m is an earlier equation's pivot (F5)
+            skip = set()
+            for unit, w in units:
+                below = self._slices.get(degree - w)
+                if below is not None:
+                    skip.update(m + unit for m in below[1][j])
+            terms, zero = self._packed[j], zeros[j]
+            for m in self._multiplier_codes(low):
+                if (m in skip or earlier.get(m, j) < j
+                        or not ech.insert({m + t: c for t, c in terms}, j)):
+                    zero.add(m)
+        return ech, zeros
+
+    def _multiplier_codes(self, degree):
+        if degree not in self._multipliers:
+            monos = weighted_monomials(self.weights, degree)
+            self._multipliers[degree] = [self._pack(m) for m in reversed(monos)]
+        return self._multipliers[degree]
 
     def ideal_rank(self, degree):
         """Rank of the degree slice spanned by monomial multiples of the equations."""
-        return self._slice(degree)[1].rank
+        return self._slice(degree)[0].rank
 
     def dimension(self, degree):
         """dim of the degree piece of coordinate ring / ideal."""
@@ -258,10 +316,14 @@ class GradedRing:
 
     def contains_monomial(self, exponents):
         """Does the given monomial lie in the span of the ideal slice?"""
+        exponents = tuple(exponents)
+        if len(exponents) != len(self.weights) or min(exponents, default=0) < 0:
+            raise ValueError(f"{exponents} is not an exponent tuple of "
+                             f"{len(self.weights)} non-negative entries")
         if not self.equations:
             return False
-        cols, ech = self._slice(_degree(exponents, self.weights))
-        return ech.contains({cols[tuple(exponents)]: 1})
+        ech, _ = self._slice(_degree(exponents, self.weights))
+        return ech.contains({self._pack(exponents): 1})
 
     def hilbert_series(self):
         """``(series, stop)``: the proven series over prod (1 - t^w), w the
@@ -269,9 +331,8 @@ class GradedRing:
         eq_bound = max((deg for deg, _ in self.equations), default=0)
         leads = []
         for d in count():
-            cols, ech = self._slice(d)
-            monos = list(cols)
-            leads = _minimal(leads + [monos[k] for k in ech.rows])
+            ech, _ = self._slice(d)
+            leads = _minimal(leads + [self._unpack(k) for k in ech.rows])
             if d >= max([eq_bound] + [_degree(map(max, a, b), self.weights)
                                       for a, b in combinations(leads, 2)]):
                 return HilbertSeries(_staircase_numerator(leads, self.weights),

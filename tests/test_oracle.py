@@ -1,18 +1,19 @@
 """The oracle's integer echelon against a plain Fraction elimination, the
-pruned slices against the all-multiples slices they replaced, the oracle
-against the closed-form Hilbert series beyond the acceptance degrees, and the
-proven staircase series against graded dimensions and the window loop it
-replaced."""
+pruned slices against the all-multiples slices they replaced, the guards of
+the packed keys, the oracle against the closed-form Hilbert series beyond the
+acceptance degrees, and the proven staircase series against graded dimensions
+and the window loop it replaced."""
 
 import itertools
 from fractions import Fraction
 from functools import cache, partial
 from operator import add, mul
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wgk.oracle import (GradedRing, IntegerEchelon, count_monomials,
-                        graded_dimension, weighted_monomials)
+from wgk.oracle import (FIELD_MASK, GradedRing, IntegerEchelon, OracleBudgetError,
+                        count_monomials, graded_dimension, weighted_monomials)
 from wgk.polynomials import MPoly
 from wgk.series import HilbertSeries, LaurentPoly, denominator_poly, geometric, one_minus
 from wgk.wgrass25 import GrWeights
@@ -101,10 +102,11 @@ def test_straight_spinor_degrees_3_to_5_match_closed_form():
 
 
 def reference_slice(ring, degree):
-    """The ideal slice from every monomial multiple of every equation."""
+    """The ideal slice from every monomial multiple of every equation, in
+    ascending lex order, each row labelled with its equation's index."""
     cols = {m: i for i, m in enumerate(weighted_monomials(ring.weights, degree))}
     ech = IntegerEchelon()
-    for eq_deg, terms in ring.equations:
+    for j, (eq_deg, terms) in enumerate(ring.equations):
         shift = degree - eq_deg
         if shift < 0:
             continue
@@ -113,7 +115,7 @@ def reference_slice(ring, degree):
             for vec, coeff in terms:
                 col = cols[tuple(map(add, mult, vec))]
                 row[col] = row.get(col, 0) + coeff
-            ech.insert(row)
+            ech.insert(row, j)
     return cols, ech
 
 
@@ -189,12 +191,75 @@ def test_pruned_slices_equal_all_multiples(ring_data, data):
     degrees = [d for d in range(10) if ring.monomial_count(d) <= 300]
     # a fresh ring, queried out of order, builds its lower slices itself
     for d in data.draw(st.permutations(degrees)):
-        cols, ech = reference_slice(ring, d)
-        assert ring.dimension(d) == len(cols) - ech.rank
-        assert ring.ideal_rank(d) == ech.rank
-        assert set(ring._slice(d)[1].rows) == set(ech.rows)
+        cols, ref = reference_slice(ring, d)
+        monos = list(cols)
+        assert ring.dimension(d) == len(cols) - ref.rank
+        assert ring.ideal_rank(d) == ref.rank
+        # the same pivot monomials, each made by the same equation
+        ech, _ = ring._slice(d)
+        assert ({ring._unpack(p): j for p, j in ech.source.items()}
+                == {monos[p]: j for p, j in ref.source.items()})
         for mono, col in cols.items():
-            assert ring.contains_monomial(mono) == ech.contains({col: 1})
+            assert ring.contains_monomial(mono) == ref.contains({col: 1})
+
+
+def test_a_zero_reduction_under_an_earlier_row_is_not_skipped_too_early():
+    """x0*(x1 + x2), then x0: the zero-reduction skip is sound only when each
+    equation's multipliers run in descending lex order; ascending, degree 3
+    lost a rank here."""
+    names = ["x0", "x1", "x2"]
+    x0, x1, x2 = map(MPoly.var, names)
+    ring = GradedRing([(n, 1) for n in names], [x0 * x1 + x0 * x2, x0])
+    series, _ = ring.hilbert_series()
+    assert series == HilbertSeries(one_minus(1), (1, 1, 1))   # k[x1, x2]
+    assert ring.ideal_rank(3) == 6
+    assert ring.dimension(3) == 4
+
+
+def test_straight_plucker_slices_reduce_to_zero_only_the_degree_3_syzygies(monkeypatch):
+    """Asked degrees 0..6 in turn, as ``wgk verify --full`` does, the only
+    rows that reach the echelon and reduce to zero are the five in degree 3
+    that are the linear syzygies of the Pfaffians (Buchsbaum-Eisenbud); every
+    multiple of them is skipped above."""
+    straight = GrWeights.from_fractions(["1/2"] * 5)
+    ring = GradedRing(straight.coordinates(), straight.equations())
+    inserts = []
+    insert = IntegerEchelon.insert
+
+    def counted(self, row, source=None):
+        inserts.append(insert(self, row, source))
+        return inserts[-1]
+
+    monkeypatch.setattr(IntegerEchelon, "insert", counted)
+    ranks, zero_rows = [], []
+    for d in range(7):
+        inserts.clear()
+        ranks.append(ring.ideal_rank(d))
+        assert inserts.count(True) == ranks[-1]
+        zero_rows.append(inserts.count(False))
+    assert ranks == [0, 0, 5, 45, 225, 826, 2485]
+    assert zero_rows == [0, 0, 0, 5, 0, 0, 0]
+
+
+def test_contains_monomial_refuses_a_malformed_exponent_tuple():
+    ring = GradedRing([("x", 1), ("y", 2)], [MPoly.var("x") * MPoly.var("y")])
+    assert ring.contains_monomial((1, 1))
+    for bad in [(1,), (1, 1, 0), (3, -1), (-1, 2)]:
+        with pytest.raises(ValueError, match="not an exponent tuple"):
+            ring.contains_monomial(bad)
+
+
+def test_a_degree_whose_exponents_overflow_the_packing_is_refused():
+    """A packed key past FIELD_MASK would carry into the next exponent."""
+    ring = GradedRing([("x", 2)], [MPoly.var("x")])
+    ring.check_budget(2 * FIELD_MASK + 1)      # x^FIELD_MASK still fits
+    for degree in (2 * FIELD_MASK + 2, 2 * FIELD_MASK + 3):
+        with pytest.raises(OracleBudgetError, match="exponent"):
+            ring.check_budget(degree)
+    with pytest.raises(OracleBudgetError):
+        ring.dimension(2 * FIELD_MASK + 2)
+    with pytest.raises(OracleBudgetError):
+        ring.contains_monomial((FIELD_MASK + 1,))
 
 
 @st.composite
