@@ -15,11 +15,10 @@ _EXPORTS = {
                 "singularity_filter"),
     "orbifold_rr": ("PeriodicTable", "RRData", "hilbert_can3", "hilbert_cy3",
                     "hilbert_series", "local_term", "plurigenus"),
-    "sections": ("AmbientModel", "QuotientSingularity", "SectionSpec", "ambient_series",
-                 "invariants", "quasilinear_embed", "rr_roundtrip", "section_canonical",
-                 "section_series", "singularity_analysis"),
+    "sections": ("AmbientModel", "QuotientSingularity", "ambient_series", "quasilinear_embed",
+                 "rr_roundtrip", "section_canonical", "section_series", "singularity_analysis"),
     "series": ("HilbertSeries", "LaurentPoly", "binom3"),
-    "wgrass25": ("Chart", "GrNumerology", "GrWeights", "fit_pfaffian_weights",
+    "wgrass25": ("Chart", "GrWeights", "fit_pfaffian_weights",
                  "pfaffian_equations", "verify_gr_identities"),
     "wogr510": ("OGrWeights", "equations", "first_syzygies", "verify_ogr_syzygies"),
     "spinor": ("membership", "parametrize", "spinor_graph", "verify_parametrization",

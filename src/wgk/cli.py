@@ -22,9 +22,9 @@ from . import fixtures as fixture_mod
 from . import matcher as matcher_mod
 from .oracle import OracleBudgetError, graded_dimension
 from .orbifold_rr import PeriodicTable, RRData, hilbert_can3, hilbert_cy3, local_term, plurigenus
-from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, integral,
-                       invariants, quasilinear_embed, rr_roundtrip,
-                       section_canonical, section_series, singularity_analysis)
+from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, _json_object,
+                       integral, quasilinear_embed, rr_roundtrip, section_canonical,
+                       section_series, singularity_analysis)
 from .series import SeriesError
 from .wgrass25 import GrWeights, doubled as half_doubled, verify_gr_identities
 from .wogr510 import OGrWeights, verify_ogr_syzygies
@@ -40,12 +40,20 @@ class InternalError(Exception):
     """Two of wgk's own computations disagree: exit 3."""
 
 
+def _at_least(name, value, low):
+    """``value``; InputError names ``name`` when it is below ``low``."""
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def default_depth():
     text = os.environ.get("WGK_DEPTH", str(DEFAULT_DEPTH))
     try:
-        return max(1, int(text))
+        depth = int(text)
     except ValueError:
         raise InputError(f"WGK_DEPTH must be an integer, got {text!r}") from None
+    return _at_least("WGK_DEPTH", depth, 1)
 
 
 def fmt_wps(weights):
@@ -95,21 +103,20 @@ def cmd_info(args):
         "family": weights.family,
         "weights": weights.to_json(),
         "ambient": fmt_wps(w for _, w in weights.coordinates()),
-        "adjunction": weights.adjunction(),
+        "adjunction": weights.top_exponent(),
         "canonical": weights.canonical_degree(),
         "numerator": str(series.numerator),
         "well_formed": wf,
     }
+    deg = {k: list(v) for k, v in weights.resolution_degrees().items()}
     if weights.family == "wgr25":
-        num = weights.numerology()
-        data.update(pfaffian_degrees=list(num.pfaffian_degrees),
-                    syzygy_degrees=list(num.syzygy_degrees),
+        data.update(pfaffian_degrees=deg["relations"],
+                    syzygy_degrees=deg["first_syzygies"],
                     degree=frac_str(weights.degree()))
         degree_lines = [f"Pfaffian degrees: {data['pfaffian_degrees']}, "
                         f"syzygy degrees: {data['syzygy_degrees']}",
                         f"degree = {data['degree']}"]
     else:
-        deg = {k: list(v) for k, v in weights.resolution_degrees().items()}
         data["resolution_degrees"] = deg
         degree_lines = [f"relation degrees: {deg['relations']}",
                         f"first syzygy degrees: {deg['first_syzygies']}"]
@@ -171,7 +178,7 @@ def _parse_point(text):
 
 
 def cmd_rr(args):
-    depth = args.expand if args.expand is not None else default_depth()
+    depth = default_depth() if args.expand is None else _at_least("--expand", args.expand, 0)
     if args.kind == "can3":
         rr = RRData.canonical3(args.pg, parse_fraction(args.k3), args.half)
         series = hilbert_can3(rr)
@@ -208,6 +215,7 @@ def _parse_cut(text):
 
 
 def cmd_section(args):
+    _at_least("--terms", args.terms, 0)
     depth = default_depth()
     model = AmbientModel.from_json(read_json(args.model))
     cut = _parse_cut(args.cut)
@@ -223,9 +231,8 @@ def cmd_section(args):
              f"series: {series}",
              f"expansion: {' '.join(frac_str(c) for c in series.expand(args.terms))}"]
     if args.invariants:
-        inv = invariants(series, dim)
-        data["invariants"] = {"A_top": frac_str(inv["A_top"]),
-                              "h0_A": frac_str(inv["h0_A"])}
+        data["invariants"] = {"A_top": frac_str(series.intersection_number(dim)),
+                              "h0_A": frac_str(series.coefficient(1))}
         lines.append(f"A^{dim} = {data['invariants']['A_top']}, "
                      f"h^0 = {data['invariants']['h0_A']}")
     if args.basket:
@@ -255,7 +262,8 @@ def _fraction_field(key, value):
 def _rr_point(index, entry):
     """``(point, table)`` of ``points[index]`` in cy3 data, either one None: the point
     from ``weights``, the table from ``c`` or else from ``local_term``, which ``c`` must equal."""
-    name, r = f"points[{index}]", integral("r", entry["r"])
+    name = f"points[{index}]"
+    r = integral("r", _json_object(name, entry, ("r", "weights", "c"))["r"])
     if r < 2:
         raise InputError(f"{name} has order {r}; a quotient point needs r >= 2")
     try:
@@ -276,6 +284,8 @@ def _rr_point(index, entry):
 
 
 def cmd_match(args):
+    _at_least("--max-w2", args.max_w2, 1)
+    _at_least("--max-u", args.max_u, 1)
     depth = default_depth()
     data = read_json(args.rr)
     if not isinstance(data, dict):
@@ -283,12 +293,14 @@ def cmd_match(args):
     kind = data.get("kind")
     try:
         if kind == "can3":
+            _json_object("rr data", data, ("kind", "pg", "K3", "half_points"))
             half = integral("half_points", data.get("half_points", 0))
             rr = RRData.canonical3(integral("pg", data["pg"]),
                                    _fraction_field("K3", data["K3"]), half)
             series = hilbert_can3(rr)
             basket = (QuotientSingularity(2, (1, 1, 1)),) * half
         elif kind == "cy3":
+            _json_object("rr data", data, ("kind", "A3", "Ac2", "points"))
             points = [_rr_point(i, p) for i, p in enumerate(data.get("points", ()))]
             rr = RRData.cy3(_fraction_field("A3", data["A3"]),
                             _fraction_field("Ac2", data["Ac2"]),
@@ -320,8 +332,7 @@ def cmd_match(args):
 
 
 def cmd_oracle(args):
-    if args.degree < 0:
-        raise InputError(f"--degree must be >= 0, got {args.degree}")
+    _at_least("--degree", args.degree, 0)
     weights = build_weights(args)
     value = graded_dimension(weights.family, weights, args.degree)
     closed = weights.hilbert_series().expand(args.degree)[args.degree]

@@ -188,9 +188,8 @@ def run_fixture(fix, depth=DEFAULT_DEPTH):
                 section = section or section_series(model, fix.cut, depth)
                 ok = _check_fraction(frac, section.intersection_number(dim))
             elif key == "series_prefix":
-                series = (section_series(model, fix.cut, depth) if fix.cut
-                          else model.base.hilbert_series())
-                got = series.expand(len(value) - 1)
+                section = section or section_series(model, fix.cut, depth)
+                got = section.expand(len(value) - 1)
                 ok = [str(c) for c in got] == list(value)
             elif key == "section_numerator":
                 section = section or section_series(model, fix.cut, depth)

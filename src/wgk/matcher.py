@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel, SectionSpec
+from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
 from .series import HilbertSeries, LaurentPoly, Record, SeriesError, one_minus
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
@@ -279,7 +279,7 @@ class MatchCandidate(Record):
         s = str(self.model)
         cuts = list(self.nonlinear) + (list(self.sections) if self.sections else [])
         if cuts:
-            s += " ∩ " + str(SectionSpec(tuple(sorted(cuts))))
+            s += " ∩ " + "".join(f"({d})" for d in sorted(cuts))
         return s
 
     def to_json(self):

@@ -1,4 +1,4 @@
-"""Ambient models, quasilinear sections, invariants and singularity baskets.
+"""Ambient models, quasilinear sections and singularity baskets.
 
 An ambient model is one of the two weighted families, optionally extended by
 cone variables (free generators involved in no relation).  Sections are
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .oracle import GradedRing, OracleBudgetError
-from .series import Record, exact_div, one_minus
+from .series import HilbertSeries, Record, denominator_poly, exact_div
 from .wgrass25 import Chart, GrWeights
 from .wogr510 import OGrWeights
 
@@ -39,6 +39,16 @@ def integral(key, value):
     except (TypeError, ValueError, ArithmeticError):
         pass
     raise ValueError(f"{key} must be an integer, not {value}")
+
+
+def _json_object(name, data, keys):
+    """``data``; ValueError unless it is a JSON object whose keys are among ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, not {type(data).__name__}")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"{name} has an unknown key {unknown[0]!r}")
+    return data
 
 
 class QuotientSingularity(Record):
@@ -62,9 +72,6 @@ class QuotientSingularity(Record):
         d = self.__dict__
         d["r"], d["weights"] = r, tuple(sorted(w % r for w in ws))
 
-    def is_trivial(self):
-        return self.r == 1
-
     def is_isolated(self):
         return all(gcd(w, self.r) == 1 for w in self.weights)
 
@@ -76,24 +83,6 @@ class QuotientSingularity(Record):
 
     def to_json(self):
         return {"r": self.r, "weights": list(self.weights)}
-
-
-class SectionSpec(Record):
-    """Multiset of degrees of general hypersurface sections."""
-    _fields = ("degrees",)
-
-    def __init__(self, degrees):
-        ds = tuple(sorted(int(d) for d in degrees))
-        bad = [d for d in ds if d < 1]
-        if bad:
-            raise ValueError(f"section degrees must be positive, found {bad}")
-        self.__dict__["degrees"] = ds
-
-    def __len__(self):
-        return len(self.degrees)
-
-    def __str__(self):
-        return "".join(f"({d})" for d in self.degrees) or "(none)"
 
 
 FAMILIES = {cls.family: cls for cls in (GrWeights, OGrWeights)}
@@ -130,9 +119,6 @@ class AmbientModel(Record):
     def coordinate_weights(self):
         return tuple(sorted(w for _, w in self.coordinates()))
 
-    def equations(self):
-        return self.base.equations()
-
     def canonical_degree(self):
         return self.base.canonical_degree() - sum(self.cone)
 
@@ -142,9 +128,6 @@ class AmbientModel(Record):
         return [Chart(ch.label, ch.order, ch.local_weights + self.cone)
                 for ch in self.base.charts()]
 
-    def graded_ring(self):
-        return GradedRing(self.coordinates(), self.equations())
-
     def to_json(self):
         data = {"family": self.family, **self.base.to_json()}
         if self.cone:
@@ -153,9 +136,8 @@ class AmbientModel(Record):
 
     @classmethod
     def from_json(cls, data):
-        """Inverse of ``to_json``; ValueError names a missing key or a wrong type."""
-        if not isinstance(data, dict):
-            raise ValueError(f"model must be a JSON object, not {type(data).__name__}")
+        """Inverse of ``to_json``; ValueError names a missing or unknown key or a wrong type."""
+        _json_object("model", data, ("family", "w2", "u2", "cone"))
         for key in ("family", "w2"):
             if key not in data:
                 raise ValueError(f"model lacks the key {key!r}")
@@ -185,60 +167,52 @@ def ambient_series(model):
     return base.over(model.cone) if model.cone else base
 
 
-def section_series(model, spec, depth=DEFAULT_DEPTH):
+def _degrees(cut):
+    """The degrees of ``cut``, sorted, since the chart analysis takes them in turn."""
+    degrees = tuple(sorted(int(d) for d in cut))
+    bad = [d for d in degrees if d < 1]
+    if bad:
+        raise ValueError(f"section degrees must be positive, found {bad}")
+    return degrees
+
+
+def section_series(model, cut, depth=DEFAULT_DEPTH):
     """Ambient series times prod (1 - t^delta) over the section degrees.
 
     The expansion is scanned to ``depth`` for negative coefficients, which
     would mean the degrees cannot come from a regular sequence.
     """
-    spec = _as_spec(spec)
+    degrees = _degrees(cut)
     amb = ambient_series(model)
-    if len(spec) >= amb.pole_order_at_one():
+    if len(degrees) >= amb.pole_order_at_one():
         raise ValueError("too many sections: pole order would drop below 1")
-    series = amb
-    for d in spec.degrees:
-        series = series.mul_poly(one_minus(d))
-    series = series.canonical()
+    series = HilbertSeries(amb.numerator * denominator_poly(degrees), amb.denominator).canonical()
     if any(c < 0 for c in series.expand(depth)):
         raise ValueError("section spec not plausibly regular "
                          f"(negative coefficient within degree {depth})")
     return series
 
 
-def section_canonical(model, spec):
+def section_canonical(model, cut):
     """Canonical degree of the section: ambient canonical plus section degrees."""
-    spec = _as_spec(spec)
-    return model.canonical_degree() + sum(spec.degrees)
+    return model.canonical_degree() + sum(_degrees(cut))
 
 
-def quasilinear_embed(model, spec):
+def quasilinear_embed(model, cut):
     """Eliminate one ambient generator per matching section degree.
 
     Returns the remaining generator weights, whether every degree matched, and
     the unmatched leftovers.
     """
-    spec = _as_spec(spec)
     weights = sorted(model.coordinate_weights())
     leftovers = []
-    for d in spec.degrees:
+    for d in _degrees(cut):
         if d in weights:
             weights.remove(d)
         else:
             leftovers.append(d)
     return {"weights": tuple(weights), "quasilinear": not leftovers,
             "leftovers": tuple(leftovers)}
-
-
-def invariants(series, dim):
-    """Top self-intersection of the polarizing class and h^0 in degree one."""
-    return {"A_top": series.intersection_number(dim),
-            "h0_A": series.coefficient(1)}
-
-
-def _as_spec(spec):
-    if isinstance(spec, SectionSpec):
-        return spec
-    return SectionSpec(tuple(spec))
 
 
 # -- singularity analysis --------------------------------------------------------
@@ -338,20 +312,19 @@ def _restrict(equations, keep):
     return list(dict.fromkeys(cut for cut in cuts if not cut.is_zero()))
 
 
-def singularity_analysis(model, spec):
+def singularity_analysis(model, cut):
     """Basket of quotient singularities of a general section, with diagnostics.
 
     Combines stratum location/counting with chart-level type computation; see
     the module docstring for the procedure.
     """
-    spec = _as_spec(spec)
-    degrees = spec.degrees
+    degrees = _degrees(cut)
     section_dim = model.dim - len(degrees)
     if section_dim < 1:
         raise ValueError("section must have positive dimension")
     coords = model.coordinates()
     charts = {ch.label: ch for ch in model.charts()}
-    equations = model.equations()
+    equations = model.base.equations()
     diagnostics = []
     records = []
 
@@ -454,7 +427,7 @@ def singularity_analysis(model, spec):
                 f"point count {rec.count}")
             continue
         sing = rec.sing_type
-        if sing.is_trivial():
+        if sing.r == 1:
             continue
         if not sing.is_isolated():
             diagnostics.append(f"singular type {sing} is not isolated")
@@ -471,7 +444,7 @@ def singularity_analysis(model, spec):
 
 # -- round trip against orbifold Riemann-Roch ------------------------------------
 
-def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
+def rr_roundtrip(model, cut, kind, depth=DEFAULT_DEPTH):
     """Fit Riemann-Roch data from a 3-fold section and reassemble its series.
 
     The section's K = O(k) must be the kind's: k = 1 for ``canonical3``
@@ -481,18 +454,18 @@ def rr_roundtrip(model, spec, kind, depth=DEFAULT_DEPTH):
     required; a mismatch reports the first differing coefficient.
     """
     from . import orbifold_rr as rr
-    spec = _as_spec(spec)
+    degrees = _degrees(cut)
     k = {"canonical3": 1, "cy3": 0}.get(kind)
     if k is None:
         raise ValueError("kind must be 'canonical3' or 'cy3'")
-    if model.dim - len(spec) != 3:
+    if model.dim - len(degrees) != 3:
         raise ValueError("round trip needs a 3-dimensional section")
-    canonical = section_canonical(model, spec)
+    canonical = section_canonical(model, degrees)
     if canonical != k:
         raise ValueError(f"a {kind} round trip needs K = O({k}); "
                          f"this section has K = O({canonical})")
-    series = section_series(model, spec, depth)
-    report = singularity_analysis(model, spec)
+    series = section_series(model, degrees, depth)
+    report = singularity_analysis(model, degrees)
     chi = 1 - series.coefficient(1) if k == 1 else 0
     tables = tuple(rr.local_term(*s.key()) for s, n in report.basket for _ in range(n))
     trial = rr.RRData(k, series.intersection_number(3), chi, 0, tables)

@@ -321,9 +321,6 @@ class HilbertSeries:
     def scale(self, c):
         return HilbertSeries(self.numerator.scale(c), self.denominator)
 
-    def mul_poly(self, p):
-        return HilbertSeries(self.numerator * p, self.denominator)
-
     def over(self, extra):
         """Extend the denominator by further (1 - t^a) factors."""
         return HilbertSeries(self.numerator, self.denominator + tuple(extra))

@@ -111,9 +111,6 @@ class WeightFamily(Record):
         """Closed form: ``numerator_terms`` / prod(1-t^a) over the coordinate weights."""
         return HilbertSeries(LaurentPoly(self.numerator_terms()), self.coordinate_weights())
 
-    def adjunction(self):
-        return self.top_exponent()
-
     def canonical_degree(self):
         """K = O(top exponent - sum of the coordinate weights)."""
         return self.top_exponent() - sum(w for _, w in self.coordinates())
@@ -146,14 +143,6 @@ def sorted_w2(w2):
     if len({v % 2 for v in w2}) != 1:
         raise ValueError("doubled weights must share one parity")
     return w2
-
-
-class GrNumerology(Record):
-    _fields = ("d", "pfaffian_degrees", "syzygy_degrees")
-
-    def __init__(self, d, pfaffian_degrees, syzygy_degrees):
-        self.__dict__.update(d=d, pfaffian_degrees=pfaffian_degrees,
-                             syzygy_degrees=syzygy_degrees)
 
 
 class GrWeights(WeightFamily):
@@ -217,11 +206,6 @@ class GrWeights(WeightFamily):
     def canonical_form(self):
         """The sorted doubled weights already are the orbit representative."""
         return self
-
-    def numerology(self):
-        banks = self.resolution_degrees()
-        return GrNumerology(d=Fraction(self.d2(), 2), pfaffian_degrees=banks["relations"],
-                            syzygy_degrees=banks["first_syzygies"])
 
     def degree(self):
         d2 = self.d2()

@@ -11,9 +11,8 @@ from fractions import Fraction
 from wgk.matcher import match_pipeline
 from wgk.oracle import graded_dimension
 from wgk.orbifold_rr import RRData, hilbert_can3, hilbert_cy3, local_term
-from wgk.sections import (AmbientModel, QuotientSingularity, invariants,
-                          rr_roundtrip, section_canonical, section_series,
-                          singularity_analysis)
+from wgk.sections import (AmbientModel, QuotientSingularity, rr_roundtrip,
+                          section_canonical, section_series, singularity_analysis)
 from wgk.series import HilbertSeries, LaurentPoly
 from wgk.wgrass25 import GrWeights, verify_gr_identities
 from wgk.wogr510 import (OGrWeights, verify_ogr_syzygies,
@@ -46,9 +45,9 @@ def test_criterion_1_symbolic_identities():
 
 def test_criterion_2_numerology():
     assert W1.plucker_weights() == (1,) * 6 + (2,) * 4
-    assert W1.numerology().pfaffian_degrees == (2, 3, 3, 3, 3)
+    assert W1.resolution_degrees()["relations"] == (2, 3, 3, 3, 3)
     assert W2.plucker_weights() == (1, 1, 1, 2, 2, 2, 2, 2, 2, 3)
-    assert W2.numerology().pfaffian_degrees == (3, 3, 4, 4, 4)
+    assert W2.resolution_degrees()["relations"] == (3, 3, 4, 4, 4)
     report(2, "P(1^6,2^4) with Pfaffian degrees {2,3,3,3,3} and "
               "P(1^3,2^6,3) with {3,3,4,4,4}")
 
@@ -56,12 +55,12 @@ def test_criterion_2_numerology():
 def test_criterion_3_degree_section_cross_checks():
     assert W1.degree() * 8 == Fraction(13, 2)
     fano = section_series(AmbientModel(W1), (2, 2, 2))
-    assert invariants(fano, 3) == {"A_top": Fraction(13, 2), "h0_A": 6}
+    assert (fano.intersection_number(3), fano.coefficient(1)) == (Fraction(13, 2), 6)
     assert W2.degree() == Fraction(7, 48)
     coned = section_series(AmbientModel(W2, cone=(1,)), (2,) * 5)
-    assert invariants(coned, 2) == {"A_top": Fraction(14, 3), "h0_A": 4}
+    assert (coned.intersection_number(2), coned.coefficient(1)) == (Fraction(14, 3), 4)
     plain = section_series(AmbientModel(W2), (2, 2, 2, 3))
-    assert invariants(plain, 2) == {"A_top": Fraction(7, 2), "h0_A": 3}
+    assert (plain.intersection_number(2), plain.coefficient(1)) == (Fraction(7, 2), 3)
     report(3, "-K^3 = 13/2 with h^0 = 6; D^2 = 14/3 with h^0 = 4; "
               "D^2 = 7/2 with h^0 = 3")
 
@@ -202,7 +201,7 @@ def test_criterion_9_gorenstein_symmetry():
     for _ in range(1000):
         w = _random_gr(rng)
         num = w.hilbert_series().numerator
-        top = w.adjunction()
+        top = w.top_exponent()
         assert num.max_exp() == top
         assert all(c == -num[top - e] for e, c in num.coeffs.items())
     for _ in range(1000):

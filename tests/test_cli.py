@@ -308,6 +308,10 @@ def test_match_rejects_malformed_file(tmp_path, capsys):
     ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": [1, 0.5]}, "cone must be an integer"),
     ({"family": "wgr25", "w2": [True, 1, 1, 1, 1]}, "w2 must be an integer, not True"),
     ({"family": "wgr25", "w2": [float("inf"), 1, 1, 1, 1]}, "Infinity is not a number"),
+    # a key outside family, w2, u2 and cone is refused, not ignored
+    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "u": 2}, "error: model has an unknown key 'u'\n"),
+    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cones": [1]},
+     "error: model has an unknown key 'cones'\n"),
 ])
 def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     model = tmp_path / "m.json"
@@ -336,6 +340,16 @@ def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     ({"kind": "cy3", "A3": "1", "Ac2": True}, "Ac2 must be a number, not a boolean"),
     ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 2, "c": [0, True]}]},
      "c must be a number, not a boolean"),
+    # each kind, and each point, takes only its own keys
+    ({"kind": "can3", "pg": 7, "K3": "21", "half_point": 2},
+     "error: rr data has an unknown key 'half_point'\n"),
+    ({"kind": "can3", "pg": 7, "K3": "21", "points": []},
+     "error: rr data has an unknown key 'points'\n"),
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "half_points": 0},
+     "error: rr data has an unknown key 'half_points'\n"),
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
+      "points": [{"r": 3, "weights": [1, 1, 1]}, {"r": 3, "weight": [2, 2, 2]}]},
+     "error: points[1] has an unknown key 'weight'\n"),
 ])
 def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     rr = tmp_path / "rr.json"
@@ -378,7 +392,8 @@ def test_match_rejects_the_bounds_a_query_rejects(tmp_path, capsys, max_w2, max_
     code, out, err = run(capsys, "match", "--rr", str(rr),
                          "--max-w2", str(max_w2), "--max-u", str(max_u))
     assert code == 2 and out == ""
-    assert "search bounds must be positive and finite" in err
+    name, value = ("--max-w2", max_w2) if max_w2 < 1 else ("--max-u", max_u)
+    assert err == f"error: {name} must be >= 1, got {value}\n"
     with pytest.raises(ValueError, match="search bounds must be positive and finite"):
         matcher.MatchQuery(target=HilbertSeries(LaurentPoly.one()), max_w2=max_w2, max_u=max_u)
 
@@ -425,11 +440,13 @@ def test_depth_env_override(capsys, monkeypatch):
 
 
 def test_depth_env_malformed(capsys, monkeypatch):
-    monkeypatch.setenv("WGK_DEPTH", "abc")
-    code, out, err = run(capsys, "rr", "can3", "--pg", "7", "--k3", "21",
-                         "--half", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "WGK_DEPTH" in err
+    for text, message in (("abc", "must be an integer, got 'abc'"), ("0", "must be >= 1, got 0"),
+                          ("-3", "must be >= 1, got -3")):
+        monkeypatch.setenv("WGK_DEPTH", text)
+        code, out, err = run(capsys, "rr", "can3", "--pg", "7", "--k3", "21",
+                             "--half", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: WGK_DEPTH {message}\n"
 
 
 def test_rr_disagreement_is_an_internal_error(capsys, monkeypatch):
@@ -468,6 +485,9 @@ def test_oracle_budget_refusal_exits_2(capsys, json_flag):
      "--point '1:0' has order 1; a quotient point needs r >= 2"),
     (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "5:0,0,1"),
      "--point '5:0,0,1': need exactly r = 5 values, got 3"),
+    (("rr", "can3", "--pg", "7", "--k3", "21", "--expand", "-1"), "--expand must be >= 0, got -1"),
+    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--expand", "-2"), "--expand must be >= 0, got -2"),
+    (("section", "--model", "{model}", "--terms", "-1"), "--terms must be >= 0, got -1"),
 ])
 def test_argument_errors_name_the_argument(tmp_path, capsys, argv, message):
     model = tmp_path / "m.json"
@@ -512,11 +532,11 @@ def test_each_command_prints_one_json_object_or_text(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
 def test_a_refused_section_prints_nothing_on_stdout(tmp_path, capsys, json_flag):
-    # the text lines are built before anything is printed, so a bad --terms
-    # leaves no partial answer behind, with or without --json
+    # a bad --terms is refused before anything is printed, so it leaves no
+    # partial answer behind, with or without --json
     model = tmp_path / "m.json"
     model.write_text(json.dumps({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}))
     code, out, err = run(capsys, "section", "--model", str(model), "--cut", "2,2,2",
                          "--terms", "-1", *json_flag)
     assert code == 2 and out == ""
-    assert err == "error: expansion order must be >= 0\n"
+    assert err == "error: --terms must be >= 0, got -1\n"

@@ -1,10 +1,12 @@
 """Python-level contracts: integer MPoly coefficients, the weight-family
-interface, and the names the package exports, most of which load from their
-module on first use."""
+interface, the names the package exports, most of which load from their
+module on first use, and no function that only forwards its parameters."""
 
+import ast
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +28,11 @@ WOGR510_NAMES = (
 )
 
 PACKAGE_NAMES = (
-    "AmbientModel", "Chart", "GrNumerology", "GrWeights", "HilbertSeries",
+    "AmbientModel", "Chart", "GrWeights", "HilbertSeries",
     "LaurentPoly", "MatchQuery", "OGrWeights", "PeriodicTable", "QuotientSingularity",
-    "RRData", "SectionSpec", "ambient_series", "binom3", "equations", "first_syzygies",
+    "RRData", "ambient_series", "binom3", "equations", "first_syzygies",
     "fit_pfaffian_weights", "hilbert_can3", "hilbert_cy3", "hilbert_series",
-    "infer_generators", "invariants", "local_term", "match_pipeline", "membership",
+    "infer_generators", "local_term", "match_pipeline", "membership",
     "parametrize", "pfaffian_equations", "plurigenus", "quasilinear_embed", "rr_roundtrip", "search", "section_canonical",
     "section_series", "singularity_analysis", "singularity_filter",
     "spinor_graph", "verify_gr_identities", "verify_ogr_syzygies",
@@ -72,8 +74,8 @@ def test_a_float_coefficient_is_refused_with_the_same_message():
 
 # -- the weight-family contract ---------------------------------------------------
 
-DERIVED = ("coordinate_weights", "numerator_terms", "hilbert_series", "adjunction",
-           "canonical_degree", "is_well_formed")
+DERIVED = ("coordinate_weights", "numerator_terms", "hilbert_series", "canonical_degree",
+           "is_well_formed")
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def test_a_family_stating_only_its_primitives_gets_the_derived_members(a, e, can
     assert x.numerator_terms() == {0: 1, e: -1}
     series = x.hilbert_series()
     assert (series.numerator, series.denominator) == (LaurentPoly({0: 1, e: -1}), a)
-    assert x.adjunction() == e
+    assert x.top_exponent() == e
     assert x.canonical_degree() == e - sum(a) == canonical
     assert x.is_well_formed() == (True, None)
 
@@ -145,3 +147,71 @@ def test_every_package_name_still_resolves():
     assert set(PACKAGE_NAMES) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         wgk.no_such_name
+
+
+# -- no function only forwards its parameters -----------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wgk"
+
+FORWARDERS_KEPT = {
+    # perfbench's tracer times the Riemann-Roch series under these two names
+    "orbifold_rr.hilbert_can3",
+    "orbifold_rr.hilbert_cy3",
+    # a WeightFamily primitive: each family states its top exponent
+    "wgrass25.GrWeights.top_exponent",
+}
+
+
+def _forwards(fn):
+    """Whether ``fn``'s body, past a docstring, is only ``return f(...)`` passing
+    its own parameters on unchanged and in order; a method may pass its first
+    parameter as the receiver, as in ``self.f(...)`` or ``self.base.f(...)``."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+    passed = [ast.unparse(a) for a in call.args] + [ast.unparse(k.value) for k in call.keywords]
+    root = call.func
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    receiver = call.func is not root and isinstance(root, ast.Name)
+    return passed == params or (receiver and params[:1] == [root.id] and passed == params[1:])
+
+
+def forwarders(source, module):
+    """``module.Class.name`` of each function or method in ``source`` that only forwards."""
+    hits = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef) and _forwards(node):
+                hits.append(prefix + node.name)
+    visit(ast.parse(source).body, f"{module}.")
+    return hits
+
+
+def test_the_forwarding_scan_sees_each_shape():
+    source = ("def f(x, y):\n    return g(x, y)\n"
+              "def k(x, *, y):\n    return g(x, y=y)\n"
+              "def swapped(x, y):\n    return g(y, x)\n"
+              "def changed(x):\n    return g(x + 1)\n"
+              "def two(x):\n    y = x\n    return g(y)\n"
+              "class C:\n"
+              "    def m(self):\n        \"doc\"\n        return self.n()\n"
+              "    def e(self, a):\n        return self.base.e(a)\n"
+              "    def s(self):\n        return str(self)\n"
+              "    def d(self):\n        return sum(self.w)\n"
+              "    def o(self):\n        return other.n()\n")
+    assert forwarders(source, "m") == ["m.f", "m.k", "m.C.m", "m.C.e", "m.C.s"]
+
+
+def test_no_function_only_forwards_its_parameters():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(forwarders(path.read_text(), path.stem))
+    assert found == FORWARDERS_KEPT

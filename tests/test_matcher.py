@@ -345,9 +345,9 @@ def test_both_families_answer_the_family_interface_alike(w, cone):
     tau = w.top_exponent()
     # Gorenstein symmetry, every term: t^tau N(1/t) = -N(t)
     assert LaurentPoly({tau - e: c for e, c in num.coeffs.items()}) == -num
-    assert w.canonical_degree() == w.adjunction() - sum(wt for _, wt in w.coordinates())
+    assert w.canonical_degree() == tau - sum(wt for _, wt in w.coordinates())
     model = AmbientModel(w, cone)
-    assert model.canonical_degree() == w.adjunction() - sum(model.coordinate_weights())
+    assert model.canonical_degree() == tau - sum(model.coordinate_weights())
     assert AmbientModel.from_json(model.to_json()) == model
     assert AmbientModel.from_json(AmbientModel(w).to_json()).base == w
 
@@ -748,7 +748,7 @@ def infer_by_reexpanding(series, depth=matcher.DEFAULT_DEPTH, basket=None,
             raise ValueError(f"non-integral coefficient {c} at degree {k}")
         gens.extend([k] * int(c))
         for _ in range(int(c)):
-            current = current.mul_poly(one_minus(k))
+            current = HilbertSeries(current.numerator * one_minus(k), current.denominator)
     if basket:
         needed = Counter(sing.r for sing in basket)
         for r, n in sorted(needed.items()):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from wgk.matcher import MatchCandidate
 from wgk.orbifold_rr import PeriodicTable, RRData
-from wgk.sections import AmbientModel, QuotientSingularity, SectionSpec
+from wgk.sections import AmbientModel, QuotientSingularity, section_series
 from wgk.wgrass25 import GrWeights
 from wgk.wogr510 import OGrWeights
 
@@ -40,7 +40,6 @@ RECORDS = st.one_of(
         lambda a: (AmbientModel, (a[0][0](*a[0][1]), a[1]))),
     st.tuples(st.integers(1, 12), st.lists(st.integers(-3, 20), max_size=4)).map(
         lambda a: (QuotientSingularity, a)),
-    st.lists(st.integers(1, 9), max_size=5).map(lambda ds: (SectionSpec, (ds,))),
     tables,
     st.tuples(st.integers(-2, 1), fractions, fractions, fractions, st.lists(tables, max_size=2)
               ).map(lambda a: (RRData, (*a[:4], [cls(*args) for cls, args in a[4]]))),
@@ -93,7 +92,8 @@ def test_a_match_candidate_is_immutable():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: SectionSpec((2, 0, -1)), "section degrees must be positive, found [-1, 0]"),
+    (lambda: section_series(AmbientModel(GrWeights((1, 1, 1, 1, 1))), (2, 0, -1)),
+     "section degrees must be positive, found [-1, 0]"),
     (lambda: AmbientModel(GrWeights((1, 1, 1, 1, 1)), (-1, 2)),
      "cone weights must be positive, found [-1]"),
     (lambda: QuotientSingularity(0, (1, 1)), "order must be positive, found 0"),

@@ -111,7 +111,7 @@ def test_intersection_number_cy_example():
 def test_intersection_number_fano_section():
     from wgk.wgrass25 import GrWeights
     amb = GrWeights.from_fractions(["1/2"] * 4 + ["3/2"]).hilbert_series()
-    section = amb.mul_poly(denominator_poly((2, 2, 2)))
+    section = HilbertSeries(amb.numerator * denominator_poly((2, 2, 2)), amb.denominator)
     assert section.intersection_number(3) == F("13/2")
 
 

@@ -40,14 +40,12 @@ def test_plucker_weights():
 
 
 def test_numerology():
-    n1 = W1.numerology()
-    assert n1.pfaffian_degrees == (2, 3, 3, 3, 3)
-    assert W1.adjunction() == 7
+    assert W1.resolution_degrees()["relations"] == (2, 3, 3, 3, 3)
+    assert W1.top_exponent() == 7
     assert W1.canonical_degree() == -7
-    assert W2.numerology().pfaffian_degrees == (3, 3, 4, 4, 4)
-    n0 = STRAIGHT.numerology()
-    assert n0.d == Fraction(5, 2)
-    assert n0.pfaffian_degrees == (2,) * 5
+    assert W2.resolution_degrees()["relations"] == (3, 3, 4, 4, 4)
+    assert Fraction(STRAIGHT.d2(), 2) == Fraction(5, 2)
+    assert STRAIGHT.resolution_degrees()["relations"] == (2,) * 5
     assert STRAIGHT.canonical_degree() == -5
 
 
@@ -58,9 +56,9 @@ def test_resolution_degrees():
 
 def test_adjunction_pairs_with_dual_syzygy_degrees():
     for w in (STRAIGHT, W1, W2):
-        n = w.numerology()
-        for pf, syz in zip(n.pfaffian_degrees, reversed(n.syzygy_degrees)):
-            assert pf + syz == w.adjunction()
+        banks = w.resolution_degrees()
+        for pf, syz in zip(banks["relations"], reversed(banks["first_syzygies"])):
+            assert pf + syz == w.top_exponent()
 
 
 def test_adjunction_bookkeeping():
@@ -69,7 +67,7 @@ def test_adjunction_bookkeeping():
     rng = random.Random(19)
     for _ in range(50):
         w = random_gr_weights(rng)
-        assert -sum(w.plucker_weights()) + w.adjunction() == w.canonical_degree()
+        assert -sum(w.plucker_weights()) + w.top_exponent() == w.canonical_degree()
 
 
 def test_hilbert_series_closed_forms():
@@ -88,10 +86,10 @@ def test_hilbert_numerator_consistency():
 
 def test_numerator_is_alternating_sum_over_degree_banks():
     for w in (STRAIGHT, W1, W2, GrWeights((1, 1, 3, 3, 5))):
-        n = w.numerology()
-        terms = [(0, 1), (w.adjunction(), -1)]
-        terms.extend((e, -1) for e in n.pfaffian_degrees)
-        terms.extend((e, 1) for e in n.syzygy_degrees)
+        banks = w.resolution_degrees()
+        terms = [(0, 1), (w.top_exponent(), -1)]
+        terms.extend((e, -1) for e in banks["relations"])
+        terms.extend((e, 1) for e in banks["first_syzygies"])
         assert LaurentPoly(terms) == w.hilbert_series().numerator
 
 
@@ -203,7 +201,7 @@ def test_gorenstein_symmetry_of_numerator():
     for _ in range(200):
         w = random_gr_weights(rng)
         num = w.hilbert_series().numerator
-        top = w.adjunction()
+        top = w.top_exponent()
         assert num.max_exp() == top
         for e, c in num.coeffs.items():
             assert c == -num[top - e]
