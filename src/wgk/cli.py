@@ -25,7 +25,6 @@ from .orbifold_rr import PeriodicTable, RRData, hilbert_can3, hilbert_cy3, local
 from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, _json_object,
                        integral, quasilinear_embed, rr_roundtrip, section_canonical,
                        section_series, singularity_analysis)
-from .series import SeriesError
 from .wgrass25 import GrWeights, doubled as half_doubled, verify_gr_identities
 from .wogr510 import OGrWeights, verify_ogr_syzygies
 
@@ -180,7 +179,8 @@ def _parse_point(text):
 def cmd_rr(args):
     depth = default_depth() if args.expand is None else _at_least("--expand", args.expand, 0)
     if args.kind == "can3":
-        rr = RRData.canonical3(args.pg, parse_fraction(args.k3), args.half)
+        rr = RRData.canonical3(_at_least("--pg", args.pg, 0), parse_fraction(args.k3),
+                               _at_least("--half", args.half, 0))
         series = hilbert_can3(rr)
     else:
         rr = RRData.cy3(parse_fraction(args.a3), parse_fraction(args.ac2),
@@ -301,7 +301,10 @@ def cmd_match(args):
             basket = (QuotientSingularity(2, (1, 1, 1)),) * half
         elif kind == "cy3":
             _json_object("rr data", data, ("kind", "A3", "Ac2", "points"))
-            points = [_rr_point(i, p) for i, p in enumerate(data.get("points", ()))]
+            points = data.get("points", [])
+            if not isinstance(points, list):
+                raise InputError(f"points must be a JSON list, not {type(points).__name__}")
+            points = [_rr_point(i, p) for i, p in enumerate(points)]
             rr = RRData.cy3(_fraction_field("A3", data["A3"]),
                             _fraction_field("Ac2", data["Ac2"]),
                             tuple(table for _, table in points if table is not None))
@@ -426,7 +429,7 @@ def main(argv=None):
         code, record, lines = args.func(args)
     except OracleBudgetError as exc:
         return _refuse("degree bound exceeded", exc, 2)
-    except (InputError, SeriesError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return _refuse("error", exc, 2)
     except (InternalError, AssertionError) as exc:
         return _refuse("internal error", exc, 3)

@@ -1,7 +1,7 @@
 """Search engine from target Hilbert data to weighted ambient models.
 
-Generator degrees are inferred greedily from the series (optionally forced to
-be compatible with a required singularity basket), the target numerator is
+Generator degrees are inferred greedily from the series (then forced to be
+compatible with a required singularity basket), the target numerator is
 formed exactly, and the weight data within bounds is looked up in a cached
 index sliced by numerator top exponent.  A model matches when its closed-form
 numerator equals the target numerator exactly, either directly (quasilinear
@@ -25,6 +25,7 @@ from .wogr510 import OGrWeights
 
 DEFAULT_MAX_W2 = 8
 DEFAULT_MAX_U = 4
+AUGMENT_BOUND = 8     # the largest extra generator degree match_pipeline tries
 
 
 def fmt_multiset(weights):
@@ -42,15 +43,13 @@ class MatchQuery(Record):
     Generator degrees, when given, constrain the ambient coordinate weights
     (up to coning by unmatched degree-1 generators).
     """
-    _fields = ("target", "generator_degrees", "family", "max_w2", "max_u", "basket",
-               "canonical_degree", "depth")
+    _fields = ("target", "generator_degrees", "family", "max_w2", "max_u", "basket", "depth")
 
     def __init__(self, target, generator_degrees=None, family=None, max_w2=DEFAULT_MAX_W2,
-                 max_u=DEFAULT_MAX_U, basket=(), canonical_degree=None, depth=DEFAULT_DEPTH):
+                 max_u=DEFAULT_MAX_U, basket=(), depth=DEFAULT_DEPTH):
         _check_bounds(family, max_w2, max_u)
         self.__dict__.update(target=target, generator_degrees=generator_degrees, family=family,
-                             max_w2=max_w2, max_u=max_u, basket=basket,
-                             canonical_degree=canonical_degree, depth=depth)
+                             max_w2=max_w2, max_u=max_u, basket=basket, depth=depth)
 
 
 def _check_bounds(family, max_w2, max_u):
@@ -61,8 +60,7 @@ def _check_bounds(family, max_w2, max_u):
         raise ValueError(f"unknown family {family!r}")
 
 
-def infer_generators(series, depth=DEFAULT_DEPTH, basket=None,
-                     residue_forcing=True):
+def infer_generators(series, depth=DEFAULT_DEPTH):
     """Greedy generator inference from the expansion.
 
     Repeatedly multiplies by (1 - t^k)^{c_k} at the smallest degree with a
@@ -70,9 +68,6 @@ def infer_generators(series, depth=DEFAULT_DEPTH, basket=None,
     The series is expanded once; each factor updates the truncated
     coefficients in place, high to low, since coefficient n of a product
     depends only on coefficients up to n.
-    With a basket, each required 1/r point forces a generator of degree
-    divisible by r and, when ``residue_forcing`` is set, generators covering
-    the residues of its weights mod r.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -89,16 +84,26 @@ def infer_generators(series, depth=DEFAULT_DEPTH, basket=None,
         for _ in range(int(c)):
             for n in range(depth, k - 1, -1):
                 coeffs[n] -= coeffs[n - k]
-    if basket:
-        needed = Counter(sing.r for sing in basket)
-        for r, n in sorted(needed.items()):
-            have = sum(1 for g in gens if g % r == 0)
-            gens.extend([r] * max(0, n - have))
-        if residue_forcing:
-            for sing in basket:
-                for res in sorted({w % sing.r for w in sing.weights} - {0}):
-                    if not any(g % sing.r == res for g in gens):
-                        gens.append(res)
+    return tuple(gens)
+
+
+def _force_divisibility(gens, basket):
+    """``gens`` with a degree r added until each 1/r point of ``basket`` has
+    its own generator of degree divisible by r."""
+    gens = list(gens)
+    for r, n in sorted(Counter(sing.r for sing in basket).items()):
+        gens.extend([r] * max(0, n - sum(1 for g in gens if g % r == 0)))
+    return tuple(sorted(gens))
+
+
+def _force_residues(gens, basket):
+    """``gens`` with each nonzero residue mod r of the weights of a 1/r point
+    of ``basket`` added that no generator has."""
+    gens = list(gens)
+    for sing in basket:
+        for res in sorted({w % sing.r for w in sing.weights} - {0}):
+            if not any(g % sing.r == res for g in gens):
+                gens.append(res)
     return tuple(sorted(gens))
 
 
@@ -374,8 +379,8 @@ def search(query):
     gens = query.generator_degrees
     if query.target.denominator:
         if gens is None:
-            gens = infer_generators(query.target, query.depth,
-                                    basket=query.basket)
+            gens = _force_residues(_force_divisibility(
+                infer_generators(query.target, query.depth), query.basket), query.basket)
         try:
             n_target = query.target.hilbert_numerator(gens)
         except SeriesError as exc:
@@ -387,42 +392,32 @@ def search(query):
     candidates = {}
     _collect(candidates, n_target, gens, "search", query.family, query.max_w2, query.max_u,
              query.basket)
-    models = [candidates[k].model for k in sorted(k for k, c in candidates.items()
-                                                  if c.sections == () and c.accepted)]
-    wanted = query.canonical_degree
-    return [m for m in models if wanted is None or m.canonical_degree() == wanted]
+    return [candidates[k].model for k in sorted(k for k, c in candidates.items()
+                                                if c.sections == () and c.accepted)]
 
 
 def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
                    max_u=DEFAULT_MAX_U, depth=DEFAULT_DEPTH,
-                   user_generators=(), residue_forcing=True,
-                   augment_bound=8):
+                   user_generators=(), residue_forcing=True):
     """Full recognition pipeline with accepted/rejected verdicts.
 
     Candidate generator multisets are the greedy one, its singularity-forced
     variants, and any user-supplied ones.  If no candidate is accepted, one
-    extra generator-and-relation degree k is tried for k up to the bound.
+    extra generator-and-relation degree k is tried for k up to AUGMENT_BOUND.
     """
     _check_bounds(family, max_w2, max_u)
     basket = tuple(basket)
-    gen_sets = []
     greedy = infer_generators(series, depth)
-    gen_sets.append(("greedy", greedy))
-    if basket:
-        forced = infer_generators(series, depth, basket=basket,
-                                  residue_forcing=False)
-        if forced != greedy:
-            gen_sets.append(("divisibility-forced", forced))
-        if residue_forcing:
-            full = infer_generators(series, depth, basket=basket,
-                                    residue_forcing=True)
-            if full not in [g for _, g in gen_sets]:
-                gen_sets.append(("residue-forced", full))
-    for k, gens in enumerate(user_generators):
-        gen_sets.append((f"user[{k}]", tuple(sorted(gens))))
+    forced = _force_divisibility(greedy, basket)
+    inferred = [("greedy", greedy), ("divisibility-forced", forced)]
+    if residue_forcing:
+        inferred.append(("residue-forced", _force_residues(forced, basket)))
+    gen_sets = [(p, g) for i, (p, g) in enumerate(inferred)
+                if g not in [h for _, h in inferred[:i]]]
+    gen_sets += [(f"user[{k}]", tuple(sorted(gens))) for k, gens in enumerate(user_generators)]
 
     candidates, tried, diagnostics = {}, [], []
-    for k in range(max(augment_bound, 0) + 1):    # round 0 tries the sets as inferred
+    for k in range(AUGMENT_BOUND + 1):    # round 0 tries the sets as inferred
         for provenance, gens in gen_sets:
             if k:
                 provenance, gens = f"{provenance} + degree {k}", tuple(sorted(gens + (k,)))

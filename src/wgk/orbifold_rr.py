@@ -66,8 +66,9 @@ class RRData(Record):
     @classmethod
     def canonical3(cls, pg, kcubed, half_points=0):
         """A regular canonical 3-fold with p_g, K^3 and h points 1/2(1,1,1)."""
-        if pg < 0 or half_points < 0:
-            raise ValueError("pg and the point count must be non-negative")
+        for key, value in (("pg", pg), ("half_points", half_points)):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         chi, half = 1 - pg, local_term(2, (1, 1, 1))
         return cls(1, kcubed, chi, -24 * chi + Fraction(3 * half_points, 2),
                    (PeriodicTable(2, [half_points * c for c in half.values]),))

@@ -1,7 +1,7 @@
 """Paper-only structures of weighted OGr(5,10): the spinor graph, the Weyl
 group W(D5) of signed permutations, the printed second-syzygy columns and the
-parametrization e*(1, M, Pf M).  No command needs them; ``wgk.wogr510``
-exports their names and imports this module when one is first asked for.
+parametrization e*(1, M, Pf M).  No command needs them, so no module that
+a command loads imports this one.
 """
 
 from __future__ import annotations

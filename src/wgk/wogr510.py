@@ -2,7 +2,7 @@
 sixteen orbifold charts.  ``OGrWeights`` states these as a ``WeightFamily``;
 the Hilbert numerator, K and well-formedness are derived there.  The spinor
 graph, the signed-permutation group and the parametrization live in
-``wgk.spinor`` and load when first asked for here.
+``wgk.spinor``.
 
 The sixteen spinor coordinates are indexed by the vertices of the 5-cube
 modulo antipodal identification; a vertex is stored by its short subset
@@ -224,19 +224,3 @@ class OGrWeights(WeightFamily):
     def __str__(self):
         ws = ",".join(str(Fraction(v, 2)) for v in self.w2)
         return f"wOGr(5,10; w=({ws}), u={self.u})"
-
-
-# -- paper-only structures: wgk.spinor, imported on first use ------------------
-
-SPINOR_NAMES = ("SpinorGraph", "spinor_graph", "wd5_identity", "wd5_compose",
-                "wd5_vertex_action", "wd5_weight_action", "wd5_elements", "wd5_generators",
-                "wd5_element_order", "SECOND_SYZYGY_COLUMNS", "second_syzygy_degree_check",
-                "parametrize", "membership", "point_satisfies_equations", "verify_parametrization")
-
-
-def __getattr__(name):
-    # these names only: a catch-all would load wgk.spinor on the ``__path__`` probe
-    if name in SPINOR_NAMES:
-        from . import spinor
-        return getattr(spinor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

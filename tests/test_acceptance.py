@@ -15,8 +15,8 @@ from wgk.sections import (AmbientModel, QuotientSingularity, rr_roundtrip,
                           section_canonical, section_series, singularity_analysis)
 from wgk.series import HilbertSeries, LaurentPoly
 from wgk.wgrass25 import GrWeights, verify_gr_identities
-from wgk.wogr510 import (OGrWeights, verify_ogr_syzygies,
-                         verify_parametrization)
+from wgk.spinor import verify_parametrization
+from wgk.wogr510 import OGrWeights, verify_ogr_syzygies
 
 W1 = GrWeights.from_fractions(["1/2"] * 4 + ["3/2"])
 W2 = GrWeights.from_fractions(["1/2"] * 3 + ["3/2"] * 2)

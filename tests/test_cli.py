@@ -60,9 +60,9 @@ def test_verify_passes(capsys):
 
 
 def test_verify_names_corrupted_identity(capsys, monkeypatch):
-    from wgk import wogr510
+    from wgk import spinor
     wogr510.equations()          # prime caches with the honest table
-    wogr510.spinor_graph()
+    spinor.spinor_graph()
     good = wgrass25.pfaffian_equations()
 
     def corrupted():
@@ -350,6 +350,17 @@ def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
       "points": [{"r": 3, "weights": [1, 1, 1]}, {"r": 3, "weight": [2, 2, 2]}]},
      "error: points[1] has an unknown key 'weight'\n"),
+    # points is a list, not a point or a string of them
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": {"r": 5}},
+     "error: points must be a JSON list, not dict\n"),
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": "ab"},
+     "error: points must be a JSON list, not str\n"),
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": None},
+     "error: points must be a JSON list, not NoneType\n"),
+    # a negative count names its key and value
+    ({"kind": "can3", "pg": 7, "K3": "21", "half_points": -2},
+     "error: half_points must be >= 0, got -2\n"),
+    ({"kind": "can3", "pg": -7, "K3": "21"}, "error: pg must be >= 0, got -7\n"),
 ])
 def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     rr = tmp_path / "rr.json"
@@ -488,6 +499,8 @@ def test_oracle_budget_refusal_exits_2(capsys, json_flag):
     (("rr", "can3", "--pg", "7", "--k3", "21", "--expand", "-1"), "--expand must be >= 0, got -1"),
     (("rr", "cy3", "--a3", "1", "--ac2", "1", "--expand", "-2"), "--expand must be >= 0, got -2"),
     (("section", "--model", "{model}", "--terms", "-1"), "--terms must be >= 0, got -1"),
+    (("rr", "can3", "--pg", "7", "--k3", "21", "--half", "-2"), "--half must be >= 0, got -2"),
+    (("rr", "can3", "--pg", "-7", "--k3", "21"), "--pg must be >= 0, got -7"),
 ])
 def test_argument_errors_name_the_argument(tmp_path, capsys, argv, message):
     model = tmp_path / "m.json"

@@ -27,6 +27,14 @@ WOGR510_NAMES = (
     "wd5_vertex_action", "wd5_weight_action",
 )
 
+# the paper-only names of WOGR510_NAMES, which only wgk.spinor defines
+SPINOR_NAMES = (
+    "SECOND_SYZYGY_COLUMNS", "SpinorGraph", "membership", "parametrize",
+    "point_satisfies_equations", "second_syzygy_degree_check", "spinor_graph",
+    "verify_parametrization", "wd5_compose", "wd5_element_order", "wd5_elements",
+    "wd5_generators", "wd5_identity", "wd5_vertex_action", "wd5_weight_action",
+)
+
 PACKAGE_NAMES = (
     "AmbientModel", "Chart", "GrWeights", "HilbertSeries",
     "LaurentPoly", "MatchQuery", "OGrWeights", "PeriodicTable", "QuotientSingularity",
@@ -128,12 +136,14 @@ def test_no_family_restates_a_derived_member():
 
 
 def test_every_wogr510_name_still_resolves():
+    # each name resolves in wgk.wogr510, or in wgk.spinor alone if it moved there
     for name in WOGR510_NAMES:
-        assert getattr(wogr510, name) is not None, name
-    for name in wogr510.SPINOR_NAMES:
-        assert getattr(wogr510, name) is getattr(spinor, name)
-    from wgk.wogr510 import spinor_graph, wd5_elements
-    assert len(wd5_elements()) == 1920 and len(spinor_graph().edges) == 40
+        moved = name in SPINOR_NAMES
+        assert getattr(spinor if moved else wogr510, name) is not None, name
+        assert hasattr(wogr510, name) != moved, name
+    assert len(spinor.wd5_elements()) == 1920 and len(spinor.spinor_graph().edges) == 40
+    with pytest.raises(AttributeError, match="spinor_graph"):
+        wogr510.spinor_graph
     with pytest.raises(AttributeError, match="no_such_name"):
         wogr510.no_such_name
 

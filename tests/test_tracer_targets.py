@@ -5,6 +5,7 @@ client read wgk objects by attribute; a rename in wgk then fails here, not
 only in a benchmark run.  The benchmark files are loaded, never changed.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -16,10 +17,22 @@ from wgk.matcher import _canonical_key
 from wgk.oracle import count_monomials, graded_dimension
 from wgk.sections import AmbientModel
 from wgk.wgrass25 import GrWeights
-from wgk.wogr510 import SPINOR_NAMES, OGrWeights
+from wgk.wogr510 import OGrWeights
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src"
+
+
+def spinor_names():
+    """The public names wgk.spinor defines at top level, not those it imports."""
+    tree = ast.parse((SRC / "wgk" / "spinor.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
 
 
 def load(name):
@@ -78,9 +91,11 @@ rec.uninstall()
 
 def test_the_cli_loads_no_paper_only_code():
     """No module that ``import wgk.cli`` loads holds a name of wgk.spinor."""
+    names = spinor_names()
+    assert {"spinor_graph", "wd5_elements", "SECOND_SYZYGY_COLUMNS"} <= names
     proc = fresh(f"""
 import sys, wgk.cli
-names = set({SPINOR_NAMES!r})
+names = {names!r}
 print(*sorted(n for n, m in list(sys.modules.items())
               if n.split(".")[0] == "wgk" and names & vars(m).keys()))
 """)

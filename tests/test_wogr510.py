@@ -9,14 +9,13 @@ import pytest
 from wgk.oracle import GradedRing, graded_dimension
 from wgk.series import LaurentPoly
 from wgk.wgrass25 import GrWeights
+from wgk.spinor import (membership, parametrize, point_satisfies_equations,
+                        second_syzygy_degree_check, spinor_graph, verify_parametrization,
+                        wd5_compose, wd5_element_order, wd5_elements, wd5_generators,
+                        wd5_identity, wd5_vertex_action, wd5_weight_action)
 from wgk.wogr510 import (EQUATION_NAMES, OGrWeights, VERTEX_NAMES, VERTICES,
                          canonical_vertex, equations, even_rep, first_syzygies,
-                         membership, parametrize, point_satisfies_equations,
-                         second_syzygy_degree_check, spinor_graph,
-                         verify_ogr_syzygies, verify_parametrization,
-                         vertex_name, wd5_compose, wd5_element_order,
-                         wd5_elements, wd5_generators, wd5_identity,
-                         wd5_vertex_action, wd5_weight_action)
+                         verify_ogr_syzygies, vertex_name)
 
 EX1 = OGrWeights((0, 0, 0, 0, 2), 1)
 EX2 = OGrWeights((0, 0, 2, 2, 4), 1)
