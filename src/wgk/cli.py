@@ -266,6 +266,9 @@ def _rr_point(index, entry):
     r = integral("r", _json_object(name, entry, ("r", "weights", "c"))["r"])
     if r < 2:
         raise InputError(f"{name} has order {r}; a quotient point needs r >= 2")
+    for key in ("weights", "c"):    # a string would be read character by character
+        if not isinstance(entry.get(key, []), list):
+            raise InputError(f"{name}: {key} must be a JSON list, not {type(entry[key]).__name__}")
     try:
         table = (PeriodicTable(r, tuple(_fraction_field("c", c) for c in entry["c"]))
                  if "c" in entry else None)

@@ -158,16 +158,23 @@ def enumerate_ogr_weights(max_w2, max_u, tau=None):
 
 
 def _numerator_at2(weights, top):
-    """num(2) in integer arithmetic, after checking that the closed-form
-    numerator is 1 + ... - t^top; 0 when the weights give none."""
-    try:
-        num = weights.numerator_terms()
-    except ValueError:
+    """num(2) = 1 - sum 2^e over the relations + ... - 2^top, in integers from
+    the resolution banks; 0 for a negative degree (no numerator).  The last
+    bank must be (top,) after an even number of banks of degrees in (0, top),
+    so nothing cancels 1 or -t^top.  Positive coordinate weights a ensure it:
+    wGr has d - w_i = a_jk + a_lm, d + w_i = a_ij + a_ik + a_lm; wOGr has
+    d - w_i = a_x + a_xi, d + w_i = a_xij + a_xj, 2d ± a (2d - a the rest of
+    such a quadruple), 3d ± w_i; and Gorenstein symmetry pairs e with top - e."""
+    *middle, last = weights.resolution_degrees().values()
+    lo, hi = min(map(min, middle), default=top), max(map(max, middle), default=0)
+    if lo < 0:
         return 0
-    if num.get(0) != 1 or max(num) != top or num[top] != -1:
+    if last != (top,) or len(middle) % 2 or lo == 0 or hi >= top:
         raise AssertionError(f"{weights}: numerator is not 1 + ... - t^{top}")
-    # never 0: an integer root of num would divide its constant term 1
-    return sum(c << e for e, c in num.items())
+    num = 1 - (1 << top)
+    for minus, plus in zip(middle[::2], middle[1::2]):
+        num += sum([1 << e for e in plus]) - sum([1 << e for e in minus])
+    return num    # never 0: an integer root of num would divide its constant term 1
 
 
 # the module functions are looked up on each call, so that they can be wrapped
@@ -228,25 +235,16 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
 
 
 def _strip_section_factors(quotient):
-    """Write a polynomial as prod (1 - t^k) or return None."""
-    factors = []
-    q = quotient
-    while True:
-        if q == LaurentPoly.one():
-            return tuple(sorted(factors))
+    """Write a polynomial as prod (1 - t^k), at most 8 factors, or return None."""
+    factors, q = [], quotient
+    while q != LaurentPoly.one():
         if q.is_zero() or q.min_exp() != 0 or q[0] != 1:
             return None
-        positives = [e for e in q.coeffs if e > 0]
-        if not positives:
+        factors.append(min(e for e in q.coeffs if e > 0))    # q is not 1, so one exists
+        q = q.divexact(one_minus(factors[-1]))
+        if q is None or len(factors) > 8:
             return None
-        k = min(positives)
-        nxt = q.divexact(one_minus(k))
-        if nxt is None:
-            return None
-        factors.append(k)
-        q = nxt
-        if len(factors) > 8:
-            return None
+    return tuple(sorted(factors))
 
 
 def _canonical_key(w):

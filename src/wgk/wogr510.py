@@ -173,13 +173,12 @@ class OGrWeights(WeightFamily):
         d ± w_i, the first syzygies in 2d - a and the second in 2d + a over the
         coordinate weights a, the third in 3d ± w_i and the top in 4d."""
         d2, w2, wts = self.d2(), self.w2, self.coordinate_weights()
-        if any((d2 + v) % 2 for v in w2):
-            raise AssertionError("weight parity violated in resolution degrees")
-        return {"relations": tuple(sorted((d2 + s * v) // 2 for v in w2 for s in (-1, 1))),
-                "first_syzygies": tuple(sorted(d2 - w for w in wts)),
-                "second_syzygies": tuple(sorted(d2 + w for w in wts)),
-                "third_syzygies": tuple(sorted((3 * d2 + s * v) // 2
-                                               for v in w2 for s in (-1, 1))),
+        # w2 has one parity, wts is sorted, and 3d ± w_i = 2d + (d ± w_i): two sorts
+        relations = sorted((d2 + s * v) // 2 for v in w2 for s in (-1, 1))
+        return {"relations": tuple(relations),
+                "first_syzygies": tuple([d2 - w for w in reversed(wts)]),
+                "second_syzygies": tuple([d2 + w for w in wts]),
+                "third_syzygies": tuple([d2 + e for e in relations]),
                 "top": (2 * d2,)}
 
     def top_exponent(self):

@@ -361,6 +361,16 @@ def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     ({"kind": "can3", "pg": 7, "K3": "21", "half_points": -2},
      "error: half_points must be >= 0, got -2\n"),
     ({"kind": "can3", "pg": -7, "K3": "21"}, "error: pg must be >= 0, got -7\n"),
+    # a point's weights and c are lists, not strings read by character or numbers
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "weights": "334"}]},
+     "error: points[0]: weights must be a JSON list, not str\n"),
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "c": "01234"}]},
+     "error: points[0]: c must be a JSON list, not str\n"),
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "weights": 5}]},
+     "error: points[0]: weights must be a JSON list, not int\n"),
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
+      "points": [{"r": 3, "weights": [1, 1, 1]}, {"r": 3, "c": None}]},
+     "error: points[1]: c must be a JSON list, not NoneType\n"),
 ])
 def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     rr = tmp_path / "rr.json"
@@ -410,8 +420,10 @@ def test_match_rejects_the_bounds_a_query_rejects(tmp_path, capsys, max_w2, max_
 
 
 def test_internal_inconsistency_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
-    # a model numerator breaking the matcher's top-term check (1 + ... - t^top)
-    monkeypatch.setattr(wgrass25.GrWeights, "numerator_terms", lambda self: {0: 1, 1: 1})
+    # model banks breaking the matcher's top-term check (1 + ... - t^top): a
+    # relation in degree 0 would cancel the 1
+    monkeypatch.setattr(wgrass25.GrWeights, "resolution_degrees", lambda self: {
+        "relations": (0,), "first_syzygies": (1,), "top": (self.d2(),)})
     rr = tmp_path / "can3.json"
     rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21",
                               "half_points": 2}))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wgk
-from wgk import sections, spinor, wogr510
+from wgk import matcher, sections, spinor, wogr510
 from wgk.polynomials import MPoly
 from wgk.series import HilbertSeries, LaurentPoly
 from wgk.wgrass25 import WeightFamily
@@ -121,6 +121,7 @@ def test_a_family_stating_only_its_primitives_gets_the_derived_members(a, e, can
     x = Hypersurface(a, e)
     assert x.coordinate_weights() == tuple(sorted(a))
     assert x.numerator_terms() == {0: 1, e: -1}
+    assert matcher._numerator_at2(x, e) == 1 - 2 ** e     # the top is its only bank
     series = x.hilbert_series()
     assert (series.numerator, series.denominator) == (LaurentPoly({0: 1, e: -1}), a)
     assert x.top_exponent() == e

@@ -22,7 +22,7 @@ from wgk.matcher import (MatchQuery, enumerate_gr_weights,
 from wgk.orbifold_rr import RRData, hilbert_can3, hilbert_cy3, local_term
 from wgk.sections import AmbientModel, QuotientSingularity
 from wgk.series import HilbertSeries, LaurentPoly, SeriesError, geometric, one_minus
-from wgk.wgrass25 import GrWeights
+from wgk.wgrass25 import GrWeights, WeightFamily
 from wgk.wogr510 import VERTICES, OGrWeights
 
 H_CAN3 = hilbert_can3(RRData.canonical3(7, 21, 2))
@@ -424,8 +424,31 @@ def test_numerator_terms_and_index_value_at_2_match_the_previous_assembly(w):
 
 def test_index_entry_without_numerator_has_value_0():
     def invalid():
-        raise ValueError("numerator has negative exponents: invalid weights")
-    assert matcher._numerator_at2(SimpleNamespace(numerator_terms=invalid), 4) == 0
+        return {"relations": (-1, 2), "first_syzygies": (3, 5), "top": (4,)}
+    assert matcher._numerator_at2(SimpleNamespace(resolution_degrees=invalid), 4) == 0
+
+
+@pytest.mark.parametrize("family", ["wgr25", "wogr510"])
+def test_index_value_at_2_is_the_numerator_at_2_for_every_model(family):
+    for w in matcher._ENUMERATE[family](12, 6, None):
+        top = w.top_exponent()
+        *middle, last = w.resolution_degrees().values()
+        # the separation the index checks: 1 and -t^top cannot cancel
+        assert last == (top,) and len(middle) % 2 == 0
+        assert all(0 < e < top for bank in middle for e in bank)
+        assert matcher._numerator_at2(w, top) == LaurentPoly(w.numerator_terms())(2)
+
+
+def test_a_cold_index_builds_no_numerator():
+    matcher._model_index.cache_clear()
+    try:
+        with mock.patch.object(WeightFamily, "numerator_terms", autospec=True,
+                               side_effect=WeightFamily.numerator_terms) as terms:
+            slices = matcher._model_index(None, 8, 4).reach(10 ** 6)
+    finally:
+        matcher._model_index.cache_clear()
+    assert terms.call_count == 0
+    assert sum(map(len, slices.values())) == 1365
 
 
 def test_zero_target_has_no_candidates():
