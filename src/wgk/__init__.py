@@ -17,7 +17,7 @@ _EXPORTS = {
                     "hilbert_series", "local_term", "plurigenus"),
     "sections": ("AmbientModel", "QuotientSingularity", "ambient_series", "quasilinear_embed",
                  "rr_roundtrip", "section_canonical", "section_series", "singularity_analysis"),
-    "series": ("HilbertSeries", "LaurentPoly", "binom3"),
+    "series": ("HilbertSeries", "LaurentPoly"),
     "wgrass25": ("Chart", "GrWeights", "fit_pfaffian_weights",
                  "pfaffian_equations", "verify_gr_identities"),
     "wogr510": ("OGrWeights", "equations", "first_syzygies", "verify_ogr_syzygies"),

@@ -22,9 +22,9 @@ from . import fixtures as fixture_mod
 from . import matcher as matcher_mod
 from .oracle import OracleBudgetError, graded_dimension
 from .orbifold_rr import PeriodicTable, RRData, hilbert_can3, hilbert_cy3, local_term, plurigenus
-from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, _json_object,
-                       integral, quasilinear_embed, rr_roundtrip, section_canonical,
-                       section_series, singularity_analysis)
+from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, integral,
+                       json_list, json_object, quasilinear_embed, rational, rr_roundtrip,
+                       section_canonical, section_series, singularity_analysis)
 from .wgrass25 import GrWeights, doubled as half_doubled, verify_gr_identities
 from .wogr510 import OGrWeights, verify_ogr_syzygies
 
@@ -83,13 +83,6 @@ def build_weights(args):
 
 def frac_str(x):
     return str(Fraction(x))
-
-
-def parse_fraction(text):
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise InputError(f"zero denominator in {text!r}") from None
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -161,15 +154,22 @@ def cmd_verify(args):
     return (1 if failures else 0), data, lines
 
 
+def _quotient_order(name, r):
+    """``r``; InputError names the point ``name`` when ``r`` is below 2."""
+    if r < 2:
+        raise InputError(f"{name} has order {r}; a quotient point needs r >= 2")
+    return r
+
+
 def _parse_point(text):
     head, _, tail = text.partition(":")
     try:
         r = int(head)
     except ValueError:
         raise InputError(f"--point {text!r} is not of the form r:c0,...,c(r-1)") from None
-    if r < 2:
-        raise InputError(f"--point {text!r} has order {r}; a quotient point needs r >= 2")
-    values = [parse_fraction(tok) for tok in tail.split(",")] if tail else [Fraction(0)] * r
+    _quotient_order(f"--point {text!r}", r)
+    values = ([rational("--point", tok) for tok in tail.split(",")] if tail
+              else [Fraction(0)] * r)
     try:
         return PeriodicTable(r, tuple(values))
     except ValueError as exc:
@@ -179,11 +179,11 @@ def _parse_point(text):
 def cmd_rr(args):
     depth = default_depth() if args.expand is None else _at_least("--expand", args.expand, 0)
     if args.kind == "can3":
-        rr = RRData.canonical3(_at_least("--pg", args.pg, 0), parse_fraction(args.k3),
+        rr = RRData.canonical3(_at_least("--pg", args.pg, 0), rational("--k3", args.k3),
                                _at_least("--half", args.half, 0))
         series = hilbert_can3(rr)
     else:
-        rr = RRData.cy3(parse_fraction(args.a3), parse_fraction(args.ac2),
+        rr = RRData.cy3(rational("--a3", args.a3), rational("--ac2", args.ac2),
                         tuple(map(_parse_point, args.point or ())))
         series = hilbert_cy3(rr)
     values = [plurigenus(rr, n) for n in range(depth + 1)]
@@ -252,29 +252,18 @@ def cmd_section(args):
     return 0, data, lines
 
 
-def _fraction_field(key, value):
-    """A rational field of JSON input; a boolean is refused, not read as 0 or 1."""
-    if isinstance(value, bool):
-        raise InputError(f"{key} must be a number, not a boolean")
-    return parse_fraction(value)
-
-
 def _rr_point(index, entry):
     """``(point, table)`` of ``points[index]`` in cy3 data, either one None: the point
     from ``weights``, the table from ``c`` or else from ``local_term``, which ``c`` must equal."""
     name = f"points[{index}]"
-    r = integral("r", _json_object(name, entry, ("r", "weights", "c"))["r"])
-    if r < 2:
-        raise InputError(f"{name} has order {r}; a quotient point needs r >= 2")
-    for key in ("weights", "c"):    # a string would be read character by character
-        if not isinstance(entry.get(key, []), list):
-            raise InputError(f"{name}: {key} must be a JSON list, not {type(entry[key]).__name__}")
-    try:
-        table = (PeriodicTable(r, tuple(_fraction_field("c", c) for c in entry["c"]))
+    fields = json_object(name, entry, ("r",), {"weights": None, "c": None})
+    r = _quotient_order(name, integral("r", fields["r"]))
+    try:     # an absent weights or c is not read; an explicit null is refused
+        table = (PeriodicTable(r, json_list("c", fields["c"], rational))
                  if "c" in entry else None)
         if "weights" not in entry:
             return None, table
-        weights = tuple(integral("weights", w) for w in entry["weights"])
+        weights = json_list("weights", fields["weights"], integral)
         if len(weights) != 3:
             raise ValueError(f"a 3-fold point needs 3 weights, got {len(weights)}")
         point, term = QuotientSingularity(r, weights), local_term(r, weights)
@@ -294,31 +283,22 @@ def cmd_match(args):
     if not isinstance(data, dict):
         raise InputError(f"rr data must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
-    try:
-        if kind == "can3":
-            _json_object("rr data", data, ("kind", "pg", "K3", "half_points"))
-            half = integral("half_points", data.get("half_points", 0))
-            rr = RRData.canonical3(integral("pg", data["pg"]),
-                                   _fraction_field("K3", data["K3"]), half)
-            series = hilbert_can3(rr)
-            basket = (QuotientSingularity(2, (1, 1, 1)),) * half
-        elif kind == "cy3":
-            _json_object("rr data", data, ("kind", "A3", "Ac2", "points"))
-            points = data.get("points", [])
-            if not isinstance(points, list):
-                raise InputError(f"points must be a JSON list, not {type(points).__name__}")
-            points = [_rr_point(i, p) for i, p in enumerate(points)]
-            rr = RRData.cy3(_fraction_field("A3", data["A3"]),
-                            _fraction_field("Ac2", data["Ac2"]),
-                            tuple(table for _, table in points if table is not None))
-            series = hilbert_cy3(rr)
-            basket = tuple(point for point, _ in points if point is not None)
-        else:
-            raise InputError("rr data file must set kind to can3 or cy3")
-    except KeyError as exc:
-        raise InputError(f"rr data lacks the key {exc}") from None
-    except TypeError as exc:
-        raise InputError(f"rr data has a value of the wrong type: {exc}") from None
+    if kind == "can3":
+        fields = json_object("rr data", data, ("kind", "pg", "K3"), {"half_points": 0})
+        half = integral("half_points", fields["half_points"])
+        rr = RRData.canonical3(integral("pg", fields["pg"]), rational("K3", fields["K3"]), half)
+        series = hilbert_can3(rr)
+        basket = (QuotientSingularity(2, (1, 1, 1)),) * half
+    elif kind == "cy3":
+        fields = json_object("rr data", data, ("kind", "A3", "Ac2"), {"points": []})
+        points = json_list("points", fields["points"], lambda _, entry: entry)
+        points = [_rr_point(i, p) for i, p in enumerate(points)]
+        rr = RRData.cy3(rational("A3", fields["A3"]), rational("Ac2", fields["Ac2"]),
+                        tuple(table for _, table in points if table is not None))
+        series = hilbert_cy3(rr)
+        basket = tuple(point for point, _ in points if point is not None)
+    else:
+        raise InputError("rr data file must set kind to can3 or cy3")
     report = matcher_mod.match_pipeline(
         series, basket=basket, family=args.family, max_w2=args.max_w2,
         max_u=args.max_u, depth=depth,

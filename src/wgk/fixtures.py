@@ -1,4 +1,4 @@
-"""Versioned fixture data: the worked examples with their expected invariants.
+"""Fixture data: the worked examples with their expected invariants.
 
 Every expected value carries a provenance marker: "published" (a value stated
 in the literature for this family), "derived" (recomputed here by an
@@ -15,9 +15,6 @@ from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity,
                        section_series, singularity_analysis)
 from .matcher import singularity_filter
 from .series import LaurentPoly, Record
-
-SCHEMA = "wgk.fixtures/1"
-
 
 def V(value, provenance):
     if provenance not in ("published", "derived", "trivial"):

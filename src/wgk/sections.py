@@ -41,14 +41,40 @@ def integral(key, value):
     raise ValueError(f"{key} must be an integer, not {value}")
 
 
-def _json_object(name, data, keys):
-    """``data``; ValueError unless it is a JSON object whose keys are among ``keys``."""
+def rational(key, value):
+    """A rational field of input as a Fraction; ValueError names the key when the
+    value is a boolean or not a number, and quotes a zero denominator."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, not a boolean")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, not {value!r}") from None
+
+
+def json_list(key, value, read):
+    """``read(key, item)`` of each item of ``value`` as a tuple; ValueError names
+    the key unless ``value`` is a JSON list (a string would be read by character)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON list, not {type(value).__name__}")
+    return tuple(read(key, item) for item in value)
+
+
+def json_object(name, data, required, defaults):
+    """``data`` with each absent key of ``defaults`` set to its default; ValueError
+    unless ``data`` is a JSON object holding every key of ``required`` and no key
+    outside ``required`` and ``defaults``."""
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be a JSON object, not {type(data).__name__}")
-    unknown = sorted(set(data) - set(keys))
+    unknown = sorted(set(data) - set(required) - set(defaults))
     if unknown:
         raise ValueError(f"{name} has an unknown key {unknown[0]!r}")
-    return data
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{name} lacks the key {key!r}")
+    return {**defaults, **data}
 
 
 class QuotientSingularity(Record):
@@ -137,20 +163,13 @@ class AmbientModel(Record):
     @classmethod
     def from_json(cls, data):
         """Inverse of ``to_json``; ValueError names a missing or unknown key or a wrong type."""
-        _json_object("model", data, ("family", "w2", "u2", "cone"))
-        for key in ("family", "w2"):
-            if key not in data:
-                raise ValueError(f"model lacks the key {key!r}")
-        family = FAMILIES.get(str(data["family"]))
+        fields = json_object("model", data, ("family", "w2"), {"u2": 0, "cone": []})
+        family = FAMILIES.get(str(fields["family"]))
         if family is None:
-            raise ValueError(f"unknown family {data['family']!r}")
-        try:
-            w2 = tuple(integral("w2", v) for v in data["w2"])
-            u2 = integral("u2", data.get("u2", 0))
-            cone = tuple(integral("cone", c) for c in data.get("cone", ()))
-        except TypeError as exc:
-            raise ValueError(f"model has a value of the wrong type: {exc}") from None
-        return cls(family.of(w2, u2), cone)
+            raise ValueError(f"unknown family {fields['family']!r}")
+        w2 = json_list("w2", fields["w2"], integral)
+        u2 = integral("u2", fields["u2"])
+        return cls(family.of(w2, u2), json_list("cone", fields["cone"], integral))
 
     def __str__(self):
         s = str(self.base)

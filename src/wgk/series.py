@@ -435,14 +435,6 @@ class HilbertSeries:
                    data.get("denominator", ()))
 
 
-def binom3(m):
-    """m(m-1)(m-2)/6 for any integer m; vanishes for 0 <= m < 3."""
-    m = int(m)
-    num = m * (m - 1) * (m - 2)
-    assert num % 6 == 0
-    return num // 6
-
-
 def geometric(weights):
     """Free graded series 1 / prod (1 - t^a)."""
     return HilbertSeries(LaurentPoly.one(), weights)

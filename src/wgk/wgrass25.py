@@ -7,7 +7,7 @@ half-integers (stored doubled) plus an overall weight that is absorbed into
 the half-integers on construction, so the internal normal form always has
 overall weight zero.  ``GrWeights`` states the coordinates, the Pfaffian
 resolution's degree banks, the top exponent 2d and the charts; the Hilbert
-numerator, K and well-formedness come from ``WeightFamily``.
+numerator, the degree, K and well-formedness come from ``WeightFamily``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 from .polynomials import MPoly
-from .series import HilbertSeries, LaurentPoly, Record, binom3, exact_div
+from .series import HilbertSeries, LaurentPoly, Record, exact_div
 
 PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6))
 
@@ -89,7 +89,8 @@ class WeightFamily(Record):
     ``resolution_degrees()`` (the banks of its Gorenstein resolution in order,
     top last), ``top_exponent()``, ``charts()`` and ``canonical_form()``.  The
     members below are derived once: the Hilbert numerator is the alternating
-    sum over the banks, and Gorenstein symmetry gives K = O(top - sum of weights).
+    sum over the banks, the degree is read off the Hilbert series, and
+    Gorenstein symmetry gives K = O(top - sum of weights).
     """
 
     def coordinate_weights(self):
@@ -110,6 +111,10 @@ class WeightFamily(Record):
     def hilbert_series(self):
         """Closed form: ``numerator_terms`` / prod(1-t^a) over the coordinate weights."""
         return HilbertSeries(LaurentPoly(self.numerator_terms()), self.coordinate_weights())
+
+    def degree(self):
+        """The degree A^dim of the ample generator, read off the Hilbert series."""
+        return self.hilbert_series().intersection_number(self.dim)
 
     def canonical_degree(self):
         """K = O(top exponent - sum of the coordinate weights)."""
@@ -207,13 +212,6 @@ class GrWeights(WeightFamily):
         """The sorted doubled weights already are the orbit representative."""
         return self
 
-    def degree(self):
-        d2 = self.d2()
-        top = (sum(binom3((d2 - v) // 2) for v in self.w2)
-               - sum(binom3((d2 + v) // 2) for v in self.w2)
-               + binom3(d2))
-        return Fraction(top, prod(self.coordinate_weights()))
-
     def charts(self):
         """For each pair (i,j): order w_i + w_j, local weights w_i+w_k, w_j+w_k."""
         out = []
@@ -266,7 +264,7 @@ def _minor(i, j):
     return ai * bj - aj * bi
 
 
-def verify_gr_identities(pfaffians=None, rng_seed=2025):
+def verify_gr_identities(pfaffians=None):
     """Symbolic identity suite for the Pfaffian family.
 
     (a) M * Pf(M) = 0 as five cubics in the x_ij;
@@ -296,7 +294,7 @@ def verify_gr_identities(pfaffians=None, rng_seed=2025):
     for idx, p in enumerate(pfs, start=1):
         checks.append((f"(c) Pf_{idx} on rank-2 locus", p.substitute(minors).is_zero()))
 
-    rng = random.Random(rng_seed)
+    rng = random.Random(2025)
     matrix = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
               for i, j in PAIRS}
     assign = {pair_name(i, j): matrix[(i, j)] for i, j in PAIRS}

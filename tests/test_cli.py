@@ -312,6 +312,13 @@ def test_match_rejects_malformed_file(tmp_path, capsys):
     ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "u": 2}, "error: model has an unknown key 'u'\n"),
     ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cones": [1]},
      "error: model has an unknown key 'cones'\n"),
+    # w2 and cone are lists, not strings read by character or numbers
+    ({"family": "wogr510", "w2": "00224", "u2": 2}, "error: w2 must be a JSON list, not str\n"),
+    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": "11"},
+     "error: cone must be a JSON list, not str\n"),
+    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": 1},
+     "error: cone must be a JSON list, not int\n"),
+    ({"family": "wogr510", "w2": [0, 0, 0, 0, 2], "u2": [2]}, "error: u2 must be an integer, not [2]\n"),
 ])
 def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     model = tmp_path / "m.json"
@@ -371,6 +378,13 @@ def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
       "points": [{"r": 3, "weights": [1, 1, 1]}, {"r": 3, "c": None}]},
      "error: points[1]: c must be a JSON list, not NoneType\n"),
+    # a missing key names the point, and a value that is no number names its key
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"weights": [3, 3, 4]}]},
+     "error: points[0] lacks the key 'r'\n"),
+    ({"kind": "cy3", "A3": [6], "Ac2": "108/5"}, "error: A3 must be a number, not [6]\n"),
+    ({"kind": "can3", "pg": 7, "K3": {"a": 1}}, "error: K3 must be a number, not {'a': 1}\n"),
+    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "c": [[0], 0, 0, 0, 0]}]},
+     "error: points[0]: c must be a number, not [0]\n"),
 ])
 def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     rr = tmp_path / "rr.json"

@@ -1,11 +1,13 @@
 """Python-level contracts: integer MPoly coefficients, the weight-family
 interface, the names the package exports, most of which load from their
-module on first use, and no function that only forwards its parameters."""
+module on first use, no function that only forwards its parameters, and no
+module that imports another's private name."""
 
 import ast
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,7 @@ SPINOR_NAMES = (
 PACKAGE_NAMES = (
     "AmbientModel", "Chart", "GrWeights", "HilbertSeries",
     "LaurentPoly", "MatchQuery", "OGrWeights", "PeriodicTable", "QuotientSingularity",
-    "RRData", "ambient_series", "binom3", "equations", "first_syzygies",
+    "RRData", "ambient_series", "equations", "first_syzygies",
     "fit_pfaffian_weights", "hilbert_can3", "hilbert_cy3", "hilbert_series",
     "infer_generators", "local_term", "match_pipeline", "membership",
     "parametrize", "pfaffian_equations", "plurigenus", "quasilinear_embed", "rr_roundtrip", "search", "section_canonical",
@@ -82,8 +84,8 @@ def test_a_float_coefficient_is_refused_with_the_same_message():
 
 # -- the weight-family contract ---------------------------------------------------
 
-DERIVED = ("coordinate_weights", "numerator_terms", "hilbert_series", "canonical_degree",
-           "is_well_formed")
+DERIVED = ("coordinate_weights", "numerator_terms", "hilbert_series", "degree",
+           "canonical_degree", "is_well_formed")
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,7 @@ def test_a_family_stating_only_its_primitives_gets_the_derived_members(a, e, can
     assert (series.numerator, series.denominator) == (LaurentPoly({0: 1, e: -1}), a)
     assert x.top_exponent() == e
     assert x.canonical_degree() == e - sum(a) == canonical
+    assert x.degree() == Fraction(e, prod(a))
     assert x.is_well_formed() == (True, None)
 
 
@@ -226,3 +229,47 @@ def test_no_function_only_forwards_its_parameters():
     for path in sorted(SRC.glob("*.py")):
         found.update(forwarders(path.read_text(), path.stem))
     assert found == FORWARDERS_KEPT
+
+
+# -- no module imports another module's private name -----------------------------
+
+PRIVATE_IMPORTS_KEPT = {
+    # MPoly and LaurentPoly normalise a coefficient by one rule, so both keep
+    # ints as ints and refuse a float with the same message
+    "polynomials: series._coefficient",
+}
+
+
+def private_imports(source, module):
+    """``module: owner.name`` of each underscore name that ``source`` imports from
+    a module of the package, at module level or inside a function."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        path = node.module or ""
+        if node.level == 0 and path.partition(".")[0] != "wgk":
+            continue
+        owner = path.rpartition(".")[2] or "wgk"
+        hits += [f"{module}: {owner}.{alias.name}" for alias in node.names
+                 if alias.name.startswith("_")]
+    return hits
+
+
+def test_the_private_import_scan_sees_each_shape():
+    source = ("from .series import _coefficient, LaurentPoly\n"
+              "from wgk.sections import _json_object\n"
+              "from . import _hidden\n"
+              "from __future__ import annotations\n"
+              "from os import _exit\n"
+              "def f():\n    from .matcher import _model_index\n")
+    assert private_imports(source, "m") == [
+        "m: series._coefficient", "m: sections._json_object", "m: wgk._hidden",
+        "m: matcher._model_index"]
+
+
+def test_no_module_imports_a_private_name():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(private_imports(path.read_text(), path.stem))
+    assert found == PRIVATE_IMPORTS_KEPT

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
 from wgk.oracle import GradedRing, graded_dimension
 from wgk.sections import (AmbientModel, QuotientSingularity, ambient_series,
                           quasilinear_embed, rr_roundtrip, section_canonical,
@@ -315,6 +317,21 @@ def test_ambient_model_json_roundtrip():
         assert AmbientModel.from_json(model.to_json()) == model
     with pytest.raises(ValueError, match="family"):
         AmbientModel.from_json({"family": "nope", "w2": [1] * 5})
+
+
+BOUNDED_BASES = enumerate_gr_weights(6) + enumerate_ogr_weights(6, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BOUNDED_BASES), st.lists(st.integers(1, 9), max_size=3))
+def test_a_bounded_model_reads_back_and_a_digit_string_is_refused(base, cone):
+    model = AmbientModel(base, cone)
+    data = model.to_json()
+    assert AmbientModel.from_json(data) == model
+    for key in ("w2", "cone") if cone else ("w2",):
+        digits = {**data, key: "".join(map(str, data[key]))}
+        with pytest.raises(ValueError, match=f"^{key} must be a JSON list, not str$"):
+            AmbientModel.from_json(digits)
 
 
 def test_basket_entry_order_divides_a_coordinate_weight():

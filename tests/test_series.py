@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgk.matcher import _target_at2
-from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, binom3,
-                        denominator_poly, exact_div, geometric, one_minus)
+from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, denominator_poly,
+                        exact_div, geometric, one_minus)
 
 
 def F(x):
@@ -124,14 +124,6 @@ def test_intersection_number_cone_scaling():
     h = HilbertSeries(LaurentPoly({0: 2, 1: 1}), (1, 2, 3))
     for a in (1, 2, 5):
         assert h.over((a,)).intersection_number(3) == h.intersection_number(2) / a
-
-
-def test_binom3():
-    assert binom3(2) == 0
-    assert binom3(0) == 0
-    assert binom3(5) == 10
-    assert binom3(7) == 35
-    assert binom3(-1) == -1
 
 
 def test_methods_on_projective_line():

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from wgk.matcher import enumerate_gr_weights
 from wgk.oracle import graded_dimension
 from wgk.series import LaurentPoly
 from wgk.wgrass25 import (GrWeights, fit_pfaffian_weights, pfaffian_equations,
@@ -102,9 +104,18 @@ def test_degree():
     assert W2.degree() * 2 ** 5 == Fraction(14, 3)
 
 
-def test_degree_equals_intersection_number():
-    for w in (STRAIGHT, W1, W2, GrWeights((2, 2, 2, 4, 4))):
-        assert w.degree() == w.hilbert_series().intersection_number(6)
+def _binom3(m):
+    return m * (m - 1) * (m - 2) // 6
+
+
+def test_degree_equals_the_pfaffian_closed_form():
+    # the resolution's alternating sum of C(e, 3) over the banks, over the
+    # product of the ten coordinate weights
+    for w in enumerate_gr_weights(10) + [GrWeights((2, 2, 2, 4, 4))]:
+        d2 = w.d2()
+        top = (sum(_binom3((d2 - v) // 2) - _binom3((d2 + v) // 2) for v in w.w2)
+               + _binom3(d2))
+        assert w.degree() == Fraction(top, prod(w.coordinate_weights())), w
 
 
 def test_pfaffian_equations_fixed_signs():
