@@ -21,7 +21,8 @@ from fractions import Fraction
 from . import fixtures as fixture_mod
 from . import matcher as matcher_mod
 from .oracle import OracleBudgetError, graded_dimension
-from .orbifold_rr import PeriodicTable, RRData, hilbert_can3, hilbert_cy3, local_term, plurigenus
+from .orbifold_rr import (PeriodicTable, RRData, hilbert_can3, hilbert_cy3, local_term,
+                          plurigenus, positive)
 from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, integral,
                        json_list, json_object, quasilinear_embed, rational, rr_roundtrip,
                        section_canonical, section_series, singularity_analysis)
@@ -179,11 +180,11 @@ def _parse_point(text):
 def cmd_rr(args):
     depth = default_depth() if args.expand is None else _at_least("--expand", args.expand, 0)
     if args.kind == "can3":
-        rr = RRData.canonical3(_at_least("--pg", args.pg, 0), rational("--k3", args.k3),
-                               _at_least("--half", args.half, 0))
+        pg, k3 = _at_least("--pg", args.pg, 0), positive("--k3", rational("--k3", args.k3))
+        rr = RRData.canonical3(pg, k3, _at_least("--half", args.half, 0))
         series = hilbert_can3(rr)
     else:
-        rr = RRData.cy3(rational("--a3", args.a3), rational("--ac2", args.ac2),
+        rr = RRData.cy3(positive("--a3", rational("--a3", args.a3)), rational("--ac2", args.ac2),
                         tuple(map(_parse_point, args.point or ())))
         series = hilbert_cy3(rr)
     values = [plurigenus(rr, n) for n in range(depth + 1)]

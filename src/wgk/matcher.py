@@ -158,22 +158,22 @@ def enumerate_ogr_weights(max_w2, max_u, tau=None):
 
 
 def _numerator_at2(weights, top):
-    """num(2) = 1 - sum 2^e over the relations + ... - 2^top, in integers from
-    the resolution banks; 0 for a negative degree (no numerator).  The last
-    bank must be (top,) after an even number of banks of degrees in (0, top),
-    so nothing cancels 1 or -t^top.  Positive coordinate weights a ensure it:
-    wGr has d - w_i = a_jk + a_lm, d + w_i = a_ij + a_ik + a_lm; wOGr has
-    d - w_i = a_x + a_xi, d + w_i = a_xij + a_xj, 2d ± a (2d - a the rest of
-    such a quadruple), 3d ± w_i; and Gorenstein symmetry pairs e with top - e."""
-    *middle, last = weights.resolution_degrees().values()
-    lo, hi = min(map(min, middle), default=top), max(map(max, middle), default=0)
-    if lo < 0:
-        return 0
-    if last != (top,) or len(middle) % 2 or lo == 0 or hi >= top:
-        raise AssertionError(f"{weights}: numerator is not 1 + ... - t^{top}")
-    num = 1 - (1 << top)
-    for minus, plus in zip(middle[::2], middle[1::2]):
-        num += sum([1 << e for e in plus]) - sum([1 << e for e in minus])
+    """num(2) = 1 - sum 2^e over the relations + ... - 2^top from the lower banks
+    alone: bank c - i is bank i with e -> top - e and, c being odd, the other
+    sign, so lower bank i adds ±(sum 2^e - sum 2^(top - e)), each sum shifted
+    once.  Nothing cancels 1 or -t^top if the lower degrees lie in (0, top), as
+    their duals then do.  Positive coordinate weights a ensure it: wGr has
+    d - w_i = a_jk + a_lm and d + w_i = a_ij + a_ik + a_lm; wOGr has d - w_i =
+    a_x + a_xi and d + w_i = a_xij + a_xj, so 2d is a sum of four weights a,
+    2d - a > 0 the rest of such a quadruple, 2d + a > 0 and 3d ± w_i > 0."""
+    num, sign = 1 - (1 << top), -1
+    for bank in weights.lower_banks():
+        lo, hi = bank[0], bank[-1]
+        if lo <= 0 or hi >= top:
+            raise AssertionError(f"{weights}: numerator is not 1 + ... - t^{top}")
+        up, down = sum([1 << (e - lo) for e in bank]), sum([1 << (hi - e) for e in bank])
+        num += sign * ((up << lo) - (down << (top - hi)))
+        sign = -sign
     return num    # never 0: an integer root of num would divide its constant term 1
 
 
@@ -230,7 +230,7 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
     index = _model_index(family, max_w2, max_u).reach(top)
     tops = [t for t in index if t == top or formal and t < top]
     for weights, num2 in itertools.chain.from_iterable(index[t] for t in tops):
-        if num2 and at2 % num2 == 0:
+        if at2 % num2 == 0:
             yield weights, weights.hilbert_series()
 
 

@@ -65,20 +65,25 @@ class RRData(Record):
 
     @classmethod
     def canonical3(cls, pg, kcubed, half_points=0):
-        """A regular canonical 3-fold with p_g, K^3 and h points 1/2(1,1,1)."""
+        """A regular canonical 3-fold with p_g, K^3 > 0 (K is ample) and h points 1/2(1,1,1)."""
         for key, value in (("pg", pg), ("half_points", half_points)):
             if value < 0:
                 raise ValueError(f"{key} must be >= 0, got {value}")
         chi, half = 1 - pg, local_term(2, (1, 1, 1))
-        return cls(1, kcubed, chi, -24 * chi + Fraction(3 * half_points, 2),
+        return cls(1, positive("K3", kcubed), chi, -24 * chi + Fraction(3 * half_points, 2),
                    (PeriodicTable(2, [half_points * c for c in half.values]),))
 
     @classmethod
     def cy3(cls, acubed, ac2, points=()):
         """A polarized Calabi-Yau 3-fold with A^3, A.c2 and periodic point terms."""
-        if Fraction(acubed) <= 0:
-            raise ValueError("A^3 must be positive")
-        return cls(0, acubed, 0, ac2, points)
+        return cls(0, positive("A3", acubed), 0, ac2, points)
+
+
+def positive(name, value):
+    """``value`` as a Fraction, named in a ValueError unless positive: A^3 of an ample A."""
+    if Fraction(value) <= 0:
+        raise ValueError(f"{name} must be positive, got {Fraction(value)}")
+    return Fraction(value)
 
 
 def plurigenus(data, n):

@@ -210,8 +210,7 @@ def second_syzygy_degree_check(weights):
     the same weight.
     """
     def wt(name):
-        idx = VERTEX_NAMES.index(name)
-        return weights.vertex_weight(VERTICES[idx])
+        return weights.vertex_weights()[VERTEX_NAMES.index(name)]
 
     d2 = weights.d2()
     for col_name, rows in SECOND_SYZYGY_COLUMNS.items():

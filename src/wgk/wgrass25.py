@@ -5,9 +5,10 @@ The ambient family lives in the 10 coordinates x_ij (i<j) of a generic 5x5
 skew matrix and is cut out by its five 4x4 Pfaffians.  Weight data is five
 half-integers (stored doubled) plus an overall weight that is absorbed into
 the half-integers on construction, so the internal normal form always has
-overall weight zero.  ``GrWeights`` states the coordinates, the Pfaffian
-resolution's degree banks, the top exponent 2d and the charts; the Hilbert
-numerator, the degree, K and well-formedness come from ``WeightFamily``.
+overall weight zero.  ``GrWeights`` states the coordinates, the Pfaffians'
+degrees, the top exponent 2d and the charts; the resolution's degree banks,
+the Hilbert numerator, the degree, K and well-formedness come from
+``WeightFamily``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ def pair_name(i, j):
 
 
 PAIR_NAMES = tuple(pair_name(i, j) for i, j in PAIRS)
+BANK_NAMES = ("relations", "first_syzygies", "second_syzygies", "third_syzygies")
 
 
 def doubled(x):
@@ -85,16 +87,22 @@ class Chart(Record):
 
 class WeightFamily(Record):
     """A weighted family after Corti-Reid.  A family states ``family``, ``dim``,
-    ``coordinates()`` as (name, weight) pairs, ``equations()``,
-    ``resolution_degrees()`` (the banks of its Gorenstein resolution in order,
-    top last), ``top_exponent()``, ``charts()`` and ``canonical_form()``.  The
-    members below are derived once: the Hilbert numerator is the alternating
-    sum over the banks, the degree is read off the Hilbert series, and
-    Gorenstein symmetry gives K = O(top - sum of weights).
-    """
+    ``coordinates()`` as (name, weight) pairs, ``equations()``, ``lower_banks()``
+    (banks 1..k of its Gorenstein resolution of codimension c = 2k + 1, each
+    sorted), ``top_exponent()``, ``charts()`` and ``canonical_form()``.  The
+    members below are derived once: the resolution is self-dual, so bank c - i
+    is top - e over bank i and bank c is (top,); the Hilbert numerator is the
+    alternating sum over the banks, the degree is read off the Hilbert series,
+    and Gorenstein symmetry gives K = O(top - sum of weights)."""
 
     def coordinate_weights(self):
         return tuple(sorted(w for _, w in self.coordinates()))
+
+    def resolution_degrees(self):
+        """{bank name: sorted degrees} in resolution order, the top last."""
+        top, lower = self.top_exponent(), self.lower_banks()
+        upper = [tuple([top - e for e in reversed(bank)]) for bank in reversed(lower)]
+        return {**dict(zip(BANK_NAMES, lower + tuple(upper))), "top": (top,)}
 
     def numerator_terms(self):
         """1 - t^(relations) + t^(first syzygies) - ... as {exponent: nonzero integer}."""
@@ -197,12 +205,10 @@ class GrWeights(WeightFamily):
     def equations(self):
         return list(pfaffian_equations())
 
-    def resolution_degrees(self):
-        """Degree banks of the Pfaffian resolution: Pf_i in degree d - w_i, its
-        syzygy in degree d + w_i, and the top 2d (the ten weights sum to 4d)."""
-        d2, w2 = self.d2(), self.w2
-        return {"relations": tuple(sorted((d2 - v) // 2 for v in w2)),
-                "first_syzygies": tuple(sorted((d2 + v) // 2 for v in w2)), "top": (d2,)}
+    def lower_banks(self):
+        """Pf_i in degree d - w_i; the dual bank is d + w_i and the top is 2d."""
+        d2 = self.d2()
+        return (tuple([(d2 - v) // 2 for v in reversed(self.w2)]),)
 
     def top_exponent(self):
         """The numerator ends in -t^{2d}."""

@@ -1,8 +1,8 @@
-"""Weighted OGr(5,10): equations, syzygies, resolution degrees and the
-sixteen orbifold charts.  ``OGrWeights`` states these as a ``WeightFamily``;
-the Hilbert numerator, K and well-formedness are derived there.  The spinor
-graph, the signed-permutation group and the parametrization live in
-``wgk.spinor``.
+"""Weighted OGr(5,10): equations, syzygies, the lower half of the resolution
+degrees and the sixteen orbifold charts.  ``OGrWeights`` states these as a
+``WeightFamily``; the whole resolution, the Hilbert numerator, K and
+well-formedness are derived there.  The spinor graph, the signed-permutation
+group and the parametrization live in ``wgk.spinor``.
 
 The sixteen spinor coordinates are indexed by the vertices of the 5-cube
 modulo antipodal identification; a vertex is stored by its short subset
@@ -150,36 +150,26 @@ class OGrWeights(WeightFamily):
         """Doubled value of d = s + 2u, s the sum of the weights."""
         return sum(self.w2) + 4 * self.u
 
-    def vertex_weight(self, subset):
-        j = even_rep(subset)
-        num = 2 * self.u + sum(self.w2[i - 1] for i in j)
-        assert num % 2 == 0
-        return num // 2
-
-    def coordinates(self):
-        """The sixteen spinor coordinates with their vertex weights: u at x,
-        u + w_i + w_j at x_ij and, as the even representative of {i} is its
-        complement, u + s - w_i at x_i."""
+    def vertex_weights(self):
+        """The sixteen coordinate weights in VERTEX_NAMES order: u at x, u + w_i + w_j
+        at x_ij and u + s - w_i at x_i (the even representative of {i} is its complement)."""
         w2, u2 = self.w2, 2 * self.u
         s2 = u2 + sum(w2)
-        return list(zip(VERTEX_NAMES, [self.u] + [(s2 - v) // 2 for v in w2]
-                        + [(u2 + a + b) // 2 for a, b in itertools.combinations(w2, 2)]))
+        return ([self.u] + [(s2 - v) // 2 for v in w2]
+                + [(u2 + a + b) // 2 for a, b in itertools.combinations(w2, 2)])
+
+    def coordinates(self):
+        return list(zip(VERTEX_NAMES, self.vertex_weights()))
 
     def equations(self):
         return list(equations())
 
-    def resolution_degrees(self):
-        """Degree banks of the six-term resolution: the relations in degrees
-        d ± w_i, the first syzygies in 2d - a and the second in 2d + a over the
-        coordinate weights a, the third in 3d ± w_i and the top in 4d."""
-        d2, w2, wts = self.d2(), self.w2, self.coordinate_weights()
-        # w2 has one parity, wts is sorted, and 3d ± w_i = 2d + (d ± w_i): two sorts
-        relations = sorted((d2 + s * v) // 2 for v in w2 for s in (-1, 1))
-        return {"relations": tuple(relations),
-                "first_syzygies": tuple([d2 - w for w in reversed(wts)]),
-                "second_syzygies": tuple([d2 + w for w in wts]),
-                "third_syzygies": tuple([d2 + e for e in relations]),
-                "top": (2 * d2,)}
+    def lower_banks(self):
+        """The relations d ± w_i and the first syzygies 2d - a over the coordinate
+        weights a; the duals are the second syzygies 2d + a, the third 3d ∓ w_i."""
+        d2 = self.d2()
+        return (tuple(sorted([(d2 + s * v) // 2 for v in self.w2 for s in (-1, 1)])),
+                tuple(sorted([d2 - w for w in self.vertex_weights()])))
 
     def top_exponent(self):
         """The numerator ends in -t^{4d}."""
@@ -188,15 +178,13 @@ class OGrWeights(WeightFamily):
     def charts(self):
         """Sixteen orbifold charts; local weights are pair sums of the flipped w."""
         out = []
-        for vert in VERTICES:
+        for vert, order in zip(VERTICES, self.vertex_weights()):
             flips = even_rep(vert)
             w2f = [-self.w2[i - 1] if i in flips else self.w2[i - 1]
                    for i in range(1, 6)]
             local = tuple((w2f[i] + w2f[j]) // 2
                           for i in range(5) for j in range(i + 1, 5))
-            out.append(Chart(label=vertex_name(vert),
-                             order=self.vertex_weight(vert),
-                             local_weights=local))
+            out.append(Chart(label=vertex_name(vert), order=order, local_weights=local))
         return out
 
     def canonical_form(self):

@@ -385,6 +385,9 @@ def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     ({"kind": "can3", "pg": 7, "K3": {"a": 1}}, "error: K3 must be a number, not {'a': 1}\n"),
     ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "c": [[0], 0, 0, 0, 0]}]},
      "error: points[0]: c must be a number, not [0]\n"),
+    # K and A are ample: a cube that is not positive names its key and value
+    ({"kind": "can3", "pg": 7, "K3": "0"}, "error: K3 must be positive, got 0\n"),
+    ({"kind": "cy3", "A3": "-6/5", "Ac2": "108/5"}, "error: A3 must be positive, got -6/5\n"),
 ])
 def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     rr = tmp_path / "rr.json"
@@ -436,8 +439,7 @@ def test_match_rejects_the_bounds_a_query_rejects(tmp_path, capsys, max_w2, max_
 def test_internal_inconsistency_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     # model banks breaking the matcher's top-term check (1 + ... - t^top): a
     # relation in degree 0 would cancel the 1
-    monkeypatch.setattr(wgrass25.GrWeights, "resolution_degrees", lambda self: {
-        "relations": (0,), "first_syzygies": (1,), "top": (self.d2(),)})
+    monkeypatch.setattr(wgrass25.GrWeights, "lower_banks", lambda self: ((0,),))
     rr = tmp_path / "can3.json"
     rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21",
                               "half_points": 2}))
@@ -527,6 +529,8 @@ def test_oracle_budget_refusal_exits_2(capsys, json_flag):
     (("section", "--model", "{model}", "--terms", "-1"), "--terms must be >= 0, got -1"),
     (("rr", "can3", "--pg", "7", "--k3", "21", "--half", "-2"), "--half must be >= 0, got -2"),
     (("rr", "can3", "--pg", "-7", "--k3", "21"), "--pg must be >= 0, got -7"),
+    (("rr", "can3", "--pg", "0", "--k3", "0"), "--k3 must be positive, got 0"),
+    (("rr", "cy3", "--a3=-6/5", "--ac2", "1"), "--a3 must be positive, got -6/5"),
 ])
 def test_argument_errors_name_the_argument(tmp_path, capsys, argv, message):
     model = tmp_path / "m.json"

@@ -84,8 +84,8 @@ def test_a_float_coefficient_is_refused_with_the_same_message():
 
 # -- the weight-family contract ---------------------------------------------------
 
-DERIVED = ("coordinate_weights", "numerator_terms", "hilbert_series", "degree",
-           "canonical_degree", "is_well_formed")
+DERIVED = ("coordinate_weights", "resolution_degrees", "numerator_terms", "hilbert_series",
+           "degree", "canonical_degree", "is_well_formed")
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ class Hypersurface(WeightFamily):
     def equations(self):
         return []       # a general form of degree e; nothing here reads it
 
-    def resolution_degrees(self):
-        return {"relations": (self.e,)}
+    def lower_banks(self):
+        return ()       # codimension 1: the equation is the top of the resolution
 
     def top_exponent(self):
         return self.e
@@ -122,6 +122,7 @@ class Hypersurface(WeightFamily):
 def test_a_family_stating_only_its_primitives_gets_the_derived_members(a, e, canonical):
     x = Hypersurface(a, e)
     assert x.coordinate_weights() == tuple(sorted(a))
+    assert x.resolution_degrees() == {"top": (e,)}
     assert x.numerator_terms() == {0: 1, e: -1}
     assert matcher._numerator_at2(x, e) == 1 - 2 ** e     # the top is its only bank
     series = x.hilbert_series()

@@ -222,7 +222,7 @@ def tables():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 12), fractions, st.integers(0, 6))
+@given(st.integers(0, 12), fractions.filter(lambda k: k > 0), st.integers(0, 6))
 def test_plurigenus_and_series_equal_the_old_canonical3_formula(pg, kcubed, half_points):
     data = RRData.canonical3(pg, kcubed, half_points)
     old = [old_can3(pg, kcubed, half_points, n) for n in range(31)]
@@ -230,6 +230,16 @@ def test_plurigenus_and_series_equal_the_old_canonical3_formula(pg, kcubed, half
     assert hilbert_series(data).expand(30) == old
     # the printed form, which canonical() does not make unique, is the old one
     assert hilbert_can3(data).to_json() == old_hilbert_can3(pg, kcubed, half_points).to_json()
+
+
+@settings(max_examples=50, deadline=None)
+@given(fractions.filter(lambda k: k <= 0), st.integers(0, 12), st.integers(0, 6))
+def test_a_non_positive_cube_is_refused(cube, pg, half_points):
+    # K is ample on a canonical 3-fold and A on a polarized Calabi-Yau 3-fold
+    with pytest.raises(ValueError, match=f"^K3 must be positive, got {cube}$"):
+        RRData.canonical3(pg, cube, half_points)
+    with pytest.raises(ValueError, match=f"^A3 must be positive, got {cube}$"):
+        RRData.cy3(cube, 1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,7 +5,9 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wgk import matcher
 from wgk.matcher import enumerate_gr_weights
 from wgk.oracle import graded_dimension
 from wgk.series import LaurentPoly
@@ -54,6 +56,43 @@ def test_numerology():
 def test_resolution_degrees():
     assert W1.resolution_degrees() == {"relations": (2, 3, 3, 3, 3),
                                        "first_syzygies": (4, 4, 4, 4, 5), "top": (7,)}
+
+
+def reference_banks(w):
+    """The Pfaffian resolution stated in full: Pf_i in degree d - w_i, its
+    syzygy in degree d + w_i, and the top 2d."""
+    d2, w2 = w.d2(), w.w2
+    return {"relations": tuple(sorted((d2 - v) // 2 for v in w2)),
+            "first_syzygies": tuple(sorted((d2 + v) // 2 for v in w2)), "top": (d2,)}
+
+
+@st.composite
+def gr_weights(draw):
+    """Doubled weights of either parity, lifted until w_1 + w_2 > 0."""
+    p = draw(st.integers(0, 1))
+    w2 = sorted(2 * k + p for k in draw(st.lists(st.integers(-6, 6), min_size=5, max_size=5)))
+    lift = 2 * max(0, -(w2[0] + w2[1]) // 4 + 1)
+    return GrWeights([v + lift for v in w2])
+
+
+def assert_banks_are_the_reference(w):
+    assert list(w.resolution_degrees().items()) == list(reference_banks(w).items()), w
+    # Gorenstein duality: num(t) = -t^top num(1/t)
+    terms, top = w.numerator_terms(), w.top_exponent()
+    assert all(terms.get(top - e) == -c for e, c in terms.items()), w
+
+
+def test_derived_banks_equal_the_reference_for_every_model():
+    models = matcher._ENUMERATE["wgr25"](12, 6, None)
+    assert {v % 2 for w in models for v in w.w2} == {0, 1}
+    for w in models:
+        assert_banks_are_the_reference(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gr_weights())
+def test_derived_banks_equal_the_reference(w):
+    assert_banks_are_the_reference(w)
 
 
 def test_adjunction_pairs_with_dual_syzygy_degrees():

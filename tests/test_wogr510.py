@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wgk import matcher
 from wgk.oracle import GradedRing, graded_dimension
 from wgk.series import LaurentPoly
 from wgk.wgrass25 import GrWeights
@@ -270,6 +272,48 @@ def test_resolution_degrees():
     straight = STRAIGHT.resolution_degrees()
     assert straight["relations"] == (2,) * 10
     assert straight["first_syzygies"] == (3,) * 16
+
+
+def reference_banks(w):
+    """The six-term resolution stated in full: the relations in degrees d ± w_i,
+    the first syzygies in 2d - a and the second in 2d + a over the coordinate
+    weights a, the third in 3d ± w_i and the top in 4d."""
+    d2, wts = w.d2(), w.coordinate_weights()
+    relations = sorted((d2 + s * v) // 2 for v in w.w2 for s in (-1, 1))
+    return {"relations": tuple(relations),
+            "first_syzygies": tuple(d2 - a for a in reversed(wts)),
+            "second_syzygies": tuple(d2 + a for a in wts),
+            "third_syzygies": tuple(d2 + e for e in relations),
+            "top": (2 * d2,)}
+
+
+@st.composite
+def ogr_weights(draw):
+    """Doubled weights of either parity, with u just large enough or more."""
+    p = draw(st.integers(0, 1))
+    w2 = sorted(2 * k + p for k in draw(st.lists(st.integers(-6, 6), min_size=5, max_size=5)))
+    least = min(0, sum(w2[:4]) // 2, (w2[0] + w2[1]) // 2)    # the least weight at u = 0
+    return OGrWeights(w2, 1 - least + draw(st.integers(0, 3)))
+
+
+def assert_banks_are_the_reference(w):
+    assert list(w.resolution_degrees().items()) == list(reference_banks(w).items()), w
+    # Gorenstein duality: num(t) = -t^top num(1/t)
+    terms, top = w.numerator_terms(), w.top_exponent()
+    assert all(terms.get(top - e) == -c for e, c in terms.items()), w
+
+
+def test_derived_banks_equal_the_reference_for_every_model():
+    models = matcher._ENUMERATE["wogr510"](12, 6, None)
+    assert {v % 2 for w in models for v in w.w2} == {0, 1}
+    for w in models:
+        assert_banks_are_the_reference(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ogr_weights())
+def test_derived_banks_equal_the_reference(w):
+    assert_banks_are_the_reference(w)
 
 
 def test_resolution_degrees_match_numerator_bands():
