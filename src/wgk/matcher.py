@@ -253,16 +253,17 @@ def _canonical_key(w):
 
 
 def _quasilinear_sections(gens, coord_weights):
-    """Cone count and section degrees making coordinates = generators + sections."""
-    need = Counter(gens)
-    have = Counter(coord_weights)
-    for c in range(0, need[1] + 1):
-        havec = have.copy()
-        havec[1] += c
-        if all(havec[d] >= need[d] for d in need):
-            sections = sorted((havec - need).elements())
-            return c, tuple(sections)
-    return None, None
+    """Cone count and section degrees making coordinates = generators + sections.
+
+    Each cone adds one coordinate of weight 1, so the fewest cones are those
+    the generators of weight 1 lack; the other weights must be there already.
+    """
+    need, have = Counter(gens), Counter(coord_weights)
+    cone = max(0, need[1] - have[1])
+    have[1] += cone
+    if not need <= have:
+        return None, None
+    return cone, tuple(sorted((have - need).elements()))
 
 
 class MatchCandidate(Record):

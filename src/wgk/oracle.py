@@ -208,7 +208,7 @@ class GradedRing:
         self.equations = []
         for eq in equations:
             terms = {}
-            for mono, coeff in eq.terms.items():
+            for mono, coeff in eq.coeffs.items():
                 vec = [0] * n
                 for var, exp in mono:
                     vec[self.index[var]] += exp

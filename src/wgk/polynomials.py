@@ -2,15 +2,17 @@
 
 Just enough ring arithmetic for symbolic identity checking (Pfaffian and
 syzygy identities) and for slicing equation ideals degree by degree; no
-Groebner machinery.  Monomials are sorted tuples of (variable name, exponent).
-Coefficients are ``int`` unless not integral, as in the series kernel.
+Groebner machinery.  ``MPoly`` is a ``series.SparsePoly`` whose monomials are
+sorted tuples of (variable name, exponent), so it normalises coefficients,
+refuses floats and adds, negates and scales as ``LaurentPoly`` does; it states
+only its monomial rule, its product and its own methods.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import _coefficient
+from .series import SparsePoly
 
 
 def _mono_mul(m1, m2):
@@ -20,26 +22,15 @@ def _mono_mul(m1, m2):
     return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
-class MPoly:
+class MPoly(SparsePoly):
     """Sparse multivariate polynomial: dict monomial -> int or Fraction coefficient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _unit = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for m, c in items:
-                c = _coefficient(c)
-                if not c:
-                    continue
-                m = tuple(sorted((v, int(e)) for v, e in m if e))
-                v = data.get(m, 0) + c
-                if v:
-                    data[m] = v
-                else:
-                    data.pop(m, None)
-        self.terms = data
+    @staticmethod
+    def _key(m):
+        return tuple(sorted((v, int(e)) for v, e in m if e))
 
     @classmethod
     def var(cls, name):
@@ -49,66 +40,19 @@ class MPoly:
     def const(cls, c):
         return cls({(): c})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, MPoly):    # a scalar; a float is refused
-            other = MPoly.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        res = MPoly()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = MPoly()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        if not isinstance(other, MPoly):
-            other = MPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if not isinstance(other, MPoly):
-            c = _coefficient(other)
-            if not c:
-                return MPoly()
-            res = MPoly()
-            res.terms = {m: c * v for m, v in self.terms.items()}
-            return res
+        if not isinstance(other, MPoly):    # a scalar; a float is refused
+            return self.scale(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
                 m = _mono_mul(m1, m2)
                 v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        res = MPoly()
-        res.terms = out
-        return res
+        return MPoly._raw(out)
 
     __rmul__ = __mul__
 
@@ -122,9 +66,9 @@ class MPoly:
 
     def substitute(self, mapping):
         """Replace variables by polynomials; unmapped variables stay."""
-        out = MPoly()
-        for m, c in self.terms.items():
-            term = MPoly.const(c)
+        out = MPoly._raw({})
+        for m, c in self.coeffs.items():
+            term = MPoly._raw({(): c})
             for v, e in m:
                 rep = mapping.get(v)
                 if rep is None:
@@ -138,7 +82,7 @@ class MPoly:
     def evaluate(self, assignment):
         """Evaluate at rational values; all variables must be assigned."""
         total = Fraction(0)
-        for m, c in self.terms.items():
+        for m, c in self.coeffs.items():
             val = c
             for v, e in m:
                 val *= Fraction(assignment[v]) ** e
@@ -148,16 +92,14 @@ class MPoly:
     def restrict(self, keep):
         """Set every variable outside ``keep`` to zero."""
         keep = set(keep)
-        res = MPoly()
-        res.terms = {m: c for m, c in self.terms.items()
-                     if all(v in keep for v, _ in m)}
-        return res
+        return MPoly._raw({m: c for m, c in self.coeffs.items()
+                           if all(v in keep for v, _ in m)})
 
     def __str__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         bits = []
-        for m, c in sorted(self.terms.items()):
+        for m, c in sorted(self.coeffs.items()):
             body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m) or "1"
             if c == 1 and m:
                 piece = body
@@ -167,6 +109,3 @@ class MPoly:
                 piece = f"{c}*{body}" if m else str(c)
             bits.append(piece)
         return " + ".join(bits).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"MPoly({self})"

@@ -1,12 +1,15 @@
-"""Exact arithmetic for sparse Laurent polynomials and rational Hilbert series.
+"""Exact arithmetic for sparse polynomials and rational Hilbert series.
 
 Everything here is over the rationals; there is no floating point anywhere.
-Coefficients are ``int`` unless a non-integral value needs a
-``fractions.Fraction``, so integer series (every ambient Hilbert numerator)
-never build a ``Fraction``.  ``_coefficient`` normalises input and refuses
-floats; ``exact_div`` is the one true division in the package.  A Hilbert
-series is stored as a Laurent-polynomial numerator over a multiset of
-positive integers ``{a}``, meaning division by ``prod (1 - t^a)``.
+``SparsePoly`` is the one sparse-polynomial kernel: ``LaurentPoly`` here and
+``polynomials.MPoly`` are its subclasses, and each states only its monomial
+rule, its product and its own methods.  Coefficients are ``int`` unless a
+non-integral value needs a ``fractions.Fraction``, so integer series (every
+ambient Hilbert numerator) never build a ``Fraction``.  ``_coefficient``
+normalises input and refuses floats; ``exact_div`` is the one true division
+in the package.  A Hilbert series is stored as a Laurent-polynomial numerator
+over a multiset of positive integers ``{a}``, meaning division by
+``prod (1 - t^a)``.
 """
 
 from __future__ import annotations
@@ -66,14 +69,17 @@ def exact_div(a, b):
     return _coefficient(Fraction(a) / b)
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in one variable t.
-
-    Coefficients are ``int``, or ``Fraction`` when not integral; exponents
-    are (possibly negative) ints.  Input, scaled and divided values are
-    normalised; a sum or product of Fractions may keep an integral
-    ``Fraction``, which compares and hashes equal to the ``int``.  Zero
-    coefficients are never stored.  Instances are treated as immutable.
+class SparsePoly:
+    """A sparse polynomial: ``coeffs`` maps a monomial key to a nonzero ``int``,
+    or ``Fraction`` when not integral.  A subclass states its monomial rule,
+    ``_key`` (which normalises a key) and ``_unit`` (the key of 1), and its own
+    product; everything else is here.  Construction normalises every
+    coefficient by ``_coefficient``, so a float is refused; ``_raw`` wraps a
+    dict that is already normal, and these two are the only writers of
+    ``coeffs``.  A sum or product of Fractions may keep an integral
+    ``Fraction``, which compares and hashes equal to the ``int``.  A scalar
+    operand is read as a constant.  A polynomial equals only one of its own
+    class.  Instances are treated as immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -81,17 +87,77 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         data = {}
         if coeffs:
+            key = self._key
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e, c in items:
+            for k, c in items:
                 c = _coefficient(c)
                 if c:
-                    e = int(e)
-                    v = data.get(e, 0) + c
+                    k = key(k)
+                    v = data.get(k, 0) + c
                     if v:
-                        data[e] = v
+                        data[k] = v
                     else:
-                        data.pop(e, None)
+                        data.pop(k, None)
         self.coeffs = data
+
+    @classmethod
+    def _raw(cls, coeffs):
+        res = cls.__new__(cls)
+        res.coeffs = coeffs
+        return res
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:    # a scalar; a float is refused
+            other = self.__class__({self._unit: other})
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            v = out.get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+        return self._raw(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return -(-self + other)     # other as given, so a float is named as given
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def scale(self, c):
+        c = _coefficient(c)
+        if not c:
+            return self._raw({})
+        return self._raw({k: _coefficient(c * v) for k, v in self.coeffs.items()})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class LaurentPoly(SparsePoly):
+    """Sparse Laurent polynomial in one variable t: the keys are its (possibly
+    negative) int exponents.  Of the arithmetic, its product, ``shift`` and
+    ``divexact`` are its own."""
+
+    __slots__ = ()
+    _key = int
+    _unit = 0
 
     # -- constructors ------------------------------------------------------
 
@@ -104,9 +170,6 @@ class LaurentPoly:
         return cls({exponent: coeff})
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.coeffs
 
     def min_exp(self):
         if not self.coeffs:
@@ -121,38 +184,10 @@ class LaurentPoly:
     def __getitem__(self, e):
         return self.coeffs.get(e, 0)
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def items(self):
         return sorted(self.coeffs.items())
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        res = LaurentPoly()
-        res.coeffs = out
-        return res
-
-    def __neg__(self):
-        res = LaurentPoly()
-        res.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):    # a scalar; a float is refused
@@ -166,25 +201,13 @@ class LaurentPoly:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        res = LaurentPoly()
-        res.coeffs = out
-        return res
+        return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        c = _coefficient(c)
-        if not c:
-            return LaurentPoly()
-        res = LaurentPoly()
-        res.coeffs = {e: _coefficient(c * v) for e, v in self.coeffs.items()}
-        return res
-
     def shift(self, k):
         """Multiply by t^k."""
-        res = LaurentPoly()
-        res.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return res
+        return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
 
     def __call__(self, value):
         value = Fraction(_coefficient(value))
@@ -201,7 +224,7 @@ class LaurentPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly()
+            return LaurentPoly._raw({})
         bmin = other.min_exp()
         blead = other.coeffs[bmin]
         btail = [(be, bc) for be, bc in other.coeffs.items() if be != bmin]
@@ -222,9 +245,7 @@ class LaurentPoly:
                     rem.pop(k, None)
         if rem:
             return None
-        res = LaurentPoly()
-        res.coeffs = quot
-        return res
+        return LaurentPoly._raw(quot)
 
     # -- display -----------------------------------------------------------
 
@@ -246,9 +267,6 @@ class LaurentPoly:
         for sign, body in bits[1:]:
             out += f" {sign} {body}"
         return out
-
-    def __repr__(self):
-        return f"LaurentPoly({self})"
 
     def to_json(self):
         """Sorted (exponent, numerator, denominator) triples."""

@@ -1,7 +1,9 @@
 """Command-line behaviour, exit codes and JSON determinism."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,12 +183,15 @@ def test_failed_roundtrip_prints_fractions_and_exits_3(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("model_json, cut, kind, message", [
-    ({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}, "2,2,2", "canonical3",
-     "a canonical3 round trip needs K = O(1); this section has K = O(-1)"),
-    ({"family": "wogr510", "w2": [0, 0, 0, 0, 2], "u2": 2}, "1,2,2,2,2,2,2", "cy3",
-     "a cy3 round trip needs K = O(0); this section has K = O(1)"),
-    ({"family": "wogr510", "w2": [0, 0, 2, 2, 4], "u2": 2}, "2,2,3,4,4,4,5", "canonical3",
-     "a canonical3 round trip needs K = O(1); this section has K = O(0)"),
+    pytest.param({"family": "wgr25", "w2": [1, 1, 1, 1, 3], "u2": 0}, "2,2,2", "canonical3",
+                 "a canonical3 round trip needs K = O(1); this section has K = O(-1)",
+                 id="model_json0-2,2,2-canonical3-a canonical3 round trip needs K = O(1); this section has K = O(-1)"),
+    pytest.param({"family": "wogr510", "w2": [0, 0, 0, 0, 2], "u2": 2}, "1,2,2,2,2,2,2", "cy3",
+                 "a cy3 round trip needs K = O(0); this section has K = O(1)",
+                 id="model_json1-1,2,2,2,2,2,2-cy3-a cy3 round trip needs K = O(0); this section has K = O(1)"),
+    pytest.param({"family": "wogr510", "w2": [0, 0, 2, 2, 4], "u2": 2}, "2,2,3,4,4,4,5",
+                 "canonical3", "a canonical3 round trip needs K = O(1); this section has K = O(0)",
+                 id="model_json2-2,2,3,4,4,4,5-canonical3-a canonical3 round trip needs K = O(1); this section has K = O(0)"),
 ])
 def test_a_roundtrip_kind_that_does_not_fit_the_section_exits_2(tmp_path, capsys, model_json,
                                                                 cut, kind, message):
@@ -241,16 +246,25 @@ def test_match_takes_a_missing_c_from_the_local_term(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("point, message", [
-    ({"r": 5, "weights": [3, 3, 4], "c": ["0", "0", "1/5", "-1/5", "0"]},
-     "points[0] 1/5(3,3,4): c is (0, 0, 1/5, -1/5, 0), but its local term is "
-     "(0, 0, -1/5, 1/5, 0)"),
-    ({"r": 1, "c": [0], "weights": [0, 0, 0]},
-     "points[0] has order 1; a quotient point needs r >= 2"),
-    ({"r": 0, "weights": []}, "points[0] has order 0; a quotient point needs r >= 2"),
-    ({"r": 4, "weights": [1, 2, 1]}, "points[0]: 1/4(1,2,1) is not an isolated cyclic point"),
-    ({"r": 5, "c": ["0", "0", "1"]}, "points[0]: need exactly r = 5 values, got 3"),
-    ({"r": 5, "weights": [3, 3]}, "points[0]: a 3-fold point needs 3 weights, got 2"),
-    ({"r": 5, "weights": [3, 3, 4, 1]}, "points[0]: a 3-fold point needs 3 weights, got 4"),
+    pytest.param({"r": 5, "weights": [3, 3, 4], "c": ["0", "0", "1/5", "-1/5", "0"]},
+                 "points[0] 1/5(3,3,4): c is (0, 0, 1/5, -1/5, 0), but its local term is "
+                 "(0, 0, -1/5, 1/5, 0)",
+                 id="point0-points[0] 1/5(3,3,4): c is (0, 0, 1/5, -1/5, 0), but its local term is (0, 0, -1/5, 1/5, 0)"),
+    pytest.param({"r": 1, "c": [0], "weights": [0, 0, 0]},
+                 "points[0] has order 1; a quotient point needs r >= 2",
+                 id="point1-points[0] has order 1; a quotient point needs r >= 2"),
+    pytest.param({"r": 0, "weights": []}, "points[0] has order 0; a quotient point needs r >= 2",
+                 id="point2-points[0] has order 0; a quotient point needs r >= 2"),
+    pytest.param({"r": 4, "weights": [1, 2, 1]},
+                 "points[0]: 1/4(1,2,1) is not an isolated cyclic point",
+                 id="point3-points[0]: 1/4(1,2,1) is not an isolated cyclic point"),
+    pytest.param({"r": 5, "c": ["0", "0", "1"]}, "points[0]: need exactly r = 5 values, got 3",
+                 id="point4-points[0]: need exactly r = 5 values, got 3"),
+    pytest.param({"r": 5, "weights": [3, 3]}, "points[0]: a 3-fold point needs 3 weights, got 2",
+                 id="point5-points[0]: a 3-fold point needs 3 weights, got 2"),
+    pytest.param({"r": 5, "weights": [3, 3, 4, 1]},
+                 "points[0]: a 3-fold point needs 3 weights, got 4",
+                 id="point6-points[0]: a 3-fold point needs 3 weights, got 4"),
 ])
 def test_match_refuses_a_point_by_name(tmp_path, capsys, point, message):
     rr = tmp_path / "cy3.json"
@@ -297,28 +311,43 @@ def test_match_rejects_malformed_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data, named", [
-    ({"w2": [1, 1, 1, 1, 1]}, "'family'"),
-    ({"family": "wgr25"}, "'w2'"),
-    ([1, 1, 1, 1, 1], "list"),
-    ({"family": "wgr25", "w2": 5}, "int"),
+    pytest.param({"w2": [1, 1, 1, 1, 1]}, "'family'", id="data0-'family'"),
+    pytest.param({"family": "wgr25"}, "'w2'", id="data1-'w2'"),
+    pytest.param([1, 1, 1, 1, 1], "list", id="data2-list"),
+    pytest.param({"family": "wgr25", "w2": 5}, "int", id="data3-int"),
     # JSON decimals are read exactly, and an integer field must be integral
-    ({"family": "wgr25", "w2": [1.7, 1, 1, 1, 3]}, "w2 must be an integer, not 17/10"),
-    ({"family": "wgr25", "w2": ["1/2", 1, 1, 1, 3]}, "w2 must be an integer, not 1/2"),
-    ({"family": "wogr510", "w2": [0, 0, 0, 0, 0], "u2": 2.5}, "u2 must be an integer"),
-    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": [1, 0.5]}, "cone must be an integer"),
-    ({"family": "wgr25", "w2": [True, 1, 1, 1, 1]}, "w2 must be an integer, not True"),
-    ({"family": "wgr25", "w2": [float("inf"), 1, 1, 1, 1]}, "Infinity is not a number"),
+    pytest.param({"family": "wgr25", "w2": [1.7, 1, 1, 1, 3]}, "w2 must be an integer, not 17/10",
+                 id="data4-w2 must be an integer, not 17/10"),
+    pytest.param({"family": "wgr25", "w2": ["1/2", 1, 1, 1, 3]}, "w2 must be an integer, not 1/2",
+                 id="data5-w2 must be an integer, not 1/2"),
+    pytest.param({"family": "wogr510", "w2": [0, 0, 0, 0, 0], "u2": 2.5}, "u2 must be an integer",
+                 id="data6-u2 must be an integer"),
+    pytest.param({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": [1, 0.5]},
+                 "cone must be an integer", id="data7-cone must be an integer"),
+    pytest.param({"family": "wgr25", "w2": [True, 1, 1, 1, 1]}, "w2 must be an integer, not True",
+                 id="data8-w2 must be an integer, not True"),
+    pytest.param({"family": "wgr25", "w2": [float("inf"), 1, 1, 1, 1]}, "Infinity is not a number",
+                 id="data9-Infinity is not a number"),
     # a key outside family, w2, u2 and cone is refused, not ignored
-    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "u": 2}, "error: model has an unknown key 'u'\n"),
-    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cones": [1]},
-     "error: model has an unknown key 'cones'\n"),
+    pytest.param({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "u": 2},
+                 "error: model has an unknown key 'u'\n",
+                 id="data10-error: model has an unknown key 'u'\n"),
+    pytest.param({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cones": [1]},
+                 "error: model has an unknown key 'cones'\n",
+                 id="data11-error: model has an unknown key 'cones'\n"),
     # w2 and cone are lists, not strings read by character or numbers
-    ({"family": "wogr510", "w2": "00224", "u2": 2}, "error: w2 must be a JSON list, not str\n"),
-    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": "11"},
-     "error: cone must be a JSON list, not str\n"),
-    ({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": 1},
-     "error: cone must be a JSON list, not int\n"),
-    ({"family": "wogr510", "w2": [0, 0, 0, 0, 2], "u2": [2]}, "error: u2 must be an integer, not [2]\n"),
+    pytest.param({"family": "wogr510", "w2": "00224", "u2": 2},
+                 "error: w2 must be a JSON list, not str\n",
+                 id="data12-error: w2 must be a JSON list, not str\n"),
+    pytest.param({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": "11"},
+                 "error: cone must be a JSON list, not str\n",
+                 id="data13-error: cone must be a JSON list, not str\n"),
+    pytest.param({"family": "wgr25", "w2": [1, 1, 1, 1, 1], "cone": 1},
+                 "error: cone must be a JSON list, not int\n",
+                 id="data14-error: cone must be a JSON list, not int\n"),
+    pytest.param({"family": "wogr510", "w2": [0, 0, 0, 0, 2], "u2": [2]},
+                 "error: u2 must be an integer, not [2]\n",
+                 id="data15-error: u2 must be an integer, not [2]\n"),
 ])
 def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
     model = tmp_path / "m.json"
@@ -329,65 +358,96 @@ def test_section_malformed_model_exits_2(tmp_path, capsys, data, named):
 
 
 @pytest.mark.parametrize("data, named", [
-    ({"kind": "cy3", "A3": "1"}, "'Ac2'"),
-    ({"kind": "can3", "K3": "21"}, "'pg'"),
-    ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [5]}, "int"),
-    (["can3"], "list"),
-    ({"kind": "can3", "pg": 7.9, "K3": "21"}, "pg must be an integer, not 79/10"),
-    ({"kind": "can3", "pg": 7, "K3": "21", "half_points": 1.5}, "half_points must be an integer"),
-    ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 2.5, "c": ["0", "0"]}]},
-     "r must be an integer"),
-    ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 5, "weights": [3, 3, 4.5]}]},
-     "weights must be an integer"),
-    ({"kind": "can3", "pg": float("-inf"), "K3": "21"}, "-Infinity is not a number"),
-    ({"kind": "can3", "pg": 7, "K3": float("nan")}, "NaN is not a number"),
+    pytest.param({"kind": "cy3", "A3": "1"}, "'Ac2'", id="data0-'Ac2'"),
+    pytest.param({"kind": "can3", "K3": "21"}, "'pg'", id="data1-'pg'"),
+    pytest.param({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [5]}, "int", id="data2-int"),
+    pytest.param(["can3"], "list", id="data3-list"),
+    pytest.param({"kind": "can3", "pg": 7.9, "K3": "21"}, "pg must be an integer, not 79/10",
+                 id="data4-pg must be an integer, not 79/10"),
+    pytest.param({"kind": "can3", "pg": 7, "K3": "21", "half_points": 1.5},
+                 "half_points must be an integer", id="data5-half_points must be an integer"),
+    pytest.param({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 2.5, "c": ["0", "0"]}]},
+                 "r must be an integer", id="data6-r must be an integer"),
+    pytest.param({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 5, "weights": [3, 3, 4.5]}]},
+                 "weights must be an integer", id="data7-weights must be an integer"),
+    pytest.param({"kind": "can3", "pg": float("-inf"), "K3": "21"}, "-Infinity is not a number",
+                 id="data8--Infinity is not a number"),
+    pytest.param({"kind": "can3", "pg": 7, "K3": float("nan")}, "NaN is not a number",
+                 id="data9-NaN is not a number"),
     # a boolean is not read as 1 or 0
-    ({"kind": "can3", "pg": 7, "K3": True, "half_points": 2}, "K3 must be a number, not a boolean"),
-    ({"kind": "cy3", "A3": False, "Ac2": "1"}, "A3 must be a number, not a boolean"),
-    ({"kind": "cy3", "A3": "1", "Ac2": True}, "Ac2 must be a number, not a boolean"),
-    ({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 2, "c": [0, True]}]},
-     "c must be a number, not a boolean"),
+    pytest.param({"kind": "can3", "pg": 7, "K3": True, "half_points": 2},
+                 "K3 must be a number, not a boolean",
+                 id="data10-K3 must be a number, not a boolean"),
+    pytest.param({"kind": "cy3", "A3": False, "Ac2": "1"}, "A3 must be a number, not a boolean",
+                 id="data11-A3 must be a number, not a boolean"),
+    pytest.param({"kind": "cy3", "A3": "1", "Ac2": True}, "Ac2 must be a number, not a boolean",
+                 id="data12-Ac2 must be a number, not a boolean"),
+    pytest.param({"kind": "cy3", "A3": "1", "Ac2": "1", "points": [{"r": 2, "c": [0, True]}]},
+                 "c must be a number, not a boolean",
+                 id="data13-c must be a number, not a boolean"),
     # each kind, and each point, takes only its own keys
-    ({"kind": "can3", "pg": 7, "K3": "21", "half_point": 2},
-     "error: rr data has an unknown key 'half_point'\n"),
-    ({"kind": "can3", "pg": 7, "K3": "21", "points": []},
-     "error: rr data has an unknown key 'points'\n"),
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "half_points": 0},
-     "error: rr data has an unknown key 'half_points'\n"),
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
-      "points": [{"r": 3, "weights": [1, 1, 1]}, {"r": 3, "weight": [2, 2, 2]}]},
-     "error: points[1] has an unknown key 'weight'\n"),
+    pytest.param({"kind": "can3", "pg": 7, "K3": "21", "half_point": 2},
+                 "error: rr data has an unknown key 'half_point'\n",
+                 id="data14-error: rr data has an unknown key 'half_point'\n"),
+    pytest.param({"kind": "can3", "pg": 7, "K3": "21", "points": []},
+                 "error: rr data has an unknown key 'points'\n",
+                 id="data15-error: rr data has an unknown key 'points'\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "half_points": 0},
+                 "error: rr data has an unknown key 'half_points'\n",
+                 id="data16-error: rr data has an unknown key 'half_points'\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
+                  "points": [{"r": 3, "weights": [1, 1, 1]}, {"r": 3, "weight": [2, 2, 2]}]},
+                 "error: points[1] has an unknown key 'weight'\n",
+                 id="data17-error: points[1] has an unknown key 'weight'\n"),
     # points is a list, not a point or a string of them
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": {"r": 5}},
-     "error: points must be a JSON list, not dict\n"),
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": "ab"},
-     "error: points must be a JSON list, not str\n"),
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": None},
-     "error: points must be a JSON list, not NoneType\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": {"r": 5}},
+                 "error: points must be a JSON list, not dict\n",
+                 id="data18-error: points must be a JSON list, not dict\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": "ab"},
+                 "error: points must be a JSON list, not str\n",
+                 id="data19-error: points must be a JSON list, not str\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": None},
+                 "error: points must be a JSON list, not NoneType\n",
+                 id="data20-error: points must be a JSON list, not NoneType\n"),
     # a negative count names its key and value
-    ({"kind": "can3", "pg": 7, "K3": "21", "half_points": -2},
-     "error: half_points must be >= 0, got -2\n"),
-    ({"kind": "can3", "pg": -7, "K3": "21"}, "error: pg must be >= 0, got -7\n"),
+    pytest.param({"kind": "can3", "pg": 7, "K3": "21", "half_points": -2},
+                 "error: half_points must be >= 0, got -2\n",
+                 id="data21-error: half_points must be >= 0, got -2\n"),
+    pytest.param({"kind": "can3", "pg": -7, "K3": "21"}, "error: pg must be >= 0, got -7\n",
+                 id="data22-error: pg must be >= 0, got -7\n"),
     # a point's weights and c are lists, not strings read by character or numbers
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "weights": "334"}]},
-     "error: points[0]: weights must be a JSON list, not str\n"),
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "c": "01234"}]},
-     "error: points[0]: c must be a JSON list, not str\n"),
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "weights": 5}]},
-     "error: points[0]: weights must be a JSON list, not int\n"),
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
-      "points": [{"r": 3, "weights": [1, 1, 1]}, {"r": 3, "c": None}]},
-     "error: points[1]: c must be a JSON list, not NoneType\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "weights": "334"}]},
+                 "error: points[0]: weights must be a JSON list, not str\n",
+                 id="data23-error: points[0]: weights must be a JSON list, not str\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "c": "01234"}]},
+                 "error: points[0]: c must be a JSON list, not str\n",
+                 id="data24-error: points[0]: c must be a JSON list, not str\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "weights": 5}]},
+                 "error: points[0]: weights must be a JSON list, not int\n",
+                 id="data25-error: points[0]: weights must be a JSON list, not int\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5",
+                  "points": [{"r": 3, "weights": [1, 1, 1]}, {"r": 3, "c": None}]},
+                 "error: points[1]: c must be a JSON list, not NoneType\n",
+                 id="data26-error: points[1]: c must be a JSON list, not NoneType\n"),
     # a missing key names the point, and a value that is no number names its key
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"weights": [3, 3, 4]}]},
-     "error: points[0] lacks the key 'r'\n"),
-    ({"kind": "cy3", "A3": [6], "Ac2": "108/5"}, "error: A3 must be a number, not [6]\n"),
-    ({"kind": "can3", "pg": 7, "K3": {"a": 1}}, "error: K3 must be a number, not {'a': 1}\n"),
-    ({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "c": [[0], 0, 0, 0, 0]}]},
-     "error: points[0]: c must be a number, not [0]\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"weights": [3, 3, 4]}]},
+                 "error: points[0] lacks the key 'r'\n",
+                 id="data27-error: points[0] lacks the key 'r'\n"),
+    pytest.param({"kind": "cy3", "A3": [6], "Ac2": "108/5"},
+                 "error: A3 must be a number, not [6]\n",
+                 id="data28-error: A3 must be a number, not [6]\n"),
+    pytest.param({"kind": "can3", "pg": 7, "K3": {"a": 1}},
+                 "error: K3 must be a number, not {'a': 1}\n",
+                 id="data29-error: K3 must be a number, not {'a': 1}\n"),
+    pytest.param({"kind": "cy3", "A3": "6/5", "Ac2": "108/5", "points": [{"r": 5, "c": [[0], 0, 0, 0, 0]}]},
+                 "error: points[0]: c must be a number, not [0]\n",
+                 id="data30-error: points[0]: c must be a number, not [0]\n"),
     # K and A are ample: a cube that is not positive names its key and value
-    ({"kind": "can3", "pg": 7, "K3": "0"}, "error: K3 must be positive, got 0\n"),
-    ({"kind": "cy3", "A3": "-6/5", "Ac2": "108/5"}, "error: A3 must be positive, got -6/5\n"),
+    pytest.param({"kind": "can3", "pg": 7, "K3": "0"}, "error: K3 must be positive, got 0\n",
+                 id="data31-error: K3 must be positive, got 0\n"),
+    pytest.param({"kind": "cy3", "A3": "-6/5", "Ac2": "108/5"},
+                 "error: A3 must be positive, got -6/5\n",
+                 id="data32-error: A3 must be positive, got -6/5\n"),
 ])
 def test_match_malformed_rr_exits_2(tmp_path, capsys, data, named):
     rr = tmp_path / "rr.json"
@@ -410,9 +470,9 @@ def test_match_reads_json_decimals_exactly(tmp_path, capsys, decimal, exact):
 
 
 @pytest.mark.parametrize("argv", [
-    ("match", "--rr", "{rr}"),
-    ("rr", "can3", "--pg", "7", "--k3", "1/0"),
-    ("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "5:0,1/0"),
+    pytest.param(("match", "--rr", "{rr}"), id="argv0"),
+    pytest.param(("rr", "can3", "--pg", "7", "--k3", "1/0"), id="argv1"),
+    pytest.param(("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "5:0,1/0"), id="argv2"),
 ])
 def test_zero_denominator_exits_2_without_traceback(tmp_path, capsys, argv):
     rr = tmp_path / "rr.json"
@@ -507,30 +567,44 @@ def test_oracle_budget_refusal_exits_2(capsys, json_flag):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2", "--degree", "-1"),
-     "--degree must be >= 0, got -1"),
-    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "abc"),
-     "--point 'abc' is not of the form r:c0,...,c(r-1)"),
-    (("section", "--model", "{model}", "--cut", "a,b"),
-     "--cut 'a,b' is not a list of integer degrees"),
+    pytest.param(("oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2", "--degree", "-1"),
+                 "--degree must be >= 0, got -1", id="argv0---degree must be >= 0, got -1"),
+    pytest.param(("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "abc"),
+                 "--point 'abc' is not of the form r:c0,...,c(r-1)",
+                 id="argv1---point 'abc' is not of the form r:c0,...,c(r-1)"),
+    pytest.param(("section", "--model", "{model}", "--cut", "a,b"),
+                 "--cut 'a,b' is not a list of integer degrees",
+                 id="argv2---cut 'a,b' is not a list of integer degrees"),
     # a point of order below 2 is no quotient point, with or without values
-    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "0"),
-     "--point '0' has order 0; a quotient point needs r >= 2"),
-    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point=-2"),
-     "--point '-2' has order -2; a quotient point needs r >= 2"),
-    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "1"),
-     "--point '1' has order 1; a quotient point needs r >= 2"),
-    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "1:0"),
-     "--point '1:0' has order 1; a quotient point needs r >= 2"),
-    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "5:0,0,1"),
-     "--point '5:0,0,1': need exactly r = 5 values, got 3"),
-    (("rr", "can3", "--pg", "7", "--k3", "21", "--expand", "-1"), "--expand must be >= 0, got -1"),
-    (("rr", "cy3", "--a3", "1", "--ac2", "1", "--expand", "-2"), "--expand must be >= 0, got -2"),
-    (("section", "--model", "{model}", "--terms", "-1"), "--terms must be >= 0, got -1"),
-    (("rr", "can3", "--pg", "7", "--k3", "21", "--half", "-2"), "--half must be >= 0, got -2"),
-    (("rr", "can3", "--pg", "-7", "--k3", "21"), "--pg must be >= 0, got -7"),
-    (("rr", "can3", "--pg", "0", "--k3", "0"), "--k3 must be positive, got 0"),
-    (("rr", "cy3", "--a3=-6/5", "--ac2", "1"), "--a3 must be positive, got -6/5"),
+    pytest.param(("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "0"),
+                 "--point '0' has order 0; a quotient point needs r >= 2",
+                 id="argv3---point '0' has order 0; a quotient point needs r >= 2"),
+    pytest.param(("rr", "cy3", "--a3", "1", "--ac2", "1", "--point=-2"),
+                 "--point '-2' has order -2; a quotient point needs r >= 2",
+                 id="argv4---point '-2' has order -2; a quotient point needs r >= 2"),
+    pytest.param(("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "1"),
+                 "--point '1' has order 1; a quotient point needs r >= 2",
+                 id="argv5---point '1' has order 1; a quotient point needs r >= 2"),
+    pytest.param(("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "1:0"),
+                 "--point '1:0' has order 1; a quotient point needs r >= 2",
+                 id="argv6---point '1:0' has order 1; a quotient point needs r >= 2"),
+    pytest.param(("rr", "cy3", "--a3", "1", "--ac2", "1", "--point", "5:0,0,1"),
+                 "--point '5:0,0,1': need exactly r = 5 values, got 3",
+                 id="argv7---point '5:0,0,1': need exactly r = 5 values, got 3"),
+    pytest.param(("rr", "can3", "--pg", "7", "--k3", "21", "--expand", "-1"),
+                 "--expand must be >= 0, got -1", id="argv8---expand must be >= 0, got -1"),
+    pytest.param(("rr", "cy3", "--a3", "1", "--ac2", "1", "--expand", "-2"),
+                 "--expand must be >= 0, got -2", id="argv9---expand must be >= 0, got -2"),
+    pytest.param(("section", "--model", "{model}", "--terms", "-1"),
+                 "--terms must be >= 0, got -1", id="argv10---terms must be >= 0, got -1"),
+    pytest.param(("rr", "can3", "--pg", "7", "--k3", "21", "--half", "-2"),
+                 "--half must be >= 0, got -2", id="argv11---half must be >= 0, got -2"),
+    pytest.param(("rr", "can3", "--pg", "-7", "--k3", "21"), "--pg must be >= 0, got -7",
+                 id="argv12---pg must be >= 0, got -7"),
+    pytest.param(("rr", "can3", "--pg", "0", "--k3", "0"), "--k3 must be positive, got 0",
+                 id="argv13---k3 must be positive, got 0"),
+    pytest.param(("rr", "cy3", "--a3=-6/5", "--ac2", "1"), "--a3 must be positive, got -6/5",
+                 id="argv14---a3 must be positive, got -6/5"),
 ])
 def test_argument_errors_name_the_argument(tmp_path, capsys, argv, message):
     model = tmp_path / "m.json"
@@ -539,6 +613,27 @@ def test_argument_errors_name_the_argument(tmp_path, capsys, argv, message):
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
 
+
+
+REFUSAL_TESTS = (
+    "test_a_roundtrip_kind_that_does_not_fit_the_section_exits_2",
+    "test_match_refuses_a_point_by_name", "test_section_malformed_model_exits_2",
+    "test_match_malformed_rr_exits_2", "test_zero_denominator_exits_2_without_traceback",
+    "test_argument_errors_name_the_argument")
+
+
+def test_each_refusal_case_states_its_own_id():
+    # a positional id would rename every later case when one is inserted
+    seen = []
+    for node in ast.parse(Path(__file__).read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name in REFUSAL_TESTS:
+            (cases,) = [d.args[1].elts for d in node.decorator_list
+                        if "parametrize" in ast.unparse(d)]
+            ids = [k.value.value for case in cases if isinstance(case, ast.Call)
+                   for k in case.keywords if k.arg == "id"]
+            assert len(ids) == len(cases) == len(set(ids)), node.name
+            seen.append(node.name)
+    assert sorted(seen) == sorted(REFUSAL_TESTS)
 
 LEAF_COMMANDS = {
     "info wgr": ("info", "wgr", "--w", "1/2,1/2,1/2,1/2,3/2"),

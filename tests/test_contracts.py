@@ -1,7 +1,8 @@
 """Python-level contracts: integer MPoly coefficients, the weight-family
 interface, the names the package exports, most of which load from their
-module on first use, no function that only forwards its parameters, and no
-module that imports another's private name."""
+module on first use, no function that only forwards its parameters, no
+module that imports another's private name, and one owner of a polynomial's
+coefficients."""
 
 import ast
 import re
@@ -51,11 +52,11 @@ PACKAGE_NAMES = (
 
 
 def test_integral_mpoly_coefficients_are_ints():
-    assert type(MPoly({(): Fraction(4, 2)}).terms[()]) is int
-    assert MPoly({(): Fraction(4, 2)}).terms[()] == 2
-    assert MPoly({(): Fraction(1, 2)}).terms[()] == Fraction(1, 2)
+    assert type(MPoly({(): Fraction(4, 2)}).coeffs[()]) is int
+    assert MPoly({(): Fraction(4, 2)}).coeffs[()] == 2
+    assert MPoly({(): Fraction(1, 2)}).coeffs[()] == Fraction(1, 2)
     x = MPoly.var("x")
-    assert all(type(c) is int for c in ((x - 3) ** 3 * Fraction(2, 1)).terms.values())
+    assert all(type(c) is int for c in ((x - 3) ** 3 * Fraction(2, 1)).coeffs.values())
 
 
 def test_fraction_and_int_built_polynomials_are_equal_and_hash_equally():
@@ -72,12 +73,13 @@ def test_a_float_coefficient_is_refused_with_the_same_message():
         MPoly({(): 0.5})
     x = MPoly.var("x")
     for build in (lambda: MPoly.const(0.5), lambda: x + 0.5, lambda: x - 0.5,
-                  lambda: 0.5 - x, lambda: x * 0.5, lambda: 0.5 * x):
+                  lambda: 0.5 - x, lambda: x * 0.5, lambda: 0.5 * x, lambda: x.scale(0.5)):
         with pytest.raises(TypeError, match=message):
             build()
     t, h = LaurentPoly({1: 1}), HilbertSeries(LaurentPoly.one(), (1,))
     for build in (lambda: LaurentPoly({0: 0.5}), lambda: t * 0.5, lambda: 0.5 * t,
-                  lambda: t.scale(0.5), lambda: h + 0.5, lambda: 0.5 + h):
+                  lambda: t.scale(0.5), lambda: t + 0.5, lambda: 0.5 + t, lambda: t - 0.5,
+                  lambda: 0.5 - t, lambda: h + 0.5, lambda: 0.5 + h):
         with pytest.raises(TypeError, match=message):
             build()
 
@@ -234,11 +236,7 @@ def test_no_function_only_forwards_its_parameters():
 
 # -- no module imports another module's private name -----------------------------
 
-PRIVATE_IMPORTS_KEPT = {
-    # MPoly and LaurentPoly normalise a coefficient by one rule, so both keep
-    # ints as ints and refuse a float with the same message
-    "polynomials: series._coefficient",
-}
+PRIVATE_IMPORTS_KEPT = set()
 
 
 def private_imports(source, module):
@@ -274,3 +272,58 @@ def test_no_module_imports_a_private_name():
     for path in sorted(SRC.glob("*.py")):
         found.update(private_imports(path.read_text(), path.stem))
     assert found == PRIVATE_IMPORTS_KEPT
+
+
+# -- only the sparse-polynomial base writes a polynomial's coefficients ---------
+
+COEFFS_WRITERS = {"series.SparsePoly.__init__", "series.SparsePoly._raw"}
+
+
+def coeffs_writers(source, module):
+    """``module.Class.function`` of each statement in ``source`` that assigns,
+    augments or deletes an attribute ``coeffs`` or an item of it, or sets it
+    by ``setattr``."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, (ast.Assign, ast.Delete)):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            elif (isinstance(child, ast.Call) and len(child.args) >= 2
+                  and "setattr" in ast.unparse(child.func)):
+                targets = [child.args[1]]
+            else:
+                targets = []
+            if any(isinstance(t, ast.Attribute) and t.attr == "coeffs"
+                   or isinstance(t, ast.Constant) and t.value == "coeffs"
+                   for target in targets for t in ast.walk(target)):
+                hits.append(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return hits
+
+
+def test_the_coeffs_writer_scan_sees_each_shape():
+    source = ("p.coeffs = {}\n"
+              "class C:\n"
+              "    __slots__ = ('coeffs',)\n"
+              "    def f(self):\n        self.coeffs, n = {}, 0\n"
+              "    def g(self):\n        self.coeffs |= {}\n"
+              "    def h(self):\n        del self.coeffs\n"
+              "    def k(self):\n        object.__setattr__(self, 'coeffs', {})\n"
+              "    def r(self):\n        return self.coeffs.get(0, 0)\n"
+              "def w(p):\n    p.coeffs[0] = 1\n")
+    assert coeffs_writers(source, "m") == ["m", "m.C.f", "m.C.g", "m.C.h", "m.C.k", "m.w"]
+
+
+def test_only_the_sparse_polynomial_base_writes_coeffs():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(coeffs_writers(path.read_text(), path.stem))
+    assert found == COEFFS_WRITERS

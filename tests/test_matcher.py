@@ -840,3 +840,28 @@ def test_incremental_inference_on_rr_series_and_errors():
     negative = HilbertSeries(LaurentPoly({-1: 1, 0: 1}), (1,))
     with pytest.raises(SeriesError):
         infer_generators(negative)
+
+
+def quasilinear_sections_by_search(gens, coord_weights):
+    """The cone count found by trying 0, 1, ... cones up to the number of
+    weight-1 generators, each with a full containment check."""
+    need = Counter(gens)
+    have = Counter(coord_weights)
+    for c in range(0, need[1] + 1):
+        havec = have.copy()
+        havec[1] += c
+        if all(havec[d] >= need[d] for d in need):
+            sections = sorted((havec - need).elements())
+            return c, tuple(sections)
+    return None, None
+
+
+weight_multisets = st.lists(st.integers(1, 6), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(weight_multisets, weight_multisets)
+def test_closed_form_cone_count_equals_the_search(gens, coords):
+    assert (matcher._quasilinear_sections(gens, coords)
+            == quasilinear_sections_by_search(gens, coords))
+

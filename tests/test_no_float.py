@@ -80,4 +80,4 @@ def test_mpoly_refuses_a_float_coefficient():
             MPoly(terms)
     with pytest.raises(TypeError, match="float"):
         MPoly.const(0.5)
-    assert MPoly({(): Fraction(1, 10)}).terms == {(): Fraction(1, 10)}
+    assert MPoly({(): Fraction(1, 10)}).coeffs == {(): Fraction(1, 10)}

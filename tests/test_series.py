@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgk.matcher import _target_at2
+from wgk.polynomials import MPoly
 from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, denominator_poly,
                         exact_div, geometric, one_minus)
 
@@ -528,6 +529,55 @@ def test_kernel_matches_fraction_only_arithmetic(p, b, r, c):
             assert all(type(v) in (int, Fraction) for v in got.coeffs.values()), name
             if integral and (unit_lead or not name.startswith("divexact")):
                 assert all(type(v) is int for v in got.coeffs.values()), name
+
+
+def in_t(p):
+    """A LaurentPoly's coefficients keyed as the monomials of an MPoly in t."""
+    return {((("t", e),) if e else ()): c for e, c in p.coeffs.items()}
+
+
+def normal(p):
+    """Each stored coefficient is an int unless it is not integral."""
+    return all(type(c) is int or c.denominator != 1 for c in p.coeffs.values())
+
+
+SHARED_OPS = {
+    "+": lambda p, q, c: p + q,
+    "-": lambda p, q, c: p - q,
+    "unary -": lambda p, q, c: -p,
+    "scale": lambda p, q, c: p.scale(c),
+    "*": lambda p, q, c: p * q,
+    "* scalar": lambda p, q, c: c * p,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_terms(0, 6), mixed_terms(0, 6), mixed)
+def test_laurent_poly_and_mpoly_in_one_variable_agree(p, q, c):
+    lp, lq = LaurentPoly(p), LaurentPoly(q)
+    mp, mq = (MPoly({(("t", e),): v for e, v in d.items()}) for d in (p, q))
+    for name, op in SHARED_OPS.items():
+        got_l, got_m = op(lp, lq, c), op(mp, mq, c)
+        assert type(got_l) is LaurentPoly and type(got_m) is MPoly, name
+        assert in_t(got_l) == got_m.coeffs, name
+    for got_l, got_m in ((lp, mp), (lp.scale(c), mp.scale(c))):
+        assert normal(got_l) and normal(got_m)
+        assert ({k: type(v) for k, v in in_t(got_l).items()}
+                == {k: type(v) for k, v in got_m.coeffs.items()})
+    assert (lp == lq) == (mp == mq) and lp != mp and mp != lp
+    # a sum of Fractions may keep an integral one: equal, and hashed equally
+    for poly, other in ((lp, lq), (mp, mq)):
+        back = poly + other - other
+        assert back == poly and hash(back) == hash(poly)
+        fractions = type(poly)({k: Fraction(v) for k, v in poly.coeffs.items()})
+        assert fractions == poly and hash(fractions) == hash(poly)
+
+
+def test_a_laurent_poly_never_equals_an_mpoly():
+    # not even at zero, where the two store the same empty dict
+    assert LaurentPoly().coeffs == MPoly().coeffs
+    for lp, mp in ((LaurentPoly(), MPoly()), (LaurentPoly.one(), MPoly.const(1))):
+        assert lp != mp and mp != lp and not lp == mp
 
 
 @settings(max_examples=300, deadline=None)

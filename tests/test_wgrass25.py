@@ -163,7 +163,7 @@ def test_pfaffian_equations_fixed_signs():
     expect = {(("x12", 1), ("x34", 1)): Fraction(1),
               (("x13", 1), ("x24", 1)): Fraction(-1),
               (("x14", 1), ("x23", 1)): Fraction(1)}
-    assert pf5.terms == expect
+    assert pf5.coeffs == expect
 
 
 def test_pfaffians_at_elementary_matrix():

@@ -145,7 +145,7 @@ def test_equation_n1():
             (("x23", 1), ("x45", 1)): Fraction(-1),
             (("x24", 1), ("x35", 1)): Fraction(1),
             (("x25", 1), ("x34", 1)): Fraction(-1)}
-    assert n1.terms == want
+    assert n1.coeffs == want
 
 
 def test_equations_supported_on_quads():
@@ -153,7 +153,7 @@ def test_equations_supported_on_quads():
     all_quads = {frozenset(frozenset(vertex_name(v) for v in e) for e in quad)
                  for quads in g.quads.values() for quad in quads}
     for eq in equations():
-        support = frozenset(frozenset(v for v, _ in mono) for mono in eq.terms)
+        support = frozenset(frozenset(v for v, _ in mono) for mono in eq.coeffs)
         assert support in all_quads
 
 
@@ -199,12 +199,12 @@ def test_first_syzygy_columns():
     col_x = [table[row][0] for row in range(10)]
     assert all(entry.is_zero() for entry in col_x[:5])
     for i, entry in enumerate(col_x[5:], start=1):
-        assert entry.terms == {((f"x{i}", 1),): Fraction(1)}
+        assert entry.coeffs == {((f"x{i}", 1),): Fraction(1)}
     # third column (vertex x2) has entry x12 against the first equation
-    assert table[0][2].terms == {(("x12", 1),): Fraction(1)}
+    assert table[0][2].coeffs == {(("x12", 1),): Fraction(1)}
     for col in range(16):
         entries = [table[row][col] for row in range(10)]
-        support = [v for e in entries for mono in e.terms for v, _ in mono]
+        support = [v for e in entries for mono in e.coeffs for v, _ in mono]
         assert len(support) == 5
         neighbours = {vertex_name(v) for v in
                       spinor_graph().neighbours(VERTICES[col])}
