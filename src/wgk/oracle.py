@@ -62,6 +62,7 @@ variable in the most mixed generators.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import combinations, count
 from math import gcd, lcm, prod
@@ -200,7 +201,7 @@ class GradedRing:
         names = [n for n, _ in coords]
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be distinct")
-        self.coords = tuple((n, int(w)) for n, w in coords)
+        self.coords = tuple((n, operator.index(w)) for n, w in coords)
         self.index = {n: i for i, (n, _) in enumerate(self.coords)}
         self.weights = tuple(w for _, w in self.coords)
         n = len(self.coords)

@@ -23,6 +23,7 @@ the CLI reads are data:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -34,7 +35,7 @@ class PeriodicTable(Record):
     _fields = ("r", "values")
 
     def __init__(self, r, values):
-        values = tuple(Fraction(v) for v in values)
+        r, values = operator.index(r), tuple(Fraction(v) for v in values)
         if r < 1:
             raise ValueError(f"order r must be positive, got {r}")
         if len(values) != r:
@@ -58,8 +59,8 @@ class RRData(Record):
     _fields = ("k", "acubed", "chi", "ac2", "points")
 
     def __init__(self, k, acubed, chi, ac2, points=()):
-        self.__dict__.update(k=k, acubed=Fraction(acubed), chi=Fraction(chi),
-                             ac2=Fraction(ac2), points=tuple(points))
+        self.__dict__.update(k=operator.index(k), acubed=Fraction(acubed),
+                             chi=Fraction(chi), ac2=Fraction(ac2), points=tuple(points))
         if k > 1:
             raise ValueError(f"K = {k}A: Riemann-Roch fixes every P(n) only for k <= 1")
 

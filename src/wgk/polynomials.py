@@ -10,6 +10,7 @@ only its monomial rule, its product and its own methods.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .series import SparsePoly
@@ -30,7 +31,7 @@ class MPoly(SparsePoly):
 
     @staticmethod
     def _key(m):
-        return tuple(sorted((v, int(e)) for v, e in m if e))
+        return tuple(sorted((v, operator.index(e)) for v, e in m if e))
 
     @classmethod
     def var(cls, name):

@@ -17,7 +17,8 @@ Groebner staircase of the stratum ideal (``GradedRing.hilbert_series``).
 
 from __future__ import annotations
 
-import itertools
+import operator
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
@@ -87,16 +88,13 @@ class QuotientSingularity(Record):
     _fields = ("r", "weights")
 
     def __init__(self, r, weights):
-        r = int(r)
+        r = operator.index(r)
         if r < 1:
             raise ValueError(f"order must be positive, found {r}")
-        ws = tuple(int(w) % r for w in weights)
-        g = gcd(r, *ws) if ws else r
-        if g > 1:
-            r //= g
-            ws = tuple(w // g for w in ws)
+        ws = [operator.index(w) % r for w in weights]
+        g = gcd(r, *ws)
         d = self.__dict__
-        d["r"], d["weights"] = r, tuple(sorted(w % r for w in ws))
+        d["r"], d["weights"] = r // g, tuple(sorted(w // g for w in ws))
 
     def is_isolated(self):
         return all(gcd(w, self.r) == 1 for w in self.weights)
@@ -123,7 +121,7 @@ class AmbientModel(Record):
     def __init__(self, base, cone=()):
         if not isinstance(base, tuple(FAMILIES.values())):
             raise TypeError("base must be GrWeights or OGrWeights")
-        cone = tuple(sorted(int(c) for c in cone))
+        cone = tuple(sorted(operator.index(c) for c in cone))
         bad = [c for c in cone if c < 1]
         if bad:
             raise ValueError(f"cone weights must be positive, found {bad}")
@@ -188,7 +186,7 @@ def ambient_series(model):
 
 def _degrees(cut):
     """The degrees of ``cut``, sorted, since the chart analysis takes them in turn."""
-    degrees = tuple(sorted(int(d) for d in cut))
+    degrees = tuple(sorted(operator.index(d) for d in cut))
     bad = [d for d in degrees if d < 1]
     if bad:
         raise ValueError(f"section degrees must be positive, found {bad}")
@@ -223,15 +221,10 @@ def quasilinear_embed(model, cut):
     Returns the remaining generator weights, whether every degree matched, and
     the unmatched leftovers.
     """
-    weights = sorted(model.coordinate_weights())
-    leftovers = []
-    for d in _degrees(cut):
-        if d in weights:
-            weights.remove(d)
-        else:
-            leftovers.append(d)
-    return {"weights": tuple(weights), "quasilinear": not leftovers,
-            "leftovers": tuple(leftovers)}
+    weights, degrees = Counter(model.coordinate_weights()), Counter(_degrees(cut))
+    leftovers = tuple(sorted((degrees - weights).elements()))
+    return {"weights": tuple(sorted((weights - degrees).elements())),
+            "quasilinear": not leftovers, "leftovers": leftovers}
 
 
 # -- singularity analysis --------------------------------------------------------
@@ -262,66 +255,42 @@ class SingularityReport(Record):
 
 
 def _component_split(ring, diagnostics, context):
-    """Split a stratum into components via the degree-two monomial pairing.
-
-    Coordinates c, c' land in one component when c*c' does not lie in the
-    restricted-equation ideal slice; nilpotent coordinates are dropped.
-    """
+    """Components of a stratum: the connected pieces of the relation "c*c' is
+    not in the ideal slice" on its coordinates, read in order; a nilpotent
+    coordinate (c^2 in the slice) is dropped with a note."""
     n = len(ring.coords)
-    alive = []
-    for i in range(n):
-        vec = [0] * n
-        vec[i] = 2
-        if ring.equations and ring.contains_monomial(tuple(vec)):
-            diagnostics.append(f"{context}: coordinate {ring.coords[i][0]} "
-                               "is nilpotent on the stratum; dropped")
-        else:
-            alive.append(i)
-    parent = {i: i for i in alive}
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def related(i, j):
+        return not ring.contains_monomial(tuple((k == i) + (k == j) for k in range(n)))
 
-    for i, j in itertools.combinations(alive, 2):
-        vec = [0] * n
-        vec[i] += 1
-        vec[j] += 1
-        if not (ring.equations and ring.contains_monomial(tuple(vec))):
-            parent[find(i)] = find(j)
-    groups = {}
-    for i in alive:
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(ring.coords[i][0] for i in sorted(g)) for g in
-            sorted(groups.values())]
+    components = []
+    for i, (name, _) in enumerate(ring.coords):
+        if not related(i, i):
+            diagnostics.append(f"{context}: coordinate {name} is nilpotent on the "
+                               "stratum; dropped")
+            continue
+        linked = [comp for comp in components if any(related(i, j) for j in comp)]
+        components = [comp for comp in components if comp not in linked]
+        components.append(sorted(j for comp in linked for j in comp) + [i])
+    return [tuple(ring.coords[j][0] for j in comp) for comp in sorted(components)]
 
 
 def _transverse_type(chart, r, degrees, diagnostics, context):
-    """Quotient type transverse to the stratum, read off one chart.
-
-    Sections of degree divisible by r consume stratum directions; the others
-    eliminate one transverse weight congruent to their degree, smallest raw
-    weight first.
-    """
-    residues = [(w % r, w) for w in chart.local_weights]
-    transverse = sorted(((res, w) for res, w in residues if res != 0),
-                        key=lambda p: (p[1], p[0]))
+    """Quotient type transverse to the stratum, read off one chart: the local
+    weights not divisible by r, less, for each section degree not divisible by
+    r, the smallest raw weight left that is congruent to it mod r."""
+    transverse = sorted(w for w in chart.local_weights if w % r)
     for delta in degrees:
         if delta % r == 0:
             continue          # consumes a stratum direction
-        res = delta % r
-        for k, (rr, _) in enumerate(transverse):
-            if rr == res:
-                transverse.pop(k)
-                break
-        else:
+        match = next((w for w in transverse if (w - delta) % r == 0), None)
+        if match is None:
             diagnostics.append(
                 f"{context}: chart {chart.label} non-quasismooth: degree "
                 f"{delta} section cannot eliminate a local variable")
             return None
-    return QuotientSingularity(r, tuple(res for res, _ in transverse))
+        transverse.remove(match)
+    return QuotientSingularity(r, transverse)
 
 
 def _restrict(equations, keep):
@@ -424,16 +393,15 @@ def singularity_analysis(model, cut):
     # leaves each record with its exact-stabilizer count.
     exact = {}
     for rec in sorted(records, key=lambda rec: -rec.r):
-        exact[id(rec)] = rec.count
+        exact[rec] = rec.count
         for other in records:
-            if (other is not rec and other.r > rec.r
-                    and other.r % rec.r == 0
+            if (other.r > rec.r and other.r % rec.r == 0
                     and set(other.component) <= set(rec.component)):
-                exact[id(rec)] -= Fraction(rec.r, other.r) * exact[id(other)]
+                exact[rec] -= Fraction(rec.r, other.r) * exact[other]
                 diagnostics.append(
                     f"1/{rec.r} stratum [{' '.join(rec.component)}]: removed "
-                    f"the weight of {exact[id(other)]} nested 1/{other.r} point(s)")
-    records = [StratumRecord(rec.r, rec.component, rec.dimension, rec.active, exact[id(rec)],
+                    f"the weight of {exact[other]} nested 1/{other.r} point(s)")
+    records = [StratumRecord(rec.r, rec.component, rec.dimension, rec.active, exact[rec],
                              rec.sing_type, rec.stop_degree) for rec in records]
 
     basket = {}

@@ -14,6 +14,7 @@ over a multiset of positive integers ``{a}``, meaning division by
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -156,7 +157,7 @@ class LaurentPoly(SparsePoly):
     ``divexact`` are its own."""
 
     __slots__ = ()
-    _key = int
+    _key = operator.index
     _unit = 0
 
     # -- constructors ------------------------------------------------------
@@ -274,7 +275,7 @@ class LaurentPoly(SparsePoly):
 
     @classmethod
     def from_json(cls, data):
-        return cls({int(e): Fraction(int(n), int(d)) for e, n, d in data})
+        return cls({e: Fraction(n, d) for e, n, d in data})
 
 
 def one_minus(a):
@@ -304,7 +305,7 @@ class HilbertSeries:
     def __init__(self, numerator, denominator=()):
         if not isinstance(numerator, LaurentPoly):
             numerator = LaurentPoly(numerator)
-        denominator = tuple(sorted(int(a) for a in denominator))
+        denominator = tuple(sorted(operator.index(a) for a in denominator))
         if any(a < 1 for a in denominator):
             raise SeriesError("denominator entries must be positive integers")
         self.numerator = numerator

@@ -14,6 +14,7 @@ the Hilbert numerator, the degree, K and well-formedness come from
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -150,7 +151,7 @@ class WeightFamily(Record):
 
 def sorted_w2(w2):
     """Five doubled weights as a sorted tuple of ints, all of one parity."""
-    w2 = tuple(sorted(int(v) for v in w2))
+    w2 = tuple(sorted(operator.index(v) for v in w2))
     if len(w2) != 5:
         raise ValueError("need exactly five weights")
     if len({v % 2 for v in w2}) != 1:
@@ -178,10 +179,10 @@ class GrWeights(WeightFamily):
     @classmethod
     def of(cls, w2, u2=0):
         """Build from doubled weights and doubled overall weight, absorbing u."""
-        u2 = int(u2)
+        u2 = operator.index(u2)
         if u2 % 2:
             raise ValueError("overall weight must be an integer (doubled value even)")
-        return cls(tuple(int(v) + u2 // 2 for v in w2))
+        return cls(tuple(v + u2 // 2 for v in w2))
 
     @classmethod
     def from_fractions(cls, ws, u=0):

@@ -14,6 +14,7 @@ the column v = (x_1..x_5).
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -129,7 +130,7 @@ class OGrWeights(WeightFamily):
     dim = 10
 
     def __init__(self, w2, u):
-        w2, u, d = sorted_w2(w2), int(u), self.__dict__
+        w2, u, d = sorted_w2(w2), operator.index(u), self.__dict__
         d["w2"], d["u"] = w2, u
         # the smallest of u, u + s - w_i and u + w_i + w_j
         if u + min(0, sum(w2[:4]) // 2, (w2[0] + w2[1]) // 2) < 1:
@@ -139,7 +140,7 @@ class OGrWeights(WeightFamily):
     @classmethod
     def of(cls, w2, u2):
         """Build from doubled weights and doubled overall weight."""
-        u2 = int(u2)
+        u2 = operator.index(u2)
         if u2 % 2:
             raise ValueError("overall weight must be an integer (doubled value even)")
         return cls(w2, u2 // 2)

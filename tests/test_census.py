@@ -1,0 +1,91 @@
+"""The section census: every recorded section of ``tests/census/census.json``
+must be reproduced, record for record.
+
+The census is every quasilinear section of a bounded model with dimension 2
+or 3 and K = O(k), k in {-1, 0, 1}:
+
+- models are ``enumerate_gr_weights(3)``, each with and without a weight-1
+  cone, and ``enumerate_ogr_weights(3, 1)``;
+- cuts are the distinct sorted sub-multisets of the coordinate weights, and a
+  cut is kept when ``section_series`` accepts it.
+
+A record holds the model JSON, the cut, the dimension, k and
+``SingularityReport.to_json()``.  A section is *clean* when its analysis gives
+no diagnostic; a clean 3-fold with k in {0, 1} also records its
+``rr_roundtrip`` verdict.  Every value is an int, a str, a bool or a list or
+dict of them.  ``tests/census/regen.py`` rewrites the record.
+"""
+
+import itertools
+import json
+from pathlib import Path
+
+from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
+from wgk.sections import (AmbientModel, rr_roundtrip, section_canonical, section_series,
+                          singularity_analysis)
+
+CENSUS = Path(__file__).resolve().parent / "census" / "census.json"
+ROUNDTRIP_KINDS = {0: "cy3", 1: "canonical3"}
+
+
+def census_models():
+    gr = enumerate_gr_weights(3)
+    return ([AmbientModel(w, cone) for w in gr for cone in ((), (1,))]
+            + [AmbientModel(w) for w in enumerate_ogr_weights(3, 1)])
+
+
+def census_sections(model):
+    """``(cut, dimension, k)`` of each section of ``model`` in the census."""
+    weights = model.coordinate_weights()
+    for dimension in (3, 2):
+        for cut in sorted(set(itertools.combinations(weights, model.dim - dimension))):
+            k = section_canonical(model, cut)
+            if k not in (-1, 0, 1):
+                continue
+            try:
+                section_series(model, cut)
+            except ValueError:
+                continue
+            yield cut, dimension, k
+
+
+def census_record(model, cut, dimension, k):
+    report = singularity_analysis(model, cut)
+    record = {"model": model.to_json(), "cut": list(cut), "dimension": dimension, "k": k,
+              "report": report.to_json()}
+    if dimension == 3 and k in ROUNDTRIP_KINDS and not report.diagnostics:
+        kind = ROUNDTRIP_KINDS[k]
+        record["roundtrip"] = {"kind": kind, "ok": rr_roundtrip(model, cut, kind)["ok"]}
+    return record
+
+
+def census():
+    return [census_record(model, *section) for model in census_models()
+            for section in census_sections(model)]
+
+
+def dump(records):
+    """A JSON list with one sorted-key record a line, so a diff names its sections."""
+    return "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n]\n"
+
+
+def _no_float(text):
+    raise ValueError(f"the census holds a float: {text}")
+
+
+def recorded():
+    return json.loads(CENSUS.read_text(), parse_float=_no_float, parse_constant=_no_float)
+
+
+def test_every_census_record_is_reproduced():
+    want = recorded()
+    records = census()
+    assert len(records) == len(want)
+    for got, rec in zip(records, want):
+        assert got == rec, f"{rec['model']} cut {rec['cut']}"
+    assert dump(records) == CENSUS.read_text()
+
+
+def test_every_clean_census_threefold_round_trips():
+    trips = [r for r in recorded() if "roundtrip" in r]
+    assert trips and all(r["roundtrip"]["ok"] for r in trips)

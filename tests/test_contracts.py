@@ -1,8 +1,8 @@
 """Python-level contracts: integer MPoly coefficients, the weight-family
 interface, the names the package exports, most of which load from their
 module on first use, no function that only forwards its parameters, no
-module that imports another's private name, and one owner of a polynomial's
-coefficients."""
+module that imports another's private name, one owner of a polynomial's
+coefficients, and no ``int()`` that could truncate an unchecked value."""
 
 import ast
 import re
@@ -327,3 +327,61 @@ def test_only_the_sparse_polynomial_base_writes_coeffs():
     for path in sorted(SRC.glob("*.py")):
         found.update(coeffs_writers(path.read_text(), path.stem))
     assert found == COEFFS_WRITERS
+
+
+# -- every int() converts a value already known to be an integer -----------------
+
+# int(1.5) is 1 and int(Fraction(7, 2)) is 3: a value read as an integer goes
+# through operator.index, which refuses both, unless int() is given a string to
+# parse or a number just checked integral
+INT_CALLS_KEPT = {
+    # parse a string: int("1.5") raises ValueError, refused as bad input
+    "cli.default_depth",
+    "cli.parse_weights",
+    "cli._parse_point",
+    "cli._parse_cut",
+    "spinor.second_syzygy_degree_check",
+    # convert a Fraction whose denominator was checked to be 1 just before
+    "matcher.infer_generators",
+    "matcher._target_at2",
+    "sections.integral",
+    "sections.singularity_analysis",
+    "wgrass25.doubled",
+    # coefficient * lcm of the coefficient denominators, integral by that scale
+    "oracle.GradedRing.__init__",
+}
+
+
+def int_calls(source, module):
+    """``module.Class.function`` of each ``int(...)`` call in ``source``, once per scope."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "int"):
+                hits.append(".".join([module, *scope]))
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return list(dict.fromkeys(hits))
+
+
+def test_the_int_call_scan_sees_each_shape():
+    source = ("n = int(x)\n"
+              "class C:\n"
+              "    def f(self):\n        return [int(v) for v in self.w]\n"
+              "    def g(self):\n        return operator.index(self.r)\n"
+              "def h(t):\n    def inner():\n        return int(t)\n    return inner, int(t)\n"
+              "def k(t):\n    return self.int(t), builtins.int\n")
+    assert int_calls(source, "m") == ["m", "m.C.f", "m.h.inner", "m.h"]
+
+
+def test_every_int_call_converts_a_checked_value():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(int_calls(path.read_text(), path.stem))
+    assert found == INT_CALLS_KEPT

@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from wgk.oracle import GradedRing
+from wgk.orbifold_rr import PeriodicTable, RRData
 from wgk.polynomials import MPoly
+from wgk.sections import AmbientModel, QuotientSingularity, section_series
+from wgk.series import HilbertSeries, LaurentPoly
+from wgk.wgrass25 import GrWeights
+from wgk.wogr510 import OGrWeights
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wgk"
 
@@ -81,3 +87,35 @@ def test_mpoly_refuses_a_float_coefficient():
     with pytest.raises(TypeError, match="float"):
         MPoly.const(0.5)
     assert MPoly({(): Fraction(1, 10)}).coeffs == {(): Fraction(1, 10)}
+
+
+W2 = (0, 0, 2, 2, 4)
+NON_INTEGRAL_INTEGERS = {
+    "laurent-exponent": lambda: LaurentPoly({1.5: 1}),
+    "laurent-fraction-exponent": lambda: LaurentPoly({Fraction(2): 1}),
+    "mpoly-exponent": lambda: MPoly({(("x", 2.7),): 1}),
+    "laurent-json-numerator": lambda: LaurentPoly.from_json([[0, 1.5, 1]]),
+    "series-json-exponent": lambda: HilbertSeries.from_json({"numerator": [[1.9, 1, 1]]}),
+    "series-denominator": lambda: HilbertSeries(LaurentPoly.one(), (1.5,)),
+    "section-degree": lambda: section_series(AmbientModel(GrWeights((1, 1, 1, 1, 3))),
+                                             (2.5, 2, 2)),
+    "cone-weight": lambda: AmbientModel(GrWeights((1, 1, 1, 1, 3)), (1.7,)),
+    "quotient-order": lambda: QuotientSingularity(2.5, (1, 1)),
+    "quotient-weight": lambda: QuotientSingularity(2, (Fraction(1), 1)),
+    "gr-weight": lambda: GrWeights((1.5, 1, 1, 1, 3)),
+    "ogr-u": lambda: OGrWeights(W2, 1.5),
+    "gr-of-u2": lambda: GrWeights.of((1, 1, 1, 1, 3), 2.0),
+    "ogr-of-u2": lambda: OGrWeights.of(W2, 2.0),
+    "ring-weight": lambda: GradedRing([("x", 1.5)], []),
+    "rr-k": lambda: RRData(0.5, 1, 0, 0),
+    "periodic-order": lambda: PeriodicTable(2.0, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name)
+                                   for name, build in NON_INTEGRAL_INTEGERS.items()])
+def test_a_float_or_fraction_where_an_int_belongs_is_refused(build):
+    # int() would truncate 1.5 to 1 and read 2.0 as 2; each of these reads with
+    # operator.index, which takes only a true integer
+    with pytest.raises(TypeError):
+        build()

@@ -1,17 +1,19 @@
 """Ambient models, sections, invariants, baskets and the RR round trip."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
-from wgk.oracle import GradedRing, graded_dimension
-from wgk.sections import (AmbientModel, QuotientSingularity, ambient_series,
-                          quasilinear_embed, rr_roundtrip, section_canonical,
-                          section_series, singularity_analysis)
+from wgk.oracle import GradedRing, graded_dimension, weighted_monomials
+from wgk.polynomials import MPoly
+from wgk.sections import (AmbientModel, QuotientSingularity, _component_split,
+                          _transverse_type, ambient_series, quasilinear_embed, rr_roundtrip,
+                          section_canonical, section_series, singularity_analysis)
 from wgk.series import LaurentPoly
-from wgk.wgrass25 import GrWeights
+from wgk.wgrass25 import Chart, GrWeights
 from wgk.wogr510 import OGrWeights
 
 FANO = AmbientModel(GrWeights.from_fractions(["1/2"] * 4 + ["3/2"]))
@@ -339,3 +341,128 @@ def test_basket_entry_order_divides_a_coordinate_weight():
         weights = model.coordinate_weights()
         for sing, _ in singularity_analysis(model, cut).basket:
             assert any(w % sing.r == 0 for w in weights)
+
+
+# -- the earlier rules, kept as references -----------------------------------------
+
+def reference_component_split(ring, diagnostics, context):
+    """Split a stratum into components via the degree-two monomial pairing.
+
+    Coordinates c, c' land in one component when c*c' does not lie in the
+    restricted-equation ideal slice; nilpotent coordinates are dropped.
+    """
+    n = len(ring.coords)
+    alive = []
+    for i in range(n):
+        vec = [0] * n
+        vec[i] = 2
+        if ring.equations and ring.contains_monomial(tuple(vec)):
+            diagnostics.append(f"{context}: coordinate {ring.coords[i][0]} "
+                               "is nilpotent on the stratum; dropped")
+        else:
+            alive.append(i)
+    parent = {i: i for i in alive}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(alive, 2):
+        vec = [0] * n
+        vec[i] += 1
+        vec[j] += 1
+        if not (ring.equations and ring.contains_monomial(tuple(vec))):
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in alive:
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(ring.coords[i][0] for i in sorted(g)) for g in
+            sorted(groups.values())]
+
+
+def reference_transverse_type(chart, r, degrees, diagnostics, context):
+    """Quotient type transverse to the stratum, read off one chart.
+
+    Sections of degree divisible by r consume stratum directions; the others
+    eliminate one transverse weight congruent to their degree, smallest raw
+    weight first.
+    """
+    residues = [(w % r, w) for w in chart.local_weights]
+    transverse = sorted(((res, w) for res, w in residues if res != 0),
+                        key=lambda p: (p[1], p[0]))
+    for delta in degrees:
+        if delta % r == 0:
+            continue          # consumes a stratum direction
+        res = delta % r
+        for k, (rr, _) in enumerate(transverse):
+            if rr == res:
+                transverse.pop(k)
+                break
+        else:
+            diagnostics.append(
+                f"{context}: chart {chart.label} non-quasismooth: degree "
+                f"{delta} section cannot eliminate a local variable")
+            return None
+    return QuotientSingularity(r, tuple(res for res, _ in transverse))
+
+
+def reference_quasilinear_embed(model, cut):
+    """Eliminate one ambient generator per matching section degree."""
+    weights = sorted(model.coordinate_weights())
+    leftovers = []
+    for d in sorted(cut):
+        if d in weights:
+            weights.remove(d)
+        else:
+            leftovers.append(d)
+    return {"weights": tuple(weights), "quasilinear": not leftovers,
+            "leftovers": tuple(leftovers)}
+
+
+@st.composite
+def small_rings(draw):
+    """A GradedRing on 2-6 coordinates of weight 1-3 with up to six equations,
+    each a product c*c' of two coordinates, alone or less another monomial of
+    its degree: the monomials that the component split asks about."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+    n = len(weights)
+    coords = [(f"x{i}", w) for i, w in enumerate(weights)]
+    equations = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        terms = {tuple((k == i) + (k == j) for k in range(n)): 1}
+        if draw(st.booleans()):
+            other = draw(st.sampled_from(weighted_monomials(weights, weights[i] + weights[j])))
+            terms[other] = terms.get(other, 0) - draw(st.sampled_from((1, 2)))
+        equations.append(MPoly({tuple((f"x{k}", e) for k, e in enumerate(vec) if e): c
+                                for vec, c in terms.items()}))
+    return GradedRing(coords, equations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rings())
+def test_component_split_agrees_with_the_union_find_reference(ring):
+    got, want = [], []
+    assert _component_split(ring, got, "ctx") == reference_component_split(ring, want, "ctx")
+    assert got == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(-3, 12), max_size=6), st.integers(1, 7),
+       st.lists(st.integers(1, 15), max_size=5))
+def test_transverse_type_agrees_with_the_residue_pair_reference(weights, r, degrees):
+    chart = Chart("x", r, tuple(weights))
+    got, want = [], []
+    assert (_transverse_type(chart, r, degrees, got, "ctx")
+            == reference_transverse_type(chart, r, degrees, want, "ctx"))
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BOUNDED_BASES), st.lists(st.integers(1, 4), max_size=2),
+       st.lists(st.integers(1, 12), max_size=8))
+def test_quasilinear_embed_agrees_with_the_remove_loop(base, cone, cut):
+    model = AmbientModel(base, cone)
+    assert quasilinear_embed(model, cut) == reference_quasilinear_embed(model, cut)
