@@ -27,15 +27,16 @@ import operator
 from fractions import Fraction
 from math import gcd
 
-from .series import HilbertSeries, LaurentPoly, Record, denominator_poly, exact_div
+from .series import HilbertSeries, LaurentPoly, Record, coefficient, denominator_poly, exact_div
 
 
 class PeriodicTable(Record):
-    """Periodic local contribution c(n) = values[n mod r], with c(0) = 0."""
+    """Periodic local contribution c(n) = values[n mod r], with c(0) = 0; a
+    float value is refused."""
     _fields = ("r", "values")
 
     def __init__(self, r, values):
-        r, values = operator.index(r), tuple(Fraction(v) for v in values)
+        r, values = operator.index(r), tuple(Fraction(coefficient(v)) for v in values)
         if r < 1:
             raise ValueError(f"order r must be positive, got {r}")
         if len(values) != r:
@@ -54,13 +55,15 @@ class PeriodicTable(Record):
 
 
 class RRData(Record):
-    """K = kA, A^3, chi(O), A.c2 and one periodic term per point.  Integral
-    non-negative plurigenera are a check, not a construction-time constraint."""
+    """K = kA, A^3, chi(O), A.c2 and one periodic term per point; a float is
+    refused.  Integral non-negative plurigenera are a check, not a
+    construction-time constraint."""
     _fields = ("k", "acubed", "chi", "ac2", "points")
 
     def __init__(self, k, acubed, chi, ac2, points=()):
-        self.__dict__.update(k=operator.index(k), acubed=Fraction(acubed),
-                             chi=Fraction(chi), ac2=Fraction(ac2), points=tuple(points))
+        acubed, chi, ac2 = (Fraction(coefficient(v)) for v in (acubed, chi, ac2))
+        self.__dict__.update(k=operator.index(k), acubed=acubed, chi=chi, ac2=ac2,
+                             points=tuple(points))
         if k > 1:
             raise ValueError(f"K = {k}A: Riemann-Roch fixes every P(n) only for k <= 1")
 
@@ -82,9 +85,10 @@ class RRData(Record):
 
 def positive(name, value):
     """``value`` as a Fraction, named in a ValueError unless positive: A^3 of an ample A."""
-    if Fraction(value) <= 0:
-        raise ValueError(f"{name} must be positive, got {Fraction(value)}")
-    return Fraction(value)
+    value = Fraction(coefficient(value))
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 def plurigenus(data, n):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .series import SparsePoly
+from .series import SparsePoly, coefficient
 
 
 def _mono_mul(m1, m2):
@@ -81,12 +81,12 @@ class MPoly(SparsePoly):
         return out
 
     def evaluate(self, assignment):
-        """Evaluate at rational values; all variables must be assigned."""
+        """Evaluate at rational values, refusing a float; all variables must be assigned."""
         total = Fraction(0)
         for m, c in self.coeffs.items():
             val = c
             for v, e in m:
-                val *= Fraction(assignment[v]) ** e
+                val *= coefficient(assignment[v]) ** e
             total += val
         return total
 

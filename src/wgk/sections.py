@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .oracle import GradedRing, OracleBudgetError
-from .series import HilbertSeries, Record, denominator_poly, exact_div
+from .series import HilbertSeries, Record, coefficient, denominator_poly, exact_div
 from .wgrass25 import Chart, GrWeights
 from .wogr510 import OGrWeights
 
@@ -44,11 +44,11 @@ def integral(key, value):
 
 def rational(key, value):
     """A rational field of input as a Fraction; ValueError names the key when the
-    value is a boolean or not a number, and quotes a zero denominator."""
+    value is a boolean, a float or not a number, and quotes a zero denominator."""
     if isinstance(value, bool):
         raise ValueError(f"{key} must be a number, not a boolean")
     try:
-        return Fraction(value)
+        return Fraction(coefficient(value))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
     except (TypeError, ValueError):

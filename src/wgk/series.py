@@ -5,11 +5,11 @@ Everything here is over the rationals; there is no floating point anywhere.
 ``polynomials.MPoly`` are its subclasses, and each states only its monomial
 rule, its product and its own methods.  Coefficients are ``int`` unless a
 non-integral value needs a ``fractions.Fraction``, so integer series (every
-ambient Hilbert numerator) never build a ``Fraction``.  ``_coefficient``
-normalises input and refuses floats; ``exact_div`` is the one true division
-in the package.  A Hilbert series is stored as a Laurent-polynomial numerator
-over a multiset of positive integers ``{a}``, meaning division by
-``prod (1 - t^a)``.
+ambient Hilbert numerator) never build a ``Fraction``.  ``coefficient``
+normalises every rational the package reads and refuses floats; ``exact_div``
+is the one true division in the package.  A Hilbert series is stored as a
+Laurent-polynomial numerator over a multiset of positive integers ``{a}``,
+meaning division by ``prod (1 - t^a)``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _coefficient(c):
+def coefficient(c):
     """c as an int when it is integral, else as a Fraction; a float is refused
     rather than converted to the binary fraction it stores."""
     if type(c) is int:
@@ -67,7 +67,7 @@ def exact_div(a, b):
     """The exact quotient a / b as a coefficient: ±a for an int a when b is ±1."""
     if type(a) is int and (b == 1 or b == -1):
         return a if b == 1 else -a
-    return _coefficient(Fraction(a) / b)
+    return coefficient(Fraction(a) / b)
 
 
 class SparsePoly:
@@ -75,7 +75,7 @@ class SparsePoly:
     or ``Fraction`` when not integral.  A subclass states its monomial rule,
     ``_key`` (which normalises a key) and ``_unit`` (the key of 1), and its own
     product; everything else is here.  Construction normalises every
-    coefficient by ``_coefficient``, so a float is refused; ``_raw`` wraps a
+    coefficient by ``coefficient``, so a float is refused; ``_raw`` wraps a
     dict that is already normal, and these two are the only writers of
     ``coeffs``.  A sum or product of Fractions may keep an integral
     ``Fraction``, which compares and hashes equal to the ``int``.  A scalar
@@ -91,7 +91,7 @@ class SparsePoly:
             key = self._key
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for k, c in items:
-                c = _coefficient(c)
+                c = coefficient(c)
                 if c:
                     k = key(k)
                     v = data.get(k, 0) + c
@@ -142,10 +142,10 @@ class SparsePoly:
         return -self + other
 
     def scale(self, c):
-        c = _coefficient(c)
+        c = coefficient(c)
         if not c:
             return self._raw({})
-        return self._raw({k: _coefficient(c * v) for k, v in self.coeffs.items()})
+        return self._raw({k: coefficient(c * v) for k, v in self.coeffs.items()})
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -211,7 +211,7 @@ class LaurentPoly(SparsePoly):
         return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
 
     def __call__(self, value):
-        value = Fraction(_coefficient(value))
+        value = Fraction(coefficient(value))
         if value == 0 and any(e < 0 for e in self.coeffs):
             raise SeriesError("cannot evaluate negative exponents at 0")
         return sum(c * value ** e for e, c in self.coeffs.items())

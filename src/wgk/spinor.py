@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import MPoly
-from .series import Record
-from .wgrass25 import PAIRS, pair_name, pfaffian_equations, pfaffians_at
+from .series import Record, coefficient
+from .wgrass25 import PAIRS, pair_name, pfaffian_equations, pfaffians_at, skew_values
 from .wogr510 import EQUATION_NAMES, FULL, VERTEX_NAMES, VERTICES, canonical_vertex, equations
 
 
@@ -207,25 +207,19 @@ def second_syzygy_degree_check(weights):
 
     Entry (a, b, correction) in column v at row w must be the quadratic
     monomial a*b = v*w of weight wt(v) + wt(w); a correction +-2N_k must have
-    the same weight.
+    the same weight, read off the first monomial of the equation N_k.
     """
-    def wt(name):
-        return weights.vertex_weights()[VERTEX_NAMES.index(name)]
-
-    d2 = weights.d2()
+    wt = dict(weights.coordinates())
+    eqs = dict(zip(EQUATION_NAMES, equations()))
     for col_name, rows in SECOND_SYZYGY_COLUMNS.items():
         if len(rows) != 16:
             return False
         for row_name, (a, b, corr) in zip(VERTEX_NAMES, rows):
             if sorted((a, b)) != sorted((col_name, row_name)):
                 return False
-            degree = wt(col_name) + wt(row_name)
             if corr is not None:
-                token = corr.split("*")[-1]        # "N3" or "N-4"
-                k = int(token[1:])
-                corr_deg2 = d2 - weights.w2[k - 1] if k > 0 \
-                    else d2 + weights.w2[-k - 1]
-                if corr_deg2 % 2 or corr_deg2 // 2 != degree:
+                monomial = next(iter(eqs[corr.split("*")[-1]].coeffs))   # "N3" or "N-4"
+                if sum(wt[v] * e for v, e in monomial) != wt[col_name] + wt[row_name]:
                     return False
     return True
 
@@ -234,36 +228,21 @@ def second_syzygy_degree_check(weights):
 
 def parametrize(e, matrix):
     """The simple spinor e*(1, M, Pf M) as a map vertex name -> value."""
-    e = Fraction(e)
-    point = {"x": e}
-    for i, j in PAIRS:
-        point[pair_name(i, j)] = e * Fraction(matrix.get((i, j), 0))
-    pfs = pfaffians_at(matrix)
-    for i in range(1, 6):
-        point[f"x{i}"] = e * pfs[i - 1]
+    e = Fraction(coefficient(e))
+    point = {"x": e, **{name: e * v for name, v in skew_values(matrix).items()}}
+    point.update((f"x{i}", e * pf) for i, pf in enumerate(pfaffians_at(matrix), start=1))
     return point
 
 
 def membership(e, matrix, p):
-    """True iff e*P = Pf M and M*P = 0 hold exactly."""
-    e = Fraction(e)
-    p = [Fraction(v) for v in p]
-    pfs = pfaffians_at(matrix)
-    if any(e * p[i] != pfs[i] for i in range(5)):
-        return False
-    for i in range(1, 6):
-        total = Fraction(0)
-        for j in range(1, 6):
-            if i == j:
-                continue
-            v = Fraction(matrix.get((i, j), 0)) if i < j else -Fraction(matrix.get((j, i), 0))
-            total += v * p[j - 1]
-        if total:
-            return False
-    return True
+    """True iff e*P = Pf M and M*P = 0 hold exactly: the ten quadrics vanish at
+    x = e, x_ij = m_ij and x_i = p_i."""
+    point = {"x": e, **skew_values(matrix),
+             **dict(zip([f"x{i}" for i in range(1, 6)], p, strict=True))}
+    return not any(point_satisfies_equations(point))
 
 
 def point_satisfies_equations(point):
     """Evaluate all ten quadrics at a 16-coordinate point (name -> value)."""
-    assign = {name: Fraction(point.get(name, 0)) for name in VERTEX_NAMES}
+    assign = {name: point.get(name, 0) for name in VERTEX_NAMES}
     return [eq.evaluate(assign) for eq in equations()]

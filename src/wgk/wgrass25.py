@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd
 
 from .polynomials import MPoly
-from .series import HilbertSeries, LaurentPoly, Record, exact_div
+from .series import HilbertSeries, LaurentPoly, Record, coefficient, exact_div
 
 PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6))
 
@@ -67,9 +67,25 @@ def pfaffian_equations():
     return tuple(pfs)
 
 
+def skew_times(column):
+    """M * column for the generic skew matrix M = (x_ij), as five polynomials."""
+    return [sum((skew_entry(i, j) * c for j, c in enumerate(column, start=1)), MPoly())
+            for i in range(1, 6)]
+
+
+def skew_values(matrix):
+    """A rational skew matrix given as {(i,j): value}, i<j, as {x_ij: value}, an
+    absent entry 0.  ValueError names a key off the upper triangle; a float is
+    refused."""
+    for key in matrix:
+        if key not in PAIRS:
+            raise ValueError(f"skew-matrix key {key!r} is not a pair (i, j), 1 <= i < j <= 5")
+    return {pair_name(i, j): coefficient(matrix.get((i, j), 0)) for i, j in PAIRS}
+
+
 def pfaffians_at(matrix):
-    """Evaluate Pf_1..Pf_5 at a rational skew matrix given as {(i,j): value}, i<j."""
-    assign = {pair_name(i, j): Fraction(matrix.get((i, j), 0)) for i, j in PAIRS}
+    """Evaluate Pf_1..Pf_5 at a rational skew matrix read by ``skew_values``."""
+    assign = skew_values(matrix)
     return [p.evaluate(assign) for p in pfaffian_equations()]
 
 
@@ -242,26 +258,14 @@ def fit_pfaffian_weights(degree_matrix):
     """Solve d_ij = w_i + w_j over half-integers; diagonal entries are ignored.
 
     Returns the unique solution as a tuple of exact rationals (``int`` or
-    ``Fraction``), or None when the system is inconsistent.
+    ``Fraction``), or None when the system is inconsistent.  The check runs
+    over the ordered pairs, so it also requires d to be symmetric.
     """
-    d = {}
-    for i in range(5):
-        for j in range(5):
-            if i != j:
-                d[(i, j)] = Fraction(degree_matrix[i][j])
-    for i in range(5):
-        for j in range(5):
-            if i != j and d[(i, j)] != d[(j, i)]:
-                return None
-    w = [None] * 5
-    w[0] = exact_div(d[(0, 1)] + d[(0, 2)] - d[(1, 2)], 2)
-    for j in range(1, 5):
-        w[j] = d[(0, j)] - w[0]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if w[i] + w[j] != d[(i, j)]:
-                return None
-    return tuple(w)
+    d = {(i, j): Fraction(coefficient(degree_matrix[i][j]))
+         for i in range(5) for j in range(5) if i != j}
+    w0 = exact_div(d[0, 1] + d[0, 2] - d[1, 2], 2)
+    w = (w0, *[d[0, j] - w0 for j in range(1, 5)])
+    return w if all(w[i] + w[j] == v for (i, j), v in d.items()) else None
 
 
 def _minor(i, j):
@@ -284,11 +288,8 @@ def verify_gr_identities(pfaffians=None):
     pfs = list(pfaffians) if pfaffians is not None else pfaffian_equations()
     checks = []
 
-    for i in range(1, 6):
-        combo = MPoly()
-        for j in range(1, 6):
-            combo = combo + skew_entry(i, j) * pfs[j - 1]
-        checks.append((f"(a) row {i} of M*Pf(M)", combo.is_zero()))
+    for i, row in enumerate(skew_times(pfs), start=1):
+        checks.append((f"(a) row {i} of M*Pf(M)", row.is_zero()))
 
     minors = {pair_name(i, j): _minor(i, j) for i, j in PAIRS}
     for i, j, k in itertools.combinations(range(1, 6), 3):
@@ -302,19 +303,10 @@ def verify_gr_identities(pfaffians=None):
         checks.append((f"(c) Pf_{idx} on rank-2 locus", p.substitute(minors).is_zero()))
 
     rng = random.Random(2025)
-    matrix = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    assign = {pair_name(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
               for i, j in PAIRS}
-    assign = {pair_name(i, j): matrix[(i, j)] for i, j in PAIRS}
-    pf_vals = [p.evaluate(assign) for p in pfs]
-    ok = True
-    for i in range(1, 6):
-        total = Fraction(0)
-        for j in range(1, 6):
-            if i == j:
-                continue
-            v = matrix[(i, j)] if i < j else -matrix[(j, i)]
-            total += v * pf_vals[j - 1]
-        ok = ok and total == 0
-    checks.append(("(d) numeric spot check of M*Pf(M)", ok))
+    rows = skew_times([p.evaluate(assign) for p in pfs])
+    checks.append(("(d) numeric spot check of M*Pf(M)",
+                   all(row.evaluate(assign) == 0 for row in rows)))
 
     return {"checks": checks, "ok": all(flag for _, flag in checks)}

@@ -8,7 +8,9 @@ The sixteen spinor coordinates are indexed by the vertices of the 5-cube
 modulo antipodal identification; a vertex is stored by its short subset
 representative of size at most two (x, x_i, x_ij).  The ten quadric equations
 are x*v - Pf(M) = 0 and M*v = 0 for the generic skew matrix M = (x_ij) and
-the column v = (x_1..x_5).
+the column v = (x_1..x_5); both halves come from ``wgk.wgrass25``, the
+Pfaffians and the product ``skew_times(v)``, which the identity M*Pf(M) = 0
+of wGr(2,5) also reads.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import MPoly
-from .wgrass25 import (PAIRS, Chart, WeightFamily, pfaffian_equations, skew_entry,
-                       sorted_w2)
+from .wgrass25 import PAIRS, Chart, WeightFamily, pfaffian_equations, skew_times, sorted_w2
 
 FULL = frozenset(range(1, 6))
 
@@ -54,19 +55,10 @@ VERTEX_NAMES = tuple(vertex_name(v) for v in VERTICES)
 
 @lru_cache(maxsize=1)
 def equations():
-    """The ten quadrics N_1..N_5, N_-1..N_-5 in the sixteen spinor coordinates."""
-    pfs = pfaffian_equations()
-    x = MPoly.var("x")
-    eqs = []
-    for i in range(1, 6):
-        eqs.append(x * MPoly.var(f"x{i}") - pfs[i - 1])
-    for i in range(1, 6):
-        row = MPoly()
-        for j in range(1, 6):
-            if j != i:
-                row = row + skew_entry(i, j) * MPoly.var(f"x{j}")
-        eqs.append(row)
-    return tuple(eqs)
+    """The ten quadrics N_1..N_5, N_-1..N_-5 in the sixteen spinor coordinates:
+    N_i = x*x_i - Pf_i, and N_-i is row i of M*v."""
+    x, v = MPoly.var("x"), [MPoly.var(f"x{i}") for i in range(1, 6)]
+    return tuple([x * vi - pf for vi, pf in zip(v, pfaffian_equations())] + skew_times(v))
 
 
 EQUATION_NAMES = ("N1", "N2", "N3", "N4", "N5",

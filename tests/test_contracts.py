@@ -2,7 +2,8 @@
 interface, the names the package exports, most of which load from their
 module on first use, no function that only forwards its parameters, no
 module that imports another's private name, one owner of a polynomial's
-coefficients, and no ``int()`` that could truncate an unchecked value."""
+coefficients, no ``int()`` that could truncate an unchecked value, and one
+place that builds a product with the generic skew matrix."""
 
 import ast
 import re
@@ -340,7 +341,6 @@ INT_CALLS_KEPT = {
     "cli.parse_weights",
     "cli._parse_point",
     "cli._parse_cut",
-    "spinor.second_syzygy_degree_check",
     # convert a Fraction whose denominator was checked to be 1 just before
     "matcher.infer_generators",
     "matcher._target_at2",
@@ -385,3 +385,49 @@ def test_every_int_call_converts_a_checked_value():
     for path in sorted(SRC.glob("*.py")):
         found.update(int_calls(path.read_text(), path.stem))
     assert found == INT_CALLS_KEPT
+
+
+# -- the generic skew matrix is multiplied in one place ----------------------------
+
+# wGr(2,5) rests on M*Pf(M) = 0 and wOGr(5,10) on M*v = 0: both read M*column
+# from skew_times, and the Pfaffians are the only other use of an entry
+SKEW_ENTRY_USERS = {"wgrass25.pfaffian_equations", "wgrass25.skew_times"}
+
+
+def skew_entry_users(source, module):
+    """``module.Class.function`` of each call of ``skew_entry`` (by name or as an
+    attribute) and each import of it in ``source``, once per scope."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Call)
+                  and getattr(child.func, "id", getattr(child.func, "attr", None)) == "skew_entry"
+                  or isinstance(child, ast.ImportFrom)
+                  and any(alias.name == "skew_entry" for alias in child.names)):
+                hits.append(".".join([module, *scope]))
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return list(dict.fromkeys(hits))
+
+
+def test_the_skew_entry_scan_sees_each_shape():
+    source = ("from .wgrass25 import PAIRS, skew_entry as entry\n"
+              "m = skew_entry(1, 2)\n"
+              "class C:\n"
+              "    def f(self):\n        return [wgrass25.skew_entry(i, 1) for i in R]\n"
+              "    def g(self):\n        return skew_times(self.v)\n"
+              "def h():\n    from .wgrass25 import skew_entry\n    return 0\n"
+              "def k():\n    def inner():\n        return skew_entry(2, 1)\n    return inner\n")
+    assert skew_entry_users(source, "m") == ["m", "m.C.f", "m.h", "m.k.inner"]
+
+
+def test_only_the_pfaffians_and_skew_times_use_skew_entry():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(skew_entry_users(path.read_text(), path.stem))
+    assert found == SKEW_ENTRY_USERS

@@ -3,6 +3,7 @@
 JSON read that would turn a number into a float."""
 
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import pytest
 from wgk.oracle import GradedRing
 from wgk.orbifold_rr import PeriodicTable, RRData
 from wgk.polynomials import MPoly
-from wgk.sections import AmbientModel, QuotientSingularity, section_series
+from wgk.sections import AmbientModel, QuotientSingularity, rational, section_series
 from wgk.series import HilbertSeries, LaurentPoly
-from wgk.wgrass25 import GrWeights
+from wgk.spinor import membership, parametrize, point_satisfies_equations
+from wgk.wgrass25 import GrWeights, fit_pfaffian_weights, pfaffians_at
 from wgk.wogr510 import OGrWeights
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wgk"
@@ -118,4 +120,35 @@ def test_a_float_or_fraction_where_an_int_belongs_is_refused(build):
     # int() would truncate 1.5 to 1 and read 2.0 as 2; each of these reads with
     # operator.index, which takes only a true integer
     with pytest.raises(TypeError):
+        build()
+
+
+FLOAT = TypeError, re.escape("float coefficient 0.1: use an int or a Fraction")
+FLOAT_READERS = {
+    "rr-acubed": (lambda: RRData(0, 0.1, 0, 0), FLOAT),
+    "rr-chi": (lambda: RRData(0, 1, 0.1, 0), FLOAT),
+    "rr-ac2": (lambda: RRData(0, 1, 0, 0.1), FLOAT),
+    "rr-positive-a3": (lambda: RRData.cy3(0.1, 0), FLOAT),
+    "periodic-value": (lambda: PeriodicTable(2, (0, 0.1)), FLOAT),
+    "rational": (lambda: rational("x", 0.1), (ValueError, "x must be a number, not 0.1")),
+    "mpoly-evaluate": (lambda: MPoly.var("x").evaluate({"x": 0.1}), FLOAT),
+    "pfaffians-at": (lambda: pfaffians_at({(1, 2): 0.1, (3, 4): 1}), FLOAT),
+    "parametrize-e": (lambda: parametrize(0.1, {}), FLOAT),
+    "parametrize-matrix": (lambda: parametrize(1, {(1, 2): 0.1}), FLOAT),
+    "membership-e": (lambda: membership(0.1, {}, [0] * 5), FLOAT),
+    "membership-matrix": (lambda: membership(1, {(1, 2): 0.1}, [0] * 5), FLOAT),
+    "membership-p": (lambda: membership(1, {}, [0, 0.1, 0, 0, 0]), FLOAT),
+    "spinor-point": (lambda: point_satisfies_equations({"x": 0.1}), FLOAT),
+    "fit-weights": (lambda: fit_pfaffian_weights([[0.1] * 5] * 5), FLOAT),
+}
+
+
+@pytest.mark.parametrize("build, refusal", [pytest.param(*case, id=name)
+                                            for name, case in FLOAT_READERS.items()])
+def test_a_float_where_a_rational_belongs_is_refused(build, refusal):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, the binary fraction the
+    # float stores: each reader refuses it as series.coefficient does, and the
+    # reader of outside input names its key
+    error, message = refusal
+    with pytest.raises(error, match=message):
         build()

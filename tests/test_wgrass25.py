@@ -1,6 +1,7 @@
 """The codimension-3 Pfaffian family: weights, equations, Hilbert data."""
 
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from wgk import matcher
 from wgk.matcher import enumerate_gr_weights
 from wgk.oracle import graded_dimension
-from wgk.series import LaurentPoly
+from wgk.polynomials import MPoly
+from wgk.series import LaurentPoly, exact_div
+from wgk.spinor import membership, parametrize
 from wgk.wgrass25 import (GrWeights, fit_pfaffian_weights, pfaffian_equations,
-                          pfaffians_at, verify_gr_identities)
+                          pfaffians_at, skew_times, verify_gr_identities)
 
 HALF = ["1/2"] * 5
 W1 = GrWeights.from_fractions(["1/2"] * 4 + ["3/2"])
@@ -171,6 +174,23 @@ def test_pfaffians_at_elementary_matrix():
     assert vals == [0, 0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("key", [(2, 1), (1, 1), (1, 6), (0, 1), "x12"])
+def test_a_skew_matrix_key_off_the_upper_triangle_is_refused(key):
+    # (2, 1) was read as 0: the Pfaffians came out zero and membership held
+    readers = (pfaffians_at, lambda m: parametrize(1, m), lambda m: membership(1, m, [0] * 5))
+    for read in readers:
+        with pytest.raises(ValueError, match=re.escape(f"key {key!r} is not a pair")):
+            read({key: 1, (3, 4): 1})
+
+
+def test_skew_times_a_unit_column_is_a_column_of_the_skew_matrix():
+    for j in range(1, 6):
+        column = [MPoly.const(int(k == j)) for k in range(1, 6)]
+        expect = [MPoly.var(f"x{i}{j}") if i < j else -MPoly.var(f"x{j}{i}") if i > j
+                  else MPoly() for i in range(1, 6)]
+        assert skew_times(column) == expect
+
+
 def test_identities_all_pass():
     report = verify_gr_identities()
     assert report["ok"]
@@ -216,6 +236,58 @@ def test_fit_pfaffian_weights():
     bad = [row[:] for row in ones]
     bad[3][4] = bad[4][3] = 2
     assert fit_pfaffian_weights(bad) is None
+
+
+def reference_fit_pfaffian_weights(degree_matrix):
+    """fit_pfaffian_weights as it was: a symmetry pass, then the upper triangle."""
+    d = {}
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                d[(i, j)] = Fraction(degree_matrix[i][j])
+    for i in range(5):
+        for j in range(5):
+            if i != j and d[(i, j)] != d[(j, i)]:
+                return None
+    w = [None] * 5
+    w[0] = exact_div(d[(0, 1)] + d[(0, 2)] - d[(1, 2)], 2)
+    for j in range(1, 5):
+        w[j] = d[(0, j)] - w[0]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            if w[i] + w[j] != d[(i, j)]:
+                return None
+    return tuple(w)
+
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def degree_matrices(draw):
+    """d_ij = w_i + w_j for random half-integers w, as it is, with one entry or
+    one symmetric pair changed, or with independent entries; the diagonal is
+    None, since neither fit reads it."""
+    w = [Fraction(k, 2) for k in draw(st.lists(st.integers(-8, 8), min_size=5, max_size=5))]
+    matrix = [[None if i == j else w[i] + w[j] for j in range(5)] for i in range(5)]
+    kind = draw(st.sampled_from(["fit", "entry", "pair", "asymmetric"]))
+    if kind in ("entry", "pair"):
+        i, j = draw(st.permutations(range(5)))[:2]
+        delta = draw(SMALL.filter(bool))
+        matrix[i][j] += delta
+        if kind == "pair":
+            matrix[j][i] += delta
+    elif kind == "asymmetric":
+        matrix = [[None if i == j else draw(SMALL) for j in range(5)] for i in range(5)]
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_matrices())
+def test_fit_agrees_with_the_two_pass_reference(matrix):
+    fit, reference = fit_pfaffian_weights(matrix), reference_fit_pfaffian_weights(matrix)
+    assert fit == reference
+    assert [type(v) for v in fit or ()] == [type(v) for v in reference or ()]
 
 
 def test_fit_roundtrip_on_valid_weights():

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wgk import matcher
+from wgk import matcher, spinor
 from wgk.oracle import GradedRing, graded_dimension
+from wgk.polynomials import MPoly
 from wgk.series import LaurentPoly
-from wgk.wgrass25 import GrWeights
+from wgk.wgrass25 import PAIRS, GrWeights, pfaffian_equations, pfaffians_at, skew_entry
 from wgk.spinor import (membership, parametrize, point_satisfies_equations,
                         second_syzygy_degree_check, spinor_graph, verify_parametrization,
                         wd5_compose, wd5_element_order, wd5_elements, wd5_generators,
@@ -148,6 +149,29 @@ def test_equation_n1():
     assert n1.coeffs == want
 
 
+def reference_equations():
+    """The ten quadrics as built before M*v was read from skew_times."""
+    pfs = pfaffian_equations()
+    x = MPoly.var("x")
+    eqs = []
+    for i in range(1, 6):
+        eqs.append(x * MPoly.var(f"x{i}") - pfs[i - 1])
+    for i in range(1, 6):
+        row = MPoly()
+        for j in range(1, 6):
+            if j != i:
+                row = row + skew_entry(i, j) * MPoly.var(f"x{j}")
+        eqs.append(row)
+    return tuple(eqs)
+
+
+def test_equations_equal_the_hand_built_rows_term_for_term():
+    # the same polynomials with their terms in the same order
+    assert equations() == reference_equations()
+    assert ([list(eq.coeffs.items()) for eq in equations()]
+            == [list(eq.coeffs.items()) for eq in reference_equations()])
+
+
 def test_equations_supported_on_quads():
     g = spinor_graph()
     all_quads = {frozenset(frozenset(vertex_name(v) for v in e) for e in quad)
@@ -188,6 +212,50 @@ def test_membership_and_parametrization():
     assert parametrize(0, {(1, 2): 9}) == {name: 0 for name in VERTEX_NAMES}
     unit = parametrize(1, {})
     assert unit["x"] == 1 and sum(1 for v in unit.values() if v) == 1
+
+
+def reference_membership(e, matrix, p):
+    """membership as it was: e*P = Pf M, then M*P = 0, written out by hand."""
+    e = Fraction(e)
+    p = [Fraction(v) for v in p]
+    pfs = pfaffians_at(matrix)
+    if any(e * p[i] != pfs[i] for i in range(5)):
+        return False
+    for i in range(1, 6):
+        total = Fraction(0)
+        for j in range(1, 6):
+            if i == j:
+                continue
+            v = Fraction(matrix.get((i, j), 0)) if i < j else -Fraction(matrix.get((j, i), 0))
+            total += v * p[j - 1]
+        if total:
+            return False
+    return True
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def spinor_triples(draw):
+    """(e, M, P): e is 0 or small, M generic or of rank 2 (so Pf M = 0), and P is
+    Pf(M)/e, or 0 when e = 0, perturbed in one entry or not."""
+    e = draw(st.sampled_from([0]) | SMALL)
+    if draw(st.booleans()):
+        m = {pair: draw(SMALL) for pair in PAIRS}
+    else:
+        a, b = (draw(st.lists(SMALL, min_size=5, max_size=5)) for _ in range(2))
+        m = {(i, j): a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1] for i, j in PAIRS}
+    p = [pf / e if e else Fraction(0) for pf in pfaffians_at(m)]
+    if draw(st.booleans()):
+        p[draw(st.integers(0, 4))] += draw(SMALL.filter(bool))
+    return e, m, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(spinor_triples())
+def test_membership_agrees_with_the_hand_written_rule(triple):
+    assert membership(*triple) == reference_membership(*triple)
 
 
 def test_parametrization_identity():
@@ -358,6 +426,16 @@ def test_charts():
 def test_second_syzygy_degree_consistency():
     for w in (EX1, EX2, STRAIGHT, OGrWeights((1, 1, 1, 1, 3), 1)):
         assert second_syzygy_degree_check(w)
+
+
+def test_a_correction_naming_the_wrong_equation_fails_the_degree_check(monkeypatch):
+    w = OGrWeights((0, 2, 2, 4, 4), 1)      # w_2 = 1: N2 has degree d - 1, N-2 has d + 1
+    assert second_syzygy_degree_check(w)
+    column = list(spinor.SECOND_SYZYGY_COLUMNS["x1"])
+    assert column[6] == ("x1", "x12", "+2*N-2")
+    column[6] = ("x1", "x12", "+2*N2")
+    monkeypatch.setitem(spinor.SECOND_SYZYGY_COLUMNS, "x1", column)
+    assert not second_syzygy_degree_check(w)
 
 
 def test_gorenstein_symmetry_sign_twisted():
