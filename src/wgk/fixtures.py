@@ -9,10 +9,10 @@ Magma database names of the K3 families.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
-from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity,
-                       quasilinear_embed, rr_roundtrip, section_canonical,
-                       section_series, singularity_analysis)
+from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, quasilinear_embed,
+                       rr_roundtrip, section_canonical, section_series, singularity_analysis)
 from .matcher import singularity_filter
 from .series import LaurentPoly, Record
 
@@ -26,8 +26,7 @@ class FixtureRecord(Record):
     _fields = ("name", "model", "cut", "label", "expected")
 
     def __init__(self, name, model, cut=(), label=None, expected=None):
-        self.__dict__.update(name=name, model=model, cut=cut, label=label,
-                             expected={} if expected is None else expected)
+        super().__init__(name, model, cut, label, {} if expected is None else expected)
 
 
 FIXTURES = (
@@ -153,68 +152,47 @@ FIXTURES = (
 )
 
 
-def _check_fraction(expected, actual):
-    return Fraction(expected) == actual
+# key -> check(expected value, section, model, cut, depth), true when it holds;
+# section() is the cut's Hilbert series, computed at most once per fixture
+CHECKS = {
+    "ambient_weights": lambda v, s, m, *_: tuple(v) == m.coordinate_weights(),
+    "ambient_numerator": lambda v, s, m, *_: m.base.hilbert_series().numerator == LaurentPoly(v),
+    "ambient_degree": lambda v, s, m, *_: Fraction(v) == m.base.degree(),
+    "ambient_canonical": lambda v, s, m, *_: m.base.canonical_degree() == v,
+    "section_canonical": lambda v, s, m, cut, *_: section_canonical(m, cut) == v,
+    "h0": lambda v, s, *_: s().coefficient(1) == v,
+    "a_top": lambda v, s, *_: Fraction(v[0]) == s().intersection_number(v[1]),
+    "series_prefix": lambda v, s, *_: [str(c) for c in s().expand(len(v) - 1)] == list(v),
+    "section_numerator": lambda v, s, m, *_:
+        s().hilbert_numerator(m.coordinate_weights()) == LaurentPoly(v),
+    "quasilinear_weights": lambda v, s, m, cut, *_:
+        quasilinear_embed(m, cut) == {"weights": tuple(v), "quasilinear": True, "leftovers": ()},
+    "basket": lambda v, s, m, cut, *_:
+        [[q.r, list(q.weights), n] for q, n in singularity_analysis(m, cut).basket] == v,
+    "rr_kind": lambda v, s, m, cut, depth: rr_roundtrip(m, cut, v, depth)["ok"],
+    # the filter refuses, for want of a coordinate weight divisible by r
+    "reject_sing": lambda v, s, m, *_: f"divisible by {v[0]}" in (
+        singularity_filter(m, (QuotientSingularity(*v),))[1] or ""),
+}
 
 
 def run_fixture(fix, depth=DEFAULT_DEPTH):
-    """Evaluate one fixture; yields (check name, ok) pairs."""
+    """One (check name, ok, detail) triple per expected key of ``fix``, in key order;
+    detail is "error: ..." (a failed check) when the check raised or there is none."""
     model = AmbientModel.from_json(fix.model)
+    section = cache(lambda: section_series(model, fix.cut, depth))
     out = []
-    section = None
     for key, spec in sorted(fix.expected.items()):
-        value = spec["value"]
         name = f"{fix.name}:{key}"
         try:
-            if key == "ambient_weights":
-                ok = tuple(value) == model.coordinate_weights()
-            elif key == "ambient_numerator":
-                ok = model.base.hilbert_series().numerator == LaurentPoly(value)
-            elif key == "ambient_degree":
-                ok = _check_fraction(value, model.base.degree())
-            elif key == "ambient_canonical":
-                ok = model.base.canonical_degree() == value
-            elif key == "section_canonical":
-                ok = section_canonical(model, fix.cut) == value
-            elif key == "h0":
-                section = section or section_series(model, fix.cut, depth)
-                ok = section.coefficient(1) == value
-            elif key == "a_top":
-                frac, dim = value
-                section = section or section_series(model, fix.cut, depth)
-                ok = _check_fraction(frac, section.intersection_number(dim))
-            elif key == "series_prefix":
-                section = section or section_series(model, fix.cut, depth)
-                got = section.expand(len(value) - 1)
-                ok = [str(c) for c in got] == list(value)
-            elif key == "section_numerator":
-                section = section or section_series(model, fix.cut, depth)
-                ok = section.hilbert_numerator(model.coordinate_weights()) == LaurentPoly(value)
-            elif key == "quasilinear_weights":
-                emb = quasilinear_embed(model, fix.cut)
-                ok = emb["quasilinear"] and emb["weights"] == tuple(value)
-            elif key == "basket":
-                report = singularity_analysis(model, fix.cut)
-                got = [[s.r, list(s.weights), n] for s, n in report.basket]
-                ok = got == value
-            elif key == "rr_kind":
-                ok = rr_roundtrip(model, fix.cut, value, depth)["ok"]
-            elif key == "reject_sing":
-                r, ws = value
-                flag, reason = singularity_filter(
-                    model, (QuotientSingularity(r, tuple(ws)),))
-                ok = (not flag) and f"divisible by {r}" in reason
-            else:
-                raise KeyError(f"unknown fixture check {key!r}")
+            if key not in CHECKS:
+                raise ValueError(f"unknown fixture check {key!r}")
+            ok = CHECKS[key](spec["value"], section, model, fix.cut, depth)
+            out.append((name, bool(ok), None))
         except Exception as exc:           # a crash is a failure with detail
             out.append((name, False, f"error: {exc}"))
-            continue
-        out.append((name, bool(ok), None))
     return out
 
 
 def run_all(depth=DEFAULT_DEPTH):
-    results = []
-    for fix in FIXTURES:
-        results.extend(run_fixture(fix, depth))
-    return results
+    return [result for fix in FIXTURES for result in run_fixture(fix, depth)]

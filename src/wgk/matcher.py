@@ -48,8 +48,7 @@ class MatchQuery(Record):
     def __init__(self, target, generator_degrees=None, family=None, max_w2=DEFAULT_MAX_W2,
                  max_u=DEFAULT_MAX_U, basket=(), depth=DEFAULT_DEPTH):
         _check_bounds(family, max_w2, max_u)
-        self.__dict__.update(target=target, generator_degrees=generator_degrees, family=family,
-                             max_w2=max_w2, max_u=max_u, basket=basket, depth=depth)
+        super().__init__(target, generator_degrees, family, max_w2, max_u, basket, depth)
 
 
 def _check_bounds(family, max_w2, max_u):
@@ -273,12 +272,6 @@ class MatchCandidate(Record):
     _fields = ("model", "sections", "nonlinear", "generators", "provenance", "status",
                "accepted", "reason")
 
-    def __init__(self, model, sections, nonlinear, generators, provenance, status,
-                 accepted, reason):
-        self.__dict__.update(model=model, sections=sections, nonlinear=nonlinear,
-                             generators=generators, provenance=provenance, status=status,
-                             accepted=accepted, reason=reason)
-
     def describe(self):
         s = str(self.model)
         cuts = list(self.nonlinear) + (list(self.sections) if self.sections else [])
@@ -288,25 +281,18 @@ class MatchCandidate(Record):
 
     def to_json(self):
         return {
+            **vars(self),       # provenance, status, accepted and reason as they are
             "model": self.model.to_json(),
             "numerator": self.model.base.hilbert_series().numerator.to_json(),
             "sections": list(self.sections) if self.sections is not None else None,
             "nonlinear": list(self.nonlinear),
             "generators": list(self.generators),
-            "provenance": self.provenance,
-            "status": self.status,
-            "accepted": self.accepted,
-            "reason": self.reason,
         }
 
 
 class MatchReport(Record):
     """Ranked candidates, the (provenance, generators, note) sets tried, and notes."""
     _fields = ("candidates", "generator_sets", "diagnostics")
-
-    def __init__(self, candidates, generator_sets, diagnostics):
-        self.__dict__.update(candidates=candidates, generator_sets=generator_sets,
-                             diagnostics=diagnostics)
 
     def accepted(self):
         return [c for c in self.candidates if c.accepted]
@@ -340,9 +326,8 @@ def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, bask
         accepted = ok and status == "quasilinear"
         if ok and not accepted:
             reason = status
-        return MatchCandidate(model=model, sections=sections, nonlinear=nonlinear,
-                              generators=gens, provenance=provenance, status=status,
-                              accepted=accepted, reason=reason)
+        return MatchCandidate(model, sections, nonlinear, gens, provenance, status, accepted,
+                              reason)
 
     for w, model_series in _lookup(family, max_w2, max_u, n_target, formal):
         num = model_series.numerator

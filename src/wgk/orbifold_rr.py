@@ -43,8 +43,7 @@ class PeriodicTable(Record):
             raise ValueError(f"need exactly r = {r} values, got {len(values)}")
         if values[0] != 0:
             raise ValueError("c(0) must vanish")
-        d = self.__dict__
-        d["r"], d["values"] = r, values
+        super().__init__(r, values)
 
     def at(self, n):
         return self.values[n % self.r]
@@ -62,8 +61,7 @@ class RRData(Record):
 
     def __init__(self, k, acubed, chi, ac2, points=()):
         acubed, chi, ac2 = (Fraction(coefficient(v)) for v in (acubed, chi, ac2))
-        self.__dict__.update(k=operator.index(k), acubed=acubed, chi=chi, ac2=ac2,
-                             points=tuple(points))
+        super().__init__(operator.index(k), acubed, chi, ac2, tuple(points))
         if k > 1:
             raise ValueError(f"K = {k}A: Riemann-Roch fixes every P(n) only for k <= 1")
 

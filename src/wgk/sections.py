@@ -93,8 +93,7 @@ class QuotientSingularity(Record):
             raise ValueError(f"order must be positive, found {r}")
         ws = [operator.index(w) % r for w in weights]
         g = gcd(r, *ws)
-        d = self.__dict__
-        d["r"], d["weights"] = r // g, tuple(sorted(w // g for w in ws))
+        super().__init__(r // g, tuple(sorted(w // g for w in ws)))
 
     def is_isolated(self):
         return all(gcd(w, self.r) == 1 for w in self.weights)
@@ -121,12 +120,7 @@ class AmbientModel(Record):
     def __init__(self, base, cone=()):
         if not isinstance(base, tuple(FAMILIES.values())):
             raise TypeError("base must be GrWeights or OGrWeights")
-        cone = tuple(sorted(operator.index(c) for c in cone))
-        bad = [c for c in cone if c < 1]
-        if bad:
-            raise ValueError(f"cone weights must be positive, found {bad}")
-        d = self.__dict__
-        d["base"], d["cone"] = base, cone
+        super().__init__(base, _degrees(cone, "cone weights"))
 
     @property
     def family(self):
@@ -184,12 +178,12 @@ def ambient_series(model):
     return base.over(model.cone) if model.cone else base
 
 
-def _degrees(cut):
-    """The degrees of ``cut``, sorted, since the chart analysis takes them in turn."""
+def _degrees(cut, what="section degrees"):
+    """The degrees of ``cut`` (or cone weights), each positive, sorted for the chart analysis."""
     degrees = tuple(sorted(operator.index(d) for d in cut))
     bad = [d for d in degrees if d < 1]
     if bad:
-        raise ValueError(f"section degrees must be positive, found {bad}")
+        raise ValueError(f"{what} must be positive, found {bad}")
     return degrees
 
 
@@ -235,17 +229,10 @@ class StratumRecord(Record):
     its series, None for a closed form."""
     _fields = ("r", "component", "dimension", "active", "count", "sing_type", "stop_degree")
 
-    def __init__(self, r, component, dimension, active, count, sing_type, stop_degree):
-        self.__dict__.update(r=r, component=component, dimension=dimension, active=active,
-                             count=count, sing_type=sing_type, stop_degree=stop_degree)
-
 
 class SingularityReport(Record):
     """``basket`` as [(QuotientSingularity, count)], diagnostics and StratumRecords."""
     _fields = ("basket", "diagnostics", "strata")
-
-    def __init__(self, basket, diagnostics, strata):
-        self.__dict__.update(basket=basket, diagnostics=diagnostics, strata=strata)
 
     def to_json(self):
         return {
@@ -384,9 +371,7 @@ def singularity_analysis(model, cut):
                                    f"ambiguous ({sorted(str(t) for t in types)})")
                 continue
             sing = types.pop()
-            records.append(StratumRecord(r=r, component=comp, dimension=dim_comp,
-                                         active=active, count=count, sing_type=sing,
-                                         stop_degree=stop))
+            records.append(StratumRecord(r, comp, dim_comp, active, count, sing, stop))
 
     # Points with stabilizer mu_{r'} on a nested finer stratum enter the
     # level-r count with orbifold weight r/r'; correcting finest levels first

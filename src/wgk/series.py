@@ -25,13 +25,25 @@ class SeriesError(ValueError):
 
 
 class Record:
-    """An immutable record.  Its ``__init__`` validates the arguments and stores
-    exactly the fields named in ``_fields``, in that order, in ``__dict__``;
-    equality, hashing and ``repr`` go by the fields, as for a frozen dataclass,
-    and a record equals only a record of its own class, never a tuple.  Every
-    CLI op is a fresh interpreter: ``dataclasses`` would cost each one ~26 ms."""
+    """An immutable record.  ``Record.__init__`` alone stores the fields: it binds
+    its arguments to ``_fields`` and stores them in ``__dict__`` in that order,
+    which ``==`` and ``hash`` rely on; a missing, extra or unknown field is a
+    ``TypeError``.  Equality, hashing and ``repr`` are a frozen dataclass's, and a
+    record equals only one of its own class.  Every CLI op is a fresh interpreter:
+    ``dataclasses`` would cost each one ~26 ms."""
 
     _fields = ()
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):       # positional is the fast path
+            rest = fields[len(values):]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                raise TypeError(f"{type(self).__qualname__}({', '.join(fields)}): missing "
+                                f"{[f for f in rest if f not in named]}, extra or repeated "
+                                f"{[*values[len(fields):], *(k for k in named if k not in rest)]}")
+            values += tuple([named[f] for f in rest])
+        self.__dict__.update(zip(fields, values))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

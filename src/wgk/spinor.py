@@ -33,9 +33,6 @@ class SpinorGraph(Record):
     directions, and ``quads``: direction -> two remote quads of 4 edges each."""
     _fields = ("vertices", "edges", "quads")
 
-    def __init__(self, vertices, edges, quads):
-        self.__dict__.update(vertices=vertices, edges=edges, quads=quads)
-
     def neighbours(self, v):
         v = canonical_vertex(v)
         out = []
@@ -243,6 +240,10 @@ def membership(e, matrix, p):
 
 
 def point_satisfies_equations(point):
-    """Evaluate all ten quadrics at a 16-coordinate point (name -> value)."""
+    """Evaluate all ten quadrics at a 16-coordinate point (name -> value), an
+    absent coordinate 0.  ValueError names a key outside ``VERTEX_NAMES``."""
+    for key in point:
+        if key not in VERTEX_NAMES:
+            raise ValueError(f"spinor coordinate {key!r} is not one of x, x1..x5, x12..x45")
     assign = {name: point.get(name, 0) for name in VERTEX_NAMES}
     return [eq.evaluate(assign) for eq in equations()]

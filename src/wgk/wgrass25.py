@@ -42,6 +42,14 @@ def doubled(x):
     return int(v)
 
 
+def overall_weight(u2):
+    """The overall weight u, an integer, from its doubled value u2."""
+    u2 = operator.index(u2)
+    if u2 % 2:
+        raise ValueError("overall weight must be an integer (doubled value even)")
+    return u2 // 2
+
+
 def skew_entry(i, j):
     """x_ij as a signed variable of the generic skew matrix (x_ji = -x_ij)."""
     if i == j:
@@ -96,10 +104,6 @@ class Chart(Record):
     integer local weights are reduced mod ``order`` only at analysis time.
     """
     _fields = ("label", "order", "local_weights")
-
-    def __init__(self, label, order, local_weights):
-        d = self.__dict__
-        d["label"], d["order"], d["local_weights"] = label, order, local_weights
 
 
 class WeightFamily(Record):
@@ -190,15 +194,13 @@ class GrWeights(WeightFamily):
         w2 = sorted_w2(w2)
         if w2[0] + w2[1] <= 0:
             raise ValueError("every pairwise weight sum must be positive")
-        self.__dict__["w2"] = w2
+        super().__init__(w2)
 
     @classmethod
     def of(cls, w2, u2=0):
         """Build from doubled weights and doubled overall weight, absorbing u."""
-        u2 = operator.index(u2)
-        if u2 % 2:
-            raise ValueError("overall weight must be an integer (doubled value even)")
-        return cls(tuple(v + u2 // 2 for v in w2))
+        u = overall_weight(u2)
+        return cls(tuple(v + u for v in w2))
 
     @classmethod
     def from_fractions(cls, ws, u=0):
@@ -243,7 +245,7 @@ class GrWeights(WeightFamily):
             rest = [k for k in range(1, 6) if k not in (i, j)]
             local = tuple((self.w2[i - 1] + self.w2[k - 1]) // 2 for k in rest) \
                 + tuple((self.w2[j - 1] + self.w2[k - 1]) // 2 for k in rest)
-            out.append(Chart(label=pair_name(i, j), order=r, local_weights=local))
+            out.append(Chart(pair_name(i, j), r, local))
         return out
 
     def to_json(self):

@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import MPoly
-from .wgrass25 import PAIRS, Chart, WeightFamily, pfaffian_equations, skew_times, sorted_w2
+from .wgrass25 import (PAIRS, Chart, WeightFamily, overall_weight, pfaffian_equations,
+                       skew_times, sorted_w2)
 
 FULL = frozenset(range(1, 6))
 
@@ -122,20 +123,16 @@ class OGrWeights(WeightFamily):
     dim = 10
 
     def __init__(self, w2, u):
-        w2, u, d = sorted_w2(w2), operator.index(u), self.__dict__
-        d["w2"], d["u"] = w2, u
+        super().__init__(sorted_w2(w2), operator.index(u))
         # the smallest of u, u + s - w_i and u + w_i + w_j
-        if u + min(0, sum(w2[:4]) // 2, (w2[0] + w2[1]) // 2) < 1:
+        if self.u + min(0, sum(self.w2[:4]) // 2, (self.w2[0] + self.w2[1]) // 2) < 1:
             bad = sorted(w for _, w in self.coordinates() if w < 1)
             raise ValueError(f"coordinate weights must be positive, found {bad}")
 
     @classmethod
     def of(cls, w2, u2):
         """Build from doubled weights and doubled overall weight."""
-        u2 = operator.index(u2)
-        if u2 % 2:
-            raise ValueError("overall weight must be an integer (doubled value even)")
-        return cls(w2, u2 // 2)
+        return cls(w2, overall_weight(u2))
 
     # -- numerology --------------------------------------------------------------
 
@@ -177,7 +174,7 @@ class OGrWeights(WeightFamily):
                    for i in range(1, 6)]
             local = tuple((w2f[i] + w2f[j]) // 2
                           for i in range(5) for j in range(i + 1, 5))
-            out.append(Chart(label=vertex_name(vert), order=order, local_weights=local))
+            out.append(Chart(vertex_name(vert), order, local))
         return out
 
     def canonical_form(self):

@@ -2,8 +2,9 @@
 interface, the names the package exports, most of which load from their
 module on first use, no function that only forwards its parameters, no
 module that imports another's private name, one owner of a polynomial's
-coefficients, no ``int()`` that could truncate an unchecked value, and one
-place that builds a product with the generic skew matrix."""
+coefficients, no ``int()`` that could truncate an unchecked value, one
+place that builds a product with the generic skew matrix, and one writer of
+a record's fields."""
 
 import ast
 import re
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import wgk
-from wgk import matcher, sections, spinor, wogr510
+from wgk import matcher, sections, spinor, wgrass25, wogr510
 from wgk.polynomials import MPoly
 from wgk.series import HilbertSeries, LaurentPoly
 from wgk.wgrass25 import WeightFamily
@@ -431,3 +432,87 @@ def test_only_the_pfaffians_and_skew_times_use_skew_entry():
     for path in sorted(SRC.glob("*.py")):
         found.update(skew_entry_users(path.read_text(), path.stem))
     assert found == SKEW_ENTRY_USERS
+
+
+# -- only Record.__init__ writes a record's fields -----------------------------
+
+# Record's equality and hash read __dict__ in the order of _fields, which holds
+# as long as Record.__init__ is the only place that fills it
+DICT_WRITERS = {"series.Record.__init__"}
+DICT_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__",
+                 "__delitem__", "__ior__"}
+
+
+def _instance_dict(node):
+    """True for ``x.__dict__`` and ``vars(x)``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars"
+            and bool(node.args))
+
+
+def dict_writers(source, module):
+    """``module.Class.function`` of each statement in ``source`` that writes an
+    instance dictionary: assigning, augmenting or deleting ``__dict__`` or an
+    item of it or of ``vars(x)``, calling a mutating method on either, binding
+    a name to either (a write through the alias follows), or calling
+    ``__setattr__`` on a class, as in ``object.__setattr__``."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, (ast.Assign, ast.Delete)):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            else:
+                targets = []
+            writes = any(_instance_dict(t) for target in targets for t in ast.walk(target))
+            if isinstance(child, ast.Assign):
+                value = child.value
+                values = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+                writes = writes or any(_instance_dict(v) for v in values)
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                writes = writes or (child.func.attr == "__setattr__" or child.func.attr
+                                    in DICT_MUTATORS and _instance_dict(child.func.value))
+            if writes:
+                hits.append(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return hits
+
+
+def test_the_dict_writer_scan_sees_each_shape():
+    source = ("class C:\n"
+              "    def a(self):\n        self.__dict__['x'] = 1\n"
+              "    def b(self):\n        self.__dict__.update(x=1)\n"
+              "    def c(self):\n        vars(self)['x'] = 1\n"
+              "    def d(self):\n        object.__setattr__(self, 'x', 1)\n"
+              "    def e(self):\n        d = self.__dict__\n"
+              "    def f(self):\n        w, d = 1, vars(self)\n"
+              "    def g(self):\n        self.__dict__ = {}\n"
+              "    def h(self):\n        self.__dict__ |= {'x': 1}\n"
+              "    def k(self):\n        del self.__dict__['x']\n"
+              "    def m(self):\n        vars(self).setdefault('x', 1)\n"
+              "    def r(self):\n"
+              "        return hash(tuple(self.__dict__.values())), {**vars(self)}, vars()\n"
+              "    def s(self):\n        setattr(self, 'x', 1)\n"
+              "def w(p):\n    p.__dict__.update(x=1)\n")
+    assert dict_writers(source, "m") == ["m.C.a", "m.C.b", "m.C.c", "m.C.d", "m.C.e", "m.C.f",
+                                         "m.C.g", "m.C.h", "m.C.k", "m.C.m", "m.w"]
+
+
+def test_only_record_init_writes_a_records_fields():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(dict_writers(path.read_text(), path.stem))
+    assert found == DICT_WRITERS
+
+
+def test_a_record_that_does_not_validate_has_no_init_of_its_own():
+    for cls in (wgrass25.Chart, sections.StratumRecord, sections.SingularityReport,
+                matcher.MatchCandidate, matcher.MatchReport, spinor.SpinorGraph):
+        assert "__init__" not in vars(cls), cls.__name__

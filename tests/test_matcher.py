@@ -1,7 +1,6 @@
 """Recognition of ambient models from target Hilbert data."""
 
 import ast
-import inspect
 import itertools
 import random
 import re
@@ -780,9 +779,14 @@ def test_the_verdict_scan_sees_each_assignment():
 
 def test_no_verdict_is_assigned_after_its_candidate_is_made():
     assert verdict_assignments(Path(matcher.__file__).read_text()) == []
-    defaults = {name: p.default for name, p
-                in inspect.signature(matcher.MatchCandidate).parameters.items()}
-    assert all(defaults[name] is inspect.Parameter.empty for name in ("status",) + VERDICT)
+    # the verdict has no default: a candidate built without one is refused
+    fields = dict(model=AmbientModel(GrWeights((1, 1, 1, 1, 1))), sections=(), nonlinear=(),
+                  generators=(1,) * 10, provenance="series", status="quasilinear",
+                  accepted=True, reason=None)
+    assert matcher.MatchCandidate(**fields) == matcher.MatchCandidate(*fields.values())
+    for name in ("status",) + VERDICT:
+        with pytest.raises(TypeError, match=f"missing \\['{name}'\\]"):
+            matcher.MatchCandidate(**{k: v for k, v in fields.items() if k != name})
 
 
 # -- incremental generator inference against the re-expanding loop it replaced --

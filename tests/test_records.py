@@ -1,9 +1,11 @@
 """The value records are plain classes on ``series.Record``: built twice from
-the same arguments they are equal and hash equally, a field can be neither set
-nor deleted, a record never equals the tuple of its fields, and ``repr`` and
-``hash`` are those of a frozen dataclass with the same fields."""
+the same arguments, by position or by name, they are equal and hash equally, a
+field can be neither set nor deleted, a record never equals the tuple of its
+fields, ``repr`` and ``hash`` are those of a frozen dataclass with the same
+fields, and a missing, extra or unknown field is a ``TypeError``."""
 
 import dataclasses
+import re
 from functools import lru_cache
 
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from wgk.matcher import MatchCandidate
 from wgk.orbifold_rr import PeriodicTable, RRData
-from wgk.sections import AmbientModel, QuotientSingularity, section_series
-from wgk.wgrass25 import GrWeights
+from wgk.sections import AmbientModel, QuotientSingularity, StratumRecord, section_series
+from wgk.wgrass25 import Chart, GrWeights
 from wgk.wogr510 import OGrWeights
 
 
@@ -62,6 +64,7 @@ def test_a_record_is_an_immutable_value(built, other):
     cls, args = built
     a, b = cls(*args), cls(*args)
     assert a is not b and a == b and hash(a) == hash(b)
+    assert cls(**dict(zip(cls._fields, args))) == a     # by name as by position
     assert tuple(vars(a)) == cls._fields       # the fields, in order, and nothing else
     for name in cls._fields + ("extra",):
         with pytest.raises(AttributeError):
@@ -89,6 +92,33 @@ def test_a_match_candidate_is_immutable():
     for name in ("accepted", "reason"):
         with pytest.raises(AttributeError):
             setattr(c, name, None)
+
+
+def test_a_record_binds_its_fields_by_position_or_by_name():
+    chart = Chart("x12", 2, (1, 1, 1))
+    for built in (Chart(label="x12", order=2, local_weights=(1, 1, 1)),
+                  Chart("x12", local_weights=(1, 1, 1), order=2)):
+        assert built == chart and hash(built) == hash(chart)
+        assert tuple(vars(built)) == Chart._fields and repr(built) == repr(chart)
+    stratum = StratumRecord(2, "x12", 0, True, 1, None, None)
+    assert StratumRecord(2, "x12", 0, True, 1, stop_degree=None, sing_type=None) == stratum
+
+
+@pytest.mark.parametrize("args, named, message", [
+    (("x12", 2), {}, "missing ['local_weights']"),
+    (("x12",), {"local_weights": ()}, "missing ['order']"),
+    ((), {}, "missing ['label', 'order', 'local_weights']"),
+    (("x12", 2, (), 4), {}, "extra or repeated [4]"),
+    (("x12", 2, ()), {"order": 2}, "extra or repeated ['order']"),
+    (("x12", 2), {"local_weights": (), "colour": 1}, "extra or repeated ['colour']"),
+    ((), {"label": "x12", "order": 2, "local_weight": ()},
+     "missing ['local_weights'], extra or repeated ['local_weight']"),
+])
+def test_a_missing_extra_or_unknown_field_is_a_type_error(args, named, message):
+    with pytest.raises(TypeError) as info:
+        Chart(*args, **named)
+    assert str(info.value).startswith("Chart(label, order, local_weights): ")
+    assert message in str(info.value)
 
 
 @pytest.mark.parametrize("build, message", [

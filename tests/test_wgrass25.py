@@ -16,6 +16,7 @@ from wgk.series import LaurentPoly, exact_div
 from wgk.spinor import membership, parametrize
 from wgk.wgrass25 import (GrWeights, fit_pfaffian_weights, pfaffian_equations,
                           pfaffians_at, skew_times, verify_gr_identities)
+from wgk.wogr510 import OGrWeights
 
 HALF = ["1/2"] * 5
 W1 = GrWeights.from_fractions(["1/2"] * 4 + ["3/2"])
@@ -38,6 +39,16 @@ def test_u_absorption():
     assert GrWeights.of((0, 0, 0, 0, 2), 2) == W1
     with pytest.raises(ValueError, match="integer"):
         GrWeights.of((1, 1, 1, 1, 1), 1)
+
+
+def test_both_families_refuse_an_odd_doubled_overall_weight_alike():
+    message = re.escape("overall weight must be an integer (doubled value even)")
+    for build in (lambda: GrWeights.of((1, 1, 1, 1, 1), 1),
+                  lambda: OGrWeights.of((0, 0, 0, 0, 0), -3)):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert OGrWeights.of((0, 0, 0, 0, 2), 2) == OGrWeights((0, 0, 0, 0, 2), 1)
+    assert GrWeights.of((2, 2, 2, 2, 4), -2) == GrWeights((1, 1, 1, 1, 3))
 
 
 def test_plucker_weights():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,17 @@ def test_membership_and_parametrization():
     assert parametrize(0, {(1, 2): 9}) == {name: 0 for name in VERTEX_NAMES}
     unit = parametrize(1, {})
     assert unit["x"] == 1 and sum(1 for v in unit.values() if v) == 1
+
+
+@pytest.mark.parametrize("key", ["x2345", "x01", "x21", "y", 1])
+def test_a_spinor_coordinate_outside_the_vertex_names_is_refused(key):
+    # x2345 (the other name of the vertex x1) and x01 were read as 0: ten zeros
+    assert point_satisfies_equations({"x": 1, "x1": 1})[0] == 1
+    with pytest.raises(ValueError, match=re.escape(f"spinor coordinate {key!r} is not one of")):
+        point_satisfies_equations({"x": 1, key: 1})
+    # every point membership and parametrize build still evaluates
+    assert membership(1, {(1, 2): 1, (3, 4): 1}, [0, 0, 0, 0, 1])
+    assert not any(point_satisfies_equations(parametrize(2, {(1, 2): 1, (3, 4): 1})))
 
 
 def reference_membership(e, matrix, p):
