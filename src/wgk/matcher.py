@@ -3,12 +3,14 @@
 Generator degrees are inferred greedily from the series (then forced to be
 compatible with a required singularity basket), the target numerator is
 formed exactly, and the weight data within bounds is looked up in a cached
-index sliced by numerator top exponent.  A model matches when its closed-form
-numerator equals the target numerator exactly, either directly (quasilinear
-candidate) or after stripping extra (1 - t^k) factors (a nonlinear section of
-a cone, reported as a formal match).  A necessary-condition singularity
-filter rejects models that cannot carry a required 1/r point because no
-coordinate weight is divisible by r.
+index sliced by numerator top exponent.  The index keeps each model's num(2)
+for a divisibility pre-filter, read off the lower resolution banks once per
+weight vector and shifted for each further overall weight u.  A model
+matches when its closed-form numerator equals the target numerator exactly,
+either directly (quasilinear candidate) or after stripping extra (1 - t^k)
+factors (a nonlinear section of a cone, reported as a formal match).  A
+necessary-condition singularity filter rejects models that cannot carry a
+required 1/r point because no coordinate weight is divisible by r.
 """
 
 from __future__ import annotations
@@ -146,32 +148,50 @@ def enumerate_ogr_weights(max_w2, max_u, tau=None):
             variants = [tup]
             if all(v > 0 for v in tup):
                 variants.append((-tup[0],) + tup[1:])
+            # each w2 sorts with w2[0] + w2[1] >= 0 (a negated first entry -a sits
+            # next to b >= a) and its four smallest summing to >= 0, so u >= 1
+            # makes every coordinate weight positive: each OGrWeights constructs
             for w2 in variants:
                 s8 = 2 * sum(w2)    # the top exponent s8 + 8u must lie in (lo, hi]
                 for u in range(max(1, (lo - s8) // 8 + 1), min(max_u, (hi - s8) // 8) + 1):
-                    try:
-                        out.append(OGrWeights(w2, u))
-                    except ValueError:
-                        continue
+                    out.append(OGrWeights(w2, u))
     return out
 
 
-def _numerator_at2(weights, top):
+def _bank_sums(weights, top):
+    """(sum 2^e, sum 2^(top - e)) over each lower bank of ``weights``, once its
+    degrees e are checked to lie in (0, top): see ``_numerator_at2``."""
+    sums = []
+    for bank in weights.lower_banks():
+        if bank[0] <= 0 or bank[-1] >= top:
+            raise AssertionError(f"{weights}: numerator is not 1 + ... - t^{top}")
+        sums.append((sum([1 << e for e in bank]), sum([1 << (top - e) for e in bank])))
+    return sums
+
+
+def _numerator_at2(weights, top, sums=None, k=0):
     """num(2) = 1 - sum 2^e over the relations + ... - 2^top from the lower banks
     alone: bank c - i is bank i with e -> top - e and, c being odd, the other
-    sign, so lower bank i adds ±(sum 2^e - sum 2^(top - e)), each sum shifted
-    once.  Nothing cancels 1 or -t^top if the lower degrees lie in (0, top), as
-    their duals then do.  Positive coordinate weights a ensure it: wGr has
-    d - w_i = a_jk + a_lm and d + w_i = a_ij + a_ik + a_lm; wOGr has d - w_i =
-    a_x + a_xi and d + w_i = a_xij + a_xj, so 2d is a sum of four weights a,
-    2d - a > 0 the rest of such a quadruple, 2d + a > 0 and 3d ± w_i > 0."""
+    sign, so lower bank i adds ±(sum 2^e - sum 2^(top - e)).  Nothing cancels 1
+    or -t^top if the lower degrees lie in (0, top), as their duals then do.
+    Positive coordinate weights a ensure it: wGr has d - w_i = a_jk + a_lm and
+    d + w_i = a_ij + a_ik + a_lm; wOGr has d - w_i = a_x + a_xi and d + w_i =
+    a_xij + a_xj, so 2d is a sum of four weights a, 2d - a > 0 the rest of such
+    a quadruple, 2d + a > 0 and 3d ± w_i > 0.
+
+    ``sums`` may be the ``_bank_sums`` of the model with the same w2 and u - k,
+    k >= 0 (k = 0 in wGr, u being absorbed); lower_banks() is then not called.
+    Raising u by k raises the degrees of lower bank i by
+    ``OGrWeights.bank_slopes[i] * k`` and their duals by ``(top_slope -
+    bank_slopes[i]) * k``, so each sum is shifted once.  The separation checked
+    at u - k holds at u, as neither a bank's least degree nor top minus its
+    largest degree falls."""
     num, sign = 1 - (1 << top), -1
-    for bank in weights.lower_banks():
-        lo, hi = bank[0], bank[-1]
-        if lo <= 0 or hi >= top:
-            raise AssertionError(f"{weights}: numerator is not 1 + ... - t^{top}")
-        up, down = sum([1 << (e - lo) for e in bank]), sum([1 << (hi - e) for e in bank])
-        num += sign * ((up << lo) - (down << (top - hi)))
+    for i, (up, down) in enumerate(sums or _bank_sums(weights, top)):
+        if k:
+            slope = OGrWeights.bank_slopes[i]
+            up, down = up << slope * k, down << (OGrWeights.top_slope - slope) * k
+        num += sign * (up - down)
         sign = -sign
     return num    # never 0: an integer root of num would divide its constant term 1
 
@@ -191,12 +211,18 @@ class _ModelIndex:
         self.covered, self.slices = 0, {}
 
     def reach(self, top):
-        """The slices, after enumerating the models of those in (covered, top]."""
+        """The slices, after enumerating the models of those in (covered, top].
+        Each run of consecutive models with one w2 (several u in wOGr, one model
+        in wGr) forms its bank sums once; a top below the run's starts a new run."""
         if top > self.covered:
             for fam in self.families:
+                w2 = None
                 for w in _ENUMERATE[fam](*self.bounds, (self.covered, top)):
                     t = w.top_exponent()
-                    self.slices.setdefault(t, []).append((w, _numerator_at2(w, t)))
+                    if w.w2 != w2 or t < t0:
+                        w2, t0, sums = w.w2, t, _bank_sums(w, t)
+                    self.slices.setdefault(t, []).append(
+                        (w, _numerator_at2(w, t, sums, (t - t0) // OGrWeights.top_slope)))
             self.covered = top
         return self.slices
 

@@ -208,9 +208,6 @@ class GrWeights(WeightFamily):
 
     # -- basic numerology ----------------------------------------------------
 
-    def weights(self):
-        return tuple(Fraction(v, 2) for v in self.w2)
-
     def d2(self):
         return sum(self.w2)
 

@@ -161,6 +161,11 @@ class OGrWeights(WeightFamily):
         return (tuple(sorted([(d2 + s * v) // 2 for v in self.w2 for s in (-1, 1)])),
                 tuple(sorted([d2 - w for w in self.vertex_weights()])))
 
+    # u + k with w2 fixed: d2 = s + 4u rises by 4k and each vertex weight, u plus
+    # a constant, by k, so the relations (d2 ± w_i)/2 rise by 2k, the first
+    # syzygies d2 - a by 3k, the top 2 d2 by 8k and the duals top - e by 6k and 5k
+    bank_slopes, top_slope = (2, 3), 8
+
     def top_exponent(self):
         """The numerator ends in -t^{4d}."""
         return 2 * self.d2()

@@ -445,6 +445,48 @@ def test_a_cold_index_builds_no_numerator():
     assert sum(map(len, slices.values())) == 1365
 
 
+@pytest.mark.parametrize("bounds", [(8, 4), (12, 6)])
+def test_the_index_holds_each_models_own_value_at_2_in_enumeration_order(bounds):
+    # the index shifts the bank sums along each run of one w2; the reference
+    # calls lower_banks() for every model
+    expected = {}
+    for fam in ("wgr25", "wogr510"):
+        for w in matcher._ENUMERATE[fam](*bounds, None):
+            top = w.top_exponent()
+            expected.setdefault(top, []).append((w, matcher._numerator_at2(w, top)))
+    matcher._model_index.cache_clear()
+    try:
+        slices = matcher._model_index(None, *bounds).reach(10 ** 6)
+    finally:
+        matcher._model_index.cache_clear()
+    assert list(slices) == list(expected)
+    for top, models in expected.items():
+        assert slices[top] == models, top
+
+
+@settings(max_examples=200, deadline=None)
+@given(ogr_weights(), st.integers(0, 6))
+def test_shifting_the_bank_sums_by_k_gives_the_value_at_2_at_u_plus_k(w, k):
+    top, later = w.top_exponent(), OGrWeights(w.w2, w.u + k)
+    sums = matcher._bank_sums(w, top)
+    assert later.top_exponent() == top + OGrWeights.top_slope * k
+    assert (matcher._numerator_at2(later, later.top_exponent(), sums, k)
+            == matcher._numerator_at2(later, later.top_exponent())
+            == LaurentPoly(later.numerator_terms())(2))
+
+
+def test_every_spinor_tuple_variant_and_u_within_bounds_is_enumerated():
+    # the enumerator's rule, restated: each sorted tuple of one parity in
+    # [0, max_w2], its first entry negated when all are positive, and 1 <= u <= max_u
+    max_w2, max_u = 16, 8
+    expected = []
+    for parity in (0, 1):
+        for tup in itertools.combinations_with_replacement(range(parity, max_w2 + 1, 2), 5):
+            variants = [tup] + ([(-tup[0],) + tup[1:]] if tup[0] > 0 else [])
+            expected += [OGrWeights(w2, u) for w2 in variants for u in range(1, max_u + 1)]
+    assert enumerate_ogr_weights(max_w2, max_u) == expected
+
+
 def test_zero_target_has_no_candidates():
     zero = HilbertSeries(LaurentPoly(), (1, 1))
     assert search(MatchQuery(target=HilbertSeries(LaurentPoly()))) == []

@@ -310,7 +310,7 @@ def test_fit_roundtrip_on_valid_weights():
         except ValueError:
             continue
         matrix = [[0] * 5 for _ in range(5)]
-        ws = gw.weights()
+        ws = tuple(Fraction(v, 2) for v in gw.w2)
         for i in range(5):
             for j in range(5):
                 if i != j:
