@@ -64,8 +64,6 @@ def parse_weights(text, doubled=False):
     vals = []
     for tok in text.split(","):
         tok = tok.strip()
-        if not tok:
-            continue
         try:
             vals.append(int(tok) if doubled else half_doubled(tok))
         except (ValueError, ZeroDivisionError):
@@ -201,11 +199,15 @@ def cmd_rr(args):
 
 
 def read_json(path):
-    """A JSON file read exactly: decimals as fractions, NaN and Infinity refused."""
+    """A JSON file read exactly: decimals as fractions, NaN and Infinity refused,
+    and a syntax error named with the file."""
     def refuse(name):
         raise InputError(f"{name} is not a number in {path}")
     with open(path) as handle:
-        return json.load(handle, parse_float=Fraction, parse_constant=refuse)
+        try:
+            return json.load(handle, parse_float=Fraction, parse_constant=refuse)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _parse_cut(text):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from functools import lru_cache
 
@@ -49,16 +50,19 @@ class MatchQuery(Record):
 
     def __init__(self, target, generator_degrees=None, family=None, max_w2=DEFAULT_MAX_W2,
                  max_u=DEFAULT_MAX_U, basket=(), depth=DEFAULT_DEPTH):
-        _check_bounds(family, max_w2, max_u)
+        max_w2, max_u = _check_bounds(family, max_w2, max_u)
         super().__init__(target, generator_degrees, family, max_w2, max_u, basket, depth)
 
 
 def _check_bounds(family, max_w2, max_u):
-    """The bounds and family check of both ``search`` and ``match_pipeline``."""
+    """The bounds and family check of both ``search`` and ``match_pipeline``; the
+    bounds are read through ``operator.index``, which refuses a float or inf."""
+    max_w2, max_u = operator.index(max_w2), operator.index(max_u)
     if max_w2 < 1 or max_u < 1:
         raise ValueError("search bounds must be positive and finite")
     if family is not None and family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    return max_w2, max_u
 
 
 def infer_generators(series, depth=DEFAULT_DEPTH):
@@ -415,7 +419,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
     variants, and any user-supplied ones.  If no candidate is accepted, one
     extra generator-and-relation degree k is tried for k up to AUGMENT_BOUND.
     """
-    _check_bounds(family, max_w2, max_u)
+    max_w2, max_u = _check_bounds(family, max_w2, max_u)
     basket = tuple(basket)
     greedy = infer_generators(series, depth)
     forced = _force_divisibility(greedy, basket)

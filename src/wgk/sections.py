@@ -24,7 +24,7 @@ from math import gcd, prod
 
 from .oracle import GradedRing, OracleBudgetError
 from .series import HilbertSeries, Record, coefficient, denominator_poly, exact_div
-from .wgrass25 import Chart, GrWeights
+from .wgrass25 import Chart, GrWeights, WeightFamily
 from .wogr510 import OGrWeights
 
 DEFAULT_DEPTH = 40
@@ -134,8 +134,7 @@ class AmbientModel(Record):
         return self.base.coordinates() + [(f"c{k}", w)
                                           for k, w in enumerate(self.cone, start=1)]
 
-    def coordinate_weights(self):
-        return tuple(sorted(w for _, w in self.coordinates()))
+    coordinate_weights = WeightFamily.coordinate_weights
 
     def canonical_degree(self):
         return self.base.canonical_degree() - sum(self.cone)
@@ -190,13 +189,16 @@ def _degrees(cut, what="section degrees"):
 def section_series(model, cut, depth=DEFAULT_DEPTH):
     """Ambient series times prod (1 - t^delta) over the section degrees.
 
-    The expansion is scanned to ``depth`` for negative coefficients, which
-    would mean the degrees cannot come from a regular sequence.
+    The ambient ring is a graded domain of Krull dimension ``model.dim + 1``,
+    so its series has a pole of that order at t = 1 and each section lowers it
+    by one: more than ``model.dim`` sections are refused.  The expansion is
+    scanned to ``depth`` for negative coefficients, which would mean the
+    degrees cannot come from a regular sequence.
     """
     degrees = _degrees(cut)
-    amb = ambient_series(model)
-    if len(degrees) >= amb.pole_order_at_one():
+    if len(degrees) > model.dim:
         raise ValueError("too many sections: pole order would drop below 1")
+    amb = ambient_series(model)
     series = HilbertSeries(amb.numerator * denominator_poly(degrees), amb.denominator).canonical()
     if any(c < 0 for c in series.expand(depth)):
         raise ValueError("section spec not plausibly regular "
@@ -445,7 +447,7 @@ def rr_roundtrip(model, cut, kind, depth=DEFAULT_DEPTH):
     data = rr.RRData(k, trial.acubed, chi, ac2, tables)
     rebuilt = (rr.hilbert_can3 if k == 1 else rr.hilbert_cy3)(data)
 
-    ok = rebuilt.series_equal(series)
+    ok = rebuilt == series
     pairs = () if ok else zip(series.expand(4 * depth), rebuilt.expand(4 * depth))
     first_mismatch = next(((n, x, y) for n, (x, y) in enumerate(pairs) if x != y), None)
     return {"ok": ok, "data": data, "basket": report.basket,

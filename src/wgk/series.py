@@ -178,10 +178,6 @@ class LaurentPoly(SparsePoly):
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def term(cls, coeff, exponent=0):
-        return cls({exponent: coeff})
-
     # -- structure ---------------------------------------------------------
 
     def min_exp(self):
@@ -325,15 +321,12 @@ class HilbertSeries:
 
     # -- algebra -----------------------------------------------------------
 
-    def series_equal(self, other):
-        """Exact equality as rational functions (never truncated comparison)."""
-        return (self.numerator * denominator_poly(other.denominator)
-                == other.numerator * denominator_poly(self.denominator))
-
     def __eq__(self, other):
+        """Exact equality as rational functions (never truncated comparison)."""
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        return self.series_equal(other)
+        return (self.numerator * denominator_poly(other.denominator)
+                == other.numerator * denominator_poly(self.denominator))
 
     def __hash__(self):
         # the value at t = 2 is exact and equal for equal series
@@ -342,15 +335,12 @@ class HilbertSeries:
 
     def __add__(self, other):
         if not isinstance(other, HilbertSeries):    # a scalar; a float is refused
-            other = HilbertSeries(LaurentPoly.term(other))
+            other = HilbertSeries(LaurentPoly({0: other}))
         num = (self.numerator * denominator_poly(other.denominator)
                + other.numerator * denominator_poly(self.denominator))
         return HilbertSeries(num, self.denominator + other.denominator).canonical()
 
     __radd__ = __add__
-
-    def scale(self, c):
-        return HilbertSeries(self.numerator.scale(c), self.denominator)
 
     def over(self, extra):
         """Extend the denominator by further (1 - t^a) factors."""
@@ -400,26 +390,17 @@ class HilbertSeries:
     def coefficient(self, n):
         return self.expand(n)[n]
 
-    def _pole_at_one(self, what):
-        """Pole order at t = 1, and the numerator with its (1 - t) factors removed."""
-        if self.numerator.is_zero():
-            raise SeriesError(f"zero series has no {what}")
-        num, v = self.numerator, 0
-        while (q := num.divexact(one_minus(1))) is not None:
-            num, v = q, v + 1
-        return len(self.denominator) - v, num
-
-    def pole_order_at_one(self):
-        """Order of the pole at t = 1."""
-        return self._pole_at_one("pole order")[0]
-
     def intersection_number(self, n):
         """Exact value of (1-t)^{n+1} * H at t = 1 when the pole order is n+1.
 
         This is the degree of the polarizing class on an n-fold with Hilbert
         series H.
         """
-        order, num = self._pole_at_one("intersection number")
+        if self.numerator.is_zero():
+            raise SeriesError("zero series has no intersection number")
+        num, order = self.numerator, len(self.denominator)
+        while (q := num.divexact(one_minus(1))) is not None:
+            num, order = q, order - 1
         if order != n + 1:
             raise SeriesError(
                 f"pole order at t=1 is {order}, expected {n + 1}")
@@ -465,7 +446,3 @@ class HilbertSeries:
         return cls(LaurentPoly.from_json(data["numerator"]),
                    data.get("denominator", ()))
 
-
-def geometric(weights):
-    """Free graded series 1 / prod (1 - t^a)."""
-    return HilbertSeries(LaurentPoly.one(), weights)

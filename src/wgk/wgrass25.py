@@ -202,14 +202,12 @@ class GrWeights(WeightFamily):
         u = overall_weight(u2)
         return cls(tuple(v + u for v in w2))
 
-    @classmethod
-    def from_fractions(cls, ws, u=0):
-        return cls.of(tuple(doubled(w) for w in ws), doubled(u))
-
     # -- basic numerology ----------------------------------------------------
 
     def d2(self):
         return sum(self.w2)
+
+    top_exponent = d2       # the numerator ends in -t^{2d}
 
     def coordinates(self):
         """The ten Pluecker coordinates x_ij with their weights w_i + w_j."""
@@ -225,10 +223,6 @@ class GrWeights(WeightFamily):
         """Pf_i in degree d - w_i; the dual bank is d + w_i and the top is 2d."""
         d2 = self.d2()
         return (tuple([(d2 - v) // 2 for v in reversed(self.w2)]),)
-
-    def top_exponent(self):
-        """The numerator ends in -t^{2d}."""
-        return self.d2()
 
     def canonical_form(self):
         """The sorted doubled weights already are the orbit representative."""

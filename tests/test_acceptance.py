@@ -18,8 +18,8 @@ from wgk.wgrass25 import GrWeights, verify_gr_identities
 from wgk.spinor import verify_parametrization
 from wgk.wogr510 import OGrWeights, verify_ogr_syzygies
 
-W1 = GrWeights.from_fractions(["1/2"] * 4 + ["3/2"])
-W2 = GrWeights.from_fractions(["1/2"] * 3 + ["3/2"] * 2)
+W1 = GrWeights((1, 1, 1, 1, 3))
+W2 = GrWeights((1, 1, 1, 3, 3))
 EX1 = OGrWeights((0, 0, 0, 0, 2), 1)
 EX2 = OGrWeights((0, 0, 2, 2, 4), 1)
 EX1_NUMERATOR = LaurentPoly({0: 1, 2: -1, 3: -8, 4: 7, 5: 8, 7: -8, 8: -7,
@@ -77,7 +77,7 @@ def test_criterion_4_orbifold_riemann_roch():
     closed = HilbertSeries(LaurentPoly(
         {0: 1, 1: -2, 2: 3, 3: -1, 4: -1, 5: 1, 6: 1, 7: -3, 8: 2, 9: -1}),
         (1, 1, 1, 1, 5))
-    assert cy3.series_equal(closed)
+    assert cy3 == closed
     report(4, "plurigenus series and closed forms of both 3-fold data sets")
 
 
@@ -137,7 +137,7 @@ def test_criterion_7_singularity_baskets_and_roundtrip():
 
 
 def test_criterion_8_oracle_equivalence():
-    straight_gr = GrWeights.from_fractions(["1/2"] * 5)
+    straight_gr = GrWeights((1,) * 5)
     closed = straight_gr.hilbert_series().expand(6)
     oracle = [graded_dimension("wgr25", straight_gr, m) for m in range(7)]
     assert oracle == [1, 10, 50, 175, 490, 1176, 2520]

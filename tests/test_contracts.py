@@ -3,11 +3,12 @@ interface, the names the package exports, most of which load from their
 module on first use, no function that only forwards its parameters, no
 module that imports another's private name, one owner of a polynomial's
 coefficients, no ``int()`` that could truncate an unchecked value, one
-place that builds a product with the generic skew matrix, and one writer of
-a record's fields."""
+place that builds a product with the generic skew matrix, one writer of a
+record's fields, and no function or class that nothing names."""
 
 import ast
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -176,8 +177,6 @@ FORWARDERS_KEPT = {
     # perfbench's tracer times the Riemann-Roch series under these two names
     "orbifold_rr.hilbert_can3",
     "orbifold_rr.hilbert_cy3",
-    # a WeightFamily primitive: each family states its top exponent
-    "wgrass25.GrWeights.top_exponent",
 }
 
 
@@ -516,3 +515,105 @@ def test_a_record_that_does_not_validate_has_no_init_of_its_own():
     for cls in (wgrass25.Chart, sections.StratumRecord, sections.SingularityReport,
                 matcher.MatchCandidate, matcher.MatchReport, spinor.SpinorGraph):
         assert "__init__" not in vars(cls), cls.__name__
+
+
+# -- every function and class is named by a caller -------------------------------
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+# the paper's spinor results that only the tests check; no command runs them,
+# and they stay beside the rest of wgk.spinor
+CALLERLESS_KEPT = {
+    "spinor.SpinorGraph.neighbours": "the graph's adjacency, which the syzygy-support "
+                                     "tests of tests/test_wogr510.py read",
+    "spinor.wd5_vertex_action": "acceptance criterion 1: WD5 permutes the 16 vertices",
+    "spinor.wd5_weight_action": "acceptance criterion 1: WD5 preserves the coordinate weights",
+    "spinor.wd5_generators": "acceptance criterion 1: five involutions along the D5 diagram",
+    "spinor.wd5_element_order": "acceptance criterion 1: the orders of the generators",
+    "spinor.second_syzygy_degree_check": "acceptance criterion 1: the printed syzygy columns",
+}
+
+
+def _uses(tree):
+    """Each node of ``tree`` that names something, with the name: a variable, an
+    attribute or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node, node.attr
+        elif isinstance(node, ast.alias):
+            yield node, node.name.rpartition(".")[2]
+
+
+def code_words(source):
+    """The names ``source`` uses and the words of its strings, not of its
+    docstrings or comments: perfbench's tracer names its targets in strings."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    words = {name for _, name in _uses(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def callerless(sources, elsewhere):
+    """``module.Class.name`` of each function and class, at any depth, in
+    ``sources`` ({module: source}) whose name no code of ``sources`` uses outside
+    its own definition and ``elsewhere`` (a set of names) lacks; a ``__dunder__``
+    name is called by the language."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = Counter(name for tree in trees.values() for _, name in _uses(tree))
+    hits = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                inside = sum(used == name for _, used in _uses(child))
+                if not (name.startswith("__") and name.endswith("__")
+                        or counts[name] > inside or name in elsewhere):
+                    hits.append(prefix + name)
+                visit(child, f"{prefix}{name}.")
+            else:
+                visit(child, prefix)
+
+    for module, tree in trees.items():
+        visit(tree, f"{module}.")
+    return hits
+
+
+def test_the_callerless_scan_sees_each_shape():
+    sources = {
+        "a": ("import b\n"
+              "def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def traced():\n    return 0\n"
+              "def exported():\n    return 0\n"
+              "class C:\n"
+              "    def __eq__(self, other):\n        return True\n"
+              "    def method(self):\n        def inner():\n            return 0\n"
+              "        return inner\n"
+              "    def lone(self):\n        return self\n"
+              "    alias = lone\n"
+              "if b:\n    def hidden():\n        return 0\n"),
+        "b": ("from a import used as u\n"
+              "def g(c):\n    return c.method(), b.C\n"),
+    }
+    tracer = ('"""Times recursive."""\n'
+              'TARGETS = ("wgk.a:traced",)   # and hidden\n'
+              'def f():\n    "exported"\n    return 0\n')
+    assert code_words(tracer) == {"TARGETS", "wgk", "a", "traced"}
+    elsewhere = code_words(tracer) | {"exported"}
+    assert callerless(sources, elsewhere) == ["a.recursive", "a.hidden", "b.g"]
+
+
+def test_every_function_and_class_is_named_by_a_caller():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    elsewhere = set(wgk.__all__).union(*(code_words(path.read_text())
+                                         for path in sorted(PERFBENCH.rglob("*.py"))))
+    assert set(callerless(sources, elsewhere)) == set(CALLERLESS_KEPT)

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -19,7 +20,7 @@ from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          match_pipeline, search, singularity_filter)
 from wgk.orbifold_rr import RRData, hilbert_can3, hilbert_cy3, local_term
 from wgk.sections import AmbientModel, QuotientSingularity
-from wgk.series import HilbertSeries, LaurentPoly, SeriesError, geometric, one_minus
+from wgk.series import HilbertSeries, LaurentPoly, SeriesError, one_minus
 from wgk.wgrass25 import GrWeights, WeightFamily
 from wgk.wogr510 import VERTICES, OGrWeights, even_rep
 
@@ -41,7 +42,7 @@ def infer_and_force(series, depth=matcher.DEFAULT_DEPTH, basket=None, residue_fo
 
 
 def test_infer_generators_projective_space():
-    assert infer_generators(geometric((1, 1, 1))) == (1, 1, 1)
+    assert infer_generators(HilbertSeries(LaurentPoly.one(), (1, 1, 1))) == (1, 1, 1)
 
 
 def test_infer_generators_can3():
@@ -217,9 +218,21 @@ def test_search_with_canonical_degree_and_basket_requirements():
 
 def test_query_validation():
     with pytest.raises(ValueError, match="bounds"):
-        MatchQuery(target=geometric((1,)), max_w2=0)
+        MatchQuery(target=HilbertSeries(LaurentPoly.one(), (1,)), max_w2=0)
     with pytest.raises(ValueError, match="family"):
-        MatchQuery(target=geometric((1,)), family="flag")
+        MatchQuery(target=HilbertSeries(LaurentPoly.one(), (1,)), family="flag")
+
+
+@pytest.mark.parametrize("bounds", [dict(max_w2=2.5), dict(max_u=2.5), dict(max_u=math.inf),
+                                    dict(max_w2=Fraction(4)), dict(max_w2=8.0)])
+def test_a_search_bound_that_is_not_an_integer_is_refused_when_the_query_is_built(bounds):
+    # read through operator.index: neither a TypeError deep in the enumeration
+    # nor a model index of its own for a bound equal to an int
+    target = GrWeights((1,) * 5).hilbert_series()
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        MatchQuery(target=target, generator_degrees=(1,) * 10, **bounds)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        match_pipeline(target, **bounds)
 
 
 def test_enumerations_within_bounds_and_canonical():

@@ -12,14 +12,13 @@ from wgk.polynomials import MPoly
 from wgk.sections import (AmbientModel, QuotientSingularity, _component_split,
                           _transverse_type, ambient_series, quasilinear_embed, rr_roundtrip,
                           section_canonical, section_series, singularity_analysis)
-from wgk.series import LaurentPoly
+from wgk.series import LaurentPoly, one_minus
 from wgk.wgrass25 import Chart, GrWeights
 from wgk.wogr510 import OGrWeights
 
-FANO = AmbientModel(GrWeights.from_fractions(["1/2"] * 4 + ["3/2"]))
-K3CONE = AmbientModel(GrWeights.from_fractions(["1/2"] * 3 + ["3/2"] * 2),
-                      cone=(1,))
-K3PLAIN = AmbientModel(GrWeights.from_fractions(["1/2"] * 3 + ["3/2"] * 2))
+FANO = AmbientModel(GrWeights((1, 1, 1, 1, 3)))
+K3CONE = AmbientModel(GrWeights((1, 1, 1, 3, 3)), cone=(1,))
+K3PLAIN = AmbientModel(GrWeights((1, 1, 1, 3, 3)))
 CAN3 = AmbientModel(OGrWeights((0, 0, 0, 0, 2), 1))
 CY3 = AmbientModel(OGrWeights((0, 0, 2, 2, 4), 1))
 MIRAGE = AmbientModel(GrWeights((2, 2, 2, 4, 4)), cone=(1,))
@@ -59,7 +58,7 @@ def test_section_series_examples():
     assert [int(c) for c in s.expand(4)] == [1, 7, 29, 83, 190]
     coned = section_series(K3CONE, (2, 2, 2, 2, 2))
     assert coned.coefficient(1) == 4
-    assert section_series(FANO, ()).series_equal(ambient_series(FANO))
+    assert section_series(FANO, ()) == ambient_series(FANO)
 
 
 def test_section_series_rejects_irregular_spec():
@@ -257,7 +256,7 @@ def test_rr_roundtrip_refuses_a_point_that_is_not_isolated():
 
 def test_rr_roundtrip_straight_sections_with_empty_basket():
     # smooth sections of the straight ambients: polynomial-only data matches
-    gr = AmbientModel(GrWeights.from_fractions(["1/2"] * 5))
+    gr = AmbientModel(GrWeights((1,) * 5))
     result = rr_roundtrip(gr, (1, 1, 3), "cy3")
     assert result["ok"] and result["basket"] == []
     assert result["data"].acubed == 15
@@ -274,7 +273,7 @@ def test_rr_roundtrip_needs_threefold():
 def test_graded_dimension_op():
     assert graded_dimension("wgr25", FANO.base, 0) == 1
     assert graded_dimension(
-        "wgr25", GrWeights.from_fractions(["1/2"] * 5), 2) == 50
+        "wgr25", GrWeights((1,) * 5), 2) == 50
     assert graded_dimension(
         "wogr510", OGrWeights((0, 0, 0, 0, 0), 1), 2) == 126
 
@@ -282,7 +281,7 @@ def test_graded_dimension_op():
 def test_oracle_budget_error():
     from wgk.oracle import OracleBudgetError
     with pytest.raises(OracleBudgetError, match="budget"):
-        graded_dimension("wgr25", GrWeights.from_fractions(["1/2"] * 5), 40)
+        graded_dimension("wgr25", GrWeights((1,) * 5), 40)
 
 
 def test_oracle_agreement_on_ambient_series():
@@ -322,6 +321,38 @@ def test_ambient_model_json_roundtrip():
 
 
 BOUNDED_BASES = enumerate_gr_weights(6) + enumerate_ogr_weights(6, 3)
+BOUNDED_MODELS = [AmbientModel(base, cone) for base in BOUNDED_BASES
+                  for cone in ((), (1,), (2, 3))]
+
+
+def reference_pole_order(series):
+    """The pole order at t = 1: the denominator's factors less the (1 - t)
+    factors the numerator sheds, one exact division at a time."""
+    num, order = series.numerator, len(series.denominator)
+    while (q := num.divexact(one_minus(1))) is not None:
+        num, order = q, order - 1
+    return order
+
+
+def test_every_bounded_ambient_has_a_pole_of_order_dim_plus_one():
+    # the ambient ring is a graded domain of Krull dimension dim + 1
+    assert len(BOUNDED_MODELS) == 1278
+    for model in BOUNDED_MODELS:
+        assert reference_pole_order(ambient_series(model)) == model.dim + 1, model
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BOUNDED_MODELS), st.data())
+def test_section_series_refuses_exactly_the_cuts_longer_than_the_dimension(model, data):
+    size = data.draw(st.integers(0, model.dim + 3))
+    cut = data.draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+    try:
+        section_series(model, cut)
+        refused = False
+    except ValueError as exc:
+        refused = str(exc) == "too many sections: pole order would drop below 1"
+    assert refused == (len(cut) > model.dim)
+    assert refused == (len(cut) >= reference_pole_order(ambient_series(model)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,10 +18,9 @@ from wgk.wgrass25 import (GrWeights, fit_pfaffian_weights, pfaffian_equations,
                           pfaffians_at, skew_times, verify_gr_identities)
 from wgk.wogr510 import OGrWeights
 
-HALF = ["1/2"] * 5
-W1 = GrWeights.from_fractions(["1/2"] * 4 + ["3/2"])
-W2 = GrWeights.from_fractions(["1/2"] * 3 + ["3/2"] * 2)
-STRAIGHT = GrWeights.from_fractions(HALF)
+W1 = GrWeights((1, 1, 1, 1, 3))
+W2 = GrWeights((1, 1, 1, 3, 3))
+STRAIGHT = GrWeights((1,) * 5)
 
 
 def test_weight_validation():
