@@ -2,19 +2,17 @@
 section analysis, matching and the brute-force oracle.
 
 Weights are accepted as fractions with denominator at most 2 (1/2,3/2,...) or
-as doubled integers with --doubled, and printed as fractions.  WGK_DEPTH
-overrides the default expansion depth of 40.  Each ``cmd_*`` returns ``(exit
-code, record, text lines)`` and writes nothing to stdout; ``main`` prints the
-record as JSON (adding ``schema``) or the lines, and maps errors to exit
-codes: 0 success, 1 verification failure, 2 malformed input, 3 internal
-inconsistency.
+as doubled integers with --doubled, and printed as fractions.  Each
+``cmd_*`` returns ``(exit code, record, text lines)`` and writes nothing to
+stdout; ``main`` prints the record as JSON (adding ``schema``) or the lines,
+and maps errors to exit codes: 0 success, 1 verification failure, 2
+malformed input, 3 internal inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -47,15 +45,6 @@ def _at_least(name, value, low):
     return value
 
 
-def default_depth():
-    text = os.environ.get("WGK_DEPTH", str(DEFAULT_DEPTH))
-    try:
-        depth = int(text)
-    except ValueError:
-        raise InputError(f"WGK_DEPTH must be an integer, got {text!r}") from None
-    return _at_least("WGK_DEPTH", depth, 1)
-
-
 def fmt_wps(weights):
     return f"P({matcher_mod.fmt_multiset(weights)[1:-1]})"
 
@@ -73,11 +62,11 @@ def parse_weights(text, doubled=False):
 
 def build_weights(args):
     w2 = parse_weights(args.w, args.doubled)
-    family = {"wgr": GrWeights, "wogr": OGrWeights}[args.family]
     try:
-        return family.of(w2, half_doubled(args.u))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(str(exc))
+        u2 = half_doubled(args.u)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot parse overall weight {args.u!r}") from None
+    return {"wgr": GrWeights, "wogr": OGrWeights}[args.family].of(w2, u2)
 
 
 def frac_str(x):
@@ -143,7 +132,7 @@ def cmd_verify(args):
         checks.append((f"oracle spinor degree {m}",
                        graded_dimension("wogr510", ow, m) == closed[m]))
 
-    for name, ok, detail in fixture_mod.run_all(default_depth()):
+    for name, ok, detail in fixture_mod.run_all():
         checks.append((f"fixture {name}" + (f" ({detail})" if detail else ""), ok))
 
     failures = [n for n, ok in checks if not ok]
@@ -176,7 +165,7 @@ def _parse_point(text):
 
 
 def cmd_rr(args):
-    depth = default_depth() if args.expand is None else _at_least("--expand", args.expand, 0)
+    depth = _at_least("--expand", args.expand, 0)
     if args.kind == "can3":
         pg, k3 = _at_least("--pg", args.pg, 0), positive("--k3", rational("--k3", args.k3))
         rr = RRData.canonical3(pg, k3, _at_least("--half", args.half, 0))
@@ -200,13 +189,13 @@ def cmd_rr(args):
 
 def read_json(path):
     """A JSON file read exactly: decimals as fractions, NaN and Infinity refused,
-    and a syntax error named with the file."""
+    and a syntax or UTF-8 decoding error named with the file."""
     def refuse(name):
         raise InputError(f"{name} is not a number in {path}")
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle, parse_float=Fraction, parse_constant=refuse)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -219,10 +208,9 @@ def _parse_cut(text):
 
 def cmd_section(args):
     _at_least("--terms", args.terms, 0)
-    depth = default_depth()
     model = AmbientModel.from_json(read_json(args.model))
     cut = _parse_cut(args.cut)
-    series = section_series(model, cut, depth)
+    series = section_series(model, cut)
     dim = model.dim - len(cut)
     data = {"model": model.to_json(), "cut": list(cut), "dimension": dim,
             "canonical": section_canonical(model, cut),
@@ -246,7 +234,7 @@ def cmd_section(args):
                   f" x {entry['count']}" for entry in data["basket"]]
         lines += [f"note: {diag}" for diag in data["diagnostics"]]
     if args.roundtrip:
-        result = rr_roundtrip(model, cut, args.roundtrip, depth)
+        result = rr_roundtrip(model, cut, args.roundtrip)
         mismatch = result["first_mismatch"] and list(map(frac_str, result["first_mismatch"]))
         data["roundtrip"] = {"ok": result["ok"], "first_mismatch": mismatch}
         if not result["ok"]:
@@ -281,7 +269,6 @@ def _rr_point(index, entry):
 def cmd_match(args):
     _at_least("--max-w2", args.max_w2, 1)
     _at_least("--max-u", args.max_u, 1)
-    depth = default_depth()
     data = read_json(args.rr)
     if not isinstance(data, dict):
         raise InputError(f"rr data must be a JSON object, not {type(data).__name__}")
@@ -304,8 +291,7 @@ def cmd_match(args):
         raise InputError("rr data file must set kind to can3 or cy3")
     report = matcher_mod.match_pipeline(
         series, basket=basket, family=args.family, max_w2=args.max_w2,
-        max_u=args.max_u, depth=depth,
-        residue_forcing=not args.no_residue_forcing)
+        max_u=args.max_u, residue_forcing=not args.no_residue_forcing)
     lines = []
     for cand in report.candidates:
         verdict = "accepted" if cand.accepted else "rejected"
@@ -369,14 +355,14 @@ def build_parser():
     pc.add_argument("--k3", required=True)
     pc.add_argument("--half", type=int, default=0,
                     help="number of 1/2(1,1,1) points")
-    pc.add_argument("--expand", type=int, default=None)
+    pc.add_argument("--expand", type=int, default=DEFAULT_DEPTH)
     pc.set_defaults(func=cmd_rr, kind="can3")
     py = rrsub.add_parser("cy3", parents=[output])
     py.add_argument("--a3", required=True)
     py.add_argument("--ac2", required=True)
     py.add_argument("--point", action="append",
                     help="periodic table r:c0,c1,...,c(r-1); repeatable")
-    py.add_argument("--expand", type=int, default=None)
+    py.add_argument("--expand", type=int, default=DEFAULT_DEPTH)
     py.set_defaults(func=cmd_rr, kind="cy3")
 
     p = sub.add_parser("section", parents=[output], help="analyse a quasilinear section")

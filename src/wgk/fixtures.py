@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, quasilinear_embed,
-                       rr_roundtrip, section_canonical, section_series, singularity_analysis)
+from .sections import (AmbientModel, QuotientSingularity, quasilinear_embed, rr_roundtrip,
+                       section_canonical, section_series, singularity_analysis)
 from .matcher import singularity_filter
 from .series import LaurentPoly, Record
 
@@ -152,7 +152,7 @@ FIXTURES = (
 )
 
 
-# key -> check(expected value, section, model, cut, depth), true when it holds;
+# key -> check(expected value, section, model, cut), true when it holds;
 # section() is the cut's Hilbert series, computed at most once per fixture
 CHECKS = {
     "ambient_weights": lambda v, s, m, *_: tuple(v) == m.coordinate_weights(),
@@ -169,30 +169,30 @@ CHECKS = {
         quasilinear_embed(m, cut) == {"weights": tuple(v), "quasilinear": True, "leftovers": ()},
     "basket": lambda v, s, m, cut, *_:
         [[q.r, list(q.weights), n] for q, n in singularity_analysis(m, cut).basket] == v,
-    "rr_kind": lambda v, s, m, cut, depth: rr_roundtrip(m, cut, v, depth)["ok"],
+    "rr_kind": lambda v, s, m, cut: rr_roundtrip(m, cut, v)["ok"],
     # the filter refuses, for want of a coordinate weight divisible by r
     "reject_sing": lambda v, s, m, *_: f"divisible by {v[0]}" in (
         singularity_filter(m, (QuotientSingularity(*v),))[1] or ""),
 }
 
 
-def run_fixture(fix, depth=DEFAULT_DEPTH):
+def run_fixture(fix):
     """One (check name, ok, detail) triple per expected key of ``fix``, in key order;
     detail is "error: ..." (a failed check) when the check raised or there is none."""
     model = AmbientModel.from_json(fix.model)
-    section = cache(lambda: section_series(model, fix.cut, depth))
+    section = cache(lambda: section_series(model, fix.cut))
     out = []
     for key, spec in sorted(fix.expected.items()):
         name = f"{fix.name}:{key}"
         try:
             if key not in CHECKS:
                 raise ValueError(f"unknown fixture check {key!r}")
-            ok = CHECKS[key](spec["value"], section, model, fix.cut, depth)
+            ok = CHECKS[key](spec["value"], section, model, fix.cut)
             out.append((name, bool(ok), None))
         except Exception as exc:           # a crash is a failure with detail
             out.append((name, False, f"error: {exc}"))
     return out
 
 
-def run_all(depth=DEFAULT_DEPTH):
-    return [result for fix in FIXTURES for result in run_fixture(fix, depth)]
+def run_all():
+    return [result for fix in FIXTURES for result in run_fixture(fix)]

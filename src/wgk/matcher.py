@@ -46,12 +46,12 @@ class MatchQuery(Record):
     Generator degrees, when given, constrain the ambient coordinate weights
     (up to coning by unmatched degree-1 generators).
     """
-    _fields = ("target", "generator_degrees", "family", "max_w2", "max_u", "basket", "depth")
+    _fields = ("target", "generator_degrees", "family", "max_w2", "max_u", "basket")
 
     def __init__(self, target, generator_degrees=None, family=None, max_w2=DEFAULT_MAX_W2,
-                 max_u=DEFAULT_MAX_U, basket=(), depth=DEFAULT_DEPTH):
+                 max_u=DEFAULT_MAX_U, basket=()):
         max_w2, max_u = _check_bounds(family, max_w2, max_u)
-        super().__init__(target, generator_degrees, family, max_w2, max_u, basket, depth)
+        super().__init__(target, generator_degrees, family, max_w2, max_u, basket)
 
 
 def _check_bounds(family, max_w2, max_u):
@@ -394,7 +394,7 @@ def search(query):
     if query.target.denominator:
         if gens is None:
             gens = _force_residues(_force_divisibility(
-                infer_generators(query.target, query.depth), query.basket), query.basket)
+                infer_generators(query.target), query.basket), query.basket)
         try:
             n_target = query.target.hilbert_numerator(gens)
         except SeriesError as exc:
@@ -411,8 +411,7 @@ def search(query):
 
 
 def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
-                   max_u=DEFAULT_MAX_U, depth=DEFAULT_DEPTH,
-                   user_generators=(), residue_forcing=True):
+                   max_u=DEFAULT_MAX_U, user_generators=(), residue_forcing=True):
     """Full recognition pipeline with accepted/rejected verdicts.
 
     Candidate generator multisets are the greedy one, its singularity-forced
@@ -421,7 +420,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
     """
     max_w2, max_u = _check_bounds(family, max_w2, max_u)
     basket = tuple(basket)
-    greedy = infer_generators(series, depth)
+    greedy = infer_generators(series)
     forced = _force_divisibility(greedy, basket)
     inferred = [("greedy", greedy), ("divisibility-forced", forced)]
     if residue_forcing:

@@ -234,19 +234,20 @@ class GradedRing:
         return count_monomials(self.weights, degree)
 
     def check_budget(self, degree):
-        if self.monomial_count(degree) > DEGREE_BUDGET:
+        # the exponent test first: counting a degree's monomials is linear in it
+        if self.weights and degree // min(self.weights) > FIELD_MASK:
             raise OracleBudgetError(
-                f"degree {degree} exceeds the oracle budget "
-                f"({self.monomial_count(degree)} monomials)")
+                f"degree {degree} exceeds the oracle budget (an exponent "
+                f"above {FIELD_MASK})")
+        monomials = self.monomial_count(degree)
+        if monomials > DEGREE_BUDGET:
+            raise OracleBudgetError(
+                f"degree {degree} exceeds the oracle budget ({monomials} monomials)")
         rows = sum(count_monomials(self.weights, degree - eq_deg)
                    for eq_deg, _ in self.equations if degree >= eq_deg)
         if rows > ROW_BUDGET:
             raise OracleBudgetError(
                 f"degree {degree} exceeds the oracle budget ({rows} rows)")
-        if self.weights and degree // min(self.weights) > FIELD_MASK:
-            raise OracleBudgetError(
-                f"degree {degree} exceeds the oracle budget (an exponent "
-                f"above {FIELD_MASK})")
 
     def _pack(self, exponents):
         """The exponent tuple as one integer, FIELD_BITS per exponent, the
@@ -310,10 +311,10 @@ class GradedRing:
         """dim of the degree piece of coordinate ring / ideal."""
         if degree < 0:
             return 0
-        total = self.monomial_count(degree)
         if not self.equations:
-            return total
-        return total - self.ideal_rank(degree)
+            return self.monomial_count(degree)
+        rank = self.ideal_rank(degree)      # checks the budget before counting
+        return self.monomial_count(degree) - rank
 
     def contains_monomial(self, exponents):
         """Does the given monomial lie in the span of the ideal slice?"""

@@ -186,23 +186,23 @@ def _degrees(cut, what="section degrees"):
     return degrees
 
 
-def section_series(model, cut, depth=DEFAULT_DEPTH):
+def section_series(model, cut):
     """Ambient series times prod (1 - t^delta) over the section degrees.
 
     The ambient ring is a graded domain of Krull dimension ``model.dim + 1``,
     so its series has a pole of that order at t = 1 and each section lowers it
     by one: more than ``model.dim`` sections are refused.  The expansion is
-    scanned to ``depth`` for negative coefficients, which would mean the
-    degrees cannot come from a regular sequence.
+    scanned to ``DEFAULT_DEPTH`` for negative coefficients, which would mean
+    the degrees cannot come from a regular sequence.
     """
     degrees = _degrees(cut)
     if len(degrees) > model.dim:
         raise ValueError("too many sections: pole order would drop below 1")
     amb = ambient_series(model)
     series = HilbertSeries(amb.numerator * denominator_poly(degrees), amb.denominator).canonical()
-    if any(c < 0 for c in series.expand(depth)):
+    if any(c < 0 for c in series.expand(DEFAULT_DEPTH)):
         raise ValueError("section spec not plausibly regular "
-                         f"(negative coefficient within degree {depth})")
+                         f"(negative coefficient within degree {DEFAULT_DEPTH})")
     return series
 
 
@@ -228,7 +228,7 @@ def quasilinear_embed(model, cut):
 class StratumRecord(Record):
     """One stratum's component, its point count and type: ``sing_type`` is a
     QuotientSingularity or None, ``stop_degree`` the last oracle slice proving
-    its series, None for a closed form."""
+    its series."""
     _fields = ("r", "component", "dimension", "active", "count", "sing_type", "stop_degree")
 
 
@@ -349,11 +349,7 @@ def singularity_analysis(model, cut):
                 continue
 
             try:
-                if len(comp) == len(coords):
-                    # the stratum is the whole variety: closed-form series
-                    series, stop = ambient_series(model), None
-                else:
-                    series, stop = comp_ring.hilbert_series()
+                series, stop = comp_ring.hilbert_series()
                 inter = series.intersection_number(dim_comp)
             except OracleBudgetError as exc:
                 diagnostics.append(f"{comp_context}: not counted ({exc})")
@@ -418,7 +414,7 @@ def singularity_analysis(model, cut):
 
 # -- round trip against orbifold Riemann-Roch ------------------------------------
 
-def rr_roundtrip(model, cut, kind, depth=DEFAULT_DEPTH):
+def rr_roundtrip(model, cut, kind):
     """Fit Riemann-Roch data from a 3-fold section and reassemble its series.
 
     The section's K = O(k) must be the kind's: k = 1 for ``canonical3``
@@ -438,7 +434,7 @@ def rr_roundtrip(model, cut, kind, depth=DEFAULT_DEPTH):
     if canonical != k:
         raise ValueError(f"a {kind} round trip needs K = O({k}); "
                          f"this section has K = O({canonical})")
-    series = section_series(model, degrees, depth)
+    series = section_series(model, degrees)
     report = singularity_analysis(model, degrees)
     chi = 1 - series.coefficient(1) if k == 1 else 0
     tables = tuple(rr.local_term(*s.key()) for s, n in report.basket for _ in range(n))
@@ -448,7 +444,8 @@ def rr_roundtrip(model, cut, kind, depth=DEFAULT_DEPTH):
     rebuilt = (rr.hilbert_can3 if k == 1 else rr.hilbert_cy3)(data)
 
     ok = rebuilt == series
-    pairs = () if ok else zip(series.expand(4 * depth), rebuilt.expand(4 * depth))
+    terms = 4 * DEFAULT_DEPTH
+    pairs = () if ok else zip(series.expand(terms), rebuilt.expand(terms))
     first_mismatch = next(((n, x, y) for n, (x, y) in enumerate(pairs) if x != y), None)
     return {"ok": ok, "data": data, "basket": report.basket,
             "diagnostics": report.diagnostics, "series": series,

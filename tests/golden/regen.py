@@ -21,7 +21,6 @@ from test_golden import GOLDEN, REPO, case_dirs, run_case  # noqa: E402
 
 def main(names):
     os.chdir(REPO)
-    os.environ.pop("WGK_DEPTH", None)
     cases = [GOLDEN / name for name in names] if names else case_dirs()
     for case in cases:
         spec = json.loads((case / "case.json").read_text())

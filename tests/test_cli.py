@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wgk import cli, matcher, orbifold_rr
+from wgk import cli, matcher, oracle, orbifold_rr
 from wgk import wgrass25, wogr510
 from wgk.series import HilbertSeries, LaurentPoly
 
@@ -530,24 +530,6 @@ def test_json_outputs_are_sorted_and_stable(capsys):
     assert data["schema"] == "wgk/1"
 
 
-def test_depth_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("WGK_DEPTH", "6")
-    code, out, _ = run(capsys, "rr", "can3", "--pg", "7", "--k3", "21",
-                       "--half", "2")
-    assert code == 0
-    assert out.strip() == "1 7 29 83 190 370 645"
-
-
-def test_depth_env_malformed(capsys, monkeypatch):
-    for text, message in (("abc", "must be an integer, got 'abc'"), ("0", "must be >= 1, got 0"),
-                          ("-3", "must be >= 1, got -3")):
-        monkeypatch.setenv("WGK_DEPTH", text)
-        code, out, err = run(capsys, "rr", "can3", "--pg", "7", "--k3", "21",
-                             "--half", "2")
-        assert code == 2 and out == ""
-        assert err == f"error: WGK_DEPTH {message}\n"
-
-
 def test_rr_disagreement_is_an_internal_error(capsys, monkeypatch):
     honest = cli.plurigenus
     monkeypatch.setattr(cli, "plurigenus", lambda data, n: honest(data, n) + 1)
@@ -564,6 +546,24 @@ def test_oracle_budget_refusal_exits_2(capsys, json_flag):
     assert code == 2 and out == ""
     assert err == ("degree bound exceeded: degree 9 exceeds the oracle budget "
                    "(1307504 monomials)\n")
+
+
+def test_a_degree_past_the_exponent_packing_is_refused_before_counting(capsys, monkeypatch):
+    """Counting the monomials of degree d builds a list of d + 1 entries, so a
+    degree whose exponents cannot be packed is refused without a count."""
+    honest = oracle.count_monomials
+
+    def bounded(weights, degree):
+        assert degree // min(weights) <= oracle.FIELD_MASK, f"counted degree {degree}"
+        return honest(weights, degree)
+
+    monkeypatch.setattr(oracle, "count_monomials", bounded)
+    for degree in (oracle.FIELD_MASK + 1, 10 ** 6, 10 ** 9):
+        code, out, err = run(capsys, "oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2",
+                             "--degree", str(degree))
+        assert code == 2 and out == ""
+        assert err == (f"degree bound exceeded: degree {degree} exceeds the oracle "
+                       f"budget (an exponent above {oracle.FIELD_MASK})\n")
 
 
 @pytest.mark.parametrize("argv, message", [

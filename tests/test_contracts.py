@@ -2,9 +2,10 @@
 interface, the names the package exports, most of which load from their
 module on first use, no function that only forwards its parameters, no
 module that imports another's private name, one owner of a polynomial's
-coefficients, no ``int()`` that could truncate an unchecked value, one
-place that builds a product with the generic skew matrix, one writer of a
-record's fields, and no function or class that nothing names."""
+coefficients, no ``int()`` that could truncate an unchecked value, no
+module that reads the environment, one place that builds a product with the
+generic skew matrix, one writer of a record's fields, and no function or
+class that nothing names."""
 
 import ast
 import re
@@ -337,7 +338,6 @@ def test_only_the_sparse_polynomial_base_writes_coeffs():
 # parse or a number just checked integral
 INT_CALLS_KEPT = {
     # parse a string: int("1.5") raises ValueError, refused as bad input
-    "cli.default_depth",
     "cli.parse_weights",
     "cli._parse_point",
     "cli._parse_cut",
@@ -385,6 +385,51 @@ def test_every_int_call_converts_a_checked_value():
     for path in sorted(SRC.glob("*.py")):
         found.update(int_calls(path.read_text(), path.stem))
     assert found == INT_CALLS_KEPT
+
+
+# -- no module reads the environment -----------------------------------------------
+
+# every setting is an argument or an option, so a command gives the same answer
+# whatever the shell around it holds
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source, module):
+    """``module.Class.function`` of each use of ``os.environ`` or ``os.getenv`` (or
+    their bytes forms) in ``source``, as an attribute or imported by name, once per scope."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Attribute) and child.attr in ENVIRONMENT_NAMES
+                  or isinstance(child, ast.ImportFrom) and child.module == "os"
+                  and any(alias.name in ENVIRONMENT_NAMES for alias in child.names)):
+                hits.append(".".join([module, *scope]))
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return list(dict.fromkeys(hits))
+
+
+def test_the_environment_scan_sees_each_shape():
+    source = ("import os\n"
+              "depth = os.environ.get('DEPTH', '40')\n"
+              "class C:\n"
+              "    def f(self):\n        return os.getenv('DEPTH')\n"
+              "    def g(self):\n        return self.environment, os.path.sep\n"
+              "def h():\n    from os import environ as env\n    return env\n"
+              "def k():\n    def inner():\n        return os.environb[b'DEPTH']\n    return inner\n")
+    assert environment_reads(source, "m") == ["m", "m.C.f", "m.h", "m.k.inner"]
+
+
+def test_no_module_reads_the_environment():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(environment_reads(path.read_text(), path.stem))
+    assert found == set()
 
 
 # -- the generic skew matrix is multiplied in one place ----------------------------

@@ -54,7 +54,6 @@ def _first_difference(want, got):
 
 def test_every_golden_case_is_reproduced_in_order_and_in_reverse(monkeypatch):
     monkeypatch.chdir(REPO)
-    monkeypatch.delenv("WGK_DEPTH", raising=False)
     cases = case_dirs()
     assert len(cases) >= 40
     failures = []

@@ -652,7 +652,7 @@ def reference_search(query, canonical_degree=None):
     gens = query.generator_degrees
     if query.target.denominator:
         if gens is None:
-            gens = infer_and_force(query.target, query.depth, basket=query.basket)
+            gens = infer_and_force(query.target, basket=query.basket)
         n_target = query.target.hilbert_numerator(gens)
     else:
         n_target = query.target.numerator

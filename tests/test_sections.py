@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +340,29 @@ def test_every_bounded_ambient_has_a_pole_of_order_dim_plus_one():
     assert len(BOUNDED_MODELS) == 1278
     for model in BOUNDED_MODELS:
         assert reference_pole_order(ambient_series(model)) == model.dim + 1, model
+
+
+def test_a_stratum_that_is_the_whole_variety_is_a_non_isolated_locus():
+    """When r divides every coordinate weight the 1/r stratum is the whole
+    variety: every local weight is a coordinate weight or a difference of two,
+    so its chart dimension is ``model.dim``, and the at most ``dim - 1``
+    sections of a positive-dimensional section leave it non-isolated, never
+    counted.  Its oracle series is the closed form all the same."""
+    models = [AmbientModel(base) for base in BOUNDED_BASES
+              if gcd(*AmbientModel(base).coordinate_weights()) > 1]
+    assert len(models) == 40
+    for model in models:
+        coords = model.coordinates()
+        names = " ".join(n for n, _ in coords)
+        g = gcd(*model.coordinate_weights())
+        report = singularity_analysis(model, model.coordinate_weights()[:model.dim - 1])
+        for r in range(2, g + 1):
+            if g % r == 0:
+                assert (f"1/{r} stratum [{names}]: non-isolated singular locus "
+                        "(residual dimension 1)") in report.diagnostics, model
+        assert all(len(rec.component) < len(coords) for rec in report.strata), model
+        series, _ = GradedRing(coords, model.base.equations()).hilbert_series()
+        assert series == ambient_series(model), model
 
 
 @settings(max_examples=200, deadline=None)
