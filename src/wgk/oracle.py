@@ -45,7 +45,9 @@ its smallest column, so the pivots of the degree-d slice are in(I)_d for the
 monomial order "weighted degree first, then the lex-smaller exponent tuple
 leads" (lex comparison is invariant under adding a tuple, so the order is
 multiplicative; positive weights make it a well-order).  Walk d = 0, 1, ...
-collecting the minimal pivot monomials G, and stop at the first d that is at
+taking into G each pivot m of slice d with no m / x_i a pivot of slice d - w_i
+(a proper divisor of m has lower degree and in(I) is an ideal, so G gets each
+minimal generator of in(I), read once), and stop at the first d that is at
 least every equation degree and at least deg lcm(a, b) for every pair a, b
 in G.  Let g_a be a row of I with lead a.
 (i) The g_a generate I: an element of I_e, e <= d, has its lead in in(I)_e,
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import count
 from math import gcd, lcm, prod
 
 from .series import HilbertSeries, LaurentPoly
@@ -330,15 +332,16 @@ class GradedRing:
     def hilbert_series(self):
         """``(series, stop)``: the proven series over prod (1 - t^w), w the
         ring's weights, and the last slice ranked to prove it (module docstring)."""
-        eq_bound = max((deg for deg, _ in self.equations), default=0)
-        leads = []
+        leads, stop = [], max((deg for deg, _ in self.equations), default=0)
         for d in count():
-            ech, _ = self._slice(d)
-            leads = _minimal(leads + [self._unpack(k) for k in ech.rows])
-            if d >= max([eq_bound] + [_degree(map(max, a, b), self.weights)
-                                      for a, b in combinations(leads, 2)]):
-                return HilbertSeries(_staircase_numerator(leads, self.weights),
-                                     self.weights), d
+            for m in self._slice(d)[0].rows:    # every slice below d is built
+                if not any(m >> s & FIELD_MASK and m - (1 << s) in self._slices[d - w][0].rows
+                           for s, w in zip(self._shifts, self.weights)):
+                    lead = self._unpack(m)
+                    stop = max([stop] + [_degree(map(max, a, lead), self.weights) for a in leads])
+                    leads.append(lead)
+            if d >= stop:
+                return HilbertSeries(_staircase_numerator(leads, self.weights), self.weights), d
 
 
 def _degree(exponents, weights):

@@ -10,9 +10,9 @@ guide to canonical singularities, 1987; Buckley-Reid-Zhou, Ice cream and
 orbifold Riemann-Roch, 2013).  c_Q is the periodic Kawasaki/Reid term of Q
 less its value at 0, computed exactly by ``local_term``.  ``RRData`` holds k,
 A^3, chi, A.c2 and one term per point; ``plurigenus`` gives P(n) and
-``hilbert_series`` its generating function, which the CLI and the round trip
-call by the names ``hilbert_can3`` and ``hilbert_cy3``.  The two kinds that
-the CLI reads are data:
+``hilbert_series`` its generating function, bound also to the names
+``hilbert_can3`` and ``hilbert_cy3`` that the CLI and the round trip call.  The
+two kinds that the CLI reads are data:
 
 * ``RRData.canonical3``: k = 1, a canonical 3-fold *assumed regular*
   (h^1(O) = h^2(O) = 0), so chi = 1 - p_g, with h points 1/2(1,1,1):
@@ -112,12 +112,7 @@ def hilbert_series(data):
     return sum((table.series() for table in data.points), polynomial.canonical())
 
 
-def hilbert_can3(data):
-    return hilbert_series(data)
-
-
-def hilbert_cy3(data):
-    return hilbert_series(data)
+hilbert_can3 = hilbert_cy3 = hilbert_series
 
 
 def local_term(r, weights):

@@ -227,8 +227,8 @@ def quasilinear_embed(model, cut):
 
 class StratumRecord(Record):
     """One stratum's component, its point count and type: ``sing_type`` is a
-    QuotientSingularity or None, ``stop_degree`` the last oracle slice proving
-    its series."""
+    QuotientSingularity, ``stop_degree`` the last oracle slice proving its
+    series."""
     _fields = ("r", "component", "dimension", "active", "count", "sing_type", "stop_degree")
 
 
@@ -319,9 +319,6 @@ def singularity_analysis(model, cut):
                 diagnostics.append(f"{comp_context}: contains a cone vertex; "
                                    "chart analysis unsupported")
                 continue
-            comp_coords = [(n, w) for n, w in stratum_coords if n in comp]
-            comp_eqs = _restrict(restricted, set(comp))
-
             comp_charts = [charts[n] for n in comp]
             dims = {sum(1 for w in ch.local_weights if w % r == 0)
                     for ch in comp_charts}
@@ -331,7 +328,9 @@ def singularity_analysis(model, cut):
                 continue
             dim_comp = dims.pop()
 
-            comp_ring = GradedRing(comp_coords, comp_eqs)
+            # a component holding every stratum coordinate restricts to the stratum's ring
+            comp_ring = ring if len(comp) == len(stratum_coords) else GradedRing(
+                [(n, w) for n, w in stratum_coords if n in comp], _restrict(restricted, set(comp)))
             active = tuple(d for d in degrees if comp_ring.dimension(d) > 0)
             m = len(active)
             vanishing = sorted(set(d for d in degrees
@@ -397,8 +396,6 @@ def singularity_analysis(model, cut):
                 f"point count {rec.count}")
             continue
         sing = rec.sing_type
-        if sing.r == 1:
-            continue
         if not sing.is_isolated():
             diagnostics.append(f"singular type {sing} is not isolated")
         if len(sing.weights) != section_dim:
@@ -419,9 +416,9 @@ def rr_roundtrip(model, cut, kind):
 
     The section's K = O(k) must be the kind's: k = 1 for ``canonical3``
     (assumed regular, chi = 1 - p_g), k = 0 for ``cy3`` (chi = 0).  A^3 and p_g
-    are read off the series, each basket point adds its ``local_term``, and
-    A.c2 is fitted from P(k + 1).  Exact rational-function equality is
-    required; a mismatch reports the first differing coefficient.
+    are read off the series, each basket point (refused unless isolated) adds
+    its ``local_term``, and A.c2 is fitted from P(k + 1).  Exact rational-function
+    equality is required; a mismatch reports the first differing coefficient.
     """
     from . import orbifold_rr as rr
     degrees = _degrees(cut)
@@ -436,6 +433,10 @@ def rr_roundtrip(model, cut, kind):
                          f"this section has K = O({canonical})")
     series = section_series(model, degrees)
     report = singularity_analysis(model, degrees)
+    non_isolated = ", ".join(str(s) for s, _ in report.basket if not s.is_isolated())
+    if non_isolated:
+        raise ValueError(f"a {kind} round trip needs isolated points; "
+                         f"the basket holds {non_isolated}")
     chi = 1 - series.coefficient(1) if k == 1 else 0
     tables = tuple(rr.local_term(*s.key()) for s, n in report.basket for _ in range(n))
     trial = rr.RRData(k, series.intersection_number(3), chi, 0, tables)

@@ -162,7 +162,8 @@ def test_section_roundtrip_refuses_a_point_that_is_not_isolated(tmp_path, capsys
     code, out, err = run(capsys, "section", "--model", str(model),
                          "--cut", "5,5,6", "--roundtrip", "cy3", "--json")
     assert code == 2 and out == ""
-    assert err == "error: 1/4(1,1,2) is not an isolated cyclic point\n"
+    assert err == ("error: a cy3 round trip needs isolated points; "
+                   "the basket holds 1/4(1,1,2)\n")
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -12,8 +12,9 @@ from operator import add, mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wgk.oracle import (FIELD_MASK, GradedRing, IntegerEchelon, OracleBudgetError,
-                        count_monomials, graded_dimension, weighted_monomials)
+from wgk.oracle import (FIELD_MASK, GradedRing, IntegerEchelon, OracleBudgetError, _minimal,
+                        _staircase_numerator, count_monomials, graded_dimension,
+                        weighted_monomials)
 from wgk.polynomials import MPoly
 from wgk.series import HilbertSeries, LaurentPoly, denominator_poly, one_minus
 from wgk.wgrass25 import GrWeights
@@ -373,15 +374,28 @@ def test_proven_series_matches_dimensions_and_the_window_loop(ring_data):
         assert window_series(GradedRing(*ring_data)).numerator == series.numerator
 
 
+@st.composite
+def monomial_ideals(draw):
+    """``(weights, gens)``: one to eight nonzero exponent tuples, entries 0-3, on
+    2-5 coordinates of weight 1-3."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return weights, draw(st.lists(exponents, min_size=1, max_size=8))
+
+
+def monomial_ring_data(ideal):
+    weights, gens = ideal
+    names = [f"x{i}" for i in range(len(weights))]
+    return list(zip(names, weights)), [as_poly(names, {g: 1}) for g in gens]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_proven_series_of_a_monomial_ideal_counts_standard_monomials(data):
-    n = data.draw(st.integers(2, 5))
-    weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
-    gens = data.draw(st.lists(exponents, min_size=1, max_size=8))
-    names = [f"x{i}" for i in range(n)]
-    ring = GradedRing(list(zip(names, weights)), [as_poly(names, {g: 1}) for g in gens])
+    weights, gens = data.draw(monomial_ideals())
+    n = len(weights)
+    ring = GradedRing(*monomial_ring_data((weights, gens)))
     series, stop = ring.hilbert_series()
     degrees = [d for d in range(max(3 * stop, 12) + 1)
                if ring.monomial_count(d) <= STAIRCASE_CAP]
@@ -403,3 +417,29 @@ def test_proven_series_of_a_monomial_ideal_counts_standard_monomials(data):
     for d in degrees:
         nonstandard = sum(c * monomials[d - e] for e, c in lcm_degrees.items() if e <= d)
         assert expansion[d] == monomials[d] - nonstandard
+
+
+def reference_hilbert_series(ring):
+    """``GradedRing.hilbert_series`` as it was: at each degree unpack every pivot
+    of the slice and re-minimise them together with the leads found so far."""
+    eq_bound = max((deg for deg, _ in ring.equations), default=0)
+    leads = []
+    for d in itertools.count():
+        ech, _ = ring._slice(d)
+        leads = _minimal(leads + [ring._unpack(k) for k in ech.rows])
+        if d >= max([eq_bound] + [sum(map(mul, map(max, a, b), ring.weights))
+                                  for a, b in itertools.combinations(leads, 2)]):
+            return HilbertSeries(_staircase_numerator(leads, ring.weights), ring.weights), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_rings(), random_rings(terms=(2, 6), extra=(1, 3)),
+                 several_lead_rings(), monomial_ideals().map(monomial_ring_data)))
+def test_each_lead_is_read_once_and_the_series_and_stop_are_the_re_minimising_loops(ring_data):
+    ring = GradedRing(*ring_data)
+    unpacked = []
+    unpack = ring._unpack
+    ring._unpack = lambda code: unpacked.append(unpack(code)) or unpacked[-1]
+    assert ring.hilbert_series() == reference_hilbert_series(GradedRing(*ring_data))
+    # only minimal generators of in(I) are unpacked, each once
+    assert sorted(_minimal(unpacked)) == sorted(unpacked)

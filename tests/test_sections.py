@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wgk import sections
 from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
 from wgk.oracle import GradedRing, graded_dimension, weighted_monomials
 from wgk.polynomials import MPoly
@@ -251,8 +252,23 @@ def test_rr_roundtrip_clean_cy3_sections(model, cut, basket, acubed, ac2):
 
 def test_rr_roundtrip_refuses_a_point_that_is_not_isolated():
     model = AmbientModel(GrWeights((0, 2, 2, 4, 8)))
-    with pytest.raises(ValueError, match=r"1/4\(1,1,2\) is not an isolated cyclic point"):
+    with pytest.raises(ValueError, match=r"the basket holds 1/4\(1,1,2\)$"):
         rr_roundtrip(model, (5, 5, 6), "cy3")
+
+
+@pytest.mark.parametrize("cut, kind, point", [
+    ((2, 2, 3, 3, 3, 3, 4), "cy3", "1/4(2,3,3)"),
+    ((2, 3, 3, 3, 3, 3, 4), "canonical3", "1/4(2,2,3)"),
+])
+def test_a_round_trip_names_its_kind_when_it_refuses_a_point_that_is_not_isolated(
+        cut, kind, point):
+    """Refused after the analysis, before any point's local term is asked for."""
+    model = AmbientModel(OGrWeights((0, 0, 2, 2, 2), 1))
+    assert [str(s) for s, _ in singularity_analysis(model, cut).basket] == [point]
+    with pytest.raises(ValueError) as info:
+        rr_roundtrip(model, cut, kind)
+    assert str(info.value) == (f"a {kind} round trip needs isolated points; "
+                               f"the basket holds {point}")
 
 
 def test_rr_roundtrip_straight_sections_with_empty_basket():
@@ -363,6 +379,23 @@ def test_a_stratum_that_is_the_whole_variety_is_a_non_isolated_locus():
         assert all(len(rec.component) < len(coords) for rec in report.strata), model
         series, _ = GradedRing(coords, model.base.equations()).hilbert_series()
         assert series == ambient_series(model), model
+
+
+def test_a_component_holding_its_whole_stratum_is_analysed_in_the_stratum_ring(monkeypatch):
+    """cy3-spinor has strata r = 2..5 and two components, at r = 3, that are
+    proper subsets of their stratum: six rings, no two alike.  Building a
+    second ring for a whole-stratum component made nine."""
+    built = []
+
+    class Counted(GradedRing):
+        def __init__(self, coords, equations):
+            built.append((tuple(coords), tuple(equations)))
+            super().__init__(coords, equations)
+
+    monkeypatch.setattr(sections, "GradedRing", Counted)
+    report = singularity_analysis(CY3, (2, 2, 3, 4, 4, 4, 5))
+    assert [str(s) for s, _ in report.basket] == ["1/3(1,1,1)", "1/3(2,2,2)", "1/5(3,3,4)"]
+    assert len(built) == 6 and len(set(built)) == 6
 
 
 @settings(max_examples=200, deadline=None)
