@@ -5,8 +5,8 @@ of the quotient ring in a fixed degree is the number of monomials of that
 degree minus the rank of the span of all monomial multiples of the equations.
 Everything runs over the integers (fraction-free elimination with content
 removal, after Bareiss 1968), so results are exact; one row echelon form per
-degree is cached so that rank and membership queries share the elimination
-work.
+degree is cached so that dimension queries and the Hilbert series share the
+elimination work.
 
 A column is a monomial packed into one integer: FIELD_BITS bits per
 exponent, the first variable's exponent highest.  While every exponent is at
@@ -203,10 +203,9 @@ class GradedRing:
         names = [n for n, _ in coords]
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be distinct")
-        self.coords = tuple((n, operator.index(w)) for n, w in coords)
-        self.index = {n: i for i, (n, _) in enumerate(self.coords)}
-        self.weights = tuple(w for _, w in self.coords)
-        n = len(self.coords)
+        index = {name: i for i, name in enumerate(names)}
+        self.weights = tuple(operator.index(w) for _, w in coords)
+        n = len(names)
         self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
         self.equations = []
         for eq in equations:
@@ -214,7 +213,7 @@ class GradedRing:
             for mono, coeff in eq.coeffs.items():
                 vec = [0] * n
                 for var, exp in mono:
-                    vec[self.index[var]] += exp
+                    vec[index[var]] += exp
                 terms[tuple(vec)] = terms.get(tuple(vec), 0) + coeff
             terms = sorted((vec, coeff) for vec, coeff in terms.items() if coeff)
             if not terms:
@@ -317,17 +316,6 @@ class GradedRing:
             return self.monomial_count(degree)
         rank = self.ideal_rank(degree)      # checks the budget before counting
         return self.monomial_count(degree) - rank
-
-    def contains_monomial(self, exponents):
-        """Does the given monomial lie in the span of the ideal slice?"""
-        exponents = tuple(exponents)
-        if len(exponents) != len(self.weights) or min(exponents, default=0) < 0:
-            raise ValueError(f"{exponents} is not an exponent tuple of "
-                             f"{len(self.weights)} non-negative entries")
-        if not self.equations:
-            return False
-        ech, _ = self._slice(_degree(exponents, self.weights))
-        return ech.contains({self._pack(exponents): 1})
 
     def hilbert_series(self):
         """``(series, stop)``: the proven series over prod (1 - t^w), w the

@@ -7,7 +7,8 @@ a general form of degree e multiplies the Hilbert series by (1 - t^e); a
 non-negativity scan over the expansion is the regularity proxy.
 
 The singularity analysis locates torus-fixed strata (coordinates of weight
-divisible by r), splits them into components, counts the section points on
+divisible by r), splits them into components (c and c' meet when c*c' is
+not in the span of the stratum's quadrics), counts the section points on
 each component by the exact rule  N = r * degree * prod(active section
 degrees), and reads the transverse quotient type off an orbifold chart of the
 component.  The whole procedure is exact rational arithmetic; the stratum
@@ -22,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
-from .oracle import GradedRing, OracleBudgetError
+from .oracle import GradedRing, IntegerEchelon, OracleBudgetError
 from .series import HilbertSeries, Record, coefficient, denominator_poly, exact_div
 from .wgrass25 import Chart, GrWeights, WeightFamily
 from .wogr510 import OGrWeights
@@ -243,25 +244,26 @@ class SingularityReport(Record):
         }
 
 
-def _component_split(ring, diagnostics, context):
+def _component_split(names, equations):
     """Components of a stratum: the connected pieces of the relation "c*c' is
-    not in the ideal slice" on its coordinates, read in order; a nilpotent
-    coordinate (c^2 in the slice) is dropped with a note."""
-    n = len(ring.coords)
+    not in the ideal" on its coordinates, read in order.  Every term of every
+    equation is a product of two distinct coordinates, so the ideal is
+    generated in standard degree 2, its degree-2 part is the span of the
+    equations, and no c^2 lies in it: c*c' is in the ideal exactly when it is
+    in that span, with the equations' monomials as columns."""
+    span = IntegerEchelon()
+    for eq in equations:
+        span.insert(eq.coeffs)
 
     def related(i, j):
-        return not ring.contains_monomial(tuple((k == i) + (k == j) for k in range(n)))
+        return not span.contains({tuple(sorted(((names[i], 1), (names[j], 1)))): 1})
 
     components = []
-    for i, (name, _) in enumerate(ring.coords):
-        if not related(i, i):
-            diagnostics.append(f"{context}: coordinate {name} is nilpotent on the "
-                               "stratum; dropped")
-            continue
+    for i in range(len(names)):
         linked = [comp for comp in components if any(related(i, j) for j in comp)]
         components = [comp for comp in components if comp not in linked]
         components.append(sorted(j for comp in linked for j in comp) + [i])
-    return [tuple(ring.coords[j][0] for j in comp) for comp in sorted(components)]
+    return [tuple(names[j] for j in comp) for comp in sorted(components)]
 
 
 def _transverse_type(chart, r, degrees, diagnostics, context):
@@ -310,11 +312,8 @@ def singularity_analysis(model, cut):
     for r in r_candidates:
         stratum_coords = [(n, w) for n, w in coords if w % r == 0]
         restricted = _restrict(equations, {n for n, _ in stratum_coords})
-        context = f"1/{r} stratum"
-        ring = GradedRing(stratum_coords, restricted)
-        components = _component_split(ring, diagnostics, context)
-        for comp in components:
-            comp_context = f"{context} [{' '.join(comp)}]"
+        for comp in _component_split([n for n, _ in stratum_coords], restricted):
+            comp_context = f"1/{r} stratum [{' '.join(comp)}]"
             if any(n not in charts for n in comp):
                 diagnostics.append(f"{comp_context}: contains a cone vertex; "
                                    "chart analysis unsupported")
@@ -328,9 +327,8 @@ def singularity_analysis(model, cut):
                 continue
             dim_comp = dims.pop()
 
-            # a component holding every stratum coordinate restricts to the stratum's ring
-            comp_ring = ring if len(comp) == len(stratum_coords) else GradedRing(
-                [(n, w) for n, w in stratum_coords if n in comp], _restrict(restricted, set(comp)))
+            comp_ring = GradedRing([(n, w) for n, w in stratum_coords if n in comp],
+                                   _restrict(restricted, comp))
             active = tuple(d for d in degrees if comp_ring.dimension(d) > 0)
             m = len(active)
             vanishing = sorted(set(d for d in degrees

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wgk import sections
 from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
-from wgk.oracle import GradedRing, graded_dimension, weighted_monomials
+from wgk.oracle import GradedRing, graded_dimension
 from wgk.polynomials import MPoly
 from wgk.sections import (AmbientModel, QuotientSingularity, _component_split,
                           _transverse_type, ambient_series, quasilinear_embed, rr_roundtrip,
@@ -381,10 +381,11 @@ def test_a_stratum_that_is_the_whole_variety_is_a_non_isolated_locus():
         assert series == ambient_series(model), model
 
 
-def test_a_component_holding_its_whole_stratum_is_analysed_in_the_stratum_ring(monkeypatch):
-    """cy3-spinor has strata r = 2..5 and two components, at r = 3, that are
-    proper subsets of their stratum: six rings, no two alike.  Building a
-    second ring for a whole-stratum component made nine."""
+def test_each_analysed_component_builds_one_ring_and_the_split_builds_none(monkeypatch):
+    """cy3-spinor has strata r = 2..5 and five analysed components, two of
+    them at r = 3: five rings, no two alike.  Splitting a stratum reads the
+    span of its equations, so no stratum builds a ring of its own; ranking
+    weighted slices to split each stratum made six."""
     built = []
 
     class Counted(GradedRing):
@@ -395,7 +396,32 @@ def test_a_component_holding_its_whole_stratum_is_analysed_in_the_stratum_ring(m
     monkeypatch.setattr(sections, "GradedRing", Counted)
     report = singularity_analysis(CY3, (2, 2, 3, 4, 4, 4, 5))
     assert [str(s) for s, _ in report.basket] == ["1/3(1,1,1)", "1/3(2,2,2)", "1/5(3,3,4)"]
-    assert len(built) == 6 and len(set(built)) == 6
+    assert len(built) == 5 and len(set(built)) == 5
+
+
+def test_every_family_equation_is_a_sum_of_products_of_two_distinct_coordinates():
+    """The precondition of ``_component_split``: its span rule is the ideal
+    only for such equations, so a family that breaks it fails here."""
+    for base in BOUNDED_BASES:
+        for eq in base.equations():
+            assert eq.coeffs, base
+            for mono, c in eq.coeffs.items():
+                assert type(c) is int, (base, str(eq))
+                assert [e for _, e in mono] == [1, 1] and mono[0][0] != mono[1][0], (base, str(eq))
+
+
+def test_the_split_of_every_bounded_stratum_equals_the_weighted_slice_rule():
+    """Every stratum (model, r) of the cone-free models at bounds (6, 3)."""
+    strata = 0
+    for base in BOUNDED_BASES:
+        coords, equations = base.coordinates(), base.equations()
+        for r in sorted({r for _, w in coords for r in range(2, w + 1) if w % r == 0}):
+            stratum = [(n, w) for n, w in coords if w % r == 0]
+            restricted = sections._restrict(equations, {n for n, _ in stratum})
+            assert (_component_split([n for n, _ in stratum], restricted)
+                    == reference_component_split(stratum, restricted)), (base, r)
+            strata += 1
+    assert strata == 2422
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,23 +459,22 @@ def test_basket_entry_order_divides_a_coordinate_weight():
 
 # -- the earlier rules, kept as references -----------------------------------------
 
-def reference_component_split(ring, diagnostics, context):
+def reference_component_split(coords, equations):
     """Split a stratum into components via the degree-two monomial pairing.
 
     Coordinates c, c' land in one component when c*c' does not lie in the
-    restricted-equation ideal slice; nilpotent coordinates are dropped.
+    weighted ideal slice of degree w + w'; it asserts that no c^2 lies in
+    its slice.
     """
-    n = len(ring.coords)
-    alive = []
-    for i in range(n):
-        vec = [0] * n
-        vec[i] = 2
-        if ring.equations and ring.contains_monomial(tuple(vec)):
-            diagnostics.append(f"{context}: coordinate {ring.coords[i][0]} "
-                               "is nilpotent on the stratum; dropped")
-        else:
-            alive.append(i)
-    parent = {i: i for i in alive}
+    ring = GradedRing(coords, equations)
+    n = len(coords)
+
+    def in_slice(i, j):
+        vec = tuple((k == i) + (k == j) for k in range(n))
+        return ring._slice(ring.weights[i] + ring.weights[j])[0].contains({ring._pack(vec): 1})
+
+    assert not any(in_slice(i, i) for i in range(n))
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -457,17 +482,13 @@ def reference_component_split(ring, diagnostics, context):
             i = parent[i]
         return i
 
-    for i, j in itertools.combinations(alive, 2):
-        vec = [0] * n
-        vec[i] += 1
-        vec[j] += 1
-        if not (ring.equations and ring.contains_monomial(tuple(vec))):
+    for i, j in itertools.combinations(range(n), 2):
+        if not in_slice(i, j):
             parent[find(i)] = find(j)
     groups = {}
-    for i in alive:
+    for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return [tuple(ring.coords[i][0] for i in sorted(g)) for g in
-            sorted(groups.values())]
+    return [tuple(coords[i][0] for i in sorted(g)) for g in sorted(groups.values())]
 
 
 def reference_transverse_type(chart, r, degrees, diagnostics, context):
@@ -510,31 +531,29 @@ def reference_quasilinear_embed(model, cut):
 
 
 @st.composite
-def small_rings(draw):
-    """A GradedRing on 2-6 coordinates of weight 1-3 with up to six equations,
-    each a product c*c' of two coordinates, alone or less another monomial of
-    its degree: the monomials that the component split asks about."""
+def quadric_strata(draw):
+    """2-6 coordinates of weight 1-3 and up to six equations, each an integer
+    sum of products of two distinct coordinates of one weighted degree: the
+    shape of every family equation, and so of its restriction to a stratum."""
     weights = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
-    n = len(weights)
-    coords = [(f"x{i}", w) for i, w in enumerate(weights)]
+    names = [f"x{i}" for i in range(len(weights))]
+    pairs = list(itertools.combinations(range(len(weights)), 2))
     equations = []
     for _ in range(draw(st.integers(0, 6))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        terms = {tuple((k == i) + (k == j) for k in range(n)): 1}
-        if draw(st.booleans()):
-            other = draw(st.sampled_from(weighted_monomials(weights, weights[i] + weights[j])))
-            terms[other] = terms.get(other, 0) - draw(st.sampled_from((1, 2)))
-        equations.append(MPoly({tuple((f"x{k}", e) for k, e in enumerate(vec) if e): c
-                                for vec, c in terms.items()}))
-    return GradedRing(coords, equations)
+        degree = draw(st.sampled_from(sorted({weights[i] + weights[j] for i, j in pairs})))
+        same = [(i, j) for i, j in pairs if weights[i] + weights[j] == degree]
+        terms = draw(st.lists(st.sampled_from(same), min_size=1, max_size=4, unique=True))
+        equations.append(MPoly({((names[i], 1), (names[j], 1)): draw(st.integers(-2, 2).filter(bool))
+                                for i, j in terms}))
+    return list(zip(names, weights)), equations
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_rings())
-def test_component_split_agrees_with_the_union_find_reference(ring):
-    got, want = [], []
-    assert _component_split(ring, got, "ctx") == reference_component_split(ring, want, "ctx")
-    assert got == want
+@given(quadric_strata())
+def test_component_split_agrees_with_the_union_find_reference(stratum):
+    coords, equations = stratum
+    assert (_component_split([n for n, _ in coords], equations)
+            == reference_component_split(coords, equations))
 
 
 @settings(max_examples=500, deadline=None)
