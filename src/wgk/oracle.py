@@ -3,6 +3,8 @@
 Given weighted coordinates and weighted-homogeneous equations, the dimension
 of the quotient ring in a fixed degree is the number of monomials of that
 degree minus the rank of the span of all monomial multiples of the equations.
+The equations may name other variables; those are set to 0, so the ring is
+that of the coordinate section (``GradedRing``).
 Everything runs over the integers (fraction-free elimination with content
 removal, after Bareiss 1968), so results are exact; one row echelon form per
 degree is cached so that dimension queries and the Hilbert series share the
@@ -195,8 +197,11 @@ class IntegerEchelon:
 class GradedRing:
     """Weighted coordinates with weighted-homogeneous defining equations.
 
-    Dimension queries run the brute-force oracle; nothing here knows the
-    closed-form Hilbert series, which is the point.
+    The ring is the coordinate section: every variable outside ``coords`` is
+    set to 0, so a term naming one is dropped, and an equation that restricts
+    to zero or repeats an earlier restriction is skipped.  Dimension queries
+    run the brute-force oracle; nothing here knows the closed-form Hilbert
+    series, which is the point.
     """
 
     def __init__(self, coords, equations):
@@ -207,27 +212,28 @@ class GradedRing:
         self.weights = tuple(operator.index(w) for _, w in coords)
         n = len(names)
         self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
-        self.equations = []
+        self.equations = []     # (degree, [(packed exponent, int coefficient)])
+        seen = set()
         for eq in equations:
             terms = {}
             for mono, coeff in eq.coeffs.items():
+                if any(var not in index for var, _ in mono):
+                    continue    # the term vanishes on the coordinate section
                 vec = [0] * n
                 for var, exp in mono:
                     vec[index[var]] += exp
                 terms[tuple(vec)] = terms.get(tuple(vec), 0) + coeff
-            terms = sorted((vec, coeff) for vec, coeff in terms.items() if coeff)
-            if not terms:
-                continue
+            terms = tuple(sorted((vec, coeff) for vec, coeff in terms.items() if coeff))
+            if not terms or terms in seen:
+                continue        # zero on the section, or a repeat of an earlier one
+            seen.add(terms)
             deg = {_degree(vec, self.weights) for vec, _ in terms}
             if len(deg) != 1:
                 raise ValueError("equations must be weighted-homogeneous")
             # scale to integer coefficients once, so slices build integer rows
             scale = lcm(*(coeff.denominator for _, coeff in terms))
-            terms = [(vec, int(coeff * scale)) for vec, coeff in terms]
-            self.equations.append((deg.pop(), terms))
-        # each equation's terms as (packed exponent, coefficient)
-        self._packed = [[(self._pack(vec), c) for vec, c in terms]
-                        for _, terms in self.equations]
+            self.equations.append(
+                (deg.pop(), [(self._pack(vec), int(coeff * scale)) for vec, coeff in terms]))
         self._multipliers = {}  # degree -> its packed monomials, descending
         self._slices = {}       # degree -> (echelon, Z_j per equation)
 
@@ -279,7 +285,7 @@ class GradedRing:
         if not self.monomial_count(degree):
             return ech, zeros
         units = [(1 << s, w) for s, w in zip(self._shifts, self.weights)]
-        for j, (eq_deg, _) in enumerate(self.equations):
+        for j, (eq_deg, terms) in enumerate(self.equations):
             if degree < eq_deg:
                 continue
             low = degree - eq_deg
@@ -291,7 +297,7 @@ class GradedRing:
                 below = self._slices.get(degree - w)
                 if below is not None:
                     skip.update(m + unit for m in below[1][j])
-            terms, zero = self._packed[j], zeros[j]
+            zero = zeros[j]
             for m in self._multiplier_codes(low):
                 if (m in skip or earlier.get(m, j) < j
                         or not ech.insert({m + t: c for t, c in terms}, j)):

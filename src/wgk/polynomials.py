@@ -90,12 +90,6 @@ class MPoly(SparsePoly):
             total += val
         return total
 
-    def restrict(self, keep):
-        """Set every variable outside ``keep`` to zero."""
-        keep = set(keep)
-        return MPoly._raw({m: c for m, c in self.coeffs.items()
-                           if all(v in keep for v, _ in m)})
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -11,9 +11,12 @@ divisible by r), splits them into components (c and c' meet when c*c' is
 not in the span of the stratum's quadrics), counts the section points on
 each component by the exact rule  N = r * degree * prod(active section
 degrees), and reads the transverse quotient type off an orbifold chart of the
-component.  The whole procedure is exact rational arithmetic; the stratum
-Hilbert series is proven from the oracle's echelon pivots, which give a
-Groebner staircase of the stratum ideal (``GradedRing.hilbert_series``).
+component.  A stratum and each component are coordinate sections: the split
+and the component's ``GradedRing`` read the family's equations with every
+other coordinate set to 0.  The whole procedure is exact rational
+arithmetic; the stratum Hilbert series is proven from the oracle's echelon
+pivots, which give a Groebner staircase of the stratum ideal
+(``GradedRing.hilbert_series``).
 """
 
 from __future__ import annotations
@@ -250,10 +253,12 @@ def _component_split(names, equations):
     equation is a product of two distinct coordinates, so the ideal is
     generated in standard degree 2, its degree-2 part is the span of the
     equations, and no c^2 lies in it: c*c' is in the ideal exactly when it is
-    in that span, with the equations' monomials as columns."""
+    in that span, with the equations' monomials as columns.  ``equations``
+    may name other coordinates: only their terms inside ``names`` count."""
+    inside = set(names)
     span = IntegerEchelon()
     for eq in equations:
-        span.insert(eq.coeffs)
+        span.insert({m: c for m, c in eq.coeffs.items() if all(v in inside for v, _ in m)})
 
     def related(i, j):
         return not span.contains({tuple(sorted(((names[i], 1), (names[j], 1)))): 1})
@@ -267,28 +272,20 @@ def _component_split(names, equations):
 
 
 def _transverse_type(chart, r, degrees, diagnostics, context):
-    """Quotient type transverse to the stratum, read off one chart: the local
-    weights not divisible by r, less, for each section degree not divisible by
-    r, the smallest raw weight left that is congruent to it mod r."""
-    transverse = sorted(w for w in chart.local_weights if w % r)
+    """Quotient type transverse to the stratum, read off one chart on residues
+    mod r: the nonzero residues of the local weights, less one residue delta
+    mod r for each section degree delta not divisible by r."""
+    transverse = [w % r for w in chart.local_weights if w % r]
     for delta in degrees:
         if delta % r == 0:
             continue          # consumes a stratum direction
-        match = next((w for w in transverse if (w - delta) % r == 0), None)
-        if match is None:
+        if delta % r not in transverse:
             diagnostics.append(
                 f"{context}: chart {chart.label} non-quasismooth: degree "
                 f"{delta} section cannot eliminate a local variable")
             return None
-        transverse.remove(match)
+        transverse.remove(delta % r)
     return QuotientSingularity(r, transverse)
-
-
-def _restrict(equations, keep):
-    """The nonzero restrictions of the equations to the variables in keep,
-    without repeats, in order."""
-    cuts = (eq.restrict(keep) for eq in equations)
-    return list(dict.fromkeys(cut for cut in cuts if not cut.is_zero()))
 
 
 def singularity_analysis(model, cut):
@@ -311,8 +308,7 @@ def singularity_analysis(model, cut):
                            if w % r == 0})
     for r in r_candidates:
         stratum_coords = [(n, w) for n, w in coords if w % r == 0]
-        restricted = _restrict(equations, {n for n, _ in stratum_coords})
-        for comp in _component_split([n for n, _ in stratum_coords], restricted):
+        for comp in _component_split([n for n, _ in stratum_coords], equations):
             comp_context = f"1/{r} stratum [{' '.join(comp)}]"
             if any(n not in charts for n in comp):
                 diagnostics.append(f"{comp_context}: contains a cone vertex; "
@@ -328,24 +324,23 @@ def singularity_analysis(model, cut):
             dim_comp = dims.pop()
 
             comp_ring = GradedRing([(n, w) for n, w in stratum_coords if n in comp],
-                                   _restrict(restricted, comp))
-            active = tuple(d for d in degrees if comp_ring.dimension(d) > 0)
-            m = len(active)
-            vanishing = sorted(set(d for d in degrees
-                                   if d % r == 0 and d not in active))
-            if vanishing:
-                diagnostics.append(
-                    f"{comp_context}: sections of degree {vanishing} restrict "
-                    "to zero; they vanish along the component")
-            if m > dim_comp:
-                continue          # generic intersection with the component is empty
-            if m < dim_comp:
-                diagnostics.append(
-                    f"{comp_context}: non-isolated singular locus (residual "
-                    f"dimension {dim_comp - m})")
-                continue
-
+                                   equations)
             try:
+                active = tuple(d for d in degrees if comp_ring.dimension(d) > 0)
+                m = len(active)
+                vanishing = sorted(set(d for d in degrees
+                                       if d % r == 0 and d not in active))
+                if vanishing:
+                    diagnostics.append(
+                        f"{comp_context}: sections of degree {vanishing} restrict "
+                        "to zero; they vanish along the component")
+                if m > dim_comp:
+                    continue      # generic intersection with the component is empty
+                if m < dim_comp:
+                    diagnostics.append(
+                        f"{comp_context}: non-isolated singular locus (residual "
+                        f"dimension {dim_comp - m})")
+                    continue
                 series, stop = comp_ring.hilbert_series()
                 inter = series.intersection_number(dim_comp)
             except OracleBudgetError as exc:
@@ -447,5 +442,4 @@ def rr_roundtrip(model, cut, kind):
     pairs = () if ok else zip(series.expand(terms), rebuilt.expand(terms))
     first_mismatch = next(((n, x, y) for n, (x, y) in enumerate(pairs) if x != y), None)
     return {"ok": ok, "data": data, "basket": report.basket,
-            "diagnostics": report.diagnostics, "series": series,
-            "rebuilt": rebuilt, "first_mismatch": first_mismatch}
+            "diagnostics": report.diagnostics, "first_mismatch": first_mismatch}

@@ -113,8 +113,8 @@ def reference_slice(ring, degree):
             continue
         for mult in weighted_monomials(ring.weights, shift):
             row = {}
-            for vec, coeff in terms:
-                col = cols[tuple(map(add, mult, vec))]
+            for code, coeff in terms:
+                col = cols[tuple(map(add, mult, ring._unpack(code)))]
                 row[col] = row.get(col, 0) + coeff
             ech.insert(row, j)
     return cols, ech
@@ -251,6 +251,22 @@ def test_a_degree_whose_exponents_overflow_the_packing_is_refused():
             ring.check_budget(degree)
     with pytest.raises(OracleBudgetError):
         ring.dimension(2 * FIELD_MASK + 2)
+
+
+def test_a_ring_holds_the_equations_restricted_to_its_coordinates(monkeypatch):
+    """A term naming z is dropped, z^2 restricts to zero and is skipped, and
+    x*y + x*z and x*y restrict to the same equation, which is kept once."""
+    x, y, z = (MPoly.var(v) for v in "xyz")
+    coords = [("x", 1), ("y", 1)]
+    ring = GradedRing(coords, [x * y + x * z, z ** 2, x * y, x ** 2 - 3 * y * z])
+    assert ring.equations == GradedRing(coords, [x * y, x ** 2]).equations
+    assert [[(ring._unpack(code), c) for code, c in terms] for _, terms in ring.equations] \
+        == [[((1, 1), 1)], [((2, 0), 1)]]
+    # two equations of degree 2 give 2 * 3 rows in degree 4, not 3 * 3
+    monkeypatch.setattr("wgk.oracle.ROW_BUDGET", 5)
+    with pytest.raises(OracleBudgetError, match=r"\(6 rows\)$"):
+        ring.check_budget(4)
+    assert ring.dimension(3) == 1          # y^3 alone survives x*y and x^2
 
 
 @st.composite

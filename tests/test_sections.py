@@ -170,6 +170,16 @@ def test_stop_degree_over_budget_is_not_counted(monkeypatch):
         "the oracle budget (126 monomials))"]
 
 
+def test_an_active_degree_over_budget_is_not_counted():
+    """The degree 80 query of the component's active degrees is over budget;
+    the analysis notes it and goes on to the 1/3 point."""
+    report = singularity_analysis(K3PLAIN, (2, 2, 2, 80))
+    assert report.basket == [(QuotientSingularity(3, (2, 2)), 1)]
+    assert report.diagnostics == [
+        "1/2 stratum [x14 x15 x24 x25 x34 x35]: not counted (degree 80 exceeds "
+        "the oracle budget (1221759 monomials))"]
+
+
 def test_k3_elephant_of_the_fano_section():
     # anticanonical K3 inside the genus-4 family: D^2 = 6 + 1/2 with a single
     # 1/2(1,1) point, five sections of the polarization
@@ -417,11 +427,30 @@ def test_the_split_of_every_bounded_stratum_equals_the_weighted_slice_rule():
         coords, equations = base.coordinates(), base.equations()
         for r in sorted({r for _, w in coords for r in range(2, w + 1) if w % r == 0}):
             stratum = [(n, w) for n, w in coords if w % r == 0]
-            restricted = sections._restrict(equations, {n for n, _ in stratum})
-            assert (_component_split([n for n, _ in stratum], restricted)
+            restricted = reference_restrict(equations, {n for n, _ in stratum})
+            assert (_component_split([n for n, _ in stratum], equations)
                     == reference_component_split(stratum, restricted)), (base, r)
             strata += 1
     assert strata == 2422
+
+
+def test_a_component_ring_restricts_the_family_equations_like_the_two_step_rule():
+    """Every component of every stratum (model, r) of the cone-free models at
+    bounds (6, 3): the ring given the family's equations holds those of the
+    ring given the equations restricted to the stratum, then to the component."""
+    components = 0
+    for base in BOUNDED_BASES:
+        coords, equations = base.coordinates(), base.equations()
+        for r in sorted({r for _, w in coords for r in range(2, w + 1) if w % r == 0}):
+            stratum = [(n, w) for n, w in coords if w % r == 0]
+            restricted = reference_restrict(equations, {n for n, _ in stratum})
+            for comp in _component_split([n for n, _ in stratum], equations):
+                comp_coords = [(n, w) for n, w in stratum if n in comp]
+                expected = GradedRing(comp_coords, reference_restrict(restricted, set(comp)))
+                assert (GradedRing(comp_coords, equations).equations
+                        == expected.equations), (base, r, comp)
+                components += 1
+    assert components == 2757
 
 
 @settings(max_examples=200, deadline=None)
@@ -458,6 +487,14 @@ def test_basket_entry_order_divides_a_coordinate_weight():
 
 
 # -- the earlier rules, kept as references -----------------------------------------
+
+def reference_restrict(equations, keep):
+    """The nonzero restrictions of the equations to the variables in keep,
+    without repeats, in order: every term naming another variable is dropped."""
+    cuts = (MPoly({m: c for m, c in eq.coeffs.items() if all(v in keep for v, _ in m)})
+            for eq in equations)
+    return list(dict.fromkeys(cut for cut in cuts if not cut.is_zero()))
+
 
 def reference_component_split(coords, equations):
     """Split a stratum into components via the degree-two monomial pairing.
