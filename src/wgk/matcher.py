@@ -5,7 +5,8 @@ compatible with a required singularity basket), the target numerator is
 formed exactly, and the weight data within bounds is looked up in a cached
 index sliced by numerator top exponent.  The index keeps each model's num(2)
 for a divisibility pre-filter, read off the lower resolution banks once per
-weight vector and shifted for each further overall weight u.  A model
+(family, w2) and shifted for each further overall weight u, and it keeps the
+closed-form series and canonical key of each model a lookup hits.  A model
 matches when its closed-form numerator equals the target numerator exactly,
 either directly (quasilinear candidate) or after stripping extra (1 - t^k)
 factors (a nonlinear section of a cone, reported as a formal match).  A
@@ -208,27 +209,36 @@ _ENUMERATE = {"wgr25": lambda max_w2, max_u, tau: enumerate_gr_weights(max_w2, t
 class _ModelIndex:
     """Bounded models as (weights, num(2)) pairs keyed by numerator top
     exponent, built up to ``covered`` (every top exponent is positive: the
-    coordinate weights are positive and sum to a multiple of it)."""
+    coordinate weights are positive and sum to a multiple of it), with the
+    bank sums of each (family, w2) and the series and key of each model hit."""
 
     def __init__(self, family, max_w2, max_u):
         self.families, self.bounds = [family] if family else list(FAMILIES), (max_w2, max_u)
-        self.covered, self.slices = 0, {}
+        self.covered, self.slices, self.sums, self.hits = 0, {}, {}, {}
 
     def reach(self, top):
         """The slices, after enumerating the models of those in (covered, top].
-        Each run of consecutive models with one w2 (several u in wOGr, one model
-        in wGr) forms its bank sums once; a top below the run's starts a new run."""
+        A (family, w2) forms its bank sums once, at its least top exponent t0:
+        windows ascend in top exponent and yield a w2's u in ascending order,
+        so each later model shifts them by k = (t - t0) / 8 >= 0.  A model
+        below t0 would re-form them, so grouping never decides a value."""
         if top > self.covered:
             for fam in self.families:
-                w2 = None
                 for w in _ENUMERATE[fam](*self.bounds, (self.covered, top)):
                     t = w.top_exponent()
-                    if w.w2 != w2 or t < t0:
-                        w2, t0, sums = w.w2, t, _bank_sums(w, t)
+                    t0, sums = self.sums.get((fam, w.w2), (t + 1, None))
+                    if t < t0:
+                        t0, sums = self.sums[fam, w.w2] = t, _bank_sums(w, t)
                     self.slices.setdefault(t, []).append(
                         (w, _numerator_at2(w, t, sums, (t - t0) // OGrWeights.top_slope)))
             self.covered = top
         return self.slices
+
+    def hit(self, w):
+        """(closed-form series, canonical key) of ``w``, formed at its first hit."""
+        if w not in self.hits:
+            self.hits[w] = w.hilbert_series(), _canonical_key(w)
+        return self.hits[w]
 
 
 _model_index = lru_cache(maxsize=8)(_ModelIndex)    # one per family and bounds
@@ -250,17 +260,18 @@ def _lookup(family, max_w2, max_u, n_target, formal=False):
     Both are integer polynomials, so any other target reaches no model; the
     top exponent of num is at most that of n_target (equal when q = 1), and
     num(2) divides n_target(2).  The index holds num(2) from when the slice
-    was enumerated; only the few models that pass build their series.
+    was enumerated, and each model that passes builds its series once.
     """
     at2 = _target_at2(n_target)
     if at2 is None:
         return
     top = n_target.max_exp()
-    index = _model_index(family, max_w2, max_u).reach(top)
-    tops = [t for t in index if t == top or formal and t < top]
-    for weights, num2 in itertools.chain.from_iterable(index[t] for t in tops):
+    index = _model_index(family, max_w2, max_u)
+    slices = index.reach(top)
+    tops = [t for t in slices if t == top or formal and t < top]
+    for weights, num2 in itertools.chain.from_iterable(slices[t] for t in tops):
         if at2 % num2 == 0:
-            yield weights, weights.hilbert_series()
+            yield weights, index.hit(weights)[0]
 
 
 def _strip_section_factors(quotient):
@@ -359,13 +370,14 @@ def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, bask
         return MatchCandidate(model, sections, nonlinear, gens, provenance, status, accepted,
                               reason)
 
+    index = _model_index(family, max_w2, max_u)
     for w, model_series in _lookup(family, max_w2, max_u, n_target, formal):
         num = model_series.numerator
         if num == n_target:
             coords = model_series.denominator
             cone, sections = _quasilinear_sections(coords if gens is None else gens, coords)
             model = AmbientModel(w, (1,) * cone if cone else ())
-            key = _canonical_key(w) + (model.cone, (), sections)
+            key = index.hit(w)[1] + (model.cone, (), sections)
             if key not in candidates:
                 status = ("quasilinear" if sections is not None
                           else "numerator match (no quasilinear embedding)")
@@ -375,7 +387,7 @@ def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, bask
         factors = quotient and _strip_section_factors(quotient)
         if not factors:
             continue
-        key = _canonical_key(w) + ("formal",)
+        key = index.hit(w)[1] + ("formal",)
         old = candidates.get(key)
         if old is None or (len(factors), factors) < (len(old.nonlinear), old.nonlinear):
             candidates[key] = candidate(

@@ -413,18 +413,30 @@ class HilbertSeries:
         denominator does not clear the series and an error is raised.  Factors
         shared with the series' own denominator cancel first: Q[t, 1/t] is an
         integral domain, so this changes neither the result nor when it fails.
+        The rest works in place on dense coefficients: each further factor is
+        multiplied in, high to low, and only then each own factor divided out
+        by a running sum with stride a, exact iff the top a coefficients vanish
+        ((1 - t + t^2) / (1 - t^6) against (2, 3) is 1 - t, divided last).
         """
         denominator = tuple(denominator)
         if not denominator:
             raise SeriesError("denominator multiset must be nonempty")
         gens, own = Counter(denominator), Counter(self.denominator)
-        num = self.numerator * denominator_poly((gens - own).elements())
+        num = self.numerator
+        if gens == own or num.is_zero():
+            return num
+        low, extra = num.min_exp(), list((gens - own).elements())
+        coeffs = [num[e] for e in range(low, num.max_exp() + sum(extra) + 1)]
+        for a in extra:
+            for n in range(len(coeffs) - 1, a - 1, -1):
+                coeffs[n] -= coeffs[n - a]
         for a in (own - gens).elements():
-            q = num.divexact(one_minus(a))
-            if q is None:
+            for n in range(a, len(coeffs)):
+                coeffs[n] += coeffs[n - a]
+            if any(coeffs[-a:]):
                 raise SeriesError("denominator does not clear series")
-            num = q
-        return num
+            del coeffs[-a:]
+        return LaurentPoly(enumerate(coeffs, low))
 
     # -- display -------------------------------------------------------------
 

@@ -171,10 +171,10 @@ class WeightFamily(Record):
 
 def sorted_w2(w2):
     """Five doubled weights as a sorted tuple of ints, all of one parity."""
-    w2 = tuple(sorted(operator.index(v) for v in w2))
+    w2 = tuple(sorted(map(operator.index, w2)))
     if len(w2) != 5:
         raise ValueError("need exactly five weights")
-    if len({v % 2 for v in w2}) != 1:
+    if (w2[0] ^ w2[1] | w2[0] ^ w2[2] | w2[0] ^ w2[3] | w2[0] ^ w2[4]) & 1:    # low bits differ
         raise ValueError("doubled weights must share one parity")
     return w2
 

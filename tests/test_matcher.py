@@ -477,6 +477,19 @@ def test_the_index_holds_each_models_own_value_at_2_in_enumeration_order(bounds)
         assert slices[top] == models, top
 
 
+@pytest.mark.parametrize("bounds", [(8, 4), (12, 6)])
+def test_an_index_reached_window_by_window_holds_what_one_reach_holds(bounds):
+    # a w2's models fall into several windows; its bank sums, formed at its
+    # least top exponent, serve them all.  Slice order may differ, not a slice
+    whole = matcher._ModelIndex(None, *bounds).reach(10 ** 6)
+    index = matcher._ModelIndex(None, *bounds)
+    for top in (8, 16, 17, 40, 76, 10 ** 6):
+        windows = index.reach(top)
+    assert windows == whole
+    for top, models in windows.items():
+        assert all(num2 == matcher._numerator_at2(w, top) for w, num2 in models), top
+
+
 @settings(max_examples=200, deadline=None)
 @given(ogr_weights(), st.integers(0, 6))
 def test_shifting_the_bank_sums_by_k_gives_the_value_at_2_at_u_plus_k(w, k):
@@ -541,6 +554,32 @@ def test_index_is_built_once_per_bounds_and_reads_the_enumerators_at_call_time()
             assert [m.base for m in hits] == [GrWeights((1, 1, 1, 1, 1))]
     assert calls == [3]
     matcher._model_index.cache_clear()
+
+
+def test_a_warm_index_forms_no_series_and_no_canonical_form_again():
+    w = OGrWeights((0, 0, 2, 2, 4), 1)
+    query = MatchQuery(target=w.hilbert_series(), generator_degrees=w.coordinate_weights())
+
+    def queries():
+        return (match_pipeline(H_CY3, basket=BASKET_CY3),
+                match_pipeline(H_CAN3, basket=BASKET_CAN3), search(query))
+
+    def counted(cls, name):
+        return mock.patch.object(cls, name, autospec=True, side_effect=getattr(cls, name))
+
+    matcher._model_index.cache_clear()
+    try:
+        with counted(WeightFamily, "hilbert_series") as series, \
+                counted(GrWeights, "canonical_form") as gr_forms, \
+                counted(OGrWeights, "canonical_form") as ogr_forms:
+            cold = queries()
+            built = series.call_count, gr_forms.call_count + ogr_forms.call_count
+            warm = queries()
+    finally:
+        matcher._model_index.cache_clear()
+    assert warm == cold and cold[2] == [AmbientModel(w)]
+    assert min(built) > 0
+    assert (series.call_count, gr_forms.call_count + ogr_forms.call_count) == built
 
 
 # -- the index built slice by slice, as far as the queries reach -----------------

@@ -531,6 +531,64 @@ def test_kernel_matches_fraction_only_arithmetic(p, b, r, c):
                 assert all(type(v) is int for v in got.coeffs.values()), name
 
 
+def reference_hilbert_numerator(h, denominator):
+    """Reference: the body ``hilbert_numerator`` had before it cleared factor by
+    factor.  The shared factors cancel, the numerator is multiplied by the
+    product of the other generator factors, then each own factor is divided
+    out by ``divexact``."""
+    denominator = tuple(denominator)
+    if not denominator:
+        raise SeriesError("denominator multiset must be nonempty")
+    gens, own = Counter(denominator), Counter(h.denominator)
+    num = h.numerator * denominator_poly((gens - own).elements())
+    for a in (own - gens).elements():
+        q = num.divexact(one_minus(a))
+        if q is None:
+            raise SeriesError("denominator does not clear series")
+        num = q
+    return num
+
+
+@st.composite
+def clearing_cases(draw):
+    """A numerator with int and Fraction coefficients and negative exponents, or
+    0, often a multiple of some factors plus at most one stray term; its own
+    denominator; and a generator multiset that shares some of its factors and
+    adds others."""
+    num = draw(st.one_of(st.just({}), mixed_terms(-3, 6, 5)))
+    num = (LaurentPoly(num) * denominator_poly(draw(generator_multisets))
+           + LaurentPoly(draw(mixed_terms(-3, 12, 1))))
+    own = draw(generator_multisets)
+    gens = draw(st.lists(st.sampled_from(own), max_size=len(own))) if own else []
+    return HilbertSeries(num, own), gens + draw(generator_multisets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(clearing_cases())
+def test_hilbert_numerator_clears_factor_by_factor_as_the_product_did(case):
+    h, gens = case
+    got = outcome(h.hilbert_numerator, gens)
+    assert got == outcome(reference_hilbert_numerator, h, gens)
+    if isinstance(got, LaurentPoly) and _integral(*h.numerator.coeffs.values()):
+        assert all(type(c) is int for c in got.coeffs.values())
+
+
+def test_hilbert_numerator_multiplies_before_it_divides():
+    # 1 - t + t^2 divides 1 - t^6 = (1 - t^3)(1 + t)(1 - t + t^2) but not by itself
+    h = HilbertSeries(LaurentPoly({0: 1, 1: -1, 2: 1}), (6,))
+    assert h.hilbert_numerator((2, 3)) == LaurentPoly({0: 1, 1: -1})
+    assert reference_hilbert_numerator(h, (2, 3)) == LaurentPoly({0: 1, 1: -1})
+    assert h.numerator.divexact(one_minus(6)) is None
+
+
+def test_hilbert_numerator_reads_every_one_of_the_top_a_coefficients():
+    # (1 + t - t^2) / (1 - t^2) sums to 1 + t + 0 t^2: only the lower of the top
+    # two coefficients shows that 1 + t - t^2 = (1 - t^2) + t leaves a remainder
+    h = HilbertSeries(LaurentPoly({0: 1, 1: 1, 2: -1}), (2, 2))
+    with pytest.raises(SeriesError, match="does not clear"):
+        h.hilbert_numerator((2,))
+
+
 def in_t(p):
     """A LaurentPoly's coefficients keyed as the monomials of an MPoly in t."""
     return {((("t", e),) if e else ()): c for e, c in p.coeffs.items()}
