@@ -3,13 +3,14 @@
 Generator degrees are inferred greedily from the series (then forced to be
 compatible with a required singularity basket), the target numerator is
 formed exactly, and the weight data within bounds is looked up in a cached
-index sliced by numerator top exponent.  The index keeps each model's num(2)
-for a divisibility pre-filter, read off the lower resolution banks once per
-(family, w2) and shifted for each further overall weight u, and it keeps the
-closed-form series and canonical key of each model a lookup hits.  A model
-matches when its closed-form numerator equals the target numerator exactly,
-either directly (quasilinear candidate) or after stripping extra (1 - t^k)
-factors (a nonlinear section of a cone, reported as a formal match).  A
+index sliced by numerator top exponent, which each query fetches once and
+hands to the scan.  The index keeps each model's num(2) for a divisibility
+pre-filter, read off the lower resolution banks once per (family, w2) and
+shifted for each further overall weight u, and it keeps the closed-form series
+and canonical key of each model a lookup hits.  A model matches when its
+closed-form numerator equals the target numerator exactly, either directly
+(quasilinear candidate) or after stripping extra (1 - t^k) factors (a
+nonlinear section of a cone, reported as a formal match).  A
 necessary-condition singularity filter rejects models that cannot carry a
 required 1/r point because no coordinate weight is divisible by r.
 """
@@ -23,7 +24,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
-from .series import HilbertSeries, LaurentPoly, Record, SeriesError, one_minus
+from .series import LaurentPoly, Record, SeriesError, one_minus
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
 
@@ -206,6 +207,14 @@ _ENUMERATE = {"wgr25": lambda max_w2, max_u, tau: enumerate_gr_weights(max_w2, t
               "wogr510": lambda max_w2, max_u, tau: enumerate_ogr_weights(max_w2, max_u, tau)}
 
 
+def _target_at2(n_target):
+    """n_target(2) as an int, by shifts and adds, when n_target is a nonzero
+    polynomial with integer coefficients, else None: no model reaches it."""
+    coeffs = n_target.coeffs
+    if coeffs and min(coeffs) >= 0 and all(c.denominator == 1 for c in coeffs.values()):
+        return sum(int(c) << e for e, c in coeffs.items())
+
+
 class _ModelIndex:
     """Bounded models as (weights, num(2)) pairs keyed by numerator top
     exponent, built up to ``covered`` (every top exponent is positive: the
@@ -234,44 +243,32 @@ class _ModelIndex:
             self.covered = top
         return self.slices
 
-    def hit(self, w):
-        """(closed-form series, canonical key) of ``w``, formed at its first hit."""
-        if w not in self.hits:
-            self.hits[w] = w.hilbert_series(), _canonical_key(w)
-        return self.hits[w]
+    def lookup(self, n_target, formal=False):
+        """(weights, Hilbert series, canonical key) for each bounded model whose
+        numerator num can equal n_target or, with ``formal``, divide it, in no
+        particular order.
+
+        A match means n_target = num * q with q = 1 or prod (1 - t^k), k >= 1.
+        Both are integer polynomials, so any other target reaches no model; the
+        top exponent of num is at most that of n_target (equal when q = 1), and
+        num(2) divides n_target(2).  The index holds num(2) from when the slice
+        was enumerated, and forms a model's series and key at its first hit.
+        """
+        at2 = _target_at2(n_target)
+        if at2 is None:
+            return
+        top = n_target.max_exp()
+        slices = self.reach(top)
+        tops = [t for t in slices if t == top or formal and t < top]
+        for w, num2 in itertools.chain.from_iterable(slices[t] for t in tops):
+            if at2 % num2 == 0:
+                hit = self.hits.get(w)
+                if hit is None:
+                    hit = self.hits[w] = w, w.hilbert_series(), _canonical_key(w)
+                yield hit
 
 
 _model_index = lru_cache(maxsize=8)(_ModelIndex)    # one per family and bounds
-
-
-def _target_at2(n_target):
-    """n_target(2) as an int, by shifts and adds, when n_target is a nonzero
-    polynomial with integer coefficients, else None: no model reaches it."""
-    coeffs = n_target.coeffs
-    if coeffs and min(coeffs) >= 0 and all(c.denominator == 1 for c in coeffs.values()):
-        return sum(int(c) << e for e, c in coeffs.items())
-
-
-def _lookup(family, max_w2, max_u, n_target, formal=False):
-    """(weights, Hilbert series) for each bounded model whose numerator num can
-    equal n_target or, with ``formal``, divide it, in no particular order.
-
-    A match means n_target = num * q with q = 1 or prod (1 - t^k), k >= 1.
-    Both are integer polynomials, so any other target reaches no model; the
-    top exponent of num is at most that of n_target (equal when q = 1), and
-    num(2) divides n_target(2).  The index holds num(2) from when the slice
-    was enumerated, and each model that passes builds its series once.
-    """
-    at2 = _target_at2(n_target)
-    if at2 is None:
-        return
-    top = n_target.max_exp()
-    index = _model_index(family, max_w2, max_u)
-    slices = index.reach(top)
-    tops = [t for t in slices if t == top or formal and t < top]
-    for weights, num2 in itertools.chain.from_iterable(slices[t] for t in tops):
-        if at2 % num2 == 0:
-            yield weights, index.hit(weights)[0]
 
 
 def _strip_section_factors(quotient):
@@ -307,11 +304,12 @@ def _quasilinear_sections(gens, coord_weights):
 
 
 class MatchCandidate(Record):
-    """A model with its quasilinear ``sections`` (or None), the ``nonlinear``
-    degrees multiplying its numerator and the ``generators`` that produced it;
-    ``accepted`` and ``reason`` (None when accepted) are fixed when it is made."""
-    _fields = ("model", "sections", "nonlinear", "generators", "provenance", "status",
-               "accepted", "reason")
+    """A model with the ``numerator`` of its base, its quasilinear ``sections``
+    (or None), the ``nonlinear`` degrees multiplying that numerator and the
+    ``generators`` that produced it; ``accepted`` and ``reason`` (None when
+    accepted) are fixed when it is made."""
+    _fields = ("model", "numerator", "sections", "nonlinear", "generators", "provenance",
+               "status", "accepted", "reason")
 
     def describe(self):
         s = str(self.model)
@@ -324,7 +322,7 @@ class MatchCandidate(Record):
         return {
             **vars(self),       # provenance, status, accepted and reason as they are
             "model": self.model.to_json(),
-            "numerator": self.model.base.hilbert_series().numerator.to_json(),
+            "numerator": self.numerator.to_json(),
             "sections": list(self.sections) if self.sections is not None else None,
             "nonlinear": list(self.nonlinear),
             "generators": list(self.generators),
@@ -334,9 +332,6 @@ class MatchCandidate(Record):
 class MatchReport(Record):
     """Ranked candidates, the (provenance, generators, note) sets tried, and notes."""
     _fields = ("candidates", "generator_sets", "diagnostics")
-
-    def accepted(self):
-        return [c for c in self.candidates if c.accepted]
 
     def rejected(self):
         return [c for c in self.candidates if not c.accepted]
@@ -351,9 +346,8 @@ class MatchReport(Record):
         }
 
 
-def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, basket,
-             formal=False):
-    """Add the bounded models whose numerator equals n_target to ``candidates``,
+def _collect(candidates, index, n_target, gens, provenance, basket, formal=False):
+    """Add the models of ``index`` whose numerator equals n_target to ``candidates``,
     keyed by canonical weights, cone and sections, with their quasilinear
     sections against ``gens`` (the model's own coordinates when None); with
     ``formal``, also those whose numerator divides n_target by a product of
@@ -362,36 +356,35 @@ def _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, bask
     A candidate is accepted when it passes the singularity filter for
     ``basket`` and is quasilinear; otherwise its reason is the filter's, or
     its status."""
-    def candidate(model, sections, nonlinear, status):
+    def candidate(model, num, sections, nonlinear, status):
         ok, reason = singularity_filter(model, basket)
         accepted = ok and status == "quasilinear"
         if ok and not accepted:
             reason = status
-        return MatchCandidate(model, sections, nonlinear, gens, provenance, status, accepted,
-                              reason)
+        return MatchCandidate(model, num, sections, nonlinear, gens, provenance, status,
+                              accepted, reason)
 
-    index = _model_index(family, max_w2, max_u)
-    for w, model_series in _lookup(family, max_w2, max_u, n_target, formal):
+    for w, model_series, key in index.lookup(n_target, formal):
         num = model_series.numerator
         if num == n_target:
             coords = model_series.denominator
             cone, sections = _quasilinear_sections(coords if gens is None else gens, coords)
             model = AmbientModel(w, (1,) * cone if cone else ())
-            key = index.hit(w)[1] + (model.cone, (), sections)
+            key += (model.cone, (), sections)
             if key not in candidates:
                 status = ("quasilinear" if sections is not None
                           else "numerator match (no quasilinear embedding)")
-                candidates[key] = candidate(model, sections, (), status)
+                candidates[key] = candidate(model, num, sections, (), status)
             continue
         quotient = n_target.divexact(num) if formal else None
         factors = quotient and _strip_section_factors(quotient)
         if not factors:
             continue
-        key = index.hit(w)[1] + ("formal",)
+        key += ("formal",)
         old = candidates.get(key)
         if old is None or (len(factors), factors) < (len(old.nonlinear), old.nonlinear):
             candidates[key] = candidate(
-                AmbientModel(w, (1,)), None, factors,
+                AmbientModel(w, (1,)), num, None, factors,
                 "formal numerator match (nonlinear section of a cone)")
 
 
@@ -416,8 +409,8 @@ def search(query):
     else:
         n_target = query.target.numerator
     candidates = {}
-    _collect(candidates, n_target, gens, "search", query.family, query.max_w2, query.max_u,
-             query.basket)
+    _collect(candidates, _model_index(query.family, query.max_w2, query.max_u), n_target,
+             gens, "search", query.basket)
     return [candidates[k].model for k in sorted(k for k, c in candidates.items()
                                                 if c.sections == () and c.accepted)]
 
@@ -441,7 +434,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
                 if g not in [h for _, h in inferred[:i]]]
     gen_sets += [(f"user[{k}]", tuple(sorted(gens))) for k, gens in enumerate(user_generators)]
 
-    candidates, tried, diagnostics = {}, [], []
+    index, candidates, tried, diagnostics = _model_index(family, max_w2, max_u), {}, [], []
     for k in range(AUGMENT_BOUND + 1):    # round 0 tries the sets as inferred
         for provenance, gens in gen_sets:
             if k:
@@ -452,8 +445,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
                 tried.append((provenance, gens, "numerator does not clear"))
                 continue
             tried.append((provenance, gens, "ok"))
-            _collect(candidates, n_target, gens, provenance, family, max_w2, max_u, basket,
-                     formal=True)
+            _collect(candidates, index, n_target, gens, provenance, basket, formal=True)
         if any(c.accepted for c in candidates.values()):
             if k:
                 diagnostics.append(f"added one generator and relation in degree {k}")

@@ -281,10 +281,6 @@ class LaurentPoly(SparsePoly):
         """Sorted (exponent, numerator, denominator) triples."""
         return [[e, c.numerator, c.denominator] for e, c in self.items()]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({e: Fraction(n, d) for e, n, d in data})
-
 
 def one_minus(a):
     """The factor 1 - t^a."""
@@ -452,9 +448,3 @@ class HilbertSeries:
     def to_json(self):
         return {"numerator": self.numerator.to_json(),
                 "denominator": list(self.denominator)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(LaurentPoly.from_json(data["numerator"]),
-                   data.get("denominator", ()))
-

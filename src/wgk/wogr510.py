@@ -191,10 +191,10 @@ class OGrWeights(WeightFamily):
         best = None
         for k in (0, 2, 4):
             for flips in itertools.combinations(range(1, 6), k):
+                # u2 is even: so are 2u and a sum of k doubled weights of one parity, k even
                 u2 = 2 * self.u + sum(self.w2[i - 1] for i in flips)
                 w2 = tuple(sorted(-self.w2[i - 1] if i in flips else self.w2[i - 1]
                                   for i in range(1, 6)))
-                assert u2 % 2 == 0
                 key = (w2[0] < 0, w2, u2 // 2)
                 if best is None or key < best:
                     best = key

@@ -84,7 +84,7 @@ def test_criterion_4_orbifold_riemann_roch():
 def test_criterion_5_recognition_end_to_end():
     rr1 = hilbert_can3(RRData.canonical3(7, 21, 2))
     rep1 = match_pipeline(rr1, basket=(QuotientSingularity(2, (1, 1, 1)),) * 2)
-    accepted = rep1.accepted()
+    accepted = [c for c in rep1.candidates if c.accepted]
     assert len(accepted) == 1
     model = accepted[0].model
     assert model.family == "wogr510" and model.cone == ()
@@ -96,7 +96,7 @@ def test_criterion_5_recognition_end_to_end():
     rep2 = match_pipeline(rr2, basket=(QuotientSingularity(3, (1, 1, 1)),
                                        QuotientSingularity(3, (2, 2, 2)),
                                        QuotientSingularity(5, (3, 3, 4))))
-    accepted = rep2.accepted()
+    accepted = [c for c in rep2.candidates if c.accepted]
     assert len(accepted) == 1
     assert accepted[0].model.base.canonical_form() == EX2.canonical_form()
     mirages = [c for c in rep2.rejected() if c.model.family == "wgr25"]

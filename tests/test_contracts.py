@@ -3,13 +3,12 @@ interface, the names the package exports, most of which load from their
 module on first use, no function that only forwards its parameters, no
 module that imports another's private name, one owner of a polynomial's
 coefficients, no ``int()`` that could truncate an unchecked value, no
-module that reads the environment, one place that builds a product with the
-generic skew matrix, one writer of a record's fields, and no function or
-class that nothing names."""
+module that reads the environment, no assert statement, one place that builds
+a product with the generic skew matrix, one writer of a record's fields, and
+no function or class that nothing names."""
 
 import ast
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -426,6 +425,16 @@ def test_no_module_reads_the_environment():
     assert found == set()
 
 
+# -- no assert statement -----------------------------------------------------------
+
+def test_no_module_holds_an_assert_statement():
+    # python -O drops assert statements; an internal check raises AssertionError
+    # itself, as matcher._bank_sums does, so it still exits 3 under -O
+    found = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 # -- the generic skew matrix is multiplied in one place ----------------------------
 
 # wGr(2,5) rests on M*Pf(M) = 0 and wOGr(5,10) on M*v = 0: both read M*column
@@ -573,56 +582,131 @@ CALLERLESS_KEPT = {
 }
 
 
-def _uses(tree):
-    """Each node of ``tree`` that names something, with the name: a variable, an
-    attribute or an imported name."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node, node.id
-        elif isinstance(node, ast.Attribute):
-            yield node, node.attr
-        elif isinstance(node, ast.alias):
-            yield node, node.name.rpartition(".")[2]
+def _uses(tree, targets=False):
+    """(node, name, receiver, called, owner) for each node of ``tree`` that names
+    something.  A variable or an imported name has receiver None and, when it
+    stands directly in a class body, that ClassDef as ``owner``.  An attribute
+    ``x.name`` has receiver x when x is a plain name (else "") and ``called``
+    when it is called.  With ``targets``, a string ``wgk.module:Qual.name``
+    (perfbench's tracer target) is a called attribute of the class ``Qual``,
+    or a variable when it has no class; no other string names anything."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                out.append((child, child.id, None, False, owner))
+            elif isinstance(child, ast.alias):
+                out.append((child, child.name.rpartition(".")[2], None, False, None))
+            elif isinstance(child, ast.Attribute):
+                receiver = child.value.id if isinstance(child.value, ast.Name) else ""
+                called = isinstance(node, ast.Call) and node.func is child
+                out.append((child, child.attr, receiver, called, None))
+            elif targets and isinstance(child, ast.Constant) and isinstance(child.value, str):
+                target = re.fullmatch(r"wgk\.\w+:([\w.]+)", child.value)
+                if target:
+                    qual, _, name = target[1].rpartition(".")
+                    out.append((child, name, qual.rpartition(".")[2] or None, True, None))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, None)
+            else:
+                visit(child, child if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return out
 
 
-def code_words(source):
-    """The names ``source`` uses and the words of its strings, not of its
-    docstrings or comments: perfbench's tracer names its targets in strings."""
-    tree = ast.parse(source)
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
-                  and ast.get_docstring(node, clean=False) is not None}
-    words = {name for _, name in _uses(tree)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in docstrings:
-                words.update(re.findall(r"\w+", node.value))
-    return words
+def data_fields(trees):
+    """The names that hold data in ``trees``: each ``_fields`` entry, each
+    attribute set on ``self`` and each name a class body sets to a value other
+    than an alias (a name or an attribute, as in ``_key = operator.index``)."""
+    fields = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                        and not isinstance(stmt.value, (ast.Name, ast.Attribute))):
+                    assigned = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    targets = {t.id for target in assigned
+                               for t in ast.walk(target) if isinstance(t, ast.Name)}
+                    fields |= targets
+                    if "_fields" in targets:
+                        fields.update(c.value for c in ast.walk(stmt.value)
+                                      if isinstance(c, ast.Constant))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            fields.add(node.attr)
+    return fields
 
 
-def callerless(sources, elsewhere):
+def callerless(sources, readers, exported):
     """``module.Class.name`` of each function and class, at any depth, in
-    ``sources`` ({module: source}) whose name no code of ``sources`` uses outside
-    its own definition and ``elsewhere`` (a set of names) lacks; a ``__dunder__``
-    name is called by the language."""
+    ``sources`` ({module: source}) that no code of ``sources`` or ``readers``
+    names outside its own definition, unless it is a module-level name in
+    ``exported``; a ``__dunder__`` name is called by the language.
+
+    A function or class is named by a variable, an import or an attribute.  A
+    method is named only by an attribute ``x.name`` or by a bare name in its
+    own class body, as in ``alias = name``: a variable of the same name is
+    another thing.  An attribute read that is not called does not name it when
+    ``name`` is also a data field, unless the method is a property.  ``C.name``
+    names only a method of C or of a class C inherits from, and no function.
+    In ``readers`` ({name: source}, perfbench), a string names something only
+    as a tracer target."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    counts = Counter(name for tree in trees.values() for _, name in _uses(tree))
+    read = [ast.parse(source) for source in readers.values()]
+    every = [*trees.values(), *read]
+    bases = {}      # class name -> the names of the classes it derives from
+    for node in (node for tree in every for node in ast.walk(tree)):
+        if isinstance(node, ast.ClassDef):
+            bases.setdefault(node.name, set()).update(
+                getattr(base, "id", getattr(base, "attr", None)) for base in node.bases)
+    fields, uses = data_fields(every), {}
+    for tree in every:
+        for use in _uses(tree, targets=tree in read):
+            uses.setdefault(use[1], []).append(use)
+
+    def lineage(cls):
+        seen, todo = set(), [cls]
+        while todo:
+            c = todo.pop()
+            if c not in seen:
+                seen.add(c)
+                todo.extend(bases.get(c, ()))
+        return seen
+
+    def names(use, defn, cls):
+        _, _, receiver, called, owner = use
+        if receiver in bases:
+            return cls is not None and cls.name in lineage(receiver)
+        if cls is None:
+            return True
+        if receiver is None:
+            return owner is cls
+        return (called or defn.name not in fields
+                or any("property" in ast.unparse(d) for d in defn.decorator_list))
+
     hits = []
 
-    def visit(node, prefix):
+    def visit(node, prefix, top):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
-                inside = sum(used == name for _, used in _uses(child))
+                # the class of a method; a class is named like a function
+                cls = (node if isinstance(node, ast.ClassDef)
+                       and not isinstance(child, ast.ClassDef) else None)
+                inside = {id(n) for n in ast.walk(child)}
                 if not (name.startswith("__") and name.endswith("__")
-                        or counts[name] > inside or name in elsewhere):
+                        or top and name in exported
+                        or any(id(use[0]) not in inside and names(use, child, cls)
+                               for use in uses.get(name, ()))):
                     hits.append(prefix + name)
-                visit(child, f"{prefix}{name}.")
+                visit(child, f"{prefix}{name}.", False)
             else:
-                visit(child, prefix)
+                visit(child, prefix, top)
 
     for module, tree in trees.items():
-        visit(tree, f"{module}.")
+        visit(tree, f"{module}.", True)
     return hits
 
 
@@ -639,20 +723,40 @@ def test_the_callerless_scan_sees_each_shape():
               "        return inner\n"
               "    def lone(self):\n        return self\n"
               "    alias = lone\n"
+              "    def traced_method(self):\n        return 0\n"
+              "    def accepted(self):\n        return 0\n"
               "if b:\n    def hidden():\n        return 0\n"),
         "b": ("from a import used as u\n"
               "def g(c):\n    return c.method(), b.C\n"),
+        # a method shares a name with a field, a local variable or another class's method
+        "c": ("class R:\n"
+              "    _fields = ('size', 'kept')\n"
+              "    def total(self):\n        return self.size + self.kept\n"
+              "class D:\n"
+              "    def size(self):\n        return 0\n"
+              "    @property\n    def kept(self):\n        return 0\n"
+              "    def handed(self):\n        return 0\n"
+              "    def local(self):\n        return 0\n"
+              "    def grown(self):\n        return 0\n"
+              "    def inherited(self):\n        return 0\n"
+              "class E(D):\n"
+              "    def __init__(self):\n        self.grown = 1\n"
+              "    def shared(self):\n        return 0\n"
+              "class F:\n"
+              "    def shared(self):\n        return 0\n"
+              "def k(r, d):\n"
+              "    local = r.total() + d.kept + d.grown if isinstance(r, (R, F)) else 0\n"
+              "    return local, sorted(r, key=d.handed), E.shared(), E.inherited()\n"),
     }
     tracer = ('"""Times recursive."""\n'
-              'TARGETS = ("wgk.a:traced",)   # and hidden\n'
-              'def f():\n    "exported"\n    return 0\n')
-    assert code_words(tracer) == {"TARGETS", "wgk", "a", "traced"}
-    elsewhere = code_words(tracer) | {"exported"}
-    assert callerless(sources, elsewhere) == ["a.recursive", "a.hidden", "b.g"]
+              'TARGETS = ("wgk.a:traced", "wgk.a:C.traced_method")   # and hidden\n'
+              'def f():\n    "exported"\n    return {"accepted": 0}\n')
+    assert callerless(sources, {"tracer": tracer}, {"exported"}) == [
+        "a.recursive", "a.C.accepted", "a.hidden", "b.g", "c.D.size", "c.D.local",
+        "c.D.grown", "c.F.shared", "c.k"]
 
 
 def test_every_function_and_class_is_named_by_a_caller():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    elsewhere = set(wgk.__all__).union(*(code_words(path.read_text())
-                                         for path in sorted(PERFBENCH.rglob("*.py"))))
-    assert set(callerless(sources, elsewhere)) == set(CALLERLESS_KEPT)
+    readers = {str(path): path.read_text() for path in sorted(PERFBENCH.rglob("*.py"))}
+    assert set(callerless(sources, readers, wgk.__all__)) == set(CALLERLESS_KEPT)

@@ -76,7 +76,7 @@ def test_match_pipeline_infers_the_generators_once(series, basket, gen_sets):
         report = match_pipeline(series, basket=basket)
     assert infer.call_count == 1 and expand.call_count == 1
     assert [(p, g) for p, g, _ in report.generator_sets] == gen_sets
-    assert report.accepted()
+    assert [c for c in report.candidates if c.accepted]
 
 
 def test_search_spinor_example_one():
@@ -157,7 +157,7 @@ def test_filter_soundness():
 
 def test_pipeline_example_one():
     report = match_pipeline(H_CAN3, basket=BASKET_CAN3)
-    accepted = report.accepted()
+    accepted = [c for c in report.candidates if c.accepted]
     assert len(accepted) == 1
     cand = accepted[0]
     assert cand.model.base.canonical_form() == OGrWeights((0, 0, 0, 0, 2), 1)
@@ -168,7 +168,7 @@ def test_pipeline_example_one():
 
 def test_pipeline_example_two_with_mirage():
     report = match_pipeline(H_CY3, basket=BASKET_CY3)
-    accepted = report.accepted()
+    accepted = [c for c in report.candidates if c.accepted]
     assert len(accepted) == 1
     cand = accepted[0]
     assert cand.model.base.canonical_form() == OGrWeights((0, 0, 2, 2, 4), 1)
@@ -188,7 +188,7 @@ def test_pipeline_augmentation_step():
     # generator and relation by retrying
     report = match_pipeline(H_CY3, basket=BASKET_CY3, residue_forcing=False)
     assert "added one generator and relation in degree 4" in report.diagnostics
-    accepted = report.accepted()
+    accepted = [c for c in report.candidates if c.accepted]
     assert [c.model.base.canonical_form() for c in accepted] == [
         OGrWeights((0, 0, 2, 2, 4), 1)]
     assert accepted[0].generators == (1, 1, 2, 2, 3, 3, 3, 4, 5)
@@ -269,14 +269,15 @@ def full_table(family, max_w2, max_u):
     return tuple(table)
 
 
-def linear_scan(family, max_w2, max_u, n_target, formal=False):
-    """Oracle for ``matcher._lookup``: the whole table, no slicing, no filter."""
-    for _, w, num, cw in full_table(family, max_w2, max_u):
-        yield w, HilbertSeries(num, cw)
+def linear_scan(index, n_target, formal=False):
+    """Oracle for ``matcher._ModelIndex.lookup``: the whole table, no slicing, no filter."""
+    for family in index.families:
+        for _, w, num, cw in full_table(family, *index.bounds):
+            yield w, HilbertSeries(num, cw), matcher._canonical_key(w)
 
 
 def by_linear_scan(fn, *args, **kwargs):
-    with mock.patch.object(matcher, "_lookup", linear_scan):
+    with mock.patch.object(matcher._ModelIndex, "lookup", linear_scan):
         return fn(*args, **kwargs)
 
 
@@ -527,11 +528,12 @@ def test_a_target_that_is_not_an_integer_polynomial_reaches_no_model():
     integral = LaurentPoly({0: 1, 2: -5, 3: 5, 5: -1})      # the straight wGr(2,5)
     halves = integral + LaurentPoly({1: Fraction(1, 2)})
     negative = integral + LaurentPoly({-1: 1})
-    filtered = list(matcher._lookup(None, 4, 2, integral, formal=True))
-    assert GrWeights((1, 1, 1, 1, 1)) in [w for w, _ in filtered]
-    assert all(integral(2) % series.numerator(2) == 0 for _, series in filtered)
+    index = matcher._model_index(None, 4, 2)
+    filtered = list(index.lookup(integral, formal=True))
+    assert GrWeights((1, 1, 1, 1, 1)) in [w for w, _, _ in filtered]
+    assert all(integral(2) % series.numerator(2) == 0 for _, series, _ in filtered)
     for target in (halves, negative):
-        assert list(matcher._lookup(None, 4, 2, target, formal=True)) == []
+        assert list(index.lookup(target, formal=True)) == []
     for target in (integral, halves, negative):
         query = MatchQuery(target=HilbertSeries(target, (1,) * 10),
                            generator_degrees=(1,) * 10, **SMALL)
@@ -582,10 +584,26 @@ def test_a_warm_index_forms_no_series_and_no_canonical_form_again():
     assert (series.call_count, gr_forms.call_count + ogr_forms.call_count) == built
 
 
+def test_a_printed_candidate_carries_the_numerator_the_scan_matched():
+    # the report's JSON forms no series: the index formed each one at its first hit
+    matcher._model_index.cache_clear()
+    try:
+        with mock.patch.object(WeightFamily, "hilbert_series", autospec=True,
+                               side_effect=WeightFamily.hilbert_series) as series:
+            report = match_pipeline(H_CY3, basket=BASKET_CY3)
+            built = series.call_count
+            printed = report.to_json()
+    finally:
+        matcher._model_index.cache_clear()
+    assert built > 0 and series.call_count == built
+    assert [c["numerator"] for c in printed["candidates"]] == [
+        c.model.base.hilbert_series().numerator.to_json() for c in report.candidates]
+
+
 # -- the index built slice by slice, as far as the queries reach -----------------
 
 def scan_order(family, max_w2, max_u, n_target, formal):
-    """Oracle for the models ``_lookup`` yields, as a multiset: the full-table
+    """Oracle for the models ``_ModelIndex.lookup`` yields, as a multiset: the full-table
     scan, filtered by top exponent and by num(2) | n_target(2)."""
     top = n_target.max_exp()
     at2 = (int(n_target(2)) if all(c.denominator == 1 for c in n_target.coeffs.values())
@@ -609,11 +627,12 @@ def test_lazy_index_agrees_with_the_full_table(draws, family, bounds):
         if k:
             series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
         n_target = series.numerator
-        looked_up = Counter(w for w, _ in matcher._lookup(family, *bounds, n_target, formal))
+        index = matcher._model_index(family, *bounds)
+        looked_up = Counter(w for w, _, _ in index.lookup(n_target, formal))
         assert looked_up == scan_order(family, *bounds, n_target, formal)
         # a half-integral coefficient reaches no model
         halves = n_target + LaurentPoly({1: Fraction(1, 2)})
-        assert list(matcher._lookup(family, *bounds, halves, formal)) == []
+        assert list(index.lookup(halves, formal)) == []
         query = MatchQuery(target=HilbertSeries(n_target), **bounded)
         assert search_key(search(query)) == search_key(by_linear_scan(search, query))
     kwargs = dict(user_generators=[series.denominator], **bounded)
@@ -657,7 +676,8 @@ def test_a_larger_top_exponent_enumerates_only_the_new_slices():
     with mock.patch.object(matcher, "enumerate_gr_weights", counting("enumerate_gr_weights")), \
             mock.patch.object(matcher, "enumerate_ogr_weights", counting("enumerate_ogr_weights")):
         for top in (10, 24, 10, 24, 3):
-            list(matcher._lookup(None, 4, 2, LaurentPoly({0: 1, top: -1}), formal=True))
+            list(matcher._model_index(None, 4, 2).lookup(LaurentPoly({0: 1, top: -1}),
+                                                         formal=True))
     assert [c[:2] for c in calls] == [("enumerate_gr_weights", (0, 10)),
                                       ("enumerate_ogr_weights", (0, 10)),
                                       ("enumerate_gr_weights", (10, 24)),
@@ -696,7 +716,8 @@ def reference_search(query, canonical_degree=None):
     else:
         n_target = query.target.numerator
     results = {}
-    for w, series in matcher._lookup(query.family, query.max_w2, query.max_u, n_target):
+    index = matcher._model_index(query.family, query.max_w2, query.max_u)
+    for w, series, _ in index.lookup(n_target):
         if series.numerator != n_target:
             continue
         cone = ()
@@ -764,12 +785,12 @@ def test_search_refusal_names_the_inferred_degrees():
             "give generator_degrees= or use match_pipeline, which tries one more degree")):
         search(MatchQuery(target=target))
     report = match_pipeline(target, max_w2=4, max_u=2)
-    assert GrWeights((0, 2, 2, 2, 4)) in [c.model.base for c in report.accepted()]
+    assert GrWeights((0, 2, 2, 2, 4)) in [c.model.base for c in report.candidates if c.accepted]
 
 
 def shuffled(rng):
-    """``_lookup`` yielding its models in an order drawn from ``rng``."""
-    lookup = matcher._lookup
+    """``_ModelIndex.lookup`` yielding its models in an order drawn from ``rng``."""
+    lookup = matcher._ModelIndex.lookup
 
     def wrapper(*args, **kwargs):
         out = list(lookup(*args, **kwargs))
@@ -797,7 +818,7 @@ def test_results_do_not_depend_on_the_lookup_order(model, family, k, basket, rng
     with augment_bound(2):
         expected = ([outcome(search, q) for q in queries],
                     match_pipeline(series, **kwargs).to_json())
-        with mock.patch.object(matcher, "_lookup", shuffled(rng)):
+        with mock.patch.object(matcher._ModelIndex, "lookup", shuffled(rng)):
             got = ([outcome(search, q) for q in queries],
                    match_pipeline(series, **kwargs).to_json())
     assert got == expected
@@ -874,9 +895,10 @@ def test_the_verdict_scan_sees_each_assignment():
 def test_no_verdict_is_assigned_after_its_candidate_is_made():
     assert verdict_assignments(Path(matcher.__file__).read_text()) == []
     # the verdict has no default: a candidate built without one is refused
-    fields = dict(model=AmbientModel(GrWeights((1, 1, 1, 1, 1))), sections=(), nonlinear=(),
-                  generators=(1,) * 10, provenance="series", status="quasilinear",
-                  accepted=True, reason=None)
+    model = AmbientModel(GrWeights((1, 1, 1, 1, 1)))
+    fields = dict(model=model, numerator=model.base.hilbert_series().numerator, sections=(),
+                  nonlinear=(), generators=(1,) * 10, provenance="series",
+                  status="quasilinear", accepted=True, reason=None)
     assert matcher.MatchCandidate(**fields) == matcher.MatchCandidate(*fields.values())
     for name in ("status",) + VERDICT:
         with pytest.raises(TypeError, match=f"missing \\['{name}'\\]"):

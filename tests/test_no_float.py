@@ -96,8 +96,6 @@ NON_INTEGRAL_INTEGERS = {
     "laurent-exponent": lambda: LaurentPoly({1.5: 1}),
     "laurent-fraction-exponent": lambda: LaurentPoly({Fraction(2): 1}),
     "mpoly-exponent": lambda: MPoly({(("x", 2.7),): 1}),
-    "laurent-json-numerator": lambda: LaurentPoly.from_json([[0, 1.5, 1]]),
-    "series-json-exponent": lambda: HilbertSeries.from_json({"numerator": [[1.9, 1, 1]]}),
     "series-denominator": lambda: HilbertSeries(LaurentPoly.one(), (1.5,)),
     "section-degree": lambda: section_series(AmbientModel(GrWeights((1, 1, 1, 1, 3))),
                                              (2.5, 2, 2)),

@@ -87,7 +87,8 @@ def test_the_dataclass_repr_format():
 
 
 def test_a_match_candidate_is_immutable():
-    c = MatchCandidate(AmbientModel(GrWeights((1, 1, 1, 1, 1))), (), (), (1,) * 10,
+    model = AmbientModel(GrWeights((1, 1, 1, 1, 1)))
+    c = MatchCandidate(model, model.base.hilbert_series().numerator, (), (), (1,) * 10,
                        "series", "quasilinear", True, None)
     for name in ("accepted", "reason"):
         with pytest.raises(AttributeError):
