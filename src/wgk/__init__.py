@@ -8,7 +8,8 @@ Riemann-Roch plurigenus series, and a search engine matching target Hilbert
 data to ambient models.  Each name below loads its module on first use.
 """
 
-from importlib import import_module
+import sys
+from importlib import import_module, util
 
 _EXPORTS = {
     "matcher": ("MatchQuery", "infer_generators", "match_pipeline", "search",
@@ -34,3 +35,19 @@ def __getattr__(name):
     if name in _OWNER:
         return getattr(import_module(f".{_OWNER[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def lazy_module(name):
+    """The module ``name``, bound in ``sys.modules`` and on its package at once
+    but compiled and run only at its first attribute access: a command that
+    never reads it never pays for it.  Callers read it as ``module.attr`` in a
+    function body: an attribute read, like ``from module import name``, loads it."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = util.find_spec(name)
+        spec.loader = util.LazyLoader(spec.loader)
+        module = sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)
+    return module

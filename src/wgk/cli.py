@@ -16,16 +16,21 @@ import json
 import sys
 from fractions import Fraction
 
-from . import fixtures as fixture_mod
+from . import lazy_module
 from . import matcher as matcher_mod
-from .oracle import OracleBudgetError, graded_dimension
 from .orbifold_rr import (PeriodicTable, RRData, hilbert_can3, hilbert_cy3, local_term,
                           plurigenus, positive)
 from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, integral,
                        json_list, json_object, quasilinear_embed, rational, rr_roundtrip,
                        section_canonical, section_series, singularity_analysis)
+from .series import OracleBudgetError
 from .wgrass25 import GrWeights, doubled as half_doubled, verify_gr_identities
 from .wogr510 import OGrWeights, verify_ogr_syzygies
+
+# compiled only by a command that reads them: fixtures by verify, the oracle by
+# verify, oracle and a section's singularity analysis
+fixture_mod = lazy_module("wgk.fixtures")
+oracle = lazy_module("wgk.oracle")
 
 SCHEMA = "wgk/1"
 
@@ -126,11 +131,11 @@ def cmd_verify(args):
     closed = gw.hilbert_series().expand(depth)
     for m in range(depth + 1):
         checks.append((f"oracle plucker degree {m}",
-                       graded_dimension("wgr25", gw, m) == closed[m]))
+                       oracle.graded_dimension("wgr25", gw, m) == closed[m]))
     closed = ow.hilbert_series().expand(2)
     for m in range(3):
         checks.append((f"oracle spinor degree {m}",
-                       graded_dimension("wogr510", ow, m) == closed[m]))
+                       oracle.graded_dimension("wogr510", ow, m) == closed[m]))
 
     for name, ok, detail in fixture_mod.run_all():
         checks.append((f"fixture {name}" + (f" ({detail})" if detail else ""), ok))
@@ -309,7 +314,7 @@ def cmd_match(args):
 def cmd_oracle(args):
     _at_least("--degree", args.degree, 0)
     weights = build_weights(args)
-    value = graded_dimension(weights.family, weights, args.degree)
+    value = oracle.graded_dimension(weights.family, weights, args.degree)
     closed = weights.hilbert_series().expand(args.degree)[args.degree]
     agree = closed == value
     data = {"family": weights.family, "degree": args.degree,

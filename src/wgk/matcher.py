@@ -186,17 +186,16 @@ def _numerator_at2(weights, top, sums=None, k=0):
     a quadruple, 2d + a > 0 and 3d ± w_i > 0.
 
     ``sums`` may be the ``_bank_sums`` of the model with the same w2 and u - k,
-    k >= 0 (k = 0 in wGr, u being absorbed); lower_banks() is then not called.
-    Raising u by k raises the degrees of lower bank i by
-    ``OGrWeights.bank_slopes[i] * k`` and their duals by ``(top_slope -
-    bank_slopes[i]) * k``, so each sum is shifted once.  The separation checked
-    at u - k holds at u, as neither a bank's least degree nor top minus its
-    largest degree falls."""
+    k >= 0 (k = 0 where u is absorbed); lower_banks() is then not called.
+    Raising u by k raises the degrees of lower bank i by ``bank_slopes[i] *
+    k`` and their duals by ``(top_slope - bank_slopes[i]) * k``, so each sum
+    is shifted once.  The separation checked at u - k holds at u, as neither
+    a bank's least degree nor top minus its largest degree falls."""
     num, sign = 1 - (1 << top), -1
     for i, (up, down) in enumerate(sums or _bank_sums(weights, top)):
         if k:
-            slope = OGrWeights.bank_slopes[i]
-            up, down = up << slope * k, down << (OGrWeights.top_slope - slope) * k
+            slope = weights.bank_slopes[i]
+            up, down = up << slope * k, down << (weights.top_slope - slope) * k
         num += sign * (up - down)
         sign = -sign
     return num    # never 0: an integer root of num would divide its constant term 1
@@ -219,7 +218,8 @@ class _ModelIndex:
     """Bounded models as (weights, num(2)) pairs keyed by numerator top
     exponent, built up to ``covered`` (every top exponent is positive: the
     coordinate weights are positive and sum to a multiple of it), with the
-    bank sums of each (family, w2) and the series and key of each model hit."""
+    bank sums of each (family, w2) whose u varies and the series and key of
+    each model hit."""
 
     def __init__(self, family, max_w2, max_u):
         self.families, self.bounds = [family] if family else list(FAMILIES), (max_w2, max_u)
@@ -227,19 +227,22 @@ class _ModelIndex:
 
     def reach(self, top):
         """The slices, after enumerating the models of those in (covered, top].
-        A (family, w2) forms its bank sums once, at its least top exponent t0:
-        windows ascend in top exponent and yield a w2's u in ascending order,
-        so each later model shifts them by k = (t - t0) / 8 >= 0.  A model
-        below t0 would re-form them, so grouping never decides a value."""
+        A (family, w2) whose u varies forms its bank sums once, at its least
+        top exponent t0: windows ascend in top exponent and yield a w2's u in
+        ascending order, so each later model shifts them by k = (t - t0) /
+        top_slope >= 0.  A model below t0 would re-form them, so grouping
+        never decides a value.  A w2 whose u is absorbed is one model: its
+        sums are not kept."""
         if top > self.covered:
             for fam in self.families:
                 for w in _ENUMERATE[fam](*self.bounds, (self.covered, top)):
-                    t = w.top_exponent()
-                    t0, sums = self.sums.get((fam, w.w2), (t + 1, None))
-                    if t < t0:
-                        t0, sums = self.sums[fam, w.w2] = t, _bank_sums(w, t)
-                    self.slices.setdefault(t, []).append(
-                        (w, _numerator_at2(w, t, sums, (t - t0) // OGrWeights.top_slope)))
+                    t, sums, k = w.top_exponent(), None, 0
+                    if w.bank_slopes:
+                        t0, sums = self.sums.get((fam, w.w2), (t + 1, None))
+                        if t < t0:
+                            t0, sums = self.sums[fam, w.w2] = t, _bank_sums(w, t)
+                        k = (t - t0) // w.top_slope
+                    self.slices.setdefault(t, []).append((w, _numerator_at2(w, t, sums, k)))
             self.covered = top
         return self.slices
 

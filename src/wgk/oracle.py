@@ -71,16 +71,12 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, lcm, prod
 
-from .series import HilbertSeries, LaurentPoly
+from .series import HilbertSeries, LaurentPoly, OracleBudgetError
 
 DEGREE_BUDGET = 200_000  # refuse degrees whose monomial count exceeds this
 ROW_BUDGET = 60_000      # likewise for the number of equation-multiple rows
 FIELD_BITS = 16          # bits per exponent in a packed monomial
 FIELD_MASK = (1 << FIELD_BITS) - 1
-
-
-class OracleBudgetError(ValueError):
-    """Raised when a requested degree exceeds the practical bound."""
 
 
 def count_monomials(weights, degree):

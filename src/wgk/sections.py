@@ -26,10 +26,13 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
-from .oracle import GradedRing, IntegerEchelon, OracleBudgetError
-from .series import HilbertSeries, Record, coefficient, denominator_poly, exact_div
+from . import lazy_module
+from .series import (HilbertSeries, OracleBudgetError, Record, coefficient, denominator_poly,
+                     exact_div)
 from .wgrass25 import Chart, GrWeights, WeightFamily
 from .wogr510 import OGrWeights
+
+oracle = lazy_module("wgk.oracle")      # compiled by the first singularity analysis
 
 DEFAULT_DEPTH = 40
 
@@ -256,7 +259,7 @@ def _component_split(names, equations):
     in that span, with the equations' monomials as columns.  ``equations``
     may name other coordinates: only their terms inside ``names`` count."""
     inside = set(names)
-    span = IntegerEchelon()
+    span = oracle.IntegerEchelon()
     for eq in equations:
         span.insert({m: c for m, c in eq.coeffs.items() if all(v in inside for v, _ in m)})
 
@@ -323,7 +326,7 @@ def singularity_analysis(model, cut):
                 continue
             dim_comp = dims.pop()
 
-            comp_ring = GradedRing([(n, w) for n, w in stratum_coords if n in comp],
+            comp_ring = oracle.GradedRing([(n, w) for n, w in stratum_coords if n in comp],
                                    equations)
             try:
                 active = tuple(d for d in degrees if comp_ring.dimension(d) > 0)

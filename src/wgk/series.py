@@ -24,6 +24,10 @@ class SeriesError(ValueError):
     """Raised when a series operation is applied outside its domain."""
 
 
+class OracleBudgetError(ValueError):
+    """Raised when a requested oracle degree exceeds the practical bound."""
+
+
 class Record:
     """An immutable record.  ``Record.__init__`` alone stores the fields: it binds
     its arguments to ``_fields`` and stores them in ``__dict__`` in that order,
@@ -420,7 +424,11 @@ class HilbertSeries:
         gens, own = Counter(denominator), Counter(self.denominator)
         num = self.numerator
         if gens == own or num.is_zero():
-            return num
+            # a sum may have left an integral Fraction (SparsePoly); return ints,
+            # as the dense path does
+            if all(type(c) is int for c in num.coeffs.values()):
+                return num
+            return LaurentPoly(num.coeffs)
         low, extra = num.min_exp(), list((gens - own).elements())
         coeffs = [num[e] for e in range(low, num.max_exp() + sum(extra) + 1)]
         for a in extra:

@@ -20,8 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .polynomials import MPoly
+from . import lazy_module
 from .series import HilbertSeries, LaurentPoly, Record, coefficient, exact_div
+
+polynomials = lazy_module("wgk.polynomials")    # read only by the symbolic equations
 
 PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6))
 
@@ -53,8 +55,8 @@ def overall_weight(u2):
 def skew_entry(i, j):
     """x_ij as a signed variable of the generic skew matrix (x_ji = -x_ij)."""
     if i == j:
-        return MPoly()
-    v = MPoly.var(pair_name(i, j))
+        return polynomials.MPoly()
+    v = polynomials.MPoly.var(pair_name(i, j))
     return v if i < j else -v
 
 
@@ -77,7 +79,8 @@ def pfaffian_equations():
 
 def skew_times(column):
     """M * column for the generic skew matrix M = (x_ij), as five polynomials."""
-    return [sum((skew_entry(i, j) * c for j, c in enumerate(column, start=1)), MPoly())
+    zero = polynomials.MPoly()
+    return [sum((skew_entry(i, j) * c for j, c in enumerate(column, start=1)), zero)
             for i in range(1, 6)]
 
 
@@ -114,7 +117,12 @@ class WeightFamily(Record):
     members below are derived once: the resolution is self-dual, so bank c - i
     is top - e over bank i and bank c is (top,); the Hilbert numerator is the
     alternating sum over the banks, the degree is read off the Hilbert series,
-    and Gorenstein symmetry gives K = O(top - sum of weights)."""
+    and Gorenstein symmetry gives K = O(top - sum of weights).  A family whose
+    overall weight u varies with w2 fixed states that raising u by k raises
+    lower bank i by ``bank_slopes[i] * k`` and the top by ``top_slope * k``;
+    where u is absorbed into the weights, each w2 is one model."""
+
+    bank_slopes = ()
 
     def coordinate_weights(self):
         return tuple(sorted(w for _, w in self.coordinates()))
@@ -263,9 +271,8 @@ def fit_pfaffian_weights(degree_matrix):
 
 def _minor(i, j):
     """x_ij at the rank-2 locus: a_i b_j - a_j b_i."""
-    ai, aj = MPoly.var(f"a{i}"), MPoly.var(f"a{j}")
-    bi, bj = MPoly.var(f"b{i}"), MPoly.var(f"b{j}")
-    return ai * bj - aj * bi
+    var = polynomials.MPoly.var
+    return var(f"a{i}") * var(f"b{j}") - var(f"a{j}") * var(f"b{i}")
 
 
 def verify_gr_identities(pfaffians=None):
@@ -284,12 +291,12 @@ def verify_gr_identities(pfaffians=None):
     for i, row in enumerate(skew_times(pfs), start=1):
         checks.append((f"(a) row {i} of M*Pf(M)", row.is_zero()))
 
-    minors = {pair_name(i, j): _minor(i, j) for i, j in PAIRS}
+    minors, var = {pair_name(i, j): _minor(i, j) for i, j in PAIRS}, polynomials.MPoly.var
     for i, j, k in itertools.combinations(range(1, 6), 3):
         for col, letter in enumerate("ab"):
-            rel = (minors[pair_name(i, j)] * MPoly.var(f"{letter}{k}")
-                   - minors[pair_name(i, k)] * MPoly.var(f"{letter}{j}")
-                   + minors[pair_name(j, k)] * MPoly.var(f"{letter}{i}"))
+            rel = (minors[pair_name(i, j)] * var(f"{letter}{k}")
+                   - minors[pair_name(i, k)] * var(f"{letter}{j}")
+                   + minors[pair_name(j, k)] * var(f"{letter}{i}"))
             checks.append((f"(b) relation ({i},{j},{k}) component {col}", rel.is_zero()))
 
     for idx, p in enumerate(pfs, start=1):

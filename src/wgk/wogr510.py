@@ -20,9 +20,11 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomials import MPoly
+from . import lazy_module
 from .wgrass25 import (PAIRS, Chart, WeightFamily, overall_weight, pfaffian_equations,
                        skew_times, sorted_w2)
+
+polynomials = lazy_module("wgk.polynomials")    # read only by the symbolic equations
 
 FULL = frozenset(range(1, 6))
 
@@ -58,7 +60,8 @@ VERTEX_NAMES = tuple(vertex_name(v) for v in VERTICES)
 def equations():
     """The ten quadrics N_1..N_5, N_-1..N_-5 in the sixteen spinor coordinates:
     N_i = x*x_i - Pf_i, and N_-i is row i of M*v."""
-    x, v = MPoly.var("x"), [MPoly.var(f"x{i}") for i in range(1, 6)]
+    var = polynomials.MPoly.var
+    x, v = var("x"), [var(f"x{i}") for i in range(1, 6)]
     return tuple([x * vi - pf for vi, pf in zip(v, pfaffian_equations())] + skew_times(v))
 
 
@@ -84,10 +87,10 @@ _SYZYGY_TABLE = [
 
 def _entry(token):
     if token == "0":
-        return MPoly()
+        return polynomials.MPoly()
     if token.startswith("-"):
-        return -MPoly.var(token[1:])
-    return MPoly.var(token)
+        return -polynomials.MPoly.var(token[1:])
+    return polynomials.MPoly.var(token)
 
 
 @lru_cache(maxsize=1)
@@ -102,7 +105,7 @@ def verify_ogr_syzygies():
     table = first_syzygies()
     checks = []
     for col in range(16):
-        combo = MPoly()
+        combo = polynomials.MPoly()
         for row in range(10):
             combo = combo + table[row][col] * eqs[row]
         checks.append((f"syzygy column {VERTEX_NAMES[col]}", combo.is_zero()))

@@ -650,35 +650,48 @@ def callerless(sources, readers, exported):
     own class body, as in ``alias = name``: a variable of the same name is
     another thing.  An attribute read that is not called does not name it when
     ``name`` is also a data field, unless the method is a property.  ``C.name``
-    names only a method of C or of a class C inherits from, and no function.
+    names no function, and only the method of the first class in C's method
+    resolution order (depth first here) whose body defines ``name``.
     In ``readers`` ({name: source}, perfbench), a string names something only
     as a tracer target."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = [ast.parse(source) for source in readers.values()]
     every = [*trees.values(), *read]
-    bases = {}      # class name -> the names of the classes it derives from
+    bases = {}      # class name -> the names of the classes it derives from, in order
+    defines = {}    # class name -> the names its body defines
     for node in (node for tree in every for node in ast.walk(tree)):
         if isinstance(node, ast.ClassDef):
-            bases.setdefault(node.name, set()).update(
+            bases.setdefault(node.name, []).extend(
                 getattr(base, "id", getattr(base, "attr", None)) for base in node.bases)
+            defined = defines.setdefault(node.name, set())
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    defined.update(t.id for target in targets
+                                   for t in ast.walk(target) if isinstance(t, ast.Name))
     fields, uses = data_fields(every), {}
     for tree in every:
         for use in _uses(tree, targets=tree in read):
             uses.setdefault(use[1], []).append(use)
 
-    def lineage(cls):
+    def definer(cls, name):
+        """The first class of cls's lineage, depth first, defining ``name``."""
         seen, todo = set(), [cls]
         while todo:
             c = todo.pop()
             if c not in seen:
                 seen.add(c)
-                todo.extend(bases.get(c, ()))
-        return seen
+                if name in defines.get(c, ()):
+                    return c
+                todo.extend(reversed(bases.get(c, ())))
+        return None
 
     def names(use, defn, cls):
         _, _, receiver, called, owner = use
         if receiver in bases:
-            return cls is not None and cls.name in lineage(receiver)
+            return cls is not None and cls.name == definer(receiver, defn.name)
         if cls is None:
             return True
         if receiver is None:
@@ -728,7 +741,8 @@ def test_the_callerless_scan_sees_each_shape():
               "if b:\n    def hidden():\n        return 0\n"),
         "b": ("from a import used as u\n"
               "def g(c):\n    return c.method(), b.C\n"),
-        # a method shares a name with a field, a local variable or another class's method
+        # a method shares a name with a field, a local variable, another class's
+        # method or, in D.shared, a subclass's override
         "c": ("class R:\n"
               "    _fields = ('size', 'kept')\n"
               "    def total(self):\n        return self.size + self.kept\n"
@@ -739,6 +753,7 @@ def test_the_callerless_scan_sees_each_shape():
               "    def local(self):\n        return 0\n"
               "    def grown(self):\n        return 0\n"
               "    def inherited(self):\n        return 0\n"
+              "    def shared(self):\n        return 0\n"
               "class E(D):\n"
               "    def __init__(self):\n        self.grown = 1\n"
               "    def shared(self):\n        return 0\n"
@@ -753,7 +768,7 @@ def test_the_callerless_scan_sees_each_shape():
               'def f():\n    "exported"\n    return {"accepted": 0}\n')
     assert callerless(sources, {"tracer": tracer}, {"exported"}) == [
         "a.recursive", "a.C.accepted", "a.hidden", "b.g", "c.D.size", "c.D.local",
-        "c.D.grown", "c.F.shared", "c.k"]
+        "c.D.grown", "c.D.shared", "c.F.shared", "c.k"]
 
 
 def test_every_function_and_class_is_named_by_a_caller():

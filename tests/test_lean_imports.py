@@ -2,7 +2,9 @@
 module of ``src/wgk`` imports ``dataclasses`` or ``inspect`` at import time.
 Every CLI op is a new interpreter, and the two cost ~26 ms of each: ``inspect``
 pulls in ``ast``, ``dis`` and ``tokenize``, and each ``@dataclass`` ``exec``s
-its generated methods.  The records are plain classes on ``series.Record``."""
+its generated methods.  The records are plain classes on ``series.Record``.
+Likewise a command compiles no module it never runs: ``wgk.lazy_module``
+defers the oracle, the fixtures and the polynomials to their first use."""
 
 import ast
 import os
@@ -10,8 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 HEAVY = ("dataclasses", "inspect")
+LAZY = ("fixtures.py", "oracle.py", "polynomials.py")
 
 
 def heavy_imports(source, name="<source>"):
@@ -55,12 +61,55 @@ def test_no_module_of_the_library_imports_dataclasses_or_inspect():
     assert hits == []
 
 
-def test_the_cli_loads_neither_in_a_fresh_interpreter():
-    # this process has imported both already, so only a new interpreter can tell
+def run_in_fresh_interpreter(code):
+    # this process has imported every module already, so only a new one can tell
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, wgk.cli\nprint(*[m for m in {HEAVY!r} "
-                               "if m in sys.modules])"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, cwd=ROOT)
+
+
+def test_the_cli_loads_neither_in_a_fresh_interpreter():
+    proc = run_in_fresh_interpreter(
+        f"import sys, wgk.cli\nprint(*[m for m in {HEAVY!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("argv, runs, exit_code", [
+    (["match", "--rr", "perfbench/data/cy3.json", "--json"], [], 0),
+    (["match", "--rr", "no-such-file.json"], [], 2),
+    (["rr", "can3", "--pg", "7", "--k3", "21", "--half", "2", "--json"], [], 0),
+    (["info", "wogr", "--w", "0,0,1,1,2", "--u", "1", "--json"], [], 0),
+    (["verify", "--full", "--json"], list(LAZY), 0),
+    (["oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2", "--degree", "4"], list(LAZY[1:]), 0),
+    (["section", "--model", "tests/golden/section-cy3-roundtrip-cy3-json/cy3.json", "--cut",
+      "2,2,3,4,4,4,5", "--basket"], list(LAZY[1:]), 0),
+])
+def test_a_command_runs_the_code_of_no_lazy_module_it_does_not_use(argv, runs, exit_code):
+    # an "exec" audit event carries the code object of each module body run
+    lazy = [str(SRC / "wgk" / name) for name in LAZY]
+    proc = run_in_fresh_interpreter(f"""
+import sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
+from wgk import cli
+code = cli.main({argv!r})
+print("ran", *sorted(f.rpartition("/")[2] for f in ran.intersection({lazy!r})))
+sys.exit(code)
+""")
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["ran", *runs]
+
+
+def test_a_lazy_module_is_bound_at_import_and_run_at_its_first_read():
+    proc = run_in_fresh_interpreter("""
+import sys, wgk.cli
+module = sys.modules["wgk.oracle"]
+assert wgk.oracle is wgk.cli.oracle is module
+assert "graded_dimension" not in object.__getattribute__(module, "__dict__")
+import wgk.oracle
+from wgk.oracle import graded_dimension
+assert wgk.oracle is sys.modules["wgk.oracle"] is module
+assert graded_dimension is module.graded_dimension
+""")
+    assert proc.returncode == 0, proc.stderr

@@ -478,6 +478,15 @@ def test_the_index_holds_each_models_own_value_at_2_in_enumeration_order(bounds)
         assert slices[top] == models, top
 
 
+def test_the_index_keeps_bank_sums_only_for_a_w2_whose_u_varies():
+    # a wGr(2,5) w2 is one model, u being absorbed, so no later model would
+    # read its sums; the slices are checked against the reference above
+    index = matcher._ModelIndex(None, 8, 4)
+    assert sum(map(len, index.reach(10 ** 6).values())) == 1365
+    ogr = {("wogr510", w.w2) for w in matcher._ENUMERATE["wogr510"](8, 4, None)}
+    assert set(index.sums) == ogr and len(ogr) == 294
+
+
 @pytest.mark.parametrize("bounds", [(8, 4), (12, 6)])
 def test_an_index_reached_window_by_window_holds_what_one_reach_holds(bounds):
     # a w2's models fall into several windows; its bank sums, formed at its

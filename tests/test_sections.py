@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wgk import sections
+from wgk import oracle
 from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
 from wgk.oracle import GradedRing, graded_dimension
 from wgk.polynomials import MPoly
@@ -395,7 +395,8 @@ def test_each_analysed_component_builds_one_ring_and_the_split_builds_none(monke
     """cy3-spinor has strata r = 2..5 and five analysed components, two of
     them at r = 3: five rings, no two alike.  Splitting a stratum reads the
     span of its equations, so no stratum builds a ring of its own; ranking
-    weighted slices to split each stratum made six."""
+    weighted slices to split each stratum made six.  ``sections`` reads the
+    class through the oracle module, so the patch goes there."""
     built = []
 
     class Counted(GradedRing):
@@ -403,7 +404,7 @@ def test_each_analysed_component_builds_one_ring_and_the_split_builds_none(monke
             built.append((tuple(coords), tuple(equations)))
             super().__init__(coords, equations)
 
-    monkeypatch.setattr(sections, "GradedRing", Counted)
+    monkeypatch.setattr(oracle, "GradedRing", Counted)
     report = singularity_analysis(CY3, (2, 2, 3, 4, 4, 4, 5))
     assert [str(s) for s, _ in report.basket] == ["1/3(1,1,1)", "1/3(2,2,2)", "1/5(3,3,4)"]
     assert len(built) == 5 and len(set(built)) == 5
