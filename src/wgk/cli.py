@@ -23,7 +23,7 @@ from .orbifold_rr import (PeriodicTable, RRData, hilbert_can3, hilbert_cy3, loca
 from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, integral,
                        json_list, json_object, quasilinear_embed, rational, rr_roundtrip,
                        section_canonical, section_series, singularity_analysis)
-from .series import OracleBudgetError
+from .series import InternalError, OracleBudgetError
 from .wgrass25 import GrWeights, doubled as half_doubled, verify_gr_identities
 from .wogr510 import OGrWeights, verify_ogr_syzygies
 
@@ -37,10 +37,6 @@ SCHEMA = "wgk/1"
 
 class InputError(ValueError):
     """Malformed input: exit 2."""
-
-
-class InternalError(Exception):
-    """Two of wgk's own computations disagree: exit 3."""
 
 
 def _at_least(name, value, low):
@@ -194,13 +190,16 @@ def cmd_rr(args):
 
 def read_json(path):
     """A JSON file read exactly: decimals as fractions, NaN and Infinity refused,
-    and a syntax or UTF-8 decoding error named with the file."""
+    and a syntax or UTF-8 decoding error named with the file; a syntax error in
+    wgk's own words, as CPython's decoder words and places it by version."""
     def refuse(name):
         raise InputError(f"{name} is not a number in {path}")
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle, parse_float=Fraction, parse_constant=refuse)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except json.JSONDecodeError:
+            raise InputError(f"{path} is not valid JSON") from None
+        except UnicodeDecodeError as exc:
             raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -408,7 +407,7 @@ def main(argv=None):
         return _refuse("degree bound exceeded", exc, 2)
     except (ValueError, OSError) as exc:
         return _refuse("error", exc, 2)
-    except (InternalError, AssertionError) as exc:
+    except InternalError as exc:
         return _refuse("internal error", exc, 3)
     if args.json:
         print(json.dumps({**record, "schema": SCHEMA}, sort_keys=True))

@@ -24,7 +24,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
-from .series import LaurentPoly, Record, SeriesError, one_minus
+from .series import InternalError, LaurentPoly, Record, SeriesError, one_minus
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
 
@@ -170,7 +170,7 @@ def _bank_sums(weights, top):
     sums = []
     for bank in weights.lower_banks():
         if bank[0] <= 0 or bank[-1] >= top:
-            raise AssertionError(f"{weights}: numerator is not 1 + ... - t^{top}")
+            raise InternalError(f"{weights}: numerator is not 1 + ... - t^{top}")
         sums.append((sum([1 << e for e in bank]), sum([1 << (top - e) for e in bank])))
     return sums
 

@@ -48,10 +48,6 @@ class PeriodicTable(Record):
     def at(self, n):
         return self.values[n % self.r]
 
-    def series(self):
-        """(sum_k c(k) t^k) / (1 - t^r)."""
-        return HilbertSeries(LaurentPoly(dict(enumerate(self.values))), (self.r,))
-
 
 class RRData(Record):
     """K = kA, A^3, chi(O), A.c2 and one periodic term per point; a float is
@@ -103,13 +99,21 @@ def plurigenus(data, n):
 
 
 def hilbert_series(data):
-    """The generating function of ``plurigenus``.  Less the tables, P(n) is a
-    cubic in n for n > max(k, 0) >= 0, so (1 - t)^4 times its series is a
-    polynomial of degree at most 5; each table adds its own series."""
-    values = [plurigenus(data, n) - sum(t.at(n) for t in data.points) for n in range(6)]
-    num = LaurentPoly(dict(enumerate(values))) * denominator_poly((1, 1, 1, 1))
-    polynomial = HilbertSeries(LaurentPoly((e, c) for e, c in num.items() if e < 6), (1, 1, 1, 1))
-    return sum((table.series() for table in data.points), polynomial.canonical())
+    """The generating function of ``plurigenus``: P(0..top) times prod (1 - t^a)
+    over D = (1, 1, 1, 1) and each table's r, cut at top = sum(D) + 1, over D and canonical.
+
+    For n > max(k, 0), P(n) is a cubic in n plus r-periodic tables with
+    c(0) = 0, and over D each has a numerator of degree <= sum(D) - 1 (<= 3
+    over (1 - t)^4, <= r - 1 over (1 - t^r)).  P(0) and P(1) differ from that
+    form by a polynomial of degree <= max(k, 0) <= 1, so the numerator has
+    degree <= top, and its coefficient of t^e reads only P(0..e).
+    """
+    denominator = (1, 1, 1, 1, *(table.r for table in data.points))
+    top = sum(denominator) + 1
+    num = (LaurentPoly(enumerate(plurigenus(data, n) for n in range(top + 1)))
+           * denominator_poly(denominator))
+    return HilbertSeries(LaurentPoly((e, c) for e, c in num.items() if e <= top),
+                         denominator).canonical()
 
 
 hilbert_can3 = hilbert_cy3 = hilbert_series

@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import lazy_module
+from . import orbifold_rr as rr
 from .series import (HilbertSeries, OracleBudgetError, Record, coefficient, denominator_poly,
                      exact_div)
 from .wgrass25 import Chart, GrWeights, WeightFamily
@@ -416,7 +417,6 @@ def rr_roundtrip(model, cut, kind):
     its ``local_term``, and A.c2 is fitted from P(k + 1).  Exact rational-function
     equality is required; a mismatch reports the first differing coefficient.
     """
-    from . import orbifold_rr as rr
     degrees = _degrees(cut)
     k = {"canonical3": 1, "cy3": 0}.get(kind)
     if k is None:
@@ -438,6 +438,7 @@ def rr_roundtrip(model, cut, kind):
     trial = rr.RRData(k, series.intersection_number(3), chi, 0, tables)
     ac2 = exact_div(12 * (series.coefficient(k + 1) - rr.plurigenus(trial, k + 1)), k + 1)
     data = rr.RRData(k, trial.acubed, chi, ac2, tables)
+    # hilbert_series under the two names perfbench's tracer wraps, so a traced verify times it
     rebuilt = (rr.hilbert_can3 if k == 1 else rr.hilbert_cy3)(data)
 
     ok = rebuilt == series

@@ -28,6 +28,10 @@ class OracleBudgetError(ValueError):
     """Raised when a requested oracle degree exceeds the practical bound."""
 
 
+class InternalError(Exception):
+    """Two of wgk's own computations disagree: exit 3."""
+
+
 class Record:
     """An immutable record.  ``Record.__init__`` alone stores the fields: it binds
     its arguments to ``_fields`` and stores them in ``__dict__`` in that order,
@@ -332,15 +336,6 @@ class HilbertSeries:
         # the value at t = 2 is exact and equal for equal series
         return hash(exact_div(self.numerator(2),
                               prod(1 - 2 ** a for a in self.denominator)))
-
-    def __add__(self, other):
-        if not isinstance(other, HilbertSeries):    # a scalar; a float is refused
-            other = HilbertSeries(LaurentPoly({0: other}))
-        num = (self.numerator * denominator_poly(other.denominator)
-               + other.numerator * denominator_poly(self.denominator))
-        return HilbertSeries(num, self.denominator + other.denominator).canonical()
-
-    __radd__ = __add__
 
     def over(self, extra):
         """Extend the denominator by further (1 - t^a) factors."""

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import MPoly
-from .series import Record, coefficient
+from .series import InternalError, Record, coefficient
 from .wgrass25 import PAIRS, pair_name, pfaffian_equations, pfaffians_at, skew_values
 from .wogr510 import EQUATION_NAMES, FULL, VERTEX_NAMES, VERTICES, canonical_vertex, equations
 
@@ -71,11 +71,11 @@ def spinor_graph():
         quad2 = tuple(sorted((e for e in parallel if e not in quad1),
                              key=lambda e: sorted(map(sorted, e))))
         if len(quad1) != 4 or len(quad2) != 4:
-            raise AssertionError("remote quads must split 8 parallel edges 4+4")
+            raise InternalError("remote quads must split 8 parallel edges 4+4")
         for quad in (quad1, quad2):
             for e1, e2 in itertools.combinations(quad, 2):
                 if not _remote(e1, e2, adjacency):
-                    raise AssertionError("quad edges must be pairwise remote")
+                    raise InternalError("quad edges must be pairwise remote")
         quads[direction] = (quad1, quad2)
     return SpinorGraph(vertices=VERTICES, edges=tuple(edges), quads=quads)
 
@@ -149,7 +149,7 @@ def wd5_element_order(g):
         h = wd5_compose(h, g)
         n += 1
         if n > 5000:
-            raise AssertionError("runaway order computation")
+            raise InternalError("runaway order computation")
     return n
 
 

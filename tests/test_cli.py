@@ -9,7 +9,7 @@ import pytest
 
 from wgk import cli, matcher, oracle, orbifold_rr
 from wgk import wgrass25, wogr510
-from wgk.series import HilbertSeries, LaurentPoly
+from wgk.series import HilbertSeries, LaurentPoly, denominator_poly
 
 
 def run(capsys, *argv):
@@ -169,9 +169,11 @@ def test_section_roundtrip_refuses_a_point_that_is_not_isolated(tmp_path, capsys
 @pytest.mark.parametrize("as_json", [False, True])
 def test_failed_roundtrip_prints_fractions_and_exits_3(tmp_path, capsys, monkeypatch, as_json):
     # a rebuilt series that is off by t^2/2: the section has P(2) = 29
-    honest = orbifold_rr.hilbert_can3
-    monkeypatch.setattr(orbifold_rr, "hilbert_can3",
-                        lambda data: honest(data) + HilbertSeries(LaurentPoly({2: Fraction(1, 2)})))
+    def off(data):
+        honest = orbifold_rr.hilbert_series(data)
+        nudge = LaurentPoly({2: Fraction(1, 2)}) * denominator_poly(honest.denominator)
+        return HilbertSeries(honest.numerator + nudge, honest.denominator)
+    monkeypatch.setattr(orbifold_rr, "hilbert_can3", off)
     model = tmp_path / "m.json"
     model.write_text(json.dumps({"family": "wogr510", "w2": [0, 0, 0, 0, 2], "u2": 2}))
     argv = ["section", "--model", str(model), "--cut", "1,2,2,2,2,2,2", "--roundtrip", "canonical3"]

@@ -3,7 +3,8 @@ interface, the names the package exports, most of which load from their
 module on first use, no function that only forwards its parameters, no
 module that imports another's private name, one owner of a polynomial's
 coefficients, no ``int()`` that could truncate an unchecked value, no
-module that reads the environment, no assert statement, one place that builds
+module that reads the environment, no assert statement and no raised
+``AssertionError``, no import inside a function, one place that builds
 a product with the generic skew matrix, one writer of a record's fields, and
 no function or class that nothing names."""
 
@@ -79,10 +80,10 @@ def test_a_float_coefficient_is_refused_with_the_same_message():
                   lambda: 0.5 - x, lambda: x * 0.5, lambda: 0.5 * x, lambda: x.scale(0.5)):
         with pytest.raises(TypeError, match=message):
             build()
-    t, h = LaurentPoly({1: 1}), HilbertSeries(LaurentPoly.one(), (1,))
+    t = LaurentPoly({1: 1})
     for build in (lambda: LaurentPoly({0: 0.5}), lambda: t * 0.5, lambda: 0.5 * t,
                   lambda: t.scale(0.5), lambda: t + 0.5, lambda: 0.5 + t, lambda: t - 0.5,
-                  lambda: 0.5 - t, lambda: h + 0.5, lambda: 0.5 + h):
+                  lambda: 0.5 - t, lambda: HilbertSeries({0: 0.5}, (1,))):
         with pytest.raises(TypeError, match=message):
             build()
 
@@ -428,10 +429,74 @@ def test_no_module_reads_the_environment():
 # -- no assert statement -----------------------------------------------------------
 
 def test_no_module_holds_an_assert_statement():
-    # python -O drops assert statements; an internal check raises AssertionError
-    # itself, as matcher._bank_sums does, so it still exits 3 under -O
+    # python -O drops assert statements; an internal check raises
+    # series.InternalError, as matcher._bank_sums does, so it still exits 3 under -O
     found = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def assertion_raises(source, module):
+    """``module:line`` of each ``raise AssertionError`` in ``source``, called or not."""
+    return [f"{module}:{node.lineno}" for node in sorted(
+        (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)
+         and getattr(getattr(node.exc, "func", node.exc), "id", None) == "AssertionError"),
+        key=lambda node: node.lineno)]
+
+
+def test_the_assertion_raise_scan_sees_each_shape():
+    source = ("def f(x):\n    if x:\n        raise AssertionError('x')\n"
+              "    raise AssertionError\n"
+              "def g():\n    try:\n        pass\n    except AssertionError:\n        raise\n"
+              "    raise InternalError('y')\n")
+    assert assertion_raises(source, "m") == ["m:3", "m:4"]
+
+
+def test_no_module_raises_assertion_error():
+    # exit 3 has one class, series.InternalError, and cli.main catches it alone
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in assertion_raises(path.read_text(), path.stem)]
+    assert found == []
+
+
+# -- no import inside a function ---------------------------------------------------
+
+# wgk.lazy_module is the one way to defer a module, and a module first imported
+# in a function body is missing from the sys.modules that perfbench's tracer
+# reads after ``import wgk.cli``
+def function_imports(source, module):
+    """``module.Class.function:line`` of each import statement in a function body of
+    ``source``, nested functions included."""
+    hits = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name],
+                      in_function or not isinstance(child, ast.ClassDef))
+                continue
+            if in_function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                hits.append(f"{'.'.join([module, *scope])}:{child.lineno}")
+            visit(child, scope, in_function)
+
+    visit(ast.parse(source), [], False)
+    return hits
+
+
+def test_the_function_import_scan_sees_each_shape():
+    source = ("import os\nfrom . import series\n"
+              "if os.name:\n    import sys\n"
+              "class C:\n    from math import gcd\n"
+              "    def f(self):\n        import json\n"
+              "def g():\n    if True:\n        from . import oracle as o\n"
+              "    def inner():\n        import re\n    return inner\n"
+              "async def h():\n    import asyncio\n")
+    assert function_imports(source, "m") == ["m.C.f:8", "m.g:11", "m.g.inner:13", "m.h:16"]
+
+
+def test_no_function_holds_an_import_statement():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in function_imports(path.read_text(), path.stem)]
     assert found == []
 
 

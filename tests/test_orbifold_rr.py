@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wgk.orbifold_rr import (PeriodicTable, RRData, hilbert_can3, hilbert_cy3,
                              hilbert_series, local_term, plurigenus)
 from wgk.sections import AmbientModel, section_series, singularity_analysis
-from wgk.series import HilbertSeries, LaurentPoly
+from wgk.series import HilbertSeries, LaurentPoly, denominator_poly
 
 FIFTH_334 = local_term(5, (3, 3, 4))
 CAN3 = RRData.canonical3(pg=7, kcubed=21, half_points=2)
@@ -189,13 +189,34 @@ def old_cy3(acubed, ac2, tables, n):
     return acubed * Fraction(n ** 3, 6) + ac2 * Fraction(n, 12) + sum(t.at(n) for t in tables)
 
 
+def added(a, b):
+    """a + b, cross-multiplied over both denominators and made canonical, as
+    every sum of series was before one construction replaced them."""
+    num = (a.numerator * denominator_poly(b.denominator)
+           + b.numerator * denominator_poly(a.denominator))
+    return HilbertSeries(num, a.denominator + b.denominator).canonical()
+
+
 def old_series(*terms):
     """The closed forms were sums, each made canonical, of these terms:
     (numerator, denominator, scale)."""
     total = HilbertSeries(LaurentPoly.one())
     for num, den, c in terms:
-        total = total + HilbertSeries(LaurentPoly(num).scale(c), den)
+        total = added(total, HilbertSeries(LaurentPoly(num).scale(c), den))
     return total.canonical()
+
+
+def two_part_series(data):
+    """The two-part assembly that ``hilbert_series`` replaced: P(0..5) less the
+    tables times (1 - t)^4, cut below degree 6 and made canonical, plus
+    (sum c(k) t^k) / (1 - t^r) for each table, one sum at a time."""
+    values = [plurigenus(data, n) - sum(t.at(n) for t in data.points) for n in range(6)]
+    num = LaurentPoly(dict(enumerate(values))) * denominator_poly((1, 1, 1, 1))
+    total = HilbertSeries(LaurentPoly((e, c) for e, c in num.items() if e < 6),
+                          (1, 1, 1, 1)).canonical()
+    for table in data.points:
+        total = added(total, HilbertSeries(LaurentPoly(dict(enumerate(table.values))), (table.r,)))
+    return total
 
 
 def old_hilbert_can3(pg, kcubed, half_points):
@@ -216,7 +237,7 @@ def tables():
     """The term of a Gorenstein point 1/r(a, b, -a-b), or any table with c(0) = 0."""
     gorenstein = st.integers(2, 9).flatmap(lambda r: st.tuples(units(r), units(r)).map(
         lambda ab: (r, ab + ((-sum(ab)) % r,)))).filter(lambda p: gcd(p[1][2], p[0]) == 1)
-    free = st.integers(2, 7).flatmap(lambda r: st.lists(
+    free = st.integers(1, 9).flatmap(lambda r: st.lists(
         fractions, min_size=r - 1, max_size=r - 1).map(lambda c: PeriodicTable(r, [0] + c)))
     return st.one_of(gorenstein.map(lambda p: local_term(*p)), free)
 
@@ -230,6 +251,19 @@ def test_plurigenus_and_series_equal_the_old_canonical3_formula(pg, kcubed, half
     assert hilbert_series(data).expand(30) == old
     # the printed form, which canonical() does not make unique, is the old one
     assert hilbert_can3(data).to_json() == old_hilbert_can3(pg, kcubed, half_points).to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1, 1), fractions.filter(lambda a: a > 0), fractions, fractions,
+       st.lists(tables(), max_size=4))
+def test_the_series_is_the_two_part_assembly_and_expands_to_plurigenus(k, acubed, chi, ac2,
+                                                                       points):
+    data = RRData(k, acubed, chi, ac2, points)
+    series, reference = hilbert_series(data), two_part_series(data)
+    assert series == reference
+    # canonical() does not make the printed form unique: it is the old one too
+    assert series.to_json() == reference.to_json()
+    assert series.expand(60) == [plurigenus(data, n) for n in range(61)]
 
 
 @settings(max_examples=50, deadline=None)

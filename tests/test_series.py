@@ -44,7 +44,10 @@ def test_expansion_is_linear_and_multiplicative():
     h2 = HilbertSeries(LaurentPoly({1: 1}), (1, 1, 5))
     n = 12
     s1, s2 = h1.expand(n), h2.expand(n)
-    assert (h1 + h2).expand(n) == [a + b for a, b in zip(s1, s2)]
+    total = HilbertSeries(h1.numerator * denominator_poly(h2.denominator)
+                          + h2.numerator * denominator_poly(h1.denominator),
+                          h1.denominator + h2.denominator)
+    assert total.expand(n) == [a + b for a, b in zip(s1, s2)]
     prod = HilbertSeries(h1.numerator * h2.numerator,
                          h1.denominator + h2.denominator)
     conv = [sum(s1[k] * s2[m - k] for k in range(m + 1)) for m in range(n + 1)]
