@@ -230,15 +230,14 @@ def cmd_section(args):
                               "h0_A": frac_str(series.coefficient(1))}
         lines.append(f"A^{dim} = {data['invariants']['A_top']}, "
                      f"h^0 = {data['invariants']['h0_A']}")
-    if args.basket:
+    if args.basket or args.roundtrip:
         report = singularity_analysis(model, cut)
-        data["basket"] = report.to_json()["basket"]
-        data["diagnostics"] = report.diagnostics
-        lines += [f"singularity 1/{entry['r']}({','.join(map(str, entry['weights']))})"
-                  f" x {entry['count']}" for entry in data["basket"]]
-        lines += [f"note: {diag}" for diag in data["diagnostics"]]
+    if args.basket:
+        data.update(report.to_json())
+        lines += [f"singularity {point} x {count}" for point, count in report.basket]
+        lines += [f"note: {diag}" for diag in report.diagnostics]
     if args.roundtrip:
-        result = rr_roundtrip(model, cut, args.roundtrip)
+        result = rr_roundtrip(series, report.basket, args.roundtrip)
         mismatch = result["first_mismatch"] and list(map(frac_str, result["first_mismatch"]))
         data["roundtrip"] = {"ok": result["ok"], "first_mismatch": mismatch}
         if not result["ok"]:

@@ -152,8 +152,8 @@ FIXTURES = (
 )
 
 
-# key -> check(expected value, section, model, cut), true when it holds;
-# section() is the cut's Hilbert series, computed at most once per fixture
+# key -> check(expected value, section, model, cut, analysis), true when it holds; section()
+# is the cut's Hilbert series and analysis() its singularity analysis, each made once
 CHECKS = {
     "ambient_weights": lambda v, s, m, *_: tuple(v) == m.coordinate_weights(),
     "ambient_numerator": lambda v, s, m, *_: m.base.hilbert_series().numerator == LaurentPoly(v),
@@ -167,9 +167,8 @@ CHECKS = {
         s().hilbert_numerator(m.coordinate_weights()) == LaurentPoly(v),
     "quasilinear_weights": lambda v, s, m, cut, *_:
         quasilinear_embed(m, cut) == {"weights": tuple(v), "quasilinear": True, "leftovers": ()},
-    "basket": lambda v, s, m, cut, *_:
-        [[q.r, list(q.weights), n] for q, n in singularity_analysis(m, cut).basket] == v,
-    "rr_kind": lambda v, s, m, cut: rr_roundtrip(m, cut, v)["ok"],
+    "basket": lambda v, s, m, cut, a: [[q.r, list(q.weights), n] for q, n in a().basket] == v,
+    "rr_kind": lambda v, s, m, cut, a: rr_roundtrip(s(), a().basket, v)["ok"],
     # the filter refuses, for want of a coordinate weight divisible by r
     "reject_sing": lambda v, s, m, *_: f"divisible by {v[0]}" in (
         singularity_filter(m, (QuotientSingularity(*v),))[1] or ""),
@@ -181,13 +180,14 @@ def run_fixture(fix):
     detail is "error: ..." (a failed check) when the check raised or there is none."""
     model = AmbientModel.from_json(fix.model)
     section = cache(lambda: section_series(model, fix.cut))
+    analysis = cache(lambda: singularity_analysis(model, fix.cut))
     out = []
     for key, spec in sorted(fix.expected.items()):
         name = f"{fix.name}:{key}"
         try:
             if key not in CHECKS:
                 raise ValueError(f"unknown fixture check {key!r}")
-            ok = CHECKS[key](spec["value"], section, model, fix.cut)
+            ok = CHECKS[key](spec["value"], section, model, fix.cut, analysis)
             out.append((name, bool(ok), None))
         except Exception as exc:           # a crash is a failure with detail
             out.append((name, False, f"error: {exc}"))

@@ -24,7 +24,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
-from .series import InternalError, LaurentPoly, Record, SeriesError, one_minus
+from .series import InternalError, LaurentPoly, Record, SeriesError, one_minus, positive_degrees
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
 
@@ -45,14 +45,15 @@ class MatchQuery(Record):
 
     When ``target`` has an empty denominator it is taken to be the numerator
     itself; otherwise the numerator is formed against the generator degrees.
-    Generator degrees, when given, constrain the ambient coordinate weights
-    (up to coning by unmatched degree-1 generators).
+    Generator degrees, when given, are positive integers and constrain the
+    ambient coordinate weights (up to coning by unmatched degree-1 generators).
     """
     _fields = ("target", "generator_degrees", "family", "max_w2", "max_u", "basket")
 
     def __init__(self, target, generator_degrees=None, family=None, max_w2=DEFAULT_MAX_W2,
                  max_u=DEFAULT_MAX_U, basket=()):
         max_w2, max_u = _check_bounds(family, max_w2, max_u)
+        generator_degrees = generator_degrees and positive_degrees(generator_degrees)
         super().__init__(target, generator_degrees, family, max_w2, max_u, basket)
 
 
@@ -435,7 +436,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
         inferred.append(("residue-forced", _force_residues(forced, basket)))
     gen_sets = [(p, g) for i, (p, g) in enumerate(inferred)
                 if g not in [h for _, h in inferred[:i]]]
-    gen_sets += [(f"user[{k}]", tuple(sorted(gens))) for k, gens in enumerate(user_generators)]
+    gen_sets += [(f"user[{k}]", positive_degrees(gens)) for k, gens in enumerate(user_generators)]
 
     index, candidates, tried, diagnostics = _model_index(family, max_w2, max_u), {}, [], []
     for k in range(AUGMENT_BOUND + 1):    # round 0 tries the sets as inferred

@@ -267,23 +267,12 @@ class LaurentPoly(SparsePoly):
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
+        """Terms by ascending exponent, as in 1 - 5t^2 + 5t^3 - t^5; 0 for zero."""
+        out = ""
         for e, c in self.items():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                tpow = "t" if e == 1 else f"t^{e}"
-                body = tpow if mag == 1 else f"{mag}{tpow}"
-            bits.append((sign, body))
-        first_sign, first_body = bits[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
+            power = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+            out += f" {'-' if c < 0 else '+'} {'' if power and abs(c) == 1 else abs(c)}{power}"
+        return ("-" + out[3:] if out[1] == "-" else out[3:]) if out else "0"
 
     def to_json(self):
         """Sorted (exponent, numerator, denominator) triples."""
@@ -295,6 +284,15 @@ def one_minus(a):
     if a < 1:
         raise SeriesError(f"factor exponent must be positive, got {a}")
     return LaurentPoly({0: 1, a: -1})
+
+
+def positive_degrees(degrees, what="generator degrees"):
+    """``degrees`` as a sorted tuple of ints: operator.index refuses one that is
+    not an int, and SeriesError names those below 1."""
+    degrees = tuple(sorted(map(operator.index, degrees)))
+    if degrees and degrees[0] < 1:
+        raise SeriesError(f"{what} must be positive, found {[d for d in degrees if d < 1]}")
+    return degrees
 
 
 def denominator_poly(denominator):
@@ -317,11 +315,8 @@ class HilbertSeries:
     def __init__(self, numerator, denominator=()):
         if not isinstance(numerator, LaurentPoly):
             numerator = LaurentPoly(numerator)
-        denominator = tuple(sorted(operator.index(a) for a in denominator))
-        if any(a < 1 for a in denominator):
-            raise SeriesError("denominator entries must be positive integers")
         self.numerator = numerator
-        self.denominator = denominator
+        self.denominator = positive_degrees(denominator, "denominator entries")
 
     # -- algebra -----------------------------------------------------------
 
@@ -413,7 +408,7 @@ class HilbertSeries:
         by a running sum with stride a, exact iff the top a coefficients vanish
         ((1 - t + t^2) / (1 - t^6) against (2, 3) is 1 - t, divided last).
         """
-        denominator = tuple(denominator)
+        denominator = positive_degrees(denominator)
         if not denominator:
             raise SeriesError("denominator multiset must be nonempty")
         gens, own = Counter(denominator), Counter(self.denominator)

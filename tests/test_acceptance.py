@@ -126,13 +126,13 @@ def test_criterion_7_singularity_baskets_and_roundtrip():
         (AmbientModel(EX2), (2, 2, 3, 4, 4, 4, 5),
          [(3, (1, 1, 1), 1), (3, (2, 2, 2), 1), (5, (3, 3, 4), 1)]),
     ]
+    baskets = []
     for model, cut, expected in cases:
-        got = [(s.r, s.weights, n)
-               for s, n in singularity_analysis(model, cut).basket]
+        baskets.append(singularity_analysis(model, cut).basket)
+        got = [(s.r, s.weights, n) for s, n in baskets[-1]]
         assert got == expected, (str(model), cut, got)
-    assert rr_roundtrip(AmbientModel(EX1), (1, 2, 2, 2, 2, 2, 2),
-                        "canonical3")["ok"]
-    assert rr_roundtrip(AmbientModel(EX2), (2, 2, 3, 4, 4, 4, 5), "cy3")["ok"]
+    for (model, cut, _), basket, kind in zip(cases[3:], baskets[3:], ("canonical3", "cy3")):
+        assert rr_roundtrip(section_series(model, cut), basket, kind)["ok"]
     report(7, "all five baskets reproduced and both round trips exact")
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
 from wgk.sections import (AmbientModel, rr_roundtrip, section_canonical, section_series,
                           singularity_analysis)
+from wgk.series import SeriesError
 
 CENSUS = Path(__file__).resolve().parent / "census" / "census.json"
 ROUNDTRIP_KINDS = {0: "cy3", 1: "canonical3"}
@@ -35,7 +36,7 @@ def census_models():
 
 
 def census_sections(model):
-    """``(cut, dimension, k)`` of each section of ``model`` in the census."""
+    """``(cut, dimension, k, series)`` of each section of ``model`` in the census."""
     weights = model.coordinate_weights()
     for dimension in (3, 2):
         for cut in sorted(set(itertools.combinations(weights, model.dim - dimension))):
@@ -43,19 +44,19 @@ def census_sections(model):
             if k not in (-1, 0, 1):
                 continue
             try:
-                section_series(model, cut)
+                series = section_series(model, cut)
             except ValueError:
                 continue
-            yield cut, dimension, k
+            yield cut, dimension, k, series
 
 
-def census_record(model, cut, dimension, k):
+def census_record(model, cut, dimension, k, series):
     report = singularity_analysis(model, cut)
     record = {"model": model.to_json(), "cut": list(cut), "dimension": dimension, "k": k,
               "report": report.to_json()}
     if dimension == 3 and k in ROUNDTRIP_KINDS and not report.diagnostics:
         kind = ROUNDTRIP_KINDS[k]
-        record["roundtrip"] = {"kind": kind, "ok": rr_roundtrip(model, cut, kind)["ok"]}
+        record["roundtrip"] = {"kind": kind, "ok": rr_roundtrip(series, report.basket, kind)["ok"]}
     return record
 
 
@@ -89,3 +90,29 @@ def test_every_census_record_is_reproduced():
 def test_every_clean_census_threefold_round_trips():
     trips = [r for r in recorded() if "roundtrip" in r]
     assert trips and all(r["roundtrip"]["ok"] for r in trips)
+
+
+def test_the_round_trip_reads_k_and_the_dimension_off_every_census_model_series():
+    """On each cut of a census model to dimension 0 to 3 that ``section_series``
+    accepts, K as ``rr_roundtrip`` reads it (top exponent of the numerator less
+    the sum of the denominator) is ``section_canonical``, and
+    ``intersection_number(3)`` refuses exactly the sections that are not 3-folds."""
+    checked = 0
+    for model in census_models():
+        weights = model.coordinate_weights()
+        for dimension in range(min(model.dim, 3) + 1):
+            for cut in sorted(set(itertools.combinations(weights, model.dim - dimension))):
+                try:
+                    series = section_series(model, cut)
+                except ValueError:
+                    continue
+                k = series.numerator.max_exp() - sum(series.denominator)
+                assert k == section_canonical(model, cut), (str(model), cut)
+                try:
+                    series.intersection_number(3)
+                    threefold = True
+                except SeriesError:
+                    threefold = False
+                assert threefold == (dimension == 3), (str(model), cut)
+                checked += 1
+    assert checked == 2814

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wgk import cli, matcher, oracle, orbifold_rr
+from wgk import cli, matcher, oracle, orbifold_rr, sections
 from wgk import wgrass25, wogr510
 from wgk.series import HilbertSeries, LaurentPoly, denominator_poly
 
@@ -164,6 +164,25 @@ def test_section_roundtrip_refuses_a_point_that_is_not_isolated(tmp_path, capsys
     assert code == 2 and out == ""
     assert err == ("error: a cy3 round trip needs isolated points; "
                    "the basket holds 1/4(1,1,2)\n")
+
+
+def test_a_section_with_basket_and_roundtrip_is_analysed_once(tmp_path, capsys, monkeypatch):
+    """The round trip takes the basket of the analysis the command prints."""
+    calls = []
+    original = sections.singularity_analysis
+
+    def counted(model, cut):
+        calls.append(cut)
+        return original(model, cut)
+
+    for module in (cli, sections):
+        monkeypatch.setattr(module, "singularity_analysis", counted)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"family": "wogr510", "w2": [0, 0, 2, 2, 4], "u2": 2}))
+    code, out, _ = run(capsys, "section", "--model", str(model), "--cut", "2,2,3,4,4,4,5",
+                       "--basket", "--roundtrip", "cy3")
+    assert code == 0 and "singularity 1/5(3,3,4) x 1" in out and "round trip: ok" in out
+    assert calls == [(2, 2, 3, 4, 4, 4, 5)]
 
 
 @pytest.mark.parametrize("as_json", [False, True])

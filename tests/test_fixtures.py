@@ -1,13 +1,13 @@
 """The fixture checks: each expected value of each worked fixture passes as
 given and fails once perturbed, so no check can pass whatever it is given; a
-key with no check is a failed check with detail, and the section series is
-computed at most once per fixture."""
+key with no check is a failed check with detail, and the section series and
+its singularity analysis are each computed at most once per fixture."""
 
 from fractions import Fraction
 
 import pytest
 
-from wgk import fixtures
+from wgk import fixtures, sections
 from wgk.fixtures import CHECKS, FIXTURES, FixtureRecord, run_all, run_fixture
 
 
@@ -78,3 +78,20 @@ def test_the_section_series_is_computed_at_most_once(monkeypatch):
     cy3 = next(fix for fix in FIXTURES if fix.name == "cy3-spinor")
     assert all(ok for _, ok, _ in run_fixture(cy3))
     assert len(calls) == 1      # a_top and series_prefix share it
+
+
+def test_run_all_runs_one_singularity_analysis_per_basket_fixture(monkeypatch):
+    """Five fixtures check a basket; the two that also round-trip read the same
+    analysis, looked up in ``fixtures`` (``sections`` is patched too, where a
+    round trip that ran its own analysis would find it)."""
+    calls = []
+    original = sections.singularity_analysis
+
+    def counted(model, cut):
+        calls.append(cut)
+        return original(model, cut)
+
+    for module in (fixtures, sections):
+        monkeypatch.setattr(module, "singularity_analysis", counted)
+    assert all(ok for _, ok, _ in run_all())
+    assert len(calls) == 5

@@ -104,6 +104,19 @@ def test_search_straight_plucker():
     assert [m.base for m in hits] == [GrWeights((1, 1, 1, 1, 1))]
 
 
+@pytest.mark.parametrize("degree", [0, -2])
+def test_a_generator_degree_that_is_not_a_positive_integer_is_refused_by_name(degree):
+    """Refused where it is given, never scanned: 0 once gave no hit and an
+    ``ok`` generator set, and -2 an IndexError; the message has no hint."""
+    target = HilbertSeries(LaurentPoly({0: 1, 2: -5, 3: 5, 5: -1}), (1,) * 10)
+    gens = (degree,) + (1,) * 10
+    for call in (lambda: search(MatchQuery(target, generator_degrees=gens)),
+                 lambda: match_pipeline(target, user_generators=[gens])):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"generator degrees must be positive, found [{degree}]"
+
+
 def test_search_roundtrip_property():
     rng = random.Random(31)
     gr_pool = enumerate_gr_weights(4)

@@ -97,6 +97,8 @@ NON_INTEGRAL_INTEGERS = {
     "laurent-fraction-exponent": lambda: LaurentPoly({Fraction(2): 1}),
     "mpoly-exponent": lambda: MPoly({(("x", 2.7),): 1}),
     "series-denominator": lambda: HilbertSeries(LaurentPoly.one(), (1.5,)),
+    "generator-degree": lambda: HilbertSeries(LaurentPoly.one(), (1,)).hilbert_numerator(
+        (Fraction(3, 2), 1)),
     "section-degree": lambda: section_series(AmbientModel(GrWeights((1, 1, 1, 1, 3))),
                                              (2.5, 2, 2)),
     "cone-weight": lambda: AmbientModel(GrWeights((1, 1, 1, 1, 3)), (1.7,)),

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wgk import oracle
+from wgk import oracle, sections
 from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
 from wgk.oracle import GradedRing, graded_dimension
 from wgk.polynomials import MPoly
@@ -218,8 +218,13 @@ def test_non_isolated_diagnostic():
     assert any("non-isolated" in d for d in report.diagnostics)
 
 
+def roundtrip(model, cut, kind):
+    """``rr_roundtrip`` on the section's series and the basket of its analysis."""
+    return rr_roundtrip(section_series(model, cut), singularity_analysis(model, cut).basket, kind)
+
+
 def test_rr_roundtrip_canonical3():
-    result = rr_roundtrip(CAN3, (1, 2, 2, 2, 2, 2, 2), "canonical3")
+    result = roundtrip(CAN3, (1, 2, 2, 2, 2, 2, 2), "canonical3")
     assert result["ok"] and result["first_mismatch"] is None
     data = result["data"]
     # p_g = 1 - chi = 7, K^3 = 21, and K.c2 = -24 chi + (3/2) * 2 points
@@ -228,11 +233,27 @@ def test_rr_roundtrip_canonical3():
 
 
 def test_rr_roundtrip_cy3():
-    result = rr_roundtrip(CY3, (2, 2, 3, 4, 4, 4, 5), "cy3")
+    result = roundtrip(CY3, (2, 2, 3, 4, 4, 4, 5), "cy3")
     assert result["ok"]
     data = result["data"]
     assert data.acubed == Fraction(6, 5)
     assert data.ac2 == Fraction(108, 5)
+
+
+def test_a_written_out_basket_round_trips_with_no_analysis(monkeypatch):
+    """The round trip checks the Hilbert data it is given: the cy3 fixture's
+    series and its basket written out, with the analysis refused outright."""
+    def refuse(*args):
+        raise AssertionError("the round trip ran a singularity analysis")
+    monkeypatch.setattr(sections, "singularity_analysis", refuse)
+    series = section_series(CY3, (2, 2, 3, 4, 4, 4, 5))
+    basket = [(QuotientSingularity(3, (1, 1, 1)), 1), (QuotientSingularity(3, (2, 2, 2)), 1),
+              (QuotientSingularity(5, (3, 3, 4)), 1)]
+    result = rr_roundtrip(series, basket, "cy3")
+    assert result["ok"] and result["first_mismatch"] is None
+    assert (result["data"].acubed, result["data"].ac2) == (Fraction(6, 5), Fraction(108, 5))
+    with pytest.raises(ValueError, match=r"the basket holds 1/4\(2,3,3\)$"):
+        rr_roundtrip(series, basket + [(QuotientSingularity(4, (2, 3, 3)), 1)], "cy3")
 
 
 # The CY 3-fold sections with a clean singularity analysis in a scan of wGr
@@ -253,17 +274,19 @@ CLEAN_CY3_SECTIONS = [
 
 @pytest.mark.parametrize("model, cut, basket, acubed, ac2", CLEAN_CY3_SECTIONS)
 def test_rr_roundtrip_clean_cy3_sections(model, cut, basket, acubed, ac2):
-    result = rr_roundtrip(AmbientModel.from_json(model), cut, "cy3")
+    model = AmbientModel.from_json(model)
+    report = singularity_analysis(model, cut)
+    assert report.diagnostics == []
+    assert [str(s) for s, n in report.basket for _ in range(n)] == basket
+    result = rr_roundtrip(section_series(model, cut), report.basket, "cy3")
     assert result["ok"] and result["first_mismatch"] is None
-    assert result["diagnostics"] == []
-    assert [str(s) for s, n in result["basket"] for _ in range(n)] == basket
     assert (result["data"].acubed, result["data"].ac2) == (acubed, ac2)
 
 
 def test_rr_roundtrip_refuses_a_point_that_is_not_isolated():
     model = AmbientModel(GrWeights((0, 2, 2, 4, 8)))
     with pytest.raises(ValueError, match=r"the basket holds 1/4\(1,1,2\)$"):
-        rr_roundtrip(model, (5, 5, 6), "cy3")
+        roundtrip(model, (5, 5, 6), "cy3")
 
 
 @pytest.mark.parametrize("cut, kind, point", [
@@ -274,9 +297,10 @@ def test_a_round_trip_names_its_kind_when_it_refuses_a_point_that_is_not_isolate
         cut, kind, point):
     """Refused after the analysis, before any point's local term is asked for."""
     model = AmbientModel(OGrWeights((0, 0, 2, 2, 2), 1))
-    assert [str(s) for s, _ in singularity_analysis(model, cut).basket] == [point]
+    basket = singularity_analysis(model, cut).basket
+    assert [str(s) for s, _ in basket] == [point]
     with pytest.raises(ValueError) as info:
-        rr_roundtrip(model, cut, kind)
+        rr_roundtrip(section_series(model, cut), basket, kind)
     assert str(info.value) == (f"a {kind} round trip needs isolated points; "
                                f"the basket holds {point}")
 
@@ -284,17 +308,18 @@ def test_a_round_trip_names_its_kind_when_it_refuses_a_point_that_is_not_isolate
 def test_rr_roundtrip_straight_sections_with_empty_basket():
     # smooth sections of the straight ambients: polynomial-only data matches
     gr = AmbientModel(GrWeights((1,) * 5))
-    result = rr_roundtrip(gr, (1, 1, 3), "cy3")
-    assert result["ok"] and result["basket"] == []
-    assert result["data"].acubed == 15
+    assert singularity_analysis(gr, (1, 1, 3)).basket == []
+    result = roundtrip(gr, (1, 1, 3), "cy3")
+    assert result["ok"] and result["data"].acubed == 15
     ogr = AmbientModel(OGrWeights((0, 0, 0, 0, 0), 1))
-    result = rr_roundtrip(ogr, (1, 1, 1, 1, 1, 2, 2), "canonical3")
-    assert result["ok"] and result["basket"] == [] and result["data"].points == ()
+    assert singularity_analysis(ogr, (1, 1, 1, 1, 1, 2, 2)).basket == []
+    result = roundtrip(ogr, (1, 1, 1, 1, 1, 2, 2), "canonical3")
+    assert result["ok"] and result["data"].points == ()
 
 
 def test_rr_roundtrip_needs_threefold():
     with pytest.raises(ValueError, match="3-dimensional"):
-        rr_roundtrip(CAN3, (1, 2), "canonical3")
+        rr_roundtrip(section_series(CAN3, (1, 2)), [], "canonical3")
 
 
 def test_graded_dimension_op():
@@ -332,9 +357,9 @@ def test_the_order_of_the_section_degrees_does_not_matter(model, cut, kind):
     # the chart analysis takes the degrees in turn and each stratum lists its
     # active ones, so every entry point must see the degrees in one order
     def answers(degrees):
-        return (section_series(model, degrees), section_canonical(model, degrees),
-                quasilinear_embed(model, degrees), singularity_analysis(model, degrees),
-                kind and rr_roundtrip(model, degrees, kind))
+        series, report = section_series(model, degrees), singularity_analysis(model, degrees)
+        return (series, section_canonical(model, degrees), quasilinear_embed(model, degrees),
+                report, kind and rr_roundtrip(series, report.basket, kind))
     reference = answers(cut)
     for degrees in (cut[::-1], cut[2:] + cut[:2]):
         assert answers(degrees) == reference, degrees

@@ -94,6 +94,15 @@ def test_hilbert_numerator_rejects_non_clearing_denominator():
         h.hilbert_numerator((2,))
 
 
+@pytest.mark.parametrize("degree", [0, -2])
+def test_hilbert_numerator_names_a_degree_that_is_not_a_positive_integer(degree):
+    # 0 once cleared to a zero numerator and -2 raised IndexError
+    h = HilbertSeries(LaurentPoly.one(), (1, 1))
+    with pytest.raises(SeriesError) as info:
+        h.hilbert_numerator((degree, 1, 1))
+    assert str(info.value) == f"generator degrees must be positive, found [{degree}]"
+
+
 def test_numerator_roundtrip_reproduces_expansion():
     h = HilbertSeries(LaurentPoly({0: 1, 4: 2, 7: -1}), (1, 1, 2, 3))
     num = h.hilbert_numerator((1, 2, 2, 3, 5))
