@@ -20,7 +20,7 @@ from . import lazy_module
 from . import matcher as matcher_mod
 from .orbifold_rr import (PeriodicTable, RRData, hilbert_can3, hilbert_cy3, local_term,
                           plurigenus, positive)
-from .sections import (DEFAULT_DEPTH, AmbientModel, QuotientSingularity, integral,
+from .sections import (DEFAULT_DEPTH, FAMILIES, AmbientModel, QuotientSingularity, integral,
                        json_list, json_object, quasilinear_embed, rational, rr_roundtrip,
                        section_canonical, section_series, singularity_analysis)
 from .series import InternalError, OracleBudgetError
@@ -33,6 +33,7 @@ fixture_mod = lazy_module("wgk.fixtures")
 oracle = lazy_module("wgk.oracle")
 
 SCHEMA = "wgk/1"
+SHORT_NAMES = {"wgr": GrWeights, "wogr": OGrWeights}    # the family argument of info and oracle
 
 
 class InputError(ValueError):
@@ -67,7 +68,7 @@ def build_weights(args):
         u2 = half_doubled(args.u)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse overall weight {args.u!r}") from None
-    return {"wgr": GrWeights, "wogr": OGrWeights}[args.family].of(w2, u2)
+    return SHORT_NAMES[args.family].of(w2, u2)
 
 
 def frac_str(x):
@@ -78,29 +79,18 @@ def frac_str(x):
 
 def cmd_info(args):
     weights = build_weights(args)
-    series = weights.hilbert_series()
     wf, witness = weights.is_well_formed()
+    fields, degree_lines = weights.info_fields()
     data = {
         "family": weights.family,
         "weights": weights.to_json(),
         "ambient": fmt_wps(w for _, w in weights.coordinates()),
         "adjunction": weights.top_exponent(),
         "canonical": weights.canonical_degree(),
-        "numerator": str(series.numerator),
+        "numerator": str(weights.hilbert_series().numerator),
         "well_formed": wf,
+        **fields,
     }
-    deg = {k: list(v) for k, v in weights.resolution_degrees().items()}
-    if weights.family == "wgr25":
-        data.update(pfaffian_degrees=deg["relations"],
-                    syzygy_degrees=deg["first_syzygies"],
-                    degree=frac_str(weights.degree()))
-        degree_lines = [f"Pfaffian degrees: {data['pfaffian_degrees']}, "
-                        f"syzygy degrees: {data['syzygy_degrees']}",
-                        f"degree = {data['degree']}"]
-    else:
-        data["resolution_degrees"] = deg
-        degree_lines = [f"relation degrees: {deg['relations']}",
-                        f"first syzygy degrees: {deg['first_syzygies']}"]
     if witness:
         data["well_formed_witness"] = witness
     data["charts"] = [{"label": ch.label, "order": ch.order,
@@ -324,7 +314,7 @@ def cmd_oracle(args):
 # -- argument parsing -----------------------------------------------------------
 
 def _add_weight_args(p):
-    p.add_argument("family", choices=("wgr", "wogr"))
+    p.add_argument("family", choices=SHORT_NAMES)
     p.add_argument("--w", required=True,
                    help="five weights, comma separated (fractions /2 allowed)")
     p.add_argument("--u", default="0", help="overall weight (integer)")
@@ -379,7 +369,7 @@ def build_parser():
 
     p = sub.add_parser("match", parents=[output], help="search ambient models for RR data")
     p.add_argument("--rr", required=True, help="RR data JSON file")
-    p.add_argument("--family", choices=("wgr25", "wogr510"))
+    p.add_argument("--family", choices=sorted(FAMILIES))
     p.add_argument("--max-w2", type=int, default=matcher_mod.DEFAULT_MAX_W2)
     p.add_argument("--max-u", type=int, default=matcher_mod.DEFAULT_MAX_U)
     p.add_argument("--no-residue-forcing", action="store_true")

@@ -53,8 +53,9 @@ class MatchQuery(Record):
     def __init__(self, target, generator_degrees=None, family=None, max_w2=DEFAULT_MAX_W2,
                  max_u=DEFAULT_MAX_U, basket=()):
         max_w2, max_u = _check_bounds(family, max_w2, max_u)
-        generator_degrees = generator_degrees and positive_degrees(generator_degrees)
-        super().__init__(target, generator_degrees, family, max_w2, max_u, basket)
+        if generator_degrees is not None:
+            generator_degrees = positive_degrees(generator_degrees)
+        super().__init__(target, generator_degrees, family, max_w2, max_u, tuple(basket))
 
 
 def _check_bounds(family, max_w2, max_u):
@@ -68,21 +69,19 @@ def _check_bounds(family, max_w2, max_u):
     return max_w2, max_u
 
 
-def infer_generators(series, depth=DEFAULT_DEPTH):
+def infer_generators(series):
     """Greedy generator inference from the expansion.
 
     Repeatedly multiplies by (1 - t^k)^{c_k} at the smallest degree with a
-    positive coefficient, stopping at the first negative one (or at depth).
-    The series is expanded once; each factor updates the truncated
-    coefficients in place, high to low, since coefficient n of a product
-    depends only on coefficients up to n.
+    positive coefficient, stopping at the first negative one (or at
+    DEFAULT_DEPTH).  The series is expanded once; each factor updates the
+    truncated coefficients in place, high to low, since coefficient n of a
+    product depends only on coefficients up to n.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     gens = []
-    coeffs = series.expand(depth)
+    coeffs = series.expand(DEFAULT_DEPTH)
     while True:
-        k = next((i for i in range(1, depth + 1) if coeffs[i] != 0), None)
+        k = next((i for i in range(1, DEFAULT_DEPTH + 1) if coeffs[i] != 0), None)
         if k is None or coeffs[k] < 0:
             break
         c = coeffs[k]
@@ -90,7 +89,7 @@ def infer_generators(series, depth=DEFAULT_DEPTH):
             raise ValueError(f"non-integral coefficient {c} at degree {k}")
         gens.extend([k] * int(c))
         for _ in range(int(c)):
-            for n in range(depth, k - 1, -1):
+            for n in range(DEFAULT_DEPTH, k - 1, -1):
                 coeffs[n] -= coeffs[n - k]
     return tuple(gens)
 
@@ -399,17 +398,16 @@ def search(query):
     Deduplicated by permutation (respectively signed-permutation) symmetry and
     returned in a canonical deterministic order.
     """
-    gens = query.generator_degrees
+    gens, hint = query.generator_degrees, ""
     if query.target.denominator:
         if gens is None:
             gens = _force_residues(_force_divisibility(
                 infer_generators(query.target), query.basket), query.basket)
+            hint = "; give generator_degrees= or use match_pipeline, which tries one more degree"
         try:
             n_target = query.target.hilbert_numerator(gens)
         except SeriesError as exc:
-            raise SeriesError(f"{exc} with generator degrees {fmt_multiset(gens)}; "
-                              "give generator_degrees= or use match_pipeline, "
-                              "which tries one more degree") from None
+            raise SeriesError(f"{exc} with generator degrees {fmt_multiset(gens)}{hint}") from None
     else:
         n_target = query.target.numerator
     candidates = {}

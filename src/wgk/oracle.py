@@ -69,9 +69,9 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from itertools import count
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
-from .series import HilbertSeries, LaurentPoly, OracleBudgetError
+from .series import HilbertSeries, OracleBudgetError, denominator_poly
 
 DEGREE_BUDGET = 200_000  # refuse degrees whose monomial count exceeds this
 ROW_BUDGET = 60_000      # likewise for the number of equation-multiple rows
@@ -351,8 +351,7 @@ def _staircase_numerator(gens, weights):
     """Numerator over prod (1 - t^w) of R/(gens), for minimal monomials gens."""
     mixed = [g for g in gens if sum(map(bool, g)) > 1]
     if not mixed:   # powers of distinct variables: a regular sequence
-        return prod((LaurentPoly([(0, 1), (_degree(g, weights), -1)]) for g in gens),
-                    start=LaurentPoly.one())
+        return denominator_poly([_degree(g, weights) for g in gens])
     # x_i^e, e the least exponent of x_i in a mixed generator, is not in (gens):
     # a pure power x_i^f in a minimal set has f above every such e
     uses = [sum(1 for g in mixed if g[i]) for i in range(len(weights))]

@@ -114,13 +114,13 @@ class WeightFamily(Record):
     ``coordinates()`` as (name, weight) pairs, ``equations()``, ``lower_banks()``
     (banks 1..k of its Gorenstein resolution of codimension c = 2k + 1, each
     sorted), ``top_exponent()``, ``charts()`` and ``canonical_form()``.  The
-    members below are derived once: the resolution is self-dual, so bank c - i
-    is top - e over bank i and bank c is (top,); the Hilbert numerator is the
-    alternating sum over the banks, the degree is read off the Hilbert series,
-    and Gorenstein symmetry gives K = O(top - sum of weights).  A family whose
-    overall weight u varies with w2 fixed states that raising u by k raises
-    lower bank i by ``bank_slopes[i] * k`` and the top by ``top_slope * k``;
-    where u is absorbed into the weights, each w2 is one model."""
+    members below are derived once, ``info_fields`` as a default: the resolution
+    is self-dual, so bank c - i is top - e over bank i and bank c is (top,); the
+    Hilbert numerator is the alternating sum over the banks, the degree is read
+    off the Hilbert series, and Gorenstein symmetry gives K = O(top - sum of
+    weights).  A family whose overall weight u varies with w2 fixed states that
+    raising u by k raises lower bank i by ``bank_slopes[i] * k`` and the top by
+    ``top_slope * k``; where u is absorbed into the weights, each w2 is one model."""
 
     bank_slopes = ()
 
@@ -133,17 +133,22 @@ class WeightFamily(Record):
         upper = [tuple([top - e for e in reversed(bank)]) for bank in reversed(lower)]
         return {**dict(zip(BANK_NAMES, lower + tuple(upper))), "top": (top,)}
 
+    def info_fields(self):
+        """``wgk info``'s resolution fields and their text lines; by default every
+        bank, and a line for each lower bank, whose duals are the others."""
+        return ({"resolution_degrees": {k: list(v) for k, v in self.resolution_degrees().items()}},
+                [f"{label} degrees: {list(bank)}"
+                 for label, bank in zip(("relation", "first syzygy"), self.lower_banks())])
+
     def numerator_terms(self):
-        """1 - t^(relations) + t^(first syzygies) - ... as {exponent: nonzero integer}."""
+        """1 - t^(relations) + t^(first syzygies) - ... as {exponent: nonzero integer},
+        none negative: positive coordinate weights put each bank in (0, top)."""
         num, sign = {0: 1}, -1
         for bank in self.resolution_degrees().values():
             for e in bank:
                 num[e] = num.get(e, 0) + sign
             sign = -sign
-        num = {e: c for e, c in num.items() if c}
-        if num and min(num) < 0:
-            raise ValueError("numerator has negative exponents: invalid weights")
-        return num
+        return {e: c for e, c in num.items() if c}
 
     def hilbert_series(self):
         """Closed form: ``numerator_terms`` / prod(1-t^a) over the coordinate weights."""
@@ -235,6 +240,13 @@ class GrWeights(WeightFamily):
     def canonical_form(self):
         """The sorted doubled weights already are the orbit representative."""
         return self
+
+    def info_fields(self):
+        """The Pfaffian degrees d - w_i, the syzygy degrees d + w_i and the degree."""
+        banks, degree = self.resolution_degrees(), str(self.degree())
+        pf, syz = list(banks["relations"]), list(banks["first_syzygies"])
+        return ({"pfaffian_degrees": pf, "syzygy_degrees": syz, "degree": degree},
+                [f"Pfaffian degrees: {pf}, syzygy degrees: {syz}", f"degree = {degree}"])
 
     def charts(self):
         """For each pair (i,j): order w_i + w_j, local weights w_i+w_k, w_j+w_k."""

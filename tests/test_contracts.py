@@ -1,12 +1,12 @@
 """Python-level contracts: integer MPoly coefficients, the weight-family
 interface, the names the package exports, most of which load from their
 module on first use, no function that only forwards its parameters, no
-module that imports another's private name, one owner of a polynomial's
-coefficients, no ``int()`` that could truncate an unchecked value, no
-module that reads the environment, no assert statement and no raised
-``AssertionError``, no import inside a function, one place that builds
-a product with the generic skew matrix, one writer of a record's fields, and
-no function or class that nothing names."""
+comparison with a family's name, no module that imports another's private
+name, one owner of a polynomial's coefficients, no ``int()`` that could
+truncate an unchecked value, no module that reads the environment, no assert
+statement and no raised ``AssertionError``, no import inside a function, one
+place that builds a product with the generic skew matrix, one writer of a
+record's fields, and no function or class that nothing names."""
 
 import ast
 import re
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import wgk
-from wgk import matcher, sections, spinor, wgrass25, wogr510
+from wgk import cli, matcher, sections, spinor, wgrass25, wogr510
 from wgk.polynomials import MPoly
 from wgk.series import HilbertSeries, LaurentPoly
 from wgk.wgrass25 import WeightFamily
@@ -137,6 +137,7 @@ def test_a_family_stating_only_its_primitives_gets_the_derived_members(a, e, can
     assert x.canonical_degree() == e - sum(a) == canonical
     assert x.degree() == Fraction(e, prod(a))
     assert x.is_well_formed() == (True, None)
+    assert x.info_fields() == ({"resolution_degrees": {"top": [e]}}, [])
 
 
 def test_no_family_restates_a_derived_member():
@@ -228,6 +229,46 @@ def test_no_function_only_forwards_its_parameters():
     for path in sorted(SRC.glob("*.py")):
         found.update(forwarders(path.read_text(), path.stem))
     assert not found, sorted(found)
+
+
+# -- no code compares a value with a family's name ------------------------------
+
+# a family answers for itself (WeightFamily.info_fields, say): code that tests a
+# family's name decides in the caller what a third family would have to restate
+def family_comparisons(source, module, names):
+    """``module:line`` of each comparison or ``case`` pattern in ``source`` with an
+    operand that is one of ``names``, or a tuple, list or set holding one."""
+    def named(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(n, ast.Constant) and n.value in names for n in items)
+    return [f"{module}:{node.lineno}" for node in sorted(
+        (node for node in ast.walk(ast.parse(source))
+         if isinstance(node, ast.Compare) and any(map(named, [node.left, *node.comparators]))
+         or isinstance(node, ast.MatchValue) and named(node.value)),
+        key=lambda node: node.lineno)]
+
+
+def test_the_family_comparison_scan_sees_each_shape():
+    source = ("if w.family == 'wgr25':\n    pass\n"
+              "ok = family != 'wogr510'\n"
+              "odd = family in ('wgr25', 'other')\n"
+              "back = 'wgr25' == w.family\n"
+              "lines = a if w.family == 'wgr25' else b\n"
+              "match family:\n    case 'wogr510':\n        pass\n"
+              "table = {'wgr25': 1}['wgr25']\n"
+              "same = family != w.family\n"
+              "name = 'wgr25'\n"
+              "call = f('wogr510', w)\n"
+              "other = family == 'wgr'\n")
+    assert family_comparisons(source, "m", {"wgr25", "wogr510"}) == [
+        "m:1", "m:3", "m:4", "m:5", "m:6", "m:8"]
+
+
+def test_no_code_compares_a_value_with_a_family_name():
+    names = set(sections.FAMILIES) | set(cli.SHORT_NAMES)
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in family_comparisons(path.read_text(), path.stem, names)]
+    assert found == []
 
 
 # -- no module imports another module's private name -----------------------------

@@ -32,12 +32,12 @@ BASKET_CY3 = (QuotientSingularity(3, (1, 1, 1)), QuotientSingularity(3, (2, 2, 2
               QuotientSingularity(5, (3, 3, 4)))
 
 
-def infer_and_force(series, depth=matcher.DEFAULT_DEPTH, basket=None, residue_forcing=True):
+def infer_and_force(series, basket=None, residue_forcing=True):
     """The greedy generators, then the degrees ``basket`` forces: a degree
     divisible by r for each 1/r point and, with ``residue_forcing``, the
     residues of its weights, composed as ``match_pipeline`` composes them."""
     basket = basket or ()
-    forced = matcher._force_divisibility(infer_generators(series, depth), basket)
+    forced = matcher._force_divisibility(infer_generators(series), basket)
     return matcher._force_residues(forced, basket) if residue_forcing else forced
 
 
@@ -810,6 +810,29 @@ def test_search_refusal_names_the_inferred_degrees():
     assert GrWeights((0, 2, 2, 2, 4)) in [c.model.base for c in report.candidates if c.accepted]
 
 
+def test_a_query_keeps_its_degrees_and_basket_as_tuples():
+    # an empty list of degrees, or a basket given as a list, was kept as a
+    # list, so the query could not be hashed
+    target = GrWeights((1, 1, 1, 1, 1)).hilbert_series()
+    assert MatchQuery(target=target).generator_degrees is None
+    for given in ([], [2, 1, 1]):
+        query = MatchQuery(target=target, generator_degrees=given)
+        assert query.generator_degrees == tuple(sorted(given))
+        assert hash(query) == hash(MatchQuery(target=target, generator_degrees=tuple(given)))
+    query = MatchQuery(target=target, basket=list(BASKET_CAN3))
+    assert query == MatchQuery(target=target, basket=BASKET_CAN3)
+    assert hash(query) == hash(MatchQuery(target=target, basket=BASKET_CAN3))
+
+
+def test_search_refusal_of_given_degrees_names_them_without_the_hint():
+    # the hint to give generator_degrees= is for degrees that search inferred
+    target = GrWeights((1, 1, 1, 1, 1)).hilbert_series()    # ten coordinates of degree 1
+    for given, named in (((), "{}"), ((1,) * 6, "{1^6}")):
+        with pytest.raises(SeriesError) as refusal:
+            search(MatchQuery(target=target, generator_degrees=given))
+        assert str(refusal.value).endswith(f" with generator degrees {named}")
+
+
 def shuffled(rng):
     """``_ModelIndex.lookup`` yielding its models in an order drawn from ``rng``."""
     lookup = matcher._ModelIndex.lookup
@@ -929,10 +952,9 @@ def test_no_verdict_is_assigned_after_its_candidate_is_made():
 
 # -- incremental generator inference against the re-expanding loop it replaced --
 
-def infer_by_reexpanding(series, depth=matcher.DEFAULT_DEPTH, basket=None,
-                         residue_forcing=True):
+def infer_by_reexpanding(series, basket=None, residue_forcing=True):
     """Reference: multiply the series by each (1 - t^k) and expand it again."""
-    gens, current = [], series
+    gens, current, depth = [], series, matcher.DEFAULT_DEPTH
     while True:
         coeffs = current.expand(depth)
         k = next((i for i in range(1, depth + 1) if coeffs[i] != 0), None)
@@ -960,13 +982,13 @@ def infer_by_reexpanding(series, depth=matcher.DEFAULT_DEPTH, basket=None,
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(gr_weights(), ogr_weights()),
        st.sampled_from((None, BASKET_CY3, BASKET_CAN3)), st.booleans(),
-       st.sampled_from((1, 3, 8, matcher.DEFAULT_DEPTH)), st.sampled_from((None, 1, 2, 5)))
-def test_incremental_inference_matches_reexpanding_loop(w, basket, residue_forcing, depth, k):
+       st.sampled_from((None, 1, 2, 5)))
+def test_incremental_inference_matches_reexpanding_loop(w, basket, residue_forcing, k):
     # with k, a degree-k hypersurface in the cone over the model
     series = model_series(w)
     if k:
         series = HilbertSeries(series.numerator * one_minus(k), series.denominator + (1,))
-    kwargs = dict(depth=depth, basket=basket, residue_forcing=residue_forcing)
+    kwargs = dict(basket=basket, residue_forcing=residue_forcing)
     assert (outcome(infer_and_force, series, **kwargs)
             == outcome(infer_by_reexpanding, series, **kwargs))
 
