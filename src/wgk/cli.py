@@ -111,17 +111,12 @@ def cmd_verify(args):
     for identities in (verify_gr_identities(), verify_ogr_syzygies()):
         checks.extend(("identity " + n, ok) for n, ok in identities["checks"])
 
-    gw = GrWeights.of((1, 1, 1, 1, 1))
-    ow = OGrWeights((0, 0, 0, 0, 0), 1)
-    depth = 4 if not args.full else 6
-    closed = gw.hilbert_series().expand(depth)
-    for m in range(depth + 1):
-        checks.append((f"oracle plucker degree {m}",
-                       oracle.graded_dimension("wgr25", gw, m) == closed[m]))
-    closed = ow.hilbert_series().expand(2)
-    for m in range(3):
-        checks.append((f"oracle spinor degree {m}",
-                       oracle.graded_dimension("wogr510", ow, m) == closed[m]))
+    for label, weights, top in (("plucker", GrWeights.of((1, 1, 1, 1, 1)), 6 if args.full else 4),
+                                ("spinor", OGrWeights((0, 0, 0, 0, 0), 1), 2)):
+        closed = weights.hilbert_series().expand(top)
+        checks.extend((f"oracle {label} degree {m}",
+                       oracle.graded_dimension(weights.family, weights, m) == closed[m])
+                      for m in range(top + 1))
 
     for name, ok, detail in fixture_mod.run_all():
         checks.append((f"fixture {name}" + (f" ({detail})" if detail else ""), ok))

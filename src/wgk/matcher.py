@@ -24,7 +24,8 @@ from collections import Counter
 from functools import lru_cache
 
 from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
-from .series import InternalError, LaurentPoly, Record, SeriesError, one_minus, positive_degrees
+from .series import (InternalError, LaurentPoly, Record, SeriesError, one_minus, positive_degrees,
+                     times_one_minus)
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
 
@@ -74,9 +75,8 @@ def infer_generators(series):
 
     Repeatedly multiplies by (1 - t^k)^{c_k} at the smallest degree with a
     positive coefficient, stopping at the first negative one (or at
-    DEFAULT_DEPTH).  The series is expanded once; each factor updates the
-    truncated coefficients in place, high to low, since coefficient n of a
-    product depends only on coefficients up to n.
+    DEFAULT_DEPTH).  The series is expanded once, and each factor multiplies
+    the truncated coefficients in place.
     """
     gens = []
     coeffs = series.expand(DEFAULT_DEPTH)
@@ -89,8 +89,7 @@ def infer_generators(series):
             raise ValueError(f"non-integral coefficient {c} at degree {k}")
         gens.extend([k] * int(c))
         for _ in range(int(c)):
-            for n in range(DEFAULT_DEPTH, k - 1, -1):
-                coeffs[n] -= coeffs[n - k]
+            times_one_minus(coeffs, k)
     return tuple(gens)
 
 

@@ -27,7 +27,7 @@ import operator
 from fractions import Fraction
 from math import gcd
 
-from .series import HilbertSeries, LaurentPoly, Record, coefficient, denominator_poly, exact_div
+from .series import HilbertSeries, LaurentPoly, Record, coefficient, exact_div, times_one_minus
 
 
 class PeriodicTable(Record):
@@ -110,10 +110,10 @@ def hilbert_series(data):
     """
     denominator = (1, 1, 1, 1, *(table.r for table in data.points))
     top = sum(denominator) + 1
-    num = (LaurentPoly(enumerate(plurigenus(data, n) for n in range(top + 1)))
-           * denominator_poly(denominator))
-    return HilbertSeries(LaurentPoly((e, c) for e, c in num.items() if e <= top),
-                         denominator).canonical()
+    coeffs = [plurigenus(data, n) for n in range(top + 1)]
+    for a in denominator:
+        times_one_minus(coeffs, a)
+    return HilbertSeries(LaurentPoly(enumerate(coeffs)), denominator).canonical()
 
 
 hilbert_can3 = hilbert_cy3 = hilbert_series

@@ -29,7 +29,7 @@ from math import gcd, prod
 from . import lazy_module
 from . import orbifold_rr as rr
 from .series import (HilbertSeries, OracleBudgetError, Record, SeriesError, coefficient,
-                     denominator_poly, exact_div, positive_degrees)
+                     exact_div, positive_degrees)
 from .wgrass25 import Chart, GrWeights, WeightFamily
 from .wogr510 import OGrWeights
 
@@ -182,7 +182,7 @@ class AmbientModel(Record):
 def ambient_series(model):
     """Base Hilbert series with the denominator extended by the cone weights."""
     base = model.base.hilbert_series()
-    return base.over(model.cone) if model.cone else base
+    return HilbertSeries(base.numerator, base.denominator + model.cone)
 
 
 def section_series(model, cut):
@@ -198,7 +198,8 @@ def section_series(model, cut):
     if len(degrees) > model.dim:
         raise ValueError("too many sections: pole order would drop below 1")
     amb = ambient_series(model)
-    series = HilbertSeries(amb.numerator * denominator_poly(degrees), amb.denominator).canonical()
+    series = HilbertSeries(amb.hilbert_numerator(amb.denominator + degrees),
+                           amb.denominator).canonical()
     if any(c < 0 for c in series.expand(DEFAULT_DEPTH)):
         raise ValueError("section spec not plausibly regular "
                          f"(negative coefficient within degree {DEFAULT_DEPTH})")

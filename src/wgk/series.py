@@ -303,6 +303,21 @@ def denominator_poly(denominator):
     return p
 
 
+def times_one_minus(coeffs, a):
+    """``coeffs`` times (1 - t^a) in place, truncated: high to low, as term n reads terms <= n."""
+    for n in range(len(coeffs) - 1, a - 1, -1):
+        coeffs[n] -= coeffs[n - a]
+
+
+def over_one_minus(coeffs, a):
+    """Divide the dense coefficients ``coeffs`` by (1 - t^a) in place as a series truncated
+    to their length (a running sum).  True when the top a vanish: for a polynomial, exactly
+    when the division is exact, since past its last term the quotient repeats with period a."""
+    for n in range(a, len(coeffs)):
+        coeffs[n] += coeffs[n - a]
+    return not any(coeffs[-a:])
+
+
 class HilbertSeries:
     """Rational function numerator / prod (1 - t^a), a ranging over a multiset.
 
@@ -332,27 +347,24 @@ class HilbertSeries:
         return hash(exact_div(self.numerator(2),
                               prod(1 - 2 ** a for a in self.denominator)))
 
-    def over(self, extra):
-        """Extend the denominator by further (1 - t^a) factors."""
-        return HilbertSeries(self.numerator, self.denominator + tuple(extra))
-
     def canonical(self):
-        """Cancel (1 - t^a) pairs by exact polynomial division.
+        """Cancel (1 - t^a) pairs by exact division of the dense numerator, and normalise it:
+        a sum of Fractions may leave integral ones.  A zero numerator keeps its denominator.
 
-        One ascending pass suffices: if (1 - t^b) does not divide num, it
-        does not divide num / (1 - t^a) either.  The numerator is normalised
-        first: a sum of Fractions (an RR closed form) may leave integral ones.
+        One ascending pass suffices: if (1 - t^b) does not divide num, it does not divide
+        num / (1 - t^a) either, nor does a repeat of b.
         """
-        num = LaurentPoly(self.numerator.coeffs)
-        denom = list(self.denominator)
-        for a in sorted(set(denom)):
-            while a in denom and not num.is_zero():
-                q = num.divexact(one_minus(a))
-                if q is None:
-                    break
-                num = q
-                denom.remove(a)
-        return HilbertSeries(num, denom)
+        num = self.numerator
+        if num.is_zero():
+            return self
+        low, kept = num.min_exp(), []
+        coeffs = [num[e] for e in range(low, num.max_exp() + 1)]
+        for a in self.denominator:
+            if kept[-1:] != [a] and over_one_minus(trial := coeffs[:], a):
+                coeffs = trial[:-a]
+            else:
+                kept.append(a)
+        return HilbertSeries(LaurentPoly(enumerate(coeffs, low)), kept)
 
     # -- analysis ------------------------------------------------------------
 
@@ -360,18 +372,15 @@ class HilbertSeries:
         """Exact power-series coefficients c_0..c_order.
 
         Rejects input whose negative-exponent numerator terms do not cancel in
-        the expansion (the series is then not a power series).  Dividing by
-        each factor (1 - t^a) in turn is a running sum with stride a.
+        the expansion (the series is then not a power series).  Each factor
+        (1 - t^a) divides the truncated coefficients in turn.
         """
         if order < 0:
             raise SeriesError("expansion order must be >= 0")
-        if self.numerator.is_zero():
-            return [0] * (order + 1)
-        low = max(0, -self.numerator.min_exp())     # negative exponents kept
+        low = max(0, -min(self.numerator.coeffs, default=0))    # negative exponents kept
         coeffs = [self.numerator[n] for n in range(-low, order + 1)]
         for a in self.denominator:
-            for i in range(a, len(coeffs)):
-                coeffs[i] += coeffs[i - a]
+            over_one_minus(coeffs, a)
         if any(coeffs[:low]):
             raise SeriesError(
                 "numerator with negative exponents not cleared by expansion")
@@ -399,14 +408,12 @@ class HilbertSeries:
     def hilbert_numerator(self, denominator):
         """H * prod (1 - t^a) over the given multiset, as a Laurent polynomial.
 
-        Exact division is enforced; when the product is not a polynomial the
-        denominator does not clear the series and an error is raised.  Factors
-        shared with the series' own denominator cancel first: Q[t, 1/t] is an
-        integral domain, so this changes neither the result nor when it fails.
-        The rest works in place on dense coefficients: each further factor is
-        multiplied in, high to low, and only then each own factor divided out
-        by a running sum with stride a, exact iff the top a coefficients vanish
-        ((1 - t + t^2) / (1 - t^6) against (2, 3) is 1 - t, divided last).
+        Exact division is enforced; when the product is not a polynomial the denominator
+        does not clear the series and an error is raised.  Factors shared with the series'
+        own denominator cancel first: Q[t, 1/t] is an integral domain, so this changes
+        neither the result nor when it fails.  The rest works in place on dense
+        coefficients: every further factor is multiplied in before any own factor is
+        divided out ((1 - t + t^2) / (1 - t^6) against (2, 3) is 1 - t, divided last).
         """
         denominator = positive_degrees(denominator)
         if not denominator:
@@ -422,14 +429,10 @@ class HilbertSeries:
         low, extra = num.min_exp(), list((gens - own).elements())
         coeffs = [num[e] for e in range(low, num.max_exp() + sum(extra) + 1)]
         for a in extra:
-            for n in range(len(coeffs) - 1, a - 1, -1):
-                coeffs[n] -= coeffs[n - a]
+            times_one_minus(coeffs, a)
         for a in (own - gens).elements():
-            for n in range(a, len(coeffs)):
-                coeffs[n] += coeffs[n - a]
-            if any(coeffs[-a:]):
+            if not over_one_minus(coeffs, a):
                 raise SeriesError("denominator does not clear series")
-            del coeffs[-a:]
         return LaurentPoly(enumerate(coeffs, low))
 
     # -- display -------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from wgk.matcher import _target_at2
 from wgk.polynomials import MPoly
 from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, denominator_poly,
-                        exact_div, one_minus)
+                        exact_div, one_minus, over_one_minus, times_one_minus)
 
 
 def F(x):
@@ -137,7 +137,8 @@ def test_intersection_number_pole_mismatch_names_actual_order():
 def test_intersection_number_cone_scaling():
     h = HilbertSeries(LaurentPoly({0: 2, 1: 1}), (1, 2, 3))
     for a in (1, 2, 5):
-        assert h.over((a,)).intersection_number(3) == h.intersection_number(2) / a
+        coned = HilbertSeries(h.numerator, h.denominator + (a,))
+        assert coned.intersection_number(3) == h.intersection_number(2) / a
 
 
 def test_methods_on_projective_line():
@@ -535,6 +536,27 @@ def test_kernel_matches_fraction_only_arithmetic(p, b, r, c):
             if integral and (unit_lead or not name.startswith("divexact")):
                 assert all(type(v) is int for v in got.coeffs.values()), name
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_terms(), st.integers(1, 12))
+@example({}, 1)                                     # the empty list
+@example({-2: 1, 0: Fraction(1, 2)}, 3)             # a at the list's length
+@example({-3: 2, -1: -1}, 9)                        # a past it
+def test_the_one_minus_loops_match_the_sparse_product_and_quotient(terms, a):
+    # each p and p times the factor, so the division is exact about half the time
+    factor = one_minus(a)
+    for p in (LaurentPoly(terms), LaurentPoly(terms) * factor):
+        low = min(p.coeffs, default=0)
+        dense = [p[e] for e in range(low, max(p.coeffs, default=low - 1) + 1)]
+        coeffs = dense[:]
+        times_one_minus(coeffs, a)
+        assert LaurentPoly(enumerate(coeffs, low)) == LaurentPoly(
+            (e, c) for e, c in (p * factor).coeffs.items() if e < low + len(dense))
+        coeffs, quotient = dense[:], p.divexact(factor)
+        assert over_one_minus(coeffs, a) == (quotient is not None)
+        if quotient is not None:
+            assert LaurentPoly(enumerate(coeffs, low)) == quotient
 
 def reference_hilbert_numerator(h, denominator):
     """Reference: the body ``hilbert_numerator`` had before it cleared factor by
