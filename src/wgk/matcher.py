@@ -3,16 +3,19 @@
 Generator degrees are inferred greedily from the series (then forced to be
 compatible with a required singularity basket), the target numerator is
 formed exactly, and the weight data within bounds is looked up in a cached
-index sliced by numerator top exponent, which each query fetches once and
-hands to the scan.  The index keeps each model's num(2) for a divisibility
-pre-filter, read off the lower resolution banks once per (family, w2) and
-shifted for each further overall weight u, and it keeps the closed-form series
-and canonical key of each model a lookup hits.  A model matches when its
-closed-form numerator equals the target numerator exactly, either directly
-(quasilinear candidate) or after stripping extra (1 - t^k) factors (a
-nonlinear section of a cone, reported as a formal match).  A
-necessary-condition singularity filter rejects models that cannot carry a
-required 1/r point because no coordinate weight is divisible by r.
+index sliced per family by numerator top exponent, which each query fetches
+once and hands to the scan.  The order of the target's zero at t = 1, less a
+family's codimension, is the number of (1 - t^k) factors a match needs: it
+picks the slices of that family to scan and enumerate, or none.  The index
+keeps each model's num(2) for a divisibility pre-filter, read off the lower
+resolution banks once per (family, w2) and shifted for each further overall
+weight u, and it keeps the closed-form series and canonical key of each
+model a lookup hits.  A model matches when its closed-form numerator equals
+the target numerator exactly, either directly (quasilinear candidate) or
+after stripping extra (1 - t^k) factors (a nonlinear section of a cone,
+reported as a formal match).  A necessary-condition singularity filter
+rejects models that cannot carry a required 1/r point because no coordinate
+weight is divisible by r.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ from collections import Counter
 from functools import lru_cache
 
 from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
-from .series import (InternalError, LaurentPoly, Record, SeriesError, one_minus, positive_degrees,
-                     times_one_minus)
+from .series import (InternalError, LaurentPoly, Record, SeriesError, one_minus, over_one_minus,
+                     positive_degrees, times_one_minus)
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
 
 DEFAULT_MAX_W2 = 8
 DEFAULT_MAX_U = 4
 AUGMENT_BOUND = 8     # the largest extra generator degree match_pipeline tries
+SECTION_FACTORS = 8   # the most (1 - t^k) factors a formal match strips
 
 
 def fmt_multiset(weights):
@@ -214,74 +218,107 @@ def _target_at2(n_target):
 
 
 class _ModelIndex:
-    """Bounded models as (weights, num(2)) pairs keyed by numerator top
-    exponent, built up to ``covered`` (every top exponent is positive: the
-    coordinate weights are positive and sum to a multiple of it), with the
-    bank sums of each (family, w2) whose u varies and the series and key of
-    each model hit."""
+    """Bounded models as (weights, num(2)) pairs, per family keyed by numerator
+    top exponent (every top exponent is positive: the coordinate weights are
+    positive and sum to a multiple of it), with the bank sums of each (family,
+    w2) whose u varies and the series and key of each model hit.  A family's
+    slices are built for every top exponent up to ``covered[family]`` and for
+    each top above it that is a key of ``slices[family]``."""
 
     def __init__(self, family, max_w2, max_u):
         self.families, self.bounds = [family] if family else list(FAMILIES), (max_w2, max_u)
-        self.covered, self.slices, self.sums, self.hits = 0, {}, {}, {}
+        self.covered, self.slices = dict.fromkeys(self.families, 0), {f: {} for f in self.families}
+        self.sums, self.hits = {}, {}
 
-    def reach(self, top):
-        """The slices, after enumerating the models of those in (covered, top].
-        A (family, w2) whose u varies forms its bank sums once, at its least
-        top exponent t0: windows ascend in top exponent and yield a w2's u in
-        ascending order, so each later model shifts them by k = (t - t0) /
-        top_slope >= 0.  A model below t0 would re-form them, so grouping
-        never decides a value.  A w2 whose u is absorbed is one model: its
-        sums are not kept."""
-        if top > self.covered:
-            for fam in self.families:
-                for w in _ENUMERATE[fam](*self.bounds, (self.covered, top)):
-                    t, sums, k = w.top_exponent(), None, 0
-                    if w.bank_slopes:
-                        t0, sums = self.sums.get((fam, w.w2), (t + 1, None))
-                        if t < t0:
-                            t0, sums = self.sums[fam, w.w2] = t, _bank_sums(w, t)
-                        k = (t - t0) // w.top_slope
-                    self.slices.setdefault(t, []).append((w, _numerator_at2(w, t, sums, k)))
-            self.covered = top
-        return self.slices
+    def reach(self, fam, lo, hi):
+        """``fam``'s slices, after enumerating its models with lo < top <= hi
+        not built yet; the window is a prefix (lo = 0) or one top (lo = hi - 1).
+        A prefix skips the tops built alone before it.  A (family, w2) whose u
+        varies forms its bank sums once, at the least top exponent t0 built so
+        far: a window yields a w2's u in ascending order, so each later model
+        shifts them by k = (t - t0) / top_slope >= 0.  A model below t0 re-forms
+        them, so grouping never decides a value.  A w2 whose u is absorbed is
+        one model: its sums are not kept."""
+        slices, covered = self.slices[fam], self.covered[fam]
+        if hi <= covered or lo == hi - 1 and hi in slices:
+            return slices
+        alone = {t for t in slices if t > covered}
+        for w in _ENUMERATE[fam](*self.bounds, (max(lo, covered), hi)):
+            t, sums, k = w.top_exponent(), None, 0
+            if t in alone:
+                continue
+            if w.bank_slopes:
+                t0, sums = self.sums.get((fam, w.w2), (t + 1, None))
+                if t < t0:
+                    t0, sums = self.sums[fam, w.w2] = t, _bank_sums(w, t)
+                k = (t - t0) // w.top_slope
+            slices.setdefault(t, []).append((w, _numerator_at2(w, t, sums, k)))
+        if lo <= covered:
+            self.covered[fam] = hi
+        else:
+            slices.setdefault(hi, [])
+        return slices
 
     def lookup(self, n_target, formal=False):
         """(weights, Hilbert series, canonical key) for each bounded model whose
         numerator num can equal n_target or, with ``formal``, divide it, in no
         particular order.
 
-        A match means n_target = num * q with q = 1 or prod (1 - t^k), k >= 1.
-        Both are integer polynomials, so any other target reaches no model; the
-        top exponent of num is at most that of n_target (equal when q = 1), and
-        num(2) divides n_target(2).  The index holds num(2) from when the slice
-        was enumerated, and forms a model's series and key at its first hit.
+        A match means n_target = num * q with q = 1 or, with ``formal``, q a
+        product of 1 to SECTION_FACTORS factors (1 - t^k), k >= 1
+        (``_strip_section_factors`` accepts no more).  Both are integer
+        polynomials, so any other target reaches no model, and num(2) divides
+        n_target(2).  num vanishes at t = 1 to order exactly its family's
+        ``codim`` (Hilbert-Serre: the pole order of the series is the Krull
+        dimension of the cone), and each (1 - t^k) to order exactly 1.  So if
+        n_target vanishes there to order r, q has m = r - codim factors.  m = 0
+        leaves q = 1, since a product of (1 - t^k) with no zero at 1 is 1: only
+        the slice of T, the top exponent of n_target, can hold num.  With
+        ``formal``, 1 <= m <= SECTION_FACTORS leaves the slices up to T - m, as
+        each factor raises the top by at least 1.  Any other m leaves no model,
+        and the family is not enumerated.  r is found by dividing the dense
+        coefficients by (1 - t) until a division is not exact or r passes the
+        largest m.  The index holds num(2) from when the slice was enumerated,
+        and forms a model's series and key at its first hit.
         """
         at2 = _target_at2(n_target)
         if at2 is None:
             return
         top = n_target.max_exp()
-        slices = self.reach(top)
-        tops = [t for t in slices if t == top or formal and t < top]
-        for w, num2 in itertools.chain.from_iterable(slices[t] for t in tops):
-            if at2 % num2 == 0:
-                hit = self.hits.get(w)
-                if hit is None:
-                    hit = self.hits[w] = w, w.hilbert_series(), _canonical_key(w)
-                yield hit
+        coeffs, r = n_target.dense(0, top), 0
+        most = SECTION_FACTORS + max(FAMILIES[fam].codim for fam in self.families)
+        while r <= most and over_one_minus(coeffs, 1):
+            coeffs.pop()
+            r += 1
+        for fam in self.families:
+            m = r - FAMILIES[fam].codim
+            if m == 0:
+                models = self.reach(fam, top - 1, top).get(top, ())
+            elif formal and 0 < m <= SECTION_FACTORS:
+                models = itertools.chain.from_iterable(
+                    s for t, s in self.reach(fam, 0, top - m).items() if t <= top - m)
+            else:
+                continue
+            for w, num2 in models:
+                if at2 % num2 == 0:
+                    hit = self.hits.get(w)
+                    if hit is None:
+                        hit = self.hits[w] = w, w.hilbert_series(), _canonical_key(w)
+                    yield hit
 
 
 _model_index = lru_cache(maxsize=8)(_ModelIndex)    # one per family and bounds
 
 
 def _strip_section_factors(quotient):
-    """Write a polynomial as prod (1 - t^k), at most 8 factors, or return None."""
+    """Write a polynomial as prod (1 - t^k), at most SECTION_FACTORS factors, or return None."""
     factors, q = [], quotient
     while q != LaurentPoly.one():
         if q.is_zero() or q.min_exp() != 0 or q[0] != 1:
             return None
         factors.append(min(e for e in q.coeffs if e > 0))    # q is not 1, so one exists
         q = q.divexact(one_minus(factors[-1]))
-        if q is None or len(factors) > 8:
+        if q is None or len(factors) > SECTION_FACTORS:
             return None
     return tuple(sorted(factors))
 

@@ -204,6 +204,11 @@ class LaurentPoly(SparsePoly):
     def items(self):
         return sorted(self.coeffs.items())
 
+    def dense(self, low, high):
+        """The coefficients of t^low..t^high as a list, zeros included."""
+        get = self.coeffs.get
+        return [get(e, 0) for e in range(low, high + 1)]
+
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other):
@@ -358,7 +363,7 @@ class HilbertSeries:
         if num.is_zero():
             return self
         low, kept = num.min_exp(), []
-        coeffs = [num[e] for e in range(low, num.max_exp() + 1)]
+        coeffs = num.dense(low, num.max_exp())
         for a in self.denominator:
             if kept[-1:] != [a] and over_one_minus(trial := coeffs[:], a):
                 coeffs = trial[:-a]
@@ -378,7 +383,7 @@ class HilbertSeries:
         if order < 0:
             raise SeriesError("expansion order must be >= 0")
         low = max(0, -min(self.numerator.coeffs, default=0))    # negative exponents kept
-        coeffs = [self.numerator[n] for n in range(-low, order + 1)]
+        coeffs = self.numerator.dense(-low, order)
         for a in self.denominator:
             over_one_minus(coeffs, a)
         if any(coeffs[:low]):
@@ -427,7 +432,7 @@ class HilbertSeries:
                 return num
             return LaurentPoly(num.coeffs)
         low, extra = num.min_exp(), list((gens - own).elements())
-        coeffs = [num[e] for e in range(low, num.max_exp() + sum(extra) + 1)]
+        coeffs = num.dense(low, num.max_exp() + sum(extra))
         for a in extra:
             times_one_minus(coeffs, a)
         for a in (own - gens).elements():

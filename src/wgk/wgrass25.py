@@ -111,16 +111,17 @@ class Chart(Record):
 
 class WeightFamily(Record):
     """A weighted family after Corti-Reid.  A family states ``family``, ``dim``,
-    ``coordinates()`` as (name, weight) pairs, ``equations()``, ``lower_banks()``
-    (banks 1..k of its Gorenstein resolution of codimension c = 2k + 1, each
-    sorted), ``top_exponent()``, ``charts()`` and ``canonical_form()``.  The
-    members below are derived once, ``info_fields`` as a default: the resolution
-    is self-dual, so bank c - i is top - e over bank i and bank c is (top,); the
-    Hilbert numerator is the alternating sum over the banks, the degree is read
-    off the Hilbert series, and Gorenstein symmetry gives K = O(top - sum of
-    weights).  A family whose overall weight u varies with w2 fixed states that
-    raising u by k raises lower bank i by ``bank_slopes[i] * k`` and the top by
-    ``top_slope * k``; where u is absorbed into the weights, each w2 is one model."""
+    ``codim``, ``coordinates()`` as (name, weight) pairs, ``equations()``,
+    ``lower_banks()`` (banks 1..k of its Gorenstein resolution of codimension
+    c = 2k + 1, each sorted), ``top_exponent()``, ``charts()`` and
+    ``canonical_form()``.  The members below are derived once, ``info_fields``
+    as a default: the resolution is self-dual, so bank c - i is top - e over
+    bank i and bank c is (top,); the Hilbert numerator is the alternating sum
+    over the banks, the degree is read off the Hilbert series, and Gorenstein
+    symmetry gives K = O(top - sum of weights).  A family whose overall weight
+    u varies with w2 fixed states that raising u by k raises lower bank i by
+    ``bank_slopes[i] * k`` and the top by ``top_slope * k``; where u is
+    absorbed into the weights, each w2 is one model."""
 
     bank_slopes = ()
 
@@ -201,7 +202,7 @@ class GrWeights(WeightFamily):
 
     _fields = ("w2",)
     family = "wgr25"
-    dim = 6
+    dim, codim = 6, 3
 
     def __init__(self, w2):
         w2 = sorted_w2(w2)

@@ -123,7 +123,7 @@ class OGrWeights(WeightFamily):
 
     _fields = ("w2", "u")
     family = "wogr510"
-    dim = 10
+    dim, codim = 10, 5
 
     def __init__(self, w2, u):
         super().__init__(sorted_w2(w2), operator.index(u))

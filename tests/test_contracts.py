@@ -1,12 +1,13 @@
 """Python-level contracts: integer MPoly coefficients, the weight-family
-interface, the names the package exports, most of which load from their
-module on first use, no function that only forwards its parameters, no
-comparison with a family's name, no module that imports another's private
-name, one owner of a polynomial's coefficients, no ``int()`` that could
-truncate an unchecked value, no module that reads the environment, no assert
-statement and no raised ``AssertionError``, no import inside a function, one
-place that builds a product with the generic skew matrix, one writer of a
-record's fields, and no function or class that nothing names."""
+interface, the order of each model numerator's zero at t = 1, the names the
+package exports, most of which load from their module on first use, no
+function that only forwards its parameters, no comparison with a family's
+name, no module that imports another's private name, one owner of a
+polynomial's coefficients, no ``int()`` that could truncate an unchecked
+value, no module that reads the environment, no assert statement and no
+raised ``AssertionError``, no import inside a function, one place that builds
+a product with the generic skew matrix, one writer of a record's fields, and
+no function or class that nothing names."""
 
 import ast
 import re
@@ -20,7 +21,7 @@ import pytest
 import wgk
 from wgk import cli, matcher, sections, spinor, wgrass25, wogr510
 from wgk.polynomials import MPoly
-from wgk.series import HilbertSeries, LaurentPoly
+from wgk.series import HilbertSeries, LaurentPoly, one_minus
 from wgk.wgrass25 import WeightFamily
 
 # the public names wgk.wogr510 defined before its paper-only part moved out
@@ -99,7 +100,7 @@ class Hypersurface(WeightFamily):
     """X_e in P(a), stating only the primitives of a family."""
     a: tuple
     e: int
-    family = "hypersurface"
+    family, codim = "hypersurface", 1
 
     @property
     def dim(self):
@@ -145,6 +146,25 @@ def test_no_family_restates_a_derived_member():
     for cls in sections.FAMILIES.values():
         assert issubclass(cls, WeightFamily)
         assert not set(DERIVED) & vars(cls).keys(), cls.__name__
+
+
+def order_at_one(p):
+    """The order of the zero of the nonzero polynomial p at t = 1, by sparse division."""
+    order = 0
+    while (q := p.divexact(one_minus(1))) is not None:
+        p, order = q, order + 1
+    return order
+
+
+def test_every_model_numerator_vanishes_at_one_to_the_order_of_its_codimension():
+    # the matcher prunes its scan by this order: a formal match's (1 - t^k)
+    # factors are what the target's order adds to the codimension
+    models = (matcher.enumerate_gr_weights(matcher.DEFAULT_MAX_W2)
+              + matcher.enumerate_ogr_weights(matcher.DEFAULT_MAX_W2, matcher.DEFAULT_MAX_U))
+    assert len(models) == 1365
+    for w in models:
+        assert order_at_one(w.hilbert_series().numerator) == w.codim, w
+        assert w.codim == 2 * len(w.lower_banks()) + 1 == len(w.coordinates()) - w.dim - 1, w
 
 
 def test_every_wogr510_name_still_resolves():

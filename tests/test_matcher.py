@@ -1,6 +1,7 @@
 """Recognition of ambient models from target Hilbert data."""
 
 import ast
+import contextlib
 import itertools
 import math
 import random
@@ -12,15 +13,16 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from test_contracts import order_at_one
 from wgk import matcher
 from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          enumerate_ogr_weights, infer_generators,
                          match_pipeline, search, singularity_filter)
 from wgk.orbifold_rr import RRData, hilbert_can3, hilbert_cy3, local_term
 from wgk.sections import AmbientModel, QuotientSingularity
-from wgk.series import HilbertSeries, LaurentPoly, SeriesError, one_minus
+from wgk.series import HilbertSeries, LaurentPoly, SeriesError, denominator_poly, one_minus
 from wgk.wgrass25 import GrWeights, WeightFamily
 from wgk.wogr510 import VERTICES, OGrWeights, even_rep
 
@@ -460,57 +462,74 @@ def test_index_value_at_2_is_the_numerator_at_2_for_every_model(family):
         assert matcher._numerator_at2(w, top) == LaurentPoly(w.numerator_terms())(2)
 
 
+def reach_all(index):
+    """Each family's slices of ``index``, after reaching every top exponent."""
+    return {fam: index.reach(fam, 0, 10 ** 6) for fam in index.families}
+
+
+def count_models(slices):
+    return sum(len(models) for s in slices.values() for models in s.values())
+
+
 def test_a_cold_index_builds_no_numerator():
     matcher._model_index.cache_clear()
     try:
         with mock.patch.object(WeightFamily, "numerator_terms", autospec=True,
                                side_effect=WeightFamily.numerator_terms) as terms:
-            slices = matcher._model_index(None, 8, 4).reach(10 ** 6)
+            slices = reach_all(matcher._model_index(None, 8, 4))
     finally:
         matcher._model_index.cache_clear()
     assert terms.call_count == 0
-    assert sum(map(len, slices.values())) == 1365
+    assert count_models(slices) == 1365
 
 
 @pytest.mark.parametrize("bounds", [(8, 4), (12, 6)])
 def test_the_index_holds_each_models_own_value_at_2_in_enumeration_order(bounds):
     # the index shifts the bank sums along each run of one w2; the reference
     # calls lower_banks() for every model
-    expected = {}
-    for fam in ("wgr25", "wogr510"):
+    expected = {"wgr25": {}, "wogr510": {}}
+    for fam, by_top in expected.items():
         for w in matcher._ENUMERATE[fam](*bounds, None):
             top = w.top_exponent()
-            expected.setdefault(top, []).append((w, matcher._numerator_at2(w, top)))
+            by_top.setdefault(top, []).append((w, matcher._numerator_at2(w, top)))
     matcher._model_index.cache_clear()
     try:
-        slices = matcher._model_index(None, *bounds).reach(10 ** 6)
+        slices = reach_all(matcher._model_index(None, *bounds))
     finally:
         matcher._model_index.cache_clear()
-    assert list(slices) == list(expected)
-    for top, models in expected.items():
-        assert slices[top] == models, top
+    for fam, by_top in expected.items():
+        assert list(slices[fam]) == list(by_top)
+        for top, models in by_top.items():
+            assert slices[fam][top] == models, (fam, top)
 
 
 def test_the_index_keeps_bank_sums_only_for_a_w2_whose_u_varies():
     # a wGr(2,5) w2 is one model, u being absorbed, so no later model would
     # read its sums; the slices are checked against the reference above
     index = matcher._ModelIndex(None, 8, 4)
-    assert sum(map(len, index.reach(10 ** 6).values())) == 1365
+    assert count_models(reach_all(index)) == 1365
     ogr = {("wogr510", w.w2) for w in matcher._ENUMERATE["wogr510"](8, 4, None)}
     assert set(index.sums) == ogr and len(ogr) == 294
 
 
 @pytest.mark.parametrize("bounds", [(8, 4), (12, 6)])
 def test_an_index_reached_window_by_window_holds_what_one_reach_holds(bounds):
-    # a w2's models fall into several windows; its bank sums, formed at its
-    # least top exponent, serve them all.  Slice order may differ, not a slice
-    whole = matcher._ModelIndex(None, *bounds).reach(10 ** 6)
+    # a w2's models fall into several windows, prefixes and single tops built
+    # in any order; a model below the top its bank sums were formed at forms
+    # them again.  Slice order may differ, not a slice.  A single top keeps
+    # its key when it holds no model, so that it is not enumerated again
+    whole = reach_all(matcher._ModelIndex(None, *bounds))
     index = matcher._ModelIndex(None, *bounds)
-    for top in (8, 16, 17, 40, 76, 10 ** 6):
-        windows = index.reach(top)
-    assert windows == whole
-    for top, models in windows.items():
-        assert all(num2 == matcher._numerator_at2(w, top) for w, num2 in models), top
+    windows = ((39, 40), (103, 104), (0, 8), (0, 16), (16, 17), (17, 18), (87, 88),
+               (0, 40), (0, 76), (103, 104), (0, 10 ** 6))
+    for fam in index.families:
+        for lo, hi in windows:
+            slices = index.reach(fam, lo, hi)
+            for t in range(lo + 1, min(hi, 200) + 1):
+                assert slices.get(t, []) == whole[fam].get(t, []), (fam, lo, hi, t)
+        assert {t: models for t, models in slices.items() if models} == whole[fam]
+        for top, models in slices.items():
+            assert all(num2 == matcher._numerator_at2(w, top) for w, num2 in models), top
 
 
 @settings(max_examples=200, deadline=None)
@@ -626,13 +645,21 @@ def test_a_printed_candidate_carries_the_numerator_the_scan_matched():
 
 def scan_order(family, max_w2, max_u, n_target, formal):
     """Oracle for the models ``_ModelIndex.lookup`` yields, as a multiset: the full-table
-    scan, filtered by top exponent and by num(2) | n_target(2)."""
-    top = n_target.max_exp()
+    scan, filtered by the number m of (1 - t^k) factors the orders at t = 1 leave, by top
+    exponent and by num(2) | n_target(2).  m = 0 is an exact match, of the same top;
+    with ``formal``, 1 <= m <= 8 factors raise the top by m or more."""
+    top, order = n_target.max_exp(), order_at_one(n_target)
     at2 = (int(n_target(2)) if all(c.denominator == 1 for c in n_target.coeffs.values())
            else None)
+
+    def fits(num):
+        m = order - order_at_one(num)
+        if m == 0:
+            return num.max_exp() == top
+        return formal and 0 < m <= 8 and num.max_exp() <= top - m
+
     return Counter(w for _, w, num, _ in full_table(family, max_w2, max_u)
-                   if (num.max_exp() == top or formal and num.max_exp() < top)
-                   and (at2 is None or at2 % int(num(2)) == 0))
+                   if fits(num) and (at2 is None or at2 % int(num(2)) == 0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -664,6 +691,35 @@ def test_lazy_index_agrees_with_the_full_table(draws, family, bounds):
     matcher._model_index.cache_clear()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_MODELS), st.booleans(),
+       st.integers(0, 9).flatmap(lambda n: st.lists(st.integers(1, 5), min_size=n, max_size=n)),
+       st.sampled_from((None, "wgr25", "wogr510")), st.sampled_from(((3, 1), (4, 2))))
+@example(SMALL_MODELS[-1], False, [1] * 9, None, (4, 2))
+@example(SMALL_MODELS[-1], True, [1, 2, 2, 3, 1, 4, 1, 1], None, (4, 2))
+def test_pruning_by_the_order_at_one_loses_no_candidate(model, cone, factors, family, bounds):
+    # the target is a model numerator, over its coordinates and a cone, times
+    # 0 to 9 factors (1 - t^k): 9 factors are past the 8 a formal match strips
+    _, w = model
+    series = model_series(w)
+    n_target = series.numerator * denominator_poly(factors)
+    target = HilbertSeries(n_target, series.denominator + (1,) * cone)
+    bounded = dict(family=family, max_w2=bounds[0], max_u=bounds[1])
+    matcher._model_index.cache_clear()
+    index = matcher._model_index(family, *bounds)
+    for formal in (False, True):
+        looked_up = Counter(v for v, _, _ in index.lookup(n_target, formal))
+        assert looked_up == scan_order(family, *bounds, n_target, formal)
+    for query in (MatchQuery(target=HilbertSeries(n_target), **bounded),
+                  MatchQuery(target=target, generator_degrees=target.denominator, **bounded)):
+        assert search_key(search(query)) == search_key(by_linear_scan(search, query))
+    kwargs = dict(user_generators=[target.denominator], **bounded)
+    with augment_bound(1):
+        assert (match_pipeline(target, **kwargs).to_json()
+                == by_linear_scan(match_pipeline, target, **kwargs).to_json())
+    matcher._model_index.cache_clear()
+
+
 def test_a_query_builds_no_model_beyond_its_top_exponent(monkeypatch):
     built = []
     for cls in (GrWeights, OGrWeights):
@@ -679,34 +735,77 @@ def test_a_query_builds_no_model_beyond_its_top_exponent(monkeypatch):
     matcher._model_index.cache_clear()
 
 
-def test_a_larger_top_exponent_enumerates_only_the_new_slices():
+@contextlib.contextmanager
+def recorded_enumerations():
+    """A list of (family, window, models returned) for each call of an enumerator."""
     calls = []
 
-    def counting(name):
+    def counting(name, fam):
         original = getattr(matcher, name)
 
         def wrapper(*args):
             out = original(*args)
-            calls.append((name, args[-1], len(out)))
+            calls.append((fam, args[-1], len(out)))
             return out
         return wrapper
 
-    def in_range(lo, hi):
-        return sum(lo < w.top_exponent() <= hi for _, w, _, _ in full_table(None, 4, 2))
+    with mock.patch.object(matcher, "enumerate_gr_weights",
+                           counting("enumerate_gr_weights", "wgr25")), \
+            mock.patch.object(matcher, "enumerate_ogr_weights",
+                              counting("enumerate_ogr_weights", "wogr510")):
+        yield calls
 
+
+def in_range(family, bounds, lo, hi):
+    return sum(lo < w.top_exponent() <= hi for _, w, _, _ in full_table(family, *bounds))
+
+
+def order_six(top):
+    """(1 - t)^5 (1 - t^(top - 5)): a formal scan reaches wGr(2,5) to top - 3
+    and wOGr(5,10) to top - 1."""
+    return denominator_poly((1,) * 5 + (top - 5,))
+
+
+def test_a_larger_top_exponent_enumerates_only_the_new_slices():
     matcher._model_index.cache_clear()
-    with mock.patch.object(matcher, "enumerate_gr_weights", counting("enumerate_gr_weights")), \
-            mock.patch.object(matcher, "enumerate_ogr_weights", counting("enumerate_ogr_weights")):
-        for top in (10, 24, 10, 24, 3):
-            list(matcher._model_index(None, 4, 2).lookup(LaurentPoly({0: 1, top: -1}),
-                                                         formal=True))
-    assert [c[:2] for c in calls] == [("enumerate_gr_weights", (0, 10)),
-                                      ("enumerate_ogr_weights", (0, 10)),
-                                      ("enumerate_gr_weights", (10, 24)),
-                                      ("enumerate_ogr_weights", (10, 24))]
-    assert calls[0][2] + calls[1][2] == in_range(0, 10) > 0
-    assert calls[2][2] + calls[3][2] == in_range(10, 24) > 0
+    with recorded_enumerations() as calls:
+        for top in (12, 24, 12, 24, 8):
+            list(matcher._model_index(None, 4, 2).lookup(order_six(top), formal=True))
+    assert [c[:2] for c in calls] == [("wgr25", (0, 9)), ("wogr510", (0, 11)),
+                                      ("wgr25", (9, 21)), ("wogr510", (11, 23))]
+    for fam, window, models in calls:
+        assert models == in_range(fam, (4, 2), *window) > 0
+    # order 1, and order 6 without formal: no family fits, nothing is enumerated
+    with recorded_enumerations() as calls:
+        for target, formal in ((LaurentPoly({0: 1, 30: -1}), True), (order_six(30), False)):
+            assert list(matcher._model_index(None, 4, 2).lookup(target, formal)) == []
+    assert calls == []
     matcher._model_index.cache_clear()
+
+
+def test_a_target_of_a_familys_codimension_enumerates_its_own_top_alone():
+    # a wOGr(5,10) numerator vanishes to order 5 at t = 1: search enumerates
+    # its top of wOGr(5,10) alone and no wGr(2,5) model.  A formal scan that
+    # later reaches past that top enumerates the prefix around it, and the
+    # index holds each model once
+    w = OGrWeights((0, 0, 2, 2, 4), 1)
+    top = w.top_exponent()
+    matcher._model_index.cache_clear()
+    with recorded_enumerations() as calls:
+        query = MatchQuery(target=w.hilbert_series(), generator_degrees=w.coordinate_weights())
+        for _ in range(2):
+            assert search(query) == [AmbientModel(w)]
+        index = matcher._model_index(None, matcher.DEFAULT_MAX_W2, matcher.DEFAULT_MAX_U)
+        list(index.lookup(order_six(top + 10), formal=True))
+    matcher._model_index.cache_clear()
+    bounds = (matcher.DEFAULT_MAX_W2, matcher.DEFAULT_MAX_U)
+    assert [c[:2] for c in calls] == [("wogr510", (top - 1, top)), ("wgr25", (0, top + 7)),
+                                      ("wogr510", (0, top + 9))]
+    for fam, window, models in calls:
+        assert models == in_range(fam, bounds, *window) > 0
+    held = [v for models in index.slices["wogr510"].values() for v, _ in models]
+    assert Counter(held) == Counter(v for _, v, _, _ in full_table("wogr510", *bounds)
+                                    if v.top_exponent() <= top + 9)
 
 
 def test_a_sliced_enumeration_is_the_full_table_restricted():
