@@ -1,6 +1,6 @@
 """Search engine from target Hilbert data to weighted ambient models.
 
-Generator degrees are inferred greedily from the series (then forced to be
+Generator degrees are read off the series' Euler exponents (then forced to be
 compatible with a required singularity basket), the target numerator is
 formed exactly, and the weight data within bounds is looked up in a cached
 index sliced per family by numerator top exponent, which each query fetches
@@ -27,8 +27,8 @@ from collections import Counter
 from functools import lru_cache
 
 from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
-from .series import (InternalError, LaurentPoly, Record, SeriesError, one_minus, over_one_minus,
-                     positive_degrees, times_one_minus)
+from .series import (HilbertSeries, InternalError, LaurentPoly, Record, SeriesError, one_minus,
+                     over_one_minus, positive_degrees, times_one_minus)
 from .wgrass25 import GrWeights
 from .wogr510 import OGrWeights
 
@@ -75,25 +75,32 @@ def _check_bounds(family, max_w2, max_u):
 
 
 def infer_generators(series):
-    """Greedy generator inference from the expansion.
+    """Greedy generator inference: b_k generators of each degree k up to the first
+    negative b_k (or DEFAULT_DEPTH), where H = prod (1 - t^k)^(-b_k).  A series
+    whose expansion vanishes to DEFAULT_DEPTH has none; any other must start at 1.
 
-    Repeatedly multiplies by (1 - t^k)^{c_k} at the smallest degree with a
-    positive coefficient, stopping at the first negative one (or at
-    DEFAULT_DEPTH).  The series is expanded once, and each factor multiplies
-    the truncated coefficients in place.
+    The greedy multiplies H by (1 - t^k)^c at the least k with a nonzero
+    coefficient c, and stops at a negative c.  H * prod_{j<k} (1 - t^j)^(b_j) is
+    1 + b_k t^k + ..., so c = b_k.  Exponents add under products, and those of
+    1 / prod (1 - t^a) count the a, so b_k is the count d_k of k in the denominator
+    plus e_k, read off the numerator alone in |e_k| = |b_k - d_k| <= b_k + d_k
+    passes, which expanding H and multiplying took.  Coefficient n reads only
+    those up to n, so the truncation is exact.
     """
-    gens = []
-    coeffs = series.expand(DEFAULT_DEPTH)
-    while True:
-        k = next((i for i in range(1, DEFAULT_DEPTH + 1) if coeffs[i] != 0), None)
-        if k is None or coeffs[k] < 0:
+    coeffs, gens = HilbertSeries(series.numerator).expand(DEFAULT_DEPTH), []
+    if coeffs[0] != 1:
+        if any(coeffs):
+            raise SeriesError(f"the expansion starts with {coeffs[0]}, not 1: no generators")
+        return ()
+    for k in range(1, DEFAULT_DEPTH + 1):
+        b = (e := coeffs[k]) + series.denominator.count(k)
+        if b < 0:
             break
-        c = coeffs[k]
-        if c.denominator != 1:
-            raise ValueError(f"non-integral coefficient {c} at degree {k}")
-        gens.extend([k] * int(c))
-        for _ in range(int(c)):
-            times_one_minus(coeffs, k)
+        if b.denominator != 1:
+            raise ValueError(f"non-integral coefficient {b} at degree {k}")
+        gens += [k] * int(b)
+        for _ in range(abs(int(e))):
+            (times_one_minus if e > 0 else over_one_minus)(coeffs, k)
     return tuple(gens)
 
 
@@ -276,19 +283,21 @@ class _ModelIndex:
         the slice of T, the top exponent of n_target, can hold num.  With
         ``formal``, 1 <= m <= SECTION_FACTORS leaves the slices up to T - m, as
         each factor raises the top by at least 1.  Any other m leaves no model,
-        and the family is not enumerated.  r is found by dividing the dense
-        coefficients by (1 - t) until a division is not exact or r passes the
-        largest m.  The index holds num(2) from when the slice was enumerated,
-        and forms a model's series and key at its first hit.
+        and the family is not enumerated.  r is the least j <= most with sum c_e
+        e^j != 0 over the terms c_e t^e: the order is the least j with a nonzero
+        n_target^(j)(1) = sum c_e e(e-1)...(e-j+1), and powers and falling
+        factorials of e span the same polynomials, triangularly.  The index
+        holds num(2) from when the slice was enumerated, and forms a model's
+        series and key at its first hit.
         """
         at2 = _target_at2(n_target)
         if at2 is None:
             return
-        top = n_target.max_exp()
-        coeffs, r = n_target.dense(0, top), 0
+        top, r = n_target.max_exp(), 0
         most = SECTION_FACTORS + max(FAMILIES[fam].codim for fam in self.families)
-        while r <= most and over_one_minus(coeffs, 1):
-            coeffs.pop()
+        exps, moments = list(n_target.coeffs), list(n_target.coeffs.values())
+        while r <= most and not sum(moments):
+            moments = [c * e for c, e in zip(moments, exps)]
             r += 1
         for fam in self.families:
             m = r - FAMILIES[fam].codim

@@ -15,7 +15,6 @@ meaning division by ``prod (1 - t^a)``.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -423,19 +422,21 @@ class HilbertSeries:
         denominator = positive_degrees(denominator)
         if not denominator:
             raise SeriesError("denominator multiset must be nonempty")
-        gens, own = Counter(denominator), Counter(self.denominator)
+        extra, missing = list(denominator), []      # gens - own and own - gens, sorted
+        for a in self.denominator:
+            (extra.remove if a in extra else missing.append)(a)
         num = self.numerator
-        if gens == own or num.is_zero():
+        if not (extra or missing) or num.is_zero():
             # a sum may have left an integral Fraction (SparsePoly); return ints,
             # as the dense path does
             if all(type(c) is int for c in num.coeffs.values()):
                 return num
             return LaurentPoly(num.coeffs)
-        low, extra = num.min_exp(), list((gens - own).elements())
+        low = num.min_exp()
         coeffs = num.dense(low, num.max_exp() + sum(extra))
         for a in extra:
             times_one_minus(coeffs, a)
-        for a in (own - gens).elements():
+        for a in missing:
             if not over_one_minus(coeffs, a):
                 raise SeriesError("denominator does not clear series")
         return LaurentPoly(enumerate(coeffs, low))

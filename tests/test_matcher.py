@@ -21,8 +21,9 @@ from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          enumerate_ogr_weights, infer_generators,
                          match_pipeline, search, singularity_filter)
 from wgk.orbifold_rr import RRData, hilbert_can3, hilbert_cy3, local_term
-from wgk.sections import AmbientModel, QuotientSingularity
-from wgk.series import HilbertSeries, LaurentPoly, SeriesError, denominator_poly, one_minus
+from wgk.sections import FAMILIES, AmbientModel, QuotientSingularity
+from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, denominator_poly, one_minus,
+                        over_one_minus)
 from wgk.wgrass25 import GrWeights, WeightFamily
 from wgk.wogr510 import VERTICES, OGrWeights, even_rep
 
@@ -720,6 +721,39 @@ def test_pruning_by_the_order_at_one_loses_no_candidate(model, cone, factors, fa
     matcher._model_index.cache_clear()
 
 
+def order_by_dense_division(n_target, most):
+    """Reference: the order of the zero of n_target at t = 1, found by dividing its
+    dense coefficients by (1 - t) until a division is not exact or it passes ``most``."""
+    coeffs, r = n_target.dense(0, n_target.max_exp()), 0
+    while r <= most and over_one_minus(coeffs, 1):
+        coeffs.pop()
+        r += 1
+    return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 12), st.integers(-4, 4).filter(bool), min_size=1, max_size=6),
+       st.integers(0, 16), st.lists(st.integers(2, 6), max_size=4), st.booleans())
+@example({0: 1}, 16, [2, 3], True)      # order 18: past the most any family can use
+def test_the_order_read_off_the_moments_picks_the_slices_the_dense_division_picked(
+        terms, ones, factors, formal):
+    # each family's slices follow from r alone; orders past the largest useful
+    # one (a formal match of SECTION_FACTORS factors to the largest codim) pick none
+    n_target = LaurentPoly(terms) * denominator_poly((1,) * ones + tuple(factors))
+    index, reached = matcher._ModelIndex(None, 4, 2), []
+    index.reach = lambda fam, lo, hi: reached.append((fam, lo, hi)) or {}
+    assert list(index.lookup(n_target, formal)) == []
+    most = matcher.SECTION_FACTORS + max(family.codim for family in FAMILIES.values())
+    r, top, expected = order_by_dense_division(n_target, most), n_target.max_exp(), []
+    for fam, family in FAMILIES.items():
+        m = r - family.codim
+        if m == 0:
+            expected.append((fam, top - 1, top))
+        elif formal and 0 < m <= matcher.SECTION_FACTORS:
+            expected.append((fam, 0, top - m))
+    assert reached == expected
+
+
 def test_a_query_builds_no_model_beyond_its_top_exponent(monkeypatch):
     built = []
     for cls in (GrWeights, OGrWeights):
@@ -1103,6 +1137,47 @@ def test_incremental_inference_on_rr_series_and_errors():
     negative = HilbertSeries(LaurentPoly({-1: 1, 0: 1}), (1,))
     with pytest.raises(SeriesError):
         infer_generators(negative)
+
+
+def test_inference_matches_the_reexpanding_loop_on_every_bounded_model():
+    # each model at the default bounds, its 1-cone and one hypersurface section of it
+    rng, count = random.Random(45), 0
+    for _, w in DEFAULT_MODELS:
+        series = w.hilbert_series()
+        for target in (series, HilbertSeries(series.numerator, series.denominator + (1,)),
+                       HilbertSeries(series.numerator * one_minus(rng.randint(1, 8)),
+                                     series.denominator)):
+            assert outcome(infer_generators, target) == outcome(infer_by_reexpanding, target)
+            count += 1
+    assert count == 3 * 1365
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(1, matcher.DEFAULT_DEPTH + 4),
+                       st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)),
+                       max_size=8),
+       st.lists(st.integers(1, 6), max_size=6))
+@example({1: Fraction(1, 2)}, [1])                  # b_1 = 3/2: refused by both
+@example({1: -1}, [1, 2, 2])                        # b_1 = 0: degree 1 has no generator
+@example({matcher.DEFAULT_DEPTH: 2}, [])            # the last degree read
+def test_inference_matches_the_reexpanding_loop_on_series_starting_at_1(terms, denominator):
+    series = HilbertSeries(LaurentPoly({0: 1, **terms}), denominator)
+    assert outcome(infer_generators, series) == outcome(infer_by_reexpanding, series)
+
+
+@pytest.mark.parametrize("numerator, constant", [
+    ({1: 1}, "0"), ({0: 2}, "2"), ({0: -1, 2: 1}, "-1"), ({0: Fraction(1, 2), 1: 1}, "1/2")])
+def test_a_series_whose_expansion_does_not_start_at_1_is_refused(numerator, constant):
+    # t / (1 - t) kept the greedy at degree 1 for ever: with no constant term, no
+    # factor (1 - t) clears its coefficient there.  infer_by_reexpanding would hang too
+    series = HilbertSeries(LaurentPoly(numerator), (1,))
+    for query in (lambda: infer_generators(series),
+                  lambda: search(MatchQuery(target=series, **SMALL)),
+                  lambda: match_pipeline(series, **SMALL)):
+        with pytest.raises(SeriesError, match=f"^the expansion starts with {constant}, not 1"):
+            query()
+    # an expansion that vanishes to the depth read has no generators, as before
+    assert infer_generators(HilbertSeries(LaurentPoly({matcher.DEFAULT_DEPTH + 1: 1}), (1,))) == ()
 
 
 def quasilinear_sections_by_search(gens, coord_weights):

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wgk import series
 from wgk.matcher import _target_at2
 from wgk.polynomials import MPoly
 from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, denominator_poly,
@@ -601,6 +602,28 @@ def test_hilbert_numerator_clears_factor_by_factor_as_the_product_did(case):
     assert got == outcome(reference_hilbert_numerator, h, gens)
     if isinstance(got, LaurentPoly) and _integral(*h.numerator.coeffs.values()):
         assert all(type(c) is int for c in got.coeffs.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(clearing_cases())
+@example((HilbertSeries(LaurentPoly({0: 1}), (1, 2, 2, 3)), [2, 3, 3, 4, 1]))
+def test_hilbert_numerator_clears_the_counter_differences_of_the_multisets(case):
+    # the factors multiplied in are gens - own and those divided out own - gens,
+    # each ascending, as the Counter differences give them; a refusal (a failed
+    # division, or no generators) ends the passes
+    h, gens = case
+    with mock.patch.object(series, "times_one_minus", wraps=times_one_minus) as times, \
+            mock.patch.object(series, "over_one_minus", wraps=over_one_minus) as over:
+        got = outcome(h.hilbert_numerator, gens)
+    multiplied = [call.args[1] for call in times.call_args_list]
+    divided = [call.args[1] for call in over.call_args_list]
+    gens, own = Counter(sorted(gens)), Counter(h.denominator)
+    if gens == own or h.numerator.is_zero():
+        assert multiplied == divided == []
+        return
+    missing = list((own - gens).elements())
+    assert multiplied == list((gens - own).elements())
+    assert divided == (missing[:len(divided)] if isinstance(got, tuple) else missing)
 
 
 def test_hilbert_numerator_multiplies_before_it_divides():
