@@ -7,15 +7,14 @@ index sliced per family by numerator top exponent, which each query fetches
 once and hands to the scan.  The order of the target's zero at t = 1, less a
 family's codimension, is the number of (1 - t^k) factors a match needs: it
 picks the slices of that family to scan and enumerate, or none.  The index
-keeps each model's num(2) for a divisibility pre-filter, read off the lower
-resolution banks once per (family, w2) and shifted for each further overall
-weight u, and it keeps the closed-form series and canonical key of each
-model a lookup hits.  A model matches when its closed-form numerator equals
-the target numerator exactly, either directly (quasilinear candidate) or
-after stripping extra (1 - t^k) factors (a nonlinear section of a cone,
-reported as a formal match).  A necessary-condition singularity filter
-rejects models that cannot carry a required 1/r point because no coordinate
-weight is divisible by r.
+keeps each model as its field values with its num(2), read off the lower
+resolution banks for a divisibility pre-filter, and builds the weights, the
+closed-form series and the canonical key of a model at its first hit.  A
+model matches when its closed-form numerator equals the target numerator
+exactly, either directly (quasilinear candidate) or after stripping extra
+(1 - t^k) factors (a nonlinear section of a cone, reported as a formal
+match).  A necessary-condition singularity filter rejects models that cannot
+carry a required 1/r point because no coordinate weight is divisible by r.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from functools import lru_cache
 from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
 from .series import (HilbertSeries, InternalError, LaurentPoly, Record, SeriesError, one_minus,
                      over_one_minus, positive_degrees, times_one_minus)
-from .wgrass25 import GrWeights
-from .wogr510 import OGrWeights
 
 DEFAULT_MAX_W2 = 8
 DEFAULT_MAX_U = 4
@@ -136,8 +133,9 @@ def singularity_filter(model, required):
 
 
 def enumerate_gr_weights(max_w2, tau=None):
-    """Canonically sorted normalized weight data for the Pfaffian family, in
-    table order; with ``tau = (lo, hi)`` only those with lo < top exponent <= hi."""
+    """Canonically sorted normalized weight data for the Pfaffian family, as the
+    field values (w2,) of ``GrWeights`` in table order; with ``tau = (lo, hi)``
+    only those with lo < top exponent <= hi."""
     lo, hi = tau or (-math.inf, math.inf)
     out = []
     for parity in (0, 1):
@@ -146,67 +144,49 @@ def enumerate_gr_weights(max_w2, tau=None):
             rest = [v for v in vals if v >= w0 and v > -w0]
             for tup in itertools.combinations_with_replacement(rest, 4):
                 if lo < w0 + sum(tup) <= hi:
-                    out.append(GrWeights((w0,) + tup))
+                    out.append(((w0,) + tup,))
     return out
 
 
 def enumerate_ogr_weights(max_w2, max_u, tau=None):
-    """Orbit representatives of spinor-family weight data within bounds, in
-    table order; with ``tau = (lo, hi)`` only those with lo < top exponent <= hi."""
+    """Orbit representatives of spinor-family weight data within bounds, as the
+    field values (w2, u) of ``OGrWeights`` in table order; with ``tau = (lo, hi)``
+    only those with lo < top exponent <= hi."""
     lo, hi = tau or (-math.inf, math.inf)
     out = []
     for parity in (0, 1):
         vals = range(parity, max_w2 + 1, 2)
         for tup in itertools.combinations_with_replacement(vals, 5):
-            s2 = sum(tup)
-            if 2 * (s2 - 2 * tup[0] + 4) > hi or 2 * (s2 + 4 * max_u) <= lo:
+            # the top exponent is s8 + 8u: s8 = 2 sum(w2) is s for the tuple and
+            # s - 4 tup[0] for it with its first entry negated, when that is positive
+            s = 2 * sum(tup)
+            if s - 4 * tup[0] + 8 > hi or s + 8 * max_u <= lo:
                 continue    # no variant and u of this tuple reaches (lo, hi]
-            variants = [tup]
-            if all(v > 0 for v in tup):
-                variants.append((-tup[0],) + tup[1:])
+            variants = [(tup, s)]
+            if tup[0] > 0:
+                variants.append(((-tup[0],) + tup[1:], s - 4 * tup[0]))
             # each w2 sorts with w2[0] + w2[1] >= 0 (a negated first entry -a sits
             # next to b >= a) and its four smallest summing to >= 0, so u >= 1
             # makes every coordinate weight positive: each OGrWeights constructs
-            for w2 in variants:
-                s8 = 2 * sum(w2)    # the top exponent s8 + 8u must lie in (lo, hi]
+            for w2, s8 in variants:
                 for u in range(max(1, (lo - s8) // 8 + 1), min(max_u, (hi - s8) // 8) + 1):
-                    out.append(OGrWeights(w2, u))
+                    out.append((w2, u))
     return out
 
 
-def _bank_sums(weights, top):
-    """(sum 2^e, sum 2^(top - e)) over each lower bank of ``weights``, once its
-    degrees e are checked to lie in (0, top): see ``_numerator_at2``."""
-    sums = []
-    for bank in weights.lower_banks():
-        if bank[0] <= 0 or bank[-1] >= top:
-            raise InternalError(f"{weights}: numerator is not 1 + ... - t^{top}")
-        sums.append((sum([1 << e for e in bank]), sum([1 << (top - e) for e in bank])))
-    return sums
-
-
-def _numerator_at2(weights, top, sums=None, k=0):
+def _numerator_at2(top, banks, powers):
     """num(2) = 1 - sum 2^e over the relations + ... - 2^top from the lower banks
-    alone: bank c - i is bank i with e -> top - e and, c being odd, the other
-    sign, so lower bank i adds ±(sum 2^e - sum 2^(top - e)).  Nothing cancels 1
-    or -t^top if the lower degrees lie in (0, top), as their duals then do.
-    Positive coordinate weights a ensure it: wGr has d - w_i = a_jk + a_lm and
-    d + w_i = a_ij + a_ik + a_lm; wOGr has d - w_i = a_x + a_xi and d + w_i =
-    a_xij + a_xj, so 2d is a sum of four weights a, 2d - a > 0 the rest of such
-    a quadruple, 2d + a > 0 and 3d ± w_i > 0.
-
-    ``sums`` may be the ``_bank_sums`` of the model with the same w2 and u - k,
-    k >= 0 (k = 0 where u is absorbed); lower_banks() is then not called.
-    Raising u by k raises the degrees of lower bank i by ``bank_slopes[i] *
-    k`` and their duals by ``(top_slope - bank_slopes[i]) * k``, so each sum
-    is shifted once.  The separation checked at u - k holds at u, as neither
-    a bank's least degree nor top minus its largest degree falls."""
+    alone, where ``powers`` maps each e in (0, top) to 2^e - 2^(top - e): bank
+    c - i is bank i with e -> top - e and, c being odd, the other sign, so lower
+    bank i adds ±(sum 2^e - sum 2^(top - e)).  A degree outside (0, top) is a
+    KeyError.  Nothing cancels 1 or -t^top if the lower degrees lie in (0, top),
+    as their duals then do.  Positive coordinate weights a ensure it: wGr has
+    d - w_i = a_jk + a_lm and d + w_i = a_ij + a_ik + a_lm; wOGr has d - w_i =
+    a_x + a_xi and d + w_i = a_xij + a_xj, so 2d is a sum of four weights a,
+    2d - a > 0 the rest of such a quadruple, 2d + a > 0 and 3d ± w_i > 0."""
     num, sign = 1 - (1 << top), -1
-    for i, (up, down) in enumerate(sums or _bank_sums(weights, top)):
-        if k:
-            slope = weights.bank_slopes[i]
-            up, down = up << slope * k, down << (weights.top_slope - slope) * k
-        num += sign * (up - down)
+    for bank in banks:
+        num += sign * sum(map(powers.__getitem__, bank))
         sign = -sign
     return num    # never 0: an integer root of num would divide its constant term 1
 
@@ -225,41 +205,42 @@ def _target_at2(n_target):
 
 
 class _ModelIndex:
-    """Bounded models as (weights, num(2)) pairs, per family keyed by numerator
-    top exponent (every top exponent is positive: the coordinate weights are
-    positive and sum to a multiple of it), with the bank sums of each (family,
-    w2) whose u varies and the series and key of each model hit.  A family's
+    """Bounded models as (field values, num(2)) pairs, per family keyed by
+    numerator top exponent (every top exponent is positive: the coordinate
+    weights are positive and sum to a multiple of it), with the weights, series
+    and key of each model hit, keyed by family and field values.  A family's
     slices are built for every top exponent up to ``covered[family]`` and for
     each top above it that is a key of ``slices[family]``."""
 
     def __init__(self, family, max_w2, max_u):
         self.families, self.bounds = [family] if family else list(FAMILIES), (max_w2, max_u)
         self.covered, self.slices = dict.fromkeys(self.families, 0), {f: {} for f in self.families}
-        self.sums, self.hits = {}, {}
+        self.hits = {}
 
     def reach(self, fam, lo, hi):
         """``fam``'s slices, after enumerating its models with lo < top <= hi
         not built yet; the window is a prefix (lo = 0) or one top (lo = hi - 1).
-        A prefix skips the tops built alone before it.  A (family, w2) whose u
-        varies forms its bank sums once, at the least top exponent t0 built so
-        far: a window yields a w2's u in ascending order, so each later model
-        shifts them by k = (t - t0) / top_slope >= 0.  A model below t0 re-forms
-        them, so grouping never decides a value.  A w2 whose u is absorbed is
-        one model: its sums are not kept."""
+        A prefix skips the tops built alone before it.  A model's top and lower
+        banks come from its field values (``banks_of``), and its num(2) from one
+        table of 2^e - 2^(top - e) per top the window meets, which has no entry
+        for a degree outside (0, top): such a model is an internal error."""
         slices, covered = self.slices[fam], self.covered[fam]
         if hi <= covered or lo == hi - 1 and hi in slices:
             return slices
-        alone = {t for t in slices if t > covered}
-        for w in _ENUMERATE[fam](*self.bounds, (max(lo, covered), hi)):
-            t, sums, k = w.top_exponent(), None, 0
-            if t in alone:
+        alone, banks_of, tables = {t for t in slices if t > covered}, FAMILIES[fam].banks_of, {}
+        for fields in _ENUMERATE[fam](*self.bounds, (max(lo, covered), hi)):
+            top, banks = banks_of(*fields)
+            if top in alone:
                 continue
-            if w.bank_slopes:
-                t0, sums = self.sums.get((fam, w.w2), (t + 1, None))
-                if t < t0:
-                    t0, sums = self.sums[fam, w.w2] = t, _bank_sums(w, t)
-                k = (t - t0) // w.top_slope
-            slices.setdefault(t, []).append((w, _numerator_at2(w, t, sums, k)))
+            powers = tables.get(top)
+            if powers is None:
+                powers = tables[top] = {e: (1 << e) - (1 << top - e) for e in range(1, top)}
+            try:
+                num2 = _numerator_at2(top, banks, powers)
+            except KeyError:
+                w = FAMILIES[fam](*fields)
+                raise InternalError(f"{w}: numerator is not 1 + ... - t^{top}") from None
+            slices.setdefault(top, []).append((fields, num2))
         if lo <= covered:
             self.covered[fam] = hi
         else:
@@ -287,8 +268,8 @@ class _ModelIndex:
         e^j != 0 over the terms c_e t^e: the order is the least j with a nonzero
         n_target^(j)(1) = sum c_e e(e-1)...(e-j+1), and powers and falling
         factorials of e span the same polynomials, triangularly.  The index
-        holds num(2) from when the slice was enumerated, and forms a model's
-        series and key at its first hit.
+        holds each model's field values and num(2) from when the slice was
+        enumerated, and builds its weights, series and key at its first hit.
         """
         at2 = _target_at2(n_target)
         if at2 is None:
@@ -308,11 +289,12 @@ class _ModelIndex:
                     s for t, s in self.reach(fam, 0, top - m).items() if t <= top - m)
             else:
                 continue
-            for w, num2 in models:
+            for fields, num2 in models:
                 if at2 % num2 == 0:
-                    hit = self.hits.get(w)
+                    hit = self.hits.get((fam, fields))
                     if hit is None:
-                        hit = self.hits[w] = w, w.hilbert_series(), _canonical_key(w)
+                        w = FAMILIES[fam](*fields)
+                        hit = self.hits[fam, fields] = w, w.hilbert_series(), _canonical_key(w)
                     yield hit
 
 

@@ -322,6 +322,15 @@ def over_one_minus(coeffs, a):
     return not any(coeffs[-a:])
 
 
+def differences(a, b):
+    """The multiset differences a - b and b - a of two sorted multisets, as sorted
+    lists: one ``list.remove`` for each entry of b that a holds."""
+    a, b_only = list(a), []
+    for x in b:
+        (a.remove if x in a else b_only.append)(x)
+    return a, b_only
+
+
 class HilbertSeries:
     """Rational function numerator / prod (1 - t^a), a ranging over a multiset.
 
@@ -340,11 +349,22 @@ class HilbertSeries:
     # -- algebra -----------------------------------------------------------
 
     def __eq__(self, other):
-        """Exact equality as rational functions (never truncated comparison)."""
+        """Exact equality as rational functions (never truncated comparison): each
+        numerator times the factors of the other denominator that its own lacks,
+        the shared ones cancelled (Q[t, 1/t] is an integral domain), compared as
+        dense coefficients long enough to hold both products whole."""
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        return (self.numerator * denominator_poly(other.denominator)
-                == other.numerator * denominator_poly(self.denominator))
+        mine, theirs = differences(other.denominator, self.denominator)
+        left, right = self.numerator.coeffs, other.numerator.coeffs
+        low = min([*left, *right], default=0)
+        high = max(max(left, default=low) + sum(mine), max(right, default=low) + sum(theirs))
+        left, right = self.numerator.dense(low, high), other.numerator.dense(low, high)
+        for a in mine:
+            times_one_minus(left, a)
+        for a in theirs:
+            times_one_minus(right, a)
+        return left == right
 
     def __hash__(self):
         # the value at t = 2 is exact and equal for equal series
@@ -422,9 +442,7 @@ class HilbertSeries:
         denominator = positive_degrees(denominator)
         if not denominator:
             raise SeriesError("denominator multiset must be nonempty")
-        extra, missing = list(denominator), []      # gens - own and own - gens, sorted
-        for a in self.denominator:
-            (extra.remove if a in extra else missing.append)(a)
+        extra, missing = differences(denominator, self.denominator)
         num = self.numerator
         if not (extra or missing) or num.is_zero():
             # a sum may have left an integral Fraction (SparsePoly); return ints,

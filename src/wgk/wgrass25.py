@@ -112,27 +112,33 @@ class Chart(Record):
 class WeightFamily(Record):
     """A weighted family after Corti-Reid.  A family states ``family``, ``dim``,
     ``codim``, ``coordinates()`` as (name, weight) pairs, ``equations()``,
-    ``lower_banks()`` (banks 1..k of its Gorenstein resolution of codimension
-    c = 2k + 1, each sorted), ``top_exponent()``, ``charts()`` and
-    ``canonical_form()``.  The members below are derived once, ``info_fields``
-    as a default: the resolution is self-dual, so bank c - i is top - e over
-    bank i and bank c is (top,); the Hilbert numerator is the alternating sum
-    over the banks, the degree is read off the Hilbert series, and Gorenstein
-    symmetry gives K = O(top - sum of weights).  A family whose overall weight
-    u varies with w2 fixed states that raising u by k raises lower bank i by
-    ``bank_slopes[i] * k`` and the top by ``top_slope * k``; where u is
-    absorbed into the weights, each w2 is one model."""
+    ``charts()``, ``canonical_form()`` and the static ``banks_of(*fields)``:
+    from its field values, the top exponent and the lists of degrees of banks
+    1..k of its Gorenstein resolution of codimension c = 2k + 1, in any order,
+    so that the model index reads them without building the weights.  The
+    members below are derived once, ``info_fields`` as a default: the
+    resolution is self-dual, so bank c - i is top - e over bank i and bank c is
+    (top,); the Hilbert numerator is the alternating sum over the banks, the
+    degree is read off the Hilbert series, and Gorenstein symmetry gives
+    K = O(top - sum of weights)."""
 
-    bank_slopes = ()
+    def top_exponent(self):
+        return self.banks_of(*vars(self).values())[0]    # Record keeps the fields in order
+
+    def lower_banks(self):
+        """Banks 1..k of the resolution, each sorted: the first half below the top."""
+        *banks, _ = self.resolution_degrees().values()
+        return tuple(banks[:len(banks) // 2])
 
     def coordinate_weights(self):
         return tuple(sorted(w for _, w in self.coordinates()))
 
     def resolution_degrees(self):
         """{bank name: sorted degrees} in resolution order, the top last."""
-        top, lower = self.top_exponent(), self.lower_banks()
+        top, banks = self.banks_of(*vars(self).values())
+        lower = [tuple(sorted(bank)) for bank in banks]
         upper = [tuple([top - e for e in reversed(bank)]) for bank in reversed(lower)]
-        return {**dict(zip(BANK_NAMES, lower + tuple(upper))), "top": (top,)}
+        return {**dict(zip(BANK_NAMES, lower + upper)), "top": (top,)}
 
     def info_fields(self):
         """``wgk info``'s resolution fields and their text lines; by default every
@@ -218,11 +224,6 @@ class GrWeights(WeightFamily):
 
     # -- basic numerology ----------------------------------------------------
 
-    def d2(self):
-        return sum(self.w2)
-
-    top_exponent = d2       # the numerator ends in -t^{2d}
-
     def coordinates(self):
         """The ten Pluecker coordinates x_ij with their weights w_i + w_j."""
         return list(zip(PAIR_NAMES, [(self.w2[i - 1] + self.w2[j - 1]) // 2
@@ -233,10 +234,11 @@ class GrWeights(WeightFamily):
     def equations(self):
         return list(pfaffian_equations())
 
-    def lower_banks(self):
-        """Pf_i in degree d - w_i; the dual bank is d + w_i and the top is 2d."""
-        d2 = self.d2()
-        return (tuple([(d2 - v) // 2 for v in reversed(self.w2)]),)
+    @staticmethod
+    def banks_of(w2):
+        """The numerator ends in -t^{2d}; Pf_i has degree d - w_i, its dual d + w_i."""
+        d2 = sum(w2)
+        return d2, ([(d2 - v) // 2 for v in w2],)
 
     def canonical_form(self):
         """The sorted doubled weights already are the orbit representative."""

@@ -139,44 +139,34 @@ class OGrWeights(WeightFamily):
 
     # -- numerology --------------------------------------------------------------
 
-    def d2(self):
-        """Doubled value of d = s + 2u, s the sum of the weights."""
-        return sum(self.w2) + 4 * self.u
-
-    def vertex_weights(self):
+    @staticmethod
+    def vertex_weights(w2, u):
         """The sixteen coordinate weights in VERTEX_NAMES order: u at x, u + w_i + w_j
         at x_ij and u + s - w_i at x_i (the even representative of {i} is its complement)."""
-        w2, u2 = self.w2, 2 * self.u
+        u2 = 2 * u
         s2 = u2 + sum(w2)
-        return ([self.u] + [(s2 - v) // 2 for v in w2]
+        return ([u] + [(s2 - v) // 2 for v in w2]
                 + [(u2 + a + b) // 2 for a, b in itertools.combinations(w2, 2)])
 
     def coordinates(self):
-        return list(zip(VERTEX_NAMES, self.vertex_weights()))
+        return list(zip(VERTEX_NAMES, self.vertex_weights(self.w2, self.u)))
 
     def equations(self):
         return list(equations())
 
-    def lower_banks(self):
-        """The relations d ± w_i and the first syzygies 2d - a over the coordinate
-        weights a; the duals are the second syzygies 2d + a, the third 3d ∓ w_i."""
-        d2 = self.d2()
-        return (tuple(sorted([(d2 + s * v) // 2 for v in self.w2 for s in (-1, 1)])),
-                tuple(sorted([d2 - w for w in self.vertex_weights()])))
-
-    # u + k with w2 fixed: d2 = s + 4u rises by 4k and each vertex weight, u plus
-    # a constant, by k, so the relations (d2 ± w_i)/2 rise by 2k, the first
-    # syzygies d2 - a by 3k, the top 2 d2 by 8k and the duals top - e by 6k and 5k
-    bank_slopes, top_slope = (2, 3), 8
-
-    def top_exponent(self):
-        """The numerator ends in -t^{4d}."""
-        return 2 * self.d2()
+    @staticmethod
+    def banks_of(w2, u):
+        """The numerator ends in -t^{4d}, d = s + 2u with s the sum of the weights;
+        the relations are d ± w_i and the first syzygies 2d - a over the coordinate
+        weights a, whose duals are the second syzygies 2d + a and the third 3d ∓ w_i."""
+        d2 = sum(w2) + 4 * u
+        return 2 * d2, ([(d2 + s * v) // 2 for v in w2 for s in (-1, 1)],
+                        [d2 - a for a in OGrWeights.vertex_weights(w2, u)])
 
     def charts(self):
         """Sixteen orbifold charts; local weights are pair sums of the flipped w."""
         out = []
-        for vert, order in zip(VERTICES, self.vertex_weights()):
+        for vert, order in zip(VERTICES, self.vertex_weights(self.w2, self.u)):
             flips = even_rep(vert)
             w2f = [-self.w2[i - 1] if i in flips else self.w2[i - 1]
                    for i in range(1, 6)]

@@ -210,7 +210,7 @@ def test_criterion_9_gorenstein_symmetry():
             num = w.hilbert_series().numerator
         except ValueError:
             continue
-        top = 2 * w.d2()
+        top = 2 * (sum(w.w2) + 4 * w.u)     # 4d, d = s + 2u
         assert num.max_exp() == top
         assert all(c == -num[top - e] for e, c in num.coeffs.items())
     report(9, "sign-twisted palindrome symmetry for 1000 random weightings "

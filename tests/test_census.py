@@ -4,8 +4,8 @@ must be reproduced, record for record.
 The census is every quasilinear section of a bounded model with dimension 2
 or 3 and K = O(k), k in {-1, 0, 1}:
 
-- models are ``enumerate_gr_weights(3)``, each with and without a weight-1
-  cone, and ``enumerate_ogr_weights(3, 1)``;
+- models are the weights of ``enumerate_gr_weights(3)``, each with and
+  without a weight-1 cone, and of ``enumerate_ogr_weights(3, 1)``;
 - cuts are the distinct sorted sub-multisets of the coordinate weights, and a
   cut is kept when ``section_series`` accepts it.
 
@@ -26,15 +26,17 @@ from wgk.matcher import enumerate_gr_weights, enumerate_ogr_weights
 from wgk.sections import (DEFAULT_DEPTH, AmbientModel, ambient_series, rr_roundtrip,
                           section_canonical, section_series, singularity_analysis)
 from wgk.series import HilbertSeries, SeriesError, denominator_poly
+from wgk.wgrass25 import GrWeights
+from wgk.wogr510 import OGrWeights
 
 CENSUS = Path(__file__).resolve().parent / "census" / "census.json"
 ROUNDTRIP_KINDS = {0: "cy3", 1: "canonical3"}
 
 
 def census_models():
-    gr = enumerate_gr_weights(3)
+    gr = [GrWeights(*fields) for fields in enumerate_gr_weights(3)]
     return ([AmbientModel(w, cone) for w in gr for cone in ((), (1,))]
-            + [AmbientModel(w) for w in enumerate_ogr_weights(3, 1)])
+            + [AmbientModel(OGrWeights(*fields)) for fields in enumerate_ogr_weights(3, 1)])
 
 
 def census_sections(model):

@@ -521,7 +521,7 @@ def test_match_rejects_the_bounds_a_query_rejects(tmp_path, capsys, max_w2, max_
 def test_internal_inconsistency_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     # model banks breaking the matcher's top-term check (1 + ... - t^top): a
     # relation in degree 0 would cancel the 1
-    monkeypatch.setattr(wgrass25.GrWeights, "lower_banks", lambda self: ((0,),))
+    monkeypatch.setattr(wgrass25.GrWeights, "banks_of", staticmethod(lambda w2: (sum(w2), ((0,),))))
     rr = tmp_path / "can3.json"
     rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21",
                               "half_points": 2}))

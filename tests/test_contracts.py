@@ -91,8 +91,8 @@ def test_a_float_coefficient_is_refused_with_the_same_message():
 
 # -- the weight-family contract ---------------------------------------------------
 
-DERIVED = ("coordinate_weights", "resolution_degrees", "numerator_terms", "hilbert_series",
-           "degree", "canonical_degree", "is_well_formed")
+DERIVED = ("top_exponent", "lower_banks", "coordinate_weights", "resolution_degrees",
+           "numerator_terms", "hilbert_series", "degree", "canonical_degree", "is_well_formed")
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,9 @@ class Hypersurface(WeightFamily):
     def equations(self):
         return []       # a general form of degree e; nothing here reads it
 
-    def lower_banks(self):
-        return ()       # codimension 1: the equation is the top of the resolution
-
-    def top_exponent(self):
-        return self.e
+    @staticmethod
+    def banks_of(a, e):
+        return e, ()    # codimension 1: the equation is the top of the resolution
 
     def charts(self):
         return []
@@ -125,13 +123,20 @@ class Hypersurface(WeightFamily):
         return self
 
 
+def index_value(w):
+    """num(2) as the model index forms it: ``banks_of`` over a table of 2^e - 2^(top - e)."""
+    top, banks = w.banks_of(*vars(w).values())
+    return matcher._numerator_at2(top, banks, {e: 2 ** e - 2 ** (top - e) for e in range(1, top)})
+
+
 @pytest.mark.parametrize("a, e, canonical", [((1, 1, 2, 3), 6, -1), ((1, 1, 1, 1), 4, 0)])
 def test_a_family_stating_only_its_primitives_gets_the_derived_members(a, e, canonical):
     x = Hypersurface(a, e)
     assert x.coordinate_weights() == tuple(sorted(a))
     assert x.resolution_degrees() == {"top": (e,)}
     assert x.numerator_terms() == {0: 1, e: -1}
-    assert matcher._numerator_at2(x, e) == 1 - 2 ** e     # the top is its only bank
+    assert index_value(x) == 1 - 2 ** e     # the top is its only bank
+    assert x.lower_banks() == ()
     series = x.hilbert_series()
     assert (series.numerator, series.denominator) == (LaurentPoly({0: 1, e: -1}), a)
     assert x.top_exponent() == e
@@ -159,8 +164,9 @@ def order_at_one(p):
 def test_every_model_numerator_vanishes_at_one_to_the_order_of_its_codimension():
     # the matcher prunes its scan by this order: a formal match's (1 - t^k)
     # factors are what the target's order adds to the codimension
-    models = (matcher.enumerate_gr_weights(matcher.DEFAULT_MAX_W2)
-              + matcher.enumerate_ogr_weights(matcher.DEFAULT_MAX_W2, matcher.DEFAULT_MAX_U))
+    bounds = (matcher.DEFAULT_MAX_W2, matcher.DEFAULT_MAX_U)
+    models = [sections.FAMILIES[fam](*fields) for fam, enumerated in matcher._ENUMERATE.items()
+              for fields in enumerated(*bounds, None)]
     assert len(models) == 1365
     for w in models:
         assert order_at_one(w.hilbert_series().numerator) == w.codim, w
@@ -491,7 +497,7 @@ def test_no_module_reads_the_environment():
 
 def test_no_module_holds_an_assert_statement():
     # python -O drops assert statements; an internal check raises
-    # series.InternalError, as matcher._bank_sums does, so it still exits 3 under -O
+    # series.InternalError, as matcher._ModelIndex.reach does, so it still exits 3 under -O
     found = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from test_contracts import order_at_one
+from test_contracts import index_value, order_at_one
 from wgk import matcher
 from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          enumerate_ogr_weights, infer_generators,
@@ -42,6 +42,16 @@ def infer_and_force(series, basket=None, residue_forcing=True):
     basket = basket or ()
     forced = matcher._force_divisibility(infer_generators(series), basket)
     return matcher._force_residues(forced, basket) if residue_forcing else forced
+
+
+def gr_models(max_w2, tau=None):
+    """The weights of the wGr(2,5) field values ``enumerate_gr_weights`` gives."""
+    return [GrWeights(*fields) for fields in enumerate_gr_weights(max_w2, tau)]
+
+
+def ogr_models(max_w2, max_u, tau=None):
+    """The weights of the wOGr(5,10) field values ``enumerate_ogr_weights`` gives."""
+    return [OGrWeights(*fields) for fields in enumerate_ogr_weights(max_w2, max_u, tau)]
 
 
 def test_infer_generators_projective_space():
@@ -122,13 +132,13 @@ def test_a_generator_degree_that_is_not_a_positive_integer_is_refused_by_name(de
 
 def test_search_roundtrip_property():
     rng = random.Random(31)
-    gr_pool = enumerate_gr_weights(4)
+    gr_pool = gr_models(4)
     for w in rng.sample(gr_pool, 12):
         hits = search(MatchQuery(target=w.hilbert_series(),
                                  generator_degrees=w.plucker_weights(),
                                  family="wgr25", max_w2=4))
         assert [m.base for m in hits] == [w]
-    ogr_pool = enumerate_ogr_weights(4, 2)
+    ogr_pool = ogr_models(4, 2)
     for w in rng.sample(ogr_pool, 12):
         try:
             series = w.hilbert_series()
@@ -161,7 +171,7 @@ def test_singularity_filter():
 def test_filter_soundness():
     # never rejects a model that carries a chart of the required order
     rng = random.Random(17)
-    pool = enumerate_ogr_weights(6, 3)
+    pool = ogr_models(6, 3)
     for w in rng.sample(pool, 30):
         model = AmbientModel(w)
         for r in {2, 3, 5}:
@@ -252,11 +262,11 @@ def test_a_search_bound_that_is_not_an_integer_is_refused_when_the_query_is_buil
 
 
 def test_enumerations_within_bounds_and_canonical():
-    for w in enumerate_gr_weights(4):
+    for w in gr_models(4):
         assert all(abs(v) <= 4 for v in w.w2)
         assert w.w2 == tuple(sorted(w.w2))
     seen = set()
-    for w in enumerate_ogr_weights(4, 2):
+    for w in ogr_models(4, 2):
         assert all(abs(v) <= 4 for v in w.w2)
         assert 1 <= w.u <= 2
         c = w.canonical_form()
@@ -272,11 +282,11 @@ def full_table(family, max_w2, max_u):
     """Every bounded model with its numerator, in enumeration order."""
     table = []
     if family in (None, "wgr25"):
-        for w in enumerate_gr_weights(max_w2):
+        for w in gr_models(max_w2):
             table.append(("wgr25", w, w.hilbert_series().numerator,
                           tuple(w.plucker_weights())))
     if family in (None, "wogr510"):
-        for w in enumerate_ogr_weights(max_w2, max_u):
+        for w in ogr_models(max_w2, max_u):
             try:
                 num = w.hilbert_series().numerator
             except ValueError:
@@ -304,10 +314,10 @@ def augment_bound(k):
 
 
 SMALL = dict(max_w2=4, max_u=2)
-SMALL_MODELS = ([("wgr25", w) for w in enumerate_gr_weights(4)]
-                + [("wogr510", w) for w in enumerate_ogr_weights(4, 2)])
-DEFAULT_MODELS = ([("wgr25", w) for w in enumerate_gr_weights(matcher.DEFAULT_MAX_W2)]
-                  + [("wogr510", w) for w in enumerate_ogr_weights(
+SMALL_MODELS = ([("wgr25", w) for w in gr_models(4)]
+                + [("wogr510", w) for w in ogr_models(4, 2)])
+DEFAULT_MODELS = ([("wgr25", w) for w in gr_models(matcher.DEFAULT_MAX_W2)]
+                  + [("wogr510", w) for w in ogr_models(
                       matcher.DEFAULT_MAX_W2, matcher.DEFAULT_MAX_U)])
 
 
@@ -389,7 +399,7 @@ def ogr_weights(draw):
 def test_numerator_top_term_is_minus_t_to_the_top_exponent(w):
     num = model_series(w).numerator
     spinor = isinstance(w, OGrWeights)
-    top = 2 * w.d2() if spinor else w.d2()
+    top = 2 * (sum(w.w2) + 4 * w.u) if spinor else sum(w.w2)     # 4d or 2d
     assert w.top_exponent() == top
     assert num[0] == 1 and num.min_exp() == 0
     assert num.max_exp() == top and num[top] == -1
@@ -415,7 +425,7 @@ def test_both_families_answer_the_family_interface_alike(w, cone):
 
 def numerator_by_closure(w):
     """Oracle: the closed-form numerators as assembled before ``numerator_terms``."""
-    d2 = w.d2()
+    d2 = sum(w.w2) + (4 * w.u if isinstance(w, OGrWeights) else 0)     # 2d
     if isinstance(w, GrWeights):
         num = {0: Fraction(1)}
         for v in w.w2:
@@ -449,18 +459,21 @@ def test_numerator_terms_and_index_value_at_2_match_the_previous_assembly(w):
     assert all(isinstance(c, int) and c for c in terms.values())
     expected = numerator_by_closure(w)
     assert LaurentPoly(terms) == expected == w.hilbert_series().numerator
-    assert matcher._numerator_at2(w, w.top_exponent()) == expected(2)
+    assert index_value(w) == expected(2)
 
 
 @pytest.mark.parametrize("family", ["wgr25", "wogr510"])
 def test_index_value_at_2_is_the_numerator_at_2_for_every_model(family):
-    for w in matcher._ENUMERATE[family](12, 6, None):
-        top = w.top_exponent()
-        *middle, last = w.resolution_degrees().values()
-        # the separation the index checks: 1 and -t^top cannot cancel
-        assert last == (top,) and len(middle) % 2 == 0
-        assert all(0 < e < top for bank in middle for e in bank)
-        assert matcher._numerator_at2(w, top) == LaurentPoly(w.numerator_terms())(2)
+    slices = matcher._ModelIndex(family, 12, 6).reach(family, 0, 10 ** 6)
+    assert count_models({family: slices}) == len(matcher._ENUMERATE[family](12, 6, None))
+    for top, models in slices.items():
+        for fields, num2 in models:
+            w = FAMILIES[family](*fields)
+            *middle, last = w.resolution_degrees().values()
+            # the separation the index checks: 1 and -t^top cannot cancel
+            assert last == (top,) and len(middle) % 2 == 0
+            assert all(0 < e < top for bank in middle for e in bank)
+            assert num2 == LaurentPoly(w.numerator_terms())(2)
 
 
 def reach_all(index):
@@ -486,13 +499,14 @@ def test_a_cold_index_builds_no_numerator():
 
 @pytest.mark.parametrize("bounds", [(8, 4), (12, 6)])
 def test_the_index_holds_each_models_own_value_at_2_in_enumeration_order(bounds):
-    # the index shifts the bank sums along each run of one w2; the reference
-    # calls lower_banks() for every model
+    # the index reads each model's banks off its field values over one table of
+    # powers per top; the reference builds every model and its numerator
     expected = {"wgr25": {}, "wogr510": {}}
     for fam, by_top in expected.items():
-        for w in matcher._ENUMERATE[fam](*bounds, None):
-            top = w.top_exponent()
-            by_top.setdefault(top, []).append((w, matcher._numerator_at2(w, top)))
+        for fields in matcher._ENUMERATE[fam](*bounds, None):
+            w = FAMILIES[fam](*fields)
+            by_top.setdefault(w.top_exponent(), []).append(
+                (fields, LaurentPoly(w.numerator_terms())(2)))
     matcher._model_index.cache_clear()
     try:
         slices = reach_all(matcher._model_index(None, *bounds))
@@ -504,20 +518,10 @@ def test_the_index_holds_each_models_own_value_at_2_in_enumeration_order(bounds)
             assert slices[fam][top] == models, (fam, top)
 
 
-def test_the_index_keeps_bank_sums_only_for_a_w2_whose_u_varies():
-    # a wGr(2,5) w2 is one model, u being absorbed, so no later model would
-    # read its sums; the slices are checked against the reference above
-    index = matcher._ModelIndex(None, 8, 4)
-    assert count_models(reach_all(index)) == 1365
-    ogr = {("wogr510", w.w2) for w in matcher._ENUMERATE["wogr510"](8, 4, None)}
-    assert set(index.sums) == ogr and len(ogr) == 294
-
-
 @pytest.mark.parametrize("bounds", [(8, 4), (12, 6)])
 def test_an_index_reached_window_by_window_holds_what_one_reach_holds(bounds):
     # a w2's models fall into several windows, prefixes and single tops built
-    # in any order; a model below the top its bank sums were formed at forms
-    # them again.  Slice order may differ, not a slice.  A single top keeps
+    # in any order.  Slice order may differ, not a slice.  A single top keeps
     # its key when it holds no model, so that it is not enumerated again
     whole = reach_all(matcher._ModelIndex(None, *bounds))
     index = matcher._ModelIndex(None, *bounds)
@@ -530,18 +534,8 @@ def test_an_index_reached_window_by_window_holds_what_one_reach_holds(bounds):
                 assert slices.get(t, []) == whole[fam].get(t, []), (fam, lo, hi, t)
         assert {t: models for t, models in slices.items() if models} == whole[fam]
         for top, models in slices.items():
-            assert all(num2 == matcher._numerator_at2(w, top) for w, num2 in models), top
-
-
-@settings(max_examples=200, deadline=None)
-@given(ogr_weights(), st.integers(0, 6))
-def test_shifting_the_bank_sums_by_k_gives_the_value_at_2_at_u_plus_k(w, k):
-    top, later = w.top_exponent(), OGrWeights(w.w2, w.u + k)
-    sums = matcher._bank_sums(w, top)
-    assert later.top_exponent() == top + OGrWeights.top_slope * k
-    assert (matcher._numerator_at2(later, later.top_exponent(), sums, k)
-            == matcher._numerator_at2(later, later.top_exponent())
-            == LaurentPoly(later.numerator_terms())(2))
+            assert all(num2 == index_value(FAMILIES[fam](*fields))
+                       for fields, num2 in models), top
 
 
 def test_every_spinor_tuple_variant_and_u_within_bounds_is_enumerated():
@@ -553,7 +547,7 @@ def test_every_spinor_tuple_variant_and_u_within_bounds_is_enumerated():
         for tup in itertools.combinations_with_replacement(range(parity, max_w2 + 1, 2), 5):
             variants = [tup] + ([(-tup[0],) + tup[1:]] if tup[0] > 0 else [])
             expected += [OGrWeights(w2, u) for w2 in variants for u in range(1, max_u + 1)]
-    assert enumerate_ogr_weights(max_w2, max_u) == expected
+    assert ogr_models(max_w2, max_u) == expected
 
 
 def test_zero_target_has_no_candidates():
@@ -837,24 +831,120 @@ def test_a_target_of_a_familys_codimension_enumerates_its_own_top_alone():
                                       ("wogr510", (0, top + 9))]
     for fam, window, models in calls:
         assert models == in_range(fam, bounds, *window) > 0
-    held = [v for models in index.slices["wogr510"].values() for v, _ in models]
+    held = [OGrWeights(*fields) for models in index.slices["wogr510"].values()
+            for fields, _ in models]
     assert Counter(held) == Counter(v for _, v, _, _ in full_table("wogr510", *bounds)
                                     if v.top_exponent() <= top + 9)
 
 
 def test_a_sliced_enumeration_is_the_full_table_restricted():
     for lo, hi in ((0, 6), (6, 13), (13, 40), (40, 100)):
-        assert enumerate_gr_weights(5, (lo, hi)) == [
-            w for w in enumerate_gr_weights(5) if lo < w.top_exponent() <= hi]
-        assert enumerate_ogr_weights(5, 3, (lo, hi)) == [
-            w for w in enumerate_ogr_weights(5, 3) if lo < w.top_exponent() <= hi]
+        assert gr_models(5, (lo, hi)) == [
+            w for w in gr_models(5) if lo < w.top_exponent() <= hi]
+        assert ogr_models(5, 3, (lo, hi)) == [
+            w for w in ogr_models(5, 3) if lo < w.top_exponent() <= hi]
     # the full Pfaffian table: every sorted tuple of one parity with w0 + w1 > 0
     for max_w2 in range(1, 9):
-        assert enumerate_gr_weights(max_w2) == [
+        assert gr_models(max_w2) == [
             GrWeights(tup) for parity in (0, 1)
             for tup in itertools.combinations_with_replacement(
                 range(-max_w2 + (max_w2 + parity) % 2, max_w2 + 1, 2), 5)
             if tup[0] + tup[1] > 0]
+
+
+def enumerate_gr_objects(max_w2, tau=None):
+    """Reference: the Pfaffian enumerator as it was when it built the weights."""
+    lo, hi = tau or (-math.inf, math.inf)
+    out = []
+    for parity in (0, 1):
+        vals = range(-max_w2 + ((-max_w2 - parity) % 2), max_w2 + 1, 2)
+        for w0 in vals:
+            rest = [v for v in vals if v >= w0 and v > -w0]
+            for tup in itertools.combinations_with_replacement(rest, 4):
+                if lo < w0 + sum(tup) <= hi:
+                    out.append(GrWeights((w0,) + tup))
+    return out
+
+
+def enumerate_ogr_objects(max_w2, max_u, tau=None):
+    """Reference: the spinor enumerator as it was when it built the weights."""
+    lo, hi = tau or (-math.inf, math.inf)
+    out = []
+    for parity in (0, 1):
+        vals = range(parity, max_w2 + 1, 2)
+        for tup in itertools.combinations_with_replacement(vals, 5):
+            s2 = sum(tup)
+            if 2 * (s2 - 2 * tup[0] + 4) > hi or 2 * (s2 + 4 * max_u) <= lo:
+                continue
+            variants = [tup]
+            if all(v > 0 for v in tup):
+                variants.append((-tup[0],) + tup[1:])
+            for w2 in variants:
+                s8 = 2 * sum(w2)
+                for u in range(max(1, (lo - s8) // 8 + 1), min(max_u, (hi - s8) // 8) + 1):
+                    out.append(OGrWeights(w2, u))
+    return out
+
+
+@pytest.mark.parametrize("bounds", [(8, 4), (12, 6), (16, 8)])
+def test_the_enumerated_field_values_are_the_fields_of_the_weights_once_built(bounds):
+    # the whole table, prefixes, a range, single tops and an empty window, in
+    # the same order, with the same types: each tuple is the Record's own
+    # fields, and rebuilds it
+    for fam, reference in (("wgr25", lambda tau: enumerate_gr_objects(bounds[0], tau)),
+                           ("wogr510", lambda tau: enumerate_ogr_objects(*bounds, tau))):
+        tops = sorted({w.top_exponent() for w in reference(None)})
+        n = len(tops)
+        windows = [None, (0, tops[n // 3]), (0, tops[n // 2]), (tops[n // 3], tops[2 * n // 3]),
+                   (0, 0)] + [(t - 1, t) for t in tops[::max(1, n // 6)]]
+        for tau in windows:
+            fields, objects = matcher._ENUMERATE[fam](*bounds, tau), reference(tau)
+            assert fields == [tuple(vars(w).values()) for w in objects], (fam, tau)
+            assert all(type(f[0]) is tuple and {type(v) for v in f[0] + f[1:]} == {int}
+                       for f in fields), (fam, tau)
+            assert [FAMILIES[fam](*f) for f in fields] == objects, (fam, tau)
+            assert bool(fields) == (tau != (0, 0)), (fam, tau)
+
+
+@pytest.mark.parametrize("bounds", [(8, 4), (12, 6)])
+def test_banks_of_the_field_values_are_the_top_and_the_sorted_lower_banks(bounds):
+    # the index reads banks_of(*fields) and never builds the weights; the
+    # weights derive top_exponent() and lower_banks() from the same function,
+    # and both agree with the banks restated from the coordinate weights
+    for fam, family in FAMILIES.items():
+        for fields in matcher._ENUMERATE[fam](*bounds, None):
+            w, (top, banks) = family(*fields), family.banks_of(*fields)
+            assert w.top_exponent() == top
+            assert w.lower_banks() == tuple(tuple(sorted(bank)) for bank in banks)
+            d = Fraction(top, 2 if fam == "wgr25" else 4)
+            relations = sorted(d + s * Fraction(v, 2) for v in w.w2
+                               for s in ((-1,) if fam == "wgr25" else (-1, 1)))
+            syzygies = [2 * d - a for a in reversed(w.coordinate_weights())]
+            assert w.lower_banks() == ((tuple(relations),) if fam == "wgr25"
+                                       else (tuple(relations), tuple(syzygies))), w
+
+
+def test_a_cold_search_builds_the_weights_of_the_models_its_lookup_hits_alone(monkeypatch):
+    # the index holds field values: a weights object is built at a model's first
+    # hit, and its canonical form, and for no other model of the slices reached
+    w = OGrWeights((0, 0, 2, 2, 4), 1)
+    query = MatchQuery(target=w.hilbert_series(), generator_degrees=w.coordinate_weights())
+    built = []
+    for cls in (GrWeights, OGrWeights):
+        def recording(self, *args, _original=cls.__init__):
+            _original(self, *args)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", recording)
+    matcher._model_index.cache_clear()
+    try:
+        assert search(query) == [AmbientModel(w)]
+        index = matcher._model_index(None, matcher.DEFAULT_MAX_W2, matcher.DEFAULT_MAX_U)
+    finally:
+        matcher._model_index.cache_clear()
+    hits = [hit for hit, _, _ in index.hits.values()]
+    assert 0 < len(hits) < count_models(index.slices)      # 1 of the 9 in its top
+    assert Counter(built) == Counter(hits + [v.canonical_form() for v in hits])
+    assert set(index.hits) == {(v.family, tuple(vars(v).values())) for v in hits}
 
 
 # -- search as the quasilinear filter of the pipeline's scan --------------------

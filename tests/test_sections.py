@@ -372,7 +372,8 @@ def test_ambient_model_json_roundtrip():
         AmbientModel.from_json({"family": "nope", "w2": [1] * 5})
 
 
-BOUNDED_BASES = enumerate_gr_weights(6) + enumerate_ogr_weights(6, 3)
+BOUNDED_BASES = ([GrWeights(*fields) for fields in enumerate_gr_weights(6)]
+                 + [OGrWeights(*fields) for fields in enumerate_ogr_weights(6, 3)])
 BOUNDED_MODELS = [AmbientModel(base, cone) for base in BOUNDED_BASES
                   for cone in ((), (1,), (2, 3))]
 

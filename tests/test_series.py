@@ -156,6 +156,42 @@ def test_series_equality_is_cross_multiplied():
     assert a != HilbertSeries(LaurentPoly.one(), (2,))
 
 
+def sparse_equality(h, g):
+    """Reference: the cross-multiplied sparse products ``HilbertSeries.__eq__`` once formed."""
+    return (h.numerator * denominator_poly(g.denominator)
+            == g.numerator * denominator_poly(h.denominator))
+
+
+@st.composite
+def equality_cases(draw):
+    """Two series, in either order: one and the same times a shared product of
+    (1 - t^a), that one with a term added, or two drawn apart.  Coefficients are
+    ints, integral Fractions and proper ones, and exponents may be negative."""
+    num = LaurentPoly(draw(mixed_terms()))
+    denom = draw(st.lists(st.integers(1, 6), max_size=5))
+    h, kind = HilbertSeries(num, denom), draw(st.integers(0, 2))
+    if kind < 2:
+        extra = draw(st.lists(st.integers(1, 6), max_size=4))
+        g = HilbertSeries(num * denominator_poly(extra), denom + extra)
+        if kind:
+            g = HilbertSeries(g.numerator + LaurentPoly({draw(st.integers(-3, 12)): draw(mixed)}),
+                              g.denominator)
+    else:
+        g = HilbertSeries(LaurentPoly(draw(mixed_terms())),
+                          draw(st.lists(st.integers(1, 6), max_size=5)))
+    return (h, g) if draw(st.booleans()) else (g, h)
+
+
+@settings(max_examples=400, deadline=None)
+@given(equality_cases())
+@example((HilbertSeries(LaurentPoly(), (1,)), HilbertSeries(LaurentPoly(), (2, 3))))
+@example((HilbertSeries(LaurentPoly({-2: Fraction(1, 2)}), (1,)),
+          HilbertSeries(LaurentPoly({-2: Fraction(1, 2), -1: Fraction(1, 2)}), (2,))))
+def test_dense_equality_is_the_cross_multiplied_sparse_equality(pair):
+    h, g = pair
+    assert (h == g) == (g == h) == sparse_equality(h, g)
+
+
 def test_canonical_cancels_pairs():
     h = HilbertSeries(one_minus(2) * LaurentPoly({0: 1, 1: 3}), (1, 2, 2))
     c = h.canonical()

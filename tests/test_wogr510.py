@@ -116,19 +116,24 @@ def test_group_action_permutes_quads():
             assert image in all_quads
 
 
+def doubled_d(w):
+    """2d = s + 4u, s the sum of the doubled weights: the relations lie in degrees d ± w_i."""
+    return sum(w.w2) + 4 * w.u
+
+
 def test_weight_action_preserves_coordinate_weights():
     rng = random.Random(3)
     elements = wd5_elements()
     for w in (EX1, EX2, OGrWeights((1, 1, 1, 3, 3), 2)):
         base = w.coordinate_weights()
-        d2 = w.d2()
+        d2 = doubled_d(w)
         for _ in range(20):
             g = elements[rng.randrange(len(elements))]
             w2, u2 = wd5_weight_action(g, w.w2, 2 * w.u)
             assert u2 % 2 == 0
             moved = OGrWeights(w2, u2 // 2)
             assert moved.coordinate_weights() == base
-            assert moved.d2() == d2
+            assert doubled_d(moved) == d2
             assert moved.hilbert_series().numerator == w.hilbert_series().numerator
 
 
@@ -188,7 +193,7 @@ def test_equation_weights():
         # GradedRing rejects an equation that is not weighted-homogeneous
         degrees = [deg for deg, _ in GradedRing(w.coordinates(), w.equations()).equations]
         assert len(degrees) == 10
-        d2 = w.d2()
+        d2 = doubled_d(w)
         for idx, deg in enumerate(degrees):
             i = idx + 1 if idx < 5 else -(idx - 4)
             expected2 = d2 - w.w2[i - 1] if i > 0 else d2 + w.w2[-i - 1]
@@ -340,7 +345,7 @@ def test_resolution_degrees():
     banks = EX1.resolution_degrees()
     assert banks["relations"] == (2, 3, 3, 3, 3, 3, 3, 3, 3, 4)
     assert banks["top"] == (12,)
-    d2 = EX1.d2()
+    d2 = doubled_d(EX1)
     tot = banks["relations"]
     assert sum(tot) * 2 == len(tot) * d2            # average d
     first = banks["first_syzygies"]
@@ -358,7 +363,7 @@ def reference_banks(w):
     """The six-term resolution stated in full: the relations in degrees d ± w_i,
     the first syzygies in 2d - a and the second in 2d + a over the coordinate
     weights a, the third in 3d ± w_i and the top in 4d."""
-    d2, wts = w.d2(), w.coordinate_weights()
+    d2, wts = doubled_d(w), w.coordinate_weights()
     relations = sorted((d2 + s * v) // 2 for v in w.w2 for s in (-1, 1))
     return {"relations": tuple(relations),
             "first_syzygies": tuple(d2 - a for a in reversed(wts)),
@@ -384,7 +389,7 @@ def assert_banks_are_the_reference(w):
 
 
 def test_derived_banks_equal_the_reference_for_every_model():
-    models = matcher._ENUMERATE["wogr510"](12, 6, None)
+    models = [OGrWeights(*fields) for fields in matcher._ENUMERATE["wogr510"](12, 6, None)]
     assert {v % 2 for w in models for v in w.w2} == {0, 1}
     for w in models:
         assert_banks_are_the_reference(w)
@@ -418,8 +423,8 @@ def test_canonical_degree():
     assert STRAIGHT.canonical_degree() == -8
     for w in (EX1, EX2, STRAIGHT):
         # the sixteen weights sum to 8d, and adjunction 4d gives K = O(-4d)
-        assert sum(w.coordinate_weights()) == 4 * w.d2()
-        assert -sum(w.coordinate_weights()) + 2 * w.d2() == w.canonical_degree()
+        assert sum(w.coordinate_weights()) == 4 * doubled_d(w)
+        assert -sum(w.coordinate_weights()) + 2 * doubled_d(w) == w.canonical_degree()
 
 
 def test_charts():
@@ -463,7 +468,7 @@ def test_gorenstein_symmetry_sign_twisted():
         except ValueError:
             continue
         count += 1
-        top = 2 * w.d2()
+        top = 2 * doubled_d(w)
         assert num.max_exp() == top
         for e, c in num.coeffs.items():
             assert c == -num[top - e]
