@@ -12,12 +12,12 @@ import sys
 from importlib import import_module, util
 
 _EXPORTS = {
-    "matcher": ("MatchQuery", "infer_generators", "match_pipeline", "search",
-                "singularity_filter"),
+    "matcher": ("MatchQuery", "infer_generators", "match_pipeline", "search"),
     "orbifold_rr": ("PeriodicTable", "RRData", "hilbert_can3", "hilbert_cy3",
                     "hilbert_series", "local_term", "plurigenus"),
     "sections": ("AmbientModel", "QuotientSingularity", "ambient_series", "quasilinear_embed",
-                 "rr_roundtrip", "section_canonical", "section_series", "singularity_analysis"),
+                 "rr_roundtrip", "section_canonical", "section_series", "singularity_analysis",
+                 "singularity_filter"),
     "series": ("HilbertSeries", "LaurentPoly"),
     "wgrass25": ("Chart", "GrWeights", "fit_pfaffian_weights",
                  "pfaffian_equations", "verify_gr_identities"),

@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import cache
 
 from .sections import (AmbientModel, QuotientSingularity, quasilinear_embed, rr_roundtrip,
-                       section_canonical, section_series, singularity_analysis)
-from .matcher import singularity_filter
+                       section_canonical, section_series, singularity_analysis,
+                       singularity_filter)
 from .series import LaurentPoly, Record
 
 def V(value, provenance):

@@ -25,21 +25,13 @@ import operator
 from collections import Counter
 from functools import lru_cache
 
-from .sections import DEFAULT_DEPTH, FAMILIES, AmbientModel
+from .sections import (DEFAULT_DEPTH, DEFAULT_MAX_U, DEFAULT_MAX_W2, FAMILIES, AmbientModel,
+                       fmt_multiset, singularity_filter)
 from .series import (HilbertSeries, InternalError, LaurentPoly, Record, SeriesError, one_minus,
                      over_one_minus, positive_degrees, times_one_minus)
 
-DEFAULT_MAX_W2 = 8
-DEFAULT_MAX_U = 4
 AUGMENT_BOUND = 8     # the largest extra generator degree match_pipeline tries
 SECTION_FACTORS = 8   # the most (1 - t^k) factors a formal match strips
-
-
-def fmt_multiset(weights):
-    parts = []
-    for w, k in sorted(Counter(weights).items()):
-        parts.append(f"{w}^{k}" if k > 1 else f"{w}")
-    return "{" + ",".join(parts) + "}"
 
 
 class MatchQuery(Record):
@@ -119,17 +111,6 @@ def _force_residues(gens, basket):
             if not any(g % sing.r == res for g in gens):
                 gens.append(res)
     return tuple(sorted(gens))
-
-
-def singularity_filter(model, required):
-    """Necessary condition: every required 1/r needs a coordinate weight
-    divisible by r (otherwise no chart of order a multiple of r exists)."""
-    weights = model.coordinate_weights()
-    for sing in required:
-        if not any(w % sing.r == 0 for w in weights):
-            return False, (f"no coordinate weight divisible by {sing.r} "
-                           f"in {fmt_multiset(weights)}")
-    return True, None
 
 
 def enumerate_gr_weights(max_w2, tau=None):

@@ -16,7 +16,8 @@ and the component's ``GradedRing`` read the family's equations with every
 other coordinate set to 0.  The whole procedure is exact rational
 arithmetic; the stratum Hilbert series is proven from the oracle's echelon
 pivots, which give a Groebner staircase of the stratum ideal
-(``GradedRing.hilbert_series``).
+(``GradedRing.hilbert_series``).  The matcher's necessary-condition
+``singularity_filter`` lives here too, for the fixtures to share without it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .wogr510 import OGrWeights
 oracle = lazy_module("wgk.oracle")      # compiled by the first singularity analysis
 
 DEFAULT_DEPTH = 40
+# the matcher's default search bounds, here so that the CLI's parser needs no matcher
+DEFAULT_MAX_W2 = 8
+DEFAULT_MAX_U = 4
 
 
 def integral(key, value):
@@ -114,6 +118,24 @@ class QuotientSingularity(Record):
 
     def to_json(self):
         return {"r": self.r, "weights": list(self.weights)}
+
+
+def fmt_multiset(weights):
+    parts = []
+    for w, k in sorted(Counter(weights).items()):
+        parts.append(f"{w}^{k}" if k > 1 else f"{w}")
+    return "{" + ",".join(parts) + "}"
+
+
+def singularity_filter(model, required):
+    """Necessary condition: every required 1/r needs a coordinate weight
+    divisible by r (otherwise no chart of order a multiple of r exists)."""
+    weights = model.coordinate_weights()
+    for sing in required:
+        if not any(w % sing.r == 0 for w in weights):
+            return False, (f"no coordinate weight divisible by {sing.r} "
+                           f"in {fmt_multiset(weights)}")
+    return True, None
 
 
 FAMILIES = {cls.family: cls for cls in (GrWeights, OGrWeights)}

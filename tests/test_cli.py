@@ -1,7 +1,11 @@
 """Command-line behaviour, exit codes and JSON determinism."""
 
 import ast
+import gc
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +14,8 @@ import pytest
 from wgk import cli, matcher, oracle, orbifold_rr, sections
 from wgk import wgrass25, wogr510
 from wgk.series import HilbertSeries, LaurentPoly, denominator_poly
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -700,3 +706,65 @@ def test_a_refused_section_prints_nothing_on_stdout(tmp_path, capsys, json_flag)
                          "--terms", "-1", *json_flag)
     assert code == 2 and out == ""
     assert err == "error: --terms must be >= 0, got -1\n"
+
+
+# -- the console script's exit ------------------------------------------------------
+
+# a relation in degree 0 breaks the matcher's top-term check, as in
+# test_internal_inconsistency_exits_3_without_traceback
+BREAK_GR_BANKS = ("from wgk import wgrass25\n"
+                  "wgrass25.GrWeights.banks_of = staticmethod(lambda w2: (sum(w2), ((0,),)))\n")
+
+
+def run_entry(argv, setup=""):
+    """``wgk ARGV`` through ``cli.entry`` in a fresh interpreter, after ``setup``:
+    the process's stdout and stderr bytes and its exit code.  Its stdout is
+    block-buffered, as when a user pipes it, so only the exit flushes it."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    code = (f"import sys\n{setup}sys.argv = ['wgk', *{list(argv)!r}]\n"
+            "from wgk.cli import entry\nentry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300,
+                          env={**env, "PYTHONPATH": path}, cwd=ROOT)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+@pytest.mark.parametrize("case", ["verify", "missing-rr", "internal-error"])
+def test_the_console_script_prints_and_exits_as_main_returns(tmp_path, capsys, monkeypatch,
+                                                              case):
+    rr = tmp_path / "can3.json"
+    rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21", "half_points": 2}))
+    argv, setup, want = {
+        "verify": (["verify", "--full", "--json"], "", 0),
+        "missing-rr": (["match", "--rr", str(tmp_path / "no-such.json")], "", 2),
+        "internal-error": (["match", "--rr", str(rr), "--family", "wgr25"], BREAK_GR_BANKS, 3),
+    }[case]
+    out, err, code = run_entry(argv, setup)
+    if setup:
+        monkeypatch.setattr(wgrass25.GrWeights, "banks_of",
+                            staticmethod(lambda w2: (sum(w2), ((0,),))))
+    matcher._model_index.cache_clear()
+    try:
+        expected = run(capsys, *argv)
+    finally:
+        matcher._model_index.cache_clear()
+    assert expected[0] == want
+    assert (code, out, err) == (want, expected[1].encode(), expected[2].encode())
+    if case == "verify":
+        assert len(json.loads(out)["checks"]) == 104
+
+
+def test_the_console_script_runs_atexit_handlers_on_a_frozen_heap():
+    setup = ("import atexit, gc\n"
+             "assert gc.get_freeze_count() == 0\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n")
+    out, err, code = run_entry(["rr", "can3", "--pg", "7", "--k3", "21", "--half", "2"], setup)
+    assert code == 0 and out.strip()
+    assert err.startswith(b"frozen ") and int(err.split()[1]) > 0
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "rr", "can3", "--pg", "7", "--k3", "21", "--half", "2")[0] == 0
+    assert run(capsys, "match", "--rr", str(tmp_path / "no-such.json"))[0] == 2
+    assert gc.get_freeze_count() == before

@@ -4,7 +4,8 @@ Every CLI op is a new interpreter, and the two cost ~26 ms of each: ``inspect``
 pulls in ``ast``, ``dis`` and ``tokenize``, and each ``@dataclass`` ``exec``s
 its generated methods.  The records are plain classes on ``series.Record``.
 Likewise a command compiles no module it never runs: ``wgk.lazy_module``
-defers the oracle, the fixtures and the polynomials to their first use."""
+defers the oracle, the fixtures, the matcher and the polynomials to their
+first use."""
 
 import ast
 import os
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 HEAVY = ("dataclasses", "inspect")
-LAZY = ("fixtures.py", "oracle.py", "polynomials.py")
+LAZY = ("fixtures.py", "matcher.py", "oracle.py", "polynomials.py")
 
 
 def heavy_imports(source, name="<source>"):
@@ -75,15 +76,25 @@ def test_the_cli_loads_neither_in_a_fresh_interpreter():
     assert proc.stdout.split() == []
 
 
+SECTION_MODEL = "tests/golden/section-cy3-roundtrip-cy3-json/cy3.json"
+
+
 @pytest.mark.parametrize("argv, runs, exit_code", [
-    (["match", "--rr", "perfbench/data/cy3.json", "--json"], [], 0),
+    (["match", "--rr", "perfbench/data/cy3.json", "--json"], ["matcher.py"], 0),
     (["match", "--rr", "no-such-file.json"], [], 2),
     (["rr", "can3", "--pg", "7", "--k3", "21", "--half", "2", "--json"], [], 0),
     (["info", "wogr", "--w", "0,0,1,1,2", "--u", "1", "--json"], [], 0),
-    (["verify", "--full", "--json"], list(LAZY), 0),
-    (["oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2", "--degree", "4"], list(LAZY[1:]), 0),
-    (["section", "--model", "tests/golden/section-cy3-roundtrip-cy3-json/cy3.json", "--cut",
-      "2,2,3,4,4,4,5", "--basket"], list(LAZY[1:]), 0),
+    (["verify", "--full", "--json"], ["fixtures.py", "oracle.py", "polynomials.py"], 0),
+    (["oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2", "--degree", "4"],
+     ["oracle.py", "polynomials.py"], 0),
+    (["section", "--model", SECTION_MODEL, "--cut", "2,2,3,4,4,4,5", "--basket"],
+     ["oracle.py", "polynomials.py"], 0),
+    (["rr", "cy3", "--a3", "0", "--ac2", "1"], [], 2),
+    (["info", "wgr", "--w", "1,x,1,1,1"], [], 2),
+    (["oracle", "wgr", "--w", "1/2,1/2,1/2,1/2,1/2", "--degree", "-1"], [], 2),
+    (["section", "--model", SECTION_MODEL, "--cut", "2,x"], [], 2),
+    (["section", "--model", "no-such-file.json"], [], 2),
+    (None, [], 0),      # import wgk.cli and run no command
 ])
 def test_a_command_runs_the_code_of_no_lazy_module_it_does_not_use(argv, runs, exit_code):
     # an "exec" audit event carries the code object of each module body run
@@ -93,7 +104,7 @@ import sys
 ran = set()
 sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
 from wgk import cli
-code = cli.main({argv!r})
+code = 0 if {argv!r} is None else cli.main({argv!r})
 print("ran", *sorted(f.rpartition("/")[2] for f in ran.intersection({lazy!r})))
 sys.exit(code)
 """)

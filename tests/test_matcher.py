@@ -16,12 +16,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from test_contracts import index_value, order_at_one
-from wgk import matcher
+import wgk
+from wgk import matcher, sections
 from wgk.matcher import (MatchQuery, enumerate_gr_weights,
                          enumerate_ogr_weights, infer_generators,
-                         match_pipeline, search, singularity_filter)
+                         match_pipeline, search)
 from wgk.orbifold_rr import RRData, hilbert_can3, hilbert_cy3, local_term
-from wgk.sections import FAMILIES, AmbientModel, QuotientSingularity
+from wgk.sections import FAMILIES, AmbientModel, QuotientSingularity, singularity_filter
 from wgk.series import (HilbertSeries, LaurentPoly, SeriesError, denominator_poly, one_minus,
                         over_one_minus)
 from wgk.wgrass25 import GrWeights, WeightFamily
@@ -156,6 +157,13 @@ def test_search_is_deterministic():
     first = [str(m) for m in search(q)]
     second = [str(m) for m in search(q)]
     assert first == second == sorted(first)
+
+
+def test_the_matcher_reads_the_filter_and_its_bounds_from_sections():
+    # sections holds them so that a command other than match compiles no matcher
+    for name in ("singularity_filter", "fmt_multiset", "DEFAULT_MAX_W2", "DEFAULT_MAX_U"):
+        assert getattr(matcher, name) is getattr(sections, name), name
+    assert wgk.singularity_filter is sections.singularity_filter
 
 
 def test_singularity_filter():

@@ -77,8 +77,8 @@ def fresh(code):
 def test_tracer_installs_and_uninstalls_in_a_fresh_interpreter():
     """install() looks each target's owners up in sys.modules right after
     importing wgk.cli, so every module a target names must be there by then.
-    ``wgk.lazy_module`` puts wgk.oracle, wgk.fixtures and wgk.polynomials
-    there uncompiled, and install() compiles each as it reads it; a plain
+    ``wgk.lazy_module`` puts wgk.oracle, wgk.fixtures, wgk.matcher and
+    wgk.polynomials there uncompiled, and install() compiles each as it reads it; a plain
     import inside a function would leave it out, and install() would crash."""
     proc = fresh(f"""
 import importlib.util
