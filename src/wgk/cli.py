@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -408,8 +409,14 @@ def entry():
     the process's reference cycles, which the operating system reclaims anyway
     (~7 ms per command, 2-core VM, Python 3.11.7); atexit handlers and the
     flush of stdout and stderr still run.  ``main`` does not freeze: tests and
-    the benchmark call it in processes that go on running."""
-    code = main()
+    the benchmark call it in processes that go on running.  A closed stdout exits
+    141 (128 + SIGPIPE), pointed at os.devnull so the exit flush cannot fail."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
     gc.freeze()
     sys.exit(code)
 

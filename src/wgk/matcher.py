@@ -8,13 +8,14 @@ once and hands to the scan.  The order of the target's zero at t = 1, less a
 family's codimension, is the number of (1 - t^k) factors a match needs: it
 picks the slices of that family to scan and enumerate, or none.  The index
 keeps each model as its field values with its num(2), read off the lower
-resolution banks for a divisibility pre-filter, and builds the weights, the
-closed-form series and the canonical key of a model at its first hit.  A
-model matches when its closed-form numerator equals the target numerator
-exactly, either directly (quasilinear candidate) or after stripping extra
-(1 - t^k) factors (a nonlinear section of a cone, reported as a formal
-match).  A necessary-condition singularity filter rejects models that cannot
-carry a required 1/r point because no coordinate weight is divisible by r.
+resolution banks for a divisibility pre-filter, and builds the weights and the
+closed-form series of a model at its first hit; its table entry, one per orbit
+of its family's symmetry, names it.  A model matches when its closed-form
+numerator equals the target numerator exactly, either directly (quasilinear
+candidate) or after stripping extra (1 - t^k) factors (a nonlinear section of
+a cone, reported as a formal match).  A necessary-condition singularity filter
+rejects models that cannot carry a required 1/r point because no coordinate
+weight is divisible by r.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ def enumerate_gr_weights(max_w2, tau=None):
 def enumerate_ogr_weights(max_w2, max_u, tau=None):
     """Orbit representatives of spinor-family weight data within bounds, as the
     field values (w2, u) of ``OGrWeights`` in table order; with ``tau = (lo, hi)``
-    only those with lo < top exponent <= hi."""
+    only those with lo < top exponent <= hi.  No two share a W(D5) orbit (signed
+    permutations, evenly many sign changes): |w| is kept, and a negated variant
+    (tup[0] > 0, so no zero) keeps an odd number of negative entries, so it meets
+    no entry without one; within either kind |w| fixes w2, and a flip keeping w2
+    flips zeros or a pair ±a, which keeps u2 = 2u + the sum of the flipped w2."""
     lo, hi = tau or (-math.inf, math.inf)
     out = []
     for parity in (0, 1):
@@ -188,8 +193,8 @@ def _target_at2(n_target):
 class _ModelIndex:
     """Bounded models as (field values, num(2)) pairs, per family keyed by
     numerator top exponent (every top exponent is positive: the coordinate
-    weights are positive and sum to a multiple of it), with the weights, series
-    and key of each model hit, keyed by family and field values.  A family's
+    weights are positive and sum to a multiple of it), with the weights and
+    series of each model hit, keyed by family and field values.  A family's
     slices are built for every top exponent up to ``covered[family]`` and for
     each top above it that is a key of ``slices[family]``."""
 
@@ -229,7 +234,7 @@ class _ModelIndex:
         return slices
 
     def lookup(self, n_target, formal=False):
-        """(weights, Hilbert series, canonical key) for each bounded model whose
+        """(weights, Hilbert series, (family, *field values)) for each bounded model whose
         numerator num can equal n_target or, with ``formal``, divide it, in no
         particular order.
 
@@ -250,7 +255,7 @@ class _ModelIndex:
         n_target^(j)(1) = sum c_e e(e-1)...(e-j+1), and powers and falling
         factorials of e span the same polynomials, triangularly.  The index
         holds each model's field values and num(2) from when the slice was
-        enumerated, and builds its weights, series and key at its first hit.
+        enumerated, and builds its weights and series at its first hit.
         """
         at2 = _target_at2(n_target)
         if at2 is None:
@@ -275,7 +280,7 @@ class _ModelIndex:
                     hit = self.hits.get((fam, fields))
                     if hit is None:
                         w = FAMILIES[fam](*fields)
-                        hit = self.hits[fam, fields] = w, w.hilbert_series(), _canonical_key(w)
+                        hit = self.hits[fam, fields] = w, w.hilbert_series(), (fam, *fields)
                     yield hit
 
 
@@ -293,11 +298,6 @@ def _strip_section_factors(quotient):
         if q is None or len(factors) > SECTION_FACTORS:
             return None
     return tuple(sorted(factors))
-
-
-def _canonical_key(w):
-    c = w.canonical_form()
-    return (w.family, *(getattr(c, name) for name in c._fields))
 
 
 def _quasilinear_sections(gens, coord_weights):
@@ -359,7 +359,7 @@ class MatchReport(Record):
 
 def _collect(candidates, index, n_target, gens, provenance, basket, formal=False):
     """Add the models of ``index`` whose numerator equals n_target to ``candidates``,
-    keyed by canonical weights, cone and sections, with their quasilinear
+    keyed by table entry, cone and sections, with their quasilinear
     sections against ``gens`` (the model's own coordinates when None); with
     ``formal``, also those whose numerator divides n_target by a product of
     (1 - t^k), as nonlinear sections of a cone, keeping the fewest factors.
@@ -401,11 +401,9 @@ def _collect(candidates, index, n_target, gens, provenance, basket, formal=False
 
 def search(query):
     """All ambient models within bounds matching the query exactly: the
-    accepted candidates of one scan with no section left over.
-
-    Deduplicated by permutation (respectively signed-permutation) symmetry and
-    returned in a canonical deterministic order.
-    """
+    accepted candidates of one scan with no section left over, one per orbit
+    of its family's symmetry as its table entry, sorted by family, then the
+    field values of the returned weights, then the cone."""
     gens, hint = query.generator_degrees, ""
     if query.target.denominator:
         if gens is None:

@@ -112,15 +112,14 @@ class Chart(Record):
 class WeightFamily(Record):
     """A weighted family after Corti-Reid.  A family states ``family``, ``dim``,
     ``codim``, ``coordinates()`` as (name, weight) pairs, ``equations()``,
-    ``charts()``, ``canonical_form()`` and the static ``banks_of(*fields)``:
-    from its field values, the top exponent and the lists of degrees of banks
-    1..k of its Gorenstein resolution of codimension c = 2k + 1, in any order,
-    so that the model index reads them without building the weights.  The
-    members below are derived once, ``info_fields`` as a default: the
-    resolution is self-dual, so bank c - i is top - e over bank i and bank c is
-    (top,); the Hilbert numerator is the alternating sum over the banks, the
-    degree is read off the Hilbert series, and Gorenstein symmetry gives
-    K = O(top - sum of weights)."""
+    ``charts()`` and the static ``banks_of(*fields)``: from its field values,
+    the top exponent and the lists of degrees of banks 1..k of its Gorenstein
+    resolution of codimension c = 2k + 1, in any order, so that the model
+    index reads them without building the weights.  The members below are
+    derived once, ``info_fields`` as a default: the resolution is self-dual, so
+    bank c - i is top - e over bank i and bank c is (top,); the Hilbert
+    numerator is the alternating sum over the banks, the degree is read off the
+    Hilbert series, and Gorenstein symmetry gives K = O(top - sum of weights)."""
 
     def top_exponent(self):
         return self.banks_of(*vars(self).values())[0]    # Record keeps the fields in order
@@ -239,10 +238,6 @@ class GrWeights(WeightFamily):
         """The numerator ends in -t^{2d}; Pf_i has degree d - w_i, its dual d + w_i."""
         d2 = sum(w2)
         return d2, ([(d2 - v) // 2 for v in w2],)
-
-    def canonical_form(self):
-        """The sorted doubled weights already are the orbit representative."""
-        return self
 
     def info_fields(self):
         """The Pfaffian degrees d - w_i, the syzygy degrees d + w_i and the degree."""

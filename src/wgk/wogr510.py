@@ -127,9 +127,7 @@ class OGrWeights(WeightFamily):
 
     def __init__(self, w2, u):
         super().__init__(sorted_w2(w2), operator.index(u))
-        # the smallest of u, u + s - w_i and u + w_i + w_j
-        if self.u + min(0, sum(self.w2[:4]) // 2, (self.w2[0] + self.w2[1]) // 2) < 1:
-            bad = sorted(w for _, w in self.coordinates() if w < 1)
+        if bad := sorted(w for w in self.vertex_weights(self.w2, self.u) if w < 1):
             raise ValueError(f"coordinate weights must be positive, found {bad}")
 
     @classmethod

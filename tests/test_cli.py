@@ -716,16 +716,19 @@ BREAK_GR_BANKS = ("from wgk import wgrass25\n"
                   "wgrass25.GrWeights.banks_of = staticmethod(lambda w2: (sum(w2), ((0,),)))\n")
 
 
-def run_entry(argv, setup=""):
+def run_entry(argv, setup="", stdout=subprocess.PIPE, unbuffered=False):
     """``wgk ARGV`` through ``cli.entry`` in a fresh interpreter, after ``setup``:
-    the process's stdout and stderr bytes and its exit code.  Its stdout is
-    block-buffered, as when a user pipes it, so only the exit flushes it."""
+    the process's stdout (None when ``stdout`` is a file descriptor) and stderr
+    bytes and its exit code.  Its stdout is block-buffered, as when a user pipes
+    it, so only the exit flushes it, unless ``unbuffered``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     code = (f"import sys\n{setup}sys.argv = ['wgk', *{list(argv)!r}]\n"
             "from wgk.cli import entry\nentry()\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300,
-                          env={**env, "PYTHONPATH": path}, cwd=ROOT)
+    proc = subprocess.run([sys.executable, "-c", code], stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=300, env={**env, "PYTHONPATH": path}, cwd=ROOT)
     return proc.stdout, proc.stderr, proc.returncode
 
 
@@ -761,6 +764,22 @@ def test_the_console_script_runs_atexit_handlers_on_a_frozen_heap():
     out, err, code = run_entry(["rr", "can3", "--pg", "7", "--k3", "21", "--half", "2"], setup)
     assert code == 0 and out.strip()
     assert err.startswith(b"frozen ") and int(err.split()[1]) > 0
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["verify", "--full", "--json"],
+                                  ["rr", "can3", "--pg", "7", "--k3", "21", "--half", "2"]])
+def test_a_closed_stdout_exits_141_without_traceback(argv, unbuffered):
+    # as in `wgk verify --full --json | true`: the reader is gone before wgk
+    # writes, so main's print (unbuffered) or the flush after it fails, and the
+    # exit-time flush must not fail again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out, err, code = run_entry(argv, stdout=write, unbuffered=unbuffered)
+    finally:
+        os.close(write)
+    assert (code, err) == (141, b"")
 
 
 def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):

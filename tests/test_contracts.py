@@ -119,9 +119,6 @@ class Hypersurface(WeightFamily):
     def charts(self):
         return []
 
-    def canonical_form(self):
-        return self
-
 
 def index_value(w):
     """num(2) as the model index forms it: ``banks_of`` over a table of 2^e - 2^(top - e)."""

@@ -303,11 +303,16 @@ def full_table(family, max_w2, max_u):
     return tuple(table)
 
 
+def table_entry(w):
+    """The family and field values of ``w``: the name the model index gives it."""
+    return (w.family, *vars(w).values())
+
+
 def linear_scan(index, n_target, formal=False):
     """Oracle for ``matcher._ModelIndex.lookup``: the whole table, no slicing, no filter."""
     for family in index.families:
         for _, w, num, cw in full_table(family, *index.bounds):
-            yield w, HilbertSeries(num, cw), matcher._canonical_key(w)
+            yield w, HilbertSeries(num, cw), table_entry(w)
 
 
 def by_linear_scan(fn, *args, **kwargs):
@@ -378,8 +383,7 @@ def test_search_finds_every_in_bounds_model(model):
     family, w = model
     series = model_series(w)
     hits = search(MatchQuery(target=series, generator_degrees=series.denominator))
-    assert any(m.family == family and m.cone == ()
-               and m.base.canonical_form() == w.canonical_form() for m in hits)
+    assert any(m.family == family and m.cone == () and m.base == w for m in hits)
 
 
 @st.composite
@@ -616,16 +620,16 @@ def test_a_warm_index_forms_no_series_and_no_canonical_form_again():
     matcher._model_index.cache_clear()
     try:
         with counted(WeightFamily, "hilbert_series") as series, \
-                counted(GrWeights, "canonical_form") as gr_forms, \
-                counted(OGrWeights, "canonical_form") as ogr_forms:
+                counted(OGrWeights, "canonical_form") as forms:
             cold = queries()
-            built = series.call_count, gr_forms.call_count + ogr_forms.call_count
+            built = series.call_count, forms.call_count
             warm = queries()
     finally:
         matcher._model_index.cache_clear()
     assert warm == cold and cold[2] == [AmbientModel(w)]
-    assert min(built) > 0
-    assert (series.call_count, gr_forms.call_count + ogr_forms.call_count) == built
+    # the table entry names a hit: no canonical form, cold or warm
+    assert built[0] > 0 and built[1] == 0
+    assert (series.call_count, forms.call_count) == built
 
 
 def test_a_printed_candidate_carries_the_numerator_the_scan_matched():
@@ -934,7 +938,7 @@ def test_banks_of_the_field_values_are_the_top_and_the_sorted_lower_banks(bounds
 
 def test_a_cold_search_builds_the_weights_of_the_models_its_lookup_hits_alone(monkeypatch):
     # the index holds field values: a weights object is built at a model's first
-    # hit, and its canonical form, and for no other model of the slices reached
+    # hit alone, and for no other model of the slices reached
     w = OGrWeights((0, 0, 2, 2, 4), 1)
     query = MatchQuery(target=w.hilbert_series(), generator_degrees=w.coordinate_weights())
     built = []
@@ -951,7 +955,7 @@ def test_a_cold_search_builds_the_weights_of_the_models_its_lookup_hits_alone(mo
         matcher._model_index.cache_clear()
     hits = [hit for hit, _, _ in index.hits.values()]
     assert 0 < len(hits) < count_models(index.slices)      # 1 of the 9 in its top
-    assert Counter(built) == Counter(hits + [v.canonical_form() for v in hits])
+    assert Counter(built) == Counter(hits)
     assert set(index.hits) == {(v.family, tuple(vars(v).values())) for v in hits}
 
 
@@ -986,7 +990,7 @@ def reference_search(query, canonical_degree=None):
             continue
         if query.basket and not singularity_filter(model, query.basket)[0]:
             continue
-        results[matcher._canonical_key(w) + (cone,)] = model
+        results[table_entry(w) + (cone,)] = model
     return [results[k] for k in sorted(results)]
 
 
@@ -1101,9 +1105,15 @@ def test_results_do_not_depend_on_the_lookup_order(model, family, k, basket, rng
 
 
 def test_enumerated_models_have_distinct_canonical_keys():
-    # dedup by canonical key then keeps the same model whichever one a scan meets first
-    keys = [matcher._canonical_key(w) for _, w in DEFAULT_MODELS]
-    assert len(keys) == len(set(keys)) > 0
+    # no two table entries share an orbit, so the index names a model by its entry
+    # and dedup by entry keeps the same model whichever one a scan meets first: the
+    # sorted w2 are the wGr(2,5) orbit representatives, the W(D5) canonical forms
+    # those of wOGr(5,10)
+    for max_w2, max_u in [(8, 4), (12, 6)]:
+        for keys in ([GrWeights(*fields).w2 for fields in enumerate_gr_weights(max_w2)],
+                     [OGrWeights(*fields).canonical_form()
+                      for fields in enumerate_ogr_weights(max_w2, max_u)]):
+            assert len(keys) == len(set(keys)) > 0
 
 
 # -- a verdict is fixed when its candidate is made ---------------------------------

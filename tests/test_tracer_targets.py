@@ -13,7 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from wgk.matcher import _canonical_key
 from wgk.oracle import count_monomials, graded_dimension
 from wgk.sections import AmbientModel
 from wgk.wgrass25 import GrWeights
@@ -62,7 +61,8 @@ def test_benchmark_clients_read_both_families(monkeypatch):
         dim = graded_dimension(*args)
         coords = [wt for _, wt in w.coordinates()]
         assert tracer._gd_info(args, dim) == [w.family, 3, count_monomials(coords, 3), dim]
-        assert batch._canonical(AmbientModel(w, (1,))) == _canonical_key(w) + ((1,),)
+        c = w.canonical_form() if isinstance(w, OGrWeights) else w
+        assert batch._canonical(AmbientModel(w, (1,))) == (w.family, *vars(c).values(), (1,))
 
 
 def fresh(code):
