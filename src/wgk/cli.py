@@ -412,7 +412,10 @@ def entry():
     the benchmark call it in processes that go on running.  A closed stdout exits
     141 (128 + SIGPIPE), pointed at os.devnull so the exit flush cannot fail."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:       # argparse's help and usage errors
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -16,6 +16,9 @@ most FIELD_MASK, packing adds like the tuples and integer order is lex order
 of the exponent tuples; the largest exponent in degree d is d // min(weights),
 so ``check_budget`` refuses a degree where that exceeds FIELD_MASK.  A slice
 never lists its own monomials: the row m*f_j is {m + t: c for t, c in f_j}.
+Each f_j is kept primitive, so that row is primitive with no zero entry, the
+form the echelon stores, and ``IntegerEchelon.insert`` takes it as built: one
+call per row met, which is how perfbench counts the rows a slice ranks.
 
 A slice ranks the equations in order f_0, f_1, ...; for each f_j it walks the
 multipliers m of degree d - deg f_j in descending lex order and skips m*f_j
@@ -67,6 +70,8 @@ variable in the most mixed generators.
 from __future__ import annotations
 
 import operator
+import struct
+from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd, lcm
@@ -131,9 +136,9 @@ def _normalize_row(row):
 class IntegerEchelon:
     """Incremental row echelon form of sparse integer rows, over Q.
 
-    Every stored row is primitive and keyed by its smallest column, its
-    pivot; no two rows share a pivot and there is no back-substitution.  A
-    nonzero combination of stored rows has its smallest column at the least
+    Every stored row is primitive with no zero entry, keyed by its smallest
+    column, its pivot; no two rows share a pivot, there is no back-substitution.
+    A nonzero combination of stored rows has its smallest column at the least
     pivot it involves, so a row lies in the span exactly when repeatedly
     eliminating its smallest column against the pivot row there empties it.
     Each step strictly raises the smallest column, so reduction terminates.
@@ -165,26 +170,28 @@ class IntegerEchelon:
                 del new[c]
         return _normalize_row(new)
 
-    def reduce(self, row):
-        """Remainder of an integer row against the echelon; empty means dependent."""
-        row = _normalize_row({c: v for c, v in row.items() if v})
+    def _eliminate(self, row):
+        """A primitive row with no zero entry, reduced until no stored row pivots
+        on its smallest column: ``(remainder, that column)``, or ``({}, None)``."""
         rows = self.rows
         while row:
-            p = min(row)
-            if p not in rows:
-                break
+            if (p := min(row)) not in rows:
+                return row, p
             row = self._combine(row, p)
-        return row
+        return row, None
+
+    def reduce(self, row):
+        """Remainder of an integer row against the echelon; empty means dependent."""
+        return self._eliminate(_normalize_row({c: v for c, v in row.items() if v}))[0]
 
     def insert(self, row, source=None):
-        """Add an integer row labelled ``source``; True when it enlarges the span."""
-        red = self.reduce(row)
-        if not red:
-            return False
-        pivot = min(red)
-        self.rows[pivot] = red
-        self.source[pivot] = source
-        return True
+        """Add a primitive row with no zero entry, labelled ``source``, as built or
+        reduced; True when it enlarges the span (an empty row adds nothing)."""
+        row, pivot = self._eliminate(row)
+        if row:
+            self.rows[pivot] = row
+            self.source[pivot] = source
+        return bool(row)
 
     def contains(self, row):
         return not self.reduce(row)
@@ -208,6 +215,7 @@ class GradedRing:
         self.weights = tuple(operator.index(w) for _, w in coords)
         n = len(names)
         self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._fields = struct.Struct(f">{n}H")     # _pack's layout, in one C call
         self.equations = []     # (degree, [(packed exponent, int coefficient)])
         seen = set()
         for eq in equations:
@@ -226,8 +234,9 @@ class GradedRing:
             deg = {_degree(vec, self.weights) for vec, _ in terms}
             if len(deg) != 1:
                 raise ValueError("equations must be weighted-homogeneous")
-            # scale to integer coefficients once, so slices build integer rows
-            scale = lcm(*(coeff.denominator for _, coeff in terms))
+            # primitive integer coefficients, so insert takes every row m*f_j as built
+            scale = Fraction(lcm(*(c.denominator for _, c in terms)),
+                             gcd(*(c.numerator for _, c in terms)))
             self.equations.append(
                 (deg.pop(), [(self._pack(vec), int(coeff * scale)) for vec, coeff in terms]))
         self._multipliers = {}  # degree -> its packed monomials, descending
@@ -281,29 +290,28 @@ class GradedRing:
         if not self.monomial_count(degree):
             return ech, zeros
         units = [(1 << s, w) for s, w in zip(self._shifts, self.weights)]
+        insert = ech.insert
         for j, (eq_deg, terms) in enumerate(self.equations):
             if degree < eq_deg:
                 continue
             low = degree - eq_deg
-            earlier = self._slices[low][0].source
-            # m*f_j lies in the span met so far when m/x_i is in Z_j one
-            # variable lower, or when m is an earlier equation's pivot (F5)
-            skip = set()
+            # m*f_j lies in the span met so far when m is an earlier equation's
+            # pivot in slice low (F5), or when m/x_i is in Z_j one variable lower
+            skip = {m for m, i in self._slices[low][0].source.items() if i < j}
             for unit, w in units:
                 below = self._slices.get(degree - w)
                 if below is not None:
                     skip.update(m + unit for m in below[1][j])
             zero = zeros[j]
             for m in self._multiplier_codes(low):
-                if (m in skip or earlier.get(m, j) < j
-                        or not ech.insert({m + t: c for t, c in terms}, j)):
+                if m in skip or not insert({m + t: c for t, c in terms}, j):
                     zero.add(m)
         return ech, zeros
 
     def _multiplier_codes(self, degree):
         if degree not in self._multipliers:
-            monos = weighted_monomials(self.weights, degree)
-            self._multipliers[degree] = [self._pack(m) for m in reversed(monos)]
+            monos, pack = weighted_monomials(self.weights, degree), self._fields.pack
+            self._multipliers[degree] = [int.from_bytes(pack(*m), "big") for m in reversed(monos)]
         return self._multipliers[degree]
 
     def ideal_rank(self, degree):

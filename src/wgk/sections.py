@@ -273,7 +273,8 @@ def _component_split(names, equations):
     generated in standard degree 2, its degree-2 part is the span of the
     equations, and no c^2 lies in it: c*c' is in the ideal exactly when it is
     in that span, with the equations' monomials as columns.  ``equations``
-    may name other coordinates: only their terms inside ``names`` count."""
+    may name other coordinates: only their terms inside ``names`` count; their
+    coefficients are +-1, so each such row is primitive, as ``insert`` needs."""
     inside = set(names)
     span = oracle.IntegerEchelon()
     for eq in equations:

@@ -782,6 +782,21 @@ def test_a_closed_stdout_exits_141_without_traceback(argv, unbuffered):
     assert (code, err) == (141, b"")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_on_a_closed_stdout_exits_without_traceback(argv, unbuffered):
+    # argparse prints the help and raises SystemExit(0) inside main: buffered,
+    # the help waits in the buffer and entry's flush fails, so it exits 141;
+    # unbuffered, argparse ignores its own write error, so it exits 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out, err, code = run_entry(argv, stdout=write, unbuffered=unbuffered)
+    finally:
+        os.close(write)
+    assert (code, err) == (0 if unbuffered else 141, b"")
+
+
 def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):
     before = gc.get_freeze_count()
     assert run(capsys, "rr", "can3", "--pg", "7", "--k3", "21", "--half", "2")[0] == 0

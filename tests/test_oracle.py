@@ -1,19 +1,24 @@
 """The oracle's integer echelon against a plain Fraction elimination, the
 pruned slices against the all-multiples slices they replaced, the guards of
 the packed keys, the oracle against the closed-form Hilbert series beyond the
-acceptance degrees, and the proven staircase series against graded dimensions
-and the window loop it replaced."""
+acceptance degrees, the proven staircase series against graded dimensions
+and the window loop it replaced, and the slices against the echelon and F5
+slices that filtered, normalised and re-scanned every row."""
 
 import itertools
+import struct
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wgk.oracle import (FIELD_MASK, GradedRing, IntegerEchelon, OracleBudgetError, _minimal,
-                        _staircase_numerator, count_monomials, graded_dimension,
+from wgk import oracle
+from wgk.fixtures import run_all
+from wgk.oracle import (FIELD_BITS, FIELD_MASK, GradedRing, IntegerEchelon, OracleBudgetError,
+                        _minimal, _staircase_numerator, count_monomials, graded_dimension,
                         weighted_monomials)
 from wgk.polynomials import MPoly
 from wgk.series import HilbertSeries, LaurentPoly, denominator_poly, one_minus
@@ -449,3 +454,181 @@ def test_each_lead_is_read_once_and_the_series_and_stop_are_the_re_minimising_lo
     assert ring.hilbert_series() == reference_hilbert_series(GradedRing(*ring_data))
     # only minimal generators of in(I) are unpacked, each once
     assert sorted(_minimal(unpacked)) == sorted(unpacked)
+
+
+# -- the echelon and F5 slices as they were before rows were taken as built --------
+
+def reference_normalize_row(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, abs(v))
+        if g == 1:
+            return row
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+class ReferenceEchelon:
+    """``IntegerEchelon`` as it was: every insert filtered and normalised a copy
+    of its row and looked up the smallest column again after reducing it."""
+
+    def __init__(self):
+        self.rows = {}
+        self.source = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _combine(self, row, piv_col):
+        piv = self.rows[piv_col]
+        a, b = piv[piv_col], row[piv_col]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        new = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+        for c, v in piv.items():
+            w = new.get(c, 0) - b * v
+            if w:
+                new[c] = w
+            else:
+                del new[c]
+        return reference_normalize_row(new)
+
+    def reduce(self, row):
+        row = reference_normalize_row({c: v for c, v in row.items() if v})
+        while row:
+            p = min(row)
+            if p not in self.rows:
+                break
+            row = self._combine(row, p)
+        return row
+
+    def insert(self, row, source=None):
+        red = self.reduce(row)
+        if not red:
+            return False
+        pivot = min(red)
+        self.rows[pivot] = red
+        self.source[pivot] = source
+        return True
+
+
+class ReferenceRing(GradedRing):
+    """``GradedRing`` with the equations scaled only to integers, multipliers
+    packed one shift at a time and the F5 test made per multiplier, on the
+    reference echelon."""
+
+    def __init__(self, coords, equations):
+        super().__init__(coords, equations)
+        index = {name: i for i, (name, _) in enumerate(coords)}
+        self.equations, seen = [], set()
+        for eq in equations:
+            terms = {}
+            for mono, coeff in eq.coeffs.items():
+                if any(var not in index for var, _ in mono):
+                    continue
+                vec = [0] * len(coords)
+                for var, exp in mono:
+                    vec[index[var]] += exp
+                terms[tuple(vec)] = terms.get(tuple(vec), 0) + coeff
+            terms = tuple(sorted((vec, coeff) for vec, coeff in terms.items() if coeff))
+            if not terms or terms in seen:
+                continue
+            seen.add(terms)
+            scale = lcm(*(coeff.denominator for _, coeff in terms))
+            self.equations.append((sum(map(mul, terms[0][0], self.weights)),
+                                   [(self._pack(vec), int(coeff * scale))
+                                    for vec, coeff in terms]))
+
+    def _build_slice(self, degree):
+        ech = ReferenceEchelon()
+        zeros = [set() for _ in self.equations]
+        if not self.monomial_count(degree):
+            return ech, zeros
+        units = [(1 << s, w) for s, w in zip(self._shifts, self.weights)]
+        for j, (eq_deg, terms) in enumerate(self.equations):
+            if degree < eq_deg:
+                continue
+            low = degree - eq_deg
+            earlier = self._slices[low][0].source
+            skip = set()
+            for unit, w in units:
+                below = self._slices.get(degree - w)
+                if below is not None:
+                    skip.update(m + unit for m in below[1][j])
+            zero = zeros[j]
+            for m in self._multiplier_codes(low):
+                if (m in skip or earlier.get(m, j) < j
+                        or not ech.insert({m + t: c for t, c in terms}, j)):
+                    zero.add(m)
+        return ech, zeros
+
+    def _multiplier_codes(self, degree):
+        if degree not in self._multipliers:
+            monos = weighted_monomials(self.weights, degree)
+            self._multipliers[degree] = [self._pack(m) for m in reversed(monos)]
+        return self._multipliers[degree]
+
+
+def assert_slices_equal_the_reference(coords, equations, degrees=None):
+    """Rows, pivots, source labels, Z sets and ranks of every slice built,
+    asked degree by degree, or by the proven series and its stop degree."""
+    ring, ref = GradedRing(coords, equations), ReferenceRing(coords, equations)
+    if degrees is None:
+        assert ring.hilbert_series() == ref.hilbert_series()
+    for d in degrees or ():
+        assert ring.dimension(d) == ref.dimension(d)
+    assert ring._slices.keys() == ref._slices.keys()
+    for d, (ech, zeros) in ring._slices.items():
+        ref_ech, ref_zeros = ref._slices[d]
+        assert ech.rank == ref_ech.rank
+        assert ech.rows == ref_ech.rows
+        assert ech.source == ref_ech.source
+        assert zeros == ref_zeros
+
+
+@pytest.mark.parametrize("weights, degrees", [(GrWeights((1,) * 5), range(7)),
+                                              (OGrWeights((0,) * 5, 1), range(4))])
+def test_the_straight_slices_equal_the_reference_slices(weights, degrees):
+    assert_slices_equal_the_reference(weights.coordinates(), weights.equations(), degrees)
+    assert_slices_equal_the_reference(weights.coordinates(), weights.equations())
+
+
+def test_the_fixtures_strata_rings_equal_the_reference_rings(monkeypatch):
+    made = []
+
+    class Recorded(GradedRing):
+        def __init__(self, coords, equations):
+            super().__init__(coords, equations)
+            made.append((coords, equations))
+
+    monkeypatch.setattr(oracle, "GradedRing", Recorded)
+    assert all(ok for _, ok, _ in run_all())
+    monkeypatch.undo()
+    assert len(made) >= 7
+    for coords, equations in made:
+        assert_slices_equal_the_reference(coords, equations)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(random_rings(), random_rings(terms=(2, 6), extra=(1, 3)),
+                 several_lead_rings()))
+def test_random_slices_equal_the_reference_slices(ring_data):
+    coords, equations = ring_data
+    ring = GradedRing(coords, equations)
+    degrees = [d for d in range(10) if ring.monomial_count(d) <= 300]
+    assert_slices_equal_the_reference(coords, equations, degrees)
+    if all(ring.monomial_count(d) <= STAIRCASE_CAP for d in range(3 * sum(ring.weights) + 12)):
+        assert_slices_equal_the_reference(coords, equations)
+
+
+def test_a_packed_field_is_an_unsigned_short():
+    assert FIELD_BITS == 8 * struct.calcsize("H")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, FIELD_MASK), min_size=1, max_size=16))
+def test_the_struct_packing_is_the_shift_packing(exponents):
+    ring = GradedRing([(f"x{i}", 1) for i in range(len(exponents))], [])
+    assert int.from_bytes(ring._fields.pack(*exponents), "big") == ring._pack(exponents)
