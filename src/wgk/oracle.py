@@ -215,7 +215,7 @@ class GradedRing:
         self.weights = tuple(operator.index(w) for _, w in coords)
         n = len(names)
         self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
-        self._fields = struct.Struct(f">{n}H")     # _pack's layout, in one C call
+        self._packer = struct.Struct(f">{n}H")     # FIELD_BITS per exponent
         self.equations = []     # (degree, [(packed exponent, int coefficient)])
         seen = set()
         for eq in equations:
@@ -264,7 +264,7 @@ class GradedRing:
     def _pack(self, exponents):
         """The exponent tuple as one integer, FIELD_BITS per exponent, the
         first exponent highest: integer order is lex order of the tuples."""
-        return sum(e << s for e, s in zip(exponents, self._shifts))
+        return int.from_bytes(self._packer.pack(*exponents), "big")
 
     def _unpack(self, code):
         return tuple(code >> s & FIELD_MASK for s in self._shifts)
@@ -310,8 +310,8 @@ class GradedRing:
 
     def _multiplier_codes(self, degree):
         if degree not in self._multipliers:
-            monos, pack = weighted_monomials(self.weights, degree), self._fields.pack
-            self._multipliers[degree] = [int.from_bytes(pack(*m), "big") for m in reversed(monos)]
+            monos = weighted_monomials(self.weights, degree)
+            self._multipliers[degree] = list(map(self._pack, reversed(monos)))
         return self._multipliers[degree]
 
     def ideal_rank(self, degree):
