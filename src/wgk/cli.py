@@ -235,8 +235,8 @@ def cmd_section(args):
 
 
 def _rr_point(index, entry):
-    """``(point, table)`` of ``points[index]`` in cy3 data, either one None: the point
-    from ``weights``, the table from ``c`` or else from ``local_term``, which ``c`` must equal."""
+    """``(point, table)`` of ``points[index]`` in cy3 data: the point from ``weights``, else None,
+    and the table from ``c`` or else from ``local_term``, which ``c`` must equal."""
     name = f"points[{index}]"
     fields = json_object(name, entry, ("r",), {"weights": None, "c": None})
     r = _quotient_order(name, integral("r", fields["r"]))
@@ -244,6 +244,8 @@ def _rr_point(index, entry):
         table = (PeriodicTable(r, json_list("c", fields["c"], rational))
                  if "c" in entry else None)
         if "weights" not in entry:
+            if table is None:
+                raise ValueError("a point needs its weights or a c table")
             return None, table
         weights = json_list("weights", fields["weights"], integral)
         if len(weights) != 3:
@@ -275,7 +277,7 @@ def cmd_match(args):
         points = json_list("points", fields["points"], lambda _, entry: entry)
         points = [_rr_point(i, p) for i, p in enumerate(points)]
         rr = RRData.cy3(rational("A3", fields["A3"]), rational("Ac2", fields["Ac2"]),
-                        tuple(table for _, table in points if table is not None))
+                        tuple(table for _, table in points))
         series = hilbert_cy3(rr)
         basket = tuple(point for point, _ in points if point is not None)
     else:

@@ -27,9 +27,9 @@ from collections import Counter
 from functools import lru_cache
 
 from .sections import (DEFAULT_DEPTH, DEFAULT_MAX_U, DEFAULT_MAX_W2, FAMILIES, AmbientModel,
-                       fmt_multiset, singularity_filter)
-from .series import (HilbertSeries, InternalError, LaurentPoly, Record, SeriesError, one_minus,
-                     over_one_minus, positive_degrees, times_one_minus)
+                       QuotientSingularity, fmt_multiset, singularity_filter)
+from .series import (HilbertSeries, InternalError, LaurentPoly, Record, SeriesError,
+                     differences, one_minus, over_one_minus, positive_degrees, times_one_minus)
 
 AUGMENT_BOUND = 8     # the largest extra generator degree match_pipeline tries
 SECTION_FACTORS = 8   # the most (1 - t^k) factors a formal match strips
@@ -47,21 +47,24 @@ class MatchQuery(Record):
 
     def __init__(self, target, generator_degrees=None, family=None, max_w2=DEFAULT_MAX_W2,
                  max_u=DEFAULT_MAX_U, basket=()):
-        max_w2, max_u = _check_bounds(family, max_w2, max_u)
+        max_w2, max_u, basket = _check_bounds(family, max_w2, max_u, basket)
         if generator_degrees is not None:
             generator_degrees = positive_degrees(generator_degrees)
-        super().__init__(target, generator_degrees, family, max_w2, max_u, tuple(basket))
+        super().__init__(target, generator_degrees, family, max_w2, max_u, basket)
 
 
-def _check_bounds(family, max_w2, max_u):
-    """The bounds and family check of both ``search`` and ``match_pipeline``; the
+def _check_bounds(family, max_w2, max_u, basket):
+    """The bounds, family and basket check of both ``search`` and ``match_pipeline``; the
     bounds are read through ``operator.index``, which refuses a float or inf."""
-    max_w2, max_u = operator.index(max_w2), operator.index(max_u)
+    max_w2, max_u, basket = operator.index(max_w2), operator.index(max_u), tuple(basket)
     if max_w2 < 1 or max_u < 1:
         raise ValueError("search bounds must be positive and finite")
     if family is not None and family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return max_w2, max_u
+    for i, point in enumerate(basket):
+        if not isinstance(point, QuotientSingularity):
+            raise TypeError(f"basket[{i}] = {point!r} is not a QuotientSingularity")
+    return max_w2, max_u, basket
 
 
 def infer_generators(series):
@@ -306,12 +309,10 @@ def _quasilinear_sections(gens, coord_weights):
     Each cone adds one coordinate of weight 1, so the fewest cones are those
     the generators of weight 1 lack; the other weights must be there already.
     """
-    need, have = Counter(gens), Counter(coord_weights)
-    cone = max(0, need[1] - have[1])
-    have[1] += cone
-    if not need <= have:
+    sections, lacking = differences(coord_weights, gens)
+    if any(w != 1 for w in lacking):
         return None, None
-    return cone, tuple(sorted((have - need).elements()))
+    return len(lacking), tuple(sorted(sections))
 
 
 class MatchCandidate(Record):
@@ -431,8 +432,7 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
     variants, and any user-supplied ones.  If no candidate is accepted, one
     extra generator-and-relation degree k is tried for k up to AUGMENT_BOUND.
     """
-    max_w2, max_u = _check_bounds(family, max_w2, max_u)
-    basket = tuple(basket)
+    max_w2, max_u, basket = _check_bounds(family, max_w2, max_u, basket)
     greedy = infer_generators(series)
     forced = _force_divisibility(greedy, basket)
     inferred = [("greedy", greedy), ("divisibility-forced", forced)]

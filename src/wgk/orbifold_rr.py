@@ -50,14 +50,18 @@ class PeriodicTable(Record):
 
 
 class RRData(Record):
-    """K = kA, A^3, chi(O), A.c2 and one periodic term per point; a float is
-    refused.  Integral non-negative plurigenera are a check, not a
-    construction-time constraint."""
+    """K = kA, A^3, chi(O), A.c2 and one periodic term per point; a float, or a
+    point that is not a ``PeriodicTable``, is refused.  Integral non-negative
+    plurigenera are a check, not a construction-time constraint."""
     _fields = ("k", "acubed", "chi", "ac2", "points")
 
     def __init__(self, k, acubed, chi, ac2, points=()):
         acubed, chi, ac2 = (Fraction(coefficient(v)) for v in (acubed, chi, ac2))
-        super().__init__(operator.index(k), acubed, chi, ac2, tuple(points))
+        points = tuple(points)
+        for i, table in enumerate(points):
+            if not isinstance(table, PeriodicTable):
+                raise TypeError(f"points[{i}] = {table!r} is not a PeriodicTable")
+        super().__init__(operator.index(k), acubed, chi, ac2, points)
         if k > 1:
             raise ValueError(f"K = {k}A: Riemann-Roch fixes every P(n) only for k <= 1")
 

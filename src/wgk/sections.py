@@ -30,7 +30,7 @@ from math import gcd, prod
 from . import lazy_module
 from . import orbifold_rr as rr
 from .series import (HilbertSeries, OracleBudgetError, Record, SeriesError, coefficient,
-                     exact_div, positive_degrees)
+                     differences, exact_div, positive_degrees)
 from .wgrass25 import Chart, GrWeights, WeightFamily
 from .wogr510 import OGrWeights
 
@@ -239,11 +239,8 @@ def quasilinear_embed(model, cut):
     Returns the remaining generator weights, whether every degree matched, and
     the unmatched leftovers.
     """
-    weights = Counter(model.coordinate_weights())
-    degrees = Counter(positive_degrees(cut, "section degrees"))
-    leftovers = tuple(sorted((degrees - weights).elements()))
-    return {"weights": tuple(sorted((weights - degrees).elements())),
-            "quasilinear": not leftovers, "leftovers": leftovers}
+    kept, left = differences(model.coordinate_weights(), positive_degrees(cut, "section degrees"))
+    return {"weights": tuple(kept), "quasilinear": not left, "leftovers": tuple(left)}
 
 
 # -- singularity analysis --------------------------------------------------------

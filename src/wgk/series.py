@@ -323,8 +323,9 @@ def over_one_minus(coeffs, a):
 
 
 def differences(a, b):
-    """The multiset differences a - b and b - a of two sorted multisets, as sorted
-    lists: one ``list.remove`` for each entry of b that a holds."""
+    """The multiset differences a - b, in a's order, and b - a, in b's order, as lists
+    (so both are sorted when a and b are): one ``list.remove`` for each entry of b that
+    a holds, which drops the first equal entry."""
     a, b_only = list(a), []
     for x in b:
         (a.remove if x in a else b_only.append)(x)
@@ -349,22 +350,15 @@ class HilbertSeries:
     # -- algebra -----------------------------------------------------------
 
     def __eq__(self, other):
-        """Exact equality as rational functions (never truncated comparison): each
-        numerator times the factors of the other denominator that its own lacks,
-        the shared ones cancelled (Q[t, 1/t] is an integral domain), compared as
-        dense coefficients long enough to hold both products whole."""
+        """Exact equality as rational functions, never a truncated comparison: both numerators
+        over U, the union of the two denominators, by ``hilbert_numerator``.  U holds both, so
+        each side gains just the factors it lacks and nothing is divided: cross-multiplication."""
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        mine, theirs = differences(other.denominator, self.denominator)
-        left, right = self.numerator.coeffs, other.numerator.coeffs
-        low = min([*left, *right], default=0)
-        high = max(max(left, default=low) + sum(mine), max(right, default=low) + sum(theirs))
-        left, right = self.numerator.dense(low, high), other.numerator.dense(low, high)
-        for a in mine:
-            times_one_minus(left, a)
-        for a in theirs:
-            times_one_minus(right, a)
-        return left == right
+        union = self.denominator + tuple(differences(other.denominator, self.denominator)[0])
+        if not union:
+            return self.numerator == other.numerator
+        return self.hilbert_numerator(union) == other.hilbert_numerator(union)
 
     def __hash__(self):
         # the value at t = 2 is exact and equal for equal series

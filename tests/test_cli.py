@@ -293,6 +293,8 @@ def test_match_takes_a_missing_c_from_the_local_term(tmp_path, capsys):
     pytest.param({"r": 5, "weights": [3, 3, 4, 1]},
                  "points[0]: a 3-fold point needs 3 weights, got 4",
                  id="point6-points[0]: a 3-fold point needs 3 weights, got 4"),
+    pytest.param({"r": 5}, "points[0]: a point needs its weights or a c table",
+                 id="point7-points[0]: a point needs its weights or a c table"),
 ])
 def test_match_refuses_a_point_by_name(tmp_path, capsys, point, message):
     rr = tmp_path / "cy3.json"

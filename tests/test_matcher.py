@@ -269,6 +269,17 @@ def test_a_search_bound_that_is_not_an_integer_is_refused_when_the_query_is_buil
         match_pipeline(target, **bounds)
 
 
+@pytest.mark.parametrize("entry", [(3, (1, 1, 1)), "1/3(1,1,1)", local_term(3, (1, 1, 1))])
+def test_a_basket_entry_that_is_not_a_quotient_singularity_is_refused_by_name(entry):
+    # else both raise an AttributeError on a missing ``r`` once the scan starts
+    basket = [QuotientSingularity(3, (1, 1, 1)), entry]
+    message = r"^basket\[1\] = .* is not a QuotientSingularity$"
+    with pytest.raises(TypeError, match=message):
+        MatchQuery(H_CY3, basket=basket)
+    with pytest.raises(TypeError, match=message):
+        match_pipeline(H_CY3, basket=basket)
+
+
 def test_enumerations_within_bounds_and_canonical():
     for w in gr_models(4):
         assert all(abs(v) <= 4 for v in w.w2)

@@ -110,6 +110,13 @@ def test_periodic_table_validation():
     assert table.at(8) == 0
 
 
+@pytest.mark.parametrize("point", [(3, (1, 1, 1)), local_term(3, (1, 1, 1)).values, None])
+def test_a_point_that_is_not_a_periodic_table_is_refused_by_name(point):
+    # else the data constructs and plurigenus fails later on a missing ``at``
+    with pytest.raises(TypeError, match=r"^points\[1\] = .* is not a PeriodicTable$"):
+        RRData(0, 1, 0, 0, (local_term(5, (3, 3, 4)), point))
+
+
 def test_local_terms_of_the_cy3_basket():
     assert FIFTH_334 == PeriodicTable(5, (0, 0, Fraction(-1, 5), Fraction(1, 5), 0))
     third = local_term(3, (1, 1, 1))

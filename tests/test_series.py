@@ -662,6 +662,14 @@ def test_hilbert_numerator_clears_the_counter_differences_of_the_multisets(case)
     assert divided == (missing[:len(divided)] if isinstance(got, tuple) else missing)
 
 
+def test_differences_keep_the_order_of_each_operand():
+    # a - b in a's order, b - a in b's order, each list.remove dropping the first
+    # equal entry: sorted operands give sorted differences, unsorted ones do not
+    assert series.differences([3, 1, 2, 1, 5], [1, 4, 5, 0, 4]) == ([3, 2, 1], [4, 0, 4])
+    assert series.differences([1, 1, 2, 3, 5], [0, 1, 4, 4, 5]) == ([1, 2, 3], [0, 4, 4])
+    assert series.differences([], [2, 1]) == ([], [2, 1])
+
+
 def test_hilbert_numerator_multiplies_before_it_divides():
     # 1 - t + t^2 divides 1 - t^6 = (1 - t^3)(1 + t)(1 - t + t^2) but not by itself
     h = HilbertSeries(LaurentPoly({0: 1, 1: -1, 2: 1}), (6,))
