@@ -283,8 +283,7 @@ def cmd_match(args):
     else:
         raise InputError("rr data file must set kind to can3 or cy3")
     report = matcher_mod.match_pipeline(
-        series, basket=basket, family=args.family, max_w2=args.max_w2,
-        max_u=args.max_u, residue_forcing=not args.no_residue_forcing)
+        series, basket=basket, family=args.family, max_w2=args.max_w2, max_u=args.max_u)
     lines = []
     for cand in report.candidates:
         verdict = "accepted" if cand.accepted else "rejected"
@@ -372,7 +371,6 @@ def build_parser():
     p.add_argument("--family", choices=sorted(FAMILIES))
     p.add_argument("--max-w2", type=int, default=DEFAULT_MAX_W2)
     p.add_argument("--max-u", type=int, default=DEFAULT_MAX_U)
-    p.add_argument("--no-residue-forcing", action="store_true")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("oracle", parents=[output], help="brute-force graded dimension check")

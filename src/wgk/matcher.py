@@ -425,7 +425,7 @@ def search(query):
 
 
 def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
-                   max_u=DEFAULT_MAX_U, user_generators=(), residue_forcing=True):
+                   max_u=DEFAULT_MAX_U, user_generators=()):
     """Full recognition pipeline with accepted/rejected verdicts.
 
     Candidate generator multisets are the greedy one, its singularity-forced
@@ -435,9 +435,8 @@ def match_pipeline(series, basket=(), family=None, max_w2=DEFAULT_MAX_W2,
     max_w2, max_u, basket = _check_bounds(family, max_w2, max_u, basket)
     greedy = infer_generators(series)
     forced = _force_divisibility(greedy, basket)
-    inferred = [("greedy", greedy), ("divisibility-forced", forced)]
-    if residue_forcing:
-        inferred.append(("residue-forced", _force_residues(forced, basket)))
+    inferred = [("greedy", greedy), ("divisibility-forced", forced),
+                ("residue-forced", _force_residues(forced, basket))]
     gen_sets = [(p, g) for i, (p, g) in enumerate(inferred)
                 if g not in [h for _, h in inferred[:i]]]
     gen_sets += [(f"user[{k}]", positive_degrees(gens)) for k, gens in enumerate(user_generators)]

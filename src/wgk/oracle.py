@@ -85,14 +85,19 @@ FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def count_monomials(weights, degree):
-    """Number of exponent vectors with the given weighted degree."""
+    """Number of exponent vectors with the given weighted degree, counted over
+    the weights and degree divided by the weights' gcd."""
     if degree < 0:
         return 0
+    if min(weights, default=1) <= 0:
+        raise ValueError("weights must be positive")
+    g = gcd(*weights) or 1      # 0 for no weights
+    if degree % g:
+        return 0
+    weights, degree = [w // g for w in weights], degree // g
     counts = [0] * (degree + 1)
     counts[0] = 1
     for w in weights:
-        if w <= 0:
-            raise ValueError("weights must be positive")
         for d in range(w, degree + 1):
             counts[d] += counts[d - w]
     return counts[degree]
@@ -120,17 +125,6 @@ def weighted_monomials(weights, degree):
             cur[i] = 0
         else:
             return out
-
-
-def _normalize_row(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
 
 
 class IntegerEchelon:
@@ -168,7 +162,8 @@ class IntegerEchelon:
                 new[c] = w
             else:
                 del new[c]
-        return _normalize_row(new)
+        g = gcd(*new.values())      # 0 for an empty row
+        return new if g < 2 else {c: v // g for c, v in new.items()}
 
     def _eliminate(self, row):
         """A primitive row with no zero entry, reduced until no stored row pivots
@@ -180,10 +175,6 @@ class IntegerEchelon:
             row = self._combine(row, p)
         return row, None
 
-    def reduce(self, row):
-        """Remainder of an integer row against the echelon; empty means dependent."""
-        return self._eliminate(_normalize_row({c: v for c, v in row.items() if v}))[0]
-
     def insert(self, row, source=None):
         """Add a primitive row with no zero entry, labelled ``source``, as built or
         reduced; True when it enlarges the span (an empty row adds nothing)."""
@@ -194,7 +185,8 @@ class IntegerEchelon:
         return bool(row)
 
     def contains(self, row):
-        return not self.reduce(row)
+        """Whether a row, primitive with no zero entry as for ``insert``, is in the span."""
+        return not self._eliminate(row)[0]
 
 
 class GradedRing:

@@ -317,6 +317,15 @@ def test_match_on_a_target_that_is_not_an_integer_polynomial_builds_no_model(
     assert built == []
 
 
+def test_match_refuses_the_removed_residue_forcing_switch(capsys):
+    # the pipeline always tries the residue-forced generators
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["match", "--rr", str(ROOT / "perfbench/data/cy3.json"),
+                  "--no-residue-forcing"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-residue-forcing" in capsys.readouterr().err
+
+
 def test_match_json_report(tmp_path, capsys):
     rr = tmp_path / "can3.json"
     rr.write_text(json.dumps({"kind": "can3", "pg": 7, "K3": "21",

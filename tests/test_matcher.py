@@ -218,14 +218,16 @@ def test_pipeline_example_two_with_mirage():
 
 
 def test_pipeline_augmentation_step():
-    # without residue forcing the pipeline must guess the extra degree-4
-    # generator and relation by retrying
-    report = match_pipeline(H_CY3, basket=BASKET_CY3, residue_forcing=False)
-    assert "added one generator and relation in degree 4" in report.diagnostics
+    # wGr(2,5; w=(0,1,1,1,2)) has a generator and a relation in degree 3, which
+    # cancel in its series: the greedy set misses the generator, so the
+    # pipeline finds it only by retrying with one more degree
+    model = AmbientModel(GrWeights((0, 2, 2, 2, 4)))
+    report = match_pipeline(model.base.hilbert_series())
+    assert report.diagnostics == ["added one generator and relation in degree 3"]
     accepted = [c for c in report.candidates if c.accepted]
-    assert [c.model.base.canonical_form() for c in accepted] == [
-        OGrWeights((0, 0, 2, 2, 4), 1)]
-    assert accepted[0].generators == (1, 1, 2, 2, 3, 3, 3, 4, 5)
+    assert [c.model for c in accepted] == [model]
+    assert accepted[0].generators == (1, 1, 1, 2, 2, 2, 2, 3, 3, 3)
+    assert accepted[0].provenance == "greedy + degree 3"
 
 
 def test_pipeline_genus_six_curve_series():

@@ -7,6 +7,7 @@ slices that filtered, normalised and re-scanned every row."""
 
 import itertools
 import struct
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -84,11 +85,12 @@ def test_contains_matches_fraction_elimination(data):
     for k, row in zip(coeffs, rows):
         for c, v in row.items():
             combo[c] = combo.get(c, 0) + k * v
-    assert ech.contains(combo)
+    # contains takes a row as insert does: primitive, with no zero entry
+    assert ech.contains(reference_normalize_row({c: v for c, v in combo.items() if v}))
 
     for probe in data.draw(sparse_rows(ncols, 5)):
         inside = reference_rank(rows + [probe], ncols) == rank
-        assert ech.contains(probe) == inside
+        assert ech.contains(reference_normalize_row(probe)) == inside
 
 
 def test_straight_plucker_degrees_7_and_8_match_closed_form():
@@ -330,16 +332,31 @@ def test_negative_degrees_are_empty():
     assert ring.dimension(-2) == 0
 
 
+def test_count_monomials_of_weights_with_a_large_common_factor_is_cheap():
+    """Counted over the undivided weights, this degree needs a list of 10**6 + 1
+    counts (8 MB, seconds)."""
+    tracemalloc.start()
+    try:
+        assert count_monomials((10**4, 10**4), 10**6) == 101
+        assert tracemalloc.get_traced_memory()[1] < 10**6
+    finally:
+        tracemalloc.stop()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 4), max_size=5), st.integers(-3, 12))
 @example([], 0)
 @example([], 2)
+@example([2, 4], 6)
+@example([2, 4], 7)
 def test_weighted_monomials_are_in_ascending_lex_order(weights, degree):
-    """The staircase proof reads in(I) off the pivots only in this order."""
+    """The staircase proof reads in(I) off the pivots only in this order;
+    count_monomials counts them, over the weights divided by their gcd."""
     brute = [m for m in itertools.product(*(range(max(degree, 0) // w + 1)
                                             for w in weights))
              if sum(e * w for e, w in zip(m, weights)) == degree]
     assert weighted_monomials(weights, degree) == sorted(brute)
+    assert count_monomials(weights, degree) == len(brute)
 
 
 def window_series(ring):
